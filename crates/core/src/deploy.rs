@@ -336,8 +336,11 @@ impl SessionDeployment {
 /// Deploys the session-table client tier over the ch. 4 server side.
 /// Opt-in: [`deploy_smr`] and its traces are untouched by this path.
 pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeployment {
-    // Mass-session traffic is coordinator-bound; 8 KB packets let the
-    // ring batch many 256 B commands per instance (§3.5.4).
+    // Mass-session traffic is coordinator-bound: with 8 KB packets the
+    // coordinator packs every pending 256 B command of a partition mask
+    // into one instance (§3.5.4), up to 32 of them. A partial batch
+    // waits at most `batch_timeout` (100 µs here) on an idle
+    // coordinator, and otherwise until its core 0 drains.
     let ServerSide { ring, replicas, extras: tables, registry, log, partitioning, cfg } =
         deploy_servers(
             sim,

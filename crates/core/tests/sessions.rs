@@ -2,7 +2,9 @@
 //! pure function of `(seed, partition)` at any thread count, and mass
 //! sessions ride out a coordinator failover injected by a [`FaultPlan`].
 
-use hpsmr_core::deploy::{deploy_smr_sessions, SessionDeployment, SessionOptions};
+use hpsmr_core::deploy::{
+    deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
+};
 use simnet::prelude::*;
 use workload::{
     SESSIONS_ARRIVAL_US, SESSIONS_COMPLETED, SESSIONS_RETRIES, SESSIONS_SHED, SESSIONS_SUBMITTED,
@@ -129,4 +131,40 @@ fn sessions_ride_out_coordinator_failover() {
         sim.metrics().percentile(SESSION_LATENCY, 0.99).unwrap(),
     );
     assert!(p50 <= p99, "quantiles must be monotone: {p50:?} > {p99:?}");
+}
+
+/// Pins a finding, not a fix (ROADMAP open items, "eviction means
+/// loss"): under partitioning a replica sees only its partition's slice
+/// of each table's dense seq, so its duplicate filter never advances a
+/// watermark, fills to `MAX_OVERFLOW` and from then on evicts on every
+/// delivery. The counter makes that visible; full replication (every
+/// learner sees every seq) stays at zero.
+#[test]
+fn partitioned_replicas_evict_from_the_dedup_window() {
+    let evictions = |partitions: Option<PartitionOptions>| -> (u64, u64) {
+        let mut sim = Sim::new(SimConfig::default());
+        let opts = SessionOptions {
+            n_tables: 2,
+            sessions_per_table: 10_000,
+            rate_per_table: 15_000.0,
+            partitions,
+            stop_at: Some(Time::from_millis(900)),
+            ..SessionOptions::default()
+        };
+        let d = deploy_smr_sessions(&mut sim, &opts);
+        sim.run_until(Time::from_secs(1));
+        let sum = |nodes: &[NodeId], name: &'static str| -> u64 {
+            nodes.iter().map(|&n| sim.metrics().counter(n, name)).sum()
+        };
+        (sum(&d.tables, SESSIONS_COMPLETED), sum(&d.cfg.learners, "rp.dedup_evict"))
+    };
+
+    let (completed, evicted) = evictions(None);
+    assert!(completed > 20_000, "scenario: {completed} commands completed");
+    assert_eq!(evicted, 0, "a learner that sees every seq never parks one");
+
+    let four = PartitionOptions { n: 4, replicas_per: 2, cross_pct: 0 };
+    let (completed, evicted) = evictions(Some(four));
+    assert!(completed > 20_000, "scenario: {completed} commands completed");
+    assert!(evicted > 0, "each replica delivered > MAX_OVERFLOW sliced seqs without evicting");
 }

@@ -92,7 +92,12 @@ pub struct MRingConfig {
     pub learners: Vec<NodeId>,
     /// Target consensus packet size (the paper uses 8 KB).
     pub packet_bytes: u32,
-    /// Flush a partial batch after this long.
+    /// Period of the coordinator's batch tick: the upper bound on how
+    /// long a partial (sub-packet) batch waits on an idle coordinator.
+    /// While core 0 is backlogged a partial batch is held until the core
+    /// drains — its 2A could not leave sooner — and a batch whose oldest
+    /// value has waited `mring::HOLD_TICKS` ticks goes at the next tick
+    /// regardless.
     pub batch_timeout: Dur,
     /// Coordinator's buffer of pending (unproposed) values, in bytes.
     /// Values arriving beyond this are dropped (proposers retry) — the

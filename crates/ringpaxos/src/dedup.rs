@@ -49,6 +49,9 @@ pub struct DeliveredTracker {
     /// `parked[p]` = entries of proposer `p` in `overflow` (eviction
     /// picks the largest).
     parked: Vec<usize>,
+    /// Evictions so far — each one may have turned an undelivered value
+    /// into a "duplicate" (see the type docs).
+    evictions: u64,
 }
 
 impl DeliveredTracker {
@@ -58,7 +61,8 @@ impl DeliveredTracker {
     }
 
     /// Records a delivery of `(proposer, seq)`. Returns `true` when fresh
-    /// (deliver it) and `false` for a duplicate (drop it).
+    /// (deliver it) and `false` for a duplicate (drop it). A call that
+    /// had to evict shows as a step of [`DeliveredTracker::evictions`].
     pub fn fresh(&mut self, proposer: NodeId, seq: u64) -> bool {
         let p = proposer.0;
         if p >= self.marks.len() {
@@ -101,6 +105,7 @@ impl DeliveredTracker {
         let Some(&(p, seq)) = self.overflow.range((victim, 0)..=(victim, u64::MAX)).next() else {
             return;
         };
+        self.evictions += 1;
         self.overflow.remove(&(p, seq));
         self.parked[p] -= 1;
         let mut next = seq + 1;
@@ -116,6 +121,12 @@ impl DeliveredTracker {
         self.overflow.len()
     }
 
+    /// How many times the overflow bound forced an eviction. Eviction
+    /// means possible loss, so callers surface every step of this count.
+    pub fn evictions(&self) -> u64 {
+        self.evictions
+    }
+
     /// Externalizes the tracker for a checkpoint: the per-proposer
     /// watermarks plus any entries parked out of order above them.
     pub fn export(&self) -> (Vec<u64>, Vec<(u64, u64)>) {
@@ -127,8 +138,12 @@ impl DeliveredTracker {
     /// export`]), so a restarted learner resumes exactly-once filtering
     /// from the checkpoint's basis.
     pub fn restore(marks: Vec<u64>, parked: Vec<(u64, u64)>) -> DeliveredTracker {
-        let mut t =
-            DeliveredTracker { parked: vec![0; marks.len()], marks, overflow: BTreeSet::new() };
+        let mut t = DeliveredTracker {
+            parked: vec![0; marks.len()],
+            marks,
+            overflow: BTreeSet::new(),
+            evictions: 0,
+        };
         for (p, s) in parked {
             let p = p as usize;
             if p >= t.marks.len() {
@@ -204,14 +219,43 @@ mod tests {
         // One more entry trips the bound: this proposer owns every parked
         // entry, so its lowest run (1..=MAX_OVERFLOW, contiguous) is
         // evicted by collapsing the watermark.
+        assert_eq!(t.evictions(), 0);
         assert!(t.fresh(NodeId(0), MAX_OVERFLOW as u64 + 2));
         assert!(t.overflow_len() <= MAX_OVERFLOW, "bound not enforced");
+        assert_eq!(t.evictions(), 1, "the eviction must be reported");
         // The evicted run is still deduplicated (watermark covers it)...
         assert!(!t.fresh(NodeId(0), 1));
         assert!(!t.fresh(NodeId(0), MAX_OVERFLOW as u64));
         // ...and so is the unseen gap it collapsed over (seq 0 was never
         // delivered; suppressing it is the documented loss-not-dup trade).
         assert!(!t.fresh(NodeId(0), 0));
+    }
+
+    #[test]
+    fn partition_slice_of_a_dense_seq_pins_the_tracker_at_the_bound() {
+        // A learner of one of four partitions sees every 4th seq of each
+        // table's dense counter: nothing below the first gap ever
+        // arrives, so every delivery parks, the set sits at the bound,
+        // and each further delivery evicts.
+        let mut t = DeliveredTracker::new();
+        let per_proposer = 2_000u64;
+        for i in 0..per_proposer {
+            for p in 0..8 {
+                assert!(t.fresh(NodeId(p), 4 * i + 1));
+            }
+        }
+        assert_eq!(t.overflow_len(), MAX_OVERFLOW);
+        assert_eq!(
+            t.evictions(),
+            8 * per_proposer - MAX_OVERFLOW as u64,
+            "one eviction per delivery past the bound"
+        );
+        // Each proposer keeps MAX_OVERFLOW / 8 = 512 parked entries, a
+        // window of 2048 seqs below its newest (7997). A first copy
+        // inside the window still delivers; one ~3000 seqs behind is
+        // reported duplicate — silently lost.
+        assert!(t.fresh(NodeId(0), 6_999));
+        assert!(!t.fresh(NodeId(0), 4_999));
     }
 
     #[test]

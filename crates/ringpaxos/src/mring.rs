@@ -53,6 +53,7 @@ const T_SKIP: u64 = 11 << 56;
 const T_RESUB: u64 = 12 << 56;
 const T_CKPT: u64 = 13 << 56;
 const T_CATCHUP: u64 = 14 << 56;
+const T_HOLD: u64 = 15 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
 /// Decided instances served per recovery `CatchupRep` chunk.
@@ -61,6 +62,12 @@ const CATCHUP_CHUNK: usize = 64;
 const CATCHUP_RETRY: Dur = Dur::millis(100);
 /// Checkpoint metadata bytes when no service snapshot is attached.
 const CKPT_META_BYTES: u64 = 4096;
+/// Liveness of the partial-batch hold: a queue whose head has waited
+/// this many `batch_timeout`s is proposed at the next batch tick even
+/// if core 0 never drained. With the tick period that bounds a value's
+/// stay in the pending queues by `(HOLD_TICKS + 1) * batch_timeout`
+/// whenever the instance window is open.
+const HOLD_TICKS: u64 = 4;
 
 fn token_kind(t: TimerToken) -> u64 {
     t.0 & KIND_MASK
@@ -70,11 +77,27 @@ fn token_payload(t: TimerToken) -> u64 {
     t.0 & !KIND_MASK
 }
 
+/// Unproposed values of one partition mask, oldest first, each with
+/// the instant the coordinator accepted it.
+#[derive(Debug)]
+struct MaskQueue {
+    mask: u32,
+    vals: VecDeque<(Time, Value)>,
+    bytes: u64,
+}
+
 /// Coordinator-only state.
 #[derive(Debug)]
 struct CoordState {
-    pending: VecDeque<Value>,
+    /// Pending values, one FIFO per distinct partition mask (batches
+    /// are single-mask, §4.2.2, so a batch drains one queue). Classic
+    /// broadcast has the one `ALL_PARTITIONS` queue. Emptied queues
+    /// stay: a deployment has few distinct masks.
+    queues: Vec<MaskQueue>,
+    /// Bytes over all queues (bounded by `pending_cap_bytes`).
     pending_bytes: u64,
+    /// A `T_HOLD` timer is in flight (partial batches wait for core 0).
+    hold_armed: bool,
     next_instance: InstanceId,
     /// Proposed but undecided: instance → (batch, last 2A multicast, mask).
     outstanding: BTreeMap<InstanceId, (Batch, Time, u32)>,
@@ -313,8 +336,9 @@ impl MRingProcess {
         let total_acceptors = cfg.ring.len() + cfg.spares.len();
 
         let coord = is_coord.then(|| CoordState {
-            pending: VecDeque::new(),
+            queues: Vec::new(),
             pending_bytes: 0,
+            hold_armed: false,
             next_instance: InstanceId(0),
             outstanding: BTreeMap::new(),
             decided_unsent: Vec::new(),
@@ -518,118 +542,138 @@ impl MRingProcess {
             ctx.counter_add("rp.drop_bytes", v.bytes as u64);
             return;
         }
-        c.pending.push_back(v);
+        let q = match c.queues.iter().position(|q| q.mask == v.mask) {
+            Some(i) => &mut c.queues[i],
+            None => {
+                c.queues.push(MaskQueue { mask: v.mask, vals: VecDeque::new(), bytes: 0 });
+                c.queues.last_mut().expect("just pushed")
+            }
+        };
+        q.vals.push_back((ctx.now(), v));
+        q.bytes += v.bytes as u64;
         c.pending_bytes += v.bytes as u64;
-        self.try_flush(ctx, false);
+        self.try_flush(ctx, None);
     }
 
-    /// Assembles and multicasts as many full packets as the window allows;
-    /// with `force`, also flushes a partial batch (timeout path).
-    fn try_flush(&mut self, ctx: &mut Ctx, force: bool) {
+    /// Proposes batches while the window allows, oldest queue head
+    /// first: every queue holding a full packet, and — given `min_age`
+    /// — also every sub-packet queue whose head has waited that long.
+    fn try_flush(&mut self, ctx: &mut Ctx, min_age: Option<Dur>) {
+        let packet = self.cfg.packet_bytes as u64;
+        let now = ctx.now();
         loop {
             let Some(c) = self.coord.as_mut() else { return };
-            let window_open = (c.outstanding.len() as u32) < c.window;
-            let full = c.pending_bytes >= self.cfg.packet_bytes as u64;
-            let partial = force && !c.pending.is_empty();
-            let decisions_only = c.pending.is_empty() && !c.decided_unsent.is_empty();
-
-            if window_open && (full || partial) {
-                let mut vals = Vec::new();
-                let mut bytes = 0u64;
-                // Batches are single-mask: a batch is transferred to the
-                // groups of the partitions it accesses, so values with
-                // different masks go in different batches (§4.2.2).
-                let mask = c.pending.front().map(|v| v.mask).unwrap_or(ALL_PARTITIONS);
-                while let Some(v) = c.pending.front() {
-                    if !vals.is_empty()
-                        && (bytes + v.bytes as u64 > self.cfg.packet_bytes as u64 || v.mask != mask)
-                    {
-                        break;
-                    }
-                    let v = c.pending.pop_front().expect("front checked");
-                    c.pending_bytes -= v.bytes as u64;
-                    bytes += v.bytes as u64;
-                    vals.push(v);
-                }
-                // Probe stamp: a PROPOSE span opens at the earliest
-                // client submission in the batch (captured before
-                // `BatchData::new` consumes the values).
-                let first_submitted = if ctx.probes_enabled() {
-                    vals.iter().map(|v| v.submitted).min()
-                } else {
-                    None
-                };
-                let batch: Batch = BatchData::new(vals);
-                let instance = c.next_instance;
-                c.next_instance = instance.next();
-                c.outstanding.insert(instance, (batch.clone(), ctx.now(), mask));
-                c.logical_count += 1;
-                let partitioned = self.cfg.partitions.is_some();
-                let decisions = if partitioned {
-                    Arc::new(Vec::new()) // no piggybacking in partitioned mode
-                } else {
-                    Arc::new(std::mem::take(&mut c.decided_unsent))
-                };
-                let gc_upto = c.gc_watermark;
-                c.last_mcast = ctx.now();
-                // The coordinator votes for its own proposal (it is the
-                // last acceptor in the ring).
-                if let Some(a) = self.acc.as_mut() {
-                    let _ = a.paxos.receive_2a(instance, self.round, batch.clone());
-                    if mask != ALL_PARTITIONS {
-                        a.masks.insert(instance, mask);
-                    }
-                }
-                ctx.charge_cpu(0, self.cfg.batch_overhead);
-                let wire = (bytes.min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes);
-                let decided_below = c.outstanding.keys().next().copied().unwrap_or(instance);
-                let msg = MMsg::Phase2a {
-                    instance,
-                    round: self.round,
-                    batch: batch.clone(),
-                    decisions: decisions.clone(),
-                    gc_upto,
-                    skip: 0,
-                    mask,
-                    decided_below,
-                };
-                if let Some(at) = first_submitted {
-                    let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
-                    ctx.probe_at(probe::code::PROPOSE, key, at);
-                    ctx.probe(probe::code::PHASE2A, key);
-                }
-                self.mcast_2a(msg, mask, wire, ctx);
-                // Local loop-back when the coordinator is also a learner
-                // (multicast does not echo to the sender).
-                let round = self.round;
-                self.learner_store(instance, &batch, mask, round);
-                self.learner_decide(&decisions, round);
-                self.try_deliver(ctx);
-                continue;
+            if c.outstanding.len() as u32 >= c.window {
+                return;
             }
-            if decisions_only && force {
-                let c = self.coord.as_mut().expect("checked");
-                let decisions = Arc::new(std::mem::take(&mut c.decided_unsent));
-                let gc_upto = c.gc_watermark;
-                c.last_mcast = ctx.now();
-                let group = self
-                    .cfg
-                    .partitions
-                    .as_ref()
-                    .map(|p| p.decision_group)
-                    .unwrap_or(self.cfg.group);
-                let round = self.round;
-                let decided_below = self.decided_below();
-                ctx.mcast(
-                    group,
-                    MMsg::Decision { instances: decisions.clone(), round, gc_upto, decided_below },
-                    self.cfg.ctl_bytes,
-                );
-                self.learner_decide(&decisions, round);
-                self.try_deliver(ctx);
+            let due = |q: &MaskQueue| {
+                let &(at, _) = q.vals.front()?;
+                let aged = min_age.is_some_and(|d| now.saturating_since(at) >= d);
+                (q.bytes >= packet || aged).then_some(at)
+            };
+            let oldest = c.queues.iter_mut().filter_map(|q| Some((due(q)?, q)));
+            let Some((_, q)) = oldest.min_by_key(|&(at, _)| at) else { return };
+            // Everything pending under this mask, up to one packet (a
+            // single oversized value still goes, alone).
+            let mut vals = Vec::new();
+            let mut bytes = 0u64;
+            while let Some(&(_, v)) = q.vals.front() {
+                if !vals.is_empty() && bytes + v.bytes as u64 > packet {
+                    break;
+                }
+                q.vals.pop_front();
+                bytes += v.bytes as u64;
+                vals.push(v);
             }
-            return;
+            q.bytes -= bytes;
+            c.pending_bytes -= bytes;
+            let mask = q.mask;
+            self.propose(vals, bytes, mask, ctx);
         }
+    }
+
+    /// Proposes the sub-packet batches, CPU-clocked: a partial batch
+    /// leaves at the later of its `batch_timeout` tick and the instant
+    /// core 0 drains (`T_HOLD`, re-armed while the core stays busy). Its
+    /// 2A could not leave before the core frees anyway, so holding it
+    /// costs no latency and lets it absorb what arrives meanwhile —
+    /// under load the coordinator pays the per-instance cost once per
+    /// mask per busy period, not once per value. Liveness: on an idle
+    /// coordinator every value leaves at its first tick (within one
+    /// `batch_timeout`); if core 0 never drains, a `tick` still proposes
+    /// every queue whose head has waited `HOLD_TICKS` ticks (see
+    /// [`HOLD_TICKS`] for the bound).
+    fn flush_partials(&mut self, ctx: &mut Ctx, tick: bool) {
+        let now = ctx.now();
+        let free_at = ctx.core_free_at(0);
+        if free_at <= now {
+            return self.try_flush(ctx, Some(Dur::ZERO));
+        }
+        self.try_flush(ctx, tick.then(|| self.cfg.batch_timeout * HOLD_TICKS));
+        let packet = self.cfg.packet_bytes as u64;
+        let Some(c) = self.coord.as_mut() else { return };
+        let held = c.queues.iter().any(|q| !q.vals.is_empty() && q.bytes < packet);
+        if held && !c.hold_armed {
+            c.hold_armed = true;
+            ctx.set_timer(free_at.since(now), TimerToken(T_HOLD));
+        }
+    }
+
+    /// Runs one consensus instance on `vals` (one mask, `bytes` of
+    /// payload): assigns the instance, votes, and multicasts the 2A.
+    fn propose(&mut self, vals: Vec<Value>, bytes: u64, mask: u32, ctx: &mut Ctx) {
+        let Some(c) = self.coord.as_mut() else { return };
+        // Probe stamp: a PROPOSE span opens at the earliest client
+        // submission in the batch (captured before `BatchData::new`
+        // consumes the values).
+        let first_submitted =
+            if ctx.probes_enabled() { vals.iter().map(|v| v.submitted).min() } else { None };
+        let batch: Batch = BatchData::new(vals);
+        let instance = c.next_instance;
+        c.next_instance = instance.next();
+        c.outstanding.insert(instance, (batch.clone(), ctx.now(), mask));
+        c.logical_count += 1;
+        let partitioned = self.cfg.partitions.is_some();
+        let decisions = if partitioned {
+            Arc::new(Vec::new()) // no piggybacking in partitioned mode
+        } else {
+            Arc::new(std::mem::take(&mut c.decided_unsent))
+        };
+        let gc_upto = c.gc_watermark;
+        c.last_mcast = ctx.now();
+        let decided_below = c.outstanding.keys().next().copied().unwrap_or(instance);
+        // The coordinator votes for its own proposal (it is the last
+        // acceptor in the ring).
+        if let Some(a) = self.acc.as_mut() {
+            let _ = a.paxos.receive_2a(instance, self.round, batch.clone());
+            if mask != ALL_PARTITIONS {
+                a.masks.insert(instance, mask);
+            }
+        }
+        ctx.charge_cpu(0, self.cfg.batch_overhead);
+        let wire = (bytes.min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes);
+        let msg = MMsg::Phase2a {
+            instance,
+            round: self.round,
+            batch: batch.clone(),
+            decisions: decisions.clone(),
+            gc_upto,
+            skip: 0,
+            mask,
+            decided_below,
+        };
+        if let Some(at) = first_submitted {
+            let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
+            ctx.probe_at(probe::code::PROPOSE, key, at);
+            ctx.probe(probe::code::PHASE2A, key);
+        }
+        self.mcast_2a(msg, mask, wire, ctx);
+        // Local loop-back when the coordinator is also a learner
+        // (multicast does not echo to the sender).
+        let round = self.round;
+        self.learner_store(instance, &batch, mask, round);
+        self.learner_decide(&decisions, round);
+        self.try_deliver(ctx);
     }
 
     /// Multicasts a Phase 2A: once on the classic group, or once per
@@ -676,7 +720,7 @@ impl MRingProcess {
                 if self.cfg.partitions.is_some() {
                     self.flush_decisions(ctx);
                 } else {
-                    self.try_flush(ctx, false);
+                    self.try_flush(ctx, None);
                 }
             }
         } else {
@@ -685,11 +729,11 @@ impl MRingProcess {
         }
     }
 
-    /// Partitioned mode: multicasts accumulated decisions on the decision
-    /// group once enough have gathered (or via the batch timer).
+    /// Announces every decision not yet sent, without waiting for a 2A
+    /// to carry it: on the decision group in partitioned mode, on the
+    /// ring's group otherwise.
     fn flush_decisions(&mut self, ctx: &mut Ctx) {
-        let Some(p) = self.cfg.partitions.as_ref() else { return };
-        let group = p.decision_group;
+        let group = self.cfg.partitions.as_ref().map_or(self.cfg.group, |p| p.decision_group);
         let ctl = self.cfg.ctl_bytes;
         let Some(c) = self.coord.as_mut() else { return };
         if c.decided_unsent.is_empty() {
@@ -930,11 +974,18 @@ impl MRingProcess {
                 ctx.probe(probe::code::DELIVER, probe::span_key(self.cfg.group.0 as u32, next.0));
             }
             let mut delivered_here = Vec::new();
+            let evictions = l.delivered.evictions();
             for v in batch.iter() {
                 if !l.delivered.fresh(v.proposer, v.seq) {
                     continue; // duplicate after failover resubmission
                 }
                 delivered_here.push(*v);
+            }
+            let evicted = l.delivered.evictions() - evictions;
+            if evicted > 0 {
+                // The dedup window overflowed: a late first copy below
+                // the collapsed watermark will be dropped as a duplicate.
+                ctx.counter_add("rp.dedup_evict", evicted);
             }
             if let Some(log) = self.log.as_ref() {
                 let mut log = log.lock().unwrap();
@@ -1562,8 +1613,9 @@ impl MRingProcess {
             .unwrap_or(InstanceId(0));
 
         let mut cs = CoordState {
-            pending: VecDeque::new(),
+            queues: Vec::new(),
             pending_bytes: 0,
+            hold_armed: false,
             next_instance: max_seen,
             outstanding: BTreeMap::new(),
             decided_unsent: t.decided.iter().map(|&i| (i, ALL_PARTITIONS)).collect(),
@@ -1930,11 +1982,23 @@ impl Actor for MRingProcess {
         match token_kind(token) {
             T_BATCH => {
                 if self.is_coordinator() {
-                    self.try_flush(ctx, true);
-                    if self.cfg.partitions.is_some() {
+                    self.flush_partials(ctx, true);
+                    // Classic mode piggybacks decisions on 2As: announce
+                    // them alone only when no batch is left to carry them.
+                    let idle = self
+                        .coord
+                        .as_ref()
+                        .is_some_and(|c| c.queues.iter().all(|q| q.vals.is_empty()));
+                    if idle || self.cfg.partitions.is_some() {
                         self.flush_decisions(ctx);
                     }
                     ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
+                }
+            }
+            T_HOLD => {
+                if let Some(c) = self.coord.as_mut() {
+                    c.hold_armed = false;
+                    self.flush_partials(ctx, false);
                 }
             }
             T_PACE => self.pace(ctx),
@@ -1944,7 +2008,6 @@ impl Actor for MRingProcess {
                 if self.is_coordinator() {
                     let flow = self.cfg.flow;
                     let round = self.round;
-                    let group = self.cfg.group;
                     let ctl = self.cfg.ctl_bytes;
                     let Some(c) = self.coord.as_mut() else { return };
                     if ctx.now().saturating_since(c.last_slowdown) > flow.recovery_quiet {
@@ -1959,7 +2022,6 @@ impl Actor for MRingProcess {
                         .take(64)
                         .map(|(&i, (b, _, m))| (i, b.clone(), *m))
                         .collect();
-                    let _ = group;
                     for (instance, batch, mask) in overdue {
                         if let Some(c) = self.coord.as_mut() {
                             if let Some((_, at, _)) = c.outstanding.get_mut(&instance) {
@@ -1987,7 +2049,7 @@ impl Actor for MRingProcess {
                         };
                         self.mcast_2a(msg, mask, wire, ctx);
                     }
-                    self.try_flush(ctx, false);
+                    self.try_flush(ctx, None);
                     self.ring_repair_check(ctx);
                     ctx.set_timer(Dur::millis(100), TimerToken(T_FLOW));
                 }

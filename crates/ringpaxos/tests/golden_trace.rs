@@ -73,6 +73,11 @@ fn report(label: &str, got: &Golden, want: &Golden) {
 }
 
 fn harvest(sim: &Sim, learners: &[NodeId]) -> Golden {
+    // Eviction from a learner's dedup window means possible loss. Here
+    // every learner sees every proposer's dense seq: never an eviction.
+    sim.metrics().for_each_counter(|node, name, v| {
+        assert!(name != "rp.dedup_evict" || v == 0, "{node:?} evicted {v} dedup entries");
+    });
     let lat = sim.metrics().latency(metric::LATENCY);
     Golden {
         events: sim.events_processed(),

@@ -1,10 +1,15 @@
 //! End-to-end tests for M-Ring Paxos on the simulated cluster.
 
-use abcast::{metric, MsgId};
+use abcast::{metric, shared_log, MsgId, SharedLog};
+use proptest::prelude::*;
 use ringpaxos::cluster::{deploy_mring, MRingOptions};
-use ringpaxos::StorageMode;
+use ringpaxos::config::PartitionConfig;
+use ringpaxos::mring::MRingProcess;
+use ringpaxos::msg::MMsg;
+use ringpaxos::{MRingConfig, StorageMode, Value};
 use simnet::prelude::*;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 fn broadcast_set(sim: &Sim, proposers: &[NodeId]) -> HashSet<MsgId> {
     let mut out = HashSet::new();
@@ -363,4 +368,373 @@ fn paused_learner_catches_up_within_gc_retention() {
     assert!(fast > 500, "too little traffic for the scenario");
     assert_eq!(fast, slow, "straggler failed to catch up after its pause");
     d.log.lock().unwrap().check_total_order().expect("orders agree");
+}
+
+// ----------------------------------------------------------------------
+// The coordinator's batcher: per-mask pending queues and the CPU-clocked
+// partial flush. A partitioned ring is fed by injector nodes sending
+// sub-packet `Propose`s under chosen masks; a tap subscribed to every
+// group records each instance's 2A as the coordinator multicast it.
+// ----------------------------------------------------------------------
+
+/// One scheduled proposal: when to send it, its mask and its size.
+type Shot = (Time, u32, u32);
+/// Instance → (when the tap first saw its 2A, the 2A's mask, its values).
+type Seen = Arc<Mutex<BTreeMap<u64, (Time, u32, Vec<Value>)>>>;
+
+fn us(micros: u64) -> Time {
+    Time::ZERO + Dur::micros(micros)
+}
+
+struct Idle;
+impl Actor for Idle {
+    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
+}
+
+/// Sends its shots as an external client would, to the coordinator —
+/// or, from `reroute_at` on, to `fallback` (a surviving ring member).
+struct Injector {
+    shots: Vec<Shot>,
+    next: usize,
+    coordinator: NodeId,
+    fallback: NodeId,
+    reroute_at: Time,
+}
+
+impl Injector {
+    fn arm(&self, ctx: &mut Ctx) {
+        if let Some(&(at, _, _)) = self.shots.get(self.next) {
+            ctx.set_timer(at.saturating_since(ctx.now()), TimerToken(0));
+        }
+    }
+}
+
+impl Actor for Injector {
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        self.arm(ctx);
+    }
+    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
+    fn on_timer(&mut self, _token: TimerToken, ctx: &mut Ctx) {
+        while let Some(&(at, mask, bytes)) = self.shots.get(self.next) {
+            if at > ctx.now() {
+                break;
+            }
+            let seq = self.next as u64;
+            self.next += 1;
+            let me = ctx.id();
+            let v = Value {
+                id: MsgId(((me.0 as u64) << 40) | seq),
+                proposer: me,
+                seq,
+                bytes,
+                submitted: ctx.now(),
+                mask,
+            };
+            let dst = if ctx.now() >= self.reroute_at { self.fallback } else { self.coordinator };
+            ctx.udp_send(dst, MMsg::Propose(v), bytes);
+        }
+        self.arm(ctx);
+    }
+}
+
+struct Tap {
+    seen: Seen,
+}
+
+impl Actor for Tap {
+    fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+        if let Some(MMsg::Phase2a { instance, mask, batch, .. }) = env.payload.downcast_ref() {
+            let mut seen = self.seen.lock().unwrap();
+            seen.entry(instance.0).or_insert_with(|| (ctx.now(), *mask, batch.values().to_vec()));
+        }
+    }
+}
+
+struct Partitioned {
+    ring: Vec<NodeId>,
+    injectors: Vec<NodeId>,
+    seen: Seen,
+    log: SharedLog,
+}
+
+impl Partitioned {
+    fn coordinator(&self) -> NodeId {
+        *self.ring.last().unwrap()
+    }
+
+    /// The 2As seen so far, in instance order.
+    fn batches(&self) -> Vec<(Time, u32, Vec<Value>)> {
+        self.seen.lock().unwrap().values().cloned().collect()
+    }
+}
+
+/// A 3-acceptor ring over `n_parts` partitions (one learner each), one
+/// injector per entry of `plans`, and the tap.
+fn deploy_partitioned(
+    sim: &mut Sim,
+    n_parts: usize,
+    plans: Vec<Vec<Shot>>,
+    reroute_at: Time,
+    configure: impl FnOnce(&mut MRingConfig),
+) -> Partitioned {
+    let ring: Vec<NodeId> = (0..3).map(|_| sim.add_node(Box::new(Idle))).collect();
+    let learners: Vec<NodeId> = (0..n_parts).map(|_| sim.add_node(Box::new(Idle))).collect();
+    let base = sim.add_group();
+    let groups: Vec<GroupId> = (0..n_parts).map(|_| sim.add_group()).collect();
+    let decision_group = sim.add_group();
+    let mut cfg = MRingConfig::new(ring.clone(), learners.clone(), base);
+    cfg.partitions = Some(PartitionConfig {
+        groups: groups.clone(),
+        decision_group,
+        learner_masks: (0..n_parts).map(|p| 1 << p).collect(),
+    });
+    configure(&mut cfg);
+
+    let seen: Seen = Arc::default();
+    let tap = sim.add_node(Box::new(Tap { seen: seen.clone() }));
+    for &n in ring.iter().chain(&learners) {
+        sim.subscribe(n, base);
+        sim.subscribe(n, decision_group);
+    }
+    for (p, &g) in groups.iter().enumerate() {
+        for &a in &ring {
+            sim.subscribe(a, g);
+        }
+        sim.subscribe(learners[p], g);
+        sim.subscribe(tap, g);
+    }
+    let log = shared_log(n_parts);
+    for &a in &ring {
+        sim.replace_actor(a, Box::new(MRingProcess::new(cfg.clone(), a, None, None)));
+    }
+    for &l in &learners {
+        sim.replace_actor(l, Box::new(MRingProcess::new(cfg.clone(), l, None, Some(log.clone()))));
+    }
+    let (coordinator, fallback) = (cfg.coordinator(), ring[0]);
+    let injectors = plans
+        .into_iter()
+        .map(|shots| {
+            sim.add_node(Box::new(Injector { shots, next: 0, coordinator, fallback, reroute_at }))
+        })
+        .collect();
+    Partitioned { ring, injectors, seen, log }
+}
+
+/// `n` shots in one burst at `at` (the sender's CPU spaces them ~5 µs
+/// apart), masks cycling through `masks`.
+fn burst(at: Time, n: usize, masks: &[u32], bytes: u32) -> Vec<Shot> {
+    (0..n).map(|i| (at, masks[i % masks.len()], bytes)).collect()
+}
+
+/// Asserts the batcher's invariants over everything the tap saw and
+/// returns how many values it saw per proposer.
+fn check_batches(
+    batches: &[(Time, u32, Vec<Value>)],
+    packet_bytes: u32,
+) -> Result<HashMap<NodeId, u64>, String> {
+    let mut ids = HashSet::new();
+    let mut last_seq: HashMap<(NodeId, u32), u64> = HashMap::new();
+    let mut per_proposer: HashMap<NodeId, u64> = HashMap::new();
+    for (_, mask, vals) in batches {
+        let bytes: u64 = vals.iter().map(|v| v.bytes as u64).sum();
+        if vals.is_empty() || (bytes > packet_bytes as u64 && vals.len() > 1) {
+            return Err(format!("batch of {} values / {bytes} B", vals.len()));
+        }
+        for v in vals {
+            if v.mask != *mask {
+                return Err(format!("value of mask {:#x} in a batch of mask {mask:#x}", v.mask));
+            }
+            if !ids.insert(v.id) {
+                return Err(format!("{:?} proposed in two batches", v.id));
+            }
+            if last_seq.insert((v.proposer, v.mask), v.seq).is_some_and(|prev| prev >= v.seq) {
+                return Err(format!("proposer {:?} reordered inside mask {mask:#x}", v.proposer));
+            }
+            *per_proposer.entry(v.proposer).or_default() += 1;
+        }
+    }
+    Ok(per_proposer)
+}
+
+#[test]
+fn interleaved_masks_share_one_instance_per_mask() {
+    // A,B,A,B… inside one batch tick of an idle coordinator: one FIFO
+    // with single-mask batches would cut a batch at every value.
+    let mut sim = Sim::new(SimConfig::default());
+    let shots = burst(us(1010), 16, &[0b01, 0b10], 64);
+    let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |_| {});
+    sim.run_until(Time::from_millis(3));
+
+    let batches = d.batches();
+    assert_eq!(batches.len(), 2, "one instance per mask per flush, not one per value");
+    for (_, _, vals) in &batches {
+        assert_eq!(vals.len(), 8);
+    }
+    let seen = check_batches(&batches, 8192).expect("batch invariants");
+    assert_eq!(seen[&d.injectors[0]], 16);
+    let log = d.log.lock().unwrap();
+    assert_eq!(log.total_deliveries(), 16, "each partition's learner delivers its half");
+    log.check_partial_order().expect("partial order");
+}
+
+/// A cluster whose receive path costs 25 µs per frame, so a burst of
+/// small proposals keeps the coordinator's core 0 busy for `25 µs × n`.
+fn slow_receive() -> SimConfig {
+    let mut cfg = SimConfig::default();
+    cfg.recv_frame_cost = Dur::micros(25);
+    cfg
+}
+
+#[test]
+fn partial_batch_waits_for_core_zero_and_goes_when_it_frees() {
+    // 24 proposals reach the NIC by ~1.19 ms; receiving them occupies
+    // core 0 until ~1.67 ms, across the ticks at 1.2, 1.4 and 1.6 ms.
+    let mut sim = Sim::new(slow_receive());
+    let shots = burst(us(1010), 24, &[0b01], 64);
+    let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |_| {});
+    let coord = d.coordinator();
+
+    // All 24 receives (25 µs each) are queued on core 0 by the first
+    // tick, and none could start before ~1.06 ms: busy until ≥ 1.66 ms.
+    sim.run_until(us(1200));
+    assert!(sim.cpu_busy(coord, 0) >= Dur::micros(600), "scenario: core 0 backlogged");
+    sim.run_until(us(1620));
+    assert!(d.batches().is_empty(), "a partial batch was proposed while core 0 was busy");
+
+    sim.run_until(Time::from_millis(3));
+    let batches = d.batches();
+    assert_eq!(batches.len(), 1, "everything that arrived meanwhile shares the instance");
+    assert_eq!(batches[0].2.len(), 24);
+    // Proposed when the core freed: a 2A of the following tick (1.8 ms)
+    // would take ~100 µs more to reach the tap.
+    assert!(batches[0].0 < us(1850), "2A seen at {:?}", batches[0].0);
+    assert_eq!(d.log.lock().unwrap().total_deliveries(), 24);
+}
+
+#[test]
+fn held_batch_goes_within_the_hold_bound_when_core_zero_never_drains() {
+    // 100 proposals keep core 0 busy from ~1.06 ms to ~3.6 ms. A head
+    // may wait (HOLD_TICKS + 1) × batch_timeout = 1 ms at most, and a
+    // value is accepted every 25 µs — so the first batch is cut with at
+    // most 40 values in it, long before the core frees.
+    let mut sim = Sim::new(slow_receive());
+    let shots = burst(us(1010), 100, &[0b10], 64);
+    let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |_| {});
+    sim.run_until(Time::from_millis(6));
+
+    let batches = d.batches();
+    let first = batches[0].2.len();
+    assert!((20..=40).contains(&first), "first batch of {first} values");
+    assert!(batches.len() >= 3, "later heads hit the bound too: {} batches", batches.len());
+    let seen = check_batches(&batches, 8192).expect("batch invariants");
+    assert_eq!(seen[&d.injectors[0]], 100);
+}
+
+#[test]
+fn lone_value_on_an_idle_coordinator_leaves_within_one_batch_timeout() {
+    let mut sim = Sim::new(SimConfig::default());
+    let shots = burst(us(1010), 1, &[0b10], 64);
+    let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |_| {});
+    sim.run_until(Time::from_millis(3));
+    let batches = d.batches();
+    assert_eq!(batches.len(), 1);
+    // ~60 µs to reach the coordinator, ≤ 200 µs in its queue (the tick
+    // at 1.2 ms), ~80 µs for the 2A to reach the tap.
+    assert!(batches[0].0 <= us(1010 + 60 + 200 + 80), "seen at {:?}", batches[0].0);
+}
+
+#[test]
+fn pending_cap_is_enforced_on_the_total_and_drops_are_counted() {
+    // 32 × 64 B over two masks against a 1 KiB cap, all inside one tick.
+    let mut sim = Sim::new(SimConfig::default());
+    let shots = burst(us(1050), 32, &[0b01, 0b10], 64);
+    let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |cfg| {
+        cfg.batch_timeout = Dur::millis(1);
+        cfg.pending_cap_bytes = 1024;
+    });
+    sim.run_until(Time::from_millis(4));
+    let coord = d.coordinator();
+    assert_eq!(sim.metrics().counter(coord, "rp.drop"), 16);
+    assert_eq!(sim.metrics().counter(coord, "rp.drop_bytes"), 1024);
+    let seen = check_batches(&d.batches(), 8192).expect("batch invariants");
+    assert_eq!(seen[&d.injectors[0]], 16, "what the cap admitted is proposed");
+}
+
+#[test]
+fn takeover_with_non_empty_queues_resumes_batching() {
+    // Proposals every 200 µs under two masks against a 1 ms tick: the
+    // coordinator dies holding queued values. Ring position 0 takes
+    // over, and the client re-routes to it.
+    let mut sim = Sim::new(SimConfig::default());
+    let shots: Vec<Shot> = (0..6000u64).map(|i| (us(1000 + 200 * i), 1 << (i % 2), 64)).collect();
+    let reroute_at = Time::from_millis(900);
+    let d = deploy_partitioned(&mut sim, 2, vec![shots], reroute_at, |cfg| {
+        cfg.batch_timeout = Dur::millis(1);
+    });
+    sim.run_until(us(500_500));
+    let before = d.batches().len();
+    assert!(before > 100, "scenario: batches flow before the crash");
+    sim.set_node_up(d.coordinator(), false);
+    sim.run_until(Time::from_millis(1500));
+
+    assert_eq!(sim.metrics().counter(d.ring[0], "rp.became_coord"), 1);
+    let batches = d.batches();
+    let after: Vec<_> = batches.iter().filter(|(at, _, _)| *at > reroute_at).collect();
+    let values: usize = after.iter().map(|(_, _, vals)| vals.len()).sum();
+    assert!(values >= 1400, "new coordinator proposed only {values} values");
+    assert!(values >= 2 * after.len(), "and still batches per mask: {} instances", after.len());
+    check_batches(&batches, 8192).expect("batch invariants across the takeover");
+    d.log.lock().unwrap().check_partial_order().expect("partial order across the takeover");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Whatever the arrival pattern, sizes, masks and window: every
+    /// accepted value lands in exactly one batch, batches are
+    /// single-mask and at most one packet (unless a single oversized
+    /// value), and per-proposer order inside a mask is preserved.
+    #[test]
+    fn batcher_invariants_hold_for_any_arrival_pattern(
+        plans in prop::collection::vec(
+            prop::collection::vec(
+                (0u64..150, 1u32..4, prop::sample::select(vec![64u32, 256, 1500, 3000, 9000])),
+                1..120,
+            ),
+            2,
+        ),
+        window in 1u32..32,
+        slow in any::<bool>(),
+    ) {
+        let mut sim = Sim::new(if slow { slow_receive() } else { SimConfig::default() });
+        let shots = |plan: &Vec<(u64, u32, u32)>| {
+            let mut at = Time::from_millis(1);
+            plan.iter()
+                .map(|&(gap_us, mask, bytes)| {
+                    at += Dur::micros(gap_us);
+                    (at, mask, bytes)
+                })
+                .collect::<Vec<Shot>>()
+        };
+        let d = deploy_partitioned(
+            &mut sim,
+            2,
+            plans.iter().map(shots).collect(),
+            Time::MAX,
+            |cfg| cfg.flow.initial_window = window,
+        );
+        sim.run_until(Time::from_millis(400));
+
+        let seen = check_batches(&d.batches(), 8192).map_err(TestCaseError::fail)?;
+        for (plan, inj) in plans.iter().zip(&d.injectors) {
+            prop_assert_eq!(seen.get(inj).copied().unwrap_or(0), plan.len() as u64);
+        }
+        prop_assert_eq!(sim.metrics().counter(d.coordinator(), "rp.drop"), 0);
+        let log = d.log.lock().unwrap();
+        log.check_partial_order().map_err(|e| TestCaseError::fail(e.to_string()))?;
+        // A mask-3 value is delivered by both partitions' learners.
+        let deliveries: usize =
+            plans.iter().flatten().map(|&(_, mask, _)| mask.count_ones() as usize).sum();
+        prop_assert_eq!(log.total_deliveries(), deliveries);
+    }
 }
