@@ -20,6 +20,58 @@
 //! loss recovery through preferential acceptors (§3.3.4), coordinator
 //! failover (§3.3.5), window-based flow control with learner back-pressure
 //! (§3.3.6), and version-vector garbage collection (§3.3.7).
+//!
+//! # Loss recovery
+//!
+//! Ip-multicast and UDP lose datagrams, and delivery is in instance
+//! order, so one hole parks every later message behind it. A loss is
+//! found by *order* — something later got through — not by elapsed
+//! time, and each role repairs what it can prove from what it already
+//! observes. No signal can fire on a loss-free run: datagrams between
+//! one sender and one receiver arrive in send order there.
+//!
+//! * **Mid-ring acceptor** — a `Phase2b` arrives for an instance the
+//!   acceptor has not voted on in that round. The 2B proves its sender
+//!   voted, so the sender holds the value and this acceptor's 2A copy is
+//!   missing: the acceptor holds the 2B (`early_2b`) and asks the sender
+//!   for that one instance (`RetransReq`); the `RetransRep` is voted on
+//!   like the 2A it replaces and releases the held 2B. Backstop: the
+//!   coordinator's re-multicast below.
+//! * **Coordinator** — 2Bs complete the ring in instance order, so a
+//!   decision for instance `j` while an `i < j` is still outstanding
+//!   shows `i` was overtaken. Reordering and an acceptor-side repair
+//!   (one control hop and one payload transfer, less than the ring trip
+//!   of a payload transfer and two or more hops) can overtake it too,
+//!   so the allowance is the ring trip `j` just measured: once `j`,
+//!   proposed at least that long after `i`, is decided, `i` has been
+//!   out for two ring trips and its relay broke — its 2A never reached
+//!   the first acceptor, or a 2B was lost on some hop. The coordinator
+//!   re-multicasts the 2A once ("duplicate 2A restarts the vote relay"
+//!   in `vote_2a`). No constant: the allowance stretches with the
+//!   ring's queues, so overload does not turn into repair load.
+//!   Backstop: the `FLOW_TICK` sweep re-multicasts
+//!   whatever is still undecided `RE2A_OVERDUE` after its last 2A.
+//! * **Learner** — an instance is known decided (decision list, or the
+//!   coordinator's `decided_below` watermark passed it) yet cannot be
+//!   delivered and is not another partition's: its payload or its
+//!   decision was lost. The learner asks its preferential acceptor for
+//!   it once, the moment that fact arrives, at most `REPAIR_BATCH`
+//!   instances past the delivery point. The signal is "decided for my
+//!   mask and incomplete", never "a higher instance id was seen" — a
+//!   partition's slice of the instance sequence is sparse by design.
+//!   Backstop: the `RETRANS_TICK` sweep.
+//! * **Proposer** — a proposal lost before the coordinator had it is
+//!   in no instance, so none of the above can see it. A paced proposer
+//!   that learns resends its oldest unacknowledged proposal once it is
+//!   `PROPOSAL_RESEND_AFTER` old and a later one of its own was
+//!   delivered (`ProposerState::take_resend` has the exact rule and why
+//!   age alone is not enough).
+//!
+//! Repairs count under `rp.retrans` (per `RetransRep`), `rp.re2a` (per
+//! re-multicast) and `rp.resubmit` (per proposal resend);
+//! `rp.repair_spurious` counts fast repairs whose 2A then arrived by
+//! multicast anyway (reordered, or a coordinator re-multicast racing an
+//! acceptor's repair).
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -68,6 +120,26 @@ const CKPT_META_BYTES: u64 = 4096;
 /// stay in the pending queues by `(HOLD_TICKS + 1) * batch_timeout`
 /// whenever the instance window is open.
 const HOLD_TICKS: u64 = 4;
+/// Period of the learner's retransmission sweep. A backstop since the
+/// order-triggered repair: it finds what that could not (a lost repair
+/// message, a hole with nothing decided after it).
+const RETRANS_TICK: Dur = Dur::millis(20);
+/// Period of the coordinator's flow tick (window growth, the re-2A
+/// sweep, ring-repair check). For loss recovery a backstop, as above.
+const FLOW_TICK: Dur = Dur::millis(100);
+/// The flow tick re-multicasts an instance still undecided this long
+/// after its last 2A. A backstop, as above.
+const RE2A_OVERDUE: Dur = Dur::millis(50);
+/// Instances one repair request or re-2A sweep covers at most, and how
+/// far past its delivery point a learner's fast repair reaches (the
+/// repairs in flight to one learner then fit the switch port buffer).
+const REPAIR_BATCH: usize = 64;
+/// How old the oldest unacknowledged proposal must be before its
+/// proposer resends it (`ProposerState::take_resend`): several times a
+/// repaired delivery (2–3 ms), and short enough that what parks behind
+/// the hole in the learners' dedup windows stays far under their bound
+/// at any rate the ring sustains.
+const PROPOSAL_RESEND_AFTER: Dur = Dur::millis(20);
 
 fn token_kind(t: TimerToken) -> u64 {
     t.0 & KIND_MASK
@@ -86,6 +158,18 @@ struct MaskQueue {
     bytes: u64,
 }
 
+/// A proposed, still undecided instance at the coordinator.
+#[derive(Debug)]
+struct Outstanding {
+    batch: Batch,
+    /// Its last 2A multicast.
+    sent: Time,
+    mask: u32,
+    /// Its 2A was multicast again: the order-triggered repair is spent
+    /// (one per instance; the flow tick is the retry).
+    resent: bool,
+}
+
 /// Coordinator-only state.
 #[derive(Debug)]
 struct CoordState {
@@ -99,8 +183,8 @@ struct CoordState {
     /// A `T_HOLD` timer is in flight (partial batches wait for core 0).
     hold_armed: bool,
     next_instance: InstanceId,
-    /// Proposed but undecided: instance → (batch, last 2A multicast, mask).
-    outstanding: BTreeMap<InstanceId, (Batch, Time, u32)>,
+    /// Proposed but undecided.
+    outstanding: BTreeMap<InstanceId, Outstanding>,
     /// Decided instances (with masks) not yet announced to the group.
     decided_unsent: Vec<(InstanceId, u32)>,
     window: u32,
@@ -145,11 +229,27 @@ struct AccState {
     masks: BTreeMap<InstanceId, u32>,
     /// Watermark from the coordinator: every instance below is decided.
     decided_below: InstanceId,
-    /// Phase 2B received before the matching 2A (reordering).
+    /// Phase 2B held until the matching 2A (or its repair) is voted on.
     early_2b: Window<Round>,
+    /// Instances whose 2A this acceptor asked its ring predecessor for
+    /// (module docs, "Loss recovery"); trimmed by GC.
+    asked: BTreeSet<InstanceId>,
     /// Instances whose sync disk write is still pending.
     awaiting_disk: BTreeSet<InstanceId>,
     last_coord_activity: Time,
+}
+
+impl AccState {
+    /// Records what a 2A says about its instance besides the value: a
+    /// non-zero skip weight, a partition mask other than all.
+    fn note_shape(&mut self, instance: InstanceId, skip: u64, mask: u32) {
+        if skip > 0 {
+            self.skip_weights.insert(instance, skip);
+        }
+        if mask != ALL_PARTITIONS {
+            self.masks.insert(instance, mask);
+        }
+    }
 }
 
 /// Per-instance learner state: buffered payload (with the round of the
@@ -162,6 +262,9 @@ struct LearnerSlot {
     payload: Option<(Round, Batch)>,
     decided: Option<Round>,
     foreign: bool,
+    /// The fast repair for this instance was spent (one per instance;
+    /// the retransmission sweep is the retry).
+    asked: bool,
 }
 
 impl LearnerSlot {
@@ -192,6 +295,15 @@ struct LearnerState {
     /// instances already visible a full interval ago are requested, so
     /// normally in-flight instances are not mistaken for losses.
     prev_horizon: InstanceId,
+    /// Highest `decided_below` watermark seen: every instance under it
+    /// is decided.
+    decided_below: InstanceId,
+    /// Every instance under this was deliverable, foreign or asked for
+    /// when the fast repair last looked (its scan cursor).
+    checked_below: InstanceId,
+    /// Instances a decision list named for this learner's mask while
+    /// their payload was missing, not yet asked for.
+    want: Vec<InstanceId>,
 }
 
 impl LearnerState {
@@ -245,12 +357,52 @@ struct ProposerState {
     coordinator: NodeId,
     /// Sent but not yet seen delivered (resubmitted on failover).
     unacked: BTreeMap<u64, Value>,
+    /// The last timed resend: which proposal (`seq`), when, and how
+    /// many times it has been resent.
+    resent: (u64, Time, u32),
     /// Only proposers that are also learners can prune `unacked`.
     track_acks: bool,
     /// Failover resubmissions still to send, paced so a long outage's
     /// backlog does not burst into the new ring all at once and drown
     /// the recovering 2B relay (tail drop at the coordinator's port).
     resubmit_q: VecDeque<u64>,
+}
+
+impl ProposerState {
+    /// The proposal to resend at `now`, if one is due. A proposal the
+    /// network lost before the coordinator had it is in no instance, so
+    /// no role downstream can show the loss; the proposer goes by what
+    /// it sees delivered:
+    ///
+    /// * only the oldest unacknowledged proposal (every lost one gets
+    ///   to be the oldest), and only once a later proposal of ours was
+    ///   delivered — the coordinator queues a proposer's values in
+    ///   order, so this one was overtaken: lost, or refused by a full
+    ///   coordinator — or none is in flight behind it (the last before
+    ///   a pause). Old alone proves nothing: under overload everything
+    ///   is old and nothing is lost;
+    /// * once it is [`PROPOSAL_RESEND_AFTER`] old, doubling per resend
+    ///   of the same proposal — a copy queued at a backlogged
+    ///   coordinator must not be sent over and over;
+    /// * at most one resend per bound, so retrying what an overloaded
+    ///   coordinator refused stays a trickle, not a second offered load.
+    ///
+    /// Learner dedup drops the copy if the first made it after all.
+    fn take_resend(&mut self, now: Time) -> Option<Value> {
+        let (&seq, &v) = self.unacked.first_key_value()?;
+        let in_flight = self.unacked.len();
+        let overtaken = (self.next_seq - seq) as usize > in_flight;
+        let (last_seq, last_at, tries) = self.resent;
+        let tries = if last_seq == seq { tries } else { 0 };
+        let sent = if tries > 0 { last_at } else { v.submitted };
+        let due = (overtaken || in_flight == 1)
+            && now.saturating_since(sent) >= PROPOSAL_RESEND_AFTER * (1 << tries.min(6))
+            && now.saturating_since(last_at) >= PROPOSAL_RESEND_AFTER;
+        due.then(|| {
+            self.resent = (seq, now, tries + 1);
+            v
+        })
+    }
 }
 
 /// Failover (new coordinator election) state.
@@ -363,6 +515,7 @@ impl MRingProcess {
                 masks: BTreeMap::new(),
                 decided_below: InstanceId(0),
                 early_2b: Window::new(),
+                asked: BTreeSet::new(),
                 awaiting_disk: BTreeSet::new(),
                 last_coord_activity: Time::ZERO,
             }
@@ -376,6 +529,9 @@ impl MRingProcess {
             slowdown_active: false,
             applied_reported: InstanceId(0),
             prev_horizon: InstanceId(0),
+            decided_below: InstanceId(0),
+            checked_below: InstanceId(0),
+            want: Vec::new(),
         });
         let track_acks = learner_index.is_some();
         let prop = proposer.map(|pacer| ProposerState {
@@ -383,6 +539,7 @@ impl MRingProcess {
             next_seq: 0,
             coordinator: cfg.coordinator(),
             unacked: BTreeMap::new(),
+            resent: (u64::MAX, Time::ZERO, 0),
             resubmit_q: VecDeque::new(),
             track_acks,
         });
@@ -482,6 +639,10 @@ impl MRingProcess {
     fn pace(&mut self, ctx: &mut Ctx) {
         let ctl_rate = self.rate_ctl.as_ref().map(|c| c.load(AtomicOrdering::Relaxed));
         let Some(p) = self.prop.as_mut() else { return };
+        if let Some(v) = p.take_resend(ctx.now()) {
+            ctx.udp_send(p.coordinator, MMsg::Propose(v), v.bytes);
+            ctx.counter_add("rp.resubmit", 1);
+        }
         let Some(pacer) = p.pacer.as_mut() else { return };
         if let Some(rate) = ctl_rate {
             if rate == 0 {
@@ -631,7 +792,9 @@ impl MRingProcess {
         let batch: Batch = BatchData::new(vals);
         let instance = c.next_instance;
         c.next_instance = instance.next();
-        c.outstanding.insert(instance, (batch.clone(), ctx.now(), mask));
+        let sent = ctx.now();
+        c.outstanding
+            .insert(instance, Outstanding { batch: batch.clone(), sent, mask, resent: false });
         c.logical_count += 1;
         let partitioned = self.cfg.partitions.is_some();
         let decisions = if partitioned {
@@ -693,16 +856,30 @@ impl MRingProcess {
         }
     }
 
-    fn on_phase2b(&mut self, instance: InstanceId, round: Round, ctx: &mut Ctx) {
+    fn on_phase2b(&mut self, instance: InstanceId, round: Round, from: NodeId, ctx: &mut Ctx) {
         if round != self.round {
             return;
         }
         if self.is_coordinator() {
             // Quorum complete: every ring acceptor voted, plus ourselves.
             let Some(c) = self.coord.as_mut() else { return };
-            if let Some((_, _, mask)) = c.outstanding.remove(&instance) {
+            if let Some(Outstanding { mask, sent, resent, .. }) = c.outstanding.remove(&instance) {
                 c.last_progress = ctx.now();
                 c.decided_unsent.push((instance, mask));
+                // 2Bs complete the ring in instance order: an older
+                // instance still out when one proposed a whole ring trip
+                // after it is decided lost its 2A at the first acceptor
+                // or a 2B on some hop (module docs, "Loss recovery").
+                // The range is empty unless a datagram was lost. An
+                // instance that was itself re-multicast measures no ring
+                // trip (which 2A did this 2B answer?) and proves nothing.
+                let trip = ctx.now().saturating_since(sent);
+                let lost: Vec<InstanceId> = c
+                    .outstanding
+                    .range(..instance)
+                    .filter(|(_, o)| !resent && !o.resent && o.sent + trip <= sent)
+                    .map(|(&i, _)| i)
+                    .collect();
                 if let Some(a) = self.acc.as_mut() {
                     a.decided.insert(instance, ());
                 }
@@ -714,6 +891,9 @@ impl MRingProcess {
                 let round = self.round;
                 self.learner_decide(&[(instance, mask)], round);
                 self.try_deliver(ctx);
+                for i in lost {
+                    self.re_2a(i, ctx);
+                }
                 // Classic mode: decisions ride on the next 2A (or the
                 // batch timer flushes them). Partitioned mode: decisions
                 // go out promptly on the decision group.
@@ -725,8 +905,37 @@ impl MRingProcess {
             }
         } else {
             // Mid-ring acceptor: vote if the 2A was ip-delivered, else hold.
-            self.relay_2b(instance, round, ctx);
+            self.relay_2b(instance, round, from, ctx);
         }
+    }
+
+    /// Re-multicasts the 2A of the outstanding `instance`: the duplicate
+    /// makes the first acceptor restart the vote relay, and acceptors
+    /// and learners that missed the original take it as the original.
+    fn re_2a(&mut self, instance: InstanceId, ctx: &mut Ctx) {
+        let Some(o) = self.coord.as_mut().and_then(|c| c.outstanding.get_mut(&instance)) else {
+            return;
+        };
+        o.sent = ctx.now();
+        o.resent = true;
+        let (batch, mask) = (o.batch.clone(), o.mask);
+        let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes);
+        ctx.counter_add("rp.re2a", 1);
+        let msg = MMsg::Phase2a {
+            instance,
+            round: self.round,
+            batch,
+            decisions: Arc::new(Vec::new()),
+            gc_upto: InstanceId(0),
+            // The instance's original skip weight: learners feed it to
+            // the deterministic merge, and a weight that differs from
+            // the original 2A's would desynchronize the merge turn
+            // structure across replicas.
+            skip: self.skip_weight_of(instance),
+            mask,
+            decided_below: self.decided_below(),
+        };
+        self.mcast_2a(msg, mask, wire, ctx);
     }
 
     /// Announces every decision not yet sent, without waiting for a 2A
@@ -767,12 +976,24 @@ impl MRingProcess {
             self.coord = None;
             self.takeover = None;
         }
-        let is_first = self.ring_pos() == Some(0);
         let Some(a) = self.acc.as_mut() else { return };
         a.last_coord_activity = ctx.now();
         if round != self.round || self.cfg.coordinator() == self.me {
             return;
         }
+        if a.asked.remove(&instance) {
+            // The 2A this acceptor asked its predecessor for came by
+            // multicast after all.
+            ctx.counter_add("rp.repair_spurious", 1);
+        }
+        self.vote_2a(instance, round, batch, ctx);
+    }
+
+    /// Votes on a 2A — ip-delivered, or retransmitted by the ring
+    /// predecessor in its place — and starts or resumes the 2B relay.
+    fn vote_2a(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
+        let is_first = self.ring_pos() == Some(0);
+        let Some(a) = self.acc.as_mut() else { return };
         // Partitioned mode replicates one 2A onto several groups; an
         // acceptor subscribed to all of them deduplicates (§4.2.2). A
         // duplicate can also be the coordinator *retransmitting* after a
@@ -846,15 +1067,45 @@ impl MRingProcess {
     /// Handles a 2B arriving from the ring predecessor at a mid-ring
     /// acceptor: forward only if we have ip-delivered (and voted for) the
     /// corresponding 2A — the heart of Task 5 in Algorithm 2.
-    fn relay_2b(&mut self, instance: InstanceId, round: Round, ctx: &mut Ctx) {
+    fn relay_2b(&mut self, instance: InstanceId, round: Round, from: NodeId, ctx: &mut Ctx) {
         let Some(a) = self.acc.as_mut() else { return };
         let voted = a.paxos.vote(instance).is_some_and(|v| v.v_rnd == round);
         let disk_ok = !a.awaiting_disk.contains(&instance);
         if voted && disk_ok {
             self.send_2b_to_successor(instance, round, ctx);
-        } else {
-            a.early_2b.insert(instance, round);
+            return;
         }
+        a.early_2b.insert(instance, round);
+        if !voted && a.asked.insert(instance) {
+            // `from` voted in `round`, so it holds the value, and the 2A
+            // was multicast before that vote: this acceptor's copy is
+            // lost (module docs, "Loss recovery"). Ask `from` for it.
+            self.send_retrans_req(from, vec![instance], ctx);
+        }
+    }
+
+    /// The predecessor's answer to the request `relay_2b` sent: vote on
+    /// it as on the lost 2A, which releases the held 2B.
+    fn on_2a_repair(
+        &mut self,
+        instance: InstanceId,
+        round: Round,
+        batch: Batch,
+        skip: u64,
+        mask: u32,
+        ctx: &mut Ctx,
+    ) {
+        let Some(a) = self.acc.as_mut() else { return };
+        if round != self.round || a.early_2b.get(instance) != Some(&round) {
+            return; // not (or no longer) holding a 2B for that vote
+        }
+        a.note_shape(instance, skip, mask);
+        self.vote_2a(instance, round, batch, ctx);
+    }
+
+    fn send_retrans_req(&mut self, to: NodeId, instances: Vec<InstanceId>, ctx: &mut Ctx) {
+        let wire = self.cfg.ctl_bytes + 8 * instances.len() as u32;
+        ctx.udp_send(to, MMsg::RetransReq { from: self.me, instances }, wire);
     }
 
     fn send_2b_to_successor(&mut self, instance: InstanceId, round: Round, ctx: &mut Ctx) {
@@ -892,32 +1143,88 @@ impl MRingProcess {
     // Learner
     // ------------------------------------------------------------------
 
-    fn learner_store(&mut self, instance: InstanceId, batch: &Batch, mask: u32, round: Round) {
-        if let Some(l) = self.lrn.as_mut() {
-            if mask & l.my_mask != 0 {
-                if let Some(slot) = l.slot_mut(instance) {
-                    match &slot.payload {
-                        Some((r, _)) if *r >= round => {}
-                        _ => slot.payload = Some((round, batch.clone())),
-                    }
+    /// Buffers a payload. Returns whether the learner had already asked
+    /// its preferential acceptor for this instance.
+    fn learner_store(
+        &mut self,
+        instance: InstanceId,
+        batch: &Batch,
+        mask: u32,
+        round: Round,
+    ) -> bool {
+        let Some(l) = self.lrn.as_mut() else { return false };
+        if mask & l.my_mask == 0 {
+            return false;
+        }
+        let Some(slot) = l.slot_mut(instance) else { return false };
+        match &slot.payload {
+            Some((r, _)) if *r >= round => {}
+            _ => slot.payload = Some((round, batch.clone())),
+        }
+        slot.asked
+    }
+
+    /// Records announced decisions. Returns how many of them the
+    /// learner had already asked its preferential acceptor for.
+    fn learner_decide(&mut self, instances: &[(InstanceId, u32)], round: Round) -> u64 {
+        let Some(l) = self.lrn.as_mut() else { return 0 };
+        let my_mask = l.my_mask;
+        let mut asked = 0;
+        for &(i, mask) in instances {
+            let Some(slot) = l.slot_mut(i) else { continue };
+            asked += (slot.asked && slot.decided.is_none() && !slot.foreign) as u64;
+            if mask & my_mask == 0 {
+                // Another partition's instance: skip over it.
+                slot.foreign = true;
+            } else {
+                slot.decided = Some(slot.decided.map_or(round, |e| e.max(round)));
+                if slot.payload.is_none() {
+                    // Decided for this learner's mask, and a 2A precedes
+                    // its decision: the payload is lost.
+                    l.want.push(i);
                 }
             }
         }
+        asked
     }
 
-    fn learner_decide(&mut self, instances: &[(InstanceId, u32)], round: Round) {
-        if let Some(l) = self.lrn.as_mut() {
-            let my_mask = l.my_mask;
-            for &(i, mask) in instances {
-                if let Some(slot) = l.slot_mut(i) {
-                    if mask & my_mask == 0 {
-                        // Another partition's instance: skip over it.
-                        slot.foreign = true;
-                    } else {
-                        slot.decided = Some(slot.decided.map_or(round, |e| e.max(round)));
-                    }
+    /// The learner's order-triggered repair (module docs, "Loss
+    /// recovery"): asks the preferential acceptor, once, for every
+    /// instance known decided that cannot be delivered and is not
+    /// foreign — named by a decision list without its payload, or under
+    /// the `decided_below` watermark — within [`REPAIR_BATCH`] of the
+    /// delivery point. Run after `try_deliver`, so on a loss-free run
+    /// the scan range holds only deliverable instances waiting for the
+    /// application.
+    fn request_incomplete(&mut self, ctx: &mut Ctx) {
+        let catching_up = self.rec.as_ref().is_some_and(|r| r.catching_up);
+        let Some(l) = self.lrn.as_mut() else { return };
+        let named = std::mem::take(&mut l.want);
+        if catching_up {
+            return; // bulk catch-up (TCP) is fetching the backlog
+        }
+        let from = l.checked_below.max(l.next_deliver);
+        let reach = InstanceId(l.next_deliver.0 + REPAIR_BATCH as u64);
+        let upto = l.decided_below.min(reach);
+        if named.is_empty() && from >= upto {
+            return;
+        }
+        // A named instance beyond the reach is left for the scan, which
+        // gets there as deliveries advance.
+        let named = named.into_iter().filter(|&i| i < reach);
+        let mut missing = Vec::new();
+        for i in named.chain((from.0..upto.0).map(InstanceId)) {
+            if let Some(slot) = l.slot_mut(i) {
+                if !(slot.ready() || slot.foreign || slot.asked) {
+                    slot.asked = true;
+                    missing.push(i);
                 }
             }
+        }
+        l.checked_below = l.checked_below.max(upto);
+        if !missing.is_empty() {
+            let pref = self.cfg.preferential_acceptor(l.index);
+            self.send_retrans_req(pref, missing, ctx);
         }
     }
 
@@ -930,6 +1237,17 @@ impl MRingProcess {
                 slot.decided = Some(round);
             }
         }
+    }
+
+    /// After a multicast from the coordinator: takes its `decided_below`
+    /// watermark, delivers what became deliverable, and asks for what
+    /// the watermark or the decision list shows was lost.
+    fn learner_progress(&mut self, decided_below: InstanceId, ctx: &mut Ctx) {
+        if let Some(l) = self.lrn.as_mut() {
+            l.decided_below = l.decided_below.max(decided_below);
+        }
+        self.try_deliver(ctx);
+        self.request_incomplete(ctx);
     }
 
     fn try_deliver(&mut self, ctx: &mut Ctx) {
@@ -976,10 +1294,16 @@ impl MRingProcess {
             let mut delivered_here = Vec::new();
             let evictions = l.delivered.evictions();
             for v in batch.iter() {
-                if !l.delivered.fresh(v.proposer, v.seq) {
-                    continue; // duplicate after failover resubmission
+                if l.delivered.fresh(v.proposer, v.seq) {
+                    delivered_here.push(*v);
+                } else if v.proposer == self.me {
+                    // A duplicate (resend, failover resubmission) of a
+                    // value the dedup window may have evicted unseen:
+                    // either way it will never be delivered again.
+                    if let Some(p) = self.prop.as_mut() {
+                        p.unacked.remove(&v.seq);
+                    }
                 }
-                delivered_here.push(*v);
             }
             let evicted = l.delivered.evictions() - evictions;
             if evicted > 0 {
@@ -1224,8 +1548,13 @@ impl MRingProcess {
         let Some(l) = self.lrn.as_mut() else { return };
         let horizon = l.horizon();
         // Only instances already visible at the previous check are fair
-        // game: anything newer is most likely still in flight.
-        let stale_horizon = l.prev_horizon.min(horizon);
+        // game: anything newer is most likely still in flight. That
+        // includes the horizon instance itself — when nothing follows it
+        // (the end of a burst) no later tick would ever cover it.
+        let mut stale_horizon = l.prev_horizon.min(horizon);
+        if l.slot(stale_horizon).is_some_and(|s| s.payload.is_some() || s.decided.is_some()) {
+            stale_horizon = stale_horizon.next();
+        }
         let mut missing = Vec::new();
         for i in l.next_deliver.0..stale_horizon.0 {
             let i = InstanceId(i);
@@ -1235,7 +1564,7 @@ impl MRingProcess {
             if !ready && !foreign {
                 missing.push(i);
             }
-            if missing.len() >= 64 {
+            if missing.len() >= REPAIR_BATCH {
                 break;
             }
         }
@@ -1243,14 +1572,9 @@ impl MRingProcess {
         let l = self.lrn.as_ref().expect("learner");
         if !missing.is_empty() {
             let pref = self.cfg.preferential_acceptor(l.index);
-            let me = self.me;
-            ctx.udp_send(
-                pref,
-                MMsg::RetransReq { from: me, instances: missing },
-                self.cfg.ctl_bytes,
-            );
+            self.send_retrans_req(pref, missing, ctx);
         }
-        ctx.set_timer(Dur::millis(20), TimerToken(T_RETRANS));
+        ctx.set_timer(RETRANS_TICK, TimerToken(T_RETRANS));
     }
 
     // ------------------------------------------------------------------
@@ -1299,6 +1623,7 @@ impl MRingProcess {
             a.paxos.gc_below(upto);
             a.decided.advance_base(upto);
             a.early_2b.advance_base(upto);
+            a.asked = a.asked.split_off(&upto);
             a.skip_weights = a.skip_weights.split_off(&upto);
             a.masks = a.masks.split_off(&upto);
             // The durable vote log rides the same watermark: f+1
@@ -1415,32 +1740,10 @@ impl MRingProcess {
         // Restart the 2B relay for everything in flight: re-multicast the
         // outstanding 2As — the duplicate-2A path makes the new first
         // acceptor restart the vote relay.
-        let outstanding: Vec<(InstanceId, Batch, u32)> = {
-            let Some(c) = self.coord.as_mut() else { return };
-            c.outstanding
-                .iter_mut()
-                .map(|(&i, entry)| {
-                    entry.1 = ctx.now();
-                    (i, entry.0.clone(), entry.2)
-                })
-                .collect()
-        };
-        let decided_below = self.decided_below();
-        let ctl = self.cfg.ctl_bytes;
-        for (instance, batch, mask) in outstanding {
-            let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(ctl);
-            let skip = self.skip_weight_of(instance);
-            let msg = MMsg::Phase2a {
-                instance,
-                round,
-                batch,
-                decisions: Arc::new(Vec::new()),
-                gc_upto: InstanceId(0),
-                skip,
-                mask,
-                decided_below,
-            };
-            self.mcast_2a(msg, mask, wire, ctx);
+        let outstanding: Vec<InstanceId> =
+            self.coord.iter().flat_map(|c| c.outstanding.keys().copied()).collect();
+        for instance in outstanding {
+            self.re_2a(instance, ctx);
         }
     }
 
@@ -1639,7 +1942,8 @@ impl MRingProcess {
         }
 
         for (instance, batch) in &repropose {
-            cs.outstanding.insert(*instance, (batch.clone(), ctx.now(), ALL_PARTITIONS));
+            let (batch, sent, mask) = (batch.clone(), ctx.now(), ALL_PARTITIONS);
+            cs.outstanding.insert(*instance, Outstanding { batch, sent, mask, resent: false });
         }
         self.coord = Some(cs);
 
@@ -1672,7 +1976,7 @@ impl MRingProcess {
         }
         // Start coordinator timers.
         ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
-        ctx.set_timer(Dur::millis(100), TimerToken(T_FLOW));
+        ctx.set_timer(FLOW_TICK, TimerToken(T_FLOW));
         ctx.set_timer(self.cfg.suspicion_timeout / 2, TimerToken(T_HEARTBEAT));
         if let Some(skip) = self.cfg.skip {
             ctx.set_timer(skip.delta, TimerToken(T_SKIP));
@@ -1749,7 +2053,9 @@ impl MRingProcess {
         let instance = c.next_instance;
         c.next_instance = instance.next();
         let batch: Batch = BatchData::empty();
-        c.outstanding.insert(instance, (batch.clone(), ctx.now(), ALL_PARTITIONS));
+        let (sent, mask) = (ctx.now(), ALL_PARTITIONS);
+        c.outstanding
+            .insert(instance, Outstanding { batch: batch.clone(), sent, mask, resent: false });
         c.logical_count += weight;
         let decisions = Arc::new(std::mem::take(&mut c.decided_unsent));
         let gc_upto = c.gc_watermark;
@@ -1785,7 +2091,7 @@ impl Actor for MRingProcess {
     fn on_start(&mut self, ctx: &mut Ctx) {
         if self.is_coordinator() {
             ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
-            ctx.set_timer(Dur::millis(100), TimerToken(T_FLOW));
+            ctx.set_timer(FLOW_TICK, TimerToken(T_FLOW));
             ctx.set_timer(self.cfg.suspicion_timeout / 2, TimerToken(T_HEARTBEAT));
             if let Some(skip) = self.cfg.skip {
                 ctx.set_timer(skip.delta, TimerToken(T_SKIP));
@@ -1796,7 +2102,7 @@ impl Actor for MRingProcess {
         }
         if self.lrn.is_some() {
             ctx.set_timer(self.cfg.gc_interval, TimerToken(T_GC));
-            ctx.set_timer(Dur::millis(20), TimerToken(T_RETRANS));
+            ctx.set_timer(RETRANS_TICK, TimerToken(T_RETRANS));
         }
         if self.acc.is_some() && !self.is_coordinator() {
             ctx.set_timer(self.cfg.suspicion_timeout, TimerToken(T_SUSPECT));
@@ -1849,22 +2155,22 @@ impl Actor for MRingProcess {
                         a.decided.insert(d, ());
                     }
                     a.decided_below = a.decided_below.max(decided_below);
-                    if skip > 0 {
-                        a.skip_weights.insert(instance, skip);
-                    }
-                    if mask != ALL_PARTITIONS {
-                        a.masks.insert(instance, mask);
-                    }
+                    a.note_shape(instance, skip, mask);
                 }
-                // Learner path: payload plus piggybacked decisions.
-                self.learner_store(instance, &batch, mask, round);
-                self.learner_decide(&decisions, round);
+                // Learner path: payload plus piggybacked decisions. What
+                // the learner had asked its acceptor for and now came by
+                // multicast after all was not lost.
+                let spurious = self.learner_store(instance, &batch, mask, round) as u64
+                    + self.learner_decide(&decisions, round);
+                if spurious > 0 {
+                    ctx.counter_add("rp.repair_spurious", spurious);
+                }
                 if gc_upto > InstanceId(0) && !self.is_coordinator() {
                     self.apply_gc(gc_upto);
                 }
-                self.try_deliver(ctx);
+                self.learner_progress(decided_below, ctx);
             }
-            MMsg::Phase2b { instance, round } => self.on_phase2b(*instance, *round, ctx),
+            MMsg::Phase2b { instance, round } => self.on_phase2b(*instance, *round, env.src, ctx),
             MMsg::Ping { from } => {
                 // Any live acceptor (ring member or spare) answers.
                 if self.acc.is_some() {
@@ -1889,11 +2195,14 @@ impl Actor for MRingProcess {
                     }
                     a.decided_below = a.decided_below.max(decided_below);
                 }
-                self.learner_decide(&instances, round);
+                let spurious = self.learner_decide(&instances, round);
+                if spurious > 0 {
+                    ctx.counter_add("rp.repair_spurious", spurious);
+                }
                 if gc_upto > InstanceId(0) && !self.is_coordinator() {
                     self.apply_gc(gc_upto);
                 }
-                self.try_deliver(ctx);
+                self.learner_progress(decided_below, ctx);
             }
             MMsg::SlowDown => {
                 if self.is_coordinator() {
@@ -1913,8 +2222,8 @@ impl Actor for MRingProcess {
             }
             MMsg::RetransRep { instance, batch, decided, round, skip, mask } => {
                 let (instance, decided, round, mask) = (*instance, *decided, *round, *mask);
-                let _ = skip;
                 let batch = batch.clone();
+                self.on_2a_repair(instance, round, batch.clone(), *skip, mask, ctx);
                 if decided {
                     if mask & self.lrn.as_ref().map(|l| l.my_mask).unwrap_or(ALL_PARTITIONS) == 0 {
                         self.learner_decide(&[(instance, mask)], round);
@@ -2007,51 +2316,26 @@ impl Actor for MRingProcess {
             T_FLOW => {
                 if self.is_coordinator() {
                     let flow = self.cfg.flow;
-                    let round = self.round;
-                    let ctl = self.cfg.ctl_bytes;
                     let Some(c) = self.coord.as_mut() else { return };
                     if ctx.now().saturating_since(c.last_slowdown) > flow.recovery_quiet {
                         c.window = (c.window + (c.window / 4).max(1)).min(flow.max_window);
                     }
                     // Retransmit 2As whose decision is overdue (a lost
                     // multicast would otherwise stall the ring, §3.3.4).
-                    let overdue: Vec<(InstanceId, Batch, u32)> = c
+                    let now = ctx.now();
+                    let overdue: Vec<InstanceId> = c
                         .outstanding
                         .iter()
-                        .filter(|(_, (_, at, _))| ctx.now().saturating_since(*at) > Dur::millis(50))
-                        .take(64)
-                        .map(|(&i, (b, _, m))| (i, b.clone(), *m))
+                        .filter(|(_, o)| now.saturating_since(o.sent) > RE2A_OVERDUE)
+                        .take(REPAIR_BATCH)
+                        .map(|(&i, _)| i)
                         .collect();
-                    for (instance, batch, mask) in overdue {
-                        if let Some(c) = self.coord.as_mut() {
-                            if let Some((_, at, _)) = c.outstanding.get_mut(&instance) {
-                                *at = ctx.now();
-                            }
-                        }
-                        let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(ctl);
-                        ctx.counter_add("rp.re2a", 1);
-                        let decided_below = self.decided_below();
-                        // The retransmission must carry the instance's
-                        // original skip weight: learners feed it to the
-                        // deterministic merge, and a weight that differs
-                        // from the original 2A's would desynchronize the
-                        // merge turn structure across replicas.
-                        let skip = self.skip_weight_of(instance);
-                        let msg = MMsg::Phase2a {
-                            instance,
-                            round,
-                            batch,
-                            decisions: Arc::new(Vec::new()),
-                            gc_upto: InstanceId(0),
-                            skip,
-                            mask,
-                            decided_below,
-                        };
-                        self.mcast_2a(msg, mask, wire, ctx);
+                    for instance in overdue {
+                        self.re_2a(instance, ctx);
                     }
                     self.try_flush(ctx, None);
                     self.ring_repair_check(ctx);
-                    ctx.set_timer(Dur::millis(100), TimerToken(T_FLOW));
+                    ctx.set_timer(FLOW_TICK, TimerToken(T_FLOW));
                 }
             }
             T_DELIVER => self.try_deliver(ctx),

@@ -7,7 +7,9 @@
 //!
 //! * **link partitions** — symmetric cuts between node sets that drop
 //!   every transport, TCP included (`net.part_drop`); healing resets
-//!   the TCP channels across the former cut so wedged windows reopen,
+//!   the TCP channels across the former cut so wedged windows reopen;
+//!   a cut of one instant is a targeted one-shot drop
+//!   ([`FaultPlan::drop_at`]),
 //! * **loss / reorder / duplication bursts** — timed changes to the
 //!   network's `random_loss` / `random_reorder` / `random_duplication`
 //!   knobs (counters `net.rand_drop`, `net.reordered`,
@@ -110,6 +112,17 @@ impl FaultPlan {
     pub fn partition_burst(self, from: Time, until: Time, a: &[NodeId], b: &[NodeId]) -> FaultPlan {
         self.at(from, FaultAction::CutLinks(a.to_vec(), b.to_vec()))
             .at(until, FaultAction::HealLinks(a.to_vec(), b.to_vec()))
+    }
+
+    /// A one-shot targeted drop: the link between `a` and `b` is cut for
+    /// the single instant `at`, so exactly the datagrams either node
+    /// sends the other *at* `at` are lost (a send is checked against the
+    /// cut table at the instant its handler runs). Take the instant from
+    /// a fault-free run of the same seed — a probe or counter timestamp
+    /// of the send to lose; the two runs are identical up to the drop.
+    pub fn drop_at(self, at: Time, a: NodeId, b: NodeId) -> FaultPlan {
+        self.at(Time(at.0.saturating_sub(1)), FaultAction::CutLinks(vec![a], vec![b]))
+            .at(at, FaultAction::HealLinks(vec![a], vec![b]))
     }
 
     /// A CPU straggler: `node` runs `factor`× slower over
@@ -239,6 +252,23 @@ mod tests {
         let max = *got.last().expect("deliveries");
         assert!((got.len() as u32) < max, "some datagrams were cut");
         assert!(max > 40, "traffic resumed after the heal");
+    }
+
+    #[test]
+    fn drop_at_loses_exactly_the_datagram_sent_at_that_instant() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut sim = Sim::new(SimConfig::default());
+        let b = NodeId(1);
+        let a = sim.add_node(Box::new(Ticker { dst: b, n: 0 }));
+        let b = sim.add_node(Box::new(Recorder(log.clone())));
+        // The ticker sends datagram k at (k + 1) × 500 µs.
+        FaultPlan::new().drop_at(Time::ZERO + Dur::micros(2000), a, b).run(
+            &mut sim,
+            Time::from_millis(4),
+            |_, _| {},
+        );
+        assert_eq!(sim.metrics().counter(b, "net.part_drop"), 1);
+        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 4, 5, 6]);
     }
 
     #[test]
