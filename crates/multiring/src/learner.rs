@@ -106,7 +106,10 @@ impl Follower {
         Some(MergeEntry { batch, weight })
     }
 
-    fn missing(&mut self) -> Vec<InstanceId> {
+    /// Instances that cannot be delivered and were already visible at
+    /// the previous sweep, each with whether its payload is needed or
+    /// only its decision.
+    fn missing(&mut self) -> Vec<(InstanceId, bool)> {
         let horizon = self
             .payloads
             .iter()
@@ -118,12 +121,13 @@ impl Follower {
         let mut out = Vec::new();
         for i in self.next.0..stale.0 {
             let i = InstanceId(i);
-            let ready = match (self.decided.get(&i), self.payloads.get(&i)) {
-                (Some(dr), Some((pr, _, _))) => dr == pr,
-                _ => false,
+            let (ready, need_payload) = match (self.decided.get(&i), self.payloads.get(&i)) {
+                (Some(dr), Some((pr, _, _))) => (dr == pr, true),
+                (None, Some(_)) => (false, false),
+                (_, None) => (false, true),
             };
             if !ready {
-                out.push(i);
+                out.push((i, need_payload));
                 if out.len() >= 64 {
                     break;
                 }
@@ -229,6 +233,10 @@ impl MultiRingLearner {
                 } else {
                     self.followers[ring].store(*instance, batch, weight, *round);
                 }
+                true
+            }
+            MMsg::RetransDecided { instance, round, mask } => {
+                self.followers[ring].decide(&[(*instance, *mask)], *round);
                 true
             }
             MMsg::NewRing { ring: new_ring, .. } => {

@@ -51,7 +51,9 @@ pub struct SkipConfig {
 #[derive(Clone, Copy, Debug)]
 pub struct FlowConfig {
     /// Outstanding (proposed but undecided) instances the coordinator may
-    /// keep open initially.
+    /// keep open initially. Times `packet_bytes`, also the bytes a paced
+    /// proposer may have sent and unacknowledged (`mring` module docs,
+    /// "Flow control").
     pub initial_window: u32,
     /// Lower bound the window can shrink to under back-pressure.
     pub min_window: u32,
@@ -101,7 +103,9 @@ pub struct MRingConfig {
     pub batch_timeout: Dur,
     /// Coordinator's buffer of pending (unproposed) values, in bytes.
     /// Values arriving beyond this are dropped (proposers retry) — the
-    /// paper's 160 MB circular buffer (§3.5.2).
+    /// paper's 160 MB circular buffer (§3.5.2). A paced proposer holds
+    /// what its window keeps back in a FIFO of the same bound, and sheds
+    /// beyond it.
     pub pending_cap_bytes: u64,
     /// Acceptor persistence.
     pub storage: StorageMode,

@@ -56,22 +56,60 @@
 //!   delivered and is not another partition's: its payload or its
 //!   decision was lost. The learner asks its preferential acceptor for
 //!   it once, the moment that fact arrives, at most `REPAIR_BATCH`
-//!   instances past the delivery point. The signal is "decided for my
-//!   mask and incomplete", never "a higher instance id was seen" — a
-//!   partition's slice of the instance sequence is sparse by design.
+//!   instances past the delivery point, and says which of the two it
+//!   lacks: an acceptor answers a held payload with the control-sized
+//!   decision alone, or not at all while it knows none. The signal is
+//!   "decided for my mask and incomplete", never "a higher instance id
+//!   was seen" — a partition's slice of the instance sequence is sparse
+//!   by design.
 //!   Backstop: the `RETRANS_TICK` sweep.
 //! * **Proposer** — a proposal lost before the coordinator had it is
 //!   in no instance, so none of the above can see it. A paced proposer
-//!   that learns resends its oldest unacknowledged proposal once it is
-//!   `PROPOSAL_RESEND_AFTER` old and a later one of its own was
-//!   delivered (`ProposerState::take_resend` has the exact rule and why
-//!   age alone is not enough).
+//!   that learns resends its oldest unacknowledged proposal once it was
+//!   sent `PROPOSAL_RESEND_AFTER` ago and one sent after it was
+//!   delivered (`ProposerState::take_resend` has the exact rule).
 //!
-//! Repairs count under `rp.retrans` (per `RetransRep`), `rp.re2a` (per
-//! re-multicast) and `rp.resubmit` (per proposal resend);
-//! `rp.repair_spurious` counts fast repairs whose 2A then arrived by
+//! Repairs count under `rp.retrans` (per reply to a `RetransReq`),
+//! `rp.re2a` (per re-multicast) and `rp.resubmit` (per proposal
+//! resend); `rp.repair_spurious` counts fast repairs whose 2A then arrived by
 //! multicast anyway (reordered, or a coordinator re-multicast racing an
 //! acceptor's repair).
+//!
+//! # Flow control
+//!
+//! Three loops, each keeping one queue from overflowing, each closed by
+//! what the stage after it reports (§3.3.6, §3.5.2):
+//!
+//! * **Proposer byte window → the coordinator's port and pending
+//!   buffer.** A paced proposer that learns keeps at most
+//!   `flow.initial_window × packet_bytes` bytes sent and unacknowledged
+//!   — a source cannot usefully have more packets in flight than the
+//!   coordinator may have instances open, and every proposer's window
+//!   together stays far under a switch port's buffer. The pacer makes a
+//!   message *due* on schedule regardless (`seq`, `submitted` and
+//!   `abcast.proposed` are stamped then, so open-loop latency counts
+//!   the wait); one that finds the window full waits in a FIFO at the
+//!   proposer (`rp.window_held`) and leaves the moment an
+//!   acknowledgement makes room, so past the knee the source clocks
+//!   itself to what the ring delivers and the coordinator's downlink
+//!   carries nothing it cannot order yet. The FIFO is the paper's
+//!   160 MB buffer moved to where the load originates
+//!   (`pending_cap_bytes`; past it the newest is shed,
+//!   `rp.proposer_shed`). The acknowledgement is *delivery at the
+//!   proposer's own learner*: the one signal that exists without a new
+//!   message, and the one that covers every queue on the way — a value
+//!   accepted by the coordinator but not yet ordered, or ordered but
+//!   stuck behind a hole, still occupies the ring. Bytes, not messages:
+//!   a stream of 200-byte values runs hundreds in flight. External
+//!   injectors (session tables, psmr clients) bring their own bound and
+//!   never pass through here.
+//! * **Coordinator instance window → the ring.** At most `window`
+//!   instances are open (proposed, undecided); the rest wait in the
+//!   pending queues, which is what makes batches fill under load.
+//! * **Learner `SlowDown` → learner buffers.** A learner whose
+//!   decided-but-unprocessed backlog passes `flow.learner_threshold`
+//!   tells the ring; the coordinator halves its window and grows it
+//!   back after `flow.recovery_quiet` of silence.
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -102,7 +140,6 @@ const T_HEARTBEAT: u64 = 8 << 56;
 const T_DISK: u64 = 9 << 56;
 const T_VOTE_RETRY: u64 = 10 << 56;
 const T_SKIP: u64 = 11 << 56;
-const T_RESUB: u64 = 12 << 56;
 const T_CKPT: u64 = 13 << 56;
 const T_CATCHUP: u64 = 14 << 56;
 const T_HOLD: u64 = 15 << 56;
@@ -134,11 +171,11 @@ const RE2A_OVERDUE: Dur = Dur::millis(50);
 /// far past its delivery point a learner's fast repair reaches (the
 /// repairs in flight to one learner then fit the switch port buffer).
 const REPAIR_BATCH: usize = 64;
-/// How old the oldest unacknowledged proposal must be before its
-/// proposer resends it (`ProposerState::take_resend`): several times a
-/// repaired delivery (2–3 ms), and short enough that what parks behind
-/// the hole in the learners' dedup windows stays far under their bound
-/// at any rate the ring sustains.
+/// How long ago the oldest unacknowledged proposal must have been sent
+/// before its proposer resends it (`ProposerState::take_resend`):
+/// several times a repaired delivery (2–3 ms), and short enough that
+/// what parks behind the hole in the learners' dedup windows stays far
+/// under their bound at any rate the ring sustains.
 const PROPOSAL_RESEND_AFTER: Dur = Dur::millis(20);
 
 fn token_kind(t: TimerToken) -> u64 {
@@ -273,6 +310,17 @@ impl LearnerSlot {
     fn ready(&self) -> bool {
         matches!((&self.decided, &self.payload), (Some(dr), Some((pr, _))) if dr == pr)
     }
+
+    /// Whether a repair of this slot must bring the payload: none is
+    /// held, or the one held is not of the deciding round. Otherwise
+    /// only the decision is missing.
+    fn needs_payload(&self) -> bool {
+        match (&self.payload, &self.decided) {
+            (None, _) => true,
+            (Some((pr, _)), Some(dr)) => pr != dr,
+            (Some(_), None) => false,
+        }
+    }
 }
 
 /// Learner-only state. Instances at or above `next_deliver` live in a
@@ -355,46 +403,89 @@ struct ProposerState {
     pacer: Option<Pacer>,
     next_seq: u64,
     coordinator: NodeId,
-    /// Sent but not yet seen delivered (resubmitted on failover).
-    unacked: BTreeMap<u64, Value>,
+    /// Sent but not yet seen delivered, each with the instant it was
+    /// last sent to a coordinator (resent on failover). Never more than
+    /// `window_bytes` plus one message: `pace` and `send_held` send only
+    /// while `unacked_bytes` is under it.
+    unacked: BTreeMap<u64, (Value, Time)>,
+    /// Payload bytes in `unacked`.
+    unacked_bytes: u64,
+    /// The window: `flow.initial_window × packet_bytes`, what the
+    /// coordinator may have open at the start (module docs, "Flow
+    /// control").
+    window_bytes: u64,
+    /// Due but not yet sent, oldest first: what the pacer produced while
+    /// the window was full. Every seq in here is above every seq in
+    /// `unacked`. Bounded by `pending_cap_bytes`.
+    held: VecDeque<Value>,
+    /// Payload bytes in `held`.
+    held_bytes: u64,
     /// The last timed resend: which proposal (`seq`), when, and how
     /// many times it has been resent.
     resent: (u64, Time, u32),
-    /// Only proposers that are also learners can prune `unacked`.
+    /// Only proposers that are also learners see acknowledgements; the
+    /// others track nothing and the window never binds.
     track_acks: bool,
-    /// Failover resubmissions still to send, paced so a long outage's
-    /// backlog does not burst into the new ring all at once and drown
-    /// the recovering 2B relay (tail drop at the coordinator's port).
-    resubmit_q: VecDeque<u64>,
 }
 
 impl ProposerState {
+    /// Puts `v` on the wire and, where acknowledgements can be seen,
+    /// into the window.
+    fn send(&mut self, v: Value, ctx: &mut Ctx) {
+        if self.track_acks {
+            self.unacked.insert(v.seq, (v, ctx.now()));
+            self.unacked_bytes += v.bytes as u64;
+        }
+        ctx.udp_send(self.coordinator, MMsg::Propose(v), v.bytes);
+    }
+
+    /// Sends held proposals, oldest first, while the window has room.
+    fn send_held(&mut self, ctx: &mut Ctx) {
+        while self.unacked_bytes < self.window_bytes {
+            let Some(v) = self.held.pop_front() else { return };
+            self.held_bytes -= v.bytes as u64;
+            self.send(v, ctx);
+        }
+    }
+
+    /// Acknowledges `seq`: delivered, or a duplicate of something that
+    /// will never be delivered again.
+    fn ack(&mut self, seq: u64) {
+        if let Some((v, _)) = self.unacked.remove(&seq) {
+            self.unacked_bytes -= v.bytes as u64;
+        }
+    }
+
     /// The proposal to resend at `now`, if one is due. A proposal the
     /// network lost before the coordinator had it is in no instance, so
     /// no role downstream can show the loss; the proposer goes by what
     /// it sees delivered:
     ///
     /// * only the oldest unacknowledged proposal (every lost one gets
-    ///   to be the oldest), and only once a later proposal of ours was
-    ///   delivered — the coordinator queues a proposer's values in
+    ///   to be the oldest), and only once a proposal *sent* after it
+    ///   was delivered — the coordinator queues a proposer's values in
     ///   order, so this one was overtaken: lost, or refused by a full
     ///   coordinator — or none is in flight behind it (the last before
-    ///   a pause). Old alone proves nothing: under overload everything
-    ///   is old and nothing is lost;
-    /// * once it is [`PROPOSAL_RESEND_AFTER`] old, doubling per resend
-    ///   of the same proposal — a copy queued at a backlogged
-    ///   coordinator must not be sent over and over;
-    /// * at most one resend per bound, so retrying what an overloaded
-    ///   coordinator refused stays a trickle, not a second offered load.
+    ///   a pause). What waits in `held` has overtaken nothing;
+    /// * once it is [`PROPOSAL_RESEND_AFTER`] past the instant it was
+    ///   sent — not the instant it became due: a proposal the window
+    ///   held back is old the moment it leaves — doubling per resend of
+    ///   the same proposal, so a copy queued at a backlogged
+    ///   coordinator is not sent over and over;
+    /// * at most one resend per bound. The window keeps what is sent
+    ///   within what the ring has room for, so a sent proposal is old
+    ///   only if something happened to it; the rate limit is for the
+    ///   coordinator that refuses anyway (external clients filled it).
     ///
     /// Learner dedup drops the copy if the first made it after all.
     fn take_resend(&mut self, now: Time) -> Option<Value> {
-        let (&seq, &v) = self.unacked.first_key_value()?;
+        let (&seq, &(v, sent)) = self.unacked.first_key_value()?;
         let in_flight = self.unacked.len();
-        let overtaken = (self.next_seq - seq) as usize > in_flight;
+        let sent_below = self.held.front().map_or(self.next_seq, |h| h.seq);
+        let overtaken = (sent_below - seq) as usize > in_flight;
         let (last_seq, last_at, tries) = self.resent;
         let tries = if last_seq == seq { tries } else { 0 };
-        let sent = if tries > 0 { last_at } else { v.submitted };
+        let sent = if tries > 0 { last_at } else { sent };
         let due = (overtaken || in_flight == 1)
             && now.saturating_since(sent) >= PROPOSAL_RESEND_AFTER * (1 << tries.min(6))
             && now.saturating_since(last_at) >= PROPOSAL_RESEND_AFTER;
@@ -539,8 +630,11 @@ impl MRingProcess {
             next_seq: 0,
             coordinator: cfg.coordinator(),
             unacked: BTreeMap::new(),
+            unacked_bytes: 0,
+            window_bytes: cfg.flow.initial_window as u64 * cfg.packet_bytes as u64,
+            held: VecDeque::new(),
+            held_bytes: 0,
             resent: (u64::MAX, Time::ZERO, 0),
-            resubmit_q: VecDeque::new(),
             track_acks,
         });
         MRingProcess {
@@ -636,8 +730,15 @@ impl MRingProcess {
     // Proposer
     // ------------------------------------------------------------------
 
+    /// One pacer tick: a timed resend if one is due, then every message
+    /// the schedule makes due now. A message is stamped (`seq`,
+    /// `submitted`, `abcast.proposed`) the instant it is due and goes on
+    /// the wire while the window has room; past that it waits in `held`,
+    /// and `try_deliver` sends it the moment an acknowledgement makes
+    /// room.
     fn pace(&mut self, ctx: &mut Ctx) {
         let ctl_rate = self.rate_ctl.as_ref().map(|c| c.load(AtomicOrdering::Relaxed));
+        let held_cap = self.cfg.pending_cap_bytes;
         let Some(p) = self.prop.as_mut() else { return };
         if let Some(v) = p.take_resend(ctx.now()) {
             ctx.udp_send(p.coordinator, MMsg::Propose(v), v.bytes);
@@ -656,8 +757,14 @@ impl MRingProcess {
         let due = pacer.due(ctx.now());
         let bytes = pacer.msg_bytes();
         let interval = pacer.interval();
-        let coordinator = p.coordinator;
         for _ in 0..due {
+            ctx.counter_add_id(metric::id::PROPOSED, 1);
+            if p.held_bytes + bytes as u64 > held_cap {
+                // Shed before a `seq` is spent: learners' dedup windows
+                // count on a proposer's sequence being dense.
+                ctx.counter_add("rp.proposer_shed", 1);
+                continue;
+            }
             let seq = p.next_seq;
             p.next_seq += 1;
             let v = Value {
@@ -668,11 +775,13 @@ impl MRingProcess {
                 submitted: ctx.now(),
                 mask: ALL_PARTITIONS,
             };
-            if p.track_acks {
-                p.unacked.insert(seq, v);
+            if p.held.is_empty() && p.unacked_bytes < p.window_bytes {
+                p.send(v, ctx);
+            } else {
+                p.held.push_back(v);
+                p.held_bytes += bytes as u64;
+                ctx.counter_add("rp.window_held", 1);
             }
-            ctx.udp_send(coordinator, MMsg::Propose(v), bytes);
-            ctx.counter_add_id(metric::id::PROPOSED, 1);
         }
         ctx.set_timer(interval, TimerToken(T_PACE));
     }
@@ -912,20 +1021,24 @@ impl MRingProcess {
     /// Re-multicasts the 2A of the outstanding `instance`: the duplicate
     /// makes the first acceptor restart the vote relay, and acceptors
     /// and learners that missed the original take it as the original.
+    /// In classic mode it carries the unannounced decisions like any
+    /// 2A: its `decided_below` watermark covers them, and a learner
+    /// shown an instance decided without the decision asks for it.
     fn re_2a(&mut self, instance: InstanceId, ctx: &mut Ctx) {
-        let Some(o) = self.coord.as_mut().and_then(|c| c.outstanding.get_mut(&instance)) else {
-            return;
-        };
+        let classic = self.cfg.partitions.is_none();
+        let Some(c) = self.coord.as_mut() else { return };
+        let Some(o) = c.outstanding.get_mut(&instance) else { return };
         o.sent = ctx.now();
         o.resent = true;
         let (batch, mask) = (o.batch.clone(), o.mask);
+        let decisions = if classic { std::mem::take(&mut c.decided_unsent) } else { Vec::new() };
         let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes);
         ctx.counter_add("rp.re2a", 1);
         let msg = MMsg::Phase2a {
             instance,
             round: self.round,
             batch,
-            decisions: Arc::new(Vec::new()),
+            decisions: Arc::new(decisions),
             gc_upto: InstanceId(0),
             // The instance's original skip weight: learners feed it to
             // the deterministic merge, and a weight that differs from
@@ -1080,7 +1193,7 @@ impl MRingProcess {
             // `from` voted in `round`, so it holds the value, and the 2A
             // was multicast before that vote: this acceptor's copy is
             // lost (module docs, "Loss recovery"). Ask `from` for it.
-            self.send_retrans_req(from, vec![instance], ctx);
+            self.send_retrans_req(from, vec![(instance, true)], ctx);
         }
     }
 
@@ -1103,7 +1216,10 @@ impl MRingProcess {
         self.vote_2a(instance, round, batch, ctx);
     }
 
-    fn send_retrans_req(&mut self, to: NodeId, instances: Vec<InstanceId>, ctx: &mut Ctx) {
+    /// Asks `to` for `instances`, each with whether its payload is
+    /// needed or only its decision (the flag rides in the instance's
+    /// eight bytes).
+    fn send_retrans_req(&mut self, to: NodeId, instances: Vec<(InstanceId, bool)>, ctx: &mut Ctx) {
         let wire = self.cfg.ctl_bytes + 8 * instances.len() as u32;
         ctx.udp_send(to, MMsg::RetransReq { from: self.me, instances }, wire);
     }
@@ -1117,25 +1233,33 @@ impl MRingProcess {
         }
     }
 
-    fn on_retrans_req(&mut self, from: NodeId, instances: &[InstanceId], ctx: &mut Ctx) {
+    /// Answers a repair request with what each instance is missing and
+    /// nothing else: the stored batch where the payload is needed, the
+    /// control-sized decision where the requester holds the payload (or
+    /// is a learner of a partition the batch does not touch, and will
+    /// skip it) — and nothing where that decision is not known here.
+    fn on_retrans_req(&mut self, from: NodeId, instances: &[(InstanceId, bool)], ctx: &mut Ctx) {
         let Some(a) = self.acc.as_ref() else { return };
-        let mut replies = Vec::new();
-        for &i in instances {
-            if let Some(vote) = a.paxos.vote(i) {
-                let skip = a.skip_weights.get(&i).copied().unwrap_or(0);
-                let mask = a.masks.get(&i).copied().unwrap_or(ALL_PARTITIONS);
-                let decided = a.decided.contains(i) || i < a.decided_below;
-                replies.push((i, vote.v_val.clone(), decided, vote.v_rnd, skip, mask));
-            }
-        }
-        for (instance, batch, decided, round, skip, mask) in replies {
-            let wire = batch_bytes(&batch).min(u32::MAX as u64) as u32;
+        let learner = self.cfg.learners.iter().position(|&n| n == from);
+        let their_mask = learner.map_or(ALL_PARTITIONS, |i| self.cfg.learner_mask(i));
+        for &(instance, need_payload) in instances {
+            let Some(vote) = a.paxos.vote(instance) else { continue };
+            let skip = a.skip_weights.get(&instance).copied().unwrap_or(0);
+            let mask = a.masks.get(&instance).copied().unwrap_or(ALL_PARTITIONS);
+            let decided = a.decided.contains(instance) || instance < a.decided_below;
+            let round = vote.v_rnd;
+            let (msg, wire) = if need_payload && mask & their_mask != 0 {
+                let batch = vote.v_val.clone();
+                let wire = batch_bytes(&batch).min(u32::MAX as u64) as u32;
+                let msg = MMsg::RetransRep { instance, batch, decided, round, skip, mask };
+                (msg, wire.max(self.cfg.ctl_bytes))
+            } else if decided {
+                (MMsg::RetransDecided { instance, round, mask }, self.cfg.ctl_bytes)
+            } else {
+                continue;
+            };
             ctx.counter_add("rp.retrans", 1);
-            ctx.udp_send(
-                from,
-                MMsg::RetransRep { instance, batch, decided, round, skip, mask },
-                wire.max(self.cfg.ctl_bytes),
-            );
+            ctx.udp_send(from, msg, wire);
         }
     }
 
@@ -1217,7 +1341,7 @@ impl MRingProcess {
             if let Some(slot) = l.slot_mut(i) {
                 if !(slot.ready() || slot.foreign || slot.asked) {
                     slot.asked = true;
-                    missing.push(i);
+                    missing.push((i, slot.needs_payload()));
                 }
             }
         }
@@ -1301,7 +1425,7 @@ impl MRingProcess {
                     // value the dedup window may have evicted unseen:
                     // either way it will never be delivered again.
                     if let Some(p) = self.prop.as_mut() {
-                        p.unacked.remove(&v.seq);
+                        p.ack(v.seq);
                     }
                 }
             }
@@ -1333,10 +1457,15 @@ impl MRingProcess {
                     // debug-asserts that instead of masking inversions.
                     ctx.record_latency(metric::LATENCY, ctx.now().since(v.submitted));
                     if let Some(p) = self.prop.as_mut() {
-                        p.unacked.remove(&v.seq);
+                        p.ack(v.seq);
                     }
                 }
             }
+        }
+        // Every acknowledgement above made room in the proposer's
+        // window: what it held back goes now, not at the next pace tick.
+        if let Some(p) = self.prop.as_mut() {
+            p.send_held(ctx);
         }
         self.maybe_checkpoint(ctx);
         self.flow_check(ctx);
@@ -1562,7 +1691,7 @@ impl MRingProcess {
             let ready = slot.is_some_and(|s| s.ready());
             let foreign = slot.is_some_and(|s| s.foreign);
             if !ready && !foreign {
-                missing.push(i);
+                missing.push((i, slot.is_none_or(|s| s.needs_payload())));
             }
             if missing.len() >= REPAIR_BATCH {
                 break;
@@ -1997,39 +2126,16 @@ impl MRingProcess {
         if let Some(a) = self.acc.as_mut() {
             a.last_coord_activity = ctx.now();
         }
-        // Proposers redirect and resubmit anything unacknowledged —
-        // paced (T_RESUB), not burst: after a long outage the combined
-        // backlog of all proposers can exceed the switch port buffer and
-        // the drops would take out the recovering ring's 2B relay.
+        // Proposers redirect and resend what is unacknowledged — at most
+        // a window of it, so in one go; what became due during the
+        // outage waits in `held` and follows at the new ring's pace.
         if let Some(p) = self.prop.as_mut() {
             p.coordinator = coord;
-            p.resubmit_q = p.unacked.keys().copied().collect();
-            if !p.resubmit_q.is_empty() {
-                ctx.set_timer(Dur::ZERO, TimerToken(T_RESUB));
+            for (v, sent) in p.unacked.values_mut() {
+                *sent = ctx.now();
+                ctx.udp_send(coord, MMsg::Propose(*v), v.bytes);
+                ctx.counter_add("rp.resubmit", 1);
             }
-        }
-    }
-
-    /// Drains a slice of the failover resubmission queue (~512 Mbps).
-    fn drain_resubmits(&mut self, ctx: &mut Ctx) {
-        let mut send = Vec::new();
-        let more = {
-            let Some(p) = self.prop.as_mut() else { return };
-            for _ in 0..16 {
-                let Some(seq) = p.resubmit_q.pop_front() else { break };
-                // Skip anything acknowledged while queued.
-                if let Some(v) = p.unacked.get(&seq) {
-                    send.push((p.coordinator, *v));
-                }
-            }
-            !p.resubmit_q.is_empty()
-        };
-        for (coord, v) in send {
-            ctx.udp_send(coord, MMsg::Propose(v), v.bytes);
-            ctx.counter_add("rp.resubmit", 1);
-        }
-        if more {
-            ctx.set_timer(Dur::millis(2), TimerToken(T_RESUB));
         }
     }
 }
@@ -2237,6 +2343,12 @@ impl Actor for MRingProcess {
                 }
                 self.try_deliver(ctx);
             }
+            MMsg::RetransDecided { instance, round, mask } => {
+                // The answer to this learner's own request: not counted
+                // against it as a repair that proved unnecessary.
+                let _ = self.learner_decide(&[(*instance, *mask)], *round);
+                self.try_deliver(ctx);
+            }
             MMsg::Version { learner, applied } => self.on_version(*learner, *applied, ctx),
             MMsg::Phase1a { round, from } => self.on_phase1a(*round, *from, ctx),
             MMsg::Phase1b { round, from, votes, decided } => {
@@ -2311,7 +2423,6 @@ impl Actor for MRingProcess {
                 }
             }
             T_PACE => self.pace(ctx),
-            T_RESUB => self.drain_resubmits(ctx),
             T_GC => self.gc_report(ctx),
             T_FLOW => {
                 if self.is_coordinator() {

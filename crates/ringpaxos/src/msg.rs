@@ -64,14 +64,18 @@ pub enum MMsg {
     },
     /// Learner → acceptor → … → coordinator: slow down (§3.3.6).
     SlowDown,
-    /// Learner asks its preferential acceptor for lost instances (§3.3.4).
+    /// A learner asks its preferential acceptor (or a mid-ring acceptor
+    /// its predecessor) for lost instances (§3.3.4).
     RetransReq {
-        /// Requesting learner.
+        /// Requesting process.
         from: NodeId,
-        /// Instances whose payload or decision is missing.
-        instances: Vec<InstanceId>,
+        /// Instances that cannot be delivered, each with whether the
+        /// payload is needed. `false`: the requester holds the payload
+        /// and lacks only the decision, which is all it is sent
+        /// ([`MMsg::RetransDecided`]) — if the acceptor knows one.
+        instances: Vec<(InstanceId, bool)>,
     },
-    /// Retransmission of one instance to a learner.
+    /// Retransmission of one instance, payload included.
     RetransRep {
         /// The instance.
         instance: InstanceId,
@@ -83,6 +87,17 @@ pub enum MMsg {
         round: Round,
         /// Skip weight of the batch (see [`MMsg::Phase2a::skip`]).
         skip: u64,
+        /// Partition mask of the batch.
+        mask: u32,
+    },
+    /// Retransmission of one instance's decision alone (control-sized):
+    /// to a learner that holds the payload, or whose partition the
+    /// instance does not touch.
+    RetransDecided {
+        /// The instance.
+        instance: InstanceId,
+        /// Round of the acceptor's stored (decided) vote.
+        round: Round,
         /// Partition mask of the batch.
         mask: u32,
     },

@@ -232,7 +232,10 @@ fn coordinator_failover_resumes_delivery_without_violations() {
 
 #[test]
 fn runs_are_deterministic() {
-    let run = |seed: u64| -> (u64, u64) {
+    // Delivered totals at the cut, and what the seed must move: which
+    // node's links lost how many datagrams. (Totals alone agree across
+    // seeds whenever no repair is pending at the cut.)
+    let run = |seed: u64| -> (u64, u64, Vec<u64>) {
         let mut cfg = SimConfig::default();
         cfg.seed = seed;
         cfg.random_loss = 0.005;
@@ -250,10 +253,13 @@ fn runs_are_deterministic() {
             d.all_learners.iter().map(|&l| sim.metrics().counter(l, metric::DELIVERED_BYTES)).sum();
         let msgs: u64 =
             d.all_learners.iter().map(|&l| sim.metrics().counter(l, metric::DELIVERED_MSGS)).sum();
-        (bytes, msgs)
+        let lost = (0..sim.node_count())
+            .map(|n| sim.metrics().counter_id(NodeId(n), mid::NET_RAND_DROP))
+            .collect();
+        (bytes, msgs, lost)
     };
     assert_eq!(run(42), run(42), "same seed must reproduce identical results");
-    assert_ne!(run(42), run(43), "different seeds should differ under loss");
+    assert_ne!(run(42).2, run(43).2, "different seeds must lose different datagrams");
 }
 
 #[test]

@@ -10,8 +10,9 @@
 //! [`FaultPlan::drop_at`] cuts that one link for that one instant. The
 //! cell asserts that exactly one datagram was dropped, that every
 //! learner's deliveries resume within [`RESUME_WITHIN`] of the drop,
-//! that exactly one repair message was sent (and which kind), and that
-//! order and integrity hold with everything proposed delivered.
+//! that exactly one repair message was sent (and which kind; where a
+//! learner asked, that the reply carried what it lacked and no more),
+//! and that order and integrity hold with everything proposed delivered.
 
 use std::collections::HashSet;
 
@@ -46,6 +47,8 @@ const MSG_BYTES: u32 = 4096;
 /// positions need [`RESUME_WITHIN_8K`].
 const MSG_BYTES_8K: u32 = 8192;
 const RESUME_WITHIN_8K: Dur = Dur::micros(2_500);
+/// `MRingConfig::ctl_bytes`: a 2B, a decision, a repair request's base.
+const CTL_BYTES: u64 = 32;
 
 /// The nodes of a deployed ring, as the cells need them.
 struct Ring {
@@ -237,6 +240,23 @@ fn expected_repair(pos: Position) -> (u64, u64, u64) {
     }
 }
 
+/// What the acceptors put on the wire for a learner's repair, where
+/// the learner is the one that lost something: the batch when it
+/// lacks the payload, the control-sized decision when it holds the
+/// payload or will skip the instance.
+fn reply_bytes(pos: Position, msg_bytes: u32) -> Option<u64> {
+    match pos {
+        Position::TwoALearner => Some(msg_bytes as u64),
+        Position::DecisionLearner | Position::DecisionForeign => Some(CTL_BYTES),
+        _ => None,
+    }
+}
+
+/// Bytes the ring's three acceptors have sent.
+fn ring_sent_bytes(sim: &Sim, r: &Ring) -> u64 {
+    [r.a0, r.a1, r.coord].iter().map(|&n| sim.metrics().counter_id(n, mid::NET_SENT_BYTES)).sum()
+}
+
 /// Finds, in the fault-free run's probe stream, the instant the
 /// datagram of `pos` is sent and the link it crosses.
 fn locate(pos: Position, events: &[ProbeEvent], r: &Ring) -> (Time, NodeId, NodeId) {
@@ -407,6 +427,11 @@ fn cell(deploy: Deploy, msg_bytes: u32, pos: Position, bound: Dur) {
     let got = repairs(&sim);
     let (retrans, re2a, resubmit) = expected_repair(pos);
     assert_eq!(got, Repairs { retrans, re2a, resubmit, spurious: 0 }, "{pos:?}: one repair");
+    if let Some(bytes) = reply_bytes(pos, msg_bytes) {
+        // The learner's loss changes nothing else an acceptor sends.
+        let extra = ring_sent_bytes(&sim, &ring) - ring_sent_bytes(&dry, &ring);
+        assert_eq!(extra, bytes, "{pos:?}: the repair carries what is missing and no more");
+    }
     let (resumed, gap) = resume_after(&sim, &ring, t);
     if std::env::var("LOSS_MATRIX_PRINT").is_ok() {
         println!(
