@@ -9,9 +9,9 @@ use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
 use simnet::prelude::*;
-use workload::{SESSIONS_COMPLETED, SESSIONS_RETRIES, SESSION_LATENCY};
+use workload::{WorkloadKind, SESSIONS_COMPLETED, SESSIONS_RETRIES, SESSION_LATENCY};
 
-use crate::harness::{header, pctl_cell};
+use crate::harness::{cpu_pct, header, pctl_cell};
 use crate::Experiment;
 
 /// All ch. 10 experiments in order.
@@ -66,6 +66,45 @@ fn fig10_01() {
     println!("  shape: ordering is skew-blind (one total order regardless of key), so");
     println!("  throughput holds; the tail moves only via per-partition execution load —");
     println!("  scattered keys keep even Zipf 0.99 spread across the four partitions.");
+
+    println!();
+    println!("Fig 10.1b — one million sessions reading (1000-key scans, Zipf 0.99): offered");
+    println!("  rate vs goodput, the tail, and the busiest core of any replica");
+    header(&["offered/s", "completed/s", "p50/p99/p999", "busiest replica core"]);
+    for &rate in &[12_000.0f64, 16_000.0, 20_000.0, 24_000.0, 40_000.0] {
+        let mut sim = Sim::new(SimConfig::default());
+        let o = SessionOptions { kind: WorkloadKind::Queries, ..opts(1_000_000, rate / 8.0, 0.99) };
+        let d = deploy_smr_sessions(&mut sim, &o);
+        let cores: Vec<(NodeId, usize)> = d
+            .replicas
+            .iter()
+            .flatten()
+            .flat_map(|&r| (0..sim.config().cores_per_node).map(move |c| (r, c)))
+            .collect();
+        let busy =
+            |sim: &Sim| -> Vec<Dur> { cores.iter().map(|&(r, c)| sim.cpu_busy(r, c)).collect() };
+        sim.run_until(Time::from_secs(1));
+        let _ = sim.metrics_mut().take_latency(SESSION_LATENCY);
+        let (done0, busy0) = (completed(&sim, &d), busy(&sim));
+        sim.run_until(Time::from_secs(5));
+        let goodput = (completed(&sim, &d) - done0) as f64 / 4.0;
+        let (pct, (node, core)) = busy(&sim)
+            .iter()
+            .zip(&busy0)
+            .map(|(&after, &before)| cpu_pct(before, after, Dur::secs(4)))
+            .zip(&cores)
+            .max_by(|a, b| a.0.total_cmp(&b.0))
+            .expect("replicas have cores");
+        println!(
+            "  {rate:9.0} | {goodput:11.0} | {} | {pct:5.1} % (node {}, core {core})",
+            pctl_cell(&sim, SESSION_LATENCY),
+            node.0,
+        );
+    }
+    println!("  shape: scans bind at the replicas, not the ring. Zipf 0.99 sends 31 % of them");
+    println!("  to partition 0; its two replicas spread them over both execution cores (1 and");
+    println!("  3), so the ladder holds to 40k — with one execution thread the same replicas");
+    println!("  owed a full core-second per second at 24k and the tail left the 5 ms limit.");
 }
 
 fn fig10_02() {

@@ -189,6 +189,12 @@ impl TreeService {
         self.undo.clear();
     }
 
+    /// Discards the `n` oldest undo records (the updates of a command
+    /// confirmed in order), keeping those of later speculated commands.
+    pub fn commit_oldest(&mut self, n: usize) {
+        self.undo.drain(..n.min(self.undo.len()));
+    }
+
     /// Rolls back the `n` most recent updates, in reverse order.
     pub fn rollback(&mut self, n: usize) {
         for _ in 0..n {
@@ -291,6 +297,20 @@ mod tests {
         assert_eq!(s.undo_depth(), 0);
         s.rollback(5); // no-op
         assert_eq!(s.tree().get(1), Some(1));
+    }
+
+    #[test]
+    fn commit_oldest_keeps_later_records_undoable() {
+        let mut s = TreeService::new();
+        for k in 1..=3 {
+            s.apply(TreeCommand::Insert { key: k, value: k });
+        }
+        s.commit_oldest(1);
+        assert_eq!(s.undo_depth(), 2);
+        s.rollback(5); // undoes keys 3 and 2; key 1 is committed
+        assert_eq!(s.tree().range(0, u64::MAX), vec![(1, 1)]);
+        s.commit_oldest(5); // more than logged: no-op beyond the log
+        assert_eq!(s.undo_depth(), 0);
     }
 
     #[test]

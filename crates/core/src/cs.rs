@@ -57,10 +57,12 @@ impl<S: Service> Actor for CsServer<S> {
         if let Some(&CsRequest { id }) = env.payload.downcast_ref::<CsRequest>() {
             let Some(cmd) = self.registry.get(id) else { return };
             let mut cost = self.request_overhead;
+            let mut updates = 0;
             for (_, op) in &cmd.ops {
                 cost += self.service.execute(op);
+                updates += usize::from(S::is_update(op));
             }
-            self.service.commit();
+            self.service.commit(updates);
             ctx.charge_cpu(self.exec_core, cost);
             let done = ctx.core_free_at(self.exec_core);
             self.resp_q.push_back((done, id, cmd.client, cmd.reply_bytes));

@@ -124,6 +124,9 @@ struct ServerSide {
 /// Node-id allocation order (ring, then replicas, then `n_extra` client
 /// nodes, then groups) is shared by every deployment flavour so golden
 /// traces of existing configs are unaffected by the factoring.
+/// `exec_cores` is each replica's execution pool
+/// ([`ReplicaConfig::exec_cores`]) — the one thing the two client tiers'
+/// server sides differ in.
 fn deploy_servers(
     sim: &mut Sim,
     partitions: Option<PartitionOptions>,
@@ -133,6 +136,7 @@ fn deploy_servers(
     speculative: bool,
     packet_bytes: u32,
     n_extra: usize,
+    exec_cores: &[usize],
 ) -> ServerSide {
     let n_partitions = partitions.map(|p| p.n).unwrap_or(1);
     let replicas_per = partitions.map(|p| p.replicas_per).unwrap_or(n_replicas);
@@ -195,6 +199,7 @@ fn deploy_servers(
                 mask: if partitions.is_some() { 1 << pi } else { ringpaxos::value::ALL_PARTITIONS },
                 peers: part.clone(),
                 speculative,
+                exec_cores: exec_cores.to_vec(),
                 ..ReplicaConfig::default()
             };
             let actor =
@@ -226,6 +231,9 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
             opts.speculative,
             packet_bytes,
             opts.n_clients,
+            // The paper's two-thread server (§4.4.2, Fig 4.8): one
+            // execution thread beside the response thread.
+            &[1],
         );
     let n_partitions = opts.partitions.map(|p| p.n).unwrap_or(1);
     let span = Partitioning::new(n_partitions.max(1)).span;
@@ -341,6 +349,12 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
     // into one instance (§3.5.4), up to 32 of them. A partial batch
     // waits at most `batch_timeout` (100 µs here) on an idle
     // coordinator, and otherwise until its core 0 drains.
+    //
+    // Replicas execute on every core that neither delivery (0) nor the
+    // response thread uses — `[1, 3]` at four cores per node.
+    let resp_core = ReplicaConfig::default().resp_core;
+    let exec_cores: Vec<usize> =
+        (1..sim.config().cores_per_node).filter(|&c| c != resp_core).collect();
     let ServerSide { ring, replicas, extras: tables, registry, log, partitioning, cfg } =
         deploy_servers(
             sim,
@@ -351,6 +365,7 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
             opts.speculative,
             8192,
             opts.n_tables,
+            &exec_cores,
         );
     let n_partitions = opts.partitions.map(|p| p.n).unwrap_or(1);
     let key_space = Partitioning::new(n_partitions.max(1)).span * n_partitions as u64;

@@ -17,7 +17,9 @@
 //!   the multicast groups of the partitions they touch, and replicas
 //!   skip over other partitions' instances.
 //!
-//! The crate provides the replica ([`replica::SmrReplica`]), the
+//! The crate provides the replica ([`replica::SmrReplica`]) and its
+//! sans-IO execution engine ([`exec::Executor`]: speculation queue plus
+//! a readers–writer schedule over the node's execution cores), the
 //! closed-loop client ([`client::SmrClient`]), the non-replicated
 //! baseline ([`cs::CsServer`]), and one-call deployments
 //! ([`deploy::deploy_smr`], [`deploy::deploy_cs`]) over the paper's
@@ -42,6 +44,7 @@
 pub mod client;
 pub mod cs;
 pub mod deploy;
+pub mod exec;
 pub mod msg;
 pub mod replica;
 pub mod service;
@@ -54,6 +57,7 @@ pub use deploy::{
     deploy_cs, deploy_smr, deploy_smr_sessions, CsDeployment, PartitionOptions, SessionDeployment,
     SessionOptions, SmrDeployment, SmrOptions,
 };
+pub use exec::{Booked, ExecSchedule, Executor};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
     ReplicaConfig, SmrReplica, SMR_COMPLETED, SMR_LATENCY, SMR_ROLLBACKS, SMR_SPEC_EXEC,

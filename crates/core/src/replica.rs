@@ -1,10 +1,21 @@
 //! The SMR replica: an M-Ring Paxos learner feeding a deterministic
 //! service, with optional speculative execution (§4.2.1).
 //!
-//! The replica mirrors the paper's server organization (§4.4.2): network
-//! delivery runs on core 0 (shared with the protocol), command execution
-//! on a pinned execution core, and response marshalling on a response
-//! core — the two threads whose CPU split Fig. 4.8 reports.
+//! The replica models a threaded server: network delivery runs on core 0
+//! (shared with the protocol); a *writer* core executes every update and
+//! takes reads too; any further *reader* cores execute reads only; and a
+//! response core marshals replies. With one execution core this is the
+//! paper's server organization (§4.4.2) — the execution and response
+//! threads whose CPU split Fig. 4.8 reports.
+//!
+//! Execution itself lives in [`crate::exec`]: the [`Executor`] applies
+//! commands to the service in delivery order and schedules their virtual
+//! time by two rules — an update starts after every earlier read and
+//! write has ended; a read starts after the last earlier write has ended,
+//! on the least-loaded core. Conflicts are judged on the whole tree: the
+//! traffic is pure reads or pure updates, so key-range tracking would
+//! change no schedule. This actor only books the charges the executor
+//! returns and sends each reply when it is ready.
 //!
 //! # Speculation
 //!
@@ -16,7 +27,7 @@
 //! replacement), the speculated updates are rolled back through the
 //! service's undo log and re-executed in the confirmed order.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::BTreeMap;
 
 use abcast::{MsgId, SharedLog};
 use ringpaxos::mring::MRingProcess;
@@ -24,8 +35,9 @@ use ringpaxos::msg::MMsg;
 use ringpaxos::value::ALL_PARTITIONS;
 use simnet::prelude::*;
 
+use crate::exec::{Booked, Executor};
 use crate::msg::SmrResponse;
-use crate::service::{Registry, Service, StoredCommand};
+use crate::service::{Registry, Service};
 
 /// Latency samples recorded at clients.
 pub const SMR_LATENCY: &str = "smr.latency";
@@ -51,11 +63,13 @@ pub struct ReplicaConfig {
     pub peers: Vec<NodeId>,
     /// Execute commands on payload arrival (speculation, §4.2.1).
     pub speculative: bool,
-    /// Core running the execution thread.
-    pub exec_core: usize,
+    /// Cores running execution threads: `exec_cores[0]` runs every
+    /// update (and reads), the rest run reads only.
+    pub exec_cores: Vec<usize>,
     /// Core running the response thread.
     pub resp_core: usize,
-    /// Per-delivered-instance dispatch cost on the execution core.
+    /// Per-delivered-instance dispatch cost, paid by the execution core
+    /// that takes the command.
     pub dispatch: Dur,
     /// Response marshalling cost per reply on the response core.
     pub marshal: Dur,
@@ -68,7 +82,7 @@ impl Default for ReplicaConfig {
             mask: ALL_PARTITIONS,
             peers: Vec::new(),
             speculative: false,
-            exec_core: 1,
+            exec_cores: vec![1],
             resp_core: 2,
             dispatch: Dur::micros(10),
             marshal: Dur::micros(4),
@@ -82,16 +96,17 @@ pub struct SmrReplica<S: Service> {
     log: SharedLog,
     log_index: usize,
     cursor: usize,
+    /// Newly delivered ids copied out of the shared log (reused buffer).
+    fresh: Vec<MsgId>,
     me: NodeId,
-    service: S,
+    exec: Executor<S>,
     registry: Registry<S::Command>,
     rcfg: ReplicaConfig,
-    // Speculation state.
-    spec_q: VecDeque<(MsgId, usize)>,
-    spec_done: HashMap<MsgId, Time>,
-    spec_executed: HashSet<MsgId>,
-    // Responses awaiting their virtual completion time.
-    resp_q: VecDeque<(Time, MsgId, NodeId, u32)>,
+    /// Responses awaiting their virtual completion time, by (ready time,
+    /// delivery order): with several execution cores a finished reply
+    /// must not wait behind a scan still running on another core.
+    resp_q: BTreeMap<(Time, u64), (MsgId, NodeId, u32)>,
+    resp_seq: u64,
 }
 
 impl<S: Service> SmrReplica<S> {
@@ -107,19 +122,19 @@ impl<S: Service> SmrReplica<S> {
         registry: Registry<S::Command>,
         rcfg: ReplicaConfig,
     ) -> SmrReplica<S> {
+        let exec = Executor::new(service, rcfg.exec_cores.clone(), rcfg.mask, rcfg.dispatch);
         SmrReplica {
             inner,
             log,
             log_index,
             cursor: 0,
+            fresh: Vec::new(),
             me,
-            service,
+            exec,
             registry,
             rcfg,
-            spec_q: VecDeque::new(),
-            spec_done: HashMap::new(),
-            spec_executed: HashSet::new(),
-            resp_q: VecDeque::new(),
+            resp_q: BTreeMap::new(),
+            resp_seq: 0,
         }
     }
 
@@ -133,135 +148,59 @@ impl<S: Service> SmrReplica<S> {
         self.rcfg.peers[idx] == self.me
     }
 
-    /// The operations of `cmd` this replica's partition must run.
-    fn my_ops<'a>(&self, cmd: &'a StoredCommand<S::Command>) -> Vec<&'a S::Command> {
-        cmd.ops.iter().filter(|(m, _)| m & self.rcfg.mask != 0).map(|(_, op)| op).collect()
-    }
-
-    /// Whether this replica executes the command: updates run everywhere
-    /// (state must stay identical); queries only on the designated
-    /// replica ("only one replica executes the command and responds").
-    fn should_execute(&self, cmd: &StoredCommand<S::Command>, id: MsgId) -> bool {
-        let any_update = self.my_ops(cmd).into_iter().any(S::is_update);
-        any_update || self.is_designated(id)
-    }
-
     /// Speculative path: execute on Phase 2A arrival (§4.2.1).
     fn speculate(&mut self, batch: &ringpaxos::Batch, ctx: &mut Ctx) {
         for v in batch.iter() {
-            if v.mask & self.rcfg.mask == 0 || self.spec_executed.contains(&v.id) {
+            if v.mask & self.rcfg.mask == 0 {
                 continue;
             }
             let Some(cmd) = self.registry.get(v.id) else { continue };
-            if !self.should_execute(&cmd, v.id) {
-                continue; // not executed here: no speculation to track
+            let designated = self.is_designated(v.id);
+            if let Some(b) = self.exec.speculate(v.id, &cmd, designated, ctx.now()) {
+                ctx.charge_cpu(b.core, b.cost);
+                ctx.counter_add(SMR_SPEC_EXEC, 1);
             }
-            self.spec_executed.insert(v.id);
-            let mut cost = self.rcfg.dispatch;
-            let mut updates = 0;
-            let ops: Vec<S::Command> = self.my_ops(&cmd).into_iter().cloned().collect();
-            for op in &ops {
-                cost += self.service.execute(op);
-                if S::is_update(op) {
-                    updates += 1;
-                }
-            }
-            ctx.charge_cpu(self.rcfg.exec_core, cost);
-            self.spec_done.insert(v.id, ctx.core_free_at(self.rcfg.exec_core));
-            self.spec_q.push_back((v.id, updates));
-            ctx.counter_add(SMR_SPEC_EXEC, 1);
         }
     }
 
     /// Processes newly confirmed (ordered) commands from the ring log.
     fn drain(&mut self, ctx: &mut Ctx) {
-        loop {
-            let next = {
-                let log = self.log.lock().unwrap();
-                let seq = log.sequence(self.log_index);
-                if self.cursor >= seq.len() {
-                    break;
-                }
-                seq[self.cursor]
-            };
-            self.cursor += 1;
-            self.confirm(next, ctx);
+        let mut fresh = std::mem::take(&mut self.fresh);
+        {
+            let log = self.log.lock().expect("delivery log poisoned");
+            fresh.extend_from_slice(&log.sequence(self.log_index)[self.cursor..]);
         }
+        self.cursor += fresh.len();
+        for id in fresh.drain(..) {
+            self.confirm(id, ctx);
+        }
+        self.fresh = fresh;
     }
 
     fn confirm(&mut self, id: MsgId, ctx: &mut Ctx) {
         let Some(cmd) = self.registry.get(id) else { return };
-        if self.rcfg.speculative {
-            if self.spec_q.front().map(|&(sid, _)| sid) == Some(id) {
-                // The speculation matched the decided order: release the
-                // response at max(execution done, order known).
-                self.spec_q.pop_front();
-                self.service.commit();
-                let done = self.spec_done.remove(&id).unwrap_or(ctx.now());
-                self.queue_response(id, &cmd, done.max(ctx.now()), ctx);
-                return;
-            }
-            // A confirmed command that was never speculated overtakes the
-            // speculated ones in the decided order. Speculation stays
-            // valid only if neither side mutates shared state: the
-            // overtaker executes no updates here, and — when the
-            // overtaker executes at all — no speculated updates could
-            // have polluted what it reads (§4.2.1).
-            let spec_has_updates = self.spec_q.iter().any(|&(_, u)| u > 0);
-            let my_ops = self.my_ops(&cmd);
-            let overtaker_updates = my_ops.into_iter().any(S::is_update);
-            let overtaker_executes = self.should_execute(&cmd, id);
-            let conflict = self.spec_executed.contains(&id)
-                || overtaker_updates
-                || (overtaker_executes && spec_has_updates);
-            if conflict && (!self.spec_q.is_empty() || self.spec_executed.contains(&id)) {
-                // Mis-ordered speculation (rare: coordinator change or a
-                // lost payload): roll everything back and fall through
-                // to in-order execution (§4.2.1).
-                let undo: usize = self.spec_q.iter().map(|&(_, u)| u).sum();
-                self.service.rollback(undo);
-                ctx.counter_add(SMR_ROLLBACKS, self.spec_q.len() as u64);
-                for (sid, _) in self.spec_q.drain(..) {
-                    self.spec_done.remove(&sid);
-                    self.spec_executed.remove(&sid);
-                }
-                self.spec_executed.remove(&id);
-            }
+        let designated = self.is_designated(id);
+        let Booked { core, cost, done, rolled_back } =
+            self.exec.confirm(id, &cmd, designated, ctx.now());
+        if rolled_back > 0 {
+            ctx.counter_add(SMR_ROLLBACKS, rolled_back as u64);
         }
-        // In-order (non-speculative) execution.
-        let mut cost = self.rcfg.dispatch;
-        if self.should_execute(&cmd, id) {
-            let ops: Vec<S::Command> = self.my_ops(&cmd).into_iter().cloned().collect();
-            for op in &ops {
-                cost += self.service.execute(op);
-            }
-            self.service.commit();
+        if cost > Dur::ZERO {
+            ctx.charge_cpu(core, cost);
         }
-        ctx.charge_cpu(self.rcfg.exec_core, cost);
-        let done = ctx.core_free_at(self.rcfg.exec_core);
-        self.queue_response(id, &cmd, done, ctx);
-    }
-
-    fn queue_response(
-        &mut self,
-        id: MsgId,
-        cmd: &StoredCommand<S::Command>,
-        at: Time,
-        ctx: &mut Ctx,
-    ) {
-        if !self.is_designated(id) {
-            return;
+        if designated {
+            self.resp_q.insert((done, self.resp_seq), (id, cmd.client, cmd.reply_bytes));
+            self.resp_seq += 1;
+            ctx.set_timer(done.saturating_since(ctx.now()), TimerToken(T_RESP));
         }
-        self.resp_q.push_back((at, id, cmd.client, cmd.reply_bytes));
-        ctx.set_timer(at.saturating_since(ctx.now()), TimerToken(T_RESP));
     }
 
     fn flush_responses(&mut self, ctx: &mut Ctx) {
-        while let Some(&(at, id, client, bytes)) = self.resp_q.front() {
-            if at > ctx.now() {
+        while let Some(e) = self.resp_q.first_entry() {
+            if e.key().0 > ctx.now() {
                 break;
             }
-            self.resp_q.pop_front();
+            let (id, client, bytes) = e.remove();
             ctx.charge_cpu(self.rcfg.resp_core, self.rcfg.marshal);
             let partition = self.rcfg.partition;
             ctx.udp_send(client, SmrResponse { id, partition }, bytes);

@@ -33,9 +33,10 @@ pub trait Service: Send {
     /// do not).
     fn is_update(cmd: &Self::Command) -> bool;
 
-    /// Confirms every executed command so far: earlier undo records may
-    /// be discarded.
-    fn commit(&mut self);
+    /// Confirms the oldest unconfirmed command, which left `n` undo
+    /// records: they will never be rolled back and may be discarded.
+    /// Later (still speculative) commands keep theirs.
+    fn commit(&mut self, n: usize);
 
     /// Rolls back the `n` most recent updates (speculative mis-order).
     fn rollback(&mut self, n: usize);
@@ -53,8 +54,8 @@ impl Service for TreeService {
         cmd.is_update()
     }
 
-    fn commit(&mut self) {
-        TreeService::commit(self)
+    fn commit(&mut self, n: usize) {
+        TreeService::commit_oldest(self, n)
     }
 
     fn rollback(&mut self, n: usize) {

@@ -89,7 +89,7 @@ impl Service for NullService {
         false
     }
 
-    fn commit(&mut self) {}
+    fn commit(&mut self, _n: usize) {}
 
     fn rollback(&mut self, _n: usize) {}
 }
@@ -153,7 +153,7 @@ impl<S: Snapshot> RecoveredApp for ServiceApp<S> {
     fn apply(&mut self, proposer: u64, seq: u64, bytes: u32) {
         let cmd = (self.derive)(proposer, seq, bytes);
         self.service.execute(&cmd);
-        self.service.commit();
+        self.service.commit(usize::from(S::is_update(&cmd)));
     }
 
     fn snapshot(&mut self) -> (u64, Option<Arc<dyn Any + Send + Sync>>) {

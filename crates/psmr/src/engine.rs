@@ -31,6 +31,13 @@
 //!   one verification exchange; a dirty one rolls back and re-executes
 //!   sequentially (§6.2.5). Verification of one batch pipelines with
 //!   the execution of the next.
+//!
+//! The ch. 4 replica's own executor (`hpsmr_core::exec`) is none of
+//! these. Closest is SDPE, but it has no scheduler thread — workers pull
+//! from the delivery queue themselves, so nothing caps it at `1/sched` —
+//! and it tracks no per-domain dependencies: updates serialize against
+//! everything, reads against updates only, and reads never against each
+//! other.
 
 use std::collections::{HashMap, HashSet};
 
