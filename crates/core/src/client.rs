@@ -161,7 +161,7 @@ impl Actor for SmrClient {
             return;
         }
         self.expected.remove(&id);
-        self.registry.remove(id);
+        self.registry.finish(id);
         if let Some(s) = self.outstanding.take() {
             if s.id == id {
                 // The reply strictly follows the request; `since`

@@ -14,7 +14,7 @@ use workload::{
 
 use crate::client::{SmrClient, Target};
 use crate::cs::CsServer;
-use crate::replica::{ReplicaConfig, SmrReplica};
+use crate::replica::{ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica};
 use crate::service::Registry;
 use crate::session::TreeSessionDriver;
 
@@ -87,6 +87,8 @@ pub struct SmrDeployment {
     pub registry: Registry<TreeCommand>,
     /// The ring's delivery log (per replica, in `cfg.learners` order).
     pub log: SharedLog,
+    /// The replicas' state board (same order as `log`).
+    pub states: ReplicaStates,
     /// Key partitioning, when enabled.
     pub partitioning: Option<Partitioning>,
     /// The ring configuration.
@@ -103,6 +105,22 @@ impl SmrDeployment {
     pub fn all_replicas(&self) -> Vec<NodeId> {
         self.replicas.iter().flatten().copied().collect()
     }
+
+    /// Every replica's state now, grouped like `replicas`.
+    pub fn replica_states(&self, sim: &mut Sim) -> Vec<Vec<ReplicaState>> {
+        read_states(&self.states, sim, &self.replicas)
+    }
+}
+
+/// Reads the state board and regroups it by partition.
+fn read_states(
+    states: &ReplicaStates,
+    sim: &mut Sim,
+    replicas: &[Vec<NodeId>],
+) -> Vec<Vec<ReplicaState>> {
+    let flat: Vec<NodeId> = replicas.iter().flatten().copied().collect();
+    let mut rows = states.read(sim, &flat).into_iter();
+    replicas.iter().map(|part| rows.by_ref().take(part.len()).collect()).collect()
 }
 
 /// The server half of an SMR deployment: ring, replicas, and the extra
@@ -116,6 +134,7 @@ struct ServerSide {
     extras: Vec<NodeId>,
     registry: Registry<TreeCommand>,
     log: SharedLog,
+    states: ReplicaStates,
     partitioning: Option<Partitioning>,
     cfg: MRingConfig,
 }
@@ -187,7 +206,8 @@ fn deploy_servers(
         sim.replace_actor(a, Box::new(MRingProcess::new(cfg.clone(), a, None, None)));
     }
 
-    let registry: Registry<TreeCommand> = Registry::new();
+    let registry: Registry<TreeCommand> = Registry::replicated(n_partitions, replicas_per as u32);
+    let states = ReplicaStates::new(flat_replicas.len());
     let span = Partitioning::new(n_partitions.max(1)).span;
     let mut log_index = 0;
     for (pi, part) in replicas.iter().enumerate() {
@@ -202,14 +222,22 @@ fn deploy_servers(
                 exec_cores: exec_cores.to_vec(),
                 ..ReplicaConfig::default()
             };
-            let actor =
-                SmrReplica::new(inner, log.clone(), log_index, r, service, registry.clone(), rcfg);
+            let actor = SmrReplica::new(
+                inner,
+                log.clone(),
+                log_index,
+                r,
+                service,
+                registry.clone(),
+                states.clone(),
+                rcfg,
+            );
             sim.replace_actor(r, Box::new(actor));
             log_index += 1;
         }
     }
 
-    ServerSide { ring, replicas, extras, registry, log, partitioning, cfg }
+    ServerSide { ring, replicas, extras, registry, log, states, partitioning, cfg }
 }
 
 /// Deploys state-machine replication per `opts`.
@@ -221,7 +249,7 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
         WorkloadKind::InsDelBatch => 8192,
         _ => 256,
     };
-    let ServerSide { ring, replicas, extras: clients, registry, log, partitioning, cfg } =
+    let ServerSide { ring, replicas, extras: clients, registry, log, states, partitioning, cfg } =
         deploy_servers(
             sim,
             opts.partitions,
@@ -257,7 +285,7 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
         sim.replace_actor(c, Box::new(client));
     }
 
-    SmrDeployment { ring, replicas, clients, registry, log, partitioning, cfg }
+    SmrDeployment { ring, replicas, clients, registry, log, states, partitioning, cfg }
 }
 
 /// Options for [`deploy_smr_sessions`] — the opt-in mass-session tier
@@ -291,8 +319,6 @@ pub struct SessionOptions {
     pub stop_at: Option<Time>,
     /// Acceptor storage.
     pub storage: StorageMode,
-    /// Execute speculatively on payload arrival (§4.2.1).
-    pub speculative: bool,
 }
 
 impl Default for SessionOptions {
@@ -310,7 +336,6 @@ impl Default for SessionOptions {
             max_in_flight: 1 << 20,
             stop_at: None,
             storage: StorageMode::InMemory,
-            speculative: false,
         }
     }
 }
@@ -328,6 +353,8 @@ pub struct SessionDeployment {
     pub registry: Registry<TreeCommand>,
     /// The ring's delivery log (per replica, in `cfg.learners` order).
     pub log: SharedLog,
+    /// The replicas' state board (same order as `log`).
+    pub states: ReplicaStates,
     /// Key partitioning, when enabled.
     pub partitioning: Option<Partitioning>,
     /// The ring configuration.
@@ -339,10 +366,17 @@ impl SessionDeployment {
     pub fn coordinator(&self) -> NodeId {
         self.cfg.coordinator()
     }
+
+    /// Every replica's state now, grouped like `replicas`.
+    pub fn replica_states(&self, sim: &mut Sim) -> Vec<Vec<ReplicaState>> {
+        read_states(&self.states, sim, &self.replicas)
+    }
 }
 
 /// Deploys the session-table client tier over the ch. 4 server side.
 /// Opt-in: [`deploy_smr`] and its traces are untouched by this path.
+/// Its replicas always execute speculatively (§4.2.1): a reply leaves at
+/// `max(execution done, decision)`, and there is no plain mode to select.
 pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeployment {
     // Mass-session traffic is coordinator-bound: with 8 KB packets the
     // coordinator packs every pending 256 B command of a partition mask
@@ -355,14 +389,14 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
     let resp_core = ReplicaConfig::default().resp_core;
     let exec_cores: Vec<usize> =
         (1..sim.config().cores_per_node).filter(|&c| c != resp_core).collect();
-    let ServerSide { ring, replicas, extras: tables, registry, log, partitioning, cfg } =
+    let ServerSide { ring, replicas, extras: tables, registry, log, states, partitioning, cfg } =
         deploy_servers(
             sim,
             opts.partitions,
             opts.n_replicas,
             opts.ring_size,
             opts.storage,
-            opts.speculative,
+            true,
             8192,
             opts.n_tables,
             &exec_cores,
@@ -400,7 +434,7 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
         sim.replace_actor(t, Box::new(SessionTable::new(t, tcfg, driver)));
     }
 
-    SessionDeployment { ring, replicas, tables, registry, log, partitioning, cfg }
+    SessionDeployment { ring, replicas, tables, registry, log, states, partitioning, cfg }
 }
 
 /// A deployed client-server baseline.

@@ -26,10 +26,42 @@
 //! this repo generates is pure reads or pure updates, so a finer rule
 //! would schedule nothing differently. On a one-core pool both rules
 //! collapse to a single clock — the paper's two-thread server (§4.4.2).
+//!
+//! # Speculation
+//!
+//! Speculation (§4.2.1) is how the session tier runs: a command executes
+//! when the 2A carrying it arrives ([`Executor::speculate`]) and its reply
+//! is released when the decided order reaches it ([`Executor::release`]),
+//! at `max(execution done, decision)`. The queue of executions awaiting
+//! their order is the only bookkeeping, and every entry carries the
+//! consensus *instance* its 2A was for. `speculate` refuses a value
+//!
+//! * whose instance is below the learner's delivery watermark — a
+//!   re-multicast 2A of an instance already delivered;
+//! * whose id is already in the queue — a retry, or a re-multicast of an
+//!   instance still undelivered;
+//! * that this replica does not execute (a query another replica answers).
+//!
+//! After the learner has delivered, [`Executor::delivered`] drops every
+//! entry whose instance is now below the watermark: the instance was
+//! delivered without confirming it (the learner's duplicate filter dropped
+//! a retried value, or the instance was decided with another value under a
+//! higher round), so no confirmation will ever pop it and every later one
+//! would find it in the way. Such a **stale** read is simply forgotten; a
+//! stale update has polluted what ran after it, so the queue rolls back.
+//!
+//! An instance watermark replaces a history of executed ids because the
+//! history has no bound — one id per command, for as long as the replica
+//! runs — while the watermark is one integer the learner already keeps,
+//! and it answers the only question the history was asked: "has the
+//! instance this payload belongs to been delivered?". The queue then holds
+//! at most the values of the undelivered instances (the coordinator's
+//! window), whatever the run length.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use abcast::MsgId;
+use simnet::ids::NodeId;
 use simnet::time::{Dur, Time};
 
 use crate::service::{Service, StoredCommand};
@@ -100,13 +132,37 @@ pub struct Booked {
     pub rolled_back: usize,
 }
 
-/// A speculated execution awaiting its order: the command, how many undo
-/// records it left in the service, and where and until when it ran.
+/// A confirmed speculation: where it ran, and the reply it owes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Released {
+    /// The execution; `cost` is zero (charged when it speculated).
+    pub booked: Booked,
+    /// Issuing client.
+    pub client: NodeId,
+    /// Reply size in bytes.
+    pub reply_bytes: u32,
+}
+
+/// What [`Executor::delivered`] found stale.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Swept {
+    /// Speculations whose instance was delivered without confirming them.
+    pub stale: usize,
+    /// Speculated commands undone because a stale one had updates.
+    pub rolled_back: usize,
+}
+
+/// A speculated execution awaiting its order: the command, the instance
+/// whose 2A carried it, how many undo records it left in the service,
+/// where and until when it ran, and what the reply needs.
 struct Speculated {
     id: MsgId,
+    instance: u64,
     updates: usize,
     core: usize,
     done: Time,
+    client: NodeId,
+    reply_bytes: u32,
 }
 
 /// The operations of `cmd` a replica with partition mask `mask` runs.
@@ -123,8 +179,13 @@ pub struct Executor<S: Service> {
     mask: u32,
     /// Per-command cost of taking it off the delivery queue.
     dispatch: Dur,
+    /// Speculated executions in arrival order, all of instances at or
+    /// above `watermark` once [`Executor::delivered`] has run.
     spec_q: VecDeque<Speculated>,
-    spec_executed: HashSet<MsgId>,
+    /// The learner's delivery watermark as of the last `delivered`.
+    watermark: u64,
+    /// Updates committed: applied in, or confirmed by, the decided order.
+    committed: u64,
 }
 
 impl<S: Service> Executor<S> {
@@ -137,13 +198,31 @@ impl<S: Service> Executor<S> {
             mask,
             dispatch,
             spec_q: VecDeque::new(),
-            spec_executed: HashSet::new(),
+            watermark: 0,
+            committed: 0,
         }
     }
 
     /// The replicated service (for inspection).
     pub fn service(&self) -> &S {
         &self.service
+    }
+
+    /// Speculated executions awaiting their order.
+    pub fn speculated(&self) -> usize {
+        self.spec_q.len()
+    }
+
+    /// Updates applied to the service, net of rollbacks.
+    pub fn updates_applied(&self) -> u64 {
+        // Every uncommitted update is a speculated one, with its undo record.
+        self.committed + self.service.undo_depth() as u64
+    }
+
+    /// Commits the `n` oldest uncommitted updates.
+    fn commit(&mut self, n: usize) {
+        self.service.commit(n);
+        self.committed += n as u64;
     }
 
     /// Whether this replica executes the command: updates run everywhere
@@ -174,28 +253,56 @@ impl<S: Service> Executor<S> {
         (updates, Booked { core: slot.core, cost, done: slot.done, rolled_back: 0 })
     }
 
-    /// Speculative path: executes `cmd` when its Phase 2A payload arrives
-    /// (§4.2.1). `None` when there is nothing to do — the command was
-    /// speculated already or does not execute on this replica.
+    /// Speculative path: executes `cmd` when the Phase 2A payload of
+    /// `instance` arrives (§4.2.1). `None` when there is nothing to do:
+    /// the instance is already delivered, the command is already
+    /// speculated, or it does not execute on this replica.
     pub fn speculate(
         &mut self,
         id: MsgId,
+        instance: u64,
         cmd: &StoredCommand<S::Command>,
         designated: bool,
         now: Time,
     ) -> Option<Booked> {
-        if self.spec_executed.contains(&id) || !self.executes(cmd, designated) {
+        if instance < self.watermark
+            || self.spec_q.iter().any(|s| s.id == id)
+            || !self.executes(cmd, designated)
+        {
             return None;
         }
-        self.spec_executed.insert(id);
         let (updates, booked) = self.run(cmd, true, now);
-        self.spec_q.push_back(Speculated { id, updates, core: booked.core, done: booked.done });
+        self.spec_q.push_back(Speculated {
+            id,
+            instance,
+            updates,
+            core: booked.core,
+            done: booked.done,
+            client: cmd.client,
+            reply_bytes: cmd.reply_bytes,
+        });
         Some(booked)
     }
 
-    /// Processes `cmd`, now confirmed as the next command in the decided
-    /// order: releases a matching speculation, or executes in order —
-    /// after rolling the speculation queue back if the decided order
+    /// `id` is the next command in the decided order. If it is also the
+    /// oldest speculation, the speculation matched: its updates are
+    /// committed and its reply released at max(execution done, order
+    /// known), without looking the command up again. `None` otherwise —
+    /// the command goes through [`Executor::confirm`].
+    pub fn release(&mut self, id: MsgId, now: Time) -> Option<Released> {
+        if self.spec_q.front().is_none_or(|s| s.id != id) {
+            return None;
+        }
+        let s = self.spec_q.pop_front().expect("front checked");
+        self.commit(s.updates);
+        let booked =
+            Booked { core: s.core, cost: Dur::ZERO, done: s.done.max(now), rolled_back: 0 };
+        Some(Released { booked, client: s.client, reply_bytes: s.reply_bytes })
+    }
+
+    /// Executes `cmd`, the next command in the decided order and not the
+    /// oldest speculation ([`Executor::release`] said so): in order, after
+    /// rolling the speculation queue back if the decided order
     /// invalidates it.
     pub fn confirm(
         &mut self,
@@ -204,18 +311,46 @@ impl<S: Service> Executor<S> {
         designated: bool,
         now: Time,
     ) -> Booked {
-        if self.spec_q.front().is_some_and(|s| s.id == id) {
-            // The speculation matched the decided order: release the
-            // response at max(execution done, order known).
-            let s = self.spec_q.pop_front().expect("front checked");
-            self.service.commit(s.updates);
-            return Booked { core: s.core, cost: Dur::ZERO, done: s.done.max(now), rolled_back: 0 };
-        }
         let executes = self.executes(cmd, designated);
         let rolled_back = self.resolve_overtaker(id, cmd, executes);
         let (updates, booked) = self.run(cmd, executes, now);
-        self.service.commit(updates);
+        self.commit(updates);
         Booked { rolled_back, ..booked }
+    }
+
+    /// The learner has delivered every instance below `watermark`. A
+    /// speculation from such an instance that is still queued was not
+    /// confirmed by it and never will be — it is stale. Stale reads are
+    /// dropped; if a stale command has updates, everything speculated
+    /// since ran on state the decided order never produces, and the whole
+    /// queue is rolled back (to execute again when confirmed).
+    pub fn delivered(&mut self, watermark: u64) -> Swept {
+        debug_assert!(watermark >= self.watermark, "the delivery watermark never retreats");
+        if watermark == self.watermark {
+            // `speculate` admits nothing below it, so nothing went stale.
+            return Swept::default();
+        }
+        self.watermark = watermark;
+        let is_stale = |s: &Speculated| s.instance < watermark;
+        let stale = self.spec_q.iter().filter(|s| is_stale(s)).count();
+        if stale == 0 {
+            return Swept::default();
+        }
+        let rolled_back = if self.spec_q.iter().any(|s| is_stale(s) && s.updates > 0) {
+            self.roll_back_queue()
+        } else {
+            self.spec_q.retain(|s| !is_stale(s));
+            0
+        };
+        Swept { stale, rolled_back }
+    }
+
+    /// Undoes every speculated command; returns how many there were.
+    fn roll_back_queue(&mut self) -> usize {
+        self.service.rollback(self.spec_q.iter().map(|s| s.updates).sum());
+        let undone = self.spec_q.len();
+        self.spec_q.clear();
+        undone
     }
 
     /// A confirmed command that is not the head of the speculation queue
@@ -232,23 +367,19 @@ impl<S: Service> Executor<S> {
         cmd: &StoredCommand<S::Command>,
         executes: bool,
     ) -> usize {
-        let was_speculated = self.spec_executed.contains(&id);
-        if self.spec_q.is_empty() && !was_speculated {
+        if self.spec_q.is_empty() {
             return 0;
         }
+        // Speculated behind others: its own early execution is void too.
+        let was_speculated = self.spec_q.iter().any(|s| s.id == id);
         let conflict = was_speculated
             || ops_of(self.mask, cmd).any(S::is_update)
             || (executes && self.spec_q.iter().any(|s| s.updates > 0));
-        if !conflict {
-            return 0;
+        if conflict {
+            self.roll_back_queue()
+        } else {
+            0
         }
-        self.service.rollback(self.spec_q.iter().map(|s| s.updates).sum());
-        let undone = self.spec_q.len();
-        for s in self.spec_q.drain(..) {
-            self.spec_executed.remove(&s.id);
-        }
-        self.spec_executed.remove(&id);
-        undone
     }
 }
 
@@ -360,6 +491,29 @@ mod tests {
         assert_eq!((c.core, c.cost, c.done), (1, DISPATCH, a.done + DISPATCH));
     }
 
+    /// What a replica does with the next command of the decided order.
+    fn deliver(
+        ex: &mut Executor<TreeService>,
+        id: MsgId,
+        cmd: &StoredCommand<TreeCommand>,
+        designated: bool,
+        now: Time,
+    ) -> Booked {
+        match ex.release(id, now) {
+            Some(r) => r.booked,
+            None => ex.confirm(id, cmd, designated, now),
+        }
+    }
+
+    /// The tree after executing `cmds` one by one.
+    fn sequential(cmds: &[&StoredCommand<TreeCommand>]) -> Vec<(u64, u64)> {
+        let mut svc = TreeService::new();
+        for (_, op) in cmds.iter().flat_map(|c| &c.ops) {
+            svc.apply(*op);
+        }
+        svc.tree().range(0, u64::MAX)
+    }
+
     /// A confirmed speculation commits its own undo records only: when a
     /// later mis-order rolls the queue back, the commands still in it
     /// must be undone (§4.2.1).
@@ -372,35 +526,222 @@ mod tests {
             TreeCommand::Insert { key: other, value: 2 },
         ]);
         let x = cmd(&[TreeCommand::Insert { key: k, value: 3 }]);
-        let sequential = |cmds: &[&StoredCommand<TreeCommand>]| {
-            let mut svc = TreeService::new();
-            for c in cmds {
-                for (_, op) in &c.ops {
-                    svc.apply(*op);
-                }
-            }
-            svc.tree().range(0, u64::MAX)
-        };
 
         let mut ex = executor(&[1]);
         let now = at(0);
-        assert!(ex.speculate(MsgId(1), &a, true, now).is_some());
-        assert!(ex.speculate(MsgId(2), &b, true, now).is_some());
-        assert!(ex.speculate(MsgId(2), &b, true, now).is_none(), "speculated once");
-        let ca = ex.confirm(MsgId(1), &a, true, now);
+        assert!(ex.speculate(MsgId(1), 0, &a, true, now).is_some());
+        assert!(ex.speculate(MsgId(2), 1, &b, true, now).is_some());
+        let ca = deliver(&mut ex, MsgId(1), &a, true, now);
         assert_eq!((ca.cost, ca.rolled_back), (Dur::ZERO, 0));
         assert_eq!(ex.service().undo_depth(), 2, "B's records outlive A's commit");
 
         // X was never speculated here and updates B's key: B is undone.
-        let cx = ex.confirm(MsgId(3), &x, true, now);
+        let cx = deliver(&mut ex, MsgId(3), &x, true, now);
         assert_eq!(cx.rolled_back, 1);
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&a, &x]));
         assert_eq!(ex.service().undo_depth(), 0);
 
         // B is delivered after X and executes again, in order.
-        let cb = ex.confirm(MsgId(2), &b, true, now);
+        let cb = deliver(&mut ex, MsgId(2), &b, true, now);
         assert_eq!(cb.rolled_back, 0);
         assert!(cb.cost > Dur::ZERO);
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&a, &x, &b]));
+        assert_eq!(ex.updates_applied(), 4);
+    }
+
+    #[test]
+    fn speculate_refuses_delivered_instances_queued_ids_and_foreign_reads() {
+        let scan = cmd(&[TreeCommand::Query { lo: 0, hi: 9 }]);
+        let put = cmd(&[TreeCommand::Insert { key: 1, value: 1 }]);
+        let mut ex = executor(&[1]);
+        let now = at(0);
+        assert_eq!(ex.delivered(4), Swept::default());
+
+        // A re-multicast 2A of an instance the learner has delivered.
+        assert!(ex.speculate(MsgId(1), 3, &put, true, now).is_none());
+        assert!(ex.speculate(MsgId(1), 4, &put, true, now).is_some());
+        // The same value again: a re-multicast of instance 4, or a retry
+        // the coordinator proposed in instance 6.
+        assert!(ex.speculate(MsgId(1), 4, &put, true, now).is_none());
+        assert!(ex.speculate(MsgId(1), 6, &put, true, now).is_none());
+        // A query another replica answers; an update runs everywhere.
+        assert!(ex.speculate(MsgId(2), 5, &scan, false, now).is_none());
+        assert!(ex.speculate(MsgId(3), 5, &put, false, now).is_some());
+        assert_eq!((ex.speculated(), ex.updates_applied()), (2, 2));
+
+        // Once confirmed the id is forgotten: only the watermark stands
+        // between a late copy and a second execution.
+        assert!(ex.release(MsgId(1), now).is_some());
+        assert_eq!(ex.delivered(5), Swept::default());
+        assert!(ex.speculate(MsgId(1), 4, &put, true, now).is_none());
+    }
+
+    /// The wedge: A is speculated from instance 5, which is then delivered
+    /// with A filtered as a duplicate, so no confirmation ever pops A. B
+    /// and C, speculated behind it, would each find A at the head and roll
+    /// the queue back. The stale rule retires A when instance 5 goes by.
+    #[test]
+    fn a_stale_speculation_does_not_wedge_the_queue() {
+        let b = cmd(&[TreeCommand::Insert { key: 2, value: 2 }]);
+        let c = cmd(&[TreeCommand::Query { lo: 0, hi: 9 }]);
+        let now = at(0);
+        let speculate_all = |a: &StoredCommand<TreeCommand>| {
+            let mut ex = executor(&[1]);
+            assert_eq!(ex.delivered(5), Swept::default());
+            for (i, x) in [a, &b, &c].into_iter().enumerate() {
+                assert!(ex.speculate(MsgId(i as u64), 5 + i as u64, x, true, now).is_some());
+            }
+            ex
+        };
+
+        // Read-only A: forgotten; B and C are confirmed as speculated.
+        let a = cmd(&[TreeCommand::Query { lo: 0, hi: 9 }]);
+        let mut ex = speculate_all(&a);
+        assert_eq!(ex.delivered(6), Swept { stale: 1, rolled_back: 0 });
+        for (id, x) in [(1, &b), (2, &c)] {
+            let booked = deliver(&mut ex, MsgId(id), x, true, now);
+            assert_eq!((booked.cost, booked.rolled_back), (Dur::ZERO, 0));
+            assert_eq!(ex.delivered(6 + id), Swept::default());
+        }
+        assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
+        assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&b]));
+
+        // A with an update: B and C ran on a tree holding A's key, so one
+        // sweep undoes all three, and B and C execute again in order.
+        let a = cmd(&[TreeCommand::Insert { key: 2, value: 1 }]);
+        let mut ex = speculate_all(&a);
+        assert_eq!(ex.delivered(6), Swept { stale: 1, rolled_back: 3 });
+        assert!(ex.service().tree().is_empty());
+        for (id, x) in [(1, &b), (2, &c)] {
+            let booked = deliver(&mut ex, MsgId(id), x, true, now);
+            assert!(booked.cost > Dur::ZERO);
+            assert_eq!(booked.rolled_back, 0);
+            assert_eq!(ex.delivered(6 + id), Swept::default());
+        }
+        assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
+        assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&b]));
+        assert_eq!(ex.updates_applied(), 1);
+    }
+
+    /// One 2A reaching the replica: the batch of decided instance `batch`,
+    /// labelled as instance `label` (they differ when a deposed
+    /// coordinator's proposal for `label` lost to another value and its
+    /// batch was decided later).
+    #[derive(Clone, Copy, Debug)]
+    struct Arrival {
+        tick: i64,
+        label: usize,
+        batch: usize,
+    }
+
+    /// Instance `i` is delivered at tick `10 i + 5`; a 2A that leads it
+    /// by `lead` instances arrives at tick `10 (i - lead)` — after the
+    /// delivery when `lead` is negative.
+    fn arrival(label: usize, batch: usize, lead: i64) -> Arrival {
+        Arrival { tick: 10 * (label as i64 - lead), label, batch }
+    }
+
+    fn tree_op() -> impl Strategy<Value = TreeCommand> {
+        prop_oneof![
+            (0..8u64, 0..4u64).prop_map(|(lo, span)| TreeCommand::Query { lo, hi: lo + span }),
+            (0..8u64, 0..50u64).prop_map(|(key, value)| TreeCommand::Insert { key, value }),
+            (0..8u64).prop_map(|key| TreeCommand::Delete { key }),
+        ]
+    }
+
+    /// `Some` of `strategy`'s value `pct` times in a hundred.
+    fn maybe<S: Strategy>(pct: u32, strategy: S) -> impl Strategy<Value = Option<S::Value>> {
+        (0..100u32, strategy).prop_map(move |(roll, v)| (roll < pct).then_some(v))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever is executed early, the state equals sequential
+        /// execution in the decided order (*Rethinking SMR for
+        /// Parallelism*): 2As arrive early, late, twice, under another
+        /// instance's number, or never; retried ids are decided again and
+        /// filtered at delivery. The queue never holds more than the
+        /// undelivered instances' 2As carried.
+        #[test]
+        fn speculation_equals_sequential_execution_in_bounded_memory(
+            cmds in prop::collection::vec(
+                (prop::collection::vec(tree_op(), 1..4), any::<bool>()), 1..40),
+            shape in prop::collection::vec((1..4usize, maybe(30, any::<u64>())), 40),
+            schedule in prop::collection::vec((
+                maybe(85, -2..5i64),
+                maybe(25, -3..5i64),
+                maybe(15, (1..4usize, 0..3i64)),
+            ), 40),
+        ) {
+            let stored: Vec<(StoredCommand<TreeCommand>, bool)> =
+                cmds.iter().map(|(ops, designated)| (cmd(ops), *designated)).collect();
+            // The decided order: each instance takes the next few fresh
+            // commands and, sometimes, the retry of an earlier one.
+            let mut instances: Vec<Vec<(usize, bool)>> = Vec::new();
+            let mut next = 0;
+            for (take, retry) in &shape {
+                if next == stored.len() {
+                    break;
+                }
+                let end = (next + take).min(stored.len());
+                let mut batch: Vec<(usize, bool)> = (next..end).map(|c| (c, true)).collect();
+                if let (Some(pick), true) = (retry, next > 0) {
+                    batch.push((*pick as usize % next, false));
+                }
+                instances.push(batch);
+                next = end;
+            }
+
+            let mut arrivals = Vec::new();
+            for (i, (first, again, deposed)) in schedule.iter().take(instances.len()).enumerate() {
+                arrivals.extend(first.map(|lead| arrival(i, i, lead)));
+                arrivals.extend(again.map(|lead| arrival(i, i, lead)));
+                if let Some((shift, lead)) = *deposed {
+                    arrivals.extend(i.checked_sub(shift).map(|label| arrival(label, i, lead)));
+                }
+            }
+            arrivals.sort_by_key(|a| a.tick);
+
+            let mut ex = executor(&[1, 3]);
+            let mut arrived: Vec<Arrival> = Vec::new();
+            let mut pending = arrivals.iter().peekable();
+            let mut decided: Vec<&StoredCommand<TreeCommand>> = Vec::new();
+            for (i, batch) in instances.iter().enumerate() {
+                let deliver_at = 10 * i as i64 + 5;
+                while let Some(a) = pending.next_if(|a| a.tick < deliver_at) {
+                    let now = at((1_000 + a.tick) as u64);
+                    for &(c, _) in &instances[a.batch] {
+                        let (cmd, designated) = &stored[c];
+                        ex.speculate(MsgId(c as u64), a.label as u64, cmd, *designated, now);
+                    }
+                    arrived.push(*a);
+                    // Bounded by what the undelivered instances' 2As hold.
+                    let window: std::collections::BTreeSet<usize> = arrived
+                        .iter()
+                        .filter(|a| a.label >= i)
+                        .flat_map(|a| instances[a.batch].iter().map(|&(c, _)| c))
+                        .collect();
+                    prop_assert!(ex.speculated() <= window.len());
+                }
+                let now = at((1_000 + deliver_at) as u64);
+                for &(c, fresh) in batch {
+                    // The learner's duplicate filter drops a retry.
+                    if fresh {
+                        let (cmd, designated) = &stored[c];
+                        deliver(&mut ex, MsgId(c as u64), cmd, *designated, now);
+                        decided.push(cmd);
+                    }
+                }
+                ex.delivered(i as u64 + 1);
+                prop_assert!(ex.speculated() <= instances[i + 1..].iter().map(Vec::len).sum());
+            }
+
+            prop_assert_eq!(ex.speculated(), 0);
+            prop_assert_eq!(ex.service().undo_depth(), 0);
+            prop_assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&decided));
+            let updates = decided.iter().flat_map(|c| &c.ops).filter(|(_, op)| op.is_update());
+            prop_assert_eq!(ex.updates_applied(), updates.count() as u64);
+        }
     }
 }

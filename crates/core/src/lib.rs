@@ -19,7 +19,8 @@
 //!
 //! The crate provides the replica ([`replica::SmrReplica`]) and its
 //! sans-IO execution engine ([`exec::Executor`]: speculation queue plus
-//! a readers–writer schedule over the node's execution cores), the
+//! a readers–writer schedule over the node's execution cores; the
+//! session tier of [`deploy::deploy_smr_sessions`] always speculates), the
 //! closed-loop client ([`client::SmrClient`]), the non-replicated
 //! baseline ([`cs::CsServer`]), and one-call deployments
 //! ([`deploy::deploy_smr`], [`deploy::deploy_cs`]) over the paper's
@@ -57,10 +58,11 @@ pub use deploy::{
     deploy_cs, deploy_smr, deploy_smr_sessions, CsDeployment, PartitionOptions, SessionDeployment,
     SessionOptions, SmrDeployment, SmrOptions,
 };
-pub use exec::{Booked, ExecSchedule, Executor};
+pub use exec::{Booked, ExecSchedule, Executor, Released, Swept};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
-    ReplicaConfig, SmrReplica, SMR_COMPLETED, SMR_LATENCY, SMR_ROLLBACKS, SMR_SPEC_EXEC,
+    ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_COMPLETED, SMR_LATENCY,
+    SMR_REGISTRY_MISS, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE,
 };
 pub use service::{Registry, Service, StoredCommand};
 pub use session::TreeSessionDriver;

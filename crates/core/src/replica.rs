@@ -1,5 +1,6 @@
 //! The SMR replica: an M-Ring Paxos learner feeding a deterministic
-//! service, with optional speculative execution (§4.2.1).
+//! service, executing speculatively (§4.2.1) wherever the deployment does
+//! not ask for the paper's plain baseline.
 //!
 //! The replica models a threaded server: network delivery runs on core 0
 //! (shared with the protocol); a *writer* core executes every update and
@@ -19,15 +20,26 @@
 //!
 //! # Speculation
 //!
-//! A speculative replica executes a command when its Phase 2A payload
-//! *arrives*, before the decision confirms its order. The response is
-//! released once both the execution has finished and the order is
-//! confirmed — `max(Δe, Δo)` instead of `Δe + Δo` (§4.2.1). If the
-//! confirmed order disagrees with the arrival order (coordinator
-//! replacement), the speculated updates are rolled back through the
+//! Speculation is how the session tier runs (`deploy_smr_sessions` has no
+//! other mode; `deploy_smr` keeps [`ReplicaConfig::speculative`] to print
+//! the paper's plain-vs-speculative comparison). A speculating replica
+//! executes a command when its Phase 2A payload *arrives*, before the
+//! decision confirms its order. The response is released once both the
+//! execution has finished and the order is confirmed — `max(Δe, Δo)`
+//! instead of `Δe + Δo` (§4.2.1) — from what the speculation queue kept,
+//! without looking the command up again. If the confirmed order disagrees
+//! with the arrival order (coordinator replacement, a payload that arrived
+//! by repair), the speculated updates are rolled back through the
 //! service's undo log and re-executed in the confirmed order.
+//!
+//! What keeps the queue honest is the learner's delivery watermark, not a
+//! history of ids ([`crate::exec`] has the rules): a 2A of an instance
+//! already delivered is not speculated, and after every drain of the
+//! delivery log a queued speculation whose instance has been delivered
+//! without confirming it is stale and goes ([`SMR_SPEC_STALE`]).
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use abcast::{MsgId, SharedLog};
 use ringpaxos::mring::MRingProcess;
@@ -35,7 +47,7 @@ use ringpaxos::msg::MMsg;
 use ringpaxos::value::ALL_PARTITIONS;
 use simnet::prelude::*;
 
-use crate::exec::{Booked, Executor};
+use crate::exec::{Booked, Executor, Released};
 use crate::msg::SmrResponse;
 use crate::service::{Registry, Service};
 
@@ -45,10 +57,18 @@ pub const SMR_LATENCY: &str = "smr.latency";
 pub const SMR_COMPLETED: &str = "smr.completed";
 /// Commands executed speculatively, per replica.
 pub const SMR_SPEC_EXEC: &str = "smr.spec_exec";
-/// Updates rolled back after a speculation mis-order, per replica.
+/// Speculated commands rolled back (a mis-order, or a stale speculation
+/// with updates), per replica.
 pub const SMR_ROLLBACKS: &str = "smr.rollbacks";
+/// Speculations dropped because their instance was delivered without
+/// confirming them, per replica.
+pub const SMR_SPEC_STALE: &str = "smr.spec_stale";
+/// Delivered commands a replica found no registry entry for and therefore
+/// skipped, per replica. Always a defect: see [`crate::service`].
+pub const SMR_REGISTRY_MISS: &str = "smr.registry_miss";
 
 const T_RESP: u64 = 40 << 56;
+const T_STATE: u64 = 42 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
 /// Per-replica configuration.
@@ -90,6 +110,43 @@ impl Default for ReplicaConfig {
     }
 }
 
+/// What a replica says of itself when asked through [`ReplicaStates`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ReplicaState {
+    /// Updates applied to the service, net of rollbacks.
+    pub updates: u64,
+    /// [`Service::digest`] of the service state.
+    pub digest: u64,
+    /// Speculated executions still awaiting their order.
+    pub speculated: usize,
+    /// Undo records the service still holds.
+    pub undo_depth: usize,
+}
+
+/// Replica state made comparable from outside the simulation: one
+/// [`ReplicaState`] per replica, in delivery-log order, written by the
+/// replica itself when [`ReplicaStates::read`] asks.
+#[derive(Clone)]
+pub struct ReplicaStates(Arc<Mutex<Vec<ReplicaState>>>);
+
+impl ReplicaStates {
+    /// A board for `n` replicas.
+    pub fn new(n: usize) -> ReplicaStates {
+        ReplicaStates(Arc::new(Mutex::new(vec![ReplicaState::default(); n])))
+    }
+
+    /// Has every replica in `replicas` report its state at the current
+    /// instant and returns the board. Costs a scan of each service, so
+    /// ask at quiescence, not inside a measured window.
+    pub fn read(&self, sim: &mut Sim, replicas: &[NodeId]) -> Vec<ReplicaState> {
+        for &r in replicas {
+            sim.with_ctx(r, |ctx| ctx.set_timer(Dur::ZERO, TimerToken(T_STATE)));
+        }
+        sim.run_until(sim.now());
+        self.0.lock().expect("state board poisoned").clone()
+    }
+}
+
 /// A state-machine-replication replica over service `S`.
 pub struct SmrReplica<S: Service> {
     inner: MRingProcess,
@@ -101,6 +158,7 @@ pub struct SmrReplica<S: Service> {
     me: NodeId,
     exec: Executor<S>,
     registry: Registry<S::Command>,
+    states: ReplicaStates,
     rcfg: ReplicaConfig,
     /// Responses awaiting their virtual completion time, by (ready time,
     /// delivery order): with several execution cores a finished reply
@@ -112,7 +170,9 @@ pub struct SmrReplica<S: Service> {
 impl<S: Service> SmrReplica<S> {
     /// Creates a replica wrapping the given ring learner. `log` must be
     /// the same delivery log handed to `inner`, and `log_index` the
-    /// learner index of this node in the ring configuration.
+    /// learner index of this node in the ring configuration (also its
+    /// row in `states`).
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         inner: MRingProcess,
         log: SharedLog,
@@ -120,6 +180,7 @@ impl<S: Service> SmrReplica<S> {
         me: NodeId,
         service: S,
         registry: Registry<S::Command>,
+        states: ReplicaStates,
         rcfg: ReplicaConfig,
     ) -> SmrReplica<S> {
         let exec = Executor::new(service, rcfg.exec_cores.clone(), rcfg.mask, rcfg.dispatch);
@@ -132,6 +193,7 @@ impl<S: Service> SmrReplica<S> {
             me,
             exec,
             registry,
+            states,
             rcfg,
             resp_q: BTreeMap::new(),
             resp_seq: 0,
@@ -149,21 +211,24 @@ impl<S: Service> SmrReplica<S> {
     }
 
     /// Speculative path: execute on Phase 2A arrival (§4.2.1).
-    fn speculate(&mut self, batch: &ringpaxos::Batch, ctx: &mut Ctx) {
+    fn speculate(&mut self, instance: u64, batch: &ringpaxos::Batch, ctx: &mut Ctx) {
         for v in batch.iter() {
             if v.mask & self.rcfg.mask == 0 {
                 continue;
             }
+            // A miss here is a retry of a command everyone is done with;
+            // the learner's duplicate filter will drop it too.
             let Some(cmd) = self.registry.get(v.id) else { continue };
             let designated = self.is_designated(v.id);
-            if let Some(b) = self.exec.speculate(v.id, &cmd, designated, ctx.now()) {
+            if let Some(b) = self.exec.speculate(v.id, instance, &cmd, designated, ctx.now()) {
                 ctx.charge_cpu(b.core, b.cost);
                 ctx.counter_add(SMR_SPEC_EXEC, 1);
             }
         }
     }
 
-    /// Processes newly confirmed (ordered) commands from the ring log.
+    /// Processes newly confirmed (ordered) commands from the ring log,
+    /// then retires the speculations the deliveries left stale.
     fn drain(&mut self, ctx: &mut Ctx) {
         let mut fresh = std::mem::take(&mut self.fresh);
         {
@@ -175,13 +240,28 @@ impl<S: Service> SmrReplica<S> {
             self.confirm(id, ctx);
         }
         self.fresh = fresh;
+        let swept = self.exec.delivered(self.inner.next_deliver().0);
+        if swept.stale > 0 {
+            ctx.counter_add(SMR_SPEC_STALE, swept.stale as u64);
+            ctx.counter_add(SMR_ROLLBACKS, swept.rolled_back as u64);
+        }
     }
 
     fn confirm(&mut self, id: MsgId, ctx: &mut Ctx) {
-        let Some(cmd) = self.registry.get(id) else { return };
         let designated = self.is_designated(id);
-        let Booked { core, cost, done, rolled_back } =
-            self.exec.confirm(id, &cmd, designated, ctx.now());
+        let (booked, client, reply_bytes) = match self.exec.release(id, ctx.now()) {
+            Some(Released { booked, client, reply_bytes }) => (booked, client, reply_bytes),
+            None => {
+                let Some(cmd) = self.registry.get(id) else {
+                    ctx.counter_add(SMR_REGISTRY_MISS, 1);
+                    return;
+                };
+                let booked = self.exec.confirm(id, &cmd, designated, ctx.now());
+                (booked, cmd.client, cmd.reply_bytes)
+            }
+        };
+        self.registry.confirmed(id);
+        let Booked { core, cost, done, rolled_back } = booked;
         if rolled_back > 0 {
             ctx.counter_add(SMR_ROLLBACKS, rolled_back as u64);
         }
@@ -189,10 +269,22 @@ impl<S: Service> SmrReplica<S> {
             ctx.charge_cpu(core, cost);
         }
         if designated {
-            self.resp_q.insert((done, self.resp_seq), (id, cmd.client, cmd.reply_bytes));
+            self.resp_q.insert((done, self.resp_seq), (id, client, reply_bytes));
             self.resp_seq += 1;
             ctx.set_timer(done.saturating_since(ctx.now()), TimerToken(T_RESP));
         }
+    }
+
+    /// Writes this replica's row of the state board.
+    fn report_state(&self) {
+        let service = self.exec.service();
+        let state = ReplicaState {
+            updates: self.exec.updates_applied(),
+            digest: service.digest(),
+            speculated: self.exec.speculated(),
+            undo_depth: service.undo_depth(),
+        };
+        self.states.0.lock().expect("state board poisoned")[self.log_index] = state;
     }
 
     fn flush_responses(&mut self, ctx: &mut Ctx) {
@@ -215,9 +307,9 @@ impl<S: Service> Actor for SmrReplica<S> {
 
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
         if self.rcfg.speculative {
-            if let Some(MMsg::Phase2a { batch, .. }) = env.payload.downcast_ref::<MMsg>() {
-                let batch = batch.clone();
-                self.speculate(&batch, ctx);
+            if let Some(MMsg::Phase2a { instance, batch, .. }) = env.payload.downcast_ref::<MMsg>()
+            {
+                self.speculate(instance.0, batch, ctx);
             }
         }
         self.inner.on_message(env, ctx);
@@ -226,9 +318,10 @@ impl<S: Service> Actor for SmrReplica<S> {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
-        if token.0 & KIND_MASK == T_RESP {
-            self.flush_responses(ctx);
-            return;
+        match token.0 & KIND_MASK {
+            T_RESP => return self.flush_responses(ctx),
+            T_STATE => return self.report_state(),
+            _ => {}
         }
         self.inner.on_timer(token, ctx);
         self.drain(ctx);

@@ -135,6 +135,6 @@ impl SessionDriver for TreeSessionDriver {
 
     fn finish(&mut self, id: MsgId) {
         self.expected.remove(&id);
-        self.registry.remove(id);
+        self.registry.finish(id);
     }
 }

@@ -92,6 +92,14 @@ impl Service for NullService {
     fn commit(&mut self, _n: usize) {}
 
     fn rollback(&mut self, _n: usize) {}
+
+    fn undo_depth(&self) -> usize {
+        0
+    }
+
+    fn digest(&self) -> u64 {
+        0
+    }
 }
 
 impl Snapshot for NullService {

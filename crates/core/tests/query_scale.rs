@@ -11,7 +11,7 @@ use btree::{TreeCommand, TreeService};
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
-use hpsmr_core::{Registry, ReplicaConfig, SmrReplica, SmrResponse, StoredCommand};
+use hpsmr_core::{Registry, ReplicaConfig, ReplicaStates, SmrReplica, SmrResponse, StoredCommand};
 use ringpaxos::mring::MRingProcess;
 use ringpaxos::value::ALL_PARTITIONS;
 use ringpaxos::MRingConfig;
@@ -119,14 +119,16 @@ fn updates_never_leave_the_writer_core() {
         assert!(r.sim.cpu_busy(n, 1) > Dur::ZERO, "replica {n:?} executed nothing");
         assert_eq!(r.sim.cpu_busy(n, 3), Dur::ZERO, "replica {n:?} ran an update off core 1");
     }
-    // Pinned from the parent commit (one execution core): count and
-    // exact mean commit to the recorder's sum, so no update's reply moved.
+    // Pinned: count and exact mean commit to the recorder's sum, so no
+    // update's reply moves unnoticed. Re-pinned once, when the session
+    // tier began to speculate (mean 512 081 → 493 282 ns: an update's
+    // few µs of execution now overlap its ordering).
     let lat = r.lat;
     assert_eq!((lat.count, lat.mean.as_nanos(), lat.max.as_nanos()), UPDATE_PIN);
 }
 
 /// `(count, mean ns, max ns)` of the update run's window latency.
-const UPDATE_PIN: (usize, u64, u64) = (96_309, 512_081, 793_909);
+const UPDATE_PIN: (usize, u64, u64) = (96_309, 493_282, 778_645);
 
 struct Idle;
 impl Actor for Idle {
@@ -165,7 +167,8 @@ fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     let inner = MRingProcess::new(cfg, replica, None, Some(log.clone()));
     let rcfg = ReplicaConfig { exec_cores, ..ReplicaConfig::default() };
     let service = TreeService::populated(0, 12_000, 12_000);
-    let actor = SmrReplica::new(inner, log.clone(), 0, replica, service, registry, rcfg);
+    let states = ReplicaStates::new(1);
+    let actor = SmrReplica::new(inner, log.clone(), 0, replica, service, registry, states, rcfg);
     sim.replace_actor(replica, Box::new(actor));
     // Any datagram wakes the replica, which drains its delivery log.
     sim.with_ctx(client, |ctx| ctx.udp_send(replica, (), 16));

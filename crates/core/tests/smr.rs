@@ -62,13 +62,20 @@ fn replicas_deliver_identical_orders() {
         n_replicas: 4,
         n_clients: 30,
         workload: WorkloadKind::InsDelSingle,
+        stop_at: Some(Time::from_millis(1500)),
         ..SmrOptions::default()
     };
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(2));
-    let log = d.log.lock().unwrap();
-    assert!(log.total_deliveries() > 1000);
-    log.check_total_order().expect("replicas must agree on the command order");
+    {
+        let log = d.log.lock().unwrap();
+        assert!(log.total_deliveries() > 1000);
+        log.check_total_order().expect("replicas must agree on the command order");
+    }
+    // The same order applied to the same tree: the same tree.
+    let states = d.replica_states(&mut sim).remove(0);
+    assert!(states[0].updates > 250, "{states:?}");
+    assert!(states.iter().all(|s| *s == states[0]), "replica states differ: {states:?}");
 }
 
 #[test]

@@ -718,6 +718,13 @@ impl MRingProcess {
         Pacer::new(rate_bps, msg_bytes, burst)
     }
 
+    /// The learner's delivery watermark: every instance below it has been
+    /// delivered here, or skipped as another partition's. Instance 0 on a
+    /// process that does not learn.
+    pub fn next_deliver(&self) -> InstanceId {
+        self.lrn.as_ref().map_or(InstanceId(0), |l| l.next_deliver)
+    }
+
     fn ring_pos(&self) -> Option<usize> {
         self.cfg.ring.iter().position(|&n| n == self.me)
     }
@@ -1550,7 +1557,7 @@ impl MRingProcess {
         if !catching {
             return; // a retry's duplicate reply after completion
         }
-        let next_now = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0));
+        let next_now = self.next_deliver();
         if available_from > next_now {
             // The acceptors collected past us (§3.3.7): only a peer
             // learner's checkpoint can close the gap. Stay catching up;
@@ -2219,7 +2226,7 @@ impl Actor for MRingProcess {
             ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
         }
         if self.rec.as_ref().is_some_and(|r| r.catching_up) {
-            let next = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0));
+            let next = self.next_deliver();
             let index = self.lrn.as_ref().map(|l| l.index).unwrap_or(0);
             let pref = self.cfg.preferential_acceptor(index);
             let me = self.me;
