@@ -308,35 +308,6 @@ fn bench_simcore(c: &mut Criterion) {
         })
     });
 
-    // Batched delivery dispatch: an infinite-bandwidth burst lands a
-    // whole window of same-instant deliveries on one node, so the
-    // engine coalesces the run into single `on_batch` slices instead of
-    // paying the actor indirection per packet. Tracks the tentpole of
-    // the PR-5 hot-path work alongside `datagram_dispatch_5k` (which,
-    // with real costs, exercises the uncoalesced path).
-    g.bench_function("deliver_batch_fanin_5k", |b| {
-        b.iter(|| {
-            let mut cfg = SimConfig::default();
-            cfg.link_bandwidth_bps = 0; // infinite: same-instant arrivals
-            cfg.send_syscall_cost = Dur::ZERO;
-            cfg.send_ns_per_kib = 0;
-            cfg.recv_frame_cost = Dur::ZERO;
-            cfg.recv_ns_per_kib = 0;
-            let mut sim = Sim::new(cfg);
-            let a = sim.add_node(Box::new(Quiet));
-            let dst = sim.add_node(Box::new(Quiet));
-            sim.with_ctx(a, |ctx| {
-                for i in 0..5_000u32 {
-                    ctx.udp_send(dst, black_box(i), 1_000);
-                }
-            });
-            sim.run_to_idle();
-            let (dispatches, msgs) = sim.delivery_dispatch_stats();
-            assert!(dispatches < msgs, "burst must coalesce");
-            black_box(sim.events_processed())
-        })
-    });
-
     // Payload arena churn in isolation: one allocation + two clones +
     // drops per iteration, the per-packet pattern of a 3-hop relay.
     g.bench_function("payload_arena_roundtrip_10k", |b| {

@@ -1,11 +1,9 @@
-//! Trace exporter: runs the probed U-Ring scenario (and, in fast mode,
-//! a partitioned executor run) and writes the CI observability
-//! artifacts:
+//! Trace exporter: runs the probed U-Ring scenario and writes the CI
+//! observability artifacts:
 //!
 //! * `TRACE_uring.perfetto.json` — the probe stream as Chrome/Perfetto
 //!   `trace_event` JSON (open at <https://ui.perfetto.dev>): per-node
-//!   instant events, one async span per consensus instance, and worker
-//!   busy/barrier-wait spans when executor telemetry ran.
+//!   instant events and one async span per consensus instance.
 //! * `LATENCY_decomposition.json` — per-stage statistics of the
 //!   propose→2A→2B→decide→deliver lifecycle, one JSON object per
 //!   scenario line.
@@ -32,46 +30,15 @@ fn out_dir() -> String {
 fn main() {
     let dir = out_dir();
 
-    // Full-category probed U-Ring run under a 4-shard fast-mode
-    // executor: the exported trace carries protocol lifecycle spans AND
-    // worker busy/barrier-wait spans in one file.
-    let mut cfg = SimConfig::default();
-    cfg.seed = 0x0451;
-    let mut sim = Sim::with_partition(cfg, Partition::modulo(0, 4));
-    sim.set_exec_mode(ExecMode::Fast);
-    sim.set_threads(4);
-    sim.set_probes(ProbeConfig::all());
-    let opts = ringpaxos::cluster::URingOptions {
-        ring_len: 5,
-        n_acceptors: 3,
-        proposer_rate_bps: 120_000_000,
-        ..Default::default()
-    };
-    ringpaxos::cluster::deploy_uring(&mut sim, &opts, |_| {});
-    sim.run_until(Time::from_secs(2));
+    // Full-category probed U-Ring run.
+    let sim = probed_uring(ProbeConfig::all());
     let events = sim.probe_events();
-    let perfetto = simnet::probe::perfetto_json(&events, sim.worker_telemetry());
+    let perfetto = simnet::probe::perfetto_json(&events, &[]);
     let trace_path = format!("{dir}/TRACE_uring.perfetto.json");
     std::fs::write(&trace_path, &perfetto).expect("write perfetto trace");
-    println!(
-        "wrote {trace_path}: {} probe events ({} dropped), {} workers",
-        events.len(),
-        sim.probe_dropped(),
-        sim.worker_telemetry().len()
-    );
-    for w in sim.worker_telemetry() {
-        println!(
-            "  worker {}: {} rounds, {} events, busy {:?}, barrier wait {:?} ({:.0}%)",
-            w.worker,
-            w.rounds,
-            w.events,
-            w.busy,
-            w.barrier_wait,
-            100.0 * w.barrier_frac()
-        );
-    }
+    println!("wrote {trace_path}: {} probe events ({} dropped)", events.len(), sim.probe_dropped());
 
-    // Latency decompositions for both protocols, serial probed runs.
+    // Latency decompositions for both protocols.
     let scenarios = [
         ("uring", report_of(&probed_uring(ProbeConfig::lifecycle()))),
         ("mring", {

@@ -301,8 +301,7 @@ pub struct SessionOptions {
     pub kind: WorkloadKind,
     /// Zipf exponent for key selection; `0.0` = uniform keys.
     pub zipf_s: f64,
-    /// Session-table actors (each its own node; spread them to spread
-    /// client-side submission work across sim shards).
+    /// Session-table actors (each its own node).
     pub n_tables: usize,
     /// Simulated sessions hosted *per table*.
     pub sessions_per_table: u64,

@@ -1,6 +1,6 @@
 //! Session-tier gates (ISSUE 10): the open-loop arrival sequence is a
-//! pure function of `(seed, partition)` at any thread count, and mass
-//! sessions ride out a coordinator failover injected by a [`FaultPlan`].
+//! pure function of the seed, and mass sessions ride out a coordinator
+//! failover injected by a [`FaultPlan`].
 
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
@@ -19,16 +19,6 @@ fn options() -> SessionOptions {
         stop_at: Some(Time::from_millis(300)),
         ..SessionOptions::default()
     }
-}
-
-fn build(shards: usize, threads: usize, fast: bool) -> (Sim, SessionDeployment) {
-    let mut sim = Sim::with_partition(SimConfig::default(), Partition::modulo(0, shards));
-    let d = deploy_smr_sessions(&mut sim, &options());
-    if fast {
-        sim.set_exec_mode(ExecMode::Fast);
-        sim.set_threads(threads);
-    }
-    (sim, d)
 }
 
 /// The arrival pin: per-table `(submitted, Σ arrival µs)`. Together
@@ -52,35 +42,27 @@ fn counters(sim: &Sim) -> Vec<(usize, String, u64)> {
     v
 }
 
-fn run(shards: usize, threads: usize, fast: bool) -> (Sim, SessionDeployment) {
-    let (mut sim, d) = build(shards, threads, fast);
+fn run() -> (Sim, SessionDeployment) {
+    let mut sim = Sim::new(SimConfig::default());
+    let d = deploy_smr_sessions(&mut sim, &options());
     sim.run_until(Time::from_millis(400));
     (sim, d)
 }
 
 #[test]
-fn open_loop_arrivals_are_pure_in_seed_and_partition() {
-    let (det1, d1) = run(1, 1, false);
-    let (det4, d4) = run(4, 1, false);
-    let (fast2, f2) = run(4, 2, true);
-    let (fast4, f4) = run(4, 4, true);
+fn open_loop_arrivals_are_pure_in_seed() {
+    let (one, d1) = run();
+    let (two, d2) = run();
 
-    let pin = arrival_pin(&det1, &d1);
+    let pin = arrival_pin(&one, &d1);
     assert!(pin.iter().all(|&(sub, _)| sub > 500), "arrivals must flow: {pin:?}");
-    for (label, s, d) in [("det/4", &det4, &d4), ("fast/2", &fast2, &f2), ("fast/4", &fast4, &f4)] {
-        // No arrival may be shed (a shed skips the generator's RNG
-        // draws, which would legitimately fork the stream).
-        let shed: u64 = d.tables.iter().map(|&t| s.metrics().counter(t, SESSIONS_SHED)).sum();
-        assert_eq!(shed, 0, "{label}: shedding would perturb the pin");
-        assert_eq!(pin, arrival_pin(s, d), "{label}: arrival sequence diverged");
-    }
-
-    // Determinism mode is bit-identical under any partition: the whole
-    // counter surface matches, not just the node-local arrival pin.
-    assert_eq!(counters(&det1), counters(&det4));
-    // Fast mode is a pure function of (seed, partition): thread count
-    // must not show anywhere.
-    assert_eq!(counters(&fast2), counters(&fast4));
+    // No arrival may be shed (a shed skips the generator's RNG draws,
+    // which would legitimately fork the stream).
+    let shed: u64 = d1.tables.iter().map(|&t| one.metrics().counter(t, SESSIONS_SHED)).sum();
+    assert_eq!(shed, 0, "shedding would perturb the pin");
+    assert_eq!(pin, arrival_pin(&two, &d2), "arrival sequence diverged");
+    // The whole counter surface matches, not just the arrival pin.
+    assert_eq!(counters(&one), counters(&two));
 }
 
 #[test]

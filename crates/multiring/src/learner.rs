@@ -210,8 +210,7 @@ impl MultiRingLearner {
 
     /// Files one message into its ring's follower without draining the
     /// merge. Returns whether follower state changed in a way that can
-    /// make merge progress (the caller then runs [`Self::pump`] — once
-    /// per message on the unary path, once per burst on the batch path).
+    /// make merge progress (the caller then runs [`Self::pump`]).
     fn ingest(&mut self, env: &Envelope) -> bool {
         let Some(msg) = env.payload.downcast_ref::<MMsg>() else { return false };
         let Some(ring) = self.ring_of(env) else { return false };
@@ -309,24 +308,6 @@ impl Actor for MultiRingLearner {
 
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
         if self.ingest(env) {
-            self.pump(ctx);
-        }
-    }
-
-    /// The multi-ring fan-in is the heaviest same-instant burst in the
-    /// system: every subscribed ring's coordinator multicasts into this
-    /// learner, and batch timeouts align deliveries across rings. The
-    /// batch path ingests the whole run first and pumps the
-    /// deterministic merge once — the merge drains identical entries in
-    /// identical order (it is a pure function of follower state), but
-    /// the per-message re-scan of every follower's ready prefix and the
-    /// per-message flow-control sweep collapse into one pass per burst.
-    fn on_batch(&mut self, envs: &[Envelope], ctx: &mut Ctx) {
-        let mut pump = false;
-        for env in envs {
-            pump |= self.ingest(env);
-        }
-        if pump {
             self.pump(ctx);
         }
     }

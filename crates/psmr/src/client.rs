@@ -282,9 +282,6 @@ impl PsmrClient {
     }
 }
 
-// Default `on_batch`: a closed-loop client has at most one outstanding
-// command, so same-instant delivery runs of responses do not occur and
-// there is nothing to amortize per burst.
 impl Actor for PsmrClient {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.send_next(ctx);

@@ -90,8 +90,6 @@ mod tests {
     use std::sync::Mutex;
 
     struct Counter(Arc<Mutex<u32>>);
-    // Default `on_batch` (loops `on_message`): the harness only counts
-    // starts, so per-burst amortization has nothing to buy here.
     impl Actor for Counter {
         fn on_start(&mut self, _ctx: &mut Ctx) {
             *self.0.lock().unwrap() += 1;

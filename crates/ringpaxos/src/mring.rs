@@ -113,6 +113,7 @@
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 
@@ -914,9 +915,9 @@ impl MRingProcess {
         c.logical_count += 1;
         let partitioned = self.cfg.partitions.is_some();
         let decisions = if partitioned {
-            Arc::new(Vec::new()) // no piggybacking in partitioned mode
+            Rc::new(Vec::new()) // no piggybacking in partitioned mode
         } else {
-            Arc::new(std::mem::take(&mut c.decided_unsent))
+            Rc::new(std::mem::take(&mut c.decided_unsent))
         };
         let gc_upto = c.gc_watermark;
         c.last_mcast = ctx.now();
@@ -1045,7 +1046,7 @@ impl MRingProcess {
             instance,
             round: self.round,
             batch,
-            decisions: Arc::new(decisions),
+            decisions: Rc::new(decisions),
             gc_upto: InstanceId(0),
             // The instance's original skip weight: learners feed it to
             // the deterministic merge, and a weight that differs from
@@ -1068,7 +1069,7 @@ impl MRingProcess {
         if c.decided_unsent.is_empty() {
             return;
         }
-        let decisions = Arc::new(std::mem::take(&mut c.decided_unsent));
+        let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
         let gc_upto = c.gc_watermark;
         c.last_mcast = ctx.now();
         let round = self.round;
@@ -2101,7 +2102,7 @@ impl MRingProcess {
                     instance,
                     round,
                     batch,
-                    decisions: Arc::new(Vec::new()),
+                    decisions: Rc::new(Vec::new()),
                     gc_upto: InstanceId(0),
                     skip: 0,
                     mask: ALL_PARTITIONS,
@@ -2170,7 +2171,7 @@ impl MRingProcess {
         c.outstanding
             .insert(instance, Outstanding { batch: batch.clone(), sent, mask, resent: false });
         c.logical_count += weight;
-        let decisions = Arc::new(std::mem::take(&mut c.decided_unsent));
+        let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
         let gc_upto = c.gc_watermark;
         c.last_mcast = ctx.now();
         if let Some(a) = self.acc.as_mut() {
@@ -2238,11 +2239,6 @@ impl Actor for MRingProcess {
         }
     }
 
-    // Default `on_batch` for same-instant runs (multicast fan-in,
-    // same-tick 2A/2B spans): it already loops `on_message` with static
-    // dispatch, and the 2A/2B handlers interleave acceptor votes with
-    // learner delivery per message, so nothing can be hoisted per burst
-    // without reordering the trace.
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
         let Some(msg) = env.payload.downcast_ref::<MMsg>() else { return };
         match msg {

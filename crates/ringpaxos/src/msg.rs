@@ -1,6 +1,6 @@
 //! Wire messages of the Ring Paxos protocols.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use paxos::msg::{InstanceId, Round};
 use simnet::ids::NodeId;
@@ -24,7 +24,7 @@ pub enum MMsg {
         batch: Batch,
         /// Instances decided since the last packet, with each instance's
         /// partition mask (piggybacked DECISION).
-        decisions: Arc<Vec<(InstanceId, u32)>>,
+        decisions: Rc<Vec<(InstanceId, u32)>>,
         /// Acceptors may discard state below this instance (§3.3.7).
         gc_upto: InstanceId,
         /// Logical instances this batch stands for beyond itself:
@@ -52,7 +52,7 @@ pub enum MMsg {
     /// on).
     Decision {
         /// Newly decided instances with their partition masks.
-        instances: Arc<Vec<(InstanceId, u32)>>,
+        instances: Rc<Vec<(InstanceId, u32)>>,
         /// Round in which these instances were decided — learners match
         /// it against the round of their buffered payload, the moral
         /// equivalent of the paper's consensus-on-value-ids (`c-vid`).
@@ -334,7 +334,7 @@ mod tests {
             instance: InstanceId(0),
             round: Round::ZERO,
             batch: batch.clone(),
-            decisions: Arc::new(vec![]),
+            decisions: Rc::new(vec![]),
             gc_upto: InstanceId(0),
             skip: 0,
             mask: crate::value::ALL_PARTITIONS,
@@ -342,6 +342,6 @@ mod tests {
         };
         let m2 = m.clone();
         assert!(matches!(m2, MMsg::Phase2a { .. }));
-        assert_eq!(Arc::strong_count(&batch), 3);
+        assert_eq!(Rc::strong_count(&batch), 3);
     }
 }

@@ -1449,11 +1449,6 @@ impl Actor for URingProcess {
         }
     }
 
-    // Default `on_batch` for same-instant runs: it already loops
-    // `on_message` with static dispatch (the engine pays the actor
-    // indirection once per run either way), and nothing here can be
-    // hoisted per burst without reordering ring traffic — delivery,
-    // checkpointing, and catch-up all happen inline, per message.
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
         let Some(msg) = env.payload.downcast_ref::<UMsg>() else { return };
         match msg {

@@ -19,12 +19,12 @@
 //!   ([`BatchData::bytes_needed_beyond`]), which turns U-Ring's per-hop
 //!   byte calculation into a single table read.
 //!
-//! A [`Batch`] is an `Arc<BatchData>`: cloning is a reference-count bump,
-//! exactly as with the previous `Arc<Vec<Value>>` representation, and the
-//! cached tables are shared by every process the batch passes through.
+//! A [`Batch`] is an `Rc<BatchData>`: cloning is a reference-count bump,
+//! and the cached tables are shared by every process the batch passes
+//! through.
 
 use std::ops::Deref;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use abcast::MsgId;
 use simnet::ids::NodeId;
@@ -54,11 +54,11 @@ pub const ALL_PARTITIONS: u32 = u32::MAX;
 
 /// An immutable, cheaply clonable batch of values — the `v-val` of one
 /// consensus instance — with routing tables precomputed at pack time.
-pub type Batch = Arc<BatchData>;
+pub type Batch = Rc<BatchData>;
 
 /// The values of one consensus instance plus cached routing data.
-/// Dereferences to `[Value]`, so iteration and indexing read exactly as
-/// they did when `Batch` was `Arc<Vec<Value>>`.
+/// Dereferences to `[Value]`, so a batch iterates and indexes like a
+/// slice of values.
 #[derive(Debug, PartialEq)]
 pub struct BatchData {
     values: Vec<Value>,
@@ -79,7 +79,7 @@ impl BatchData {
     /// skip batches, tests). Total bytes are still cached.
     pub fn new(values: Vec<Value>) -> Batch {
         let total_bytes = values.iter().map(|v| v.bytes as u64).sum();
-        Arc::new(BatchData { values, total_bytes, suffix: Vec::new(), always_bytes: total_bytes })
+        Rc::new(BatchData { values, total_bytes, suffix: Vec::new(), always_bytes: total_bytes })
     }
 
     /// The empty batch (skip instances, takeover placeholders).
@@ -110,7 +110,7 @@ impl BatchData {
         for p in (0..suffix.len().saturating_sub(1)).rev() {
             suffix[p] += suffix[p + 1];
         }
-        Arc::new(BatchData { values, total_bytes, suffix, always_bytes })
+        Rc::new(BatchData { values, total_bytes, suffix, always_bytes })
     }
 
     /// The values in the batch.

@@ -10,15 +10,8 @@
 //!
 //! The expected values were captured from the engine before the hot-path
 //! overhaul (interned metrics, dense TCP tables, cached batch routing);
-//! the overhauled engine must reproduce them bit for bit. Every scenario
-//! runs several times — under the identity partition, under 2- and
-//! 4-shard partitions, and with the determinism-mode executor asked for
-//! multiple threads — against the *same* pinned values: the sharded
-//! executor's cross-shard handoff must be trace-invisible, and
-//! determinism mode must produce the serial schedule for *any*
-//! configured thread count (the thread count is definitionally ignored;
-//! this pins that contract). To re-capture after an
-//! *intentional* semantic change:
+//! the overhauled engine must reproduce them bit for bit. To re-capture
+//! after an *intentional* semantic change:
 //!
 //! ```text
 //! GOLDEN_PRINT=1 cargo test -p ringpaxos --test golden_trace -- --nocapture
@@ -103,7 +96,7 @@ fn harvest(sim: &Sim, learners: &[NodeId]) -> Golden {
 
 #[test]
 fn mring_golden_trace() {
-    let run = |shards: usize, threads: usize| {
+    let run = || {
         let mut cfg = SimConfig::default();
         cfg.seed = 0x601D;
         let mut sim = Sim::new(cfg);
@@ -115,13 +108,6 @@ fn mring_golden_trace() {
             proposer_stop: Some(Time::from_millis(600)),
             ..MRingOptions::default()
         };
-        if shards > 1 {
-            // Pre-deploy: nodes home round-robin over `shards` as they
-            // are added.
-            sim.set_partition(Partition::modulo(0, shards));
-        }
-        // Determinism mode must ignore the thread count entirely.
-        sim.set_threads(threads);
         let d = deploy_mring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
         harvest(&sim, &d.all_learners)
@@ -133,15 +119,12 @@ fn mring_golden_trace() {
         latency_count: 3664,
         latency_mean_ns: 881880,
     };
-    report("mring", &run(1, 1), &want);
-    report("mring k=2", &run(2, 1), &want);
-    report("mring k=2 t=2", &run(2, 2), &want);
-    report("mring k=4 t=4", &run(4, 4), &want);
+    report("mring", &run(), &want);
 }
 
 #[test]
 fn mring_lossy_golden_trace() {
-    let run = |shards: usize, threads: usize| {
+    let run = || {
         let mut cfg = SimConfig::default();
         cfg.seed = 0xA5A5;
         cfg.random_loss = 0.002;
@@ -154,10 +137,6 @@ fn mring_lossy_golden_trace() {
             proposer_stop: Some(Time::from_millis(600)),
             ..MRingOptions::default()
         };
-        if shards > 1 {
-            sim.set_partition(Partition::modulo(0, shards));
-        }
-        sim.set_threads(threads);
         let d = deploy_mring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
         harvest(&sim, &d.all_learners)
@@ -186,9 +165,7 @@ fn mring_lossy_golden_trace() {
         latency_count: 2748,
         latency_mean_ns: 1290033,
     };
-    report("mring_lossy", &run(1, 1), &want);
-    report("mring_lossy k=2", &run(2, 1), &want);
-    report("mring_lossy k=2 t=2", &run(2, 2), &want);
+    report("mring_lossy", &run(), &want);
 }
 
 /// Probes are pure observation: running the U-Ring scenario with every
@@ -197,7 +174,7 @@ fn mring_lossy_golden_trace() {
 /// lifecycle stream whose latency decomposition is well-formed.
 #[test]
 fn uring_probes_enabled_golden_trace() {
-    let run = |shards: usize, threads: usize| {
+    let run = || {
         let mut cfg = SimConfig::default();
         cfg.seed = 0x0451;
         let mut sim = Sim::new(cfg);
@@ -208,10 +185,6 @@ fn uring_probes_enabled_golden_trace() {
             proposer_stop: Some(Time::from_millis(600)),
             ..URingOptions::default()
         };
-        if shards > 1 {
-            sim.set_partition(Partition::modulo(0, shards));
-        }
-        sim.set_threads(threads);
         sim.set_probes(ProbeConfig::all());
         let d = deploy_uring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
@@ -224,22 +197,8 @@ fn uring_probes_enabled_golden_trace() {
         latency_count: 1375,
         latency_mean_ns: 4462429,
     };
-    let (got, events) = run(1, 1);
+    let (got, events) = run();
     report("uring+probes", &got, &want);
-    let (got2, events2) = run(2, 1);
-    report("uring+probes k=2", &got2, &want);
-    let (got3, events3) = run(2, 2);
-    report("uring+probes k=2 t=2", &got3, &want);
-    // Per (seed, partition) the probe stream is thread-count invariant.
-    assert_eq!(simnet::probe::encode(&events2), simnet::probe::encode(&events3));
-    // Handoff events exist only under a real partition; everything else
-    // (protocol, net, host) is partition invariant in count.
-    let non_exec = |evs: &[simnet::probe::ProbeEvent]| {
-        evs.iter()
-            .filter(|e| simnet::probe::code::category_of(e.code) != simnet::probe::category::EXEC)
-            .count()
-    };
-    assert_eq!(non_exec(&events), non_exec(&events2));
 
     let spans = simnet::probe::lifecycle_spans(&events);
     let decided = spans.iter().filter(|s| s.decide.is_some()).count();
@@ -266,7 +225,7 @@ fn uring_probes_enabled_golden_trace() {
 
 #[test]
 fn uring_golden_trace() {
-    let run = |shards: usize, threads: usize| {
+    let run = || {
         let mut cfg = SimConfig::default();
         cfg.seed = 0x0451;
         let mut sim = Sim::new(cfg);
@@ -277,10 +236,6 @@ fn uring_golden_trace() {
             proposer_stop: Some(Time::from_millis(600)),
             ..URingOptions::default()
         };
-        if shards > 1 {
-            sim.set_partition(Partition::modulo(0, shards));
-        }
-        sim.set_threads(threads);
         let d = deploy_uring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
         harvest(&sim, &d.ring)
@@ -292,8 +247,5 @@ fn uring_golden_trace() {
         latency_count: 1375,
         latency_mean_ns: 4462429,
     };
-    report("uring", &run(1, 1), &want);
-    report("uring k=2", &run(2, 1), &want);
-    report("uring k=2 t=2", &run(2, 2), &want);
-    report("uring k=4 t=4", &run(4, 4), &want);
+    report("uring", &run(), &want);
 }

@@ -1,39 +1,21 @@
-//! Dispatch layer: the event vocabulary, the round-robin shard executor,
-//! and the actor run loop (including batched delivery coalescing).
+//! Dispatch layer: the event vocabulary and the actor run loop.
 //!
 //! # Layer boundary
 //!
 //! This module owns [`EventKind`], the per-event handlers that bridge
-//! engine state to actor callbacks (`host_arrive`, `deliver_prework`),
-//! and the [`Sim`] run loop (`run_until` / `step` / `deliver_run`). It
-//! is the only layer that touches actors.
-//!
-//! # Shard-safety invariants
-//!
-//! Every `step` drains the cross-shard inboxes, then merges the
-//! per-shard queue minima in fixed shard order and dispatches the
-//! globally smallest `(time, seq)` key — reproducing the single-queue
-//! pop sequence exactly for any partition (see [`crate::shard`]).
-//! [`EnvId`]s are *shard-local* slab indices: handlers receive the
-//! owning shard index from the merge and must not resolve an `EnvId`
-//! against any other shard. Delivery-run coalescing peeks only the
-//! destination's shard, guarded by
-//! [`SimInner::earlier_event_elsewhere`] so a run never swallows an
-//! event another shard should have dispatched first. Cross-shard events
-//! buffered in inboxes during a run are provably never coalescing
-//! candidates: they carry sequence numbers allocated *after* the run's
-//! candidate, so even at an identical timestamp the single-queue engine
-//! would order them behind it.
+//! engine state to actor callbacks (`host_arrive`, `deliver_prework`), and
+//! the [`Sim`] run loop (`run_until` / `step`). It is the only layer that
+//! touches actors. Every `step` pops the smallest `(time, seq)` key and
+//! dispatches it — one event, one handler, one actor callback at most.
 
 use crate::ids::{NodeId, TimerToken};
-use crate::sim::{Ctx, Envelope, Sim, SimInner, Transport};
+use crate::sim::{Actor, Ctx, Envelope, Sim, SimInner, Transport};
 use crate::stats::mid;
 use crate::time::Time;
 
-/// Index of a queued [`Envelope`] in its shard's envelope slab. Only
-/// this 4-byte handle moves between the `HostArrive` and `Deliver`
-/// queue entries. Shard-local: meaningful only together with the shard
-/// index the executor's merge supplies.
+/// Index of a queued [`Envelope`] in the envelope slab. Only this
+/// 4-byte handle moves between the `HostArrive` and `Deliver` queue
+/// entries.
 pub(crate) type EnvId = u32;
 
 #[derive(Debug)]
@@ -52,33 +34,21 @@ pub(crate) enum EventKind {
     TcpAck { src: NodeId, dst: NodeId, bytes: u32, seq: u64, epoch: u32 },
     /// A disk write issued by `node` completed.
     DiskDone { node: NodeId, token: TimerToken },
-    /// Fast mode only: switch egress toward `id`'s destination,
-    /// relocated from the sender's shard to the destination's so the
-    /// downlink port clock has a single writer. Scheduled at
-    /// `arrive + one_way_latency` (the earliest instant that respects
-    /// the lookahead bound); the handler reconstructs the true
-    /// switch-arrival instant from `arrive`, applies the backlog check
-    /// and port-clock advance there, and files `HostArrive` (plus a
-    /// duplicate copy when `dup`). `hold` is the reorder hold drawn at
-    /// the sender. Never created in determinism mode.
-    SwitchArrive { id: EnvId, arrive: Time, hold: crate::time::Dur, dup: bool },
 }
 
 impl SimInner {
     /// Datagram reached the destination host NIC: socket-buffer check,
     /// receive-cost charge, and the push of the `Deliver` completion.
-    /// `sh` is the destination's shard (where the envelope is interned);
-    /// everything this handler touches lives there. The envelope body
-    /// never moves — only its slab index travels into the `Deliver`
-    /// event. Kept `#[inline]` (with `deliver_prework`) so the UDP
-    /// datagram sequence compiles to one straight-line path through the
-    /// run loop, per the `simcore` criterion group.
+    /// The envelope body never moves — only its slab index travels into
+    /// the `Deliver` event. Kept `#[inline]` (with `deliver_prework`) so
+    /// the UDP datagram sequence compiles to one straight-line path
+    /// through the run loop, per the `simcore` criterion group.
     #[inline]
-    pub(crate) fn host_arrive(&mut self, sh: usize, id: EnvId) {
-        let env = self.shards[sh].envs.get(id);
+    pub(crate) fn host_arrive(&mut self, id: EnvId) {
+        let env = self.envs.get(id);
         let (dst, wire_bytes, transport) = (env.dst, env.wire_bytes, env.transport);
         if !self.node(dst).up {
-            drop(self.shards[sh].envs.take(id));
+            drop(self.envs.take(id));
             return;
         }
         if transport != Transport::Tcp {
@@ -91,27 +61,23 @@ impl SimInner {
             if n.socket_used + wire_bytes as u64 > cap as u64 {
                 self.metrics.add_id(dst, mid::NET_SOCKET_DROP, 1);
                 self.metrics.add_id(dst, mid::NET_SOCKET_DROP_BYTES, wire_bytes as u64);
-                drop(self.shards[sh].envs.take(id));
+                drop(self.envs.take(id));
                 return;
             }
             self.node_mut(dst).socket_used += wire_bytes as u64;
         }
-        let cost = self.costs_for(sh, wire_bytes).recv;
+        let cost = self.costs_for(wire_bytes).recv;
         let now = self.now;
         let done = self.charge_core(dst, 0, now, cost);
-        let seq = self.next_seq();
-        self.shards[sh].queue.push(done, seq, EventKind::Deliver(id));
+        self.schedule(done, EventKind::Deliver(id));
     }
 
-    /// Per-envelope engine work of a delivery — socket drain, receive
-    /// metrics, TCP ack generation — run in exact pop order *before* the
-    /// actor sees the envelope (or its batch slice). `sh` is the
-    /// destination's shard; the ack (if any) targets the *sender's*
-    /// shard and is routed through the handoff inbox when that differs.
-    /// Returns whether the envelope should reach the actor (`false`:
-    /// the node is down).
+    /// Engine work of a delivery — socket drain, receive metrics, TCP
+    /// ack generation — run before the actor sees the envelope. Returns
+    /// whether the envelope should reach the actor (`false`: the node is
+    /// down).
     #[inline]
-    pub(crate) fn deliver_prework(&mut self, sh: usize, env: &Envelope) -> bool {
+    pub(crate) fn deliver_prework(&mut self, env: &Envelope) -> bool {
         let dst = env.dst;
         if env.transport != Transport::Tcp {
             let n = self.node_mut(dst);
@@ -127,45 +93,24 @@ impl SimInner {
             self.probe_record(dst, crate::probe::code::NET_RECV, arg);
         }
         if env.transport == Transport::Tcp {
-            let slot = match self.tcp_rx_slot(env.src, dst) {
-                Some(slot) => Some(slot),
-                // Fast mode creates tx halves sender-side only (the rx
-                // arena belongs to another worker); the rx half
-                // materializes here, at first delivery on the
-                // destination's own shard, paired to the epoch that
-                // transmitted the segment.
-                None if self.exec_fast => Some(self.tcp_rx_create(env.src, dst, env.tcp_epoch)),
-                None => None,
-            };
-            match slot {
-                Some(slot) => {
-                    let ch = &mut self.shards[sh].tcp_rx[slot];
-                    if env.tcp_epoch == ch.epoch {
-                        let seg = ch.delivered_segs;
-                        ch.delivered_segs += 1;
-                        let epoch = ch.epoch;
-                        let ack_at = self.now + self.config.one_way_latency;
-                        let (src, bytes) = (env.src, env.wire_bytes);
-                        let ack = EventKind::TcpAck { src, dst, bytes, seq: seg, epoch };
-                        self.push_routed(sh, src, ack_at, ack);
-                    } else {
-                        // Orphan segment: it was in flight across a
-                        // crash-reset of its channel, so its bytes were
-                        // already written off at the sender. Fabricating
-                        // an ack here corrupts the reset channel's seq
-                        // stream and costs an event; the data still
-                        // reaches the actor, like a segment that raced a
-                        // RST.
-                        self.metrics.add_id(dst, mid::NET_TCP_ORPHAN_SEG, 1);
-                    }
+            match self.tcp_slot(env.src, dst) {
+                Some(slot) if env.tcp_epoch == self.tcp[slot].epoch => {
+                    let ch = &mut self.tcp[slot];
+                    let seg = ch.delivered_segs;
+                    ch.delivered_segs += 1;
+                    let epoch = ch.epoch;
+                    let ack_at = self.now + self.config.one_way_latency;
+                    let (src, bytes) = (env.src, env.wire_bytes);
+                    self.schedule(ack_at, EventKind::TcpAck { src, dst, bytes, seq: seg, epoch });
                 }
-                None => {
-                    // No channel was ever created for this pair — only
-                    // reachable through engine misuse today, but the
-                    // same orphan accounting keeps it visible instead of
-                    // acking a channel that does not exist.
-                    self.metrics.add_id(dst, mid::NET_TCP_ORPHAN_SEG, 1);
-                }
+                // Orphan segment: it was in flight across a crash-reset
+                // of its channel, so its bytes were already written off
+                // at the sender (or no channel was ever created for the
+                // pair — engine misuse, kept visible the same way).
+                // Fabricating an ack here corrupts the reset channel's
+                // seq stream and costs an event; the data still reaches
+                // the actor, like a segment that raced a RST.
+                _ => self.metrics.add_id(dst, mid::NET_TCP_ORPHAN_SEG, 1),
             }
         }
         true
@@ -178,11 +123,7 @@ impl Sim {
     /// deadline even if the queue drains first.
     pub fn run_until(&mut self, deadline: Time) {
         self.ensure_started();
-        if self.threaded_eligible() {
-            self.run_threaded(deadline);
-        } else {
-            while self.step(deadline) {}
-        }
+        while self.step(deadline) {}
         self.inner.now = self.inner.now.max(deadline);
     }
 
@@ -192,77 +133,37 @@ impl Sim {
         while self.step(Time::MAX) {}
     }
 
-    /// Pops and dispatches the next due event (plus, for deliveries, the
-    /// rest of its same-instant run). Returns `false` once nothing at or
-    /// before `deadline` remains. The inbox drain precedes the merge, so
-    /// handed-off events are never invisible to the deadline check.
+    /// Pops and dispatches the next due event. Returns `false` once
+    /// nothing at or before `deadline` remains.
     #[inline]
     fn step(&mut self, deadline: Time) -> bool {
-        self.inner.drain_inboxes();
-        let Some((sh, pos)) = self.inner.merge_min() else { return false };
-        if pos.time > deadline {
-            return false;
-        }
-        let (time, kind) = self.inner.shards[sh].queue.take_at(pos);
+        let Some((time, kind)) = self.inner.queue.pop_due(deadline) else { return false };
         self.inner.now = time;
         self.inner.events += 1;
-        self.dispatch(sh, time, kind);
+        self.dispatch(kind);
         true
     }
 
-    /// Collects the maximal run of consecutive same-instant `Deliver`
-    /// events for one destination into the reusable inbox and hands it
-    /// to the actor in a single callback. Engine prework runs per
-    /// envelope in exact pop order first; see the `sim` module docs
-    /// ("Batched delivery dispatch") for the precise equivalence to
-    /// unbatched dispatch. `sh` is the destination's shard: every
-    /// `Deliver` for `dst` lives there, so probing that queue plus the
-    /// `earlier_event_elsewhere` guard reproduces the single-queue
-    /// run-break decisions exactly.
-    fn deliver_run(&mut self, sh: usize, time: Time, first: EnvId) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        debug_assert!(inbox.is_empty());
-        let env = self.inner.shards[sh].envs.take(first);
-        let dst = env.dst;
-        if self.inner.deliver_prework(sh, &env) {
-            inbox.push(env);
+    /// Runs `f` on `node`'s actor with a [`Ctx`] at the current time.
+    #[inline]
+    fn with_actor(&mut self, node: NodeId, f: impl FnOnce(&mut dyn Actor, &mut Ctx)) {
+        if let Some(mut actor) = self.actors[node.0].take() {
+            let mut ctx = Ctx::new(node, &mut self.inner);
+            f(actor.as_mut(), &mut ctx);
+            self.actors[node.0] = Some(actor);
         }
-        while let Some(pos) = self.inner.shards[sh].queue.find_same_time(time) {
-            let EventKind::Deliver(id) = *self.inner.shards[sh].queue.kind_at(pos) else { break };
-            if self.inner.shards[sh].envs.get(id).dst != dst {
-                break;
-            }
-            if self.inner.earlier_event_elsewhere(sh, time, pos.seq) {
-                break;
-            }
-            let _ = self.inner.shards[sh].queue.take_at(pos);
-            self.inner.events += 1;
-            let env = self.inner.shards[sh].envs.take(id);
-            if self.inner.deliver_prework(sh, &env) {
-                inbox.push(env);
-            }
-        }
-        if !inbox.is_empty() {
-            self.inner.dispatches += 1;
-            self.inner.dispatched_msgs += inbox.len() as u64;
-            if let Some(mut actor) = self.actors[dst.0].take() {
-                let mut ctx = Ctx::new(dst, &mut self.inner);
-                if let [only] = inbox.as_slice() {
-                    actor.on_message(only, &mut ctx);
-                } else {
-                    actor.on_batch(&inbox, &mut ctx);
-                }
-                self.actors[dst.0] = Some(actor);
-            }
-        }
-        inbox.clear();
-        self.inbox = inbox;
     }
 
-    pub(crate) fn dispatch(&mut self, sh: usize, time: Time, kind: EventKind) {
+    fn dispatch(&mut self, kind: EventKind) {
         match kind {
-            EventKind::HostArrive(id) => self.inner.host_arrive(sh, id),
-            EventKind::Deliver(id) => self.deliver_run(sh, time, id),
+            EventKind::HostArrive(id) => self.inner.host_arrive(id),
+            EventKind::Deliver(id) => {
+                let env = self.inner.envs.take(id);
+                if self.inner.deliver_prework(&env) {
+                    self.inner.deliveries += 1;
+                    self.with_actor(env.dst, |actor, ctx| actor.on_message(&env, ctx));
+                }
+            }
             EventKind::Timer { node, token } => {
                 if !self.inner.node(node).up {
                     return;
@@ -270,18 +171,11 @@ impl Sim {
                 if self.inner.probe_on(crate::probe::category::HOST) {
                     self.inner.probe_record(node, crate::probe::code::HOST_TIMER, token.0);
                 }
-                if let Some(mut actor) = self.actors[node.0].take() {
-                    let mut ctx = Ctx::new(node, &mut self.inner);
-                    actor.on_timer(token, &mut ctx);
-                    self.actors[node.0] = Some(actor);
-                }
+                self.with_actor(node, |actor, ctx| actor.on_timer(token, ctx));
             }
             EventKind::TcpAck { src, dst, bytes, seq, epoch } => {
-                // Executes on the sender's shard (`sh`), where the tx
-                // half lives.
-                debug_assert_eq!(sh, self.inner.shard_idx(src));
-                if let Some(slot) = self.inner.tcp_tx_slot(src, dst) {
-                    let ch = &mut self.inner.shards[sh].tcp_tx[slot];
+                if let Some(slot) = self.inner.tcp_slot(src, dst) {
+                    let ch = &mut self.inner.tcp[slot];
                     if epoch != ch.epoch {
                         // Ack from before a crash-reset: the bytes it
                         // acknowledges were already written off.
@@ -315,14 +209,7 @@ impl Sim {
                 if self.inner.probe_on(crate::probe::category::HOST) {
                     self.inner.probe_record(node, crate::probe::code::HOST_DISK, token.0);
                 }
-                if let Some(mut actor) = self.actors[node.0].take() {
-                    let mut ctx = Ctx::new(node, &mut self.inner);
-                    actor.on_timer(token, &mut ctx);
-                    self.actors[node.0] = Some(actor);
-                }
-            }
-            EventKind::SwitchArrive { id, arrive, hold, dup } => {
-                self.inner.switch_arrive(sh, id, arrive, hold, dup);
+                self.with_actor(node, |actor, ctx| actor.on_timer(token, ctx));
             }
         }
     }
@@ -332,11 +219,7 @@ impl Sim {
             return;
         }
         self.started[node.0] = true;
-        if let Some(mut actor) = self.actors[node.0].take() {
-            let mut ctx = Ctx::new(node, &mut self.inner);
-            actor.on_start(&mut ctx);
-            self.actors[node.0] = Some(actor);
-        }
+        self.with_actor(node, |actor, ctx| actor.on_start(ctx));
     }
 
     pub(crate) fn ensure_started(&mut self) {

@@ -5,14 +5,11 @@
 //!
 //! This module knows nothing about the simulation: it stores opaque
 //! payloads of type `T` keyed by `(Time, seq)` and pops them in exact key
-//! order. Each [`crate::shard::ShardState`] owns one `EventQueue`, so the
-//! type must be (and is) free of shared or global state — the shard
-//! executor merges per-shard minima by key, and a future worker thread
-//! can own a whole queue without synchronization.
+//! order. The engine owns exactly one `EventQueue`.
 //!
 //! # Why a calendar
 //!
-//! Every simulated packet passes through its shard's queue twice (host
+//! Every simulated packet passes through the queue twice (host
 //! arrival, delivery). A binary heap pays an O(log n) sift on every push
 //! and pop; a calendar queue [Brown 1988] files each event in the bucket
 //! covering its timestamp — `buckets[(time >> BUCKET_SHIFT) & BUCKET_MASK]`
@@ -47,12 +44,12 @@
 //!
 //! # Determinism
 //!
-//! Keys are unique (`seq` increments per push, globally across shards),
-//! and [`EventQueue::find_min`] always returns the minimum `(time, seq)`
-//! key in this queue: events with the current scan slot's timestamp can
-//! only live at that slot's bucket head, earlier slots have been
-//! drained, and the overflow heap is migrated into the calendar before
-//! it can hold anything within the active year. Bucket layout is
+//! Keys are unique (`seq` increments per push), and
+//! [`EventQueue::pop_due`] always takes the minimum `(time, seq)` key:
+//! events with the current scan slot's timestamp can only live at that
+//! slot's bucket head, earlier slots have been drained, and the overflow
+//! heap is migrated into the calendar before it can hold anything within
+//! the active year. Bucket layout is
 //! therefore unobservable, and any run is bit-for-bit reproducible from
 //! its seed.
 
@@ -61,7 +58,7 @@ use std::collections::BinaryHeap;
 use crate::time::Time;
 
 /// Recycling slab with a free list: the storage pattern behind both the
-/// event queue's payloads and the engine's per-shard `Envelope` bodies
+/// event queue's payloads and the engine's queued `Envelope` bodies
 /// (see `sim` module docs, "Envelope slab"). Slot indices are dense
 /// `u32`s and freed slots are reused immediately.
 pub(crate) struct Slab<T> {
@@ -104,11 +101,6 @@ impl<T> Slab<T> {
         self.free.push(id);
         value
     }
-
-    /// Whether no values are currently filed.
-    pub(crate) fn is_empty(&self) -> bool {
-        self.slots.len() == self.free.len()
-    }
 }
 
 /// Compact ordering key for one queued event. The payload lives in the
@@ -145,19 +137,6 @@ impl Ord for EventKey {
     fn cmp(&self, other: &EventKey) -> std::cmp::Ordering {
         self.key().cmp(&other.key())
     }
-}
-
-/// Position of the minimum queued event, as located by
-/// [`EventQueue::find_min`] or [`EventQueue::find_same_time`]. Valid
-/// until the next `push` or `take_at`; the event sits at the head of the
-/// current scan slot's bucket. `seq` is exposed so the shard executor
-/// can merge minima from several queues in exact global key order.
-#[derive(Clone, Copy)]
-pub(crate) struct MinPos {
-    pub(crate) time: Time,
-    pub(crate) seq: u64,
-    /// Slab slot of the event's payload (for peeking).
-    pub(crate) slot: u32,
 }
 
 /// Virtual-time width of one calendar bucket, as a power of two:
@@ -231,11 +210,6 @@ pub(crate) struct EventQueue<T> {
     /// Far-future events (≥ one year ahead at push time), ordered by
     /// `(time, seq)`; migrated into the calendar as the scan approaches.
     overflow: BinaryHeap<std::cmp::Reverse<EventKey>>,
-    /// Memoized result of the last [`EventQueue::find_min`], so the run
-    /// loop's peek-then-maybe-pop pattern (delivery-run coalescing, the
-    /// shard executor's per-step merge) never re-walks the scan.
-    /// Invalidated by any push or take.
-    memo: Option<MinPos>,
     /// The queued events' payloads; bucket entries carry slot indices.
     slab: Slab<T>,
 }
@@ -247,7 +221,6 @@ impl<T> Default for EventQueue<T> {
             cur_vslot: 0,
             in_buckets: 0,
             overflow: BinaryHeap::new(),
-            memo: None,
             slab: Slab::default(),
         }
     }
@@ -259,14 +232,8 @@ impl<T> EventQueue<T> {
         time.as_nanos() >> BUCKET_SHIFT
     }
 
-    /// Whether no events are queued (calendar and overflow both empty).
-    pub(crate) fn is_empty(&self) -> bool {
-        self.in_buckets == 0 && self.overflow.is_empty()
-    }
-
     #[inline]
     pub(crate) fn push(&mut self, time: Time, seq: u64, kind: T) {
-        self.memo = None;
         let slot = self.slab.insert(kind);
         let entry = EventKey { time, seq, slot };
         let vslot = Self::vslot(time);
@@ -276,13 +243,12 @@ impl<T> EventQueue<T> {
         }
         // An event behind the scan position (possible when a driver
         // injects work after `run_until` parked the scan on a far-future
-        // timer, or when another shard hands off an event while this
-        // shard's scan sits ahead): rewind so the scan cannot miss it.
+        // timer): rewind so the scan cannot miss it.
         // Buckets stay sorted, so unlike the earlier extract-and-sort
         // design there is no side state to flush — the reset alone
         // restores the scan invariant. Buckets may then transiently hold
         // more than one year's vslots, which the scan-time vslot check
-        // in `find_min` handles.
+        // in `pop_due` handles.
         if vslot < self.cur_vslot {
             self.cur_vslot = vslot;
         }
@@ -304,26 +270,13 @@ impl<T> EventQueue<T> {
         }
     }
 
-    /// Pops the earliest event if its time is at or before `deadline`;
-    /// returns `None` (leaving the event queued) otherwise.
-    #[cfg(test)]
+    /// Pops the minimum `(time, seq)` event if its time is at or before
+    /// `deadline`; returns `None` (leaving it queued) otherwise. Advances
+    /// the scan position and migrates newly-near overflow events as a
+    /// side effect. O(1) when the minimum's slot is already under the
+    /// scan: sorted buckets put it at the head.
+    #[inline]
     pub(crate) fn pop_due(&mut self, deadline: Time) -> Option<(Time, T)> {
-        let pos = self.find_min()?;
-        if pos.time > deadline {
-            return None; // stays queued
-        }
-        Some(self.take_at(pos))
-    }
-
-    /// Locates the minimum `(time, seq)` queued event without removing
-    /// it, advancing the scan position (and migrating newly-near
-    /// overflow events) as a side effect. The returned position is valid
-    /// until the next `push` or `take_at`. O(1) when the minimum's slot
-    /// is already under the scan: sorted buckets put it at the head.
-    pub(crate) fn find_min(&mut self) -> Option<MinPos> {
-        if let Some(pos) = self.memo {
-            return Some(pos);
-        }
         if self.in_buckets == 0 {
             // Calendar empty: jump the scan straight to the earliest
             // far-future event instead of sweeping empty years.
@@ -339,48 +292,19 @@ impl<T> EventQueue<T> {
             // scan slot unless every entry here is from a later year
             // (later years have strictly larger keys, so they can never
             // shadow a current-year entry).
-            if let Some(&e) = self.buckets[(cur & BUCKET_MASK) as usize].peek() {
-                if Self::vslot(e.time) == cur {
-                    let pos = MinPos { time: e.time, seq: e.seq, slot: e.slot };
-                    self.memo = Some(pos);
-                    return Some(pos);
+            let bucket = &mut self.buckets[(cur & BUCKET_MASK) as usize];
+            if let Some(head) = bucket.peek() {
+                if Self::vslot(head.time) == cur {
+                    if head.time > deadline {
+                        return None; // stays queued
+                    }
+                    let e = bucket.pop_head();
+                    self.in_buckets -= 1;
+                    return Some((e.time, self.slab.take(e.slot)));
                 }
             }
             self.advance_slot(&mut scanned);
         }
-    }
-
-    /// The payload of the event `find_min` located (peek; no removal).
-    #[inline]
-    pub(crate) fn kind_at(&self, pos: MinPos) -> &T {
-        self.slab.get(pos.slot)
-    }
-
-    /// Locates the minimum-seq event queued at exactly `time`, given
-    /// that the minimum at `time` was just popped. Equal times share one
-    /// calendar slot, so only the current bucket's head can hold a match
-    /// — this is the delivery-run coalescing probe, and unlike
-    /// `find_min` it never advances the scan or migrates overflow when
-    /// there is nothing to coalesce. Sound because every remaining
-    /// event's time is ≥ `time`: an exact match (minimal seq) *is* this
-    /// queue's minimum.
-    pub(crate) fn find_same_time(&mut self, time: Time) -> Option<MinPos> {
-        if Self::vslot(time) != self.cur_vslot {
-            return None; // a push rewound the scan below `time`
-        }
-        let e = self.buckets[(self.cur_vslot & BUCKET_MASK) as usize].peek()?;
-        (e.time == time).then_some(MinPos { time: e.time, seq: e.seq, slot: e.slot })
-    }
-
-    /// Removes the event `find_min`/`find_same_time` located, recycling
-    /// its slab slot. O(1): the located event is the current bucket head.
-    #[inline]
-    pub(crate) fn take_at(&mut self, pos: MinPos) -> (Time, T) {
-        self.memo = None;
-        let e = self.buckets[(self.cur_vslot & BUCKET_MASK) as usize].pop_head();
-        debug_assert_eq!((e.time, e.seq, e.slot), (pos.time, pos.seq, pos.slot));
-        self.in_buckets -= 1;
-        (e.time, self.slab.take(e.slot))
     }
 
     /// Advances the scan one slot, migrating newly-near overflow events
@@ -591,7 +515,7 @@ mod tests {
             }
             prop_assert!(model.is_empty());
             prop_assert_eq!(q.in_buckets, 0);
-            prop_assert!(q.is_empty());
+            prop_assert!(q.overflow.is_empty());
         }
     }
 }

@@ -22,9 +22,9 @@
 //!
 //! Every action is applied from the control plane between events
 //! (`sim.run_until(at)` first), so schedules compose with the engine's
-//! determinism: the same plan over the same seed yields the same trace
-//! under every shard partition. Tests, proptests, and the `bench`
-//! failover figures all drive failures through this one layer.
+//! determinism: the same plan over the same seed yields the same
+//! trace. Tests, proptests, and the `bench` failover figures all drive
+//! failures through this one layer.
 
 use crate::ids::NodeId;
 use crate::sim::Sim;

@@ -9,8 +9,9 @@
 //! exchange [`payload::Payload`] messages and set timers. All resources
 //! (links, switch port buffers, socket buffers, CPU cores, disks) are
 //! simulated, so throughput/latency/CPU results emerge from the same
-//! bottlenecks the paper analyses, and every run is bit-for-bit
-//! deterministic for a given seed.
+//! bottlenecks the paper analyses. The engine is a single-threaded
+//! actor/event core — one event queue, popped in `(time, seq)` order —
+//! so every run is bit-for-bit deterministic for a given seed.
 //!
 //! ```
 //! use simnet::prelude::*;
@@ -40,15 +41,10 @@ pub mod ids;
 mod net;
 pub mod payload;
 pub mod probe;
-pub mod shard;
 pub mod sim;
 pub mod stats;
-pub mod threaded;
 pub mod time;
 pub mod wheel;
-
-pub use crate::shard::Partition;
-pub use crate::threaded::ExecMode;
 
 /// Convenient glob import for protocol crates and experiments.
 pub mod prelude {
@@ -56,11 +52,9 @@ pub mod prelude {
     pub use crate::fault::{FaultAction, FaultPlan};
     pub use crate::ids::{GroupId, NodeId, TimerToken};
     pub use crate::payload::Payload;
-    pub use crate::probe::{self, ProbeConfig, ProbeEvent, WorkerTelemetry};
-    pub use crate::shard::Partition;
+    pub use crate::probe::{self, ProbeConfig, ProbeEvent};
     pub use crate::sim::{Actor, Ctx, Envelope, Sim, Transport};
     pub use crate::stats::{mbps, mid, per_sec, LatencyStats, MetricId, Metrics};
-    pub use crate::threaded::ExecMode;
     pub use crate::time::{Dur, Time};
     pub use crate::wheel::TimerWheel;
 }

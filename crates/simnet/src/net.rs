@@ -10,46 +10,18 @@
 //! resource clocks and produces `HostArrive`/`TcpAck` events for the
 //! `dispatch` layer; it never touches actors.
 //!
-//! # Shard-safety invariants
-//!
-//! A datagram's cost is charged on resources owned by two shards: the
-//! *sender's* shard (CPU, uplink) while the send executes, and the
-//! *receiver's* shard (downlink clock, then the `HostArrive` event).
-//! When the two differ, the event is not pushed into the destination
-//! queue directly — it is filed in the destination shard's
-//! [`crate::shard::CrossShardEvent`] inbox and merged at the next
-//! executor step, so a future threaded executor can make the inbox the
-//! only cross-thread channel. Two writes still reach across the
-//! boundary in this single-threaded scaffold and are the remaining work
-//! for the threaded PR (both are flagged here rather than hidden):
-//!
-//! * `downlink` advances the destination node's `downlink_free` clock
-//!   (the switch egress port really is shared between all senders; the
-//!   threaded design will either own ports by destination shard or
-//!   fold the advance into the handoff).
-//! * `tcp_pump`/`datagram` read the *peer's* `up` flag (connection-reset
-//!   semantics). A threaded executor will replicate liveness epochs.
-//!
-//! TCP channel state is split so each half is owned by the shard that
-//! mutates it on the hot path: [`TcpTx`] (send queue, window accounting)
-//! lives in the sender's shard and is touched by sends, pumps, and ack
-//! dispatch — all of which execute there; [`TcpRx`] (delivery sequence)
-//! lives in the receiver's shard and is touched at delivery. The two
-//! halves share an epoch that only the control plane (`reset_tcp_of`,
-//! driver-invoked) bumps, keeping `tx.epoch == rx.epoch` an invariant.
-//!
-//! The per-size [`CostCache`] is replicated per shard: it memoizes pure
-//! functions of the frozen config, so replicas can only disagree on
-//! which sizes are resident, never on values.
+//! The switch books a destination's egress port when a datagram is
+//! *sent* (`downlink_free.max(arrive_at_switch) + tx`, in send order),
+//! not when it reaches the switch — ROADMAP item 7 records what that
+//! costs in fidelity and what arrival-order booking would read.
 
 use std::collections::VecDeque;
 
 use rand::Rng;
 
-use crate::dispatch::{EnvId, EventKind};
+use crate::dispatch::EventKind;
 use crate::ids::{GroupId, NodeId};
 use crate::payload::Payload;
-use crate::shard::CrossShardEvent;
 use crate::sim::{Envelope, SimInner, Transport};
 use crate::stats::mid;
 use crate::time::{Dur, Time};
@@ -90,9 +62,10 @@ impl Default for CostCache {
     }
 }
 
-/// Sender-owned half of a TCP channel: the unsent queue and the window
-/// accounting. Lives in the sending node's shard.
-pub(crate) struct TcpTx {
+/// One directed TCP channel: the sender's unsent queue and window
+/// accounting, and the receiver's delivery sequence.
+#[derive(Default)]
+pub(crate) struct TcpChannel {
     pub(crate) in_flight: u32,
     pub(crate) queue: VecDeque<(Payload, u32)>,
     pub(crate) queued_bytes: u64,
@@ -100,44 +73,22 @@ pub(crate) struct TcpTx {
     /// delivery order, so anything else is a duplicate/late ack and is
     /// dropped instead of being subtracted from `in_flight` again.
     pub(crate) acked_segs: u64,
-    /// Channel incarnation, bumped (with the rx half's) when either
-    /// endpoint crashes. Acks in flight across a crash carry the old
-    /// epoch and are discarded — the bytes they acknowledge were already
-    /// written off by the reset, so subtracting them again would drive
-    /// `in_flight` negative.
-    pub(crate) epoch: u32,
-}
-
-impl TcpTx {
-    fn new() -> TcpTx {
-        TcpTx { in_flight: 0, queue: VecDeque::new(), queued_bytes: 0, acked_segs: 0, epoch: 0 }
-    }
-}
-
-/// Receiver-owned half of a TCP channel: the delivery sequence that
-/// stamps each ack. Lives in the receiving node's shard; its `epoch`
-/// mirrors the tx half's (both bumped only by `reset_tcp_of`).
-pub(crate) struct TcpRx {
     /// Segments delivered to the receiver so far; stamps each ack.
     pub(crate) delivered_segs: u64,
+    /// Channel incarnation, bumped when either endpoint crashes. Acks
+    /// in flight across a crash carry the old epoch and are discarded —
+    /// the bytes they acknowledge were already written off by the reset,
+    /// so subtracting them again would drive `in_flight` negative.
     pub(crate) epoch: u32,
-}
-
-impl TcpRx {
-    fn new() -> TcpRx {
-        TcpRx { delivered_segs: 0, epoch: 0 }
-    }
 }
 
 impl SimInner {
-    /// Exact per-size costs of a datagram, served from `shard`'s cost
-    /// cache (the config is frozen for the life of the simulation, so
-    /// the per-shard replicas can never disagree on values).
+    /// Exact per-size costs of a datagram, served from the cost cache.
     #[inline]
-    pub(crate) fn costs_for(&mut self, shard: usize, bytes: u32) -> SizeCosts {
+    pub(crate) fn costs_for(&mut self, bytes: u32) -> SizeCosts {
         let tag = bytes.wrapping_add(1);
         let i = (bytes.wrapping_mul(0x9E37_79B9) >> 26) as usize % COST_CACHE_WAYS;
-        let cache = &mut self.shards[shard].cost_cache;
+        let cache = &self.cost_cache;
         if cache.tags[i] == tag {
             return cache.costs[i];
         }
@@ -147,9 +98,8 @@ impl SimInner {
             recv: self.config.recv_cost(bytes),
             wire: self.config.wire_bytes(bytes),
         };
-        let cache = &mut self.shards[shard].cost_cache;
-        cache.tags[i] = tag;
-        cache.costs[i] = c;
+        self.cost_cache.tags[i] = tag;
+        self.cost_cache.costs[i] = c;
         c
     }
 
@@ -168,8 +118,7 @@ impl SimInner {
         if !self.node(src).up {
             return;
         }
-        let ss = self.shard_idx(src);
-        let costs = self.costs_for(ss, bytes);
+        let costs = self.costs_for(bytes);
         let now = self.now;
         let cpu_done = self.charge_core(src, 0, now, costs.send);
         let up = self.node_mut(src);
@@ -218,28 +167,20 @@ impl SimInner {
         let mut duplicate = false;
         if transport != Transport::Tcp {
             // Fault-injection draws come from the *source* node's RNG
-            // stream: the draw executes in the sender's context, so no
-            // stream is ever touched from a foreign shard and draw
-            // order is partition-independent (`shard` module docs).
+            // stream, so each node's draw sequence is a function of its
+            // own send order.
             let p_loss = self.config.random_loss;
             if p_loss > 0.0 && self.rng_for(src).gen::<f64>() < p_loss {
                 self.metrics.add_id(dst, mid::NET_RAND_DROP, 1);
                 return;
             }
-            // Switch egress port buffer (tail drop). In fast mode the
-            // destination's port clock has a single writer — its own
-            // shard — so the check runs in `switch_arrive` instead (the
-            // reorder/duplication draws below still run here: they come
-            // from the *source* stream, so each node's draw sequence
-            // stays a function of its own send order).
-            if !self.exec_fast {
-                let backlog = self.node(dst).downlink_free.saturating_since(arrive_at_switch);
-                let queued = self.config.backlog_bytes(backlog);
-                if queued + costs.wire > self.config.switch_port_buffer as u64 {
-                    self.metrics.add_id(dst, mid::NET_SWITCH_DROP, 1);
-                    self.metrics.add_id(dst, mid::NET_SWITCH_DROP_BYTES, bytes as u64);
-                    return;
-                }
+            // Switch egress port buffer (tail drop).
+            let backlog = self.node(dst).downlink_free.saturating_since(arrive_at_switch);
+            let queued = self.config.backlog_bytes(backlog);
+            if queued + costs.wire > self.config.switch_port_buffer as u64 {
+                self.metrics.add_id(dst, mid::NET_SWITCH_DROP, 1);
+                self.metrics.add_id(dst, mid::NET_SWITCH_DROP_BYTES, bytes as u64);
+                return;
             }
             let p_re = self.config.random_reorder;
             if p_re > 0.0 && self.rng_for(src).gen::<f64>() < p_re {
@@ -253,24 +194,6 @@ impl SimInner {
             duplicate = p_dup > 0.0 && self.rng_for(src).gen::<f64>() < p_dup;
         }
         let latency = self.config.one_way_latency;
-        if self.exec_fast {
-            // Fast mode: stop at the switch ingress. The egress-port
-            // math (backlog check, port-clock advance) relocates to the
-            // destination's shard via a `SwitchArrive` event, giving the
-            // port clock a single writer. Port contention therefore
-            // resolves in switch-arrival order — deterministic and
-            // thread-count invariant, though not necessarily the global
-            // send order determinism mode uses (shard module docs,
-            // "Executor modes").
-            if duplicate {
-                self.metrics.add_id(dst, mid::NET_DUPLICATED, 1);
-            }
-            let env = Envelope { src, dst, payload, wire_bytes: bytes, transport, tcp_epoch };
-            self.file_switch(arrive_at_switch, reorder_hold, duplicate, env);
-            return;
-        }
-        // Cross-shard write when src and dst live on different shards:
-        // the egress port is physically shared (see module docs).
         let down = self.node_mut(dst);
         let done = down.downlink_free.max(arrive_at_switch) + costs.tx;
         down.downlink_free = done;
@@ -290,119 +213,20 @@ impl SimInner {
         }
     }
 
-    /// Files a finished datagram at its destination: slab + queue when
-    /// the destination shard is the source's, inbox handoff otherwise.
-    /// The envelope is interned in the destination shard's slab; only
-    /// its EnvId moves through the HostArrive → Deliver pipeline.
+    /// Files a finished datagram at its destination. The envelope is
+    /// interned in the slab; only its `EnvId` moves through the
+    /// `HostArrive` → `Deliver` pipeline.
     fn file_arrival(&mut self, at_host: Time, env: Envelope) {
-        if self.first_event.is_none() {
-            self.first_event =
-                Some(format!("HostArrive {{ {:?} -> {:?} }} at {at_host}", env.src, env.dst));
-        }
-        let seq = self.next_seq();
-        let ss = self.shard_idx(env.src);
-        let ds = self.shard_idx(env.dst);
-        if ds == ss {
-            let id = self.shards[ds].envs.insert(env);
-            self.shards[ds].queue.push(at_host, seq, EventKind::HostArrive(id));
-        } else {
-            // Boundary crossing: hand off through the inbox. `at_host`
-            // is ≥ now + one_way_latency, which is what makes the
-            // deploy-time lookahead matrix sound (see `shard`).
-            self.cross_shard_events += 1;
-            if self.probe_on(crate::probe::category::EXEC) {
-                self.probe_handoff(ss, ds, env.dst);
-            }
-            self.shards[ds]
-                .inbox
-                .push((ss as u32, CrossShardEvent::Arrive { time: at_host, seq, env }));
-        }
+        let id = self.envs.insert(env);
+        self.schedule(at_host, EventKind::HostArrive(id));
     }
 
-    /// Fast mode: files a datagram's switch egress at the destination —
-    /// local push when src and dst share a shard, handoff otherwise.
-    /// Both paths schedule processing at `arrive + one_way_latency`, so
-    /// every packet racing for the destination's egress port joins a
-    /// single arrival-ordered stream, and the handoff lands exactly one
-    /// lookahead in the future (the bound `drain` asserts).
-    fn file_switch(&mut self, arrive: Time, hold: Dur, dup: bool, env: Envelope) {
-        let at = arrive + self.config.one_way_latency;
-        let seq = self.next_seq();
-        let ss = self.shard_idx(env.src);
-        let ds = self.shard_idx(env.dst);
-        if ds == ss {
-            let id = self.shards[ds].envs.insert(env);
-            self.shards[ds].queue.push(at, seq, EventKind::SwitchArrive { id, arrive, hold, dup });
-        } else {
-            self.cross_shard_events += 1;
-            if self.probe_on(crate::probe::category::EXEC) {
-                self.probe_handoff(ss, ds, env.dst);
-            }
-            self.shards[ds].inbox.push((
-                ss as u32,
-                CrossShardEvent::Switch { time: at, seq, env, arrive, hold, dup },
-            ));
-        }
-    }
-
-    /// Fast mode: destination-side switch egress, dispatched one link
-    /// latency after the true switch-arrival instant `arrive`. Applies
-    /// the serial engine's exact port math — backlog tail-drop (never
-    /// for TCP), port-clock advance, host arrival at
-    /// `done + latency + hold` — plus the trailing duplicate copy when
-    /// the sender's duplication draw fired.
-    pub(crate) fn switch_arrive(
-        &mut self,
-        sh: usize,
-        id: EnvId,
-        arrive: Time,
-        hold: Dur,
-        dup: bool,
-    ) {
-        let env = self.shards[sh].envs.get(id);
-        let (dst, bytes, transport) = (env.dst, env.wire_bytes, env.transport);
-        let costs = self.costs_for(sh, bytes);
-        if transport != Transport::Tcp {
-            let backlog = self.node(dst).downlink_free.saturating_since(arrive);
-            let queued = self.config.backlog_bytes(backlog);
-            if queued + costs.wire > self.config.switch_port_buffer as u64 {
-                self.metrics.add_id(dst, mid::NET_SWITCH_DROP, 1);
-                self.metrics.add_id(dst, mid::NET_SWITCH_DROP_BYTES, bytes as u64);
-                drop(self.shards[sh].envs.take(id));
-                return;
-            }
-        }
-        let latency = self.config.one_way_latency;
-        let down = self.node_mut(dst);
-        let done = down.downlink_free.max(arrive) + costs.tx;
-        down.downlink_free = done;
-        let at_host = done + latency + hold;
-        let seq = self.next_seq();
-        self.shards[sh].queue.push(at_host, seq, EventKind::HostArrive(id));
-        if dup {
-            let env = self.shards[sh].envs.get(id);
-            let copy = Envelope {
-                src: env.src,
-                dst: env.dst,
-                payload: env.payload.clone(),
-                wire_bytes: env.wire_bytes,
-                transport: env.transport,
-                tcp_epoch: env.tcp_epoch,
-            };
-            let id2 = self.shards[sh].envs.insert(copy);
-            let seq2 = self.next_seq();
-            // The duplicate copy trails the original by one latency.
-            self.shards[sh].queue.push(at_host + latency, seq2, EventKind::HostArrive(id2));
-        }
-    }
-
-    /// Tx-half slot of the `src -> dst` channel (in `src`'s shard), if
-    /// one exists.
+    /// Slot of the `src -> dst` channel, if one exists.
     #[inline]
-    pub(crate) fn tcp_tx_slot(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+    pub(crate) fn tcp_slot(&self, src: NodeId, dst: NodeId) -> Option<usize> {
         let n = self.tcp_nodes;
         if src.0 < n && dst.0 < n {
-            match self.tcp_tx_index[src.0 * n + dst.0] {
+            match self.tcp_index[src.0 * n + dst.0] {
                 0 => None,
                 i => Some(i as usize - 1),
             }
@@ -411,84 +235,28 @@ impl SimInner {
         }
     }
 
-    /// Rx-half slot of the `src -> dst` channel (in `dst`'s shard), if
-    /// one exists.
-    #[inline]
-    pub(crate) fn tcp_rx_slot(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        let n = self.tcp_nodes;
-        if src.0 < n && dst.0 < n {
-            match self.tcp_rx_index[src.0 * n + dst.0] {
-                0 => None,
-                i => Some(i as usize - 1),
-            }
-        } else {
-            None
-        }
-    }
-
-    /// Tx-half slot of the `src -> dst` channel, creating both halves
-    /// (and re-laying the dense index out if nodes were added since) as
-    /// needed.
+    /// Slot of the `src -> dst` channel, creating it (and re-laying the
+    /// dense index out if nodes were added since) as needed.
     fn tcp_slot_or_create(&mut self, src: NodeId, dst: NodeId) -> usize {
-        self.ensure_tcp_layout();
-        let n = self.tcp_nodes;
-        let cell = self.tcp_tx_index[src.0 * n + dst.0];
+        let n = self.nodes.len();
+        if n != self.tcp_nodes {
+            let old_n = self.tcp_nodes;
+            let mut index = vec![0u32; n * n];
+            for s in 0..old_n {
+                for d in 0..old_n {
+                    index[s * n + d] = self.tcp_index[s * old_n + d];
+                }
+            }
+            self.tcp_index = index;
+            self.tcp_nodes = n;
+        }
+        let cell = self.tcp_index[src.0 * n + dst.0];
         if cell != 0 {
             return cell as usize - 1;
         }
-        let ss = self.shard_idx(src);
-        let ds = self.shard_idx(dst);
-        let tx_slot = self.shards[ss].tcp_tx.len();
-        self.shards[ss].tcp_tx.push(TcpTx::new());
-        self.tcp_tx_index[src.0 * n + dst.0] = tx_slot as u32 + 1;
-        // Fast mode: a cross-shard rx arena belongs to another worker.
-        // The rx half materializes on the destination's shard at first
-        // delivery (`deliver_prework`) or is reconciled at worker merge;
-        // same-shard pairs keep the eager path.
-        if !self.exec_fast || ds == ss {
-            let rx_slot = self.shards[ds].tcp_rx.len();
-            self.shards[ds].tcp_rx.push(TcpRx::new());
-            self.tcp_rx_index[src.0 * n + dst.0] = rx_slot as u32 + 1;
-        }
-        tx_slot
-    }
-
-    /// Re-lays the dense TCP index tables out for the current node count
-    /// without creating any channel. The threaded executor calls this
-    /// before splitting workers so no worker ever resizes its private
-    /// index copy (merges stay cell-aligned).
-    pub(crate) fn ensure_tcp_layout(&mut self) {
-        let n_now = self.nodes.len();
-        if n_now != self.tcp_nodes {
-            let old_n = self.tcp_nodes;
-            let mut tx = vec![0u32; n_now * n_now];
-            let mut rx = vec![0u32; n_now * n_now];
-            for s in 0..old_n {
-                for d in 0..old_n {
-                    tx[s * n_now + d] = self.tcp_tx_index[s * old_n + d];
-                    rx[s * n_now + d] = self.tcp_rx_index[s * old_n + d];
-                }
-            }
-            self.tcp_tx_index = tx;
-            self.tcp_rx_index = rx;
-            self.tcp_nodes = n_now;
-        }
-    }
-
-    /// Creates the rx half of `src -> dst` in `dst`'s shard with the
-    /// given starting epoch. Fast-mode paths only: lazy creation at
-    /// first delivery, and the post-run merge reconcile for channels
-    /// whose segments were all still in flight.
-    pub(crate) fn tcp_rx_create(&mut self, src: NodeId, dst: NodeId, epoch: u32) -> usize {
-        let n = self.tcp_nodes;
-        debug_assert!(src.0 < n && dst.0 < n, "tcp layout predates this node");
-        debug_assert_eq!(self.tcp_rx_index[src.0 * n + dst.0], 0, "rx half already exists");
-        let ds = self.shard_idx(dst);
-        let slot = self.shards[ds].tcp_rx.len();
-        let mut rx = TcpRx::new();
-        rx.epoch = epoch;
-        self.shards[ds].tcp_rx.push(rx);
-        self.tcp_rx_index[src.0 * n + dst.0] = slot as u32 + 1;
+        let slot = self.tcp.len();
+        self.tcp.push(TcpChannel::default());
+        self.tcp_index[src.0 * n + dst.0] = slot as u32 + 1;
         slot
     }
 
@@ -500,13 +268,11 @@ impl SimInner {
         if !self.node(src).up {
             return;
         }
-        let Some(slot) = self.tcp_tx_slot(src, dst) else { return };
-        let ss = self.shard_idx(src);
+        let Some(slot) = self.tcp_slot(src, dst) else { return };
         let window = self.config.tcp_window_bytes;
         loop {
-            // Peer-liveness read; possibly cross-shard (module docs).
             let peer_down = !self.node(dst).up;
-            let ch = &mut self.shards[ss].tcp_tx[slot];
+            let ch = &mut self.tcp[slot];
             let Some(&(_, bytes)) = ch.queue.front() else { return };
             if peer_down {
                 // Segments to a down peer are written off at the sender
@@ -532,8 +298,7 @@ impl SimInner {
     /// Sends `payload` over the reliable channel from `src` to `dst`.
     pub fn tcp_send_from(&mut self, src: NodeId, dst: NodeId, payload: Payload, bytes: u32) {
         let slot = self.tcp_slot_or_create(src, dst);
-        let ss = self.shard_idx(src);
-        let ch = &mut self.shards[ss].tcp_tx[slot];
+        let ch = &mut self.tcp[slot];
         ch.queue.push_back((payload, bytes));
         ch.queued_bytes += bytes as u64;
         self.tcp_pump(src, dst);
@@ -541,12 +306,10 @@ impl SimInner {
 
     /// Resets every TCP channel touching `node` (crash semantics): queued
     /// and in-flight segments are written off under `net.tcp_reset_bytes`
-    /// on the sending node, the window reopens, and both halves' epochs
-    /// are bumped so acks from before the crash are discarded as stale.
+    /// on the sending node, the window reopens, and the channel epoch is
+    /// bumped so acks from before the crash are discarded as stale.
     /// Without this, segments dropped at a down node's downlink never ack
-    /// and the channel's window stays full forever. Control plane only
-    /// (driver-invoked between events), so the cross-shard writes here
-    /// need no handoff protocol.
+    /// and the channel's window stays full forever.
     pub(crate) fn reset_tcp_of(&mut self, node: NodeId) {
         let n = self.tcp_nodes;
         for src in 0..n {
@@ -573,24 +336,16 @@ impl SimInner {
     /// Resets one directed channel `src -> dst` (no-op if none exists):
     /// writes queued and in-flight bytes off at the sender, reopens the
     /// window, resynchronizes the ack expectation to the receiver's
-    /// delivery sequence, and bumps both halves' epochs.
+    /// delivery sequence, and bumps the epoch.
     fn reset_tcp_channel(&mut self, src: NodeId, dst: NodeId) {
-        let Some(tx_slot) = self.tcp_tx_slot(src, dst) else { return };
-        let rx_slot = self.tcp_rx_slot(src, dst).expect("halves paired");
-        // Read the rx half first: the tx half's ack expectation
-        // resynchronizes to the receiver's delivery sequence.
-        let rxs = self.shard_idx(dst);
-        let rx = &mut self.shards[rxs].tcp_rx[rx_slot];
-        let delivered = rx.delivered_segs;
-        rx.epoch = rx.epoch.wrapping_add(1);
-        let txs = self.shard_idx(src);
-        let tx = &mut self.shards[txs].tcp_tx[tx_slot];
-        let lost = tx.in_flight as u64 + tx.queued_bytes;
-        tx.queue.clear();
-        tx.queued_bytes = 0;
-        tx.in_flight = 0;
-        tx.acked_segs = delivered;
-        tx.epoch = tx.epoch.wrapping_add(1);
+        let Some(slot) = self.tcp_slot(src, dst) else { return };
+        let ch = &mut self.tcp[slot];
+        let lost = ch.in_flight as u64 + ch.queued_bytes;
+        ch.queue.clear();
+        ch.queued_bytes = 0;
+        ch.in_flight = 0;
+        ch.acked_segs = ch.delivered_segs;
+        ch.epoch = ch.epoch.wrapping_add(1);
         if lost > 0 {
             self.metrics.add_id(src, mid::NET_TCP_RESET_BYTES, lost);
         }
@@ -599,9 +354,9 @@ impl SimInner {
     /// Bytes queued (not yet transmitted) on the TCP channel `src -> dst`.
     /// Protocols use this for application-level back-pressure.
     pub fn tcp_backlog(&self, src: NodeId, dst: NodeId) -> u64 {
-        self.tcp_tx_slot(src, dst)
+        self.tcp_slot(src, dst)
             .map(|slot| {
-                let ch = &self.shards[self.shard_idx(src)].tcp_tx[slot];
+                let ch = &self.tcp[slot];
                 ch.queued_bytes + ch.in_flight as u64
             })
             .unwrap_or(0)

@@ -38,24 +38,24 @@
 //!
 //! # Thread safety
 //!
-//! The threaded shard executor (see `shard`/`threaded`) moves payloads
-//! between worker threads at cross-shard handoff boundaries, and an
-//! in-flight clone (e.g. a TCP retransmit copy) can be observed from two
-//! workers at once. Blocks therefore use an atomic reference count, the
-//! wrapped value must be `Send + Sync`, and `Payload` is `Send + Sync`,
-//! exactly like the `Arc` it now mirrors. Allocation stays thread-local
-//! (each worker bumps its own chunks); a block freed on a different
-//! thread than it was allocated on simply joins the freeing thread's
-//! free list — safe because chunks are never returned to the allocator,
-//! so the backing memory outlives every thread that can hold a handle.
+//! The arena and its handles are single-threaded by type. The pool is
+//! `thread_local`, a block's reference count is a plain `Cell<u32>`, and
+//! [`Payload`] wraps a raw `NonNull`, so it is neither `Send` nor `Sync`:
+//! the compiler rejects moving or sharing a handle across threads, which
+//! is what makes the non-atomic count and the free-list push on drop
+//! sound. Each thread that runs a `Sim` gets its own arena.
+//!
+//! ```compile_fail
+//! let p = simnet::payload::Payload::new(7u32);
+//! std::thread::spawn(move || drop(p)); // `Payload` is not `Send`
+//! ```
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::any::{Any, TypeId};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::mem::{align_of, size_of};
 use std::ptr::NonNull;
-use std::sync::atomic::{fence, AtomicU32, Ordering};
 
 /// Block size classes (bytes), header included. Chosen to cover the
 /// protocol message enums in use: most fit the first two classes.
@@ -72,7 +72,7 @@ const CHUNK_SIZE: usize = 64 * 1024;
 /// Header at the start of every payload block; the value lives at
 /// `offset` bytes from the block start.
 struct Header {
-    strong: AtomicU32,
+    strong: Cell<u32>,
     /// Size-class index, or [`CLASS_GLOBAL`].
     class: u8,
     /// Byte offset of the value within the block.
@@ -168,19 +168,13 @@ unsafe fn drop_value_of<T>(h: *mut Header) {
 }
 
 /// A reference-counted, dynamically-typed message body backed by the
-/// thread-local payload arena.
+/// thread-local payload arena. Not `Send`/`Sync` (module docs, "Thread
+/// safety").
 pub struct Payload(NonNull<Header>);
-
-// SAFETY: the wrapped value is `Send + Sync` (enforced by `Payload::new`),
-// the reference count is atomic, and freed blocks point into chunks that
-// are never deallocated, so handles may move between and be shared across
-// the executor's worker threads (see module docs, "Thread safety").
-unsafe impl Send for Payload {}
-unsafe impl Sync for Payload {}
 
 impl Payload {
     /// Wraps a concrete message value.
-    pub fn new<T: Any + Send + Sync>(value: T) -> Payload {
+    pub fn new<T: Any>(value: T) -> Payload {
         let align = align_of::<T>().max(align_of::<Header>());
         let offset = round_up(size_of::<Header>(), align);
         let total = offset + size_of::<T>();
@@ -198,7 +192,7 @@ impl Payload {
         // disjoint by construction of `offset`.
         unsafe {
             header.write(Header {
-                strong: AtomicU32::new(1),
+                strong: Cell::new(1),
                 class,
                 offset: offset as u32,
                 size: total as u32,
@@ -250,27 +244,24 @@ impl Payload {
 impl Clone for Payload {
     #[inline]
     fn clone(&self) -> Payload {
-        // Relaxed suffices for an increment from a live handle (same
-        // argument as `Arc::clone`). Abort well before the count can
-        // wrap: a wrapped count would free the block under live handles.
-        let n = self.header().strong.fetch_add(1, Ordering::Relaxed);
-        if n > u32::MAX / 2 {
+        // Abort before the count can wrap: a wrapped count would free
+        // the block under live handles.
+        let strong = &self.header().strong;
+        if strong.get() == u32::MAX {
             std::process::abort();
         }
+        strong.set(strong.get() + 1);
         Payload(self.0)
     }
 }
 
 impl Drop for Payload {
     fn drop(&mut self) {
-        // Release on the decrement orders this handle's value accesses
-        // before the free; the Acquire fence on the last decrement
-        // orders the free after every other handle's accesses (the
-        // `Arc::drop` protocol).
-        if self.header().strong.fetch_sub(1, Ordering::Release) != 1 {
+        let strong = &self.header().strong;
+        strong.set(strong.get() - 1);
+        if strong.get() != 0 {
             return;
         }
-        fence(Ordering::Acquire);
         let header = self.0.as_ptr();
         // SAFETY: last reference; the block was produced by `new`, so the
         // stored drop fn matches the stored value.
@@ -322,7 +313,7 @@ mod tests {
 
     #[test]
     fn value_drops_exactly_once_on_last_handle() {
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
         let alive = Arc::new(AtomicBool::new(true));
         struct Guard(Arc<AtomicBool>);

@@ -1,23 +1,23 @@
-//! Deterministic structured tracing: per-shard ring-buffer tracers,
-//! instance lifecycle spans, executor telemetry, and trace exporters.
+//! Deterministic structured tracing: a ring-buffer tracer, instance
+//! lifecycle spans, and trace exporters.
 //!
 //! # Design
 //!
 //! The probe layer is always compiled and zero-overhead when disabled
 //! (the default): every hook site is a single predictable branch on
-//! [`SimInner::probe_on`] — one `u8` mask test — and the record path
-//! behind it is `#[cold]`/`#[inline(never)]`, so the engine's hot loops
-//! are untouched when probes are off. Recording is *pure observation*:
-//! it allocates no event sequence numbers, draws no randomness, and
-//! bumps no [`crate::stats::Metrics`] counter, so enabling probes leaves
-//! golden traces bit-identical (the `ringpaxos` golden-trace tests pin
-//! both the disabled and the enabled case).
+//! [`SimInner::probe_on`](crate::sim::SimInner) — one `u8` mask test —
+//! and the record path behind it is `#[cold]`/`#[inline(never)]`, so the
+//! engine's hot loops are untouched when probes are off. Recording is
+//! *pure observation*: it allocates no event sequence numbers, draws no
+//! randomness, and bumps no [`crate::stats::Metrics`] counter, so
+//! enabling probes leaves golden traces bit-identical (the `ringpaxos`
+//! golden-trace tests pin both the disabled and the enabled case).
 //!
 //! # Event model
 //!
 //! A [`ProbeEvent`] is a compact fixed-width record: virtual timestamp,
 //! originating node, a [`code`] describing what happened, and one
-//! code-specific argument word. Events fall into four [`category`]
+//! code-specific argument word. Events fall into three [`category`]
 //! groups, individually enabled through [`ProbeConfig::categories`]:
 //!
 //! * **protocol** — consensus lifecycle points recorded by actors
@@ -25,44 +25,26 @@
 //!   deliver (see [`code`]).
 //! * **net** — datagram send/receive as seen by the engine.
 //! * **host** — timer and disk completions.
-//! * **executor** — cross-shard handoffs (which also feed the
-//!   shard-pair handoff matrix) and, in fast mode, per-worker wall-clock
-//!   telemetry ([`WorkerTelemetry`]).
 //!
-//! # Determinism and thread-count invariance
+//! # Determinism
 //!
-//! Each shard owns a private ring-buffer tracer (inside
-//! [`crate::shard::ShardState`], so tracers travel with their shards
-//! through the threaded executor's split/merge and the layer stays
-//! `Send`-clean). Every record site executes on the recorded node's own
-//! shard — or, for handoffs, the *source* shard — so a shard's stream is
-//! a pure function of its own dispatch order. Events deliberately carry
-//! **no engine sequence number**: fast mode re-sequences cross-shard
-//! handoffs with worker-local seqs, so raw seqs differ across thread
-//! counts. Instead the merge key is `(time, shard, per-shard record
-//! index)`, all three of which are thread-count invariant within an
-//! executor mode. [`crate::sim::Sim::probe_events`] returns that merged
-//! stream, and [`encode`] serializes it to bytes for the bit-identity
-//! tests. (The two executor *modes* produce different streams — fast
-//! mode's handoff set differs by design — so identity is gated within
-//! each mode, matching the engine's own guarantees.)
-//!
-//! Wall-clock worker telemetry (busy vs barrier-wait durations) is kept
-//! *outside* the deterministic stream: it is measurement of the host
-//! machine, not of the simulation. The deterministic parts of
-//! [`WorkerTelemetry`] (rounds, events, realized window widths) and the
-//! handoff matrix are thread-count invariant in aggregate.
+//! The engine owns one ring-buffer tracer and records into it in
+//! dispatch order, so the stream is a pure function of the seed. Events
+//! may be back-stamped ([`crate::sim::Ctx::probe_at`]), so
+//! [`crate::sim::Sim::probe_events`] returns the stream sorted by
+//! `(time, record order)`, and [`encode`] serializes it to bytes for the
+//! bit-identity tests.
 //!
 //! # Reading a trace
 //!
-//! Post-run, [`lifecycle_spans`] folds the merged stream into
-//! per-instance propose→2A→2B→decide→deliver spans and [`decompose`]
-//! aggregates them into the latency-decomposition report the ch3/ch5
-//! figures consume. [`perfetto_json`] writes the whole stream as a
-//! Chrome/Perfetto `trace_event` JSON file (one track per node, one per
-//! worker) — load it at `ui.perfetto.dev`. [`CounterSampler`] snapshots
-//! a [`crate::stats::Metrics`] counter into time-series rows, the
-//! shared engine under the bench harness's throughput traces.
+//! Post-run, [`lifecycle_spans`] folds the stream into per-instance
+//! propose→2A→2B→decide→deliver spans and [`decompose`] aggregates them
+//! into the latency-decomposition report the ch3/ch5 figures consume.
+//! [`perfetto_json`] writes the whole stream as a Chrome/Perfetto
+//! `trace_event` JSON file (one track per node) — load it at
+//! `ui.perfetto.dev`. [`CounterSampler`] snapshots a
+//! [`crate::stats::Metrics`] counter into time-series rows, the shared
+//! engine under the bench harness's throughput traces.
 
 use crate::ids::NodeId;
 use crate::sim::Sim;
@@ -77,10 +59,8 @@ pub mod category {
     pub const NET: u8 = 1 << 1;
     /// Timer and disk completion events.
     pub const HOST: u8 = 1 << 2;
-    /// Cross-shard handoffs + executor telemetry.
-    pub const EXEC: u8 = 1 << 3;
     /// Every category.
-    pub const ALL: u8 = PROTOCOL | NET | HOST | EXEC;
+    pub const ALL: u8 = PROTOCOL | NET | HOST;
 }
 
 /// Well-known probe event codes. The protocol block (1–15) is recorded
@@ -109,9 +89,6 @@ pub mod code {
     pub const HOST_TIMER: u16 = 32;
     /// A disk write completed. `arg` is the completion token.
     pub const HOST_DISK: u16 = 33;
-    /// An event crossed a shard boundary. `arg` =
-    /// `from_shard << 32 | to_shard`; recorded on the *source* shard.
-    pub const EXEC_HANDOFF: u16 = 48;
 
     /// Human-readable name of a code (unknown codes render as `app`,
     /// the namespace left to actor-defined codes ≥ 256).
@@ -127,7 +104,6 @@ pub mod code {
             NET_RECV => "net_recv",
             HOST_TIMER => "timer",
             HOST_DISK => "disk",
-            EXEC_HANDOFF => "handoff",
             _ => "app",
         }
     }
@@ -137,13 +113,12 @@ pub mod code {
         match c {
             NET_SEND | NET_RECV => super::category::NET,
             HOST_TIMER | HOST_DISK => super::category::HOST,
-            EXEC_HANDOFF => super::category::EXEC,
             _ => super::category::PROTOCOL,
         }
     }
 }
 
-/// Default per-shard tracer capacity (events). A cap, not a
+/// Default tracer capacity (events). A cap, not a
 /// preallocation: buffers grow on demand and wrap once full.
 pub const DEFAULT_CAPACITY: usize = 1 << 20;
 
@@ -153,11 +128,8 @@ pub struct ProbeConfig {
     /// Which [`category`] bits to record. `0` disables everything (the
     /// default): hook sites reduce to one false branch.
     pub categories: u8,
-    /// Per-shard ring-buffer capacity in events. Once full, the oldest
-    /// events are overwritten (counted by [`Sim::probe_dropped`]).
-    /// Capacity `0` keeps event buffering off while still maintaining
-    /// the cheap aggregates of the enabled categories (the handoff
-    /// matrix, worker telemetry).
+    /// Ring-buffer capacity in events. Once full, the oldest events are
+    /// overwritten (counted by [`Sim::probe_dropped`]).
     pub capacity: usize,
 }
 
@@ -181,12 +153,6 @@ impl ProbeConfig {
     /// Protocol lifecycle events only (instance spans).
     pub fn lifecycle() -> ProbeConfig {
         ProbeConfig { categories: category::PROTOCOL, capacity: DEFAULT_CAPACITY }
-    }
-
-    /// Executor aggregates only (handoff matrix + worker telemetry),
-    /// with no event buffering — the cheapest useful configuration.
-    pub fn executor_only() -> ProbeConfig {
-        ProbeConfig { categories: category::EXEC, capacity: 0 }
     }
 
     /// Whether any category is enabled.
@@ -228,10 +194,10 @@ pub fn encode(events: &[ProbeEvent]) -> Vec<u8> {
     out
 }
 
-/// Per-shard ring-buffer tracer. Private to the engine; read back
-/// merged through [`Sim::probe_events`].
+/// Ring-buffer tracer. Private to the engine; read back through
+/// [`Sim::probe_events`].
 #[derive(Default, Debug)]
-pub(crate) struct ShardTracer {
+pub(crate) struct Tracer {
     /// Event storage; grows to `capacity` then wraps.
     buf: Vec<ProbeEvent>,
     /// Next overwrite position once the buffer has wrapped.
@@ -242,7 +208,7 @@ pub(crate) struct ShardTracer {
     dropped: u64,
 }
 
-impl ShardTracer {
+impl Tracer {
     /// Re-arms the tracer with a new capacity, clearing prior events.
     pub(crate) fn reset(&mut self, capacity: usize) {
         self.buf.clear();
@@ -271,17 +237,10 @@ impl ShardTracer {
         self.dropped
     }
 
-    /// Events in record order (oldest first), with each event's
-    /// per-shard record index — `dropped + position`, so indexes are
-    /// stable even after the ring wraps.
-    pub(crate) fn chronological(&self) -> impl Iterator<Item = (u64, ProbeEvent)> + '_ {
+    /// Events in record order (oldest first).
+    pub(crate) fn chronological(&self) -> impl Iterator<Item = ProbeEvent> + '_ {
         let (wrapped, first) = self.buf.split_at(self.head);
-        first
-            .iter()
-            .chain(wrapped.iter())
-            .copied()
-            .enumerate()
-            .map(|(i, ev)| (self.dropped + i as u64, ev))
+        first.iter().chain(wrapped.iter()).copied()
     }
 }
 
@@ -293,7 +252,7 @@ pub fn span_key(ring: u32, instance: u64) -> u64 {
     ((ring as u64) << 48) | (instance & 0x0000_FFFF_FFFF_FFFF)
 }
 
-/// Per-instance lifecycle timestamps, folded from a merged probe stream
+/// Per-instance lifecycle timestamps, folded from a probe stream
 /// by [`lifecycle_spans`]. Each stage holds the *earliest* matching
 /// event (e.g. the first learner to deliver).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -324,7 +283,7 @@ impl InstanceSpan {
     }
 }
 
-/// Folds a merged probe stream into per-instance lifecycle spans,
+/// Folds a probe stream into per-instance lifecycle spans,
 /// sorted by key. Only protocol-category lifecycle codes participate;
 /// each stage keeps its earliest timestamp.
 pub fn lifecycle_spans(events: &[ProbeEvent]) -> Vec<InstanceSpan> {
@@ -466,61 +425,12 @@ impl LifecycleReport {
     }
 }
 
-/// Wall-clock and schedule telemetry of one fast-mode worker, collected
-/// when the [`category::EXEC`] probe category is enabled. `rounds`,
-/// `events`, and `window_ns` describe the deterministic schedule; `busy`
-/// and `barrier_wait` are host wall-clock measurements (not part of any
-/// determinism guarantee). The round count (identical for every worker
-/// — all advance through the same gmin sequence in lockstep), the
-/// events total across workers, and the handoff matrix are thread-count
-/// invariant; the per-worker event split and the realized window widths
-/// describe the worker's owned-shard subset, so they follow the
-/// shard → worker assignment.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerTelemetry {
-    /// Worker index (`shard % workers == worker`).
-    pub worker: usize,
-    /// Barrier rounds this worker participated in.
-    pub rounds: u64,
-    /// Events this worker dispatched.
-    pub events: u64,
-    /// Sum of realized window widths: virtual time actually spanned by
-    /// this worker's dispatches per round (≤ the nominal safe window).
-    pub window_ns: u128,
-    /// Wall-clock time outside barrier waits.
-    pub busy: std::time::Duration,
-    /// Wall-clock time blocked on the two round barriers.
-    pub barrier_wait: std::time::Duration,
-}
-
-impl WorkerTelemetry {
-    /// Mean realized window width per round.
-    pub fn mean_window(&self) -> Dur {
-        if self.rounds == 0 {
-            Dur::ZERO
-        } else {
-            Dur::nanos((self.window_ns / self.rounds as u128) as u64)
-        }
-    }
-
-    /// Fraction of wall time spent blocked on barriers.
-    pub fn barrier_frac(&self) -> f64 {
-        let total = self.busy + self.barrier_wait;
-        if total.is_zero() {
-            0.0
-        } else {
-            self.barrier_wait.as_secs_f64() / total.as_secs_f64()
-        }
-    }
-}
-
-/// Writes a probe stream (plus optional worker telemetry) as
-/// Chrome/Perfetto `trace_event` JSON: one track per node (pid 1), one
-/// async span per instance (pid 2), one track per worker (pid 3).
-/// Timestamps are virtual microseconds; worker spans use wall-clock
-/// microseconds on their own process row. Load at `ui.perfetto.dev` or
-/// `chrome://tracing`.
-pub fn perfetto_json(events: &[ProbeEvent], workers: &[WorkerTelemetry]) -> String {
+/// Writes a probe stream as Chrome/Perfetto `trace_event` JSON: one
+/// track per node (pid 1), one async span per instance (pid 2).
+/// Timestamps are virtual microseconds. Load at `ui.perfetto.dev` or
+/// `chrome://tracing`. `_unused` is ignored: `benchmark/` still passes
+/// a second slice (ROADMAP item 1 removes it).
+pub fn perfetto_json(events: &[ProbeEvent], _unused: &[()]) -> String {
     let mut out = String::with_capacity(events.len() * 96 + 4096);
     out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
     let mut first = true;
@@ -566,7 +476,6 @@ pub fn perfetto_json(events: &[ProbeEvent], workers: &[WorkerTelemetry]) -> Stri
                 match code::category_of(e.code) {
                     category::NET => "net",
                     category::HOST => "host",
-                    category::EXEC => "exec",
                     _ => "protocol",
                 },
                 e.node,
@@ -595,29 +504,6 @@ pub fn perfetto_json(events: &[ProbeEvent], workers: &[WorkerTelemetry]) -> Stri
                 sp.key
             ),
         );
-    }
-    if !workers.is_empty() {
-        push(
-            &mut out,
-            &mut first,
-            "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":3,\"args\":{\"name\":\"executor\"}}"
-                .into(),
-        );
-        for w in workers {
-            let busy_us = w.busy.as_secs_f64() * 1e6;
-            let wait_us = w.barrier_wait.as_secs_f64() * 1e6;
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"busy\",\"cat\":\"executor\",\"ph\":\"X\",\"ts\":0,\"dur\":{busy_us:.1},\"pid\":3,\"tid\":{},\"args\":{{\"rounds\":{},\"events\":{},\"barrier_wait_us\":{wait_us:.1},\"mean_window_us\":{:.3}}}}}",
-                    w.worker,
-                    w.rounds,
-                    w.events,
-                    w.mean_window().as_nanos() as f64 / 1000.0
-                ),
-            );
-        }
     }
     out.push_str("\n]}\n");
     out
@@ -693,20 +579,20 @@ mod tests {
 
     #[test]
     fn tracer_wraps_and_keeps_newest() {
-        let mut tr = ShardTracer::default();
+        let mut tr = Tracer::default();
         tr.reset(3);
         for i in 0..5u64 {
             tr.record(ev(i, 0, code::PROPOSE, i));
         }
         assert_eq!(tr.dropped(), 2);
-        let got: Vec<(u64, u64)> = tr.chronological().map(|(idx, e)| (idx, e.arg)).collect();
-        // Oldest two (args 0, 1) were overwritten; indexes stay global.
-        assert_eq!(got, vec![(2, 2), (3, 3), (4, 4)]);
+        let got: Vec<u64> = tr.chronological().map(|e| e.arg).collect();
+        // Oldest two (args 0, 1) were overwritten.
+        assert_eq!(got, vec![2, 3, 4]);
     }
 
     #[test]
     fn tracer_capacity_zero_records_nothing() {
-        let mut tr = ShardTracer::default();
+        let mut tr = Tracer::default();
         tr.record(ev(1, 0, code::PROPOSE, 1));
         assert_eq!(tr.chronological().count(), 0);
         assert_eq!(tr.dropped(), 0);
@@ -773,12 +659,10 @@ mod tests {
             ev(2_000, 0, code::PHASE2A, k),
             ev(9_000, 1, code::DELIVER, k),
         ];
-        let workers = [WorkerTelemetry { worker: 0, rounds: 4, events: 10, ..Default::default() }];
-        let json = perfetto_json(&events, &workers);
+        let json = perfetto_json(&events, &[]);
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"name\":\"node 0\""));
         assert!(json.contains("\"name\":\"instance 1\""));
-        assert!(json.contains("\"name\":\"busy\""));
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);

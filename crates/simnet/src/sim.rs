@@ -7,10 +7,11 @@
 //!
 //! # Layering
 //!
-//! The engine is split into modules with strict downward dependencies;
-//! this module holds the shared vocabulary ([`Envelope`], [`Actor`],
-//! [`Ctx`], [`Sim`]/[`SimInner`]) and the cluster control plane
-//! (construction, crash injection, group membership):
+//! The engine is one event queue drained on one thread, split into
+//! modules with strict downward dependencies; this module holds the
+//! shared vocabulary ([`Envelope`], [`Actor`], [`Ctx`],
+//! [`Sim`]/[`SimInner`]) and the cluster control plane (construction,
+//! crash injection, group membership):
 //!
 //! * [`crate::event_queue`] — the future event set (calendar queue with
 //!   sorted buckets + overflow heap). Knows nothing of the simulation.
@@ -18,11 +19,8 @@
 //!   timers. Never crosses a node boundary.
 //! * [`crate::net`] — the datagram pipeline, multicast fan-out, cost
 //!   cache, and TCP channels. Spans exactly two nodes per operation.
-//! * [`crate::shard`] — the partition map, per-shard state arenas, the
-//!   cross-shard handoff inboxes, and the lookahead scaffold for the
-//!   future threaded executor.
-//! * [`crate::dispatch`] — the event vocabulary, the round-robin shard
-//!   executor, and the actor run loop (batched delivery coalescing).
+//! * [`crate::dispatch`] — the event vocabulary and the actor run loop:
+//!   pop the smallest `(time, seq)` key, dispatch it.
 //!
 //! # Resource model
 //!
@@ -76,61 +74,40 @@
 //! delivery), so the per-event structures are all dense and index-based:
 //! the future event set is a calendar queue of compact keys over an
 //! event-kind slab (see [`crate::event_queue`] for the bucket-width
-//! heuristic and the O(1) sorted-bucket pop), TCP channels live in
-//! per-node-pair slot tables, metrics are pre-interned counters in
-//! per-shard row banks ([`crate::stats`]), and multicast fan-out reuses
-//! one scratch buffer. Determinism is unaffected by any of it — events
-//! dispatch in exact `(time, seq)` order under every partition, so any
-//! run is bit-for-bit reproducible from its seed (the golden-trace tests
-//! in `ringpaxos` pin this down, under both one- and two-shard
-//! partitions).
+//! heuristic and the O(1) sorted-bucket pop), TCP channels live in a
+//! per-node-pair slot table, metrics are pre-interned counters in dense
+//! per-node rows ([`crate::stats`]), and multicast fan-out reuses one
+//! scratch buffer. Determinism is unaffected by any of it — events
+//! dispatch in exact `(time, seq)` order, `seq` being one counter bumped
+//! per scheduled event, and each node draws from its own RNG stream (a
+//! pure hash of `(seed, node)`), so any run is bit-for-bit reproducible
+//! from its seed (the golden-trace tests in `ringpaxos` pin this down).
 //!
 //! ## Envelope slab
 //!
-//! [`Envelope`] bodies are interned in a recycling slab on the
-//! destination's shard for their whole queued life: the downlink files
-//! the envelope once and the `HostArrive` → `Deliver` hand-off moves a
-//! 4-byte index between queue entries instead of the ~40-byte struct
-//! (and never touches the payload refcount). The body is taken back out
-//! of the slab exactly once, on delivery (or on a pre-delivery drop),
-//! which immediately recycles the slot for the next send. Unicast sends
-//! move the caller's payload handle straight into the slab — the
-//! clone-per-destination loop only runs for true multicast fan-out — so
-//! a datagram's payload refcount is touched exactly twice: once at
-//! creation, once at drop.
-//!
-//! ## Batched delivery dispatch
-//!
-//! Same-instant delivery runs are the common case under batching: a
-//! multicast fan-in, a ring neighbour's paced burst, or an
-//! infinite-bandwidth configuration can land dozens of packets on one
-//! node at one virtual timestamp. The run loop coalesces each maximal
-//! run of consecutive `Deliver` events with the same destination and
-//! timestamp into one reusable inbox and hands the whole slice to
-//! [`Actor::on_batch`], so the box-take/box-put and `Ctx` construction
-//! around the actor callback are paid once per run instead of once per
-//! packet. Per-packet engine work (socket accounting, receive metrics,
-//! TCP ack generation) still happens per envelope, in exact pop order,
-//! before the actor sees the slice: delivery order, message-handling
-//! order, and counter values match unbatched dispatch exactly. The one
-//! engine-internal difference is sequence numbering at a coalesced
-//! instant — later envelopes' acks are filed before the first actor
-//! callback runs instead of interleaved after it — which is observable
-//! only when an actor's reply lands at the *same* virtual instant as
-//! those acks (requires a zero-cost/zero-latency configuration; the
-//! paper-calibrated configs keep ack and reply instants distinct, and
-//! the golden-trace tests pin that their traces are bit-identical).
+//! [`Envelope`] bodies are interned in a recycling slab for their whole
+//! queued life: the downlink files the envelope once and the
+//! `HostArrive` → `Deliver` hand-off moves a 4-byte index between queue
+//! entries instead of the ~40-byte struct (and never touches the payload
+//! refcount). The body is taken back out of the slab exactly once, on
+//! delivery (or on a pre-delivery drop), which immediately recycles the
+//! slot for the next send. Unicast sends move the caller's payload
+//! handle straight into the slab — the clone-per-destination loop only
+//! runs for true multicast fan-out — so a datagram's payload refcount is
+//! touched exactly twice: once at creation, once at drop.
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use crate::config::SimConfig;
+use crate::dispatch::EventKind;
+use crate::event_queue::{EventQueue, Slab};
 use crate::host::Node;
 use crate::ids::{GroupId, NodeId, TimerToken};
+use crate::net::{CostCache, TcpChannel};
 use crate::payload::Payload;
-use crate::shard::{Partition, ShardState};
+use crate::probe::{ProbeConfig, ProbeEvent, Tracer};
 use crate::stats::{MetricId, Metrics};
-use crate::threaded::ExecMode;
 use crate::time::{Dur, Time};
 
 /// How a message travelled, as seen by the receiving actor.
@@ -167,128 +144,75 @@ pub struct Envelope {
 
 /// A process deployed on a node. All interaction with the outside world
 /// happens through the [`Ctx`] passed to each callback.
-///
-/// Actors are `Send`: the threaded shard executor moves each node's actor
-/// to the worker that owns the node's shard for the duration of a run.
-/// Only one worker touches an actor at a time (`&mut` discipline is
-/// preserved), so `Sync` is not required.
-pub trait Actor: Send {
+pub trait Actor {
     /// Called once when the simulation starts (or the actor is installed).
     fn on_start(&mut self, _ctx: &mut Ctx) {}
     /// Called when a message is delivered to this node.
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx);
-    /// Called when a run of two or more messages lands on this node at
-    /// the same virtual instant (a multicast fan-in or a same-tick
-    /// burst). The default loops [`Actor::on_message`] over the slice in
-    /// delivery order; single deliveries go straight to `on_message`.
-    /// Overrides must process every envelope and preserve per-message
-    /// semantics — the engine guarantees the slice order is the exact
-    /// unbatched delivery order, and protocols may amortize per-burst
-    /// work (borrow setup, post-ingest pumps) across it.
-    fn on_batch(&mut self, envs: &[Envelope], ctx: &mut Ctx) {
-        for env in envs {
-            self.on_message(env, ctx);
-        }
-    }
     /// Called when a timer set through [`Ctx::set_timer`] fires.
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Ctx) {}
 }
 
 /// Everything in the simulation except the actors themselves. Split out so
-/// actor callbacks can borrow it mutably through [`Ctx`]. Per-node engine
-/// state lives in the [`ShardState`] arenas (node resource clocks in the
-/// flat `nodes` arena); see [`crate::shard`] for the sharded-vs-global
-/// split.
+/// actor callbacks can borrow it mutably through [`Ctx`].
 pub struct SimInner {
     pub(crate) config: SimConfig,
     pub(crate) now: Time,
-    /// Global event sequence counter, shared by every shard (the
-    /// keystone of partition-independent dispatch order).
+    /// Event sequence counter: the tiebreaker of the `(time, seq)`
+    /// dispatch key, bumped once per scheduled event.
     pub(crate) seq: u64,
     /// Events dispatched so far (the denominator of wall-clock events/sec).
     pub(crate) events: u64,
-    /// Actor dispatch calls made for deliveries (a same-instant run of
-    /// coalesced deliveries counts once) and the deliveries they carried
-    /// — `delivered / dispatches` is the mean batch size the engine
-    /// amortizes the actor indirection over. Not part of [`Metrics`]: a
-    /// pure engine statistic, invisible to golden-trace checksums.
-    pub(crate) dispatches: u64,
-    pub(crate) dispatched_msgs: u64,
-    /// The per-shard state arenas (queues, slabs, TCP halves, inboxes).
-    pub(crate) shards: Vec<ShardState>,
-    /// Node resource clocks, indexed directly by node id. Kept flat —
-    /// outside the shard arenas — because this is the hottest load in
-    /// the engine; each node's clocks are still touched only by its own
-    /// shard's events ([`crate::shard`] module docs, "What is sharded").
+    /// Messages handed to actors so far. Not part of [`Metrics`]: a pure
+    /// engine statistic, invisible to golden-trace checksums.
+    pub(crate) deliveries: u64,
+    /// The future event set.
+    pub(crate) queue: EventQueue<EventKind>,
+    /// Bodies of queued `HostArrive`/`Deliver` envelopes (module docs,
+    /// "Envelope slab").
+    pub(crate) envs: Slab<Envelope>,
+    /// Node resource clocks, indexed by node id.
     pub(crate) nodes: Vec<Node>,
-    /// The active node → shard map.
-    pub(crate) partition: Partition,
-    /// Per-shard-pair lookahead matrix, `lookahead[a * k + b]`
-    /// (see [`Sim::safe_window`]).
-    pub(crate) lookahead: Vec<Dur>,
-    /// Events that crossed a shard boundary through a handoff inbox.
-    /// Engine statistic, not a [`Metrics`] counter.
-    pub(crate) cross_shard_events: u64,
+    /// Per-node RNG streams, indexed by node id and derived lazily
+    /// ([`SimInner::rng_for`]) from a pure hash of `(config.seed, node)`.
+    pub(crate) rngs: Vec<SmallRng>,
     pub(crate) groups: Vec<Vec<NodeId>>,
     /// Reusable destination buffer for multicast fan-out (avoids one
     /// allocation per multicast on the hot path).
     pub(crate) mcast_scratch: Vec<NodeId>,
-    /// Dense TCP channel tables: `tcp_tx_index[src * n + dst]` holds
-    /// `slot + 1` into the source shard's `tcp_tx` (0 = no channel yet);
-    /// `tcp_rx_index` likewise into the destination shard's `tcp_rx`.
-    /// Two maps because the halves live in (potentially) different
-    /// shards' arenas. Rebuilt lazily when nodes are added.
-    pub(crate) tcp_tx_index: Vec<u32>,
-    pub(crate) tcp_rx_index: Vec<u32>,
-    /// Node count the TCP index tables were laid out for.
+    /// TCP channels, and the dense table locating them:
+    /// `tcp_index[src * n + dst]` holds `slot + 1` into `tcp` (0 = no
+    /// channel yet). Re-laid out lazily when nodes are added.
+    pub(crate) tcp: Vec<TcpChannel>,
+    pub(crate) tcp_index: Vec<u32>,
+    /// Node count `tcp_index` was laid out for.
     pub(crate) tcp_nodes: usize,
+    /// Memo of the pure per-size datagram costs.
+    pub(crate) cost_cache: CostCache,
     /// Symmetrically cut links (fault injection): unordered node pairs
     /// stored as `(lo, hi)`. Traffic on a cut link — every transport,
     /// TCP included — is dropped at the switch (`net.part_drop`).
     /// Control-plane state, written only between events
     /// ([`Sim::set_link_cut`]).
     pub(crate) cut_links: std::collections::HashSet<(u32, u32)>,
-    /// Whether this inner is executing inside a fast-mode worker. Flips
-    /// the `net`/`dispatch` layers onto the destination-side egress path
-    /// ([`crate::dispatch::EventKind::SwitchArrive`]) and relaxes the
-    /// cross-shard coalescing guard. Always `false` on the control-plane
-    /// inner; set only on the worker copies the threaded executor splits
-    /// off ([`crate::threaded`]).
-    pub(crate) exec_fast: bool,
-    /// Debug description of the first event ever scheduled, captured so
-    /// [`Sim::set_partition`]'s ordering panic can name the offender.
-    pub(crate) first_event: Option<String>,
     /// Enabled probe category bits ([`crate::probe::category`]); `0` —
     /// the default — disables the probe layer entirely, leaving only
     /// single predictable branches at the hook sites.
     pub(crate) probe_mask: u8,
-    /// Per-shard tracer ring capacity in events (0 = aggregates only).
-    pub(crate) probe_capacity: usize,
-    /// Shard-pair cross-handoff matrix, `probe_handoffs[from * k + to]`,
-    /// maintained when the EXEC probe category is on. Merged across
-    /// fast-mode workers by element-wise summation (commutative, so
-    /// thread-count invariant).
-    pub(crate) probe_handoffs: Vec<u64>,
+    /// The probe ring buffer; dormant (capacity 0) until
+    /// [`Sim::set_probes`].
+    pub(crate) tracer: Tracer,
     /// Public metrics registry; actors record through [`Ctx`].
     pub metrics: Metrics,
 }
 
 impl SimInner {
-    /// Captures the descriptor of the first-scheduled event (cold: runs
-    /// at most once per simulation).
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn record_first_event(&mut self, at: Time, kind: &crate::dispatch::EventKind) {
-        self.first_event = Some(format!("{kind:?} at {at}"));
-    }
-
-    /// Hook on every event-origination path: remembers what was
-    /// scheduled first. One predictable null-check on the hot path.
+    /// Files `kind` to fire at `at`, behind everything already scheduled
+    /// for that instant.
     #[inline]
-    pub(crate) fn note_first_event(&mut self, at: Time, kind: &crate::dispatch::EventKind) {
-        if self.first_event.is_none() {
-            self.record_first_event(at, kind);
-        }
+    pub(crate) fn schedule(&mut self, at: Time, kind: EventKind) {
+        self.seq += 1;
+        self.queue.push(at, self.seq, kind);
     }
 
     /// Whether any probe category in `mask` is enabled. The sole test on
@@ -299,9 +223,8 @@ impl SimInner {
         self.probe_mask & mask != 0
     }
 
-    /// Records a probe event at the current virtual time into the
-    /// recorded node's own shard tracer. Cold: only reached behind a
-    /// passing [`SimInner::probe_on`] check.
+    /// Records a probe event at the current virtual time. Cold: only
+    /// reached behind a passing [`SimInner::probe_on`] check.
     #[cold]
     #[inline(never)]
     pub(crate) fn probe_record(&mut self, node: NodeId, code: u16, arg: u64) {
@@ -311,48 +234,19 @@ impl SimInner {
 
     /// Records a probe event with an explicit (possibly earlier)
     /// timestamp — e.g. [`crate::probe::code::PROPOSE`] stamps the
-    /// earliest client submission of a batch. Because of such events a
-    /// shard's stream is not guaranteed time-sorted; the merge in
-    /// [`Sim::probe_events`] performs a full sort.
+    /// earliest client submission of a batch. Because of such events the
+    /// recorded stream is not guaranteed time-sorted;
+    /// [`Sim::probe_events`] sorts it.
     #[cold]
     #[inline(never)]
     pub(crate) fn probe_record_at(&mut self, node: NodeId, code: u16, arg: u64, at: Time) {
-        let sh = self.shard_idx(node);
-        self.shards[sh].tracer.record(crate::probe::ProbeEvent {
-            time: at,
-            node: node.0 as u32,
-            code,
-            arg,
-        });
-    }
-
-    /// Records one cross-shard handoff: bumps the shard-pair matrix and
-    /// (when event buffering is on) logs an
-    /// [`crate::probe::code::EXEC_HANDOFF`] event into the *source*
-    /// shard's tracer — the generation site, which is always
-    /// worker-owned in fast mode. Cold: behind an EXEC
-    /// [`SimInner::probe_on`] check.
-    #[cold]
-    #[inline(never)]
-    pub(crate) fn probe_handoff(&mut self, from_shard: usize, to_shard: usize, node: NodeId) {
-        let k = self.partition.shards();
-        if self.probe_handoffs.len() == k * k {
-            self.probe_handoffs[from_shard * k + to_shard] += 1;
-        }
-        let arg = ((from_shard as u64) << 32) | to_shard as u64;
-        let at = self.now;
-        self.shards[from_shard].tracer.record(crate::probe::ProbeEvent {
-            time: at,
-            node: node.0 as u32,
-            code: crate::probe::code::EXEC_HANDOFF,
-            arg,
-        });
+        self.tracer.record(ProbeEvent { time: at, node: node.0 as u32, code, arg });
     }
 }
 
 /// Derives the RNG seed for one node's stream from the cluster seed: a
-/// splitmix64-style finalizer, so streams are decorrelated and any shard
-/// can re-derive any node's stream from scratch (pure function).
+/// splitmix64-style finalizer, so streams are decorrelated and depend on
+/// nothing but `(seed, node)`.
 #[inline]
 pub(crate) fn stream_seed(seed: u64, node: usize) -> u64 {
     let mut z = seed ^ (node as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -379,19 +273,16 @@ impl SimInner {
         &self.config
     }
 
-    /// The deterministic RNG stream of `node`, materialized lazily in
-    /// the owning shard's arena. Draw order is a function of the node's
-    /// own activity, so it is identical under every partition
-    /// ([`crate::shard`] module docs, "Randomness is sharded too").
+    /// The deterministic RNG stream of `node`, materialized lazily.
+    /// Draw order is a function of the node's own activity.
     pub(crate) fn rng_for(&mut self, node: NodeId) -> &mut SmallRng {
-        let sh = self.shard_idx(node);
-        let rngs = &mut self.shards[sh].rngs;
-        if rngs.len() <= node.0 {
+        if self.rngs.len() <= node.0 {
             let seed = self.config.seed;
-            let start = rngs.len();
-            rngs.extend((start..=node.0).map(|i| SmallRng::seed_from_u64(stream_seed(seed, i))));
+            let start = self.rngs.len();
+            self.rngs
+                .extend((start..=node.0).map(|i| SmallRng::seed_from_u64(stream_seed(seed, i))));
         }
-        &mut rngs[node.0]
+        &mut self.rngs[node.0]
     }
 
     /// Whether the link between `a` and `b` is currently cut.
@@ -430,7 +321,7 @@ impl Ctx<'_> {
     }
 
     /// Sends an unreliable unicast datagram.
-    pub fn udp_send<T: Send + Sync + 'static>(&mut self, dst: NodeId, msg: T, bytes: u32) {
+    pub fn udp_send<T: 'static>(&mut self, dst: NodeId, msg: T, bytes: u32) {
         self.inner.udp_send_from(self.node, dst, Payload::new(msg), bytes);
     }
 
@@ -441,7 +332,7 @@ impl Ctx<'_> {
     }
 
     /// Multicasts to every subscriber of `group`.
-    pub fn mcast<T: Send + Sync + 'static>(&mut self, group: GroupId, msg: T, bytes: u32) {
+    pub fn mcast<T: 'static>(&mut self, group: GroupId, msg: T, bytes: u32) {
         self.inner.mcast_from(self.node, group, Payload::new(msg), bytes);
     }
 
@@ -451,7 +342,7 @@ impl Ctx<'_> {
     }
 
     /// Sends over the reliable ordered channel to `dst`.
-    pub fn tcp_send<T: Send + Sync + 'static>(&mut self, dst: NodeId, msg: T, bytes: u32) {
+    pub fn tcp_send<T: 'static>(&mut self, dst: NodeId, msg: T, bytes: u32) {
         self.inner.tcp_send_from(self.node, dst, Payload::new(msg), bytes);
     }
 
@@ -503,7 +394,7 @@ impl Ctx<'_> {
     }
 
     /// This node's deterministic random number generator stream (seeded
-    /// from the cluster seed and the node id; partition-independent).
+    /// from the cluster seed and the node id).
     pub fn rng(&mut self) -> &mut SmallRng {
         self.inner.rng_for(self.node)
     }
@@ -565,94 +456,42 @@ pub struct Sim {
     pub(crate) inner: SimInner,
     pub(crate) actors: Vec<Option<Box<dyn Actor>>>,
     pub(crate) started: Vec<bool>,
-    /// Reusable buffer the current delivery run is collected into before
-    /// the actor callback (module docs, "Batched delivery dispatch").
-    pub(crate) inbox: Vec<Envelope>,
-    /// Executor selection (see [`crate::shard`] module docs, "Executor
-    /// modes"). Determinism mode ignores `threads`.
-    pub(crate) mode: ExecMode,
-    /// Worker-thread cap for fast mode; the effective worker count is
-    /// `min(threads, shards)`.
-    pub(crate) threads: usize,
-    /// Per-worker executor telemetry accumulated by fast-mode runs when
-    /// the EXEC probe category is on, indexed by worker. Control-plane
-    /// state (the workers report at merge time); cleared by
-    /// [`Sim::set_probes`].
-    pub(crate) exec_telemetry: Vec<crate::probe::WorkerTelemetry>,
 }
 
 impl Sim {
-    /// Creates an empty cluster with the given configuration (identity
-    /// partition: one shard).
+    /// Creates an empty cluster with the given configuration.
     pub fn new(config: SimConfig) -> Sim {
-        let lookahead = SimInner::lookahead_matrix(1, config.one_way_latency);
         Sim {
             inner: SimInner {
                 config,
                 now: Time::ZERO,
                 seq: 0,
                 events: 0,
-                dispatches: 0,
-                dispatched_msgs: 0,
-                shards: vec![ShardState::default()],
+                deliveries: 0,
+                queue: EventQueue::default(),
+                envs: Slab::default(),
                 nodes: Vec::new(),
-                partition: Partition::identity(0),
-                lookahead,
-                cross_shard_events: 0,
+                rngs: Vec::new(),
                 groups: Vec::new(),
                 mcast_scratch: Vec::new(),
-                tcp_tx_index: Vec::new(),
-                tcp_rx_index: Vec::new(),
+                tcp: Vec::new(),
+                tcp_index: Vec::new(),
                 tcp_nodes: 0,
+                cost_cache: CostCache::default(),
                 cut_links: std::collections::HashSet::new(),
-                exec_fast: false,
-                first_event: None,
                 probe_mask: 0,
-                probe_capacity: 0,
-                probe_handoffs: Vec::new(),
+                tracer: Tracer::default(),
                 metrics: Metrics::new(),
             },
             actors: Vec::new(),
             started: Vec::new(),
-            inbox: Vec::new(),
-            mode: ExecMode::Determinism,
-            threads: 1,
-            exec_telemetry: Vec::new(),
         }
     }
 
-    /// Selects the executor (see [`crate::shard`] module docs, "Executor
-    /// modes"). [`ExecMode::Determinism`] — the default — is the serial
-    /// global-min merge with bit-identical traces under any partition;
-    /// [`ExecMode::Fast`] runs shards wall-parallel inside conservative
-    /// lookahead windows once [`Sim::set_threads`] grants more than one
-    /// worker. Control-plane: call between runs, not from actors.
-    pub fn set_exec_mode(&mut self, mode: ExecMode) {
-        self.mode = mode;
-    }
-
-    /// The active executor mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// Caps the fast-mode worker count (effective workers =
-    /// `min(threads, shards)`). Determinism mode ignores this: its
-    /// schedule is definitionally single-threaded. Values below 1 clamp
-    /// to 1.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// Adds a node running `actor`, returning its id. The node is homed
-    /// on a shard per the active partition (shard 0 until
-    /// [`Sim::set_partition`] says otherwise) and its metrics row is
-    /// banked there.
+    /// Adds a node running `actor`, returning its id.
     pub fn add_node(&mut self, actor: Box<dyn Actor>) -> NodeId {
         let id = NodeId(self.inner.nodes.len());
-        let sh = self.inner.partition.push_node() as usize;
         self.inner.nodes.push(Node::new(self.inner.config.cores_per_node));
-        self.inner.metrics.assign_node(id, sh);
         self.actors.push(Some(actor));
         self.started.push(false);
         id
@@ -807,14 +646,13 @@ impl Sim {
         self.inner.events
     }
 
-    /// `(dispatches, messages)` of the batched delivery path: actor
-    /// callbacks made for deliveries and the messages they carried.
-    /// `messages / dispatches` is the mean burst length the engine
-    /// amortized the per-delivery actor indirection over. A pure engine
+    /// `(dispatches, messages)` of the delivery path: actor callbacks
+    /// made for deliveries and the messages they carried. Every callback
+    /// carries one message, so the two are the same count. A pure engine
     /// statistic (not a [`Metrics`] counter), so golden-trace counter
     /// checksums are unaffected.
     pub fn delivery_dispatch_stats(&self) -> (u64, u64) {
-        (self.inner.dispatches, self.inner.dispatched_msgs)
+        (self.inner.deliveries, self.inner.deliveries)
     }
 
     /// The cluster configuration.
@@ -842,60 +680,27 @@ impl Sim {
         f(&mut ctx)
     }
 
-    /// Arms (or disarms) the probe layer ([`crate::probe`]). Resets the
-    /// per-shard tracers, the handoff matrix, and accumulated executor
-    /// telemetry. Control-plane: call between runs, not from actors.
-    /// Probes default to [`crate::probe::ProbeConfig::disabled`].
-    pub fn set_probes(&mut self, cfg: crate::probe::ProbeConfig) {
+    /// Arms (or disarms) the probe layer ([`crate::probe`]), clearing
+    /// anything recorded so far. Control-plane: call between runs, not
+    /// from actors. Probes default to [`ProbeConfig::disabled`].
+    pub fn set_probes(&mut self, cfg: ProbeConfig) {
         self.inner.probe_mask = cfg.categories;
-        self.inner.probe_capacity = if cfg.enabled() { cfg.capacity } else { 0 };
-        let k = self.inner.partition.shards();
-        self.inner.probe_handoffs = if cfg.categories & crate::probe::category::EXEC != 0 {
-            vec![0; k * k]
-        } else {
-            Vec::new()
-        };
-        let capacity = self.inner.probe_capacity;
-        for sh in &mut self.inner.shards {
-            sh.tracer.reset(capacity);
-        }
-        self.exec_telemetry.clear();
+        self.inner.tracer.reset(cfg.capacity);
     }
 
-    /// The merged probe stream: every shard tracer's events, sorted by
-    /// `(time, shard, per-shard record index)`. All three keys are
-    /// thread-count invariant within an executor mode, so the merged
-    /// stream is too ([`crate::probe`] module docs, "Determinism").
-    pub fn probe_events(&self) -> Vec<crate::probe::ProbeEvent> {
-        let mut keyed: Vec<(Time, usize, u64, crate::probe::ProbeEvent)> = Vec::new();
-        for (sh, state) in self.inner.shards.iter().enumerate() {
-            keyed.extend(state.tracer.chronological().map(|(idx, ev)| (ev.time, sh, idx, ev)));
-        }
-        // Unstable sort is safe: (time, shard, idx) keys are unique.
-        keyed.sort_unstable_by_key(|&(t, sh, idx, _)| (t, sh, idx));
-        keyed.into_iter().map(|(_, _, _, ev)| ev).collect()
+    /// The probe stream, sorted by `(time, record order)` — a pure
+    /// function of the seed ([`crate::probe`] module docs,
+    /// "Determinism").
+    pub fn probe_events(&self) -> Vec<ProbeEvent> {
+        let mut events: Vec<ProbeEvent> = self.inner.tracer.chronological().collect();
+        events.sort_by_key(|e| e.time); // stable: ties keep record order
+        events
     }
 
-    /// Events overwritten after a shard's tracer ring filled (0 when
-    /// every recorded event is still buffered).
+    /// Events overwritten after the tracer ring filled (0 when every
+    /// recorded event is still buffered).
     pub fn probe_dropped(&self) -> u64 {
-        self.inner.shards.iter().map(|s| s.tracer.dropped()).sum()
-    }
-
-    /// The shard-pair cross-handoff matrix, `matrix[from * k + to]`
-    /// (empty unless the EXEC probe category is enabled). The input the
-    /// ROADMAP's topology-aware-partition item needs: which shard pairs
-    /// actually exchange events.
-    pub fn handoff_matrix(&self) -> &[u64] {
-        &self.inner.probe_handoffs
-    }
-
-    /// Per-worker executor telemetry accumulated by fast-mode runs since
-    /// the last [`Sim::set_probes`] (empty unless the EXEC probe
-    /// category is on). Wall-clock fields measure the host; the
-    /// schedule fields (rounds, events, windows) are deterministic.
-    pub fn worker_telemetry(&self) -> &[crate::probe::WorkerTelemetry] {
-        &self.exec_telemetry
+        self.inner.tracer.dropped()
     }
 }
 
@@ -1479,167 +1284,5 @@ mod tests {
             sim.metrics().counter(a, "net.tcp_reset_bytes") > 0,
             "the crash reset wrote the in-flight bytes off"
         );
-    }
-
-    // ---- shard layer ----
-
-    /// Full observable state of a finished run, for partition-
-    /// equivalence checks: delivery log, event count, and every non-zero
-    /// counter in deterministic order.
-    type Observed = (Vec<(u64, &'static str, u32)>, u64, Vec<(usize, String, u64)>);
-
-    /// A mixed workload (UDP bursts, multicast fan-in, TCP streams,
-    /// timers, a crash) on 4 nodes, run under `partition`.
-    fn mixed_workload(partition: Option<Partition>) -> Observed {
-        struct Echo {
-            log: Arc<Mutex<Vec<(Time, &'static str, u32)>>>,
-        }
-        impl Actor for Echo {
-            fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-                let n = env.payload.downcast_ref::<Note>().expect("Note");
-                self.log.lock().unwrap().push((ctx.now(), n.0, n.1));
-                // Reply to some traffic so cross-shard paths run both ways.
-                if n.1.is_multiple_of(3) && n.0 == "u" {
-                    ctx.udp_send(env.src, Note("r", n.1), 256);
-                }
-            }
-            fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
-                self.log.lock().unwrap().push((ctx.now(), "t", token.0 as u32));
-                if token.0 < 3 {
-                    ctx.set_timer(Dur::millis(1), TimerToken(token.0 + 1));
-                }
-            }
-        }
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut cfg = SimConfig::default();
-        cfg.random_loss = 0.01; // exercise the shared rng path
-        let mut sim = Sim::new(cfg);
-        let nodes: Vec<NodeId> =
-            (0..4).map(|_| sim.add_node(Box::new(Echo { log: log.clone() }))).collect();
-        let g = sim.add_group();
-        for &n in &nodes {
-            sim.subscribe(n, g);
-        }
-        if let Some(p) = partition {
-            sim.set_partition(p);
-        }
-        sim.with_ctx(nodes[0], |ctx| {
-            for i in 0..40 {
-                ctx.udp_send(nodes[(i as usize % 3) + 1], Note("u", i), 1000 + i * 7);
-            }
-            ctx.mcast(g, Note("m", 0), 4096);
-            ctx.set_timer(Dur::micros(100), TimerToken(0));
-        });
-        sim.with_ctx(nodes[1], |ctx| {
-            for i in 0..30 {
-                ctx.tcp_send(nodes[2], Note("c", i), 8 * 1024);
-            }
-        });
-        sim.run_until(Time::from_millis(2));
-        sim.set_node_up(nodes[2], false);
-        sim.run_until(Time::from_millis(4));
-        sim.set_node_up(nodes[2], true);
-        sim.with_ctx(nodes[1], |ctx| {
-            for i in 100..110 {
-                ctx.tcp_send(nodes[2], Note("c", i), 8 * 1024);
-            }
-        });
-        sim.run_to_idle();
-        let deliveries =
-            log.lock().unwrap().iter().map(|e| (e.0.as_nanos(), e.1, e.2)).collect::<Vec<_>>();
-        let mut counters = Vec::new();
-        sim.metrics().for_each_counter(|n, name, v| counters.push((n.0, name.to_string(), v)));
-        (deliveries, sim.events_processed(), counters)
-    }
-
-    /// The tentpole's semantics-preservation claim: any partition yields
-    /// the byte-identical trace of the identity partition — same
-    /// delivery log, same event count, same counters.
-    #[test]
-    fn partitions_reproduce_identity_trace() {
-        let identity = mixed_workload(None);
-        for k in [1usize, 2, 3, 4] {
-            let sharded = mixed_workload(Some(Partition::modulo(4, k)));
-            assert_eq!(sharded.0, identity.0, "delivery trace diverged under k={k}");
-            assert_eq!(sharded.1, identity.1, "event count diverged under k={k}");
-            assert_eq!(sharded.2, identity.2, "counters diverged under k={k}");
-        }
-    }
-
-    #[test]
-    fn cross_shard_traffic_uses_handoff_inboxes() {
-        let log = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
-        let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
-        sim.set_partition(Partition::modulo(2, 2));
-        sim.with_ctx(a, |ctx| {
-            for i in 0..10 {
-                ctx.udp_send(b, Note("x", i), 1000);
-            }
-            ctx.tcp_send(b, Note("t", 99), 2000);
-        });
-        sim.run_to_idle();
-        assert_eq!(log.lock().unwrap().len(), 11);
-        // Every datagram crossed a → b, and the TCP ack crossed back.
-        assert!(sim.cross_shard_events() >= 12, "got {}", sim.cross_shard_events());
-    }
-
-    #[test]
-    fn safe_window_reflects_partition() {
-        let mut sim = Sim::new(SimConfig::default());
-        let _ = sim.add_node(Box::new(Quiet));
-        let _ = sim.add_node(Box::new(Quiet));
-        // One shard: nothing to synchronize with.
-        assert_eq!(sim.safe_window(), Dur::MAX);
-        sim.set_partition(Partition::modulo(2, 2));
-        // Two shards: bounded by the minimum link latency.
-        assert_eq!(sim.safe_window(), sim.config().one_way_latency);
-        assert_eq!(sim.lookahead(0, 1), sim.config().one_way_latency);
-        assert_eq!(sim.lookahead(0, 0), Dur::MAX);
-        assert_eq!(sim.partition().shards(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "before any event")]
-    fn set_partition_after_events_panics() {
-        let mut sim = Sim::new(SimConfig::default());
-        let n = sim.add_node(Box::new(Quiet));
-        sim.with_ctx(n, |ctx| ctx.set_timer(Dur::millis(1), TimerToken(0)));
-        sim.set_partition(Partition::modulo(1, 1));
-    }
-
-    /// The footgun panic must *name* the first-scheduled event so the
-    /// user can see which deploy line beat their `set_partition` call.
-    #[test]
-    #[should_panic(expected = "Timer")]
-    fn set_partition_panic_names_first_event() {
-        let mut sim = Sim::new(SimConfig::default());
-        let n = sim.add_node(Box::new(Quiet));
-        sim.with_ctx(n, |ctx| ctx.set_timer(Dur::millis(1), TimerToken(7)));
-        sim.set_partition(Partition::modulo(1, 1));
-    }
-
-    /// Same, for the datagram path: the descriptor shows src -> dst.
-    #[test]
-    #[should_panic(expected = "HostArrive { n0 -> n1 }")]
-    fn set_partition_panic_names_first_arrival() {
-        let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
-        let b = sim.add_node(Box::new(Quiet));
-        sim.with_ctx(a, |ctx| ctx.udp_send(b, "x".to_string(), 64));
-        sim.set_partition(Partition::modulo(2, 2));
-    }
-
-    /// The panic-free way in: `with_partition` installs the partition
-    /// before any actor can schedule.
-    #[test]
-    fn with_partition_installs_before_deploy() {
-        let mut sim = Sim::with_partition(SimConfig::default(), Partition::modulo(0, 3));
-        let n = sim.add_node(Box::new(Quiet));
-        sim.with_ctx(n, |ctx| ctx.set_timer(Dur::millis(1), TimerToken(0)));
-        sim.run_until(Time::from_millis(2));
-        assert_eq!(sim.partition().shards(), 3);
-        assert!(sim.events_processed() >= 1);
     }
 }

@@ -9,19 +9,16 @@
 //! per-event cost at array-indexing levels:
 //!
 //! * **Interned counters.** Every counter name is interned once into a
-//!   [`MetricId`]; values live in dense per-node rows grouped into
-//!   per-shard *banks* (`banks[bank][row][id]`, with a node → `(bank,
-//!   row)` location table), so a shard's counter writes touch only its
-//!   own bank — no cross-shard cache-line sharing when the executor goes
-//!   threaded. The names the engine and the ordering protocols bump per
-//!   packet are pre-interned at fixed indices (see [`mid`]), so the hot
-//!   paths never hash a string — they do three indexed loads. The
+//!   [`MetricId`]; values live in one dense row per node
+//!   (`rows[node][id]`). The names the engine and the ordering protocols
+//!   bump per packet are pre-interned at fixed indices (see [`mid`]), so
+//!   the hot paths never hash a string — they do two indexed loads. The
 //!   string-keyed API ([`Metrics::add`], [`Metrics::counter`],
 //!   [`Metrics::sum`]) remains for experiment runners and tests; it pays
 //!   one `HashMap` lookup to resolve the name and is not on the per-event
-//!   path. Reporting ([`Metrics::for_each_counter`]) walks the location
-//!   table in node-index order, so output order — and every golden-trace
-//!   checksum built on it — is independent of how rows are banked.
+//!   path. Reporting ([`Metrics::for_each_counter`]) walks the rows in
+//!   node-index order — the order every golden-trace checksum is built
+//!   on.
 //!
 //! * **Histogram latencies.** Latency samples go into log-scaled buckets
 //!   (64 sub-buckets per power of two, ≤ 1.6 % relative error; values
@@ -124,17 +121,6 @@ pub const fn builtin_name(id: MetricId) -> &'static str {
     BUILTIN_NAMES[id.0 as usize]
 }
 
-/// Location of a node's counter row: which bank holds it and at which
-/// index. `row == NO_ROW` means the row has not been materialized yet
-/// (the node never wrote a counter).
-#[derive(Clone, Copy, Debug)]
-struct RowLoc {
-    bank: u32,
-    row: u32,
-}
-
-const NO_ROW: u32 = u32::MAX;
-
 /// Central metrics registry owned by the simulation.
 #[derive(Debug)]
 pub struct Metrics {
@@ -142,14 +128,9 @@ pub struct Metrics {
     names: Vec<&'static str>,
     /// Name → id, for the string-keyed compatibility API.
     index: HashMap<&'static str, MetricId>,
-    /// Counter rows grouped into per-shard banks, `banks[bank][row][id]`.
-    /// Rows are created on a node's first write (in the node's assigned
-    /// bank; bank 0 for a standalone registry) and sized to the current
-    /// intern table.
-    banks: Vec<Vec<Vec<u64>>>,
-    /// Node index → row location. Grown on demand; fresh entries default
-    /// to bank 0 with no row.
-    loc: Vec<RowLoc>,
+    /// Counter rows, `rows[node][id]`. A row stays empty until the
+    /// node's first write sizes it to the current intern table.
+    rows: Vec<Vec<u64>>,
     latencies: HashMap<&'static str, Histogram>,
 }
 
@@ -157,13 +138,7 @@ impl Default for Metrics {
     fn default() -> Metrics {
         let names: Vec<&'static str> = BUILTIN_NAMES.to_vec();
         let index = names.iter().enumerate().map(|(i, &n)| (n, MetricId(i as u16))).collect();
-        Metrics {
-            names,
-            index,
-            banks: vec![Vec::new()],
-            loc: Vec::new(),
-            latencies: HashMap::new(),
-        }
+        Metrics { names, index, rows: Vec::new(), latencies: HashMap::new() }
     }
 }
 
@@ -185,75 +160,27 @@ impl Metrics {
         id
     }
 
-    /// Declares which bank `node`'s counter row belongs to. Called by the
-    /// engine when a node is added or the partition changes; standalone
-    /// registries (tests, tools) never call it and everything lands in
-    /// bank 0. Must precede the node's first counter write.
-    pub(crate) fn assign_node(&mut self, node: NodeId, bank: usize) {
-        if node.0 >= self.loc.len() {
-            self.loc.resize(node.0 + 1, RowLoc { bank: 0, row: NO_ROW });
-        }
-        debug_assert_eq!(self.loc[node.0].row, NO_ROW, "bank assigned after first write");
-        self.loc[node.0].bank = bank as u32;
-        if bank >= self.banks.len() {
-            self.banks.resize_with(bank + 1, Vec::new);
-        }
-    }
-
-    /// Moves every existing row into the bank `assignment` names for its
-    /// node (node index → bank), resizing to `num_banks` banks. Values
-    /// are moved, not copied; totals and reporting order are unchanged.
-    pub(crate) fn repartition(&mut self, assignment: &[u32], num_banks: usize) {
-        let mut old: Vec<Vec<Option<Vec<u64>>>> = std::mem::take(&mut self.banks)
-            .into_iter()
-            .map(|bank| bank.into_iter().map(Some).collect())
-            .collect();
-        self.banks = std::iter::repeat_with(Vec::new).take(num_banks.max(1)).collect();
-        for (n, l) in self.loc.iter_mut().enumerate() {
-            let bank = assignment.get(n).copied().unwrap_or(0) as usize;
-            if l.row != NO_ROW {
-                let row = old[l.bank as usize][l.row as usize]
-                    .take()
-                    .expect("two nodes shared a counter row");
-                l.row = self.banks[bank].len() as u32;
-                self.banks[bank].push(row);
-            }
-            l.bank = bank as u32;
-        }
-    }
-
-    /// Materializes `node`'s row (in its assigned bank) at the current
-    /// intern-table width and returns it.
+    /// Grows `node`'s row to the current intern-table width and returns
+    /// it.
     fn row(&mut self, node: NodeId) -> &mut Vec<u64> {
-        if node.0 >= self.loc.len() {
-            self.loc.resize(node.0 + 1, RowLoc { bank: 0, row: NO_ROW });
-        }
-        let l = &mut self.loc[node.0];
-        let bank = l.bank as usize;
-        if l.row == NO_ROW {
-            l.row = self.banks[bank].len() as u32;
-            self.banks[bank].push(Vec::new());
+        if node.0 >= self.rows.len() {
+            self.rows.resize_with(node.0 + 1, Vec::new);
         }
         let width = self.names.len();
-        let row = &mut self.banks[bank][l.row as usize];
+        let row = &mut self.rows[node.0];
         if row.len() < width {
             row.resize(width, 0);
         }
         row
     }
 
-    /// Adds `v` to the counter `id` of `node` — the hot path: three
+    /// Adds `v` to the counter `id` of `node` — the hot path: two
     /// indexed loads once the row exists.
     #[inline]
     pub fn add_id(&mut self, node: NodeId, id: MetricId, v: u64) {
-        if let Some(l) = self.loc.get(node.0) {
-            if l.row != NO_ROW {
-                let row = &mut self.banks[l.bank as usize][l.row as usize];
-                if let Some(c) = row.get_mut(id.index()) {
-                    *c += v;
-                    return;
-                }
-            }
+        if let Some(c) = self.rows.get_mut(node.0).and_then(|row| row.get_mut(id.index())) {
+            *c += v;
+            return;
         }
         self.row(node)[id.index()] += v;
     }
@@ -261,16 +188,12 @@ impl Metrics {
     /// Current value of the counter `id` of `node`.
     #[inline]
     pub fn counter_id(&self, node: NodeId, id: MetricId) -> u64 {
-        let Some(l) = self.loc.get(node.0) else { return 0 };
-        if l.row == NO_ROW {
-            return 0;
-        }
-        self.banks[l.bank as usize][l.row as usize].get(id.index()).copied().unwrap_or(0)
+        self.rows.get(node.0).and_then(|row| row.get(id.index())).copied().unwrap_or(0)
     }
 
     /// Sum of the counter `id` over all nodes.
     pub fn sum_id(&self, id: MetricId) -> u64 {
-        self.banks.iter().flatten().filter_map(|row| row.get(id.index())).sum()
+        self.rows.iter().filter_map(|row| row.get(id.index())).sum()
     }
 
     /// Adds `v` to the counter `name` of `node` (string-keyed
@@ -303,11 +226,7 @@ impl Metrics {
         // call (this is a reporting path, not a hot path).
         let mut by_name: Vec<MetricId> = (0..self.names.len() as u16).map(MetricId).collect();
         by_name.sort_by_key(|id| self.names[id.index()]);
-        for (n, l) in self.loc.iter().enumerate() {
-            if l.row == NO_ROW {
-                continue;
-            }
-            let row = &self.banks[l.bank as usize][l.row as usize];
+        for (n, row) in self.rows.iter().enumerate() {
             for &id in &by_name {
                 if let Some(&v) = row.get(id.index()) {
                     if v != 0 {
@@ -315,48 +234,6 @@ impl Metrics {
                     }
                 }
             }
-        }
-    }
-
-    /// Clones this registry's shape — intern table, bank layout, row
-    /// assignments — with every counter zeroed and no latency samples.
-    /// Workers of the threaded executor each write into a fork and the
-    /// deltas are folded back with [`Metrics::merge_from`]; because
-    /// counter addition and histogram merging are commutative, per-node
-    /// totals come out identical to serial execution regardless of which
-    /// worker charged them.
-    pub(crate) fn fork_zeroed(&self) -> Metrics {
-        Metrics {
-            names: self.names.clone(),
-            index: self.index.clone(),
-            banks: self
-                .banks
-                .iter()
-                .map(|bank| bank.iter().map(|row| vec![0; row.len()]).collect())
-                .collect(),
-            loc: self.loc.clone(),
-            latencies: HashMap::new(),
-        }
-    }
-
-    /// Adds every counter and latency sample of `other` into this
-    /// registry. `other` is typically a [`Metrics::fork_zeroed`] fork
-    /// holding one worker's deltas, but any registry with `'static`
-    /// names folds in correctly (names are re-interned by string).
-    pub(crate) fn merge_from(&mut self, other: &Metrics) {
-        for (n, l) in other.loc.iter().enumerate() {
-            if l.row == NO_ROW {
-                continue;
-            }
-            let row = &other.banks[l.bank as usize][l.row as usize];
-            for (i, &v) in row.iter().enumerate() {
-                if v != 0 {
-                    self.add(NodeId(n), other.names[i], v);
-                }
-            }
-        }
-        for (name, h) in &other.latencies {
-            self.latencies.entry(name).or_default().merge_from(h);
         }
     }
 
@@ -453,21 +330,6 @@ fn bucket_value(idx: usize) -> u64 {
 }
 
 impl Histogram {
-    /// Folds `other`'s samples into this histogram. Bucket counts, the
-    /// running count/sum, and the max all combine exactly, so merging
-    /// per-worker histograms is order-independent.
-    fn merge_from(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (b, &c) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += c;
-        }
-    }
-
     #[inline]
     fn record(&mut self, v: u64) {
         self.count += 1;
@@ -634,40 +496,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_follow_bank_reassignment() {
-        let mut m = Metrics::new();
-        m.add(NodeId(0), "x", 1);
-        m.add(NodeId(2), "x", 5);
-        // Re-home node 0 and 2 into bank 1, node 1 into bank 0.
-        m.repartition(&[1, 0, 1], 2);
-        assert_eq!(m.counter(NodeId(0), "x"), 1);
-        assert_eq!(m.counter(NodeId(2), "x"), 5);
-        assert_eq!(m.sum("x"), 6);
-        // A first write after repartitioning lands in the new bank.
-        m.add(NodeId(1), "x", 2);
-        assert_eq!(m.sum("x"), 8);
-        // Reporting order stays node-index order regardless of banking.
-        let mut seen = Vec::new();
-        m.for_each_counter(|n, name, v| seen.push((n.0, name.to_string(), v)));
-        assert_eq!(
-            seen,
-            vec![(0, "x".to_string(), 1), (1, "x".to_string(), 2), (2, "x".to_string(), 5)]
-        );
-    }
-
-    #[test]
-    fn assigned_banks_receive_first_writes() {
-        let mut m = Metrics::new();
-        m.assign_node(NodeId(0), 1);
-        m.assign_node(NodeId(1), 0);
-        m.add(NodeId(0), "x", 7);
-        m.add(NodeId(1), "x", 3);
-        assert_eq!(m.counter(NodeId(0), "x"), 7);
-        assert_eq!(m.counter(NodeId(1), "x"), 3);
-        assert_eq!(m.sum("x"), 10);
-    }
-
-    #[test]
     fn latency_percentiles() {
         let mut m = Metrics::new();
         for i in 1..=100u64 {
@@ -768,49 +596,5 @@ mod tests {
         m.record_latency("some", Dur::micros(10));
         let p = m.percentile("some", 0.5).expect("one sample recorded");
         close(p, Dur::micros(10), 2.0);
-    }
-
-    #[test]
-    fn fork_merge_is_commutative_for_counters_and_latencies() {
-        // Two zeroed forks of the same registry, each with its own
-        // counters and latency samples, folded in both orders.
-        let mk_base = || {
-            let mut m = Metrics::new();
-            m.add(NodeId(0), "x", 1);
-            m.record_latency("l", Dur::micros(1));
-            m
-        };
-        let base = mk_base();
-        let mut fa = base.fork_zeroed();
-        let mut fb = base.fork_zeroed();
-        assert_eq!(fa.latency("l").count, 0, "fork must not inherit samples");
-        fa.add(NodeId(0), "x", 10);
-        fa.add(NodeId(1), "y", 3);
-        for i in 1..=50u64 {
-            fa.record_latency("l", Dur::micros(i));
-        }
-        fb.add(NodeId(0), "x", 20);
-        fb.add(NodeId(2), "z", 7);
-        for i in 51..=100u64 {
-            fb.record_latency("l", Dur::micros(i));
-        }
-
-        let mut ab = mk_base();
-        ab.merge_from(&fa);
-        ab.merge_from(&fb);
-        let mut ba = mk_base();
-        ba.merge_from(&fb);
-        ba.merge_from(&fa);
-
-        let snapshot = |m: &Metrics| {
-            let mut counters = Vec::new();
-            m.for_each_counter(|n, name, v| counters.push((n.0, name.to_string(), v)));
-            let l = m.latency("l");
-            (counters, l.count, l.mean, l.p50, l.p95, l.max)
-        };
-        assert_eq!(snapshot(&ab), snapshot(&ba));
-        assert_eq!(ab.counter(NodeId(0), "x"), 31);
-        assert_eq!(ab.latency("l").count, 101);
-        assert_eq!(ab.latency("l").max, Dur::micros(100));
     }
 }

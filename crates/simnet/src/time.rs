@@ -83,9 +83,6 @@ impl Time {
 impl Dur {
     /// The empty span.
     pub const ZERO: Dur = Dur(0);
-    /// A span longer than any reachable simulation interval — the
-    /// "unbounded" value for lookahead windows ([`crate::sim::Sim::safe_window`]).
-    pub const MAX: Dur = Dur(u64::MAX);
 
     /// A span of `n` nanoseconds.
     pub const fn nanos(n: u64) -> Dur {

@@ -1,17 +1,14 @@
 //! Probe-layer determinism gates (ISSUE 9):
 //!
-//! * same `(seed, partition)` → byte-identical probe stream at any
-//!   thread count, in both executor modes;
+//! * same seed → byte-identical probe stream;
 //! * enabling probes does not perturb the simulation (events, time,
-//!   counter totals identical to a probe-free run);
-//! * the shard-pair handoff matrix and the deterministic parts of the
-//!   worker telemetry are thread-count invariant in fast mode.
+//!   counter totals identical to a probe-free run).
 
 use simnet::prelude::*;
 
 /// Ring workload: every timer tick, one UDP datagram to the next node
 /// and one TCP segment to the node after that, then re-arm — timers,
-/// datagrams, TCP acks, and disk writes all crossing shard boundaries.
+/// datagrams, TCP acks, and disk writes.
 struct RingSender {
     next: NodeId,
     tcp_to: NodeId,
@@ -29,8 +26,8 @@ impl Actor for RingSender {
         } else {
             ctx.counter_add("app.udp_in", 1);
             // A protocol-category probe from actor code, with an
-            // explicit earlier timestamp sprinkled in so the merged
-            // stream exercises the full (time, shard, idx) sort.
+            // explicit earlier timestamp sprinkled in so the stream
+            // exercises the (time, record order) sort.
             let at = Time::ZERO + ctx.now().saturating_since(Time::ZERO + Dur::micros(5));
             ctx.probe_at(600, env.wire_bytes as u64, at);
         }
@@ -46,8 +43,16 @@ impl Actor for RingSender {
     }
 }
 
-fn build(shards: usize, threads: usize, fast: bool, probes: Option<ProbeConfig>) -> Sim {
-    let mut sim = Sim::with_partition(SimConfig::default(), Partition::modulo(0, shards));
+fn observe(sim: &Sim) -> (Time, u64, Vec<(usize, String, u64)>) {
+    let mut counters = Vec::new();
+    sim.metrics().for_each_counter(|node, name, v| {
+        counters.push((node.0, name.to_string(), v));
+    });
+    (sim.now(), sim.events_processed(), counters)
+}
+
+fn run(probes: Option<ProbeConfig>) -> Sim {
+    let mut sim = Sim::new(SimConfig::default());
     if let Some(cfg) = probes {
         sim.set_probes(cfg);
     }
@@ -61,56 +66,21 @@ fn build(shards: usize, threads: usize, fast: bool, probes: Option<ProbeConfig>)
             ticks: 0,
         }));
     }
-    if fast {
-        sim.set_exec_mode(ExecMode::Fast);
-        sim.set_threads(threads);
-    }
-    sim
-}
-
-fn observe(sim: &Sim) -> (Time, u64, Vec<(usize, String, u64)>) {
-    let mut counters = Vec::new();
-    sim.metrics().for_each_counter(|node, name, v| {
-        counters.push((node.0, name.to_string(), v));
-    });
-    (sim.now(), sim.events_processed(), counters)
-}
-
-fn run(shards: usize, threads: usize, fast: bool, probes: Option<ProbeConfig>) -> Sim {
-    let mut sim = build(shards, threads, fast, probes);
     sim.run_until(Time::from_millis(30));
     sim
 }
 
 #[test]
-fn determinism_mode_probe_stream_is_thread_count_invariant() {
-    let one = run(4, 1, false, Some(ProbeConfig::all()));
-    let two = {
-        let mut sim = build(4, 1, false, Some(ProbeConfig::all()));
-        sim.set_threads(2); // no-op in determinism mode, by contract
-        sim.run_until(Time::from_millis(30));
-        sim
-    };
-    let bytes_one = probe::encode(&one.probe_events());
-    let bytes_two = probe::encode(&two.probe_events());
-    assert!(!bytes_one.is_empty(), "workload must record probe events");
-    assert_eq!(bytes_one, bytes_two);
-}
-
-#[test]
-fn fast_mode_probe_stream_is_thread_count_invariant() {
-    let streams: Vec<Vec<u8>> = [2, 3, 4]
-        .iter()
-        .map(|&t| probe::encode(&run(4, t, true, Some(ProbeConfig::all())).probe_events()))
-        .collect();
-    assert!(!streams[0].is_empty(), "workload must record probe events");
-    assert_eq!(streams[0], streams[1]);
-    assert_eq!(streams[0], streams[2]);
+fn same_seed_gives_byte_identical_probe_stream() {
+    let one = probe::encode(&run(Some(ProbeConfig::all())).probe_events());
+    let two = probe::encode(&run(Some(ProbeConfig::all())).probe_events());
+    assert!(!one.is_empty(), "workload must record probe events");
+    assert_eq!(one, two);
 }
 
 #[test]
 fn probe_stream_covers_every_category() {
-    let sim = run(4, 1, false, Some(ProbeConfig::all()));
+    let sim = run(Some(ProbeConfig::all()));
     let events = sim.probe_events();
     let has = |code: u16| events.iter().any(|e| e.code == code);
     assert!(has(probe::code::NET_SEND));
@@ -118,7 +88,7 @@ fn probe_stream_covers_every_category() {
     assert!(has(probe::code::HOST_TIMER));
     assert!(has(probe::code::HOST_DISK));
     assert!(has(600), "actor-defined protocol probe");
-    // The merged stream is time-sorted even with probe_at back-stamps.
+    // The stream is time-sorted even with probe_at back-stamps.
     for w in events.windows(2) {
         assert!(w[0].time <= w[1].time);
     }
@@ -127,73 +97,13 @@ fn probe_stream_covers_every_category() {
 
 #[test]
 fn enabling_probes_does_not_perturb_the_run() {
-    // Determinism mode: bit-identical (now, events, counters) with
-    // probes off, on, and on-with-tiny-rings (drop path exercised).
-    let off = observe(&run(4, 1, false, None));
-    let on = observe(&run(4, 1, false, Some(ProbeConfig::all())));
-    let tiny =
-        run(4, 1, false, Some(ProbeConfig { categories: probe::category::ALL, capacity: 8 }));
+    // Bit-identical (now, events, counters) with probes off, on, and
+    // on-with-a-tiny-ring (drop path exercised).
+    let off = observe(&run(None));
+    let on = observe(&run(Some(ProbeConfig::all())));
+    let tiny = run(Some(ProbeConfig { categories: probe::category::ALL, capacity: 8 }));
     assert_eq!(off, on);
     assert_eq!(off, observe(&tiny));
-    assert!(tiny.probe_dropped() > 0, "tiny rings must wrap");
-    assert!(tiny.probe_events().len() <= 4 * 8);
-
-    // Fast mode too.
-    let foff = observe(&run(4, 4, true, None));
-    let fon = observe(&run(4, 4, true, Some(ProbeConfig::all())));
-    assert_eq!(foff, fon);
-}
-
-#[test]
-fn handoff_matrix_is_thread_count_invariant() {
-    let runs: Vec<Sim> =
-        [2, 3, 4].iter().map(|&t| run(4, t, true, Some(ProbeConfig::all()))).collect();
-    let base = runs[0].handoff_matrix().to_vec();
-    assert_eq!(base.len(), 16);
-    assert!(base.iter().sum::<u64>() > 0, "workload must cross shards");
-    // Diagonal is never a handoff.
-    for sh in 0..4 {
-        assert_eq!(base[sh * 4 + sh], 0);
-    }
-    for r in &runs[1..] {
-        assert_eq!(r.handoff_matrix(), &base[..]);
-    }
-    // The matrix total matches the engine's cross-shard event counter.
-    assert_eq!(base.iter().sum::<u64>(), runs[0].cross_shard_events());
-}
-
-#[test]
-fn worker_telemetry_deterministic_parts_are_invariant() {
-    // The per-worker split (and each worker's realized window width)
-    // follows the shard→worker map, but the schedule aggregates are a
-    // pure function of (seed, partition): total events dispatched, and
-    // the barrier-round count — identical for every worker, since all
-    // workers advance through the same gmin sequence in lockstep.
-    let agg = |sim: &Sim| {
-        let t = sim.worker_telemetry();
-        (t.iter().map(|w| w.events).sum::<u64>(), t.first().map_or(0, |w| w.rounds))
-    };
-    let two = run(4, 2, true, Some(ProbeConfig::all()));
-    let four = run(4, 4, true, Some(ProbeConfig::all()));
-    assert_eq!(two.worker_telemetry().len(), 2);
-    assert_eq!(four.worker_telemetry().len(), 4);
-    let rounds = two.worker_telemetry()[0].rounds;
-    assert!(rounds > 0);
-    assert!(two.worker_telemetry().iter().all(|w| w.rounds == rounds));
-    assert!(four.worker_telemetry().iter().all(|w| w.rounds == rounds));
-    assert_eq!(agg(&two), agg(&four));
-    assert_eq!(agg(&two).0, two.events_processed());
-    assert!(two.worker_telemetry().iter().any(|w| w.window_ns > 0));
-    // Telemetry is off (and free) when the EXEC category is disabled.
-    let lifecycle_only = run(4, 4, true, Some(ProbeConfig::lifecycle()));
-    assert!(lifecycle_only.worker_telemetry().is_empty());
-    assert!(lifecycle_only.handoff_matrix().is_empty());
-}
-
-#[test]
-fn executor_only_config_keeps_aggregates_without_events() {
-    let sim = run(4, 4, true, Some(ProbeConfig::executor_only()));
-    assert!(sim.probe_events().is_empty(), "capacity 0 buffers nothing");
-    assert!(sim.handoff_matrix().iter().sum::<u64>() > 0);
-    assert!(!sim.worker_telemetry().is_empty());
+    assert!(tiny.probe_dropped() > 0, "a tiny ring must wrap");
+    assert!(tiny.probe_events().len() <= 8);
 }

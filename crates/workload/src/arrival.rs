@@ -18,8 +18,8 @@ use crate::Pacer;
 /// A deterministic Poisson arrival process: exponential inter-arrival
 /// gaps by inverse-CDF sampling from the caller's RNG. Feeding it the
 /// actor's per-node RNG stream makes the arrival sequence a pure
-/// function of the simulation seed — independent of shard partition and
-/// executor thread count, which is what the determinism gate pins.
+/// function of the simulation seed, which is what the determinism gate
+/// pins.
 #[derive(Clone, Copy, Debug)]
 pub struct Poisson {
     mean_gap: Dur,

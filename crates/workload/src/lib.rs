@@ -20,11 +20,10 @@
 //!   completions, as real user populations do. Two processes are
 //!   provided: [`arrival::Poisson`], drawing exponential inter-arrival
 //!   gaps from the actor's deterministic per-node RNG stream (so the
-//!   arrival sequence is a pure function of the seed, independent of
-//!   shard partition and thread count), and the paced burst submitter
-//!   [`Pacer`] the ch. 3/5 throughput experiments already used
-//!   (re-exported from `abcast`, where the ordering protocols' own
-//!   drivers live below this crate).
+//!   arrival sequence is a pure function of the seed), and the paced
+//!   burst submitter [`Pacer`] the ch. 3/5 throughput experiments
+//!   already used (re-exported from `abcast`, where the ordering
+//!   protocols' own drivers live below this crate).
 //!
 //! ## Keyed workloads
 //!
