@@ -42,8 +42,11 @@
 //! * [`app::RecoveredApp`] — the service-state hook: what to snapshot,
 //!   how to restore it, and how delivered values mutate it. The `core`
 //!   crate bridges its `Service`/`Snapshot` traits onto this.
-//! * [`harness::CrashPlan`] — crash-schedule driver for experiments and
-//!   tests: crash / recover / restart / respawn actions at fixed times.
+//! * [`learner::LearnerRecovery`] — one learner's checkpoint and
+//!   catch-up state machine (resume from the durable checkpoint, when a
+//!   checkpoint is due, adopting a transferred one, when catch-up is
+//!   complete, when a stuck gap re-enters it), shared by both rings and
+//!   `Sim`-free. Crash schedules are `simnet::fault::FaultPlan`.
 //!
 //! [`Sim::replace_actor`]: simnet::sim::Sim::replace_actor
 //! [`Ctx::disk_write`]: simnet::sim::Ctx::disk_write
@@ -52,14 +55,14 @@
 pub mod app;
 pub mod catchup;
 pub mod checkpoint;
-pub mod harness;
+pub mod learner;
 pub mod stable;
 pub mod wal;
 
 pub use app::{NullApp, RecoveredApp};
 pub use catchup::DecidedCache;
 pub use checkpoint::Checkpointer;
-pub use harness::{CrashAction, CrashPlan};
+pub use learner::{CatchupStep, CatchupTick, LearnerRecovery, CATCHUP_CHUNK, CATCHUP_RETRY};
 pub use stable::{stable, Checkpoint, StableHandle, StableState};
 pub use wal::{LogMode, VoteLog};
 

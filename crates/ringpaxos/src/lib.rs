@@ -33,6 +33,7 @@
 
 pub mod cluster;
 pub mod config;
+pub mod control;
 pub mod dedup;
 pub mod mring;
 pub mod msg;

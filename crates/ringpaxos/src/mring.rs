@@ -121,10 +121,14 @@ use abcast::{metric, MsgId, Pacer, SharedLog};
 use paxos::acceptor::Acceptor;
 use paxos::msg::{quorum, InstanceId, Round};
 use paxos::window::Window;
-use recovery::{Checkpointer, RecoveredApp, StableHandle};
+use recovery::{
+    CatchupStep, CatchupTick, LearnerRecovery, RecoveredApp, StableHandle, CATCHUP_CHUNK,
+    CATCHUP_RETRY,
+};
 use simnet::prelude::*;
 
 use crate::config::{MRingConfig, StorageMode};
+use crate::control::{persist_promise, Phase1, ProbeStep, RingProbe, Votes};
 use crate::dedup::DeliveredTracker;
 use crate::msg::MMsg;
 use crate::value::{batch_bytes, Batch, BatchData, Value, ALL_PARTITIONS};
@@ -146,12 +150,6 @@ const T_CATCHUP: u64 = 14 << 56;
 const T_HOLD: u64 = 15 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
-/// Decided instances served per recovery `CatchupRep` chunk.
-const CATCHUP_CHUNK: usize = 64;
-/// Retry period for an unanswered recovery `CatchupReq`.
-const CATCHUP_RETRY: Dur = Dur::millis(100);
-/// Checkpoint metadata bytes when no service snapshot is attached.
-const CKPT_META_BYTES: u64 = 4096;
 /// Liveness of the partial-batch hold: a queue whose head has waited
 /// this many `batch_timeout`s is proposed at the next batch tick even
 /// if core 0 never drained. With the tick period that bounds a value's
@@ -236,19 +234,9 @@ struct CoordState {
     logical_count: u64,
     /// Logical target accumulated from `lambda * delta` per interval.
     logical_target: u64,
-    /// Last time an outstanding instance completed its 2B relay (ring
-    /// liveness signal for repair, §3.3.5).
-    last_progress: Time,
-    /// In-flight acceptor probe (ring repair).
-    repair: Option<RepairState>,
-}
-
-/// Coordinator-side ring-repair probe: acceptors that answered the Ping
-/// and when the probe started.
-#[derive(Debug)]
-struct RepairState {
-    responders: BTreeSet<NodeId>,
-    started: Time,
+    /// Ring liveness (§3.3.5): progress is an outstanding instance
+    /// completing its 2B relay.
+    probe: RingProbe,
 }
 
 /// Acceptor-only state.
@@ -497,11 +485,10 @@ impl ProposerState {
     }
 }
 
-/// Failover (new coordinator election) state.
+/// Failover (new coordinator election) state: Phase 1, plus the
+/// decisions the promisers listed (M-Ring's form of "decided").
 struct Takeover {
-    round: Round,
-    promises: BTreeSet<NodeId>,
-    votes: BTreeMap<InstanceId, (Round, Batch)>,
+    p1: Phase1,
     decided: BTreeSet<InstanceId>,
 }
 
@@ -518,20 +505,6 @@ pub struct MRecovery {
     pub app: Option<Box<dyn RecoveredApp>>,
     /// Whether this incarnation replaces a crashed one (respawn).
     pub resumed: bool,
-}
-
-/// Live recovery state of one M-Ring process.
-struct MRecState {
-    store: StableHandle<Batch>,
-    ckpt: Option<Checkpointer<Batch>>,
-    app: Option<Box<dyn RecoveredApp>>,
-    delivered_count: u64,
-    catching_up: bool,
-    catchup_started: Time,
-    /// Delivery position at the previous catch-up tick when a stuck gap
-    /// was observed; a gap persisting across two ticks (outliving the
-    /// UDP retransmission machinery) re-enters catch-up.
-    last_gap: Option<InstanceId>,
 }
 
 /// One M-Ring Paxos process; roles derive from its position in the
@@ -556,7 +529,9 @@ pub struct MRingProcess {
     /// Highest GC watermark already applied; re-announcements of the same
     /// watermark (it rides on every 2A) skip the tree-splitting work.
     gc_applied: InstanceId,
-    rec: Option<MRecState>,
+    /// The learner recovery state machine both rings share; M-Ring adds
+    /// no state to it (it serves catch-up from the acceptor's votes).
+    rec: Option<LearnerRecovery<Batch>>,
 }
 
 impl MRingProcess {
@@ -593,8 +568,7 @@ impl MRingProcess {
             gc_watermark: InstanceId(0),
             logical_count: 0,
             logical_target: 0,
-            last_progress: Time::ZERO,
-            repair: None,
+            probe: RingProbe::new(Time::ZERO),
         });
         let acc = (in_ring || is_spare).then(|| {
             let mut paxos = Acceptor::new();
@@ -662,39 +636,25 @@ impl MRingProcess {
     /// checkpoint here; catch-up starts in `on_start`. The proposer role
     /// is not resumed (its sequence numbers are not logged).
     pub fn with_recovery(mut self, rec: MRecovery) -> MRingProcess {
-        let mut state = MRecState {
-            ckpt: (rec.checkpoint_interval > 0)
-                .then(|| Checkpointer::new(rec.store.clone(), rec.checkpoint_interval, T_CKPT)),
-            app: rec.app,
-            delivered_count: 0,
-            catching_up: false,
-            catchup_started: Time::ZERO,
-            last_gap: None,
-            store: rec.store,
-        };
+        let mut state = LearnerRecovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app);
         if rec.resumed {
             if let Some(a) = self.acc.as_mut() {
                 let (promised, votes) = {
-                    let s = state.store.lock().unwrap();
+                    let s = state.store().lock().unwrap();
                     let votes: Vec<(InstanceId, Round, Batch)> =
                         s.votes.iter().map(|(&i, (r, v))| (i, *r, v.clone())).collect();
                     (s.promised, votes)
                 };
                 a.paxos = Acceptor::restore(promised.max(self.round), votes);
             }
-            let cp = Checkpointer::recover(&state.store).unwrap_or_default();
             if let Some(l) = self.lrn.as_mut() {
+                let cp = state.resume();
                 l.next_deliver = cp.watermark;
                 l.applied_reported = cp.watermark;
-                l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-                state.delivered_count = cp.log_pos;
-                if let Some(app) = state.app.as_mut() {
-                    app.restore(cp.state.as_ref());
-                }
+                l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
                 if let Some(log) = self.log.as_ref() {
                     log.lock().unwrap().mark_restart(l.index, cp.log_pos as usize);
                 }
-                state.catching_up = true;
             }
         }
         self.rec = Some(state);
@@ -981,7 +941,7 @@ impl MRingProcess {
             // Quorum complete: every ring acceptor voted, plus ourselves.
             let Some(c) = self.coord.as_mut() else { return };
             if let Some(Outstanding { mask, sent, resent, .. }) = c.outstanding.remove(&instance) {
-                c.last_progress = ctx.now();
+                c.probe.progress(ctx.now());
                 c.decided_unsent.push((instance, mask));
                 // 2Bs complete the ring in instance order: an older
                 // instance still out when one proposed a whole ring trip
@@ -1092,8 +1052,7 @@ impl MRingProcess {
             // A higher-round coordinator exists: adopt the round and step
             // down if we (stale, e.g. restarted after a pause) still
             // believe we coordinate.
-            self.round = round;
-            self.persist_promise(round);
+            self.adopt_round(round);
             self.coord = None;
             self.takeover = None;
         }
@@ -1329,7 +1288,7 @@ impl MRingProcess {
     /// the scan range holds only deliverable instances waiting for the
     /// application.
     fn request_incomplete(&mut self, ctx: &mut Ctx) {
-        let catching_up = self.rec.as_ref().is_some_and(|r| r.catching_up);
+        let catching_up = self.rec.as_ref().is_some_and(|r| r.catching_up());
         let Some(l) = self.lrn.as_mut() else { return };
         let named = std::mem::take(&mut l.want);
         if catching_up {
@@ -1450,11 +1409,8 @@ impl MRingProcess {
                 }
             }
             if let Some(rec) = self.rec.as_mut() {
-                rec.delivered_count += delivered_here.len() as u64;
-                if let Some(app) = rec.app.as_mut() {
-                    for v in &delivered_here {
-                        app.apply(v.proposer.0 as u64, v.seq, v.bytes);
-                    }
+                for v in &delivered_here {
+                    rec.delivered(v.proposer.0 as u64, v.seq, v.bytes);
                 }
             }
             for v in &delivered_here {
@@ -1475,31 +1431,10 @@ impl MRingProcess {
         if let Some(p) = self.prop.as_mut() {
             p.send_held(ctx);
         }
-        self.maybe_checkpoint(ctx);
-        self.flow_check(ctx);
-    }
-
-    /// Starts a checkpoint when one is due (recovery-enabled learners).
-    fn maybe_checkpoint(&mut self, ctx: &mut Ctx) {
-        let Some(rec) = self.rec.as_mut() else { return };
-        let Some(ckpt) = rec.ckpt.as_mut() else { return };
-        let Some(l) = self.lrn.as_ref() else { return };
-        if !ckpt.due(l.next_deliver) {
-            return;
+        if let (Some(rec), Some(l)) = (self.rec.as_mut(), self.lrn.as_ref()) {
+            rec.maybe_checkpoint(l.next_deliver, || l.delivered.export(), ctx);
         }
-        let (marks, parked) = l.delivered.export();
-        let app = &mut rec.app;
-        ckpt.maybe_checkpoint(
-            l.next_deliver,
-            rec.delivered_count,
-            marks,
-            parked,
-            || match app {
-                Some(a) => a.snapshot(),
-                None => (CKPT_META_BYTES, None),
-            },
-            ctx,
-        );
+        self.flow_check(ctx);
     }
 
     /// Serves a recovery catch-up request from the acceptor's stored
@@ -1554,8 +1489,7 @@ impl MRingProcess {
         available_from: InstanceId,
         ctx: &mut Ctx,
     ) {
-        let catching = self.rec.as_ref().is_some_and(|r| r.catching_up);
-        if !catching {
+        if !self.rec.as_ref().is_some_and(|r| r.catching_up()) {
             return; // a retry's duplicate reply after completion
         }
         let next_now = self.next_deliver();
@@ -1583,30 +1517,31 @@ impl MRingProcess {
         self.try_deliver(ctx);
         let next = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
         let rec = self.rec.as_mut().expect("checked above");
-        if next >= upto {
-            rec.catching_up = false;
-            let took = ctx.now().since(rec.catchup_started);
-            ctx.record_latency("rec.ttr", took);
-        } else if got > 0 {
-            let index = self.lrn.as_ref().map(|l| l.index).unwrap_or(0);
-            let pref = self.cfg.preferential_acceptor(index);
-            let me = self.me;
-            ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, self.cfg.ctl_bytes);
+        match rec.chunk_applied(got, next, upto, ctx.now()) {
+            CatchupStep::Done(took) => ctx.record_latency("rec.ttr", took),
+            CatchupStep::AskMore => self.ask_catchup(next, ctx),
+            // The acceptor could not serve contiguously (e.g. mid-GC);
+            // the T_CATCHUP retry re-asks.
+            CatchupStep::Wait => {}
         }
-        // `got == 0` below the horizon: the acceptor could not serve
-        // contiguously (e.g. mid-GC); the T_CATCHUP retry re-asks.
+    }
+
+    /// Asks the preferential acceptor for the decided suffix from `next`
+    /// (bulk, over TCP).
+    fn ask_catchup(&mut self, next: InstanceId, ctx: &mut Ctx) {
+        let index = self.lrn.as_ref().map_or(0, |l| l.index);
+        let pref = self.cfg.preferential_acceptor(index);
+        ctx.tcp_send(pref, MMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
     }
 
     /// Adopts a peer learner's checkpoint (state transfer): jump the
     /// delivery window to its watermark and resume catch-up from there.
     fn on_snap_rep(&mut self, snap: Option<recovery::Checkpoint>, ctx: &mut Ctx) {
-        if !self.rec.as_ref().is_some_and(|r| r.catching_up) {
+        let (Some(cp), Some(rec), Some(l)) = (snap, self.rec.as_mut(), self.lrn.as_mut()) else {
             return;
-        }
-        let Some(cp) = snap else { return };
-        let Some(l) = self.lrn.as_mut() else { return };
-        if cp.watermark <= l.next_deliver {
-            return; // the peer is not ahead (yet); the retry tick re-asks
+        };
+        if !rec.adopt(&cp, l.next_deliver) {
+            return; // a duplicate, or the peer is not ahead (yet): the retry tick re-asks
         }
         let jump = (cp.watermark.0 - l.next_deliver.0) as usize;
         for _ in 0..jump.min(l.window.len()) {
@@ -1614,23 +1549,13 @@ impl MRingProcess {
         }
         l.next_deliver = cp.watermark;
         l.applied_reported = cp.watermark;
-        l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-        let index = l.index;
-        if let Some(rec) = self.rec.as_mut() {
-            rec.delivered_count = cp.log_pos;
-            if let Some(app) = rec.app.as_mut() {
-                app.restore(cp.state.as_ref());
-            }
-        }
+        l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
         if let Some(log) = self.log.as_ref() {
-            log.lock().unwrap().mark_state_transfer(index, cp.log_pos as usize);
+            log.lock().unwrap().mark_state_transfer(l.index, cp.log_pos as usize);
         }
         ctx.counter_add("rec.state_transfers", 1);
         ctx.counter_add("rec.transfer_bytes", cp.state_bytes);
-        let next = cp.watermark;
-        let pref = self.cfg.preferential_acceptor(index);
-        let me = self.me;
-        ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, self.cfg.ctl_bytes);
+        self.ask_catchup(cp.watermark, ctx);
         self.try_deliver(ctx);
     }
 
@@ -1768,7 +1693,7 @@ impl MRingProcess {
             // acceptor never needs them either — without this trim the
             // stable store grows with run length.
             if let Some(rec) = self.rec.as_ref() {
-                rec.store.lock().unwrap().trim_votes_below(upto);
+                rec.store().lock().unwrap().trim_votes_below(upto);
             }
         }
     }
@@ -1784,30 +1709,12 @@ impl MRingProcess {
     // ------------------------------------------------------------------
 
     fn ring_repair_check(&mut self, ctx: &mut Ctx) {
-        enum Action {
-            Nothing,
-            Probe,
-            Reform,
-        }
-        let timeout = self.cfg.suspicion_timeout;
-        let now = ctx.now();
-        let action = {
-            let Some(c) = self.coord.as_ref() else { return };
-            match c.repair.as_ref() {
-                Some(r) if now.saturating_since(r.started) >= timeout / 2 => Action::Reform,
-                Some(_) => Action::Nothing,
-                None if !c.outstanding.is_empty()
-                    && now.saturating_since(c.last_progress) > timeout =>
-                {
-                    Action::Probe
-                }
-                None => Action::Nothing,
-            }
-        };
-        match action {
-            Action::Nothing => {}
-            Action::Probe => self.start_ring_probe(ctx),
-            Action::Reform => self.reform_ring(ctx),
+        let Some(c) = self.coord.as_mut() else { return };
+        let open = !c.outstanding.is_empty();
+        match c.probe.check(ctx.now(), self.cfg.suspicion_timeout, open) {
+            ProbeStep::Nothing => {}
+            ProbeStep::Probe => self.start_ring_probe(ctx),
+            ProbeStep::Reform => self.reform_ring(ctx),
         }
     }
 
@@ -1822,9 +1729,7 @@ impl MRingProcess {
             .filter(|&n| n != me)
             .collect();
         if let Some(c) = self.coord.as_mut() {
-            let mut responders = BTreeSet::new();
-            responders.insert(me);
-            c.repair = Some(RepairState { responders, started: ctx.now() });
+            c.probe.start(me, ctx.now());
         }
         ctx.counter_add("rp.ring_probe", 1);
         for t in targets {
@@ -1834,12 +1739,8 @@ impl MRingProcess {
 
     fn reform_ring(&mut self, ctx: &mut Ctx) {
         let me = self.me;
-        let responders = {
-            let Some(c) = self.coord.as_mut() else { return };
-            let Some(r) = c.repair.take() else { return };
-            c.last_progress = ctx.now();
-            r.responders
-        };
+        let Some(c) = self.coord.as_mut() else { return };
+        let Some(responders) = c.probe.finish(ctx.now()) else { return };
         // Keep the surviving ring segment in order, then pull in live
         // spares until the ring again holds an m-quorum (§3.3.5).
         let mut ring: Vec<NodeId> =
@@ -1913,14 +1814,10 @@ impl MRingProcess {
 
     fn start_takeover(&mut self, ctx: &mut Ctx) {
         let pos = self.ring_pos().unwrap_or(0) as u32;
-        self.round = self.round.next_for(pos);
-        let round = self.round;
-        self.takeover = Some(Takeover {
-            round,
-            promises: BTreeSet::new(),
-            votes: BTreeMap::new(),
-            decided: BTreeSet::new(),
-        });
+        let round = self.round.next_for(pos);
+        self.adopt_round(round);
+        self.takeover =
+            Some(Takeover { p1: Phase1::new(round, ctx.now()), decided: BTreeSet::new() });
         ctx.counter_add("rp.takeover", 1);
         let me = self.me;
         // Phase 1A to every acceptor (ring + spares), including ourselves.
@@ -1942,38 +1839,27 @@ impl MRingProcess {
         ctx.set_timer(self.cfg.suspicion_timeout * 4, TimerToken(T_SUSPECT));
     }
 
-    /// Persists a promised/adopted round (recovery-enabled acceptors):
-    /// a restarted acceptor must not vote in a round it promised away.
-    /// Promise writes are control-sized and rare; their disk time is
-    /// folded into the next vote flush (see `recovery::stable`).
-    fn persist_promise(&self, round: Round) {
-        if self.acc.is_some() {
-            if let Some(rec) = self.rec.as_ref() {
-                rec.store.lock().unwrap().log_promise(round);
-            }
-        }
+    /// Moves to `round`, durably if this process is an acceptor with a
+    /// stable store: a restarted acceptor must not vote in a round it
+    /// promised away.
+    fn adopt_round(&mut self, round: Round) {
+        self.round = round;
+        persist_promise(self.acc.as_ref().and(self.rec.as_ref()).map(|r| r.store()), round);
     }
 
-    fn collect_own_votes(
-        &mut self,
-        round: Round,
-    ) -> (Vec<(InstanceId, Round, Batch)>, Vec<InstanceId>) {
-        self.persist_promise(round);
+    /// This acceptor's Phase 1B payload for `round`: its votes, and the
+    /// instances it knows decided.
+    fn collect_own_votes(&mut self, round: Round) -> (Votes, Vec<InstanceId>) {
         let Some(a) = self.acc.as_mut() else { return (Vec::new(), Vec::new()) };
-        match a.paxos.receive_1a(round) {
-            Some(paxos::msg::PaxosMsg::Phase1b { votes, .. }) => {
-                (votes, a.decided.iter().map(|(i, _)| i).collect())
-            }
-            _ => (Vec::new(), a.decided.iter().map(|(i, _)| i).collect()),
-        }
+        let votes = Phase1::reveal(&mut a.paxos, round, |_| true);
+        (votes, a.decided.iter().map(|(i, _)| i).collect())
     }
 
     fn on_phase1a(&mut self, round: Round, from: NodeId, ctx: &mut Ctx) {
         if round > self.round {
-            self.round = round;
-            self.persist_promise(round);
+            self.adopt_round(round);
             // Abandon any personal takeover attempt against a higher round.
-            if self.takeover.as_ref().is_some_and(|t| t.round < round) {
+            if self.takeover.as_ref().is_some_and(|t| t.p1.round < round) {
                 self.takeover = None;
             }
             // Deposed coordinator stops proposing.
@@ -1992,28 +1878,16 @@ impl MRingProcess {
         &mut self,
         round: Round,
         from: NodeId,
-        votes: Vec<(InstanceId, Round, Batch)>,
+        votes: Votes,
         decided: Vec<InstanceId>,
         ctx: &mut Ctx,
     ) {
-        let total = self.total_acceptors;
         let Some(t) = self.takeover.as_mut() else { return };
-        if t.round != round {
+        if !t.p1.promise(round, from, votes) {
             return;
-        }
-        if !t.promises.insert(from) {
-            return;
-        }
-        for (i, r, b) in votes {
-            match t.votes.get(&i) {
-                Some((vr, _)) if *vr >= r => {}
-                _ => {
-                    t.votes.insert(i, (r, b));
-                }
-            }
         }
         t.decided.extend(decided);
-        if t.promises.len() >= quorum(total) {
+        if t.p1.has_quorum(self.total_acceptors) {
             self.become_coordinator(ctx);
         }
     }
@@ -2039,18 +1913,18 @@ impl MRingProcess {
         ring.push(self.me);
         self.cfg.ring = ring.clone();
         self.cfg.spares.retain(|s| !ring.contains(s));
-        let round = t.round;
+        let round = t.p1.round;
         self.round = round;
 
         // Resume after the highest instance seen anywhere.
-        let max_seen = t
-            .votes
-            .keys()
-            .next_back()
-            .copied()
-            .max(t.decided.iter().next_back().copied())
-            .map(|i| i.next())
-            .unwrap_or(InstanceId(0));
+        let max_seen =
+            t.p1.votes()
+                .keys()
+                .next_back()
+                .copied()
+                .max(t.decided.iter().next_back().copied())
+                .map(|i| i.next())
+                .unwrap_or(InstanceId(0));
 
         let mut cs = CoordState {
             queues: Vec::new(),
@@ -2066,13 +1940,12 @@ impl MRingProcess {
             gc_watermark: InstanceId(0),
             logical_count: 0,
             logical_target: 0,
-            last_progress: ctx.now(),
-            repair: None,
+            probe: RingProbe::new(ctx.now()),
         };
 
         // Re-propose undecided revealed votes (value pick rule).
         let mut repropose: Vec<(InstanceId, Batch)> = Vec::new();
-        for (i, (_r, b)) in &t.votes {
+        for (i, (_r, b)) in t.p1.votes() {
             if !t.decided.contains(i) {
                 repropose.push((*i, b.clone()));
             }
@@ -2124,8 +1997,7 @@ impl MRingProcess {
         if round < self.round {
             return;
         }
-        self.round = round;
-        self.persist_promise(round);
+        self.adopt_round(round);
         self.cfg.ring = ring;
         if coord != self.me {
             self.coord = None;
@@ -2226,16 +2098,9 @@ impl Actor for MRingProcess {
             // and re-enters catch-up if a delivery gap gets stuck later.
             ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
         }
-        if self.rec.as_ref().is_some_and(|r| r.catching_up) {
-            let next = self.next_deliver();
-            let index = self.lrn.as_ref().map(|l| l.index).unwrap_or(0);
-            let pref = self.cfg.preferential_acceptor(index);
-            let me = self.me;
-            if let Some(rec) = self.rec.as_mut() {
-                rec.catchup_started = ctx.now();
-            }
+        if self.rec.as_mut().is_some_and(|r| r.start(ctx.now())) {
             ctx.counter_add("rec.restarts", 1);
-            ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, self.cfg.ctl_bytes);
+            self.ask_catchup(self.next_deliver(), ctx);
         }
     }
 
@@ -2289,9 +2154,7 @@ impl Actor for MRingProcess {
             }
             MMsg::Pong { from } => {
                 if let Some(c) = self.coord.as_mut() {
-                    if let Some(r) = c.repair.as_mut() {
-                        r.responders.insert(*from);
-                    }
+                    c.probe.pong(*from);
                 }
             }
             MMsg::Decision { instances, round, gc_upto, decided_below } => {
@@ -2376,7 +2239,7 @@ impl Actor for MRingProcess {
             MMsg::SnapReq { from } => {
                 let from = *from;
                 if let Some(rec) = self.rec.as_ref() {
-                    let snap = rec.store.lock().unwrap().checkpoint.clone();
+                    let snap = rec.store().lock().unwrap().checkpoint.clone();
                     let wire = (self.cfg.ctl_bytes as u64
                         + snap.as_ref().map(|c| c.state_bytes).unwrap_or(0))
                     .min(u32::MAX as u64) as u32;
@@ -2489,7 +2352,7 @@ impl Actor for MRingProcess {
                 // write — does the vote enter the stable store.
                 if let Some(rec) = self.rec.as_ref() {
                     if let Some(vote) = self.acc.as_ref().and_then(|a| a.paxos.vote(instance)) {
-                        rec.store
+                        rec.store()
                             .lock()
                             .unwrap()
                             .votes
@@ -2501,7 +2364,7 @@ impl Actor for MRingProcess {
             T_CKPT => {
                 let payload = token_payload(token);
                 if let Some(rec) = self.rec.as_mut() {
-                    if rec.ckpt.as_mut().and_then(|c| c.on_token(payload)).is_some() {
+                    if rec.on_ckpt_token(payload).is_some() {
                         // Acceptor-side trimming stays with the ring's
                         // version-vector GC (§3.3.7); the checkpoint
                         // already trimmed this node's durable vote log.
@@ -2517,29 +2380,18 @@ impl Actor for MRingProcess {
                 let next = l.next_deliver;
                 let stuck = l.horizon() > next
                     && l.window.front().is_some_and(|s| !s.ready() && !s.foreign);
-                let index = l.index;
-                let pref = self.cfg.preferential_acceptor(index);
-                let me = self.me;
-                let ctl = self.cfg.ctl_bytes;
                 let rec = self.rec.as_mut().expect("checked");
-                if rec.catching_up {
-                    ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, ctl);
-                } else if stuck {
-                    // A gap the 20 ms retransmission machinery did not
-                    // close within a full tick (e.g. the acceptors GC'd
-                    // the instance): go back to catch-up, which can
-                    // escalate to a peer state transfer.
-                    if rec.last_gap == Some(next) {
-                        rec.catching_up = true;
-                        rec.catchup_started = ctx.now();
-                        rec.last_gap = None;
+                // A gap the 20 ms retransmission machinery did not close
+                // within a full tick (e.g. the acceptors GC'd the
+                // instance) goes back to catch-up, which can escalate
+                // to a peer state transfer.
+                match rec.tick(next, stuck, ctx.now()) {
+                    CatchupTick::Idle => {}
+                    CatchupTick::Retry => self.ask_catchup(next, ctx),
+                    CatchupTick::Reenter => {
                         ctx.counter_add("rec.gap_catchups", 1);
-                        ctx.tcp_send(pref, MMsg::CatchupReq { from: me, next }, ctl);
-                    } else {
-                        rec.last_gap = Some(next);
+                        self.ask_catchup(next, ctx);
                     }
-                } else {
-                    rec.last_gap = None;
                 }
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }

@@ -78,13 +78,15 @@ use abcast::{metric, MsgId, Pacer, SharedLog};
 
 use crate::dedup::DeliveredTracker;
 use paxos::acceptor::Acceptor;
-use paxos::msg::{quorum, InstanceId, PaxosMsg, Round};
+use paxos::msg::{quorum, InstanceId, Round};
 use recovery::{
-    Checkpoint, Checkpointer, DecidedCache, LogMode, RecoveredApp, StableHandle, VoteLog,
+    CatchupStep, CatchupTick, Checkpoint, DecidedCache, LearnerRecovery, LogMode, RecoveredApp,
+    StableHandle, VoteLog, CATCHUP_CHUNK, CATCHUP_RETRY,
 };
 use simnet::prelude::*;
 
 use crate::config::{StorageMode, URingConfig};
+use crate::control::{persist_promise, Phase1, ProbeStep, RingProbe, Votes};
 use crate::msg::UMsg;
 use crate::value::{batch_bytes, Batch, BatchData, Value};
 
@@ -99,18 +101,12 @@ const T_HEARTBEAT: u64 = 8 << 56;
 const T_DISK: u64 = 9 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
-/// Decided instances served per `CatchupRep` chunk.
-const CATCHUP_CHUNK: usize = 64;
-/// Retry period for an unanswered `CatchupReq`.
-const CATCHUP_RETRY: Dur = Dur::millis(100);
 /// Scan period of the re-proposal timers (recovery-enabled rings).
 const REPROP_INTERVAL: Dur = Dur::millis(50);
 /// Age beyond which an outstanding instance / undelivered value is
 /// re-sent. Comfortably above one loaded ring round-trip, far below the
 /// experiment's outage scale.
 const REPROP_AGE: Dur = Dur::millis(150);
-/// Checkpoint metadata bytes when no service snapshot is attached.
-const CKPT_META_BYTES: u64 = 4096;
 
 /// Recovery configuration for one U-Ring process (see the module docs).
 pub struct URecovery {
@@ -135,25 +131,14 @@ pub struct URecovery {
     pub resumed: bool,
 }
 
-/// Live recovery state of one process.
+/// Live recovery state of one process: the learner state machine both
+/// rings share, plus what only U-Ring has.
 struct RecState {
-    store: StableHandle<Batch>,
+    lr: LearnerRecovery<Batch>,
     wal: VoteLog<Batch>,
-    ckpt: Option<Checkpointer<Batch>>,
     cache: DecidedCache<Batch>,
-    app: Option<Box<dyn RecoveredApp>>,
     peer: NodeId,
     retention: u64,
-    /// Values this learner delivered across all incarnations (the
-    /// checkpoint's `log_pos` basis).
-    delivered_count: u64,
-    catching_up: bool,
-    catchup_started: Time,
-    /// Delivery position at the previous catch-up tick when a stuck gap
-    /// was observed; a gap persisting across two ticks re-enters
-    /// catch-up (e.g. after completing against a peer that was itself
-    /// recovering and served an empty horizon).
-    last_gap: Option<InstanceId>,
     /// When the periodic catch-up tick last ran. A node brought back up
     /// with its state preserved lost every timer that expired while it
     /// was down — including this chain — and on a failover-enabled ring
@@ -172,20 +157,14 @@ struct UCoord {
     /// Batches of outstanding instances with their last-send time, kept
     /// on recovery- or failover-enabled rings for the re-proposal timer.
     outstanding_batches: BTreeMap<InstanceId, (Batch, Time)>,
-    /// Last time a decision circulated back (ring liveness signal).
-    last_progress: Time,
-    /// In-progress ring-repair probe.
-    repair: Option<URepair>,
+    /// Ring liveness: progress is a decision circulating back.
+    probe: RingProbe,
 }
 
-/// An in-progress coordinator takeover: Phase 1 under `round`.
+/// An in-progress coordinator takeover: Phase 1, plus the promisers'
+/// delivery watermarks (U-Ring's form of "decided").
 struct UTakeover {
-    round: Round,
-    started: Time,
-    /// Acceptors whose promise arrived.
-    promises: BTreeSet<NodeId>,
-    /// Highest-round revealed vote per instance.
-    votes: BTreeMap<InstanceId, (Round, Batch)>,
+    p1: Phase1,
     /// Lowest delivery watermark among the promising acceptors — the
     /// re-proposal window starts here.
     db_min: InstanceId,
@@ -193,12 +172,6 @@ struct UTakeover {
     /// instances past it with no revealed vote are provably undecided
     /// (see `become_coordinator`) and get empty gap-fills.
     db_max: InstanceId,
-}
-
-/// An in-progress ring-repair probe (coordinator side).
-struct URepair {
-    responders: BTreeSet<NodeId>,
-    started: Time,
 }
 
 /// One U-Ring Paxos process.
@@ -277,8 +250,7 @@ impl URingProcess {
             next_instance: InstanceId(0),
             outstanding: BTreeSet::new(),
             outstanding_batches: BTreeMap::new(),
-            last_progress: Time::ZERO,
-            repair: None,
+            probe: RingProbe::new(Time::ZERO),
         });
         let acceptor = is_acceptor.then(|| {
             let mut a = Acceptor::new();
@@ -337,18 +309,11 @@ impl URingProcess {
         });
         let mut state = RecState {
             wal: VoteLog::new(rec.store.clone(), rec.wal_mode, self.cfg.disk_unit, T_WAL),
-            ckpt: (rec.checkpoint_interval > 0)
-                .then(|| Checkpointer::new(rec.store.clone(), rec.checkpoint_interval, T_CKPT)),
+            lr: LearnerRecovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app),
             cache: DecidedCache::new(),
-            app: rec.app,
             peer,
             retention: rec.catchup_retention,
-            delivered_count: 0,
-            catching_up: false,
-            catchup_started: Time::ZERO,
-            last_gap: None,
             last_tick: Time::ZERO,
-            store: rec.store,
         };
         if rec.resumed {
             if self.coord.is_some() {
@@ -375,19 +340,14 @@ impl URingProcess {
                 self.acceptor = Some(Acceptor::restore(promised, votes));
             }
             // Learner role: restore the durable checkpoint.
-            let cp = Checkpointer::recover(&state.store).unwrap_or_default();
             if let Some(l) = self.learner.as_mut() {
+                let cp = state.lr.resume();
                 l.next_deliver = cp.watermark;
-                l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-                state.delivered_count = cp.log_pos;
+                l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
                 state.cache.trim_below(cp.watermark);
-                if let Some(app) = state.app.as_mut() {
-                    app.restore(cp.state.as_ref());
-                }
                 if let Some(log) = self.log.as_ref() {
                     log.lock().unwrap().mark_restart(l.index, cp.log_pos as usize);
                 }
-                state.catching_up = true;
             }
         }
         if let Some(p) = self.prop.as_mut() {
@@ -610,7 +570,7 @@ impl URingProcess {
             // Recovery-enabled: write-ahead log the vote; `vote_and_forward`
             // runs from the WAL completion (T_WAL). Re-proposals of an
             // already-durable vote skip the disk and vote immediately.
-            if rec.store.lock().unwrap().votes.contains_key(&instance) {
+            if rec.lr.store().lock().unwrap().votes.contains_key(&instance) {
                 self.vote_and_forward(instance, round, batch, ctx);
             } else {
                 let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
@@ -693,7 +653,7 @@ impl URingProcess {
             if let Some(c) = self.coord.as_mut() {
                 c.outstanding.remove(&instance);
                 c.outstanding_batches.remove(&instance);
-                c.last_progress = now;
+                c.probe.progress(now);
             }
             self.try_flush(ctx, false);
         }
@@ -735,7 +695,9 @@ impl URingProcess {
             }
             if let Some(rec) = self.rec.as_mut() {
                 rec.cache.record(delivered_instance, b.clone());
-                rec.delivered_count += fresh.len() as u64;
+                for v in &fresh {
+                    rec.lr.delivered(v.proposer.0 as u64, v.seq, v.bytes);
+                }
             }
             if let Some(log) = self.log.as_ref() {
                 let mut log = log.lock().unwrap();
@@ -746,9 +708,6 @@ impl URingProcess {
             for v in &fresh {
                 ctx.counter_add_id(metric::id::DELIVERED_BYTES, v.bytes as u64);
                 ctx.counter_add_id(metric::id::DELIVERED_MSGS, 1);
-                if let Some(app) = self.rec.as_mut().and_then(|r| r.app.as_mut()) {
-                    app.apply(v.proposer.0 as u64, v.seq, v.bytes);
-                }
                 if v.proposer == self.me {
                     // `since`, not `saturating_since`: delivery strictly
                     // follows submission, so a clamped-to-zero sample
@@ -761,30 +720,9 @@ impl URingProcess {
                 }
             }
         }
-        self.maybe_checkpoint(ctx);
-    }
-
-    /// Starts a checkpoint when one is due (recovery-enabled learners).
-    fn maybe_checkpoint(&mut self, ctx: &mut Ctx) {
-        let Some(rec) = self.rec.as_mut() else { return };
-        let Some(ckpt) = rec.ckpt.as_mut() else { return };
-        let Some(l) = self.learner.as_ref() else { return };
-        if !ckpt.due(l.next_deliver) {
-            return;
+        if let (Some(rec), Some(l)) = (self.rec.as_mut(), self.learner.as_ref()) {
+            rec.lr.maybe_checkpoint(l.next_deliver, || l.delivered.export(), ctx);
         }
-        let (marks, parked) = l.delivered.export();
-        let app = &mut rec.app;
-        ckpt.maybe_checkpoint(
-            l.next_deliver,
-            rec.delivered_count,
-            marks,
-            parked,
-            || match app {
-                Some(a) => a.snapshot(),
-                None => (CKPT_META_BYTES, None),
-            },
-            ctx,
-        );
     }
 
     /// Serves a catch-up request from a recovering peer: the decided
@@ -795,7 +733,7 @@ impl URingProcess {
         let mut wire = self.cfg.ctl_bytes as u64;
         let mut eff = next;
         let snap = if next < rec.cache.base() {
-            let cp = rec.store.lock().unwrap().checkpoint.clone();
+            let cp = rec.lr.store().lock().unwrap().checkpoint.clone();
             if let Some(cp) = cp.as_ref() {
                 eff = cp.watermark;
                 wire += cp.state_bytes;
@@ -825,21 +763,17 @@ impl URingProcess {
     ) {
         {
             let Some(rec) = self.rec.as_mut() else { return };
-            if !rec.catching_up {
+            if !rec.lr.catching_up() {
                 return; // a retry's duplicate reply after completion
             }
             if let Some(cp) = snap {
                 let l = self.learner.as_mut().expect("catch-up requester is a learner");
-                if cp.watermark > l.next_deliver {
+                if rec.lr.adopt(&cp, l.next_deliver) {
                     // State transfer: adopt the peer's checkpoint.
                     l.next_deliver = cp.watermark;
                     l.ready = l.ready.split_off(&cp.watermark);
-                    l.delivered = DeliveredTracker::restore(cp.marks.clone(), cp.parked.clone());
-                    rec.delivered_count = cp.log_pos;
+                    l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
                     rec.cache.trim_below(cp.watermark);
-                    if let Some(app) = rec.app.as_mut() {
-                        app.restore(cp.state.as_ref());
-                    }
                     if let Some(log) = self.log.as_ref() {
                         log.lock().unwrap().mark_state_transfer(l.index, cp.log_pos as usize);
                     }
@@ -858,18 +792,22 @@ impl URingProcess {
         }
         let next = self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
         let rec = self.rec.as_mut().expect("checked above");
-        if next >= upto {
+        match rec.lr.chunk_applied(got, next, upto, ctx.now()) {
             // Caught up to the responder's horizon; the live ring flow
             // (buffered in `ready` during catch-up) takes over.
-            rec.catching_up = false;
-            let took = ctx.now().since(rec.catchup_started);
-            ctx.record_latency("rec.ttr", took);
-        } else if got > 0 {
-            let peer = rec.peer;
-            ctx.tcp_send(peer, UMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+            CatchupStep::Done(took) => ctx.record_latency("rec.ttr", took),
+            CatchupStep::AskMore => self.ask_catchup(next, ctx),
+            // The responder could not serve (e.g. it is itself
+            // recovering); the T_CATCHUP retry re-asks.
+            CatchupStep::Wait => {}
         }
-        // `got == 0` below the horizon: the responder could not serve
-        // (e.g. it is itself recovering); the T_CATCHUP retry re-asks.
+    }
+
+    /// Asks the catch-up peer for the decided suffix from `next`.
+    fn ask_catchup(&mut self, next: InstanceId, ctx: &mut Ctx) {
+        if let Some(rec) = self.rec.as_ref() {
+            ctx.tcp_send(rec.peer, UMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+        }
     }
 
     /// Periodic re-send scan (recovery- or failover-enabled rings): the
@@ -943,28 +881,25 @@ impl URingProcess {
         self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0))
     }
 
-    /// Persists a promised round through the stable store so a respawned
-    /// acceptor does not regress below it.
-    fn persist_promise(&mut self, round: Round) {
-        if self.acceptor.is_some() {
-            if let Some(rec) = self.rec.as_ref() {
-                rec.store.lock().unwrap().log_promise(round);
-            }
-        }
+    /// Moves to `round`, durably if this process is an acceptor with a
+    /// stable store: a respawned acceptor must not regress below it.
+    fn adopt_round(&mut self, round: Round) {
+        self.round = round;
+        let store = self.acceptor.as_ref().and(self.rec.as_ref()).map(|r| r.lr.store());
+        persist_promise(store, round);
     }
 
     /// This acceptor's Phase 1B payload for `round`: its accepted votes
     /// from its own delivery watermark up (anything below it has been
     /// delivered here, so the new coordinator never needs it from us),
     /// plus that watermark.
-    fn own_votes(&mut self, round: Round) -> (Vec<(InstanceId, Round, Batch)>, InstanceId) {
+    fn own_votes(&mut self, round: Round) -> (Votes, InstanceId) {
         let decided_below = self.decided_below_here();
-        let votes = match self.acceptor.as_mut().and_then(|a| a.receive_1a(round)) {
-            Some(PaxosMsg::Phase1b { votes, .. }) => {
-                votes.into_iter().filter(|(i, _, _)| *i >= decided_below).collect()
-            }
-            _ => Vec::new(),
-        };
+        let votes = self
+            .acceptor
+            .as_mut()
+            .map(|a| Phase1::reveal(a, round, |i| i >= decided_below))
+            .unwrap_or_default();
         (votes, decided_below)
     }
 
@@ -1025,7 +960,7 @@ impl URingProcess {
             // Takeover in flight but the promise quorum never arrived
             // (another acceptor died too, or our Phase 1A raced a
             // partition): bump the round and try again.
-            if now.saturating_since(t.started) > timeout * 4 {
+            if now.saturating_since(t.p1.started) > timeout * 4 {
                 self.start_takeover(ctx);
             }
             ctx.set_timer(timeout, TimerToken(T_SUSPECT));
@@ -1045,13 +980,9 @@ impl URingProcess {
     /// this node the coordinator of the new epoch.
     fn start_takeover(&mut self, ctx: &mut Ctx) {
         let round = self.round.next_for(self.me.0 as u32);
-        self.round = round;
-        self.persist_promise(round);
+        self.adopt_round(round);
         self.takeover = Some(UTakeover {
-            round,
-            started: ctx.now(),
-            promises: BTreeSet::new(),
-            votes: BTreeMap::new(),
+            p1: Phase1::new(round, ctx.now()),
             db_min: InstanceId(u64::MAX),
             db_max: InstanceId(0),
         });
@@ -1071,10 +1002,9 @@ impl URingProcess {
         if !self.failover_on() || round <= self.round {
             return; // stale candidate; it will adopt our NewRing
         }
-        self.round = round;
-        self.persist_promise(round);
+        self.adopt_round(round);
         // A lower-round takeover of our own has lost.
-        if self.takeover.as_ref().is_some_and(|t| t.round < round) {
+        if self.takeover.as_ref().is_some_and(|t| t.p1.round < round) {
             self.takeover = None;
         }
         // If we were the coordinator, the higher round deposes us.
@@ -1093,26 +1023,17 @@ impl URingProcess {
         &mut self,
         round: Round,
         from: NodeId,
-        votes: Vec<(InstanceId, Round, Batch)>,
+        votes: Votes,
         decided_below: InstanceId,
         ctx: &mut Ctx,
     ) {
-        let quorum_n = quorum(self.acceptor_nodes.len());
         let Some(t) = self.takeover.as_mut() else { return };
-        if round != t.round || !t.promises.insert(from) {
+        if !t.p1.promise(round, from, votes) {
             return;
-        }
-        for (i, vr, b) in votes {
-            match t.votes.get(&i) {
-                Some((prev, _)) if *prev >= vr => {}
-                _ => {
-                    t.votes.insert(i, (vr, b));
-                }
-            }
         }
         t.db_min = t.db_min.min(decided_below);
         t.db_max = t.db_max.max(decided_below);
-        if t.promises.len() >= quorum_n {
+        if t.p1.has_quorum(self.acceptor_nodes.len()) {
             self.become_coordinator(ctx);
         }
     }
@@ -1134,13 +1055,13 @@ impl URingProcess {
     /// are left to the recovery catch-up path rather than guessed at.
     fn become_coordinator(&mut self, ctx: &mut Ctx) {
         let t = self.takeover.take().expect("quorum implies a takeover");
-        self.round = t.round;
+        self.round = t.p1.round;
         // New layout: me first (the coordinator is the first acceptor),
         // then the other promising acceptors, then the remaining current
         // members. Live processes spliced out here rejoin via JoinReq.
         let mut ring = vec![self.me];
         for &n in &self.all_nodes {
-            if n != self.me && t.promises.contains(&n) {
+            if n != self.me && t.p1.promisers().contains(&n) {
                 ring.push(n);
             }
         }
@@ -1156,7 +1077,7 @@ impl URingProcess {
             t.db_min.min(self.decided_below_here())
         };
         let mut next = start.max(t.db_max);
-        if let Some((&hi, _)) = t.votes.iter().next_back() {
+        if let Some((&hi, _)) = t.p1.votes().iter().next_back() {
             next = next.max(hi.next());
         }
         let now = ctx.now();
@@ -1166,13 +1087,12 @@ impl URingProcess {
             next_instance: next,
             outstanding: BTreeSet::new(),
             outstanding_batches: BTreeMap::new(),
-            last_progress: now,
-            repair: None,
+            probe: RingProbe::new(now),
         };
         let mut reprops: Vec<(InstanceId, Batch)> = Vec::new();
         let mut i = start;
         while i < next {
-            let batch = match t.votes.get(&i) {
+            let batch = match t.p1.votes().get(&i) {
                 Some((_, b)) => b.clone(),
                 None if i >= t.db_max => BatchData::empty(),
                 None => {
@@ -1214,8 +1134,7 @@ impl URingProcess {
         if !self.failover_on() || round < self.round || coord == self.me {
             return;
         }
-        self.round = round;
-        self.persist_promise(round);
+        self.adopt_round(round);
         self.takeover = None;
         self.depose(ctx);
         self.adopt_layout(&ring);
@@ -1285,41 +1204,17 @@ impl URingProcess {
     /// round instead of staying down for the whole outage).
     fn ring_repair_check(&mut self, ctx: &mut Ctx) {
         let timeout = self.suspicion_timeout();
-        let now = ctx.now();
-        enum Action {
-            Nothing,
-            Probe,
-            Reform,
-        }
-        let action = {
-            let Some(c) = self.coord.as_mut() else { return };
-            if let Some(r) = c.repair.as_ref() {
-                if now.saturating_since(r.started) >= timeout / 2 {
-                    Action::Reform
-                } else {
-                    Action::Nothing
-                }
-            } else if c.outstanding.is_empty() {
-                c.last_progress = now;
-                Action::Nothing
-            } else if now.saturating_since(c.last_progress) > timeout {
-                Action::Probe
-            } else {
-                Action::Nothing
-            }
-        };
-        match action {
-            Action::Nothing => {}
-            Action::Probe => self.start_ring_probe(ctx),
-            Action::Reform => self.finish_ring_repair(ctx),
+        let Some(c) = self.coord.as_mut() else { return };
+        match c.probe.check(ctx.now(), timeout, !c.outstanding.is_empty()) {
+            ProbeStep::Nothing => {}
+            ProbeStep::Probe => self.start_ring_probe(ctx),
+            ProbeStep::Reform => self.finish_ring_repair(ctx),
         }
     }
 
     fn start_ring_probe(&mut self, ctx: &mut Ctx) {
-        let mut responders = BTreeSet::new();
-        responders.insert(self.me);
         if let Some(c) = self.coord.as_mut() {
-            c.repair = Some(URepair { responders, started: ctx.now() });
+            c.probe.start(self.me, ctx.now());
         }
         ctx.counter_add("rp.ring_probe", 1);
         for &n in &self.all_nodes.clone() {
@@ -1330,12 +1225,8 @@ impl URingProcess {
     }
 
     fn finish_ring_repair(&mut self, ctx: &mut Ctx) {
-        let responders = {
-            let Some(c) = self.coord.as_mut() else { return };
-            let Some(r) = c.repair.take() else { return };
-            c.last_progress = ctx.now();
-            r.responders
-        };
+        let Some(c) = self.coord.as_mut() else { return };
+        let Some(responders) = c.probe.finish(ctx.now()) else { return };
         // Keep responding members (acceptors contiguous first); silent
         // ones are spliced out and rejoin via JoinReq once they recover.
         let mut ring = vec![self.me];
@@ -1367,9 +1258,7 @@ impl URingProcess {
     /// function of the round, so stale-layout traffic fails the fence)
     /// and re-drives every outstanding instance through the new layout.
     fn reform_to(&mut self, ring: Vec<NodeId>, ctx: &mut Ctx) {
-        let round = self.round.next_for(self.me.0 as u32);
-        self.round = round;
-        self.persist_promise(round);
+        self.adopt_round(self.round.next_for(self.me.0 as u32));
         self.adopt_layout(&ring);
         self.mark_epoch();
         ctx.counter_add("rp.ring_repair", 1);
@@ -1439,12 +1328,9 @@ impl Actor for URingProcess {
                 // gets stuck later.
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }
-            if rec.catching_up {
-                rec.catchup_started = ctx.now();
-                let next = self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0));
-                let peer = rec.peer;
+            if rec.lr.start(ctx.now()) {
                 ctx.counter_add("rec.restarts", 1);
-                ctx.tcp_send(peer, UMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+                self.ask_catchup(self.decided_below_here(), ctx);
             }
         }
     }
@@ -1498,8 +1384,8 @@ impl Actor for URingProcess {
                 ctx.tcp_send(from, UMsg::Pong { from: self.me }, self.cfg.ctl_bytes);
             }
             UMsg::Pong { from } => {
-                if let Some(r) = self.coord.as_mut().and_then(|c| c.repair.as_mut()) {
-                    r.responders.insert(*from);
+                if let Some(c) = self.coord.as_mut() {
+                    c.probe.pong(*from);
                 }
             }
             UMsg::JoinReq { from } => {
@@ -1539,7 +1425,7 @@ impl Actor for URingProcess {
             T_CKPT => {
                 let payload = token.0 & !KIND_MASK;
                 if let Some(rec) = self.rec.as_mut() {
-                    if let Some(w) = rec.ckpt.as_mut().and_then(|c| c.on_token(payload)) {
+                    if let Some(w) = rec.lr.on_ckpt_token(payload) {
                         // The retention slack keeps a suffix below the
                         // watermark so peers with short outages avoid a
                         // full state transfer.
@@ -1560,31 +1446,14 @@ impl Actor for URingProcess {
                 let stuck = l.ready.keys().next().is_some_and(|&m| m > next);
                 let Some(rec) = self.rec.as_mut() else { return };
                 rec.last_tick = ctx.now();
-                let peer = rec.peer;
-                if rec.catching_up {
-                    ctx.tcp_send(
-                        peer,
-                        UMsg::CatchupReq { from: self.me, next },
-                        self.cfg.ctl_bytes,
-                    );
-                } else if stuck {
-                    // Re-enter catch-up if the gap outlived a full tick
-                    // (re-proposal normally closes small gaps faster).
-                    if rec.last_gap == Some(next) {
-                        rec.catching_up = true;
-                        rec.catchup_started = ctx.now();
-                        rec.last_gap = None;
+                // Re-proposal normally closes small gaps within a tick.
+                match rec.lr.tick(next, stuck, ctx.now()) {
+                    CatchupTick::Idle => {}
+                    CatchupTick::Retry => self.ask_catchup(next, ctx),
+                    CatchupTick::Reenter => {
                         ctx.counter_add("rec.gap_catchups", 1);
-                        ctx.tcp_send(
-                            peer,
-                            UMsg::CatchupReq { from: self.me, next },
-                            self.cfg.ctl_bytes,
-                        );
-                    } else {
-                        rec.last_gap = Some(next);
+                        self.ask_catchup(next, ctx);
                     }
-                } else {
-                    rec.last_gap = None;
                 }
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }

@@ -1,9 +1,7 @@
 //! Fault-injection schedules: [`FaultPlan`], a timed list of
 //! [`FaultAction`]s driven over a running [`Sim`].
 //!
-//! `FaultPlan` generalizes the recovery crate's `CrashPlan` (which now
-//! delegates here): beyond crash/recover/restart/respawn of single
-//! nodes it injects
+//! Beyond crash/recover/restart/respawn of single nodes it injects
 //!
 //! * **link partitions** — symmetric cuts between node sets that drop
 //!   every transport, TCP included (`net.part_drop`); healing resets
@@ -16,9 +14,8 @@
 //!   `net.duplicated`),
 //! * **stragglers** — per-node CPU or disk slowdown factors
 //!   ([`Sim::set_cpu_slowdown`] / [`Sim::set_disk_slowdown`]),
-//! * **repeated crash/respawn cycles**, via the same respawn closure
-//!   protocol as `CrashPlan`: the closure installs a fresh actor over
-//!   the node's stable store.
+//! * **repeated crash/respawn cycles**: the respawn closure installs a
+//!   fresh actor over the node's stable store.
 //!
 //! Every action is applied from the control plane between events
 //! (`sim.run_until(at)` first), so schedules compose with the engine's
@@ -233,6 +230,33 @@ mod tests {
             self.n += 1;
             ctx.set_timer(Dur::micros(500), TimerToken(0));
         }
+    }
+
+    #[test]
+    fn plan_applies_actions_in_time_order() {
+        struct Counter(Arc<Mutex<u32>>);
+        impl Actor for Counter {
+            fn on_start(&mut self, _ctx: &mut Ctx) {
+                *self.0.lock().unwrap() += 1;
+            }
+            fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
+        }
+        let starts = Arc::new(Mutex::new(0));
+        let mut sim = Sim::new(SimConfig::default());
+        let n = sim.add_node(Box::new(Counter(starts.clone())));
+        let mut respawned = false;
+        // Inserted out of order: the crash at 10 ms applies first.
+        FaultPlan::new()
+            .at(Time::from_millis(30), FaultAction::Respawn(n))
+            .at(Time::from_millis(10), FaultAction::Crash(n))
+            .run(&mut sim, Time::from_millis(50), |sim, node| {
+                respawned = true;
+                sim.replace_actor(node, Box::new(Counter(starts.clone())));
+            });
+        assert!(respawned);
+        assert_eq!(*starts.lock().unwrap(), 2, "original start + respawned start");
+        assert_eq!(sim.now(), Time::from_millis(50));
+        assert!(sim.is_up(n));
     }
 
     #[test]
