@@ -80,6 +80,15 @@ impl MRingDeployment {
     }
 }
 
+/// A proposer's open-loop pacer, as both rings' options describe it.
+fn pacer(rate_bps: u64, msg_bytes: u32, burst: u32, stop: Option<Time>) -> Pacer {
+    let mut pacer = Pacer::new(rate_bps, msg_bytes, burst);
+    if let Some(stop) = stop {
+        pacer.stop_at(stop);
+    }
+    pacer
+}
+
 /// Deploys M-Ring Paxos on `sim`. `configure` can adjust the
 /// [`MRingConfig`] (packet size, storage mode, flow control…) before the
 /// processes are instantiated.
@@ -87,6 +96,18 @@ pub fn deploy_mring(
     sim: &mut Sim,
     opts: &MRingOptions,
     configure: impl FnOnce(&mut MRingConfig),
+) -> MRingDeployment {
+    build_mring(sim, opts, configure, |p, _, _| p)
+}
+
+/// Allocates the nodes and the group and installs every process, once:
+/// `finish` gets each freshly built process with its node and whether
+/// it learns, and returns what to install (recovery attaches here).
+fn build_mring(
+    sim: &mut Sim,
+    opts: &MRingOptions,
+    configure: impl FnOnce(&mut MRingConfig),
+    mut finish: impl FnMut(MRingProcess, NodeId, bool) -> MRingProcess,
 ) -> MRingDeployment {
     let ring: Vec<NodeId> = (0..opts.ring_size).map(|_| sim.add_node(Box::new(Idle))).collect();
     let spares: Vec<NodeId> = (0..opts.spares).map(|_| sim.add_node(Box::new(Idle))).collect();
@@ -108,21 +129,13 @@ pub fn deploy_mring(
     }
 
     let log = shared_log(all_learners.len());
-    for &n in ring.iter().chain(&spares) {
-        sim.replace_actor(n, Box::new(MRingProcess::new(cfg.clone(), n, None, None)));
-    }
-    for &n in &learners {
-        sim.replace_actor(n, Box::new(MRingProcess::new(cfg.clone(), n, None, Some(log.clone()))));
-    }
-    for &n in &proposers {
-        let mut pacer = Pacer::new(opts.proposer_rate_bps, opts.msg_bytes, opts.burst);
-        if let Some(stop) = opts.proposer_stop {
-            pacer.stop_at(stop);
-        }
-        sim.replace_actor(
-            n,
-            Box::new(MRingProcess::new(cfg.clone(), n, Some(pacer), Some(log.clone()))),
-        );
+    for &n in ring.iter().chain(&spares).chain(&all_learners) {
+        let learns = all_learners.contains(&n);
+        let pacer = proposers
+            .contains(&n)
+            .then(|| pacer(opts.proposer_rate_bps, opts.msg_bytes, opts.burst, opts.proposer_stop));
+        let p = MRingProcess::new(cfg.clone(), n, pacer, learns.then(|| log.clone()));
+        sim.replace_actor(n, Box::new(finish(p, n, learns)));
     }
 
     MRingDeployment { cfg, ring, spares, learners, proposers, all_learners, group, log }
@@ -162,45 +175,17 @@ pub fn deploy_mring_recoverable(
     configure: impl FnOnce(&mut MRingConfig),
     mut mk_app: impl FnMut(NodeId) -> Option<Box<dyn RecoveredApp>>,
 ) -> RecoverableMRing {
-    let d = deploy_mring(sim, opts, |cfg| {
+    let mut stores: Vec<(NodeId, StableHandle<Batch>)> = Vec::new();
+    let with_sync_disk = |cfg: &mut MRingConfig| {
         cfg.storage = crate::config::StorageMode::SyncDisk;
         configure(cfg);
-    });
-    let mut stores: Vec<(NodeId, StableHandle<Batch>)> = Vec::new();
-    let store_for = |n: NodeId, stores: &mut Vec<(NodeId, StableHandle<Batch>)>| {
-        let s: StableHandle<Batch> = stable();
-        stores.push((n, s.clone()));
-        s
     };
-    for &n in d.ring.iter().chain(&d.spares) {
-        let store = store_for(n, &mut stores);
-        let actor = MRingProcess::new(d.cfg.clone(), n, None, None).with_recovery(MRecovery {
-            store,
-            checkpoint_interval,
-            app: None,
-            resumed: false,
-        });
-        sim.replace_actor(n, Box::new(actor));
-    }
-    for &n in &d.learners {
-        let store = store_for(n, &mut stores);
-        let actor = MRingProcess::new(d.cfg.clone(), n, None, Some(d.log.clone())).with_recovery(
-            MRecovery { store, checkpoint_interval, app: mk_app(n), resumed: false },
-        );
-        sim.replace_actor(n, Box::new(actor));
-    }
-    for &n in &d.proposers {
-        let store = store_for(n, &mut stores);
-        let mut pacer = Pacer::new(opts.proposer_rate_bps, opts.msg_bytes, opts.burst);
-        if let Some(stop) = opts.proposer_stop {
-            pacer.stop_at(stop);
-        }
-        let actor =
-            MRingProcess::new(d.cfg.clone(), n, Some(pacer), Some(d.log.clone())).with_recovery(
-                MRecovery { store, checkpoint_interval, app: mk_app(n), resumed: false },
-            );
-        sim.replace_actor(n, Box::new(actor));
-    }
+    let d = build_mring(sim, opts, with_sync_disk, |p, n, learns| {
+        let store: StableHandle<Batch> = stable();
+        stores.push((n, store.clone()));
+        let app = if learns { mk_app(n) } else { None };
+        p.with_recovery(MRecovery { store, checkpoint_interval, app, resumed: false })
+    });
     RecoverableMRing { d, checkpoint_interval, stores }
 }
 
@@ -276,20 +261,29 @@ pub fn deploy_uring(
     opts: &URingOptions,
     configure: impl FnOnce(&mut URingConfig),
 ) -> URingDeployment {
+    build_uring(sim, opts, configure, |p, _| p)
+}
+
+/// Allocates the ring's nodes and installs every process, once:
+/// `finish` gets each freshly built process with its ring position and
+/// returns what to install (recovery attaches here).
+fn build_uring(
+    sim: &mut Sim,
+    opts: &URingOptions,
+    configure: impl FnOnce(&mut URingConfig),
+    mut finish: impl FnMut(URingProcess, usize) -> URingProcess,
+) -> URingDeployment {
     let ring: Vec<NodeId> = (0..opts.ring_len).map(|_| sim.add_node(Box::new(Idle))).collect();
     let mut cfg = URingConfig::new(ring.clone(), opts.n_acceptors);
     configure(&mut cfg);
     let log = shared_log(cfg.learner_positions.len());
     for pos in 0..opts.ring_len {
-        let pacer = opts.proposer_positions.contains(&pos).then(|| {
-            let mut p = Pacer::new(opts.proposer_rate_bps, opts.msg_bytes, opts.burst);
-            if let Some(stop) = opts.proposer_stop {
-                p.stop_at(stop);
-            }
-            p
-        });
-        let actor = URingProcess::new(cfg.clone(), pos, pacer, Some(log.clone()));
-        sim.replace_actor(ring[pos], Box::new(actor));
+        let pacer = opts
+            .proposer_positions
+            .contains(&pos)
+            .then(|| pacer(opts.proposer_rate_bps, opts.msg_bytes, opts.burst, opts.proposer_stop));
+        let p = URingProcess::new(cfg.clone(), pos, pacer, Some(log.clone()));
+        sim.replace_actor(ring[pos], Box::new(finish(p, pos)));
     }
     URingDeployment { cfg, ring, log }
 }
@@ -339,29 +333,29 @@ pub fn deploy_uring_recoverable(
     configure: impl FnOnce(&mut URingConfig),
     mut mk_app: impl FnMut(usize) -> Option<Box<dyn RecoveredApp>>,
 ) -> RecoverableURing {
-    let d = deploy_uring(sim, opts, configure);
     let stores: Vec<StableHandle<Batch>> = (0..opts.ring_len).map(|_| stable()).collect();
-    for pos in 0..opts.ring_len {
-        let pacer = opts.proposer_positions.contains(&pos).then(|| {
-            let mut p = Pacer::new(opts.proposer_rate_bps, opts.msg_bytes, opts.burst);
-            if let Some(stop) = opts.proposer_stop {
-                p.stop_at(stop);
-            }
-            p
-        });
-        let actor = URingProcess::new(d.cfg.clone(), pos, pacer, Some(d.log.clone()))
-            .with_recovery(URecovery {
-                store: stores[pos].clone(),
-                wal_mode: rec.wal_mode,
-                checkpoint_interval: rec.checkpoint_interval,
-                app: mk_app(pos),
-                peer: None,
-                catchup_retention: rec.catchup_retention,
-                resumed: false,
-            });
-        sim.replace_actor(d.ring[pos], Box::new(actor));
-    }
+    let d = build_uring(sim, opts, configure, |p, pos| {
+        p.with_recovery(urecovery(&rec, stores[pos].clone(), mk_app(pos), false))
+    });
     RecoverableURing { d, rec, stores }
+}
+
+/// One U-Ring process's recovery attachment under `rec`'s tuning.
+fn urecovery(
+    rec: &URingRecoveryOptions,
+    store: StableHandle<Batch>,
+    app: Option<Box<dyn RecoveredApp>>,
+    resumed: bool,
+) -> URecovery {
+    URecovery {
+        store,
+        wal_mode: rec.wal_mode,
+        checkpoint_interval: rec.checkpoint_interval,
+        app,
+        peer: None,
+        catchup_retention: rec.catchup_retention,
+        resumed,
+    }
 }
 
 /// Respawns a fresh recovery-enabled process at ring position `pos`
@@ -384,14 +378,6 @@ pub fn respawn_uring(
 ) {
     sim.set_node_up(ru.d.ring[pos], true);
     let actor = URingProcess::new(ru.d.cfg.clone(), pos, None, Some(ru.d.log.clone()))
-        .with_recovery(URecovery {
-            store: ru.stores[pos].clone(),
-            wal_mode: ru.rec.wal_mode,
-            checkpoint_interval: ru.rec.checkpoint_interval,
-            app,
-            peer: None,
-            catchup_retention: ru.rec.catchup_retention,
-            resumed: true,
-        });
+        .with_recovery(urecovery(&ru.rec, ru.stores[pos].clone(), app, true));
     sim.replace_actor(ru.d.ring[pos], Box::new(actor));
 }
