@@ -8,7 +8,7 @@ use ringpaxos::mring::MRingProcess;
 use ringpaxos::{MRingConfig, StorageMode};
 use simnet::prelude::*;
 use workload::{
-    Arrival, KeyedWorkload, Poisson, RetryPolicy, SessionTable, SessionTableConfig, WorkloadGen,
+    KeyedWorkload, Poisson, RetryPolicy, SessionTable, SessionTableConfig, WorkloadGen,
     WorkloadKind,
 };
 
@@ -305,8 +305,8 @@ pub struct SessionOptions {
     pub n_tables: usize,
     /// Simulated sessions hosted *per table*.
     pub sessions_per_table: u64,
-    /// Aggregate open-loop arrival rate *per table* (requests/s); `0.0`
-    /// runs the tables closed-loop instead.
+    /// Aggregate open-loop (Poisson) arrival rate *per table*, in
+    /// requests/s; must be positive.
     pub rate_per_table: f64,
     /// State partitioning (§4.2.2); `None` = full replication.
     pub partitions: Option<PartitionOptions>,
@@ -421,11 +421,7 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
         );
         let tcfg = SessionTableConfig {
             sessions: opts.sessions_per_table,
-            arrival: if opts.rate_per_table > 0.0 {
-                Arrival::Poisson(Poisson::with_rate(opts.rate_per_table))
-            } else {
-                Arrival::Closed
-            },
+            arrival: Poisson::with_rate(opts.rate_per_table),
             policy: opts.policy,
             max_in_flight: opts.max_in_flight,
             stop_at: opts.stop_at,

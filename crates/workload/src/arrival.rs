@@ -13,8 +13,6 @@ use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::time::Dur;
 
-use crate::Pacer;
-
 /// A deterministic Poisson arrival process: exponential inter-arrival
 /// gaps by inverse-CDF sampling from the caller's RNG. Feeding it the
 /// actor's per-node RNG stream makes the arrival sequence a pure
@@ -47,19 +45,6 @@ impl Poisson {
         let u = 1.0 - rng.gen::<f64>();
         Dur::from_secs_f64(-u.ln() * self.mean_gap.as_secs_f64())
     }
-}
-
-/// How a session table's requests enter the system.
-#[derive(Clone, Debug)]
-pub enum Arrival {
-    /// Open loop, Poisson aggregate arrivals (module docs).
-    Poisson(Poisson),
-    /// Open loop, the paced burst submitter of the ch. 3/5 throughput
-    /// experiments: fixed-interval bursts at a byte rate.
-    Paced(Pacer),
-    /// Closed loop: every session keeps one request outstanding and
-    /// issues the next on completion.
-    Closed,
 }
 
 #[cfg(test)]

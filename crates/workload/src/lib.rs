@@ -12,10 +12,9 @@
 //! * **Closed loop** — a fixed number of sessions, each with exactly one
 //!   command outstanding; the next command is issued when the response
 //!   arrives. Offered load adapts to service latency, which is what the
-//!   paper's latency/throughput curves (ch. 4) measure. Select with
-//!   [`arrival::Arrival::Closed`] or use a dedicated client actor
-//!   (`core::client::SmrClient`, `psmr::client::PsmrClient`) built on
-//!   [`session`].
+//!   paper's latency/throughput curves (ch. 4) measure. Use a dedicated
+//!   client actor (`core::client::SmrClient`, `psmr::client::PsmrClient`)
+//!   built on [`session`].
 //! * **Open loop** — arrivals occur at a configured rate regardless of
 //!   completions, as real user populations do. Two processes are
 //!   provided: [`arrival::Poisson`], drawing exponential inter-arrival
@@ -73,7 +72,7 @@ pub mod session;
 pub mod table;
 
 pub use abcast::Pacer;
-pub use arrival::{Arrival, Poisson};
+pub use arrival::Poisson;
 pub use keyed::{KeyedWorkload, WorkloadGen, WorkloadKind, ZipfSampler};
 pub use session::{rotation_pick, RetryDecision, RetryPolicy, Session};
 pub use table::{SessionDriver, SessionTable, SessionTableConfig};

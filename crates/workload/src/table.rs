@@ -18,8 +18,7 @@
 //! * **Aggregate open-loop arrivals** — a single Poisson stream at
 //!   N×(per-session rate), with the issuing session picked uniformly
 //!   per arrival (superposition makes this exactly equivalent to N
-//!   independent per-session streams). Closed-loop and paced modes are
-//!   also supported ([`Arrival`]).
+//!   independent per-session streams).
 //! * **Per-session latency** — completion latencies go to the
 //!   [`crate::SESSION_LATENCY`] histogram; report p50/p99/p999 with
 //!   `Metrics::percentile`.
@@ -31,7 +30,7 @@ use rand::Rng;
 use simnet::prelude::*;
 use simnet::wheel::TimerWheel;
 
-use crate::arrival::Arrival;
+use crate::arrival::Poisson;
 use crate::session::RetryPolicy;
 use crate::{
     SESSIONS_ABANDONED, SESSIONS_ARRIVAL_US, SESSIONS_COMPLETED, SESSIONS_RETRIES, SESSIONS_SHED,
@@ -75,8 +74,8 @@ pub trait SessionDriver: Send {
 pub struct SessionTableConfig {
     /// Simulated sessions hosted by this table.
     pub sessions: u64,
-    /// How requests enter the system.
-    pub arrival: Arrival,
+    /// The aggregate open-loop arrival process.
+    pub arrival: Poisson,
     /// Retry/backoff knobs shared by every session.
     pub policy: RetryPolicy,
     /// In-flight ceiling; arrivals beyond it are shed (and counted
@@ -87,26 +86,12 @@ pub struct SessionTableConfig {
     pub stop_at: Option<Time>,
 }
 
-impl Default for SessionTableConfig {
-    fn default() -> SessionTableConfig {
-        SessionTableConfig {
-            sessions: 1,
-            arrival: Arrival::Closed,
-            policy: RetryPolicy::default(),
-            max_in_flight: 1 << 20,
-            stop_at: None,
-        }
-    }
-}
-
 /// One in-flight request's slab slot.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     /// Bumped on free; stale responses and wheel entries miss it.
     gen: u16,
     busy: bool,
-    /// The session this request belongs to.
-    session: u32,
     started: Time,
     attempts: u32,
     deadline: Time,
@@ -172,16 +157,15 @@ impl<D: SessionDriver> SessionTable<D> {
         self.cfg.stop_at.is_some_and(|t| now >= t)
     }
 
-    /// Opens a slab slot and submits one request for `session`.
-    /// Returns false (shedding the arrival) when the slab is full.
-    fn start_request(&mut self, session: u32, ctx: &mut Ctx) -> bool {
+    /// Opens a slab slot and submits one request. Returns false
+    /// (shedding the arrival) when the slab is full.
+    fn start_request(&mut self, ctx: &mut Ctx) -> bool {
         let slot_idx = match self.free.pop() {
             Some(i) => i,
             None if (self.slots.len() as u32) < self.cfg.max_in_flight => {
                 self.slots.push(Slot {
                     gen: 0,
                     busy: false,
-                    session: 0,
                     started: Time::ZERO,
                     attempts: 0,
                     deadline: Time::ZERO,
@@ -198,7 +182,7 @@ impl<D: SessionDriver> SessionTable<D> {
         let gen = {
             let s = &mut self.slots[slot_idx as usize];
             debug_assert!(!s.busy);
-            *s = Slot { gen: s.gen, busy: true, session, started: now, attempts: 0, deadline };
+            *s = Slot { gen: s.gen, busy: true, started: now, attempts: 0, deadline };
             s.gen
         };
         let id = self.encode(slot_idx, gen);
@@ -217,27 +201,22 @@ impl<D: SessionDriver> SessionTable<D> {
     }
 
     /// One open-loop arrival: a uniformly picked session issues a
-    /// request (superposition of per-session Poisson streams).
+    /// request (superposition of per-session Poisson streams). A session
+    /// has no state to look up — idle ones cost nothing — but the pick
+    /// is a draw from the node's RNG stream, part of the arrival
+    /// sequence a seed pins.
     fn arrive(&mut self, ctx: &mut Ctx) {
-        let session = ctx.rng().gen_range(0..self.cfg.sessions) as u32;
-        self.start_request(session, ctx);
+        let _session = ctx.rng().gen_range(0..self.cfg.sessions);
+        self.start_request(ctx);
     }
 
     fn arm_arrival(&mut self, ctx: &mut Ctx) {
         if self.stopped(ctx.now()) {
             return;
         }
-        match &mut self.cfg.arrival {
-            Arrival::Poisson(p) => {
-                let gap = p.next_gap(ctx.rng());
-                ctx.record_latency(SESSION_ARRIVAL_GAP, gap);
-                ctx.set_timer(gap, TimerToken(T_TABLE_ARRIVAL));
-            }
-            Arrival::Paced(p) => {
-                ctx.set_timer(p.interval(), TimerToken(T_TABLE_ARRIVAL));
-            }
-            Arrival::Closed => {}
-        }
+        let gap = self.cfg.arrival.next_gap(ctx.rng());
+        ctx.record_latency(SESSION_ARRIVAL_GAP, gap);
+        ctx.set_timer(gap, TimerToken(T_TABLE_ARRIVAL));
     }
 
     /// Drains the deadline wheel, polling every fired session that is
@@ -262,9 +241,6 @@ impl<D: SessionDriver> SessionTable<D> {
                 ctx.counter_add(SESSIONS_ABANDONED, 1);
                 self.driver.finish(id);
                 self.free_slot(slot_idx);
-                if matches!(self.cfg.arrival, Arrival::Closed) && !self.stopped(now) {
-                    self.start_request(s.session, ctx);
-                }
                 continue;
             }
             let attempt = s.attempts + 1;
@@ -284,21 +260,8 @@ impl<D: SessionDriver> SessionTable<D> {
 impl<D: SessionDriver + 'static> Actor for SessionTable<D> {
     fn on_start(&mut self, ctx: &mut Ctx) {
         ctx.set_timer(self.cfg.policy.tick, TimerToken(T_TABLE_TICK));
-        match self.cfg.arrival {
-            Arrival::Closed => {
-                // Prime the closed loop: one outstanding request per
-                // session (slab permitting).
-                for session in 0..self.cfg.sessions as u32 {
-                    if !self.start_request(session, ctx) {
-                        break;
-                    }
-                }
-            }
-            _ => {
-                self.arrive(ctx);
-                self.arm_arrival(ctx);
-            }
-        }
+        self.arrive(ctx);
+        self.arm_arrival(ctx);
     }
 
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
@@ -308,34 +271,17 @@ impl<D: SessionDriver + 'static> Actor for SessionTable<D> {
         if !s.busy || s.gen != gen {
             return; // stale response of a freed request
         }
-        let (session, started) = (s.session, s.started);
-        ctx.record_latency(SESSION_LATENCY, ctx.now().since(started));
+        ctx.record_latency(SESSION_LATENCY, ctx.now().since(s.started));
         ctx.counter_add(SESSIONS_COMPLETED, 1);
         self.driver.finish(id);
         self.free_slot(slot_idx);
-        if matches!(self.cfg.arrival, Arrival::Closed) && !self.stopped(ctx.now()) {
-            self.start_request(session, ctx);
-        }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         match token.0 {
             T_TABLE_ARRIVAL => {
-                match &mut self.cfg.arrival {
-                    Arrival::Poisson(_) => {
-                        if !self.stopped(ctx.now()) {
-                            self.arrive(ctx);
-                        }
-                    }
-                    Arrival::Paced(p) => {
-                        let due = p.due(ctx.now());
-                        if !self.stopped(ctx.now()) {
-                            for _ in 0..due {
-                                self.arrive(ctx);
-                            }
-                        }
-                    }
-                    Arrival::Closed => {}
+                if !self.stopped(ctx.now()) {
+                    self.arrive(ctx);
                 }
                 self.arm_arrival(ctx);
             }
