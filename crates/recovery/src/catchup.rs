@@ -12,6 +12,14 @@
 
 use paxos::msg::InstanceId;
 use paxos::window::Window;
+use simnet::time::Dur;
+
+/// Decided instances served per catch-up reply.
+pub const CATCHUP_CHUNK: usize = 64;
+/// Period of a learner's catch-up tick: the retry of an unanswered
+/// request, and how long a delivery gap must last before catch-up
+/// re-enters.
+pub const CATCHUP_RETRY: Dur = Dur::millis(100);
 
 /// Decided batches retained above the checkpoint watermark.
 #[derive(Default)]

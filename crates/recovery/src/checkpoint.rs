@@ -51,11 +51,6 @@ impl<V> Checkpointer<V> {
         store.lock().unwrap().checkpoint.clone()
     }
 
-    /// The checkpoint interval, in instances.
-    pub fn interval(&self) -> u64 {
-        self.interval
-    }
-
     /// Whether a checkpoint is due at delivery position `next_deliver`
     /// (cheap pre-check so callers skip exporting state when not).
     pub fn due(&self, next_deliver: InstanceId) -> bool {

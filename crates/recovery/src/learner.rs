@@ -1,11 +1,6 @@
-//! A recovery-enabled learner's checkpoint and catch-up state machine,
-//! shared by U-Ring and M-Ring.
-//!
-//! [`LearnerRecovery`] owns what both rings keep per learner — the
-//! stable store, the checkpointer, the service hook, the delivered-value
-//! count, and where catch-up stands — and decides; the ring owns its
-//! delivery window, its dedup filter, whom it asks and over which
-//! message, and does what the returned step says.
+//! One learner's checkpoint and catch-up state machine, shared by
+//! U-Ring and M-Ring: [`LearnerRecovery`] decides, and the ring — owner
+//! of the delivery window, the dedup filter and the messages — acts.
 
 use paxos::msg::InstanceId;
 use simnet::prelude::*;
@@ -14,95 +9,61 @@ use crate::app::RecoveredApp;
 use crate::checkpoint::Checkpointer;
 use crate::stable::{Checkpoint, StableHandle};
 
-/// Decided instances served per catch-up reply.
-pub const CATCHUP_CHUNK: usize = 64;
-/// Period of the catch-up tick: the retry of an unanswered request, and
-/// how long a delivery gap must last before catch-up re-enters.
-pub const CATCHUP_RETRY: Dur = Dur::millis(100);
 /// Checkpoint metadata bytes when no service snapshot is attached.
 const CKPT_META_BYTES: u64 = 4096;
 
-/// What a catch-up reply leaves to do ([`LearnerRecovery::chunk_applied`]).
+/// What the ring does after a catch-up reply or tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CatchupStep {
-    /// Reached the responder's horizon, this long after catch-up began
-    /// (the `rec.ttr` sample); the live flow takes over.
-    Done(Dur),
-    /// The chunk helped and more is there: ask for the next one.
-    AskMore,
-    /// Nothing to do: not catching up (a retry's duplicate reply), or
-    /// the responder could not serve — the tick re-asks.
+    /// Nothing (a duplicate reply; if still behind, the tick asks again).
     Wait,
-}
-
-/// What the periodic catch-up tick asks for ([`LearnerRecovery::tick`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CatchupTick {
-    /// Delivering, or a gap seen for the first time.
-    Idle,
-    /// Still catching up: re-send the request.
-    Retry,
-    /// A gap outlived a full tick: catch-up re-entered, send a request
-    /// (and count `rec.gap_catchups`).
+    /// Send a catch-up request from the delivery point.
+    Ask,
+    /// A gap outlived a tick: count `rec.gap_catchups`, then as `Ask`.
     Reenter,
+    /// Caught up: `rec.ttr` is the time since catch-up began, then.
+    Done(Time),
 }
 
 /// Checkpoint and catch-up state of one learner (module docs).
 pub struct LearnerRecovery<V> {
-    store: StableHandle<V>,
+    /// The node's stable store.
+    pub store: StableHandle<V>,
     ckpt: Option<Checkpointer<V>>,
     app: Option<Box<dyn RecoveredApp>>,
-    /// Values delivered across all incarnations (a checkpoint's
-    /// `log_pos`).
+    /// Values delivered over all incarnations (a checkpoint's `log_pos`).
     delivered_count: u64,
-    catching_up: bool,
-    catchup_started: Time,
-    /// Delivery position at the previous tick if it was stuck behind a
-    /// gap then. A gap the ring's own repair has not closed a tick later
-    /// (the peer was itself recovering, the acceptors collected the
-    /// instance) goes back to catch-up.
+    /// Since when bulk catch-up has been fetching the backlog, if it is.
+    catching_up: Option<Time>,
+    /// Where delivery stood at the previous tick, if behind a gap then
+    /// (one the ring's own repair may still close before the next).
     last_gap: Option<InstanceId>,
 }
 
 impl<V> LearnerRecovery<V> {
-    /// Recovery over `store`, checkpointing every `checkpoint_interval`
-    /// delivered instances (0 = never) under the host actor's
-    /// `ckpt_token` timer kind, snapshotting `app`.
+    /// Recovery over `store`, checkpointing `app` every `interval`
+    /// instances (0 = never) under the host's `ckpt_token` timer kind.
     pub fn new(
         store: StableHandle<V>,
-        checkpoint_interval: u64,
+        interval: u64,
         ckpt_token: u64,
         app: Option<Box<dyn RecoveredApp>>,
     ) -> LearnerRecovery<V> {
-        LearnerRecovery {
-            ckpt: (checkpoint_interval > 0)
-                .then(|| Checkpointer::new(store.clone(), checkpoint_interval, ckpt_token)),
-            store,
-            app,
-            delivered_count: 0,
-            catching_up: false,
-            catchup_started: Time::ZERO,
-            last_gap: None,
-        }
-    }
-
-    /// The node's stable store.
-    pub fn store(&self) -> &StableHandle<V> {
-        &self.store
+        let ckpt = (interval > 0).then(|| Checkpointer::new(store.clone(), interval, ckpt_token));
+        LearnerRecovery { store, ckpt, app, delivered_count: 0, catching_up: None, last_gap: None }
     }
 
     /// Whether bulk catch-up is fetching the backlog.
     pub fn catching_up(&self) -> bool {
-        self.catching_up
+        self.catching_up.is_some()
     }
 
-    /// A respawned learner resumes from its durable checkpoint (the
-    /// empty one if none was taken) and has catching up to do. The ring
-    /// installs the returned watermark and dedup marks.
+    /// A respawned learner resumes, with catching up to do, from its
+    /// durable checkpoint: the ring installs its watermark and marks.
     pub fn resume(&mut self) -> Checkpoint {
         let cp = Checkpointer::recover(&self.store).unwrap_or_default();
         self.install(&cp);
-        self.catching_up = true;
+        self.catching_up = Some(Time::ZERO); // `start` stamps it
         cp
     }
 
@@ -113,16 +74,13 @@ impl<V> LearnerRecovery<V> {
         }
     }
 
-    /// The start-up kick: true when the ring must send the first
-    /// catch-up request (and count `rec.restarts`).
+    /// Start-up: true if the ring must ask now (and count `rec.restarts`).
     pub fn start(&mut self, now: Time) -> bool {
-        if self.catching_up {
-            self.catchup_started = now;
-        }
-        self.catching_up
+        self.catching_up = self.catching_up.map(|_| now);
+        self.catching_up()
     }
 
-    /// One fresh value was delivered to the application.
+    /// One fresh value reached the application.
     pub fn delivered(&mut self, proposer: u64, seq: u64, bytes: u32) {
         self.delivered_count += 1;
         if let Some(app) = self.app.as_mut() {
@@ -130,80 +88,62 @@ impl<V> LearnerRecovery<V> {
         }
     }
 
-    /// Starts a checkpoint at delivery position `next_deliver` when one
-    /// is due; `dedup` exports the exactly-once marks only then.
+    /// Starts a checkpoint at delivery position `next` when one is due;
+    /// only then does `dedup` export the exactly-once marks.
     pub fn maybe_checkpoint(
         &mut self,
-        next_deliver: InstanceId,
+        next: InstanceId,
         dedup: impl FnOnce() -> (Vec<u64>, Vec<(u64, u64)>),
         ctx: &mut Ctx,
     ) {
-        let Some(ckpt) = self.ckpt.as_mut() else { return };
-        if !ckpt.due(next_deliver) {
-            return;
-        }
+        let Some(ckpt) = self.ckpt.as_mut().filter(|c| c.due(next)) else { return };
         let (marks, parked) = dedup();
         let app = &mut self.app;
         let snap = || app.as_mut().map_or((CKPT_META_BYTES, None), |a| a.snapshot());
-        ckpt.maybe_checkpoint(next_deliver, self.delivered_count, marks, parked, snap, ctx);
+        ckpt.maybe_checkpoint(next, self.delivered_count, marks, parked, snap, ctx);
     }
 
-    /// A checkpoint write completed: commits it and returns its
-    /// watermark, below which the ring may trim (count
-    /// `rec.checkpoints`).
+    /// Commits a completed checkpoint write: the watermark to trim below.
     pub fn on_ckpt_token(&mut self, payload: u64) -> Option<InstanceId> {
         self.ckpt.as_mut()?.on_token(payload)
     }
 
-    /// State transfer: adopts a peer's checkpoint if this learner is
-    /// catching up and `cp` is ahead of its delivery point. On true the
-    /// ring jumps its window and dedup marks to `cp` (and counts
-    /// `rec.state_transfers` / `rec.transfer_bytes`).
-    pub fn adopt(&mut self, cp: &Checkpoint, next_deliver: InstanceId) -> bool {
-        let ahead = self.catching_up && cp.watermark > next_deliver;
+    /// State transfer: adopts `cp` if catching up and it is ahead of the
+    /// delivery point `next`; on true the ring jumps there (and counts).
+    pub fn adopt(&mut self, cp: &Checkpoint, next: InstanceId) -> bool {
+        let ahead = self.catching_up() && cp.watermark > next;
         if ahead {
             self.install(cp);
         }
         ahead
     }
 
-    /// A catch-up reply with `got` instances was applied, delivery now
-    /// stands at `next` and the responder knew decisions up to `upto`.
-    pub fn chunk_applied(
-        &mut self,
-        got: u64,
-        next: InstanceId,
-        upto: InstanceId,
-        now: Time,
-    ) -> CatchupStep {
-        if !self.catching_up {
-            CatchupStep::Wait
-        } else if next >= upto {
-            self.catching_up = false;
-            CatchupStep::Done(now.since(self.catchup_started))
-        } else if got > 0 {
-            CatchupStep::AskMore
-        } else {
-            CatchupStep::Wait
+    /// A reply of `got` instances was applied: delivery stands at `next`
+    /// and the responder knew decisions up to `upto`.
+    pub fn chunk_applied(&mut self, got: u64, next: InstanceId, upto: InstanceId) -> CatchupStep {
+        match self.catching_up {
+            Some(since) if next >= upto => {
+                self.catching_up = None;
+                CatchupStep::Done(since)
+            }
+            Some(_) if got > 0 => CatchupStep::Ask,
+            _ => CatchupStep::Wait,
         }
     }
 
-    /// The periodic tick, with delivery at `next` and `stuck` when
+    /// The periodic tick: delivery stands at `next`, `stuck` when
     /// decisions are buffered above an undelivered gap.
-    pub fn tick(&mut self, next: InstanceId, stuck: bool, now: Time) -> CatchupTick {
-        if self.catching_up {
-            return CatchupTick::Retry;
+    pub fn tick(&mut self, next: InstanceId, stuck: bool, now: Time) -> CatchupStep {
+        if self.catching_up() {
+            return CatchupStep::Ask;
         }
         let seen_before = self.last_gap.take() == Some(next);
         if stuck && seen_before {
-            self.catching_up = true;
-            self.catchup_started = now;
-            return CatchupTick::Reenter;
+            self.catching_up = Some(now);
+            return CatchupStep::Reenter;
         }
-        if stuck {
-            self.last_gap = Some(next);
-        }
-        CatchupTick::Idle
+        self.last_gap = stuck.then_some(next);
+        CatchupStep::Wait
     }
 }
 
@@ -227,12 +167,8 @@ mod tests {
         }
     }
 
-    fn at(watermark: u64) -> Checkpoint {
-        Checkpoint {
-            watermark: InstanceId(watermark),
-            log_pos: 10 * watermark,
-            ..Checkpoint::default()
-        }
+    fn at(w: u64) -> Checkpoint {
+        Checkpoint { watermark: InstanceId(w), log_pos: 10 * w, ..Checkpoint::default() }
     }
 
     /// A learner resumed from a durable checkpoint at instance 4, and
@@ -251,25 +187,24 @@ mod tests {
         let mut lr: LearnerRecovery<u32> = LearnerRecovery::new(stable(), 0, 0, None);
         assert!(!lr.start(Time::ZERO), "a fresh learner has nothing to fetch");
         let (now, i) = (Time::from_millis(100), InstanceId);
-        assert_eq!(lr.tick(i(5), true, now), CatchupTick::Idle, "first sighting");
-        assert_eq!(lr.tick(i(6), true, now), CatchupTick::Idle, "delivery moved: another gap");
-        assert_eq!(lr.tick(i(6), false, now), CatchupTick::Idle);
-        assert_eq!(lr.tick(i(6), true, now), CatchupTick::Idle, "the closed gap was forgotten");
-        assert_eq!(lr.tick(i(6), true, now), CatchupTick::Reenter);
+        assert_eq!(lr.tick(i(5), true, now), CatchupStep::Wait, "first sighting");
+        assert_eq!(lr.tick(i(6), true, now), CatchupStep::Wait, "delivery moved: another gap");
+        assert_eq!(lr.tick(i(6), false, now), CatchupStep::Wait);
+        assert_eq!(lr.tick(i(6), true, now), CatchupStep::Wait, "the closed gap was forgotten");
+        assert_eq!(lr.tick(i(6), true, now), CatchupStep::Reenter);
         assert!(lr.catching_up());
-        assert_eq!(lr.tick(i(6), true, now), CatchupTick::Retry);
-        let done = lr.chunk_applied(1, i(7), i(7), now + Dur::millis(3));
-        assert_eq!(done, CatchupStep::Done(Dur::millis(3)), "timed from the re-entry");
+        assert_eq!(lr.tick(i(6), true, now), CatchupStep::Ask);
+        assert_eq!(lr.chunk_applied(1, i(7), i(7)), CatchupStep::Done(now), "since the re-entry");
     }
 
     #[test]
     fn ttr_is_recorded_once_and_a_duplicate_reply_is_ignored() {
         let (mut lr, _) = resumed();
-        let (t, i) = (Time::from_millis, InstanceId);
-        assert_eq!(lr.chunk_applied(64, i(68), i(100), t(20)), CatchupStep::AskMore);
-        assert_eq!(lr.chunk_applied(0, i(68), i(100), t(30)), CatchupStep::Wait, "not served");
-        assert_eq!(lr.chunk_applied(32, i(100), i(100), t(50)), CatchupStep::Done(Dur::millis(40)));
-        assert_eq!(lr.chunk_applied(32, i(100), i(100), t(60)), CatchupStep::Wait, "duplicate");
+        let (started, i) = (Time::from_millis(10), InstanceId);
+        assert_eq!(lr.chunk_applied(64, i(68), i(100)), CatchupStep::Ask);
+        assert_eq!(lr.chunk_applied(0, i(68), i(100)), CatchupStep::Wait, "not served");
+        assert_eq!(lr.chunk_applied(32, i(100), i(100)), CatchupStep::Done(started));
+        assert_eq!(lr.chunk_applied(32, i(100), i(100)), CatchupStep::Wait, "duplicate");
         assert!(!lr.catching_up() && !lr.adopt(&at(200), i(100)));
     }
 

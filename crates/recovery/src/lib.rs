@@ -43,10 +43,8 @@
 //!   how to restore it, and how delivered values mutate it. The `core`
 //!   crate bridges its `Service`/`Snapshot` traits onto this.
 //! * [`learner::LearnerRecovery`] — one learner's checkpoint and
-//!   catch-up state machine (resume from the durable checkpoint, when a
-//!   checkpoint is due, adopting a transferred one, when catch-up is
-//!   complete, when a stuck gap re-enters it), shared by both rings and
-//!   `Sim`-free. Crash schedules are `simnet::fault::FaultPlan`.
+//!   catch-up state machine, shared by both rings and `Sim`-free.
+//!   (Crash schedules: `simnet::fault::FaultPlan`.)
 //!
 //! [`Sim::replace_actor`]: simnet::sim::Sim::replace_actor
 //! [`Ctx::disk_write`]: simnet::sim::Ctx::disk_write
@@ -60,9 +58,9 @@ pub mod stable;
 pub mod wal;
 
 pub use app::{NullApp, RecoveredApp};
-pub use catchup::DecidedCache;
+pub use catchup::{DecidedCache, CATCHUP_CHUNK, CATCHUP_RETRY};
 pub use checkpoint::Checkpointer;
-pub use learner::{CatchupStep, CatchupTick, LearnerRecovery, CATCHUP_CHUNK, CATCHUP_RETRY};
+pub use learner::{CatchupStep, LearnerRecovery};
 pub use stable::{stable, Checkpoint, StableHandle, StableState};
 pub use wal::{LogMode, VoteLog};
 

@@ -94,16 +94,6 @@ impl<V: Clone> VoteLog<V> {
         }
     }
 
-    /// The stable store this log writes into.
-    pub fn store(&self) -> &StableHandle<V> {
-        &self.store
-    }
-
-    /// Votes appended but not yet durable (pending + in flight).
-    pub fn outstanding(&self) -> usize {
-        self.pending.len() + self.inflight.iter().map(|(_, v)| v.len()).sum::<usize>()
-    }
-
     /// Appends a vote. The caller must *not* act on it until
     /// [`VoteLog::on_token`] returns it as durable.
     pub fn append(

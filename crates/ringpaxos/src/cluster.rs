@@ -124,12 +124,9 @@ fn build_mring(
     cfg.spares = spares.clone();
     configure(&mut cfg);
 
-    for &n in ring.iter().chain(&spares).chain(&all_learners) {
-        sim.subscribe(n, group);
-    }
-
     let log = shared_log(all_learners.len());
     for &n in ring.iter().chain(&spares).chain(&all_learners) {
+        sim.subscribe(n, group);
         let learns = all_learners.contains(&n);
         let pacer = proposers
             .contains(&n)

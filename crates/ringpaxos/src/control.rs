@@ -1,31 +1,23 @@
-//! The control-plane pieces U-Ring and M-Ring share: the Phase 1
-//! promise collector of a coordinator takeover ([`Phase1`]), the
-//! coordinator's ring-liveness probe ([`RingProbe`]) and the durable
-//! promise ([`persist_promise`]). Plain state with methods that return
-//! what to do; the rings own every send and timer. The learner side of
-//! recovery (checkpoints, catch-up) is `recovery::LearnerRecovery`.
+//! Control-plane state U-Ring and M-Ring share: a takeover's promise
+//! collector ([`Phase1`]), the coordinator's ring-liveness probe
+//! ([`RingProbe`]) and the durable promise ([`persist_promise`]). They
+//! decide; the rings send and arm timers. (The learner side is
+//! `recovery::LearnerRecovery`.) What stays per ring, the protocols
+//! differing:
 //!
-//! What stays in `uring.rs` / `mring.rs`, because the protocols differ:
-//!
-//! * **Suspicion stagger** — U-Ring position `k` waits `max(k, 1)` timeouts
-//!   (position 0 is the coordinator), M-Ring position `k` waits `k + 1`
-//!   (its coordinator is last), and M-Ring re-arms by timer, not by tick.
-//! * **Who is asked, over what** — U-Ring sends `Phase1a` / `Ping` over
-//!   TCP to its fixed deployment membership; M-Ring over UDP to the
-//!   current ring plus spares.
-//! * **Layout policy** — U-Ring puts the new coordinator first, then the
-//!   promising acceptors, then the other members, and a layout always
-//!   bumps the round; M-Ring keeps the old ring minus its coordinator,
-//!   pulls spares up to an m-quorum, puts itself last, and a repair keeps
-//!   the round.
-//! * **Phase 1b's "decided"** — U-Ring acceptors learn, so one delivery
-//!   watermark says it (`db_min` / `db_max` in `UTakeover`); M-Ring
-//!   acceptors do not, so they list the decisions they saw (`decided`).
-//! * **Announce** — U-Ring unicasts `NewRing` to every deployed process
-//!   and heartbeats carry the layout; M-Ring multicasts it on the group.
-//! * **Rejoin** — a spliced-out U-Ring process asks (`JoinReq`); an
-//!   excluded M-Ring acceptor becomes a spare and rejoins by answering a
-//!   later probe.
+//! * **stagger** — U-Ring position `k` suspects after `max(k, 1)`
+//!   timeouts, M-Ring's after `k + 1` (its coordinator sits last);
+//! * **who is asked** — U-Ring its fixed membership over TCP, M-Ring the
+//!   current ring and spares over UDP;
+//! * **layout** — U-Ring: candidate first, promisers, the rest, and every
+//!   layout a new round; M-Ring: the old ring less its coordinator, spares
+//!   up to an m-quorum, candidate last, and a repair keeps the round;
+//! * **1b's "decided"** — U-Ring acceptors learn, so a delivery watermark
+//!   (`db_min` / `db_max`); M-Ring's do not, so the decisions they saw;
+//! * **announce** — U-Ring unicasts `NewRing` to every process, heartbeats
+//!   carrying the layout; M-Ring multicasts it on the group;
+//! * **rejoin** — a spliced-out U-Ring process asks (`JoinReq`); an
+//!   excluded M-Ring acceptor turns spare and answers a later probe.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -39,15 +31,16 @@ use crate::value::Batch;
 /// An acceptor's revealed votes: `(instance, v-rnd, batch)`.
 pub type Votes = Vec<(InstanceId, Round, Batch)>;
 
-/// Phase 1 of a takeover under one round: who promised, and the
-/// highest-round vote revealed per instance.
+/// Phase 1 of a takeover; only [`Phase1::promise`] writes its sets.
 pub struct Phase1 {
     /// The round being acquired.
     pub round: Round,
-    /// When this attempt started (a stalled attempt is retried).
+    /// When this attempt started (a stalled one is retried).
     pub started: Time,
-    promises: BTreeSet<NodeId>,
-    votes: BTreeMap<InstanceId, (Round, Batch)>,
+    /// The acceptors that promised.
+    pub promises: BTreeSet<NodeId>,
+    /// The highest-round vote revealed per instance: what to re-propose.
+    pub votes: BTreeMap<InstanceId, (Round, Batch)>,
 }
 
 impl Phase1 {
@@ -56,9 +49,9 @@ impl Phase1 {
         Phase1 { round, started, promises: BTreeSet::new(), votes: BTreeMap::new() }
     }
 
-    /// Counts `from`'s promise and merges its votes (the highest round
-    /// per instance wins, the first seen on a tie). False, and nothing
-    /// merged, for another round's promise or a sender already counted.
+    /// Counts `from`'s promise and merges its votes: per instance the
+    /// highest round wins, the first seen on a tie. False, and nothing
+    /// merged, for another round or a sender already counted.
     pub fn promise(&mut self, round: Round, from: NodeId, votes: Votes) -> bool {
         if round != self.round || !self.promises.insert(from) {
             return false;
@@ -76,48 +69,32 @@ impl Phase1 {
         self.promises.len() >= quorum(n_acceptors)
     }
 
-    /// The acceptors that promised.
-    pub fn promisers(&self) -> &BTreeSet<NodeId> {
-        &self.promises
-    }
-
-    /// The value to re-propose per instance some promiser voted in.
-    pub fn votes(&self) -> &BTreeMap<InstanceId, (Round, Batch)> {
-        &self.votes
-    }
-
-    /// The Phase 1b side: `acceptor` promises `round` and reveals its
-    /// votes in the instances the candidate can `need`. Empty when the
-    /// round is stale — or when nothing is needed, which still promises.
+    /// The 1b side: `acceptor` promises `round` and reveals its votes in
+    /// the instances the candidate can need — none is still a promise.
     pub fn reveal(
         acceptor: &mut Acceptor<Batch>,
         round: Round,
         needed: impl Fn(InstanceId) -> bool,
     ) -> Votes {
-        match acceptor.receive_1a(round) {
-            Some(PaxosMsg::Phase1b { votes, .. }) => {
-                votes.into_iter().filter(|(i, _, _)| needed(*i)).collect()
-            }
-            _ => Votes::new(),
-        }
+        let Some(PaxosMsg::Phase1b { votes, .. }) = acceptor.receive_1a(round) else {
+            return Votes::new();
+        };
+        votes.into_iter().filter(|(i, _, _)| needed(*i)).collect()
     }
 }
 
-/// What the coordinator's liveness check asks for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What [`RingProbe::check`] asks for.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ProbeStep {
-    /// The ring is moving, idle, or a probe is still collecting.
+    /// The ring moves, idles, or a probe is still collecting.
     Nothing,
-    /// Nothing completed for a full timeout: ping the members.
+    /// Nothing completed for a full timeout: a probe began, ping everyone.
     Probe,
-    /// The probe ran half a timeout: lay out a ring from the responders.
-    Reform,
+    /// The probe ran half a timeout: re-form the ring from who answered.
+    Reform(BTreeSet<NodeId>),
 }
 
-/// Coordinator-side ring liveness: while instances are outstanding they
-/// should keep completing; when none does for a suspicion timeout the
-/// coordinator pings the members and re-forms the ring from whoever
-/// answered within half a timeout.
+/// Coordinator-side ring liveness: open instances must keep completing.
 #[derive(Debug)]
 pub struct RingProbe {
     last_progress: Time,
@@ -131,31 +108,27 @@ impl RingProbe {
         RingProbe { last_progress: now, probe: None }
     }
 
-    /// An outstanding instance completed.
+    /// An open instance completed.
     pub fn progress(&mut self, now: Time) {
         self.last_progress = now;
     }
 
-    /// The periodic check. An idle ring (nothing `outstanding`) counts as
-    /// progress, so a stall is only ever measured over open instances.
-    pub fn check(&mut self, now: Time, timeout: Dur, outstanding: bool) -> ProbeStep {
-        match &self.probe {
-            Some((_, started)) if now.saturating_since(*started) >= timeout / 2 => {
-                ProbeStep::Reform
-            }
-            Some(_) => ProbeStep::Nothing,
-            None if !outstanding => {
+    /// The coordinator `me`'s periodic check. Idling (nothing `open`)
+    /// counts as progress, and a finished probe restarts the stall clock.
+    pub fn check(&mut self, me: NodeId, now: Time, timeout: Dur, open: bool) -> ProbeStep {
+        match self.probe.take() {
+            Some((responders, at)) if now.saturating_since(at) >= timeout / 2 => {
                 self.last_progress = now;
-                ProbeStep::Nothing
+                return ProbeStep::Reform(responders);
             }
-            None if now.saturating_since(self.last_progress) > timeout => ProbeStep::Probe,
-            None => ProbeStep::Nothing,
+            None if open && now.saturating_since(self.last_progress) > timeout => {
+                self.probe = Some((BTreeSet::from([me]), now));
+                return ProbeStep::Probe;
+            }
+            None if !open => self.last_progress = now,
+            collecting => self.probe = collecting,
         }
-    }
-
-    /// Starts a probe; the coordinator `me` counts as a responder.
-    pub fn start(&mut self, me: NodeId, now: Time) {
-        self.probe = Some((BTreeSet::from([me]), now));
+        ProbeStep::Nothing
     }
 
     /// `from` answered the probe in flight, if any.
@@ -164,20 +137,12 @@ impl RingProbe {
             responders.insert(from);
         }
     }
-
-    /// Ends the probe: its responders, with the stall clock restarted.
-    pub fn finish(&mut self, now: Time) -> Option<BTreeSet<NodeId>> {
-        let (responders, _) = self.probe.take()?;
-        self.last_progress = now;
-        Some(responders)
-    }
 }
 
 /// Records a promised or adopted round in an acceptor's stable store
-/// (`None`: not an acceptor, or no recovery) so a respawned acceptor
-/// never votes in a round it promised away. Promise writes are
-/// control-sized and rare; `recovery::stable` folds their disk time
-/// into the next vote flush.
+/// (`None`: no such role, or no recovery): a respawned acceptor must not
+/// vote in a round it promised away. Control-sized and rare, so
+/// `recovery::stable` folds the disk time into the next vote flush.
 pub fn persist_promise(store: Option<&StableHandle<Batch>>, round: Round) {
     if let Some(store) = store {
         store.lock().expect("stable store").log_promise(round);
@@ -202,8 +167,8 @@ mod tests {
         assert!(!p.promise(r(3), NodeId(1), vec![(I, r(1), BatchData::empty())]), "other round");
         assert!(p.promise(r(2), NodeId(1), vec![]));
         assert!(!p.promise(r(2), NodeId(1), vec![(I, r(1), BatchData::empty())]), "repeated");
-        assert!(p.votes().is_empty(), "an uncounted promise merges nothing");
-        assert_eq!(p.promisers().len(), 1);
+        assert!(p.votes.is_empty(), "an uncounted promise merges nothing");
+        assert_eq!(p.promises.len(), 1);
     }
 
     #[test]
@@ -213,9 +178,9 @@ mod tests {
         p.promise(r(9), NodeId(1), vec![(I, r(1), BatchData::empty())]);
         p.promise(r(9), NodeId(2), vec![(I, r(3), high.clone())]);
         p.promise(r(9), NodeId(3), vec![(I, r(3), tie), (InstanceId(8), r(2), BatchData::empty())]);
-        let (round, batch) = &p.votes()[&I];
+        let (round, batch) = &p.votes[&I];
         assert!(*round == r(3) && Rc::ptr_eq(batch, &high));
-        assert_eq!(p.votes().len(), 2);
+        assert_eq!(p.votes.len(), 2);
     }
 
     #[test]
@@ -245,20 +210,19 @@ mod tests {
 
     #[test]
     fn probe_after_a_full_timeout_of_open_instances_and_reform_half_a_timeout_later() {
-        let (t, timeout) = (Time::from_millis, Dur::millis(40));
+        let (me, t, timeout) = (NodeId(0), Time::from_millis, Dur::millis(40));
         let mut p = RingProbe::new(t(0));
-        assert_eq!(p.check(t(100), timeout, false), ProbeStep::Nothing, "idle is not a stall");
-        assert_eq!(p.check(t(140), timeout, true), ProbeStep::Nothing, "one timeout exactly");
-        assert_eq!(p.check(t(141), timeout, true), ProbeStep::Probe);
-        p.start(NodeId(0), t(141));
+        assert_eq!(p.check(me, t(100), timeout, false), ProbeStep::Nothing, "idle is no stall");
+        assert_eq!(p.check(me, t(140), timeout, true), ProbeStep::Nothing, "one timeout exactly");
+        assert_eq!(p.check(me, t(141), timeout, true), ProbeStep::Probe);
         p.pong(NodeId(2));
-        assert_eq!(p.check(t(160), timeout, true), ProbeStep::Nothing, "still collecting");
-        assert_eq!(p.check(t(161), timeout, true), ProbeStep::Reform);
-        assert_eq!(p.finish(t(161)), Some(BTreeSet::from([NodeId(0), NodeId(2)])));
+        assert_eq!(p.check(me, t(160), timeout, true), ProbeStep::Nothing, "still collecting");
+        let answered = BTreeSet::from([me, NodeId(2)]);
+        assert_eq!(p.check(me, t(161), timeout, true), ProbeStep::Reform(answered));
         p.pong(NodeId(3)); // late: no probe in flight
-        assert_eq!(p.check(t(201), timeout, true), ProbeStep::Nothing, "finish restarts the clock");
+        assert_eq!(p.check(me, t(201), timeout, true), ProbeStep::Nothing, "the clock restarted");
         p.progress(t(230));
-        assert_eq!(p.check(t(270), timeout, true), ProbeStep::Nothing);
-        assert_eq!(p.finish(t(270)), None);
+        assert_eq!(p.check(me, t(270), timeout, true), ProbeStep::Nothing);
+        assert_eq!(p.check(me, t(271), timeout, true), ProbeStep::Probe);
     }
 }

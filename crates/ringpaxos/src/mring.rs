@@ -19,7 +19,10 @@
 //! The module also implements the paper's engineering machinery: message
 //! loss recovery through preferential acceptors (§3.3.4), coordinator
 //! failover (§3.3.5), window-based flow control with learner back-pressure
-//! (§3.3.6), and version-vector garbage collection (§3.3.7).
+//! (§3.3.6), and version-vector garbage collection (§3.3.7). A takeover's
+//! promise collector, the ring probe and the learner's checkpoint /
+//! catch-up state machine are U-Ring's too: [`crate::control`] (which
+//! says what stays per ring, and why) and `recovery::LearnerRecovery`.
 //!
 //! # Loss recovery
 //!
@@ -122,8 +125,7 @@ use paxos::acceptor::Acceptor;
 use paxos::msg::{quorum, InstanceId, Round};
 use paxos::window::Window;
 use recovery::{
-    CatchupStep, CatchupTick, LearnerRecovery, RecoveredApp, StableHandle, CATCHUP_CHUNK,
-    CATCHUP_RETRY,
+    CatchupStep, LearnerRecovery, RecoveredApp, StableHandle, CATCHUP_CHUNK, CATCHUP_RETRY,
 };
 use simnet::prelude::*;
 
@@ -640,7 +642,7 @@ impl MRingProcess {
         if rec.resumed {
             if let Some(a) = self.acc.as_mut() {
                 let (promised, votes) = {
-                    let s = state.store().lock().unwrap();
+                    let s = state.store.lock().unwrap();
                     let votes: Vec<(InstanceId, Round, Batch)> =
                         s.votes.iter().map(|(&i, (r, v))| (i, *r, v.clone())).collect();
                     (s.promised, votes)
@@ -672,11 +674,6 @@ impl MRingProcess {
     pub fn with_cost_control(mut self, ctl: Arc<Mutex<Dur>>) -> MRingProcess {
         self.cost_ctl = Some(ctl);
         self
-    }
-
-    /// Creates a pure proposer role descriptor for deployments.
-    pub fn proposer_pacer(rate_bps: u64, msg_bytes: u32, burst: u32) -> Pacer {
-        Pacer::new(rate_bps, msg_bytes, burst)
     }
 
     /// The learner's delivery watermark: every instance below it has been
@@ -1516,14 +1513,23 @@ impl MRingProcess {
         }
         self.try_deliver(ctx);
         let next = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
+        // Wait: the acceptor could not serve contiguously (e.g. mid-GC).
         let rec = self.rec.as_mut().expect("checked above");
-        match rec.chunk_applied(got, next, upto, ctx.now()) {
-            CatchupStep::Done(took) => ctx.record_latency("rec.ttr", took),
-            CatchupStep::AskMore => self.ask_catchup(next, ctx),
-            // The acceptor could not serve contiguously (e.g. mid-GC);
-            // the T_CATCHUP retry re-asks.
-            CatchupStep::Wait => {}
+        let step = rec.chunk_applied(got, next, upto);
+        self.catchup_step(step, next, ctx);
+    }
+
+    /// Does what the learner state machine says after a reply or a tick.
+    fn catchup_step(&mut self, step: CatchupStep, next: InstanceId, ctx: &mut Ctx) {
+        match step {
+            CatchupStep::Wait => return,
+            CatchupStep::Done(since) => {
+                return ctx.record_latency("rec.ttr", ctx.now().since(since));
+            }
+            CatchupStep::Reenter => ctx.counter_add("rec.gap_catchups", 1),
+            CatchupStep::Ask => {}
         }
+        self.ask_catchup(next, ctx);
     }
 
     /// Asks the preferential acceptor for the decided suffix from `next`
@@ -1693,7 +1699,7 @@ impl MRingProcess {
             // acceptor never needs them either — without this trim the
             // stable store grows with run length.
             if let Some(rec) = self.rec.as_ref() {
-                rec.store().lock().unwrap().trim_votes_below(upto);
+                rec.store.lock().unwrap().trim_votes_below(upto);
             }
         }
     }
@@ -1711,36 +1717,27 @@ impl MRingProcess {
     fn ring_repair_check(&mut self, ctx: &mut Ctx) {
         let Some(c) = self.coord.as_mut() else { return };
         let open = !c.outstanding.is_empty();
-        match c.probe.check(ctx.now(), self.cfg.suspicion_timeout, open) {
+        match c.probe.check(self.me, ctx.now(), self.cfg.suspicion_timeout, open) {
             ProbeStep::Nothing => {}
             ProbeStep::Probe => self.start_ring_probe(ctx),
-            ProbeStep::Reform => self.reform_ring(ctx),
+            ProbeStep::Reform(responders) => self.reform_ring(responders, ctx),
         }
     }
 
     fn start_ring_probe(&mut self, ctx: &mut Ctx) {
-        let me = self.me;
-        let targets: Vec<NodeId> = self
-            .cfg
-            .ring
-            .iter()
-            .chain(self.cfg.spares.iter())
-            .copied()
-            .filter(|&n| n != me)
-            .collect();
-        if let Some(c) = self.coord.as_mut() {
-            c.probe.start(me, ctx.now());
-        }
         ctx.counter_add("rp.ring_probe", 1);
-        for t in targets {
-            ctx.udp_send(t, MMsg::Ping { from: me }, self.cfg.ctl_bytes);
+        self.to_other_acceptors(MMsg::Ping { from: self.me }, ctx);
+    }
+
+    /// Sends a control message to every other acceptor, ring or spare.
+    fn to_other_acceptors(&self, msg: MMsg, ctx: &mut Ctx) {
+        for &n in self.cfg.ring.iter().chain(&self.cfg.spares).filter(|&&n| n != self.me) {
+            ctx.udp_send(n, msg.clone(), self.cfg.ctl_bytes);
         }
     }
 
-    fn reform_ring(&mut self, ctx: &mut Ctx) {
+    fn reform_ring(&mut self, responders: BTreeSet<NodeId>, ctx: &mut Ctx) {
         let me = self.me;
-        let Some(c) = self.coord.as_mut() else { return };
-        let Some(responders) = c.probe.finish(ctx.now()) else { return };
         // Keep the surviving ring segment in order, then pull in live
         // spares until the ring again holds an m-quorum (§3.3.5).
         let mut ring: Vec<NodeId> =
@@ -1821,17 +1818,7 @@ impl MRingProcess {
         ctx.counter_add("rp.takeover", 1);
         let me = self.me;
         // Phase 1A to every acceptor (ring + spares), including ourselves.
-        let targets: Vec<NodeId> = self
-            .cfg
-            .ring
-            .iter()
-            .chain(self.cfg.spares.iter())
-            .copied()
-            .filter(|&n| n != me)
-            .collect();
-        for t in targets {
-            ctx.udp_send(t, MMsg::Phase1a { round, from: me }, self.cfg.ctl_bytes);
-        }
+        self.to_other_acceptors(MMsg::Phase1a { round, from: me }, ctx);
         // Self-promise.
         let self_votes = self.collect_own_votes(round);
         self.on_phase1b(round, me, self_votes.0, self_votes.1, ctx);
@@ -1844,7 +1831,7 @@ impl MRingProcess {
     /// promised away.
     fn adopt_round(&mut self, round: Round) {
         self.round = round;
-        persist_promise(self.acc.as_ref().and(self.rec.as_ref()).map(|r| r.store()), round);
+        persist_promise(self.acc.as_ref().and(self.rec.as_ref()).map(|r| &r.store), round);
     }
 
     /// This acceptor's Phase 1B payload for `round`: its votes, and the
@@ -1918,7 +1905,7 @@ impl MRingProcess {
 
         // Resume after the highest instance seen anywhere.
         let max_seen =
-            t.p1.votes()
+            t.p1.votes
                 .keys()
                 .next_back()
                 .copied()
@@ -1945,7 +1932,7 @@ impl MRingProcess {
 
         // Re-propose undecided revealed votes (value pick rule).
         let mut repropose: Vec<(InstanceId, Batch)> = Vec::new();
-        for (i, (_r, b)) in t.p1.votes() {
+        for (i, (_r, b)) in &t.p1.votes {
             if !t.decided.contains(i) {
                 repropose.push((*i, b.clone()));
             }
@@ -2239,7 +2226,7 @@ impl Actor for MRingProcess {
             MMsg::SnapReq { from } => {
                 let from = *from;
                 if let Some(rec) = self.rec.as_ref() {
-                    let snap = rec.store().lock().unwrap().checkpoint.clone();
+                    let snap = rec.store.lock().unwrap().checkpoint.clone();
                     let wire = (self.cfg.ctl_bytes as u64
                         + snap.as_ref().map(|c| c.state_bytes).unwrap_or(0))
                     .min(u32::MAX as u64) as u32;
@@ -2352,7 +2339,7 @@ impl Actor for MRingProcess {
                 // write — does the vote enter the stable store.
                 if let Some(rec) = self.rec.as_ref() {
                     if let Some(vote) = self.acc.as_ref().and_then(|a| a.paxos.vote(instance)) {
-                        rec.store()
+                        rec.store
                             .lock()
                             .unwrap()
                             .votes
@@ -2385,14 +2372,8 @@ impl Actor for MRingProcess {
                 // within a full tick (e.g. the acceptors GC'd the
                 // instance) goes back to catch-up, which can escalate
                 // to a peer state transfer.
-                match rec.tick(next, stuck, ctx.now()) {
-                    CatchupTick::Idle => {}
-                    CatchupTick::Retry => self.ask_catchup(next, ctx),
-                    CatchupTick::Reenter => {
-                        ctx.counter_add("rec.gap_catchups", 1);
-                        self.ask_catchup(next, ctx);
-                    }
-                }
+                let step = rec.tick(next, stuck, ctx.now());
+                self.catchup_step(step, next, ctx);
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }
             T_SKIP => {

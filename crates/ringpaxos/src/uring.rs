@@ -69,7 +69,10 @@
 //!
 //! With `suspicion_timeout: None` (the default) none of these timers
 //! exist and the historical single-epoch behaviour — including the
-//! golden traces — is preserved bit for bit.
+//! golden traces — is preserved bit for bit. The promise collector, the
+//! ring probe and the learner's checkpoint / catch-up state machine are
+//! M-Ring's too: [`crate::control`] (which says what stays per ring, and
+//! why) and `recovery::LearnerRecovery`.
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet};
@@ -80,8 +83,8 @@ use crate::dedup::DeliveredTracker;
 use paxos::acceptor::Acceptor;
 use paxos::msg::{quorum, InstanceId, Round};
 use recovery::{
-    CatchupStep, CatchupTick, Checkpoint, DecidedCache, LearnerRecovery, LogMode, RecoveredApp,
-    StableHandle, VoteLog, CATCHUP_CHUNK, CATCHUP_RETRY,
+    CatchupStep, Checkpoint, DecidedCache, LearnerRecovery, LogMode, RecoveredApp, StableHandle,
+    VoteLog, CATCHUP_CHUNK, CATCHUP_RETRY,
 };
 use simnet::prelude::*;
 
@@ -570,7 +573,7 @@ impl URingProcess {
             // Recovery-enabled: write-ahead log the vote; `vote_and_forward`
             // runs from the WAL completion (T_WAL). Re-proposals of an
             // already-durable vote skip the disk and vote immediately.
-            if rec.lr.store().lock().unwrap().votes.contains_key(&instance) {
+            if rec.lr.store.lock().unwrap().votes.contains_key(&instance) {
                 self.vote_and_forward(instance, round, batch, ctx);
             } else {
                 let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
@@ -733,7 +736,7 @@ impl URingProcess {
         let mut wire = self.cfg.ctl_bytes as u64;
         let mut eff = next;
         let snap = if next < rec.cache.base() {
-            let cp = rec.lr.store().lock().unwrap().checkpoint.clone();
+            let cp = rec.lr.store.lock().unwrap().checkpoint.clone();
             if let Some(cp) = cp.as_ref() {
                 eff = cp.watermark;
                 wire += cp.state_bytes;
@@ -791,16 +794,24 @@ impl URingProcess {
             self.on_decision(i, b, 1, round, ctx);
         }
         let next = self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
-        let rec = self.rec.as_mut().expect("checked above");
-        match rec.lr.chunk_applied(got, next, upto, ctx.now()) {
-            // Caught up to the responder's horizon; the live ring flow
-            // (buffered in `ready` during catch-up) takes over.
-            CatchupStep::Done(took) => ctx.record_latency("rec.ttr", took),
-            CatchupStep::AskMore => self.ask_catchup(next, ctx),
-            // The responder could not serve (e.g. it is itself
-            // recovering); the T_CATCHUP retry re-asks.
-            CatchupStep::Wait => {}
+        // Done: caught up to the responder's horizon, and the live ring
+        // flow (buffered in `ready` during catch-up) takes over. Wait:
+        // the responder could not serve (e.g. it is itself recovering).
+        let step = self.rec.as_mut().expect("checked above").lr.chunk_applied(got, next, upto);
+        self.catchup_step(step, next, ctx);
+    }
+
+    /// Does what the learner state machine says after a reply or a tick.
+    fn catchup_step(&mut self, step: CatchupStep, next: InstanceId, ctx: &mut Ctx) {
+        match step {
+            CatchupStep::Wait => return,
+            CatchupStep::Done(since) => {
+                return ctx.record_latency("rec.ttr", ctx.now().since(since));
+            }
+            CatchupStep::Reenter => ctx.counter_add("rec.gap_catchups", 1),
+            CatchupStep::Ask => {}
         }
+        self.ask_catchup(next, ctx);
     }
 
     /// Asks the catch-up peer for the decided suffix from `next`.
@@ -885,7 +896,7 @@ impl URingProcess {
     /// stable store: a respawned acceptor must not regress below it.
     fn adopt_round(&mut self, round: Round) {
         self.round = round;
-        let store = self.acceptor.as_ref().and(self.rec.as_ref()).map(|r| r.lr.store());
+        let store = self.acceptor.as_ref().and(self.rec.as_ref()).map(|r| &r.lr.store);
         persist_promise(store, round);
     }
 
@@ -1061,7 +1072,7 @@ impl URingProcess {
         // members. Live processes spliced out here rejoin via JoinReq.
         let mut ring = vec![self.me];
         for &n in &self.all_nodes {
-            if n != self.me && t.p1.promisers().contains(&n) {
+            if n != self.me && t.p1.promises.contains(&n) {
                 ring.push(n);
             }
         }
@@ -1077,7 +1088,7 @@ impl URingProcess {
             t.db_min.min(self.decided_below_here())
         };
         let mut next = start.max(t.db_max);
-        if let Some((&hi, _)) = t.p1.votes().iter().next_back() {
+        if let Some((&hi, _)) = t.p1.votes.iter().next_back() {
             next = next.max(hi.next());
         }
         let now = ctx.now();
@@ -1092,7 +1103,7 @@ impl URingProcess {
         let mut reprops: Vec<(InstanceId, Batch)> = Vec::new();
         let mut i = start;
         while i < next {
-            let batch = match t.p1.votes().get(&i) {
+            let batch = match t.p1.votes.get(&i) {
                 Some((_, b)) => b.clone(),
                 None if i >= t.db_max => BatchData::empty(),
                 None => {
@@ -1205,17 +1216,14 @@ impl URingProcess {
     fn ring_repair_check(&mut self, ctx: &mut Ctx) {
         let timeout = self.suspicion_timeout();
         let Some(c) = self.coord.as_mut() else { return };
-        match c.probe.check(ctx.now(), timeout, !c.outstanding.is_empty()) {
+        match c.probe.check(self.me, ctx.now(), timeout, !c.outstanding.is_empty()) {
             ProbeStep::Nothing => {}
             ProbeStep::Probe => self.start_ring_probe(ctx),
-            ProbeStep::Reform => self.finish_ring_repair(ctx),
+            ProbeStep::Reform(responders) => self.finish_ring_repair(responders, ctx),
         }
     }
 
     fn start_ring_probe(&mut self, ctx: &mut Ctx) {
-        if let Some(c) = self.coord.as_mut() {
-            c.probe.start(self.me, ctx.now());
-        }
         ctx.counter_add("rp.ring_probe", 1);
         for &n in &self.all_nodes.clone() {
             if n != self.me {
@@ -1224,9 +1232,7 @@ impl URingProcess {
         }
     }
 
-    fn finish_ring_repair(&mut self, ctx: &mut Ctx) {
-        let Some(c) = self.coord.as_mut() else { return };
-        let Some(responders) = c.probe.finish(ctx.now()) else { return };
+    fn finish_ring_repair(&mut self, responders: BTreeSet<NodeId>, ctx: &mut Ctx) {
         // Keep responding members (acceptors contiguous first); silent
         // ones are spliced out and rejoin via JoinReq once they recover.
         let mut ring = vec![self.me];
@@ -1447,14 +1453,8 @@ impl Actor for URingProcess {
                 let Some(rec) = self.rec.as_mut() else { return };
                 rec.last_tick = ctx.now();
                 // Re-proposal normally closes small gaps within a tick.
-                match rec.lr.tick(next, stuck, ctx.now()) {
-                    CatchupTick::Idle => {}
-                    CatchupTick::Retry => self.ask_catchup(next, ctx),
-                    CatchupTick::Reenter => {
-                        ctx.counter_add("rec.gap_catchups", 1);
-                        self.ask_catchup(next, ctx);
-                    }
-                }
+                let step = rec.lr.tick(next, stuck, ctx.now());
+                self.catchup_step(step, next, ctx);
                 ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             }
             T_REPROP => self.repropose_check(ctx),

@@ -157,9 +157,9 @@ impl<D: SessionDriver> SessionTable<D> {
         self.cfg.stop_at.is_some_and(|t| now >= t)
     }
 
-    /// Opens a slab slot and submits one request. Returns false
-    /// (shedding the arrival) when the slab is full.
-    fn start_request(&mut self, ctx: &mut Ctx) -> bool {
+    /// Opens a slab slot and submits one request, or sheds the arrival
+    /// when the slab is full.
+    fn start_request(&mut self, ctx: &mut Ctx) {
         let slot_idx = match self.free.pop() {
             Some(i) => i,
             None if (self.slots.len() as u32) < self.cfg.max_in_flight => {
@@ -174,7 +174,7 @@ impl<D: SessionDriver> SessionTable<D> {
             }
             None => {
                 ctx.counter_add(SESSIONS_SHED, 1);
-                return false;
+                return;
             }
         };
         let now = ctx.now();
@@ -190,7 +190,6 @@ impl<D: SessionDriver> SessionTable<D> {
         self.driver.submit(id, ctx);
         ctx.counter_add(SESSIONS_SUBMITTED, 1);
         ctx.counter_add(SESSIONS_ARRIVAL_US, now.as_nanos() / 1_000);
-        true
     }
 
     fn free_slot(&mut self, slot_idx: u32) {
@@ -201,10 +200,8 @@ impl<D: SessionDriver> SessionTable<D> {
     }
 
     /// One open-loop arrival: a uniformly picked session issues a
-    /// request (superposition of per-session Poisson streams). A session
-    /// has no state to look up — idle ones cost nothing — but the pick
-    /// is a draw from the node's RNG stream, part of the arrival
-    /// sequence a seed pins.
+    /// request (superposition of per-session Poisson streams). Sessions
+    /// hold no state, but the pick is a draw a seed's trace depends on.
     fn arrive(&mut self, ctx: &mut Ctx) {
         let _session = ctx.rng().gen_range(0..self.cfg.sessions);
         self.start_request(ctx);
