@@ -1834,12 +1834,26 @@ impl MRingProcess {
         persist_promise(self.acc.as_ref().and(self.rec.as_ref()).map(|r| &r.store), round);
     }
 
-    /// This acceptor's Phase 1B payload for `round`: its votes, and the
-    /// instances it knows decided.
+    /// This acceptor's Phase 1B payload for `round`: the instances it
+    /// knows decided, and its votes in the others — the only ones the
+    /// candidate can need (it never re-proposes an instance the list
+    /// closes). The whole vote log is up to `gc_retention` packets, and
+    /// a quorum of those in one datagram each overflows the candidate's
+    /// switch port: the takeover would never complete.
     fn collect_own_votes(&mut self, round: Round) -> (Votes, Vec<InstanceId>) {
         let Some(a) = self.acc.as_mut() else { return (Vec::new(), Vec::new()) };
-        let votes = Phase1::reveal(&mut a.paxos, round, |_| true);
-        (votes, a.decided.iter().map(|(i, _)| i).collect())
+        let (below, known) = (a.decided_below, &a.decided);
+        let votes = Phase1::reveal(&mut a.paxos, round, |i| i >= below && !known.contains(i));
+        let mut decided: Vec<InstanceId> = known.iter().map(|(i, _)| i).collect();
+        // The watermark's last instance stands for all under it: the
+        // candidate resumes above every vote withheld here even if this
+        // acceptor never saw that instance's decision announced.
+        if let Some(last) = below.0.checked_sub(1).map(InstanceId) {
+            if !known.contains(last) {
+                decided.push(last);
+            }
+        }
+        (votes, decided)
     }
 
     fn on_phase1a(&mut self, round: Round, from: NodeId, ctx: &mut Ctx) {

@@ -16,7 +16,8 @@
 
 use recovery::NullApp;
 use ringpaxos::cluster::{
-    deploy_uring_recoverable, respawn_uring, RecoverableURing, URingOptions, URingRecoveryOptions,
+    deploy_mring, deploy_uring_recoverable, respawn_uring, MRingOptions, RecoverableURing,
+    URingOptions, URingRecoveryOptions,
 };
 use simnet::prelude::*;
 
@@ -190,4 +191,25 @@ fn failover_disabled_runs_no_failover_machinery() {
     for name in ["rp.takeover", "rp.became_coord", "rp.ring_probe", "rp.ring_repair", "rp.joins"] {
         assert_eq!(sim.metrics().sum(name), 0, "{name} must stay zero with failover disabled");
     }
+}
+
+/// M-Ring at Fig 7.6's rates (ring of 3, 2 learners, 2 proposers at
+/// 200 Mb/s each, coordinator down at 1.5 s): the takeover must
+/// *complete*, at its first attempt, so that the last 500 ms bucket of
+/// the 5 s trace is back near the offered 400 Mb/s.
+#[test]
+fn mring_takeover_completes_at_fig7_06_rates() {
+    let mut sim = Sim::new(SimConfig::default());
+    let opts = MRingOptions { proposer_rate_bps: 200_000_000, ..MRingOptions::default() };
+    let d = deploy_mring(&mut sim, &opts, |_| {});
+    sim.run_until(Time::from_millis(1500));
+    sim.set_node_up(d.coordinator(), false);
+    sim.run_until(Time::from_millis(4500));
+    let before = sim.metrics().counter(d.learners[0], "abcast.delivered_bytes");
+    sim.run_until(Time::from_millis(5000));
+    let after = sim.metrics().counter(d.learners[0], "abcast.delivered_bytes");
+    let tput = mbps(after - before, Dur::millis(500));
+    assert!(tput >= 350.0, "4.5-5.0 s delivers {tput:.0} Mb/s of the offered 400");
+    assert_eq!(sim.metrics().sum("rp.became_coord"), 1);
+    d.log.lock().unwrap().check_total_order().expect("order preserved across failover");
 }

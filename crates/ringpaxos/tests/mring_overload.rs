@@ -201,22 +201,24 @@ fn small_messages_are_not_throttled_to_a_message_count() {
 /// fills and the FIFO behind it grows. After the takeover the window's
 /// worth is resent at once, the rest follows at the new ring's pace,
 /// and every proposal made due — before, during and after the outage —
-/// is delivered exactly once at every learner. (50 Mb/s: a takeover's
-/// `Phase1b` carries the acceptor's whole vote log in one datagram, and
-/// past ~100 Mb/s half a second of it no longer fits a switch port.)
+/// is delivered exactly once at every learner — at the benchmark's
+/// `mring_stream` rate, where a `Phase1b` revealing the whole vote log
+/// would overflow the candidate's switch port.
 #[test]
 fn coordinator_crash_with_a_full_window_loses_nothing() {
     let stop = Time::from_millis(1500);
     let mut sim = Sim::new(SimConfig { seed: 11, ..SimConfig::default() });
-    let opts = MRingOptions { spares: 2, ..options(50, MSG_BYTES, stop) };
+    let opts = MRingOptions { spares: 2, ..options(600, MSG_BYTES, stop) };
     let d = deploy_mring(&mut sim, &opts, |_| {});
     sim.run_until(Time::from_millis(500));
-    assert_eq!(sim.metrics().sum("rp.window_held"), 0, "50 Mb/s runs inside the window");
+    assert_eq!(sim.metrics().sum("rp.window_held"), 0, "600 Mb/s runs inside the window");
     sim.set_node_up(d.coordinator(), false);
     sim.run_until(Time::from_secs(4));
 
     let sum = |n| sim.metrics().sum(n);
     assert_eq!(sum("rp.became_coord"), 1, "an acceptor took over");
+    assert_eq!(sum("rp.takeover"), 1, "at its first attempt");
+    assert_eq!(sum("net.switch_drop"), 0, "no promise overflowed a port");
     let window = WINDOW_BYTES / MSG_BYTES as u64;
     // The outage outlasts the window: both proposers filled it and
     // queued behind it; each resent its window once, not its backlog.
@@ -224,7 +226,7 @@ fn coordinator_crash_with_a_full_window_loses_nothing() {
     assert_eq!(sum("rp.proposer_shed"), 0);
     assert_eq!(sum("rp.resubmit"), 2 * window);
     let due = made_due(&sim, &d);
-    assert_eq!(due.len() as u64, 2 * (1 + 1500 * 25_000 / (8 * MSG_BYTES as u64)));
+    assert_eq!(due.len() as u64, 2 * (1 + 1500 * 300_000 / (8 * MSG_BYTES as u64)));
     let log = d.log.lock().unwrap();
     log.check_total_order().expect("total order across failover");
     log.check_integrity(&due).expect("exactly once");
