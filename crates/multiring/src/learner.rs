@@ -1,14 +1,17 @@
-//! The Multi-Ring Paxos learner: follows several M-Ring Paxos rings and
-//! delivers their decided batches through the deterministic merge.
+//! The Multi-Ring Paxos learner: one M-Ring learner per subscribed ring
+//! ([`MLearner`] — what is buffered, released and asked for is its
+//! rule, the one `MRingProcess` follows), their releases interleaved by
+//! the deterministic merge.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 
 use abcast::{MsgId, SharedLog};
-use paxos::msg::{InstanceId, Round};
+use paxos::msg::InstanceId;
+use ringpaxos::mlearner::{MLearner, SWEEP_TICK};
 use ringpaxos::msg::MMsg;
-use ringpaxos::{Batch, MRingConfig};
+use ringpaxos::value::ALL_PARTITIONS;
+use ringpaxos::{BatchData, MRingConfig};
 use simnet::prelude::*;
 
 use crate::merge::{DeterministicMerge, MergeEntry};
@@ -16,9 +19,6 @@ use crate::merge::{DeterministicMerge, MergeEntry};
 /// Delivery latency recorded by Multi-Ring Paxos learners (kept apart
 /// from the per-ring `abcast.latency` recorded by ring-local proposers).
 pub const MRP_LATENCY: &str = "mrp.latency";
-/// Entries a learner holds buffered in its merge (sampled as a counter of
-/// peak occupancy increments for test observability).
-pub const MRP_STALLS: &str = "mrp.stalls";
 
 /// A ring-tagged delivery sequence: `(ring index, message)` in merge
 /// order. P-SMR (ch. 6) consumes this to route each delivery to the
@@ -32,110 +32,18 @@ pub fn ring_sink() -> RingSink {
 
 const T_RETRANS: u64 = 6 << 56;
 const T_GC: u64 = 3 << 56;
-const T_FLOW: u64 = 4 << 56;
+/// Period of the version reports that let a ring collect garbage.
+const GC_TICK: Dur = Dur::millis(100);
+/// Merge entries buffered from one ring beyond which the learner asks
+/// that ring to slow down.
+const FLOW_THRESHOLD: usize = 4096;
 
-/// Per-ring in-order stream reassembly (payloads + decisions + gaps).
-struct Follower {
+/// One subscribed ring: its current layout, its learner, and whether it
+/// has been told to slow down.
+struct Ring {
     cfg: MRingConfig,
-    payloads: BTreeMap<InstanceId, (Round, Batch, u64)>,
-    decided: BTreeMap<InstanceId, Round>,
-    next: InstanceId,
-    prev_horizon: InstanceId,
-    applied_reported: InstanceId,
+    lrn: MLearner,
     slowdown_active: bool,
-}
-
-impl Follower {
-    fn new(cfg: MRingConfig) -> Follower {
-        Follower {
-            cfg,
-            payloads: BTreeMap::new(),
-            decided: BTreeMap::new(),
-            next: InstanceId(0),
-            prev_horizon: InstanceId(0),
-            applied_reported: InstanceId(0),
-            slowdown_active: false,
-        }
-    }
-
-    fn store(&mut self, instance: InstanceId, batch: &Batch, weight: u64, round: Round) {
-        if instance >= self.next {
-            match self.payloads.entry(instance) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert((round, batch.clone(), weight));
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if round > e.get().0 {
-                        e.insert((round, batch.clone(), weight));
-                    }
-                }
-            }
-        }
-    }
-
-    fn decide(&mut self, instances: &[(InstanceId, u32)], round: Round) {
-        for &(i, _mask) in instances {
-            if i >= self.next {
-                let e = self.decided.entry(i).or_insert(round);
-                *e = (*e).max(round);
-            }
-        }
-    }
-
-    /// Authoritative payload+decision from an acceptor's decided vote.
-    fn authoritative(&mut self, instance: InstanceId, batch: &Batch, weight: u64, round: Round) {
-        if instance >= self.next {
-            self.payloads.insert(instance, (round, batch.clone(), weight));
-            self.decided.insert(instance, round);
-        }
-    }
-
-    /// Pops the next consecutive ready entry, if any.
-    fn pop_ready(&mut self) -> Option<MergeEntry> {
-        let i = self.next;
-        let ready = match (self.decided.get(&i), self.payloads.get(&i)) {
-            (Some(dr), Some((pr, _, _))) => dr == pr,
-            _ => false,
-        };
-        if !ready {
-            return None;
-        }
-        let (_, batch, weight) = self.payloads.remove(&i).expect("payload checked");
-        self.decided.remove(&i);
-        self.next = i.next();
-        Some(MergeEntry { batch, weight })
-    }
-
-    /// Instances that cannot be delivered and were already visible at
-    /// the previous sweep, each with whether its payload is needed or
-    /// only its decision.
-    fn missing(&mut self) -> Vec<(InstanceId, bool)> {
-        let horizon = self
-            .payloads
-            .iter()
-            .next_back()
-            .map(|(&i, _)| i)
-            .max(self.decided.iter().next_back().map(|(&i, _)| i))
-            .unwrap_or(self.next);
-        let stale = self.prev_horizon.min(horizon);
-        let mut out = Vec::new();
-        for i in self.next.0..stale.0 {
-            let i = InstanceId(i);
-            let (ready, need_payload) = match (self.decided.get(&i), self.payloads.get(&i)) {
-                (Some(dr), Some((pr, _, _))) => (dr == pr, true),
-                (None, Some(_)) => (false, false),
-                (_, None) => (false, true),
-            };
-            if !ready {
-                out.push((i, need_payload));
-                if out.len() >= 64 {
-                    break;
-                }
-            }
-        }
-        self.prev_horizon = horizon;
-        out
-    }
 }
 
 /// A learner subscribed to one or more rings (groups), delivering through
@@ -143,16 +51,13 @@ impl Follower {
 pub struct MultiRingLearner {
     me: NodeId,
     index: usize,
-    /// Followers in group-id order (the merge order).
-    followers: Vec<Follower>,
+    /// The subscribed rings in group-id order (the merge order).
+    rings: Vec<Ring>,
     group_to_ring: HashMap<GroupId, usize>,
     node_to_ring: HashMap<NodeId, usize>,
     merge: DeterministicMerge,
     log: Option<SharedLog>,
     ring_sink: Option<RingSink>,
-    /// Merge entries buffered beyond which the learner asks its rings to
-    /// slow down.
-    flow_threshold: usize,
 }
 
 impl MultiRingLearner {
@@ -175,23 +80,17 @@ impl MultiRingLearner {
             }
         }
         let merge = DeterministicMerge::new(rings.len(), m);
+        let ring = |cfg| Ring { cfg, lrn: MLearner::new(ALL_PARTITIONS), slowdown_active: false };
         MultiRingLearner {
             me,
             index,
-            followers: rings.into_iter().map(Follower::new).collect(),
+            rings: rings.into_iter().map(ring).collect(),
             group_to_ring,
             node_to_ring,
             merge,
             log,
             ring_sink: None,
-            flow_threshold: 4096,
         }
-    }
-
-    /// Overrides the merge-buffer flow-control threshold.
-    pub fn with_flow_threshold(mut self, entries: usize) -> MultiRingLearner {
-        self.flow_threshold = entries;
-        self
     }
 
     /// Additionally records deliveries as `(ring, message)` pairs in
@@ -208,54 +107,31 @@ impl MultiRingLearner {
         }
     }
 
-    /// Files one message into its ring's follower without draining the
-    /// merge. Returns whether follower state changed in a way that can
-    /// make merge progress (the caller then runs [`Self::pump`]).
-    fn ingest(&mut self, env: &Envelope) -> bool {
-        let Some(msg) = env.payload.downcast_ref::<MMsg>() else { return false };
-        let Some(ring) = self.ring_of(env) else { return false };
-        match msg {
-            MMsg::Phase2a { instance, round, batch, decisions, skip, .. } => {
-                let weight = (*skip).max(1);
-                self.followers[ring].store(*instance, batch, weight, *round);
-                self.followers[ring].decide(decisions, *round);
-                true
-            }
-            MMsg::Decision { instances, round, .. } => {
-                self.followers[ring].decide(instances, *round);
-                true
-            }
-            MMsg::RetransRep { instance, batch, decided, round, skip, .. } => {
-                let weight = (*skip).max(1);
-                if *decided {
-                    self.followers[ring].authoritative(*instance, batch, weight, *round);
-                } else {
-                    self.followers[ring].store(*instance, batch, weight, *round);
-                }
-                true
-            }
-            MMsg::RetransDecided { instance, round, mask } => {
-                self.followers[ring].decide(&[(*instance, *mask)], *round);
-                true
-            }
-            MMsg::NewRing { ring: new_ring, .. } => {
-                // Track ring membership changes for retransmission targets.
-                for &a in new_ring {
-                    self.node_to_ring.insert(a, ring);
-                }
-                self.followers[ring].cfg.ring = new_ring.clone();
-                false
-            }
-            _ => false,
+    /// Asks ring `r`'s preferential acceptor for `missing`, if anything.
+    fn ask(&self, r: usize, missing: Vec<(InstanceId, bool)>, ctx: &mut Ctx) {
+        if missing.is_empty() {
+            return;
         }
+        let cfg = &self.rings[r].cfg;
+        let wire = cfg.ctl_bytes + 8 * missing.len() as u32;
+        let req = MMsg::RetransReq { from: self.me, instances: missing };
+        ctx.udp_send(cfg.preferential_acceptor(self.index), req, wire);
     }
 
-    fn pump(&mut self, ctx: &mut Ctx) {
-        // Feed every ring's consecutive ready entries into the merge.
-        for ring in 0..self.followers.len() {
-            while let Some(entry) = self.followers[ring].pop_ready() {
-                self.merge.push(ring, entry);
+    /// Moves everything ring `r`'s learner can release into the merge —
+    /// the merge's queues are the application's backlog, so nothing is
+    /// held back — and delivers what the merge lets through.
+    fn pump(&mut self, r: usize, ctx: &mut Ctx) {
+        let lrn = &mut self.rings[r].lrn;
+        while lrn.front_ready() {
+            let released = lrn.release();
+            if released.evicted > 0 {
+                ctx.counter_add("rp.dedup_evict", released.evicted);
             }
+            // A batch of nothing but duplicates still takes its turn.
+            let entry =
+                MergeEntry { batch: BatchData::new(released.fresh), weight: released.skip.max(1) };
+            self.merge.push(r, entry);
         }
         // Drain the merge in deterministic order.
         while let Some((ring, batch)) = self.merge.pop() {
@@ -263,7 +139,7 @@ impl MultiRingLearner {
                 // One merge-release event per popped batch: the ring's
                 // group id in the high word, the batch size in the low —
                 // the Perfetto track of the cross-ring merge order.
-                let group = self.followers[ring].cfg.group.0 as u64;
+                let group = self.rings[ring].cfg.group.0 as u64;
                 ctx.probe(probe::code::MERGE_DELIVER, (group << 32) | batch.values().len() as u64);
             }
             for v in batch.iter() {
@@ -280,75 +156,93 @@ impl MultiRingLearner {
                 ctx.record_latency(MRP_LATENCY, ctx.now().since(v.submitted));
             }
         }
-        if self.merge.buffered() > self.flow_threshold {
-            ctx.counter_add(MRP_STALLS, 1);
-        }
-
         // Per-ring back-pressure towards the ring that floods us.
-        for ring in 0..self.followers.len() {
-            let over = self.merge.buffered_in(ring) > self.flow_threshold;
-            let f = &mut self.followers[ring];
-            if over && !f.slowdown_active {
-                f.slowdown_active = true;
-                let pref = f.cfg.preferential_acceptor(self.index);
-                ctx.udp_send(pref, MMsg::SlowDown, f.cfg.ctl_bytes);
-            } else if !over {
-                f.slowdown_active = false;
+        for (i, ring) in self.rings.iter_mut().enumerate() {
+            let over = self.merge.buffered_in(i) > FLOW_THRESHOLD;
+            if over && !ring.slowdown_active {
+                let pref = ring.cfg.preferential_acceptor(self.index);
+                ctx.udp_send(pref, MMsg::SlowDown, ring.cfg.ctl_bytes);
             }
+            ring.slowdown_active = over;
         }
     }
 }
 
 impl Actor for MultiRingLearner {
     fn on_start(&mut self, ctx: &mut Ctx) {
-        ctx.set_timer(Dur::millis(20), TimerToken(T_RETRANS));
-        ctx.set_timer(Dur::millis(100), TimerToken(T_GC));
-        ctx.set_timer(Dur::millis(10), TimerToken(T_FLOW));
+        ctx.set_timer(SWEEP_TICK, TimerToken(T_RETRANS));
+        ctx.set_timer(GC_TICK, TimerToken(T_GC));
     }
 
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if self.ingest(env) {
-            self.pump(ctx);
+        let Some(msg) = env.payload.downcast_ref::<MMsg>() else { return };
+        let Some(r) = self.ring_of(env) else { return };
+        let lrn = &mut self.rings[r].lrn;
+        // `spurious`: asked for, and the coordinator's multicast brought
+        // it after all — it was not lost.
+        let (from_coordinator, spurious) = match msg {
+            MMsg::Phase2a {
+                instance, round, batch, decisions, skip, mask, decided_below, ..
+            } => {
+                let asked = lrn.store(*instance, batch, *skip, *mask, *round) as u64;
+                lrn.watermark(*decided_below);
+                (true, asked + lrn.decide(decisions, *round))
+            }
+            MMsg::Decision { instances, round, decided_below, .. } => {
+                lrn.watermark(*decided_below);
+                (true, lrn.decide(instances, *round))
+            }
+            MMsg::RetransRep { instance, batch, decided: true, round, skip, mask } => {
+                lrn.authoritative(*instance, batch, *skip, *mask, *round);
+                (false, 0)
+            }
+            MMsg::RetransRep { instance, batch, round, skip, mask, .. } => {
+                lrn.store(*instance, batch, *skip, *mask, *round);
+                (false, 0)
+            }
+            MMsg::RetransDecided { instance, round, mask } => {
+                lrn.decide(&[(*instance, *mask)], *round);
+                (false, 0)
+            }
+            MMsg::NewRing { ring, .. } => {
+                // Repairs and reports follow the ring's new layout.
+                for &a in ring {
+                    self.node_to_ring.insert(a, r);
+                }
+                self.rings[r].cfg.ring = ring.clone();
+                return;
+            }
+            _ => return,
+        };
+        if spurious > 0 {
+            ctx.counter_add("rp.repair_spurious", spurious);
+        }
+        self.pump(r, ctx);
+        if from_coordinator {
+            // Order shows a loss only on the coordinator's own stream.
+            let missing = self.rings[r].lrn.incomplete();
+            self.ask(r, missing, ctx);
         }
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         match token.0 {
-            t if t == T_RETRANS => {
-                let me = self.me;
-                let index = self.index;
-                for f in &mut self.followers {
-                    let missing = f.missing();
-                    if !missing.is_empty() {
-                        let pref = f.cfg.preferential_acceptor(index);
-                        ctx.udp_send(
-                            pref,
-                            MMsg::RetransReq { from: me, instances: missing },
-                            f.cfg.ctl_bytes,
-                        );
+            T_RETRANS => {
+                for r in 0..self.rings.len() {
+                    let missing = self.rings[r].lrn.sweep();
+                    self.ask(r, missing, ctx);
+                }
+                ctx.set_timer(SWEEP_TICK, TimerToken(T_RETRANS));
+            }
+            T_GC => {
+                for ring in &mut self.rings {
+                    if let Some(applied) = ring.lrn.unreported() {
+                        let pref = ring.cfg.preferential_acceptor(self.index);
+                        let version = MMsg::Version { learner: self.me, applied };
+                        ctx.udp_send(pref, version, ring.cfg.ctl_bytes);
                     }
                 }
-                ctx.set_timer(Dur::millis(20), TimerToken(T_RETRANS));
-            }
-            t if t == T_GC => {
-                let me = self.me;
-                let index = self.index;
-                for f in &mut self.followers {
-                    if f.next > f.applied_reported {
-                        f.applied_reported = f.next;
-                        let pref = f.cfg.preferential_acceptor(index);
-                        ctx.udp_send(
-                            pref,
-                            MMsg::Version { learner: me, applied: f.next },
-                            f.cfg.ctl_bytes,
-                        );
-                    }
-                }
-                ctx.set_timer(Dur::millis(100), TimerToken(T_GC));
-            }
-            t if t == T_FLOW => {
-                self.pump(ctx);
-                ctx.set_timer(Dur::millis(10), TimerToken(T_FLOW));
+                ctx.set_timer(GC_TICK, TimerToken(T_GC));
             }
             _ => {}
         }

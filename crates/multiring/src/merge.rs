@@ -83,12 +83,8 @@ impl DeterministicMerge {
         self.credit = self.m;
     }
 
-    /// Entries buffered and not yet merged (back-pressure signal).
-    pub fn buffered(&self) -> usize {
-        self.queues.iter().map(|q| q.len()).sum()
-    }
-
-    /// Entries buffered for one ring.
+    /// Entries buffered for one ring and not yet merged (the
+    /// back-pressure signal).
     pub fn buffered_in(&self, ring: usize) -> usize {
         self.queues[ring].len()
     }
@@ -149,7 +145,7 @@ mod tests {
         m.push(0, entry(1, 1));
         assert!(m.pop().is_none());
         assert_eq!(m.waiting_on(), 1);
-        assert_eq!(m.buffered(), 1);
+        assert_eq!(m.buffered_in(0), 1);
         m.push(1, entry(1, 1));
         assert_eq!(m.pop().map(|(r, _)| r), Some(1));
         assert_eq!(m.pop().map(|(r, _)| r), Some(0));

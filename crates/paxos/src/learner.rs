@@ -49,6 +49,13 @@ impl<V> Learner<V> {
         out
     }
 
+    /// Resumes at a checkpoint's `watermark`: it is the instance expected
+    /// next, and what is buffered below it is dropped.
+    pub fn resume_at(&mut self, watermark: InstanceId) {
+        self.next = watermark;
+        self.pending = self.pending.split_off(&watermark);
+    }
+
     /// The instance the learner is waiting for next.
     pub fn next_instance(&self) -> InstanceId {
         self.next
@@ -119,6 +126,20 @@ mod tests {
         assert!(l.knows(InstanceId(2)));
         l.deliver_all();
         assert!(l.knows(InstanceId(0)), "delivered instances stay known");
+    }
+
+    #[test]
+    fn resuming_at_a_watermark_drops_what_is_buffered_below_it() {
+        let mut l: Learner<u8> = Learner::new();
+        for i in [1, 4, 5, 7] {
+            l.on_decision(InstanceId(i), i as u8);
+        }
+        l.resume_at(InstanceId(5));
+        assert_eq!(l.next_instance(), InstanceId(5));
+        assert_eq!(l.deliver_all(), vec![(InstanceId(5), 5)]);
+        assert_eq!(l.buffered(), 1, "instance 7 waits for 6");
+        l.on_decision(InstanceId(4), 4);
+        assert_eq!(l.buffered(), 1, "below the watermark: delivered, as far as this learner knows");
     }
 
     #[test]

@@ -35,6 +35,7 @@ pub mod cluster;
 pub mod config;
 pub mod control;
 pub mod dedup;
+pub mod mlearner;
 pub mod mring;
 pub mod msg;
 pub mod uring;

@@ -1,0 +1,598 @@
+//! The M-Ring learner: what it buffers, when it releases and what it
+//! asks for. [`MLearner`] decides; its two drivers — `MRingProcess` for
+//! one ring, `multiring::MultiRingLearner` with one per subscribed ring —
+//! send, charge and arm timers. What stays with them, the drivers
+//! differing:
+//!
+//! * **application back-pressure** — whether the front may be taken now
+//!   is the application's call (`MRingProcess` books core 1 and waits
+//!   while it is backlogged), so [`MLearner::front_ready`] looks and
+//!   [`MLearner::release`] takes;
+//! * **where repairs are sent** — the preferential acceptor follows the
+//!   ring's current layout and the learner's index in it, which only
+//!   the driver's configuration knows; the lists here name instances;
+//! * **the merge** — a Multi-Ring learner interleaves its rings' releases
+//!   by skip weight; one ring alone ignores the weight.
+//!
+//! # What is released
+//!
+//! Instances leave in instance order, each once. An instance of another
+//! partition (a decision whose mask misses this learner's) is passed
+//! over without a payload (§4.2.2). Any other leaves when it holds a
+//! payload *and* a decision of the same round — the paper's value-id
+//! check: a deposed coordinator's payload never stands in for the value
+//! a later round decided. A value decided in two instances (a proposer's
+//! resend, a takeover's re-proposal) is released with the first.
+//!
+//! # What is asked for
+//!
+//! An instance known decided (a decision list named it, or the
+//! coordinator's `decided_below` watermark passed it) that cannot be
+//! released and is not another partition's lost its payload or its
+//! decision. [`MLearner::incomplete`] lists it once, the moment that
+//! fact arrives, at most [`REPAIR_BATCH`] instances past the delivery
+//! point, and says which of the two is lacking. The signal is "decided
+//! for my mask and incomplete", never "a higher instance id was seen" —
+//! a partition's slice of the instance sequence is sparse by design.
+//! Datagrams between one sender and one receiver arrive in send order
+//! on a loss-free run, so nothing is listed there. Backstop:
+//! [`MLearner::sweep`], on the driver's tick, which finds what order
+//! cannot show (a lost repair, a hole with nothing decided after it).
+
+use std::collections::VecDeque;
+
+use paxos::msg::{InstanceId, Round};
+use simnet::time::Dur;
+
+use crate::dedup::DeliveredTracker;
+use crate::value::{Batch, Value};
+
+/// Instances one repair request or re-2A sweep covers at most, and how
+/// far past its delivery point a learner's fast repair reaches (the
+/// repairs in flight to one learner then fit the switch port buffer).
+pub const REPAIR_BATCH: usize = 64;
+
+/// Period of the driver's tick for [`MLearner::sweep`], which asks only
+/// for what was visible a full tick ago.
+pub const SWEEP_TICK: Dur = Dur::millis(20);
+
+/// Per-instance state: the buffered payload (with the round and skip
+/// weight of the 2A that carried it — highest round wins, so stale
+/// coordinators cannot poison delivery), the announced decision round,
+/// and whether the instance belongs to a foreign partition.
+#[derive(Default)]
+struct Slot {
+    payload: Option<(Round, Batch, u64)>,
+    decided: Option<Round>,
+    foreign: bool,
+    /// The fast repair for this instance was spent (one per instance;
+    /// the sweep is the retry).
+    asked: bool,
+}
+
+impl Slot {
+    /// Releasable: payload present and of the deciding round.
+    fn ready(&self) -> bool {
+        matches!((&self.decided, &self.payload), (Some(dr), Some((pr, ..))) if dr == pr)
+    }
+
+    /// Whether a repair of this slot must bring the payload: none is
+    /// held, or the one held is not of the deciding round. Otherwise
+    /// only the decision is missing.
+    fn needs_payload(&self) -> bool {
+        match (&self.payload, &self.decided) {
+            (None, _) => true,
+            (Some((pr, ..)), Some(dr)) => pr != dr,
+            (Some(_), None) => false,
+        }
+    }
+
+    fn seen(&self) -> bool {
+        self.payload.is_some() || self.decided.is_some()
+    }
+}
+
+/// One instance leaving the learner, in instance order.
+#[derive(Debug)]
+pub struct Released {
+    /// The 2A's skip weight (Multi-Ring Paxos): 0 for a batch of values.
+    pub skip: u64,
+    /// The batch's values not delivered before, in batch order.
+    pub fresh: Vec<Value>,
+    /// Its values an earlier instance already delivered.
+    pub duplicate: Vec<Value>,
+    /// Dedup-window evictions this release forced: each may turn a late
+    /// first copy into a "duplicate", so drivers count them.
+    pub evicted: u64,
+}
+
+/// The learner of one M-Ring (module docs). Instances at or above the
+/// delivery point live in a dense sliding window indexed by offset:
+/// delivery always advances the base, so the per-packet bookkeeping is
+/// array indexing.
+pub struct MLearner {
+    my_mask: u32,
+    /// Slots for `next_deliver..`.
+    window: VecDeque<Slot>,
+    next_deliver: InstanceId,
+    /// Exactly-once filter over released values, bounded by per-proposer
+    /// watermarks instead of an ever-growing id set.
+    delivered: DeliveredTracker,
+    /// The delivery point last handed to [`MLearner::unreported`].
+    applied_reported: InstanceId,
+    /// Horizon at the previous sweep: only instances already visible a
+    /// full tick ago are asked for, so instances normally in flight are
+    /// not mistaken for losses.
+    prev_horizon: InstanceId,
+    /// Highest `decided_below` watermark seen: every instance under it
+    /// is decided.
+    decided_below: InstanceId,
+    /// Every instance under this was releasable, foreign or asked for
+    /// when the fast repair last looked (its scan cursor).
+    checked_below: InstanceId,
+    /// Instances a decision list named for this learner's mask while
+    /// their payload was missing, not yet asked for.
+    want: Vec<InstanceId>,
+}
+
+impl MLearner {
+    /// A learner of the partitions in `my_mask`, expecting instance 0.
+    pub fn new(my_mask: u32) -> MLearner {
+        MLearner {
+            my_mask,
+            window: VecDeque::new(),
+            next_deliver: InstanceId(0),
+            delivered: DeliveredTracker::new(),
+            applied_reported: InstanceId(0),
+            prev_horizon: InstanceId(0),
+            decided_below: InstanceId(0),
+            checked_below: InstanceId(0),
+            want: Vec::new(),
+        }
+    }
+
+    /// The delivery point: every instance below it was released here,
+    /// or passed over as another partition's.
+    pub fn next_deliver(&self) -> InstanceId {
+        self.next_deliver
+    }
+
+    /// Mutable slot for `instance`, growing the window as needed.
+    /// `None` when the instance is below the delivery point.
+    #[inline]
+    fn slot_mut(&mut self, instance: InstanceId) -> Option<&mut Slot> {
+        if instance < self.next_deliver {
+            return None;
+        }
+        let idx = (instance.0 - self.next_deliver.0) as usize;
+        // Flow control bounds how far instances run ahead of delivery; a
+        // far-ahead id would turn one packet into a huge resize.
+        debug_assert!(
+            idx < self.window.len() + (1 << 24),
+            "learner window jump: instance {instance:?} vs next_deliver {:?}",
+            self.next_deliver
+        );
+        if idx >= self.window.len() {
+            self.window.resize_with(idx + 1, Slot::default);
+        }
+        Some(&mut self.window[idx])
+    }
+
+    /// Buffers the payload a 2A (or its repair) carried, unless the
+    /// batch is for other partitions. Returns whether this instance had
+    /// been asked for.
+    pub fn store(
+        &mut self,
+        instance: InstanceId,
+        batch: &Batch,
+        skip: u64,
+        mask: u32,
+        round: Round,
+    ) -> bool {
+        if mask & self.my_mask == 0 {
+            return false;
+        }
+        let Some(slot) = self.slot_mut(instance) else { return false };
+        match &slot.payload {
+            Some((r, ..)) if *r >= round => {}
+            _ => slot.payload = Some((round, batch.clone(), skip)),
+        }
+        slot.asked
+    }
+
+    /// Records announced decisions, each with its batch's mask. Returns
+    /// how many of them had been asked for.
+    pub fn decide(&mut self, instances: &[(InstanceId, u32)], round: Round) -> u64 {
+        let my_mask = self.my_mask;
+        let mut asked = 0;
+        for &(i, mask) in instances {
+            let Some(slot) = self.slot_mut(i) else { continue };
+            asked += (slot.asked && slot.decided.is_none() && !slot.foreign) as u64;
+            if mask & my_mask == 0 {
+                // Another partition's instance: to be passed over.
+                slot.foreign = true;
+            } else {
+                slot.decided = Some(slot.decided.map_or(round, |e| e.max(round)));
+                if slot.payload.is_none() {
+                    // Decided for this learner's mask, and a 2A precedes
+                    // its decision: the payload is lost.
+                    self.want.push(i);
+                }
+            }
+        }
+        asked
+    }
+
+    /// An acceptor's stored vote it vouches decided: pins both payload
+    /// and decision to the vote's round (a decision alone when the batch
+    /// is for other partitions).
+    pub fn authoritative(
+        &mut self,
+        instance: InstanceId,
+        batch: &Batch,
+        skip: u64,
+        mask: u32,
+        round: Round,
+    ) {
+        if mask & self.my_mask == 0 {
+            self.decide(&[(instance, mask)], round);
+        } else if let Some(slot) = self.slot_mut(instance) {
+            slot.payload = Some((round, batch.clone(), skip));
+            slot.decided = Some(round);
+        }
+    }
+
+    /// Takes the coordinator's `decided_below` watermark.
+    pub fn watermark(&mut self, decided_below: InstanceId) {
+        self.decided_below = self.decided_below.max(decided_below);
+    }
+
+    /// Passes over the foreign instances at the front, then says
+    /// whether the front instance can be released.
+    pub fn front_ready(&mut self) -> bool {
+        while self.window.front().is_some_and(|s| s.foreign) {
+            self.window.pop_front();
+            self.next_deliver = self.next_deliver.next();
+        }
+        self.window.front().is_some_and(Slot::ready)
+    }
+
+    /// Releases the front instance, sorting its values through the
+    /// exactly-once filter.
+    ///
+    /// # Panics
+    /// Panics unless [`MLearner::front_ready`] just returned true.
+    pub fn release(&mut self) -> Released {
+        let slot = self.window.pop_front().expect("front_ready checked");
+        let (_, batch, skip) = slot.payload.expect("front_ready checked");
+        self.next_deliver = self.next_deliver.next();
+        let evictions = self.delivered.evictions();
+        let (fresh, duplicate) =
+            batch.iter().partition(|v| self.delivered.fresh(v.proposer, v.seq));
+        Released { skip, fresh, duplicate, evicted: self.delivered.evictions() - evictions }
+    }
+
+    /// The order-triggered repair list (module docs, "What is asked
+    /// for"), each instance with whether its payload is needed or only
+    /// its decision. Called after releasing all that can be, so on a
+    /// loss-free run the scan range holds only releasable instances
+    /// waiting for the application.
+    pub fn incomplete(&mut self) -> Vec<(InstanceId, bool)> {
+        let named = std::mem::take(&mut self.want);
+        let from = self.checked_below.max(self.next_deliver);
+        let reach = InstanceId(self.next_deliver.0 + REPAIR_BATCH as u64);
+        let upto = self.decided_below.min(reach);
+        let mut missing = Vec::new();
+        if named.is_empty() && from >= upto {
+            return missing;
+        }
+        // A named instance beyond the reach is left for the scan, which
+        // gets there as deliveries advance.
+        let named = named.into_iter().filter(|&i| i < reach);
+        for i in named.chain((from.0..upto.0).map(InstanceId)) {
+            if let Some(slot) = self.slot_mut(i) {
+                if !(slot.ready() || slot.foreign || slot.asked) {
+                    slot.asked = true;
+                    missing.push((i, slot.needs_payload()));
+                }
+            }
+        }
+        self.checked_below = self.checked_below.max(upto);
+        missing
+    }
+
+    /// Drops what decision lists named without asking for it: a bulk
+    /// catch-up is fetching the backlog.
+    pub fn forget_named(&mut self) {
+        self.want.clear();
+    }
+
+    /// The tick sweep: whatever below the horizon cannot be released, up
+    /// to [`REPAIR_BATCH`] instances, asked for or not. Only instances
+    /// already visible at the previous sweep are fair game: anything
+    /// newer is most likely still in flight. That includes the horizon
+    /// instance itself — when nothing follows it (the end of a burst) no
+    /// later sweep would ever cover it.
+    pub fn sweep(&mut self) -> Vec<(InstanceId, bool)> {
+        let horizon = self.horizon();
+        let stale_horizon = self.prev_horizon.min(horizon);
+        self.prev_horizon = horizon;
+        // As a window offset; nothing to ask when delivery has passed it.
+        let Some(stale) = stale_horizon.0.checked_sub(self.next_deliver.0) else {
+            return Vec::new();
+        };
+        let at_horizon = self.window.get(stale as usize).is_some_and(Slot::seen);
+        let at = |off: usize| InstanceId(self.next_deliver.0 + off as u64);
+        let visible = self.window.iter().take(stale as usize + at_horizon as usize);
+        visible
+            .enumerate()
+            .filter(|(_, slot)| !slot.ready() && !slot.foreign)
+            .map(|(off, slot)| (at(off), slot.needs_payload()))
+            .take(REPAIR_BATCH)
+            .collect()
+    }
+
+    /// Highest instance holding a payload or decision, or the delivery
+    /// point when nothing is buffered.
+    fn horizon(&self) -> InstanceId {
+        let seen = self.window.iter().rposition(Slot::seen);
+        InstanceId(self.next_deliver.0 + seen.unwrap_or(0) as u64)
+    }
+
+    /// Something is buffered above a front that cannot leave.
+    pub fn stuck(&self) -> bool {
+        self.horizon() > self.next_deliver
+            && self.window.front().is_some_and(|s| !s.ready() && !s.foreign)
+    }
+
+    /// Consecutive releasable instances from the delivery point, counted
+    /// up to `cap`: callers only need which side of a threshold they are
+    /// on, and an overloaded learner may buffer hundreds of thousands
+    /// (scanning them per event would be quadratic).
+    pub fn buffered(&self, cap: u32) -> u32 {
+        self.window.iter().take(cap as usize).take_while(|s| s.ready()).count() as u32
+    }
+
+    /// The delivery point, if it moved since this was last asked: the
+    /// version to report for garbage collection (§3.3.7).
+    pub fn unreported(&mut self) -> Option<InstanceId> {
+        let applied = self.next_deliver;
+        (applied > self.applied_reported).then(|| {
+            self.applied_reported = applied;
+            applied
+        })
+    }
+
+    /// The exactly-once filter's state, for a checkpoint.
+    pub fn export_delivered(&self) -> (Vec<u64>, Vec<(u64, u64)>) {
+        self.delivered.export()
+    }
+
+    /// Resumes at a checkpoint at or past the delivery point: delivery
+    /// jumps to `watermark`, what was buffered below it goes, and the
+    /// exactly-once filter is the checkpoint's.
+    pub fn restore(&mut self, watermark: InstanceId, marks: Vec<u64>, parked: Vec<(u64, u64)>) {
+        debug_assert!(watermark >= self.next_deliver, "a checkpoint behind delivery");
+        let jump = watermark.0.saturating_sub(self.next_deliver.0) as usize;
+        self.window.drain(..jump.min(self.window.len()));
+        self.next_deliver = watermark;
+        self.applied_reported = watermark;
+        self.delivered = DeliveredTracker::restore(marks, parked);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::value::{BatchData, ALL_PARTITIONS};
+    use abcast::MsgId;
+    use simnet::ids::NodeId;
+    use simnet::time::Time;
+
+    const ALL: u32 = ALL_PARTITIONS;
+
+    fn i(n: u64) -> InstanceId {
+        InstanceId(n)
+    }
+
+    fn r(counter: u64) -> Round {
+        Round::new(counter, 0)
+    }
+
+    /// A batch of proposer 0's values with these sequence numbers.
+    fn batch(seqs: &[u64]) -> Batch {
+        let value = |&seq| Value {
+            id: MsgId(seq),
+            proposer: NodeId(0),
+            seq,
+            bytes: 100,
+            submitted: Time::ZERO,
+            mask: ALL,
+        };
+        BatchData::new(seqs.iter().map(value).collect())
+    }
+
+    /// A learner of every partition holding payload and decision of
+    /// instances `0..n` (values `seq == instance`), nothing released.
+    fn holding(n: u64) -> MLearner {
+        let mut l = MLearner::new(ALL);
+        for k in 0..n {
+            l.store(i(k), &batch(&[k]), 0, ALL, r(1));
+            l.decide(&[(i(k), ALL)], r(1));
+        }
+        l
+    }
+
+    /// Releases all that can be: the sequence numbers, in order.
+    fn drain(l: &mut MLearner) -> Vec<u64> {
+        let mut out = Vec::new();
+        while l.front_ready() {
+            out.extend(l.release().fresh.iter().map(|v| v.seq));
+        }
+        out
+    }
+
+    #[test]
+    fn a_named_instance_without_its_payload_is_asked_for_once_payload_included() {
+        let mut l = holding(1);
+        l.decide(&[(i(1), ALL)], r(1)); // its 2A never came
+        assert_eq!(drain(&mut l), [0]);
+        assert_eq!(l.incomplete(), [(i(1), true)]);
+        assert!(l.incomplete().is_empty(), "the fast path asks once");
+        l.decide(&[(i(1), ALL)], r(1));
+        l.watermark(i(2));
+        assert!(l.incomplete().is_empty(), "named again, under the watermark: still once");
+        assert!(l.store(i(1), &batch(&[1]), 0, ALL, r(1)), "it had been asked for");
+        assert_eq!(drain(&mut l), [1]);
+    }
+
+    #[test]
+    fn a_payload_under_the_watermark_is_asked_for_its_decision_alone() {
+        let mut l = MLearner::new(ALL);
+        l.store(i(0), &batch(&[0]), 0, ALL, r(1));
+        assert!(l.incomplete().is_empty(), "nothing says instance 0 is decided");
+        l.watermark(i(1));
+        assert_eq!(l.incomplete(), [(i(0), false)]);
+        assert_eq!(l.decide(&[(i(0), ALL)], r(1)), 1, "the answer counts as asked for");
+        assert_eq!(drain(&mut l), [0]);
+    }
+
+    #[test]
+    fn the_fast_path_reaches_a_repair_batch_past_delivery_and_no_further() {
+        let mut l = MLearner::new(ALL);
+        let far = REPAIR_BATCH as u64 + 10;
+        l.watermark(i(far));
+        l.decide(&[(i(far - 1), ALL)], r(1));
+        let asked = l.incomplete();
+        assert_eq!(asked.len(), REPAIR_BATCH);
+        assert_eq!(asked.last(), Some(&(i(REPAIR_BATCH as u64 - 1), true)));
+        // Delivery advances: the scan resumes where it stopped.
+        l.authoritative(i(0), &batch(&[0]), 0, ALL, r(1));
+        assert_eq!(drain(&mut l), [0]);
+        assert_eq!(l.incomplete(), [(i(REPAIR_BATCH as u64), true)]);
+    }
+
+    #[test]
+    fn a_bulk_catch_up_forgets_what_was_named() {
+        let mut l = MLearner::new(ALL);
+        l.decide(&[(i(0), ALL)], r(1));
+        l.forget_named();
+        assert!(l.incomplete().is_empty());
+    }
+
+    #[test]
+    fn the_sweep_asks_only_for_what_was_visible_a_full_tick_ago() {
+        let mut l = holding(1);
+        l.store(i(2), &batch(&[2]), 0, ALL, r(1)); // 1 is a hole
+        assert!(!l.stuck(), "instance 0 can leave");
+        assert_eq!(drain(&mut l), [0]);
+        assert!(l.stuck(), "instance 2 waits behind the hole");
+        assert!(l.sweep().is_empty(), "instance 2 showed up within this tick");
+        l.store(i(4), &batch(&[4]), 0, ALL, r(1));
+        // Instance 3 is a hole too, but no older than instance 4.
+        assert_eq!(l.sweep(), [(i(1), true), (i(2), false)]);
+        assert_eq!(l.sweep(), [(i(1), true), (i(2), false), (i(3), true), (i(4), false)]);
+    }
+
+    #[test]
+    fn the_sweep_asks_for_the_horizon_instance_when_nothing_follows_it() {
+        // The end of a burst: the last 2A arrived, its decision did not,
+        // and no later instance will ever make it "older than the horizon".
+        let mut l = holding(1);
+        l.store(i(1), &batch(&[1]), 0, ALL, r(1));
+        assert_eq!(drain(&mut l), [0]);
+        assert!(l.sweep().is_empty(), "within its first tick");
+        assert_eq!(l.sweep(), [(i(1), false)]);
+        assert_eq!(l.sweep(), [(i(1), false)], "the sweep is the retry");
+    }
+
+    #[test]
+    fn a_deposed_rounds_payload_is_never_released_against_a_later_decision() {
+        let mut l = MLearner::new(ALL);
+        l.store(i(0), &batch(&[7]), 0, ALL, r(1));
+        l.decide(&[(i(0), ALL)], r(2));
+        assert!(!l.front_ready(), "the payload is round 1's, the decision round 2's");
+        l.watermark(i(1));
+        assert_eq!(l.incomplete(), [(i(0), true)], "the held payload does not count");
+        l.store(i(0), &batch(&[8]), 0, ALL, r(1));
+        assert!(!l.front_ready());
+        l.store(i(0), &batch(&[9]), 0, ALL, r(2));
+        l.store(i(0), &batch(&[7]), 0, ALL, r(1)); // a stale copy arrives late
+        assert_eq!(drain(&mut l), [9]);
+    }
+
+    #[test]
+    fn an_authoritative_repair_pins_payload_and_decision_to_one_round() {
+        let mut l = MLearner::new(ALL);
+        l.store(i(0), &batch(&[7]), 0, ALL, r(3));
+        l.decide(&[(i(0), ALL)], r(1));
+        assert!(!l.front_ready());
+        l.authoritative(i(0), &batch(&[9]), 0, ALL, r(2));
+        assert_eq!(drain(&mut l), [9]);
+    }
+
+    #[test]
+    fn a_foreign_instance_advances_the_front_without_a_payload() {
+        let mut l = MLearner::new(0b01);
+        assert!(!l.store(i(0), &batch(&[0]), 0, 0b10, r(1)), "not for this partition");
+        l.decide(&[(i(0), 0b10), (i(2), 0b10)], r(1));
+        l.authoritative(i(1), &batch(&[1]), 0, 0b10, r(1)); // foreign: a decision alone
+        l.store(i(3), &batch(&[3]), 0, 0b11, r(1));
+        l.decide(&[(i(3), 0b11)], r(1));
+        l.watermark(i(4));
+        assert_eq!(drain(&mut l), [3]);
+        assert_eq!(l.next_deliver(), i(4));
+        assert!(l.incomplete().is_empty() && l.sweep().is_empty() && l.sweep().is_empty());
+    }
+
+    #[test]
+    fn a_skip_entry_is_released_with_its_weight() {
+        let mut l = MLearner::new(ALL);
+        l.store(i(0), &BatchData::empty(), 17, ALL, r(1));
+        l.store(i(1), &batch(&[0]), 0, ALL, r(1));
+        l.decide(&[(i(0), ALL), (i(1), ALL)], r(1));
+        assert!(l.front_ready());
+        let skip = l.release();
+        assert!(skip.skip == 17 && skip.fresh.is_empty());
+        assert!(l.front_ready());
+        assert_eq!(l.release().skip, 0);
+        // A repair repeats the weight the 2A carried.
+        l.authoritative(i(2), &BatchData::empty(), 5, ALL, r(1));
+        assert!(l.front_ready());
+        assert_eq!(l.release().skip, 5);
+    }
+
+    #[test]
+    fn a_value_decided_in_two_instances_is_released_once() {
+        let mut l = MLearner::new(ALL);
+        l.store(i(0), &batch(&[0, 1]), 0, ALL, r(1));
+        l.store(i(1), &batch(&[1, 2]), 0, ALL, r(1)); // 1 was resent and ordered again
+        l.decide(&[(i(0), ALL), (i(1), ALL)], r(1));
+        assert!(l.front_ready());
+        assert!(l.release().duplicate.is_empty());
+        assert!(l.front_ready());
+        let second = l.release();
+        assert_eq!(second.fresh.iter().map(|v| v.seq).collect::<Vec<_>>(), [2]);
+        assert_eq!(second.duplicate.iter().map(|v| v.seq).collect::<Vec<_>>(), [1]);
+        assert_eq!(second.evicted, 0);
+    }
+
+    #[test]
+    fn a_checkpoint_moves_delivery_and_the_filter_and_drops_what_is_below() {
+        let mut l = holding(3);
+        l.store(i(5), &batch(&[5]), 0, ALL, r(1));
+        l.decide(&[(i(5), ALL)], r(1));
+        assert_eq!(l.buffered(2), 2, "counted to the cap");
+        assert_eq!(l.buffered(16), 3, "instance 3 is a hole");
+        l.restore(i(5), vec![5], vec![]);
+        assert_eq!(l.unreported(), None, "the checkpoint's watermark is no news");
+        assert_eq!(drain(&mut l), [5]);
+        assert_eq!(l.unreported(), Some(i(6)));
+        assert_eq!(l.unreported(), None);
+        assert_eq!(l.export_delivered(), (vec![6], vec![]));
+        // Older than the checkpoint: instance and value alike.
+        l.authoritative(i(2), &batch(&[2]), 0, ALL, r(1));
+        l.authoritative(i(6), &batch(&[4]), 0, ALL, r(1));
+        assert!(drain(&mut l).is_empty() && l.next_deliver() == i(7));
+    }
+}

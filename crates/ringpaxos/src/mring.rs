@@ -54,18 +54,13 @@
 //!   ring's queues, so overload does not turn into repair load.
 //!   Backstop: the `FLOW_TICK` sweep re-multicasts
 //!   whatever is still undecided `RE2A_OVERDUE` after its last 2A.
-//! * **Learner** — an instance is known decided (decision list, or the
-//!   coordinator's `decided_below` watermark passed it) yet cannot be
-//!   delivered and is not another partition's: its payload or its
-//!   decision was lost. The learner asks its preferential acceptor for
-//!   it once, the moment that fact arrives, at most `REPAIR_BATCH`
-//!   instances past the delivery point, and says which of the two it
-//!   lacks: an acceptor answers a held payload with the control-sized
-//!   decision alone, or not at all while it knows none. The signal is
-//!   "decided for my mask and incomplete", never "a higher instance id
-//!   was seen" — a partition's slice of the instance sequence is sparse
-//!   by design.
-//!   Backstop: the `RETRANS_TICK` sweep.
+//! * **Learner** — an instance decided for its mask that it cannot
+//!   deliver: the rule, and the `SWEEP_TICK` sweep behind it, are
+//!   [`crate::mlearner`]'s ("What is asked for"), shared with the
+//!   Multi-Ring learner; this file sends the lists to the preferential
+//!   acceptor. The acceptor's half stays here (`on_retrans_req`): it
+//!   answers a held payload with the control-sized decision alone, or
+//!   not at all while it knows none.
 //! * **Proposer** — a proposal lost before the coordinator had it is
 //!   in no instance, so none of the above can see it. A paced proposer
 //!   that learns resends its oldest unacknowledged proposal once it was
@@ -110,9 +105,10 @@
 //!   instances are open (proposed, undecided); the rest wait in the
 //!   pending queues, which is what makes batches fill under load.
 //! * **Learner `SlowDown` → learner buffers.** A learner whose
-//!   decided-but-unprocessed backlog passes `flow.learner_threshold`
-//!   tells the ring; the coordinator halves its window and grows it
-//!   back after `flow.recovery_quiet` of silence.
+//!   decided-but-unprocessed backlog (`MLearner::buffered`; what the
+//!   learner holds and when it lets go is [`crate::mlearner`]'s) passes
+//!   `flow.learner_threshold` tells the ring; the coordinator halves its
+//!   window and grows it back after `flow.recovery_quiet` of silence.
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -131,7 +127,7 @@ use simnet::prelude::*;
 
 use crate::config::{MRingConfig, StorageMode};
 use crate::control::{persist_promise, Phase1, ProbeStep, RingProbe, Votes};
-use crate::dedup::DeliveredTracker;
+use crate::mlearner::{MLearner, REPAIR_BATCH, SWEEP_TICK};
 use crate::msg::MMsg;
 use crate::value::{batch_bytes, Batch, BatchData, Value, ALL_PARTITIONS};
 
@@ -158,20 +154,12 @@ const KIND_MASK: u64 = 0xff << 56;
 /// stay in the pending queues by `(HOLD_TICKS + 1) * batch_timeout`
 /// whenever the instance window is open.
 const HOLD_TICKS: u64 = 4;
-/// Period of the learner's retransmission sweep. A backstop since the
-/// order-triggered repair: it finds what that could not (a lost repair
-/// message, a hole with nothing decided after it).
-const RETRANS_TICK: Dur = Dur::millis(20);
 /// Period of the coordinator's flow tick (window growth, the re-2A
 /// sweep, ring-repair check). For loss recovery a backstop, as above.
 const FLOW_TICK: Dur = Dur::millis(100);
 /// The flow tick re-multicasts an instance still undecided this long
 /// after its last 2A. A backstop, as above.
 const RE2A_OVERDUE: Dur = Dur::millis(50);
-/// Instances one repair request or re-2A sweep covers at most, and how
-/// far past its delivery point a learner's fast repair reaches (the
-/// repairs in flight to one learner then fit the switch port buffer).
-const REPAIR_BATCH: usize = 64;
 /// How long ago the oldest unacknowledged proposal must have been sent
 /// before its proposer resends it (`ProposerState::take_resend`):
 /// several times a repaired delivery (2–3 ms), and short enough that
@@ -277,115 +265,6 @@ impl AccState {
         if mask != ALL_PARTITIONS {
             self.masks.insert(instance, mask);
         }
-    }
-}
-
-/// Per-instance learner state: buffered payload (with the round of the
-/// 2A that carried it — highest round wins, so stale coordinators cannot
-/// poison delivery), announced decision round, and whether the instance
-/// belongs to a foreign partition (skipped without payload, ch. 4
-/// §4.2.2).
-#[derive(Default)]
-struct LearnerSlot {
-    payload: Option<(Round, Batch)>,
-    decided: Option<Round>,
-    foreign: bool,
-    /// The fast repair for this instance was spent (one per instance;
-    /// the retransmission sweep is the retry).
-    asked: bool,
-}
-
-impl LearnerSlot {
-    /// Deliverable: payload present and its round matches the deciding
-    /// round (the paper's value-id check).
-    fn ready(&self) -> bool {
-        matches!((&self.decided, &self.payload), (Some(dr), Some((pr, _))) if dr == pr)
-    }
-
-    /// Whether a repair of this slot must bring the payload: none is
-    /// held, or the one held is not of the deciding round. Otherwise
-    /// only the decision is missing.
-    fn needs_payload(&self) -> bool {
-        match (&self.payload, &self.decided) {
-            (None, _) => true,
-            (Some((pr, _)), Some(dr)) => pr != dr,
-            (Some(_), None) => false,
-        }
-    }
-}
-
-/// Learner-only state. Instances at or above `next_deliver` live in a
-/// dense sliding window (`window[instance - next_deliver]`): delivery
-/// always advances the window's base, so the per-packet bookkeeping is
-/// array indexing rather than the four tree searches per instance the
-/// previous `BTreeMap`s cost.
-struct LearnerState {
-    index: usize,
-    my_mask: u32,
-    /// Slots for `next_deliver..`, indexed by offset.
-    window: VecDeque<LearnerSlot>,
-    next_deliver: InstanceId,
-    /// Exactly-once filter over delivered values, bounded by per-proposer
-    /// watermarks instead of an ever-growing id set.
-    delivered: DeliveredTracker,
-    slowdown_active: bool,
-    applied_reported: InstanceId,
-    /// Horizon snapshot from the previous retransmission check: only
-    /// instances already visible a full interval ago are requested, so
-    /// normally in-flight instances are not mistaken for losses.
-    prev_horizon: InstanceId,
-    /// Highest `decided_below` watermark seen: every instance under it
-    /// is decided.
-    decided_below: InstanceId,
-    /// Every instance under this was deliverable, foreign or asked for
-    /// when the fast repair last looked (its scan cursor).
-    checked_below: InstanceId,
-    /// Instances a decision list named for this learner's mask while
-    /// their payload was missing, not yet asked for.
-    want: Vec<InstanceId>,
-}
-
-impl LearnerState {
-    /// Mutable slot for `instance`, growing the window as needed.
-    /// `None` when the instance is already delivered (below the window).
-    #[inline]
-    fn slot_mut(&mut self, instance: InstanceId) -> Option<&mut LearnerSlot> {
-        if instance < self.next_deliver {
-            return None;
-        }
-        let idx = (instance.0 - self.next_deliver.0) as usize;
-        // Flow control bounds how far instances run ahead of delivery; a
-        // far-ahead id would turn one packet into a huge resize.
-        debug_assert!(
-            idx < self.window.len() + (1 << 24),
-            "learner window jump: instance {instance:?} vs next_deliver {:?}",
-            self.next_deliver
-        );
-        if idx >= self.window.len() {
-            self.window.resize_with(idx + 1, LearnerSlot::default);
-        }
-        Some(&mut self.window[idx])
-    }
-
-    /// Read-only slot for `instance`, if it is inside the window.
-    #[inline]
-    fn slot(&self, instance: InstanceId) -> Option<&LearnerSlot> {
-        if instance < self.next_deliver {
-            return None;
-        }
-        self.window.get((instance.0 - self.next_deliver.0) as usize)
-    }
-
-    /// Highest instance holding a payload or decision (the retransmission
-    /// horizon), or `next_deliver` when nothing is buffered — the same
-    /// value the previous map representation derived from its max keys.
-    fn horizon(&self) -> InstanceId {
-        for (off, slot) in self.window.iter().enumerate().rev() {
-            if slot.payload.is_some() || slot.decided.is_some() {
-                return InstanceId(self.next_deliver.0 + off as u64);
-            }
-        }
-        self.next_deliver
     }
 }
 
@@ -517,7 +396,14 @@ pub struct MRingProcess {
     round: Round,
     coord: Option<CoordState>,
     acc: Option<AccState>,
-    lrn: Option<LearnerState>,
+    /// What the learner buffers, releases and asks for ([`MLearner`]);
+    /// the effects stay here.
+    lrn: Option<MLearner>,
+    /// This learner's place in `cfg.learners`: its delivery-log row and
+    /// its preferential acceptor. 0 on a process that does not learn.
+    lrn_index: usize,
+    /// A `SlowDown` went out and the backlog has not halved since.
+    slowdown_active: bool,
     prop: Option<ProposerState>,
     log: Option<SharedLog>,
     takeover: Option<Takeover>,
@@ -588,19 +474,7 @@ impl MRingProcess {
                 last_coord_activity: Time::ZERO,
             }
         });
-        let lrn = learner_index.map(|index| LearnerState {
-            index,
-            my_mask: cfg.learner_mask(index),
-            window: VecDeque::new(),
-            next_deliver: InstanceId(0),
-            delivered: DeliveredTracker::new(),
-            slowdown_active: false,
-            applied_reported: InstanceId(0),
-            prev_horizon: InstanceId(0),
-            decided_below: InstanceId(0),
-            checked_below: InstanceId(0),
-            want: Vec::new(),
-        });
+        let lrn = learner_index.map(|index| MLearner::new(cfg.learner_mask(index)));
         let track_acks = learner_index.is_some();
         let prop = proposer.map(|pacer| ProposerState {
             pacer: Some(pacer),
@@ -621,6 +495,8 @@ impl MRingProcess {
             coord,
             acc,
             lrn,
+            lrn_index: learner_index.unwrap_or(0),
+            slowdown_active: false,
             prop,
             log: learner_log,
             takeover: None,
@@ -651,11 +527,9 @@ impl MRingProcess {
             }
             if let Some(l) = self.lrn.as_mut() {
                 let cp = state.resume();
-                l.next_deliver = cp.watermark;
-                l.applied_reported = cp.watermark;
-                l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
+                l.restore(cp.watermark, cp.marks, cp.parked);
                 if let Some(log) = self.log.as_ref() {
-                    log.lock().unwrap().mark_restart(l.index, cp.log_pos as usize);
+                    log.lock().unwrap().mark_restart(self.lrn_index, cp.log_pos as usize);
                 }
             }
         }
@@ -680,7 +554,12 @@ impl MRingProcess {
     /// delivered here, or skipped as another partition's. Instance 0 on a
     /// process that does not learn.
     pub fn next_deliver(&self) -> InstanceId {
-        self.lrn.as_ref().map_or(InstanceId(0), |l| l.next_deliver)
+        self.lrn.as_ref().map_or(InstanceId(0), MLearner::next_deliver)
+    }
+
+    /// The acceptor this learner asks for repairs and reports to.
+    fn preferential(&self) -> NodeId {
+        self.cfg.preferential_acceptor(self.lrn_index)
     }
 
     fn ring_pos(&self) -> Option<usize> {
@@ -908,7 +787,7 @@ impl MRingProcess {
         // Local loop-back when the coordinator is also a learner
         // (multicast does not echo to the sender).
         let round = self.round;
-        self.learner_store(instance, &batch, mask, round);
+        self.learner_store(instance, &batch, 0, mask, round);
         self.learner_decide(&decisions, round);
         self.try_deliver(ctx);
     }
@@ -1237,107 +1116,40 @@ impl MRingProcess {
         &mut self,
         instance: InstanceId,
         batch: &Batch,
+        skip: u64,
         mask: u32,
         round: Round,
     ) -> bool {
-        let Some(l) = self.lrn.as_mut() else { return false };
-        if mask & l.my_mask == 0 {
-            return false;
-        }
-        let Some(slot) = l.slot_mut(instance) else { return false };
-        match &slot.payload {
-            Some((r, _)) if *r >= round => {}
-            _ => slot.payload = Some((round, batch.clone())),
-        }
-        slot.asked
+        self.lrn.as_mut().is_some_and(|l| l.store(instance, batch, skip, mask, round))
     }
 
     /// Records announced decisions. Returns how many of them the
     /// learner had already asked its preferential acceptor for.
     fn learner_decide(&mut self, instances: &[(InstanceId, u32)], round: Round) -> u64 {
-        let Some(l) = self.lrn.as_mut() else { return 0 };
-        let my_mask = l.my_mask;
-        let mut asked = 0;
-        for &(i, mask) in instances {
-            let Some(slot) = l.slot_mut(i) else { continue };
-            asked += (slot.asked && slot.decided.is_none() && !slot.foreign) as u64;
-            if mask & my_mask == 0 {
-                // Another partition's instance: skip over it.
-                slot.foreign = true;
-            } else {
-                slot.decided = Some(slot.decided.map_or(round, |e| e.max(round)));
-                if slot.payload.is_none() {
-                    // Decided for this learner's mask, and a 2A precedes
-                    // its decision: the payload is lost.
-                    l.want.push(i);
-                }
-            }
-        }
-        asked
-    }
-
-    /// The learner's order-triggered repair (module docs, "Loss
-    /// recovery"): asks the preferential acceptor, once, for every
-    /// instance known decided that cannot be delivered and is not
-    /// foreign — named by a decision list without its payload, or under
-    /// the `decided_below` watermark — within [`REPAIR_BATCH`] of the
-    /// delivery point. Run after `try_deliver`, so on a loss-free run
-    /// the scan range holds only deliverable instances waiting for the
-    /// application.
-    fn request_incomplete(&mut self, ctx: &mut Ctx) {
-        let catching_up = self.rec.as_ref().is_some_and(|r| r.catching_up());
-        let Some(l) = self.lrn.as_mut() else { return };
-        let named = std::mem::take(&mut l.want);
-        if catching_up {
-            return; // bulk catch-up (TCP) is fetching the backlog
-        }
-        let from = l.checked_below.max(l.next_deliver);
-        let reach = InstanceId(l.next_deliver.0 + REPAIR_BATCH as u64);
-        let upto = l.decided_below.min(reach);
-        if named.is_empty() && from >= upto {
-            return;
-        }
-        // A named instance beyond the reach is left for the scan, which
-        // gets there as deliveries advance.
-        let named = named.into_iter().filter(|&i| i < reach);
-        let mut missing = Vec::new();
-        for i in named.chain((from.0..upto.0).map(InstanceId)) {
-            if let Some(slot) = l.slot_mut(i) {
-                if !(slot.ready() || slot.foreign || slot.asked) {
-                    slot.asked = true;
-                    missing.push((i, slot.needs_payload()));
-                }
-            }
-        }
-        l.checked_below = l.checked_below.max(upto);
-        if !missing.is_empty() {
-            let pref = self.cfg.preferential_acceptor(l.index);
-            self.send_retrans_req(pref, missing, ctx);
-        }
-    }
-
-    /// Authoritative decision from an acceptor's stored (decided) vote:
-    /// pins both payload and decision to the vote's round.
-    fn learner_authoritative(&mut self, instance: InstanceId, batch: &Batch, round: Round) {
-        if let Some(l) = self.lrn.as_mut() {
-            if let Some(slot) = l.slot_mut(instance) {
-                slot.payload = Some((round, batch.clone()));
-                slot.decided = Some(round);
-            }
-        }
+        self.lrn.as_mut().map_or(0, |l| l.decide(instances, round))
     }
 
     /// After a multicast from the coordinator: takes its `decided_below`
-    /// watermark, delivers what became deliverable, and asks for what
-    /// the watermark or the decision list shows was lost.
+    /// watermark, delivers what became deliverable, and sends the
+    /// preferential acceptor the learner's order-triggered repair list
+    /// (`mlearner`, "What is asked for").
     fn learner_progress(&mut self, decided_below: InstanceId, ctx: &mut Ctx) {
         if let Some(l) = self.lrn.as_mut() {
-            l.decided_below = l.decided_below.max(decided_below);
+            l.watermark(decided_below);
         }
         self.try_deliver(ctx);
-        self.request_incomplete(ctx);
+        let Some(l) = self.lrn.as_mut() else { return };
+        if self.rec.as_ref().is_some_and(|r| r.catching_up()) {
+            return l.forget_named(); // bulk catch-up (TCP) is fetching the backlog
+        }
+        let missing = l.incomplete();
+        if !missing.is_empty() {
+            self.send_retrans_req(self.preferential(), missing, ctx);
+        }
     }
 
+    /// Hands the application every instance the learner can release, as
+    /// fast as core 1 takes them.
     fn try_deliver(&mut self, ctx: &mut Ctx) {
         let batch_cost = self
             .cost_ctl
@@ -1346,18 +1158,7 @@ impl MRingProcess {
             .unwrap_or(self.cfg.learner_batch_cost);
         loop {
             let Some(l) = self.lrn.as_mut() else { return };
-            let next = l.next_deliver;
-            let Some(front) = l.window.front() else { break };
-            if front.foreign {
-                // Not our partition: advance without delivering (§4.2.2).
-                l.window.pop_front();
-                l.next_deliver = next.next();
-                continue;
-            }
-            // Deliver only when the payload's round matches the deciding
-            // round (the paper's value-id check): a payload from a
-            // deposed coordinator never masquerades as the decided value.
-            if !front.ready() {
+            if !l.front_ready() {
                 break;
             }
             if batch_cost > Dur::ZERO {
@@ -1371,46 +1172,36 @@ impl MRingProcess {
                 }
                 ctx.charge_cpu(1, batch_cost);
             }
-            let l = self.lrn.as_mut().expect("learner");
-            let slot = l.window.pop_front().expect("front checked");
-            let (_, batch) = slot.payload.expect("payload checked");
-            l.next_deliver = next.next();
-            let index = l.index;
             if ctx.probes_enabled() {
-                ctx.probe(probe::code::DELIVER, probe::span_key(self.cfg.group.0 as u32, next.0));
+                let key = probe::span_key(self.cfg.group.0 as u32, l.next_deliver().0);
+                ctx.probe(probe::code::DELIVER, key);
             }
-            let mut delivered_here = Vec::new();
-            let evictions = l.delivered.evictions();
-            for v in batch.iter() {
-                if l.delivered.fresh(v.proposer, v.seq) {
-                    delivered_here.push(*v);
-                } else if v.proposer == self.me {
-                    // A duplicate (resend, failover resubmission) of a
-                    // value the dedup window may have evicted unseen:
-                    // either way it will never be delivered again.
-                    if let Some(p) = self.prop.as_mut() {
-                        p.ack(v.seq);
-                    }
+            let released = l.release();
+            if let Some(p) = self.prop.as_mut() {
+                // A duplicate (resend, failover resubmission) of a value
+                // the dedup window may have evicted unseen: either way
+                // it will never be delivered again.
+                for v in released.duplicate.iter().filter(|v| v.proposer == self.me) {
+                    p.ack(v.seq);
                 }
             }
-            let evicted = l.delivered.evictions() - evictions;
-            if evicted > 0 {
+            if released.evicted > 0 {
                 // The dedup window overflowed: a late first copy below
                 // the collapsed watermark will be dropped as a duplicate.
-                ctx.counter_add("rp.dedup_evict", evicted);
+                ctx.counter_add("rp.dedup_evict", released.evicted);
             }
             if let Some(log) = self.log.as_ref() {
                 let mut log = log.lock().unwrap();
-                for v in &delivered_here {
-                    log.deliver(index, v.id);
+                for v in &released.fresh {
+                    log.deliver(self.lrn_index, v.id);
                 }
             }
             if let Some(rec) = self.rec.as_mut() {
-                for v in &delivered_here {
+                for v in &released.fresh {
                     rec.delivered(v.proposer.0 as u64, v.seq, v.bytes);
                 }
             }
-            for v in &delivered_here {
+            for v in &released.fresh {
                 ctx.counter_add_id(metric::id::DELIVERED_BYTES, v.bytes as u64);
                 ctx.counter_add_id(metric::id::DELIVERED_MSGS, 1);
                 if v.proposer == self.me {
@@ -1429,7 +1220,7 @@ impl MRingProcess {
             p.send_held(ctx);
         }
         if let (Some(rec), Some(l)) = (self.rec.as_mut(), self.lrn.as_ref()) {
-            rec.maybe_checkpoint(l.next_deliver, || l.delivered.export(), ctx);
+            rec.maybe_checkpoint(l.next_deliver(), || l.export_delivered(), ctx);
         }
         self.flow_check(ctx);
     }
@@ -1503,16 +1294,13 @@ impl MRingProcess {
         }
         let got = batches.len() as u64;
         ctx.counter_add("rec.catchup_instances", got);
-        let my_mask = self.lrn.as_ref().map(|l| l.my_mask).unwrap_or(ALL_PARTITIONS);
-        for (instance, batch, round, _skip, mask) in batches {
-            if mask & my_mask == 0 {
-                self.learner_decide(&[(instance, mask)], round);
-            } else {
-                self.learner_authoritative(instance, &batch, round);
+        if let Some(l) = self.lrn.as_mut() {
+            for (instance, batch, round, skip, mask) in batches {
+                l.authoritative(instance, &batch, skip, mask, round);
             }
         }
         self.try_deliver(ctx);
-        let next = self.lrn.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
+        let next = self.lrn.as_ref().map_or(upto, MLearner::next_deliver);
         // Wait: the acceptor could not serve contiguously (e.g. mid-GC).
         let rec = self.rec.as_mut().expect("checked above");
         let step = rec.chunk_applied(got, next, upto);
@@ -1535,9 +1323,8 @@ impl MRingProcess {
     /// Asks the preferential acceptor for the decided suffix from `next`
     /// (bulk, over TCP).
     fn ask_catchup(&mut self, next: InstanceId, ctx: &mut Ctx) {
-        let index = self.lrn.as_ref().map_or(0, |l| l.index);
-        let pref = self.cfg.preferential_acceptor(index);
-        ctx.tcp_send(pref, MMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+        let req = MMsg::CatchupReq { from: self.me, next };
+        ctx.tcp_send(self.preferential(), req, self.cfg.ctl_bytes);
     }
 
     /// Adopts a peer learner's checkpoint (state transfer): jump the
@@ -1546,18 +1333,12 @@ impl MRingProcess {
         let (Some(cp), Some(rec), Some(l)) = (snap, self.rec.as_mut(), self.lrn.as_mut()) else {
             return;
         };
-        if !rec.adopt(&cp, l.next_deliver) {
+        if !rec.adopt(&cp, l.next_deliver()) {
             return; // a duplicate, or the peer is not ahead (yet): the retry tick re-asks
         }
-        let jump = (cp.watermark.0 - l.next_deliver.0) as usize;
-        for _ in 0..jump.min(l.window.len()) {
-            l.window.pop_front();
-        }
-        l.next_deliver = cp.watermark;
-        l.applied_reported = cp.watermark;
-        l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
+        l.restore(cp.watermark, cp.marks, cp.parked);
         if let Some(log) = self.log.as_ref() {
-            log.lock().unwrap().mark_state_transfer(l.index, cp.log_pos as usize);
+            log.lock().unwrap().mark_state_transfer(self.lrn_index, cp.log_pos as usize);
         }
         ctx.counter_add("rec.state_transfers", 1);
         ctx.counter_add("rec.transfer_bytes", cp.state_bytes);
@@ -1565,84 +1346,39 @@ impl MRingProcess {
         self.try_deliver(ctx);
     }
 
-    /// Buffered (ready but unprocessed) instances at this learner:
-    /// consecutive instances from the delivery point that hold both
-    /// payload and decision but have not been handed to the application.
-    fn learner_buffered(&self) -> u32 {
-        // Cap the scan just past the flow-control threshold: callers only
-        // need to know which side of the threshold we are on, and an
-        // overloaded learner may buffer hundreds of thousands of
-        // instances (scanning them per event would be quadratic).
-        let cap = self.cfg.flow.learner_threshold.saturating_mul(2).max(16);
-        let Some(l) = self.lrn.as_ref() else { return 0 };
-        let mut n = 0;
-        for slot in l.window.iter() {
-            if n >= cap || !slot.ready() {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
-
+    /// `SlowDown` when the decided-but-unprocessed backlog passes the
+    /// threshold, once until it has halved.
     fn flow_check(&mut self, ctx: &mut Ctx) {
-        let buffered = self.learner_buffered();
+        let Some(l) = self.lrn.as_ref() else { return };
         let threshold = self.cfg.flow.learner_threshold;
-        let Some(l) = self.lrn.as_mut() else { return };
-        let index = l.index;
-        if buffered > threshold && !l.slowdown_active {
-            l.slowdown_active = true;
-            let pref = self.cfg.preferential_acceptor(index);
+        // Counted to just past the threshold: which side is all that matters.
+        let buffered = l.buffered(threshold.saturating_mul(2).max(16));
+        if buffered > threshold && !self.slowdown_active {
+            self.slowdown_active = true;
             ctx.counter_add("rp.slowdown", 1);
-            ctx.udp_send(pref, MMsg::SlowDown, self.cfg.ctl_bytes);
+            ctx.udp_send(self.preferential(), MMsg::SlowDown, self.cfg.ctl_bytes);
         } else if buffered < threshold / 2 {
-            l.slowdown_active = false;
+            self.slowdown_active = false;
         }
     }
 
     fn gc_report(&mut self, ctx: &mut Ctx) {
         let Some(l) = self.lrn.as_mut() else { return };
-        let applied = l.next_deliver;
-        if applied > l.applied_reported {
-            l.applied_reported = applied;
-            let pref = self.cfg.preferential_acceptor(l.index);
-            let me = self.me;
-            ctx.udp_send(pref, MMsg::Version { learner: me, applied }, self.cfg.ctl_bytes);
+        if let Some(applied) = l.unreported() {
+            let version = MMsg::Version { learner: self.me, applied };
+            ctx.udp_send(self.preferential(), version, self.cfg.ctl_bytes);
         }
         ctx.set_timer(self.cfg.gc_interval, TimerToken(T_GC));
     }
 
+    /// The learner's backstop sweep, to its preferential acceptor.
     fn retrans_check(&mut self, ctx: &mut Ctx) {
         let Some(l) = self.lrn.as_mut() else { return };
-        let horizon = l.horizon();
-        // Only instances already visible at the previous check are fair
-        // game: anything newer is most likely still in flight. That
-        // includes the horizon instance itself — when nothing follows it
-        // (the end of a burst) no later tick would ever cover it.
-        let mut stale_horizon = l.prev_horizon.min(horizon);
-        if l.slot(stale_horizon).is_some_and(|s| s.payload.is_some() || s.decided.is_some()) {
-            stale_horizon = stale_horizon.next();
-        }
-        let mut missing = Vec::new();
-        for i in l.next_deliver.0..stale_horizon.0 {
-            let i = InstanceId(i);
-            let slot = l.slot(i);
-            let ready = slot.is_some_and(|s| s.ready());
-            let foreign = slot.is_some_and(|s| s.foreign);
-            if !ready && !foreign {
-                missing.push((i, slot.is_none_or(|s| s.needs_payload())));
-            }
-            if missing.len() >= REPAIR_BATCH {
-                break;
-            }
-        }
-        l.prev_horizon = horizon;
-        let l = self.lrn.as_ref().expect("learner");
+        let missing = l.sweep();
         if !missing.is_empty() {
-            let pref = self.cfg.preferential_acceptor(l.index);
-            self.send_retrans_req(pref, missing, ctx);
+            self.send_retrans_req(self.preferential(), missing, ctx);
         }
-        ctx.set_timer(RETRANS_TICK, TimerToken(T_RETRANS));
+        ctx.set_timer(SWEEP_TICK, TimerToken(T_RETRANS));
     }
 
     // ------------------------------------------------------------------
@@ -2068,7 +1804,7 @@ impl MRingProcess {
             self.cfg.ctl_bytes,
         );
         let r = self.round;
-        self.learner_store(instance, &batch, ALL_PARTITIONS, r);
+        self.learner_store(instance, &batch, weight, ALL_PARTITIONS, r);
         self.learner_decide(&decisions, r);
         self.try_deliver(ctx);
     }
@@ -2089,7 +1825,7 @@ impl Actor for MRingProcess {
         }
         if self.lrn.is_some() {
             ctx.set_timer(self.cfg.gc_interval, TimerToken(T_GC));
-            ctx.set_timer(RETRANS_TICK, TimerToken(T_RETRANS));
+            ctx.set_timer(SWEEP_TICK, TimerToken(T_RETRANS));
         }
         if self.acc.is_some() && !self.is_coordinator() {
             ctx.set_timer(self.cfg.suspicion_timeout, TimerToken(T_SUSPECT));
@@ -2135,7 +1871,7 @@ impl Actor for MRingProcess {
                 // Learner path: payload plus piggybacked decisions. What
                 // the learner had asked its acceptor for and now came by
                 // multicast after all was not lost.
-                let spurious = self.learner_store(instance, &batch, mask, round) as u64
+                let spurious = self.learner_store(instance, &batch, skip, mask, round) as u64
                     + self.learner_decide(&decisions, round);
                 if spurious > 0 {
                     ctx.counter_add("rp.repair_spurious", spurious);
@@ -2194,19 +1930,15 @@ impl Actor for MRingProcess {
                 self.on_retrans_req(from, &instances, ctx);
             }
             MMsg::RetransRep { instance, batch, decided, round, skip, mask } => {
-                let (instance, decided, round, mask) = (*instance, *decided, *round, *mask);
+                let (instance, round, skip, mask) = (*instance, *round, *skip, *mask);
                 let batch = batch.clone();
-                self.on_2a_repair(instance, round, batch.clone(), *skip, mask, ctx);
-                if decided {
-                    if mask & self.lrn.as_ref().map(|l| l.my_mask).unwrap_or(ALL_PARTITIONS) == 0 {
-                        self.learner_decide(&[(instance, mask)], round);
+                self.on_2a_repair(instance, round, batch.clone(), skip, mask, ctx);
+                if let Some(l) = self.lrn.as_mut() {
+                    if *decided {
+                        l.authoritative(instance, &batch, skip, mask, round);
                     } else {
-                        // The acceptor vouches this vote decided: pin
-                        // payload and decision to the vote's round.
-                        self.learner_authoritative(instance, &batch, round);
+                        l.store(instance, &batch, skip, mask, round);
                     }
-                } else {
-                    self.learner_store(instance, &batch, mask, round);
                 }
                 self.try_deliver(ctx);
             }
@@ -2374,14 +2106,8 @@ impl Actor for MRingProcess {
                 }
             }
             T_CATCHUP => {
-                if self.lrn.is_none() || self.rec.is_none() {
-                    return;
-                }
-                let l = self.lrn.as_ref().expect("checked");
-                let next = l.next_deliver;
-                let stuck = l.horizon() > next
-                    && l.window.front().is_some_and(|s| !s.ready() && !s.foreign);
-                let rec = self.rec.as_mut().expect("checked");
+                let (Some(l), Some(rec)) = (self.lrn.as_ref(), self.rec.as_mut()) else { return };
+                let (next, stuck) = (l.next_deliver(), l.stuck());
                 // A gap the 20 ms retransmission machinery did not close
                 // within a full tick (e.g. the acceptors GC'd the
                 // instance) goes back to catch-up, which can escalate

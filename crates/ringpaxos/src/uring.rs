@@ -81,6 +81,7 @@ use abcast::{metric, MsgId, Pacer, SharedLog};
 
 use crate::dedup::DeliveredTracker;
 use paxos::acceptor::Acceptor;
+use paxos::learner::Learner;
 use paxos::msg::{quorum, InstanceId, Round};
 use recovery::{
     CatchupStep, Checkpoint, DecidedCache, LearnerRecovery, LogMode, RecoveredApp, StableHandle,
@@ -212,8 +213,8 @@ pub struct URingProcess {
 
 struct ULearner {
     index: usize,
-    ready: BTreeMap<InstanceId, Batch>,
-    next_deliver: InstanceId,
+    /// Decided batches, handed on in instance order.
+    order: Learner<Batch>,
     /// Exactly-once filter over delivered values, bounded by per-proposer
     /// watermarks instead of an ever-growing id set.
     delivered: DeliveredTracker,
@@ -262,8 +263,7 @@ impl URingProcess {
         });
         let learner = learner_index.map(|index| ULearner {
             index,
-            ready: BTreeMap::new(),
-            next_deliver: InstanceId(0),
+            order: Learner::new(),
             delivered: DeliveredTracker::new(),
         });
         let all_nodes = cfg.ring.clone();
@@ -345,7 +345,7 @@ impl URingProcess {
             // Learner role: restore the durable checkpoint.
             if let Some(l) = self.learner.as_mut() {
                 let cp = state.lr.resume();
-                l.next_deliver = cp.watermark;
+                l.order.resume_at(cp.watermark);
                 l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
                 state.cache.trim_below(cp.watermark);
                 if let Some(log) = self.log.as_ref() {
@@ -362,7 +362,7 @@ impl URingProcess {
 
     /// The instance this process resumes delivering from (tests).
     pub fn next_deliver(&self) -> Option<InstanceId> {
-        self.learner.as_ref().map(|l| l.next_deliver)
+        self.learner.as_ref().map(|l| l.order.next_instance())
     }
 
     fn successor(&self) -> NodeId {
@@ -673,19 +673,11 @@ impl URingProcess {
     }
 
     fn learner_ready(&mut self, instance: InstanceId, batch: &Batch, ctx: &mut Ctx) {
-        {
-            let Some(l) = self.learner.as_mut() else { return };
-            if instance >= l.next_deliver {
-                l.ready.entry(instance).or_insert_with(|| batch.clone());
-            }
-        }
+        let Some(l) = self.learner.as_mut() else { return };
+        l.order.on_decision(instance, batch.clone());
         // U-Ring Paxos lets a learner process a decision before forwarding
         // it (§3.3.6) — delivery happens inline, in instance order.
-        loop {
-            let Some(l) = self.learner.as_mut() else { return };
-            let Some(b) = l.ready.remove(&l.next_deliver) else { break };
-            let delivered_instance = l.next_deliver;
-            l.next_deliver = l.next_deliver.next();
+        while let Some((delivered_instance, b)) = l.order.deliver_next() {
             let index = l.index;
             if ctx.probes_enabled() {
                 ctx.probe(probe::code::DELIVER, probe::span_key(0, delivered_instance.0));
@@ -724,7 +716,7 @@ impl URingProcess {
             }
         }
         if let (Some(rec), Some(l)) = (self.rec.as_mut(), self.learner.as_ref()) {
-            rec.lr.maybe_checkpoint(l.next_deliver, || l.delivered.export(), ctx);
+            rec.lr.maybe_checkpoint(l.order.next_instance(), || l.delivered.export(), ctx);
         }
     }
 
@@ -771,10 +763,9 @@ impl URingProcess {
             }
             if let Some(cp) = snap {
                 let l = self.learner.as_mut().expect("catch-up requester is a learner");
-                if rec.lr.adopt(&cp, l.next_deliver) {
+                if rec.lr.adopt(&cp, l.order.next_instance()) {
                     // State transfer: adopt the peer's checkpoint.
-                    l.next_deliver = cp.watermark;
-                    l.ready = l.ready.split_off(&cp.watermark);
+                    l.order.resume_at(cp.watermark);
                     l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
                     rec.cache.trim_below(cp.watermark);
                     if let Some(log) = self.log.as_ref() {
@@ -793,7 +784,7 @@ impl URingProcess {
             let round = self.round;
             self.on_decision(i, b, 1, round, ctx);
         }
-        let next = self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(upto);
+        let next = self.learner.as_ref().map_or(upto, |l| l.order.next_instance());
         // Done: caught up to the responder's horizon, and the live ring
         // flow (buffered in `ready` during catch-up) takes over. Wait:
         // the responder could not serve (e.g. it is itself recovering).
@@ -889,7 +880,7 @@ impl URingProcess {
     /// This process's delivery watermark (everything below is decided
     /// and delivered here).
     fn decided_below_here(&self) -> InstanceId {
-        self.learner.as_ref().map(|l| l.next_deliver).unwrap_or(InstanceId(0))
+        self.learner.as_ref().map_or(InstanceId(0), |l| l.order.next_instance())
     }
 
     /// Moves to `round`, durably if this process is an acceptor with a
@@ -1446,10 +1437,10 @@ impl Actor for URingProcess {
             }
             T_CATCHUP => {
                 let Some(l) = self.learner.as_ref() else { return };
-                let next = l.next_deliver;
+                let next = l.order.next_instance();
                 // Decisions buffered above an undelivered gap mean the
                 // live flow skipped instances this learner is missing.
-                let stuck = l.ready.keys().next().is_some_and(|&m| m > next);
+                let stuck = l.order.buffered() > 0 && !l.order.knows(next);
                 let Some(rec) = self.rec.as_mut() else { return };
                 rec.last_tick = ctx.now();
                 // Re-proposal normally closes small gaps within a tick.
