@@ -454,7 +454,10 @@ fn fig3_09() {
         let u_tput = w.mbps_of(b, a);
         println!("  {n:9} | {m_lat:8} | {u_lat:8} | {m_tput:9.0} | {u_tput:9.0}");
     }
-    println!("  shape: all disk-bound near 270 Mbps; M-RP latency lower (parallel writes) (paper Fig 3.9).");
+    println!("  shape: all disk-bound near 270 Mbps (paper Fig 3.9). 400 Mb/s offered is past");
+    println!("  the disk's knee, so latency is backlog, not the write path: U-RP's proposers");
+    println!("  block at an in-flight budget that grows with ring size, M-RP's queue the excess.");
+    println!("  Both rings' acceptors write in parallel; below the knee ring hops separate them.");
 }
 
 fn msg_size_sweep(uring: bool) {

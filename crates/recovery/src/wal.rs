@@ -184,6 +184,13 @@ impl<V: Clone> VoteLog<V> {
         durable
     }
 
+    /// Whether the durable log holds `instance`'s vote at `round`. A vote
+    /// durable at an older round does not count: a re-proposal under a
+    /// new round must be written again before the acceptor votes for it.
+    pub fn holds(&self, instance: InstanceId, round: Round) -> bool {
+        self.store.lock().unwrap().votes.get(&instance).is_some_and(|&(r, _)| r == round)
+    }
+
     /// The durable log contents, for replay into a fresh acceptor
     /// (`paxos::acceptor::Acceptor::restore`).
     pub fn replay(&self) -> (Round, Vec<(InstanceId, Round, V)>) {
@@ -291,6 +298,15 @@ mod tests {
         sim.run_to_idle();
         assert!(durable.lock().unwrap().is_empty());
         assert!(store.lock().unwrap().votes.is_empty(), "nothing durable before DiskDone");
+    }
+
+    #[test]
+    fn holds_only_the_durable_round() {
+        let (_, store) = run(LogMode::Sync, 2);
+        let wal: VoteLog<u32> = VoteLog::new(store, LogMode::Sync, 32 * 1024, KIND);
+        assert!(wal.holds(InstanceId(1), Round::new(1, 0)));
+        assert!(!wal.holds(InstanceId(1), Round::new(2, 1)), "an older round's vote");
+        assert!(!wal.holds(InstanceId(2), Round::new(1, 0)), "never written");
     }
 
     #[test]

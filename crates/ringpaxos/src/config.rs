@@ -10,8 +10,10 @@ pub enum StorageMode {
     /// never fails simultaneously. Network/CPU bound.
     #[default]
     InMemory,
-    /// Acceptors write each vote to disk *before* forwarding their Phase 2B
-    /// (ch. 3 §3.5.5). Disk bound, ~270 Mbps on the modelled SSD.
+    /// Acceptors write each vote to disk *before* their Phase 2B leaves
+    /// (ch. 3 §3.5.5; U-Ring relays the 2A ahead of the write, `uring`
+    /// module docs, "Durable votes"). Disk bound, ~270 Mbps on the
+    /// modelled SSD.
     SyncDisk,
     /// Acceptors write asynchronously and vote immediately, throttling when
     /// the disk falls too far behind (Recoverable Ring Paxos, ch. 5).

@@ -202,7 +202,8 @@ pub enum MMsg {
 pub enum UMsg {
     /// A value forwarded along the ring towards the coordinator (Task 1).
     Forward(Value),
-    /// Combined Phase 2A/2B travelling down the acceptor segment.
+    /// Combined Phase 2A/2B travelling down the acceptor segment: the 2A
+    /// carrying the vote of every acceptor up to the sender.
     Phase2ab {
         /// Consensus instance.
         instance: InstanceId,
@@ -210,6 +211,25 @@ pub enum UMsg {
         round: Round,
         /// Proposed batch.
         batch: Batch,
+    },
+    /// A 2A relayed ahead of the sender's vote, which is not durable yet
+    /// (or whose predecessor's vote is still to come): the vote follows
+    /// as a [`UMsg::Phase2b`] (`uring` module docs, "Durable votes").
+    Phase2a {
+        /// Consensus instance.
+        instance: InstanceId,
+        /// Round.
+        round: Round,
+        /// Proposed batch.
+        batch: Batch,
+    },
+    /// The sender's vote, sent once it is durable and every acceptor
+    /// before it has voted — so it stands for all of them. Control-sized.
+    Phase2b {
+        /// Voted instance.
+        instance: InstanceId,
+        /// Voted round.
+        round: Round,
     },
     /// Decision circulating the ring (Task 5). The batch object rides
     /// along for delivery, but each value's bytes are only charged on the

@@ -11,6 +11,32 @@
 //! Flow control is inherent: TCP back-pressure between neighbours plus a
 //! bounded window of outstanding consensus instances (§3.3.6).
 //!
+//! # Durable votes
+//!
+//! Where an acceptor must write its vote before it counts (a
+//! write-ahead log under `with_recovery`, or `StorageMode::SyncDisk`),
+//! this deviates from Algorithm 3, which forwards the 2A only with the
+//! vote on it. Here a 2A never waits for a disk: the acceptor relays it to
+//! its successor on arrival (`UMsg::Phase2a`, with the same `hop_bytes`,
+//! so each payload still crosses each link once) and starts its write.
+//! Its vote leaves as a control-sized `UMsg::Phase2b` once the write is
+//! durable *and* its predecessor's 2B has arrived; the last acceptor
+//! decides on the same two conditions. The acceptors of the segment thus
+//! write in parallel, as M-Ring's do, instead of one after the other. It
+//! is safe because a vote still counts only once it is durable at its
+//! acceptor and at every acceptor upstream: a 2B stands for every vote
+//! before it, and the decision needs the last one. A vote that needs no
+//! write (an in-memory ring, or a re-proposal of a vote already durable
+//! at that round) rides on the 2A as `UMsg::Phase2ab`, exactly as in
+//! Algorithm 3 — so an in-memory ring sends the same messages as before.
+//! What an acceptor owes its successor is kept per instance
+//! (`OwedVote`), including a 2B that reaches it before its 2A (M-Ring's
+//! `early_2b` rule; TCP's per-link order makes it rare); an entry lives
+//! until the vote leaves, the instance's decision passes by, or the
+//! round changes. The write-ahead log's completions are the only source
+//! of "durable". The coordinator's own vote is not written ahead: it
+//! rides on the 2A it sends (ROADMAP item 4 records what that costs).
+//!
 //! # Recovery (`with_recovery`)
 //!
 //! A plain U-Ring deployment stalls forever when a ring process dies
@@ -84,8 +110,8 @@ use paxos::acceptor::Acceptor;
 use paxos::learner::Learner;
 use paxos::msg::{quorum, InstanceId, Round};
 use recovery::{
-    CatchupStep, Checkpoint, DecidedCache, LearnerRecovery, LogMode, RecoveredApp, StableHandle,
-    VoteLog, CATCHUP_CHUNK, CATCHUP_RETRY,
+    stable, CatchupStep, Checkpoint, DecidedCache, LearnerRecovery, LogMode, RecoveredApp,
+    StableHandle, VoteLog, CATCHUP_CHUNK, CATCHUP_RETRY,
 };
 use simnet::prelude::*;
 
@@ -102,6 +128,7 @@ const T_CATCHUP: u64 = 5 << 56;
 const T_REPROP: u64 = 6 << 56;
 const T_SUSPECT: u64 = 7 << 56;
 const T_HEARTBEAT: u64 = 8 << 56;
+/// `StorageMode::AsyncDisk` writes; their completions carry nothing.
 const T_DISK: u64 = 9 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
@@ -139,7 +166,6 @@ pub struct URecovery {
 /// rings share, plus what only U-Ring has.
 struct RecState {
     lr: LearnerRecovery<Batch>,
-    wal: VoteLog<Batch>,
     cache: DecidedCache<Batch>,
     peer: NodeId,
     retention: u64,
@@ -190,9 +216,13 @@ pub struct URingProcess {
     learner: Option<ULearner>,
     prop: Option<UProposer>,
     log: Option<SharedLog>,
-    /// Phase2ab messages awaiting a pending sync disk write, per instance
-    /// (the non-recovery `StorageMode` path).
-    disk_pending: BTreeMap<InstanceId, (Round, Batch)>,
+    /// The acceptor's write-ahead vote log: over the node's stable store
+    /// under `with_recovery`, over a throw-away one under
+    /// `StorageMode::SyncDisk`, none where a vote needs no write.
+    wal: Option<VoteLog<Batch>>,
+    /// Votes this acceptor owes its successor (module docs, "Durable
+    /// votes").
+    owed: BTreeMap<InstanceId, OwedVote>,
     rec: Option<RecState>,
     /// Original full membership (deployment order). Reformed rings draw
     /// from it, and `NewRing`/`Heartbeat`/`Ping` reach all of it, so
@@ -209,6 +239,19 @@ pub struct URingProcess {
     /// Last time coordinator traffic in the current round was seen.
     last_coord_activity: Time,
     takeover: Option<UTakeover>,
+}
+
+/// A vote that could not ride on its 2A: the acceptor relayed the 2A
+/// ahead of it and sends it as a `Phase2b` once both flags hold.
+struct OwedVote {
+    round: Round,
+    /// The 2A's batch; `None` while only the predecessor's 2B has come.
+    batch: Option<Batch>,
+    /// This acceptor's vote is durable, and cast.
+    durable: bool,
+    /// Every acceptor upstream has voted: the 2A came as a `Phase2ab`,
+    /// or the predecessor's `Phase2b` arrived.
+    upstream: bool,
 }
 
 struct ULearner {
@@ -266,6 +309,8 @@ impl URingProcess {
             order: Learner::new(),
             delivered: DeliveredTracker::new(),
         });
+        let wal = (is_acceptor && cfg.storage == StorageMode::SyncDisk)
+            .then(|| VoteLog::new(stable(), LogMode::Sync, cfg.disk_unit, T_WAL));
         let all_nodes = cfg.ring.clone();
         let acceptor_nodes: Vec<NodeId> =
             cfg.acceptor_positions.iter().map(|&p| cfg.ring[p]).collect();
@@ -287,7 +332,8 @@ impl URingProcess {
                 track: failover,
             }),
             log: learner_log,
-            disk_pending: BTreeMap::new(),
+            wal,
+            owed: BTreeMap::new(),
             rec: None,
             all_nodes,
             acceptor_nodes,
@@ -310,8 +356,8 @@ impl URingProcess {
                 self.cfg.ring[last]
             }
         });
+        let wal = VoteLog::new(rec.store.clone(), rec.wal_mode, self.cfg.disk_unit, T_WAL);
         let mut state = RecState {
-            wal: VoteLog::new(rec.store.clone(), rec.wal_mode, self.cfg.disk_unit, T_WAL),
             lr: LearnerRecovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app),
             cache: DecidedCache::new(),
             peer,
@@ -337,7 +383,7 @@ impl URingProcess {
             // round also fences this process: stale pre-crash epochs
             // fail the round check until a NewRing/Heartbeat resyncs us.
             if self.acceptor.is_some() {
-                let (promised, votes) = state.wal.replay();
+                let (promised, votes) = wal.replay();
                 let promised = promised.max(self.round);
                 self.round = promised;
                 self.acceptor = Some(Acceptor::restore(promised, votes));
@@ -355,6 +401,9 @@ impl URingProcess {
         }
         if let Some(p) = self.prop.as_mut() {
             p.track = true;
+        }
+        if self.acceptor.is_some() {
+            self.wal = Some(wal);
         }
         self.rec = Some(state);
         self
@@ -550,13 +599,29 @@ impl URingProcess {
         ctx.tcp_send(succ, UMsg::Phase2ab { instance, round, batch }, wire);
     }
 
-    fn on_phase2ab(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
+    /// The epoch fence: 2A/2B traffic from a deposed coordinator (or a
+    /// stale ring layout) dies here. A vote under a stale layout could
+    /// otherwise complete a "decision" at the old last acceptor without a
+    /// true quorum.
+    fn fenced(&self, round: Round, ctx: &mut Ctx) -> bool {
         if round != self.round {
-            // The epoch fence: 2A/2B traffic from a deposed coordinator
-            // (or a stale ring layout) dies here. A vote under a stale
-            // layout could otherwise complete a "decision" at the old
-            // last acceptor without a true quorum.
             ctx.counter_add("rp.stale_2ab", 1);
+        }
+        round != self.round
+    }
+
+    /// A 2A arrives: as a `Phase2ab` when every acceptor before this one
+    /// has voted (`upstream`), as a `Phase2a` when a 2B is still to
+    /// follow. See the module docs, "Durable votes".
+    fn on_2a(
+        &mut self,
+        instance: InstanceId,
+        round: Round,
+        batch: Batch,
+        upstream: bool,
+        ctx: &mut Ctx,
+    ) {
+        if self.fenced(round, ctx) {
             return;
         }
         self.last_coord_activity = ctx.now();
@@ -566,64 +631,121 @@ impl URingProcess {
         if self.acceptor.is_none() {
             // Not an acceptor (non-contiguous layout): just relay.
             let wire = self.hop_bytes(&batch, self.next_pos(), false);
-            ctx.tcp_send(self.successor(), UMsg::Phase2ab { instance, round, batch }, wire);
-            return;
-        }
-        if let Some(rec) = self.rec.as_mut() {
-            // Recovery-enabled: write-ahead log the vote; `vote_and_forward`
-            // runs from the WAL completion (T_WAL). Re-proposals of an
-            // already-durable vote skip the disk and vote immediately.
-            if rec.lr.store.lock().unwrap().votes.contains_key(&instance) {
-                self.vote_and_forward(instance, round, batch, ctx);
+            let msg = if upstream {
+                UMsg::Phase2ab { instance, round, batch }
             } else {
-                let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
-                rec.wal.append(instance, round, batch, bytes, ctx);
+                UMsg::Phase2a { instance, round, batch }
+            };
+            ctx.tcp_send(self.successor(), msg, wire);
+            return;
+        }
+        let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
+        let needs_write = self.wal.as_ref().is_some_and(|w| !w.holds(instance, round));
+        let held_2b = self.owed.get(&instance).is_some_and(|o| o.upstream);
+        if !needs_write && (upstream || held_2b) {
+            // The vote rides on the 2A, as in Algorithm 3.
+            self.owed.remove(&instance);
+            if self.wal.is_none() && self.cfg.storage == StorageMode::AsyncDisk {
+                ctx.disk_write_coalesced(bytes, self.cfg.disk_unit, TimerToken(T_DISK));
+            }
+            if self.cast(instance, round, &batch) {
+                self.vote_leaves(instance, round, batch, true, ctx);
             }
             return;
         }
-        match self.cfg.storage {
-            StorageMode::InMemory => self.vote_and_forward(instance, round, batch, ctx),
-            StorageMode::SyncDisk => {
-                let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
-                self.disk_pending.insert(instance, (round, batch));
-                ctx.disk_write_coalesced(
-                    bytes,
-                    self.cfg.disk_unit,
-                    TimerToken(T_DISK | instance.0),
-                );
+        // The vote cannot ride: the 2A goes ahead of it.
+        if self.pos != self.cfg.last_acceptor_pos() {
+            let wire = self.hop_bytes(&batch, self.next_pos(), false);
+            let relay = UMsg::Phase2a { instance, round, batch: batch.clone() };
+            ctx.tcp_send(self.successor(), relay, wire);
+        }
+        let o = self.owed.entry(instance).or_insert(OwedVote {
+            round,
+            batch: None,
+            durable: false,
+            upstream: false,
+        });
+        o.upstream |= upstream;
+        o.batch = Some(batch.clone());
+        if needs_write {
+            // Also on a repeated 2A while a write is pending: a crash can
+            // lose that write's completion (`VoteLog::on_token`).
+            let wal = self.wal.as_mut().expect("a write needs the log");
+            wal.append(instance, round, batch, bytes, ctx);
+        } else {
+            // Nothing to write; only the predecessor's 2B is missing.
+            self.on_durable(instance, round, batch, ctx);
+        }
+    }
+
+    /// The predecessor's vote arrives — and with it, every vote before it.
+    fn on_2b(&mut self, instance: InstanceId, round: Round, ctx: &mut Ctx) {
+        if self.fenced(round, ctx) || self.excluded {
+            return;
+        }
+        let Some(a) = self.acceptor.as_ref() else {
+            ctx.tcp_send(self.successor(), UMsg::Phase2b { instance, round }, self.cfg.ctl_bytes);
+            return;
+        };
+        let voted = a.vote(instance).is_some_and(|v| v.v_rnd == round);
+        match self.owed.get_mut(&instance) {
+            Some(o) if o.durable => {
+                let batch = o.batch.take().expect("a durable vote has its 2A");
+                self.owed.remove(&instance);
+                self.vote_leaves(instance, round, batch, false, ctx);
             }
-            StorageMode::AsyncDisk => {
-                let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
-                ctx.disk_write_coalesced(
-                    bytes,
-                    self.cfg.disk_unit,
-                    TimerToken(T_DISK | (u64::MAX >> 8)),
-                );
-                self.vote_and_forward(instance, round, batch, ctx);
+            Some(o) => o.upstream = true,
+            // Nothing owed but a vote cast at this round: it has left.
+            None if voted => {}
+            // The 2B overtook its 2A: hold it.
+            None => {
+                let held = OwedVote { round, batch: None, durable: false, upstream: true };
+                self.owed.insert(instance, held);
             }
         }
     }
 
-    fn vote_and_forward(
+    /// The vote is durable: a write-ahead log completion, or a 2A whose
+    /// vote needs no write.
+    fn on_durable(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
+        let Some(o) = self.owed.get_mut(&instance) else { return };
+        if o.round != round || o.durable {
+            return; // decided, superseded, or a second write of one vote
+        }
+        o.durable = true;
+        let upstream = o.upstream;
+        if !self.cast(instance, round, &batch) {
+            self.owed.remove(&instance);
+        } else if upstream {
+            self.owed.remove(&instance);
+            self.vote_leaves(instance, round, batch, false, ctx);
+        }
+    }
+
+    /// Casts this acceptor's vote; `false` when it promised a higher round.
+    fn cast(&mut self, instance: InstanceId, round: Round, batch: &Batch) -> bool {
+        self.acceptor
+            .as_mut()
+            .is_some_and(|a| a.receive_2a(instance, round, batch.clone()).is_some())
+    }
+
+    /// This acceptor's vote leaves. The last acceptor decides (Task 4)
+    /// and starts the decision around the ring with the chosen batch;
+    /// any other sends the vote on — on the 2A when it `rides`, alone
+    /// when the 2A went ahead.
+    fn vote_leaves(
         &mut self,
         instance: InstanceId,
         round: Round,
         batch: Batch,
+        rides: bool,
         ctx: &mut Ctx,
     ) {
-        if let Some(a) = self.acceptor.as_mut() {
-            if a.receive_2a(instance, round, batch.clone()).is_none() {
-                return;
-            }
-        }
         if ctx.probes_enabled() {
             ctx.probe(probe::code::PHASE2B, probe::span_key(0, instance.0));
         }
-        let ring_len = self.cfg.ring.len() as u32;
         if self.pos == self.cfg.last_acceptor_pos() {
-            // Task 4: the last acceptor detects the decision and starts
-            // circulating it with the chosen batch.
-            let id_hops = ring_len - 1;
+            let id_hops = self.cfg.ring.len() as u32 - 1;
             if ctx.probes_enabled() {
                 ctx.probe(probe::code::DECIDE, probe::span_key(0, instance.0));
             }
@@ -634,9 +756,11 @@ impl URingProcess {
                 UMsg::Decision { instance, batch, id_hops_left: id_hops, round },
                 wire,
             );
-        } else {
+        } else if rides {
             let wire = self.hop_bytes(&batch, self.next_pos(), false);
             ctx.tcp_send(self.successor(), UMsg::Phase2ab { instance, round, batch }, wire);
+        } else {
+            ctx.tcp_send(self.successor(), UMsg::Phase2b { instance, round }, self.cfg.ctl_bytes);
         }
     }
 
@@ -649,7 +773,8 @@ impl URingProcess {
         ctx: &mut Ctx,
     ) {
         // Delivery is unconditionally safe — a decision is a decision,
-        // whatever epoch we are in.
+        // whatever epoch we are in — and a decided vote is owed nobody.
+        self.owed.remove(&instance);
         self.learner_ready(instance, &batch, ctx);
         if self.coord.is_some() {
             let now = ctx.now();
@@ -885,7 +1010,12 @@ impl URingProcess {
 
     /// Moves to `round`, durably if this process is an acceptor with a
     /// stable store: a respawned acceptor must not regress below it.
+    /// Votes owed under the old round are dropped; the fence would stop
+    /// them anyway.
     fn adopt_round(&mut self, round: Round) {
+        if round != self.round {
+            self.owed.clear();
+        }
         self.round = round;
         let store = self.acceptor.as_ref().and(self.rec.as_ref()).map(|r| &r.lr.store);
         persist_promise(store, round);
@@ -1348,10 +1478,12 @@ impl Actor for URingProcess {
                 }
             }
             UMsg::Phase2ab { instance, round, batch } => {
-                let (instance, round) = (*instance, *round);
-                let batch = batch.clone();
-                self.on_phase2ab(instance, round, batch, ctx);
+                self.on_2a(*instance, *round, batch.clone(), true, ctx);
             }
+            UMsg::Phase2a { instance, round, batch } => {
+                self.on_2a(*instance, *round, batch.clone(), false, ctx);
+            }
+            UMsg::Phase2b { instance, round } => self.on_2b(*instance, *round, ctx),
             UMsg::Decision { instance, batch, id_hops_left, round } => {
                 let (instance, ih, round) = (*instance, *id_hops_left, *round);
                 let batch = batch.clone();
@@ -1411,12 +1543,12 @@ impl Actor for URingProcess {
             T_PACE => self.pace(ctx),
             T_WAL => {
                 let payload = token.0 & !KIND_MASK;
-                let durable = match self.rec.as_mut() {
-                    Some(rec) => rec.wal.on_token(payload, ctx),
+                let durable = match self.wal.as_mut() {
+                    Some(wal) => wal.on_token(payload, ctx),
                     None => Vec::new(),
                 };
                 for (instance, round, batch) in durable {
-                    self.vote_and_forward(instance, round, batch, ctx);
+                    self.on_durable(instance, round, batch, ctx);
                 }
             }
             T_CKPT => {
@@ -1451,16 +1583,6 @@ impl Actor for URingProcess {
             T_REPROP => self.repropose_check(ctx),
             T_SUSPECT => self.suspect_check(ctx),
             T_HEARTBEAT => self.heartbeat_tick(ctx),
-            T_DISK => {
-                let payload = token.0 & !KIND_MASK;
-                if payload == u64::MAX >> 8 {
-                    return;
-                }
-                let instance = InstanceId(payload);
-                if let Some((round, batch)) = self.disk_pending.remove(&instance) {
-                    self.vote_and_forward(instance, round, batch, ctx);
-                }
-            }
             _ => {}
         }
     }
