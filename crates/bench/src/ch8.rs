@@ -8,10 +8,11 @@
 //! modes (per-vote sync vs. group commit) on the §3.5.5-calibrated
 //! disk.
 
-use recovery::{LogMode, NullApp};
+use recovery::NullApp;
 use ringpaxos::cluster::{
     deploy_uring_recoverable, respawn_uring, RecoverableURing, URingOptions, URingRecoveryOptions,
 };
+use ringpaxos::StorageMode;
 use simnet::prelude::*;
 
 use crate::harness::{header, pctl_cell, throughput_trace};
@@ -54,14 +55,20 @@ fn opts() -> URingOptions {
     }
 }
 
-fn deploy(sim: &mut Sim, rec: URingRecoveryOptions) -> RecoverableURing {
-    deploy_uring_recoverable(sim, &opts(), rec, |_| {}, |_| Some(Box::new(NullApp::default())))
+fn deploy(sim: &mut Sim, rec: URingRecoveryOptions, storage: StorageMode) -> RecoverableURing {
+    deploy_uring_recoverable(
+        sim,
+        &opts(),
+        rec,
+        |cfg| cfg.storage = storage,
+        |_| Some(Box::new(NullApp::default())),
+    )
 }
 
 /// Runs one crash-and-respawn cycle, returning the simulation at 5 s.
 fn crash_cycle(rec: URingRecoveryOptions) -> (Sim, RecoverableURing) {
     let mut sim = Sim::new(SimConfig::default());
-    let ru = deploy(&mut sim, rec);
+    let ru = deploy(&mut sim, rec, StorageMode::SyncDisk);
     sim.run_until(Time::from_millis(CRASH_AT));
     sim.set_node_up(ru.d.ring[VICTIM], false);
     sim.run_until(Time::from_millis(RESTART_AT));
@@ -77,7 +84,6 @@ fn fig8_01() {
         let rec = URingRecoveryOptions {
             checkpoint_interval: interval,
             catchup_retention: 8192, // serve any outage from the suffix
-            ..URingRecoveryOptions::default()
         };
         let (sim, ru) = crash_cycle(rec);
         let v = ru.d.ring[VICTIM];
@@ -104,7 +110,7 @@ fn fig8_02() {
     header(&["t (s)", "delivered Mbps"]);
     let rec = URingRecoveryOptions { checkpoint_interval: 256, ..Default::default() };
     let mut sim = Sim::new(SimConfig::default());
-    let ru = deploy(&mut sim, rec);
+    let ru = deploy(&mut sim, rec, StorageMode::SyncDisk);
     let observer = ru.d.ring[3];
     let step = Dur::millis(250);
     let mut crashed = false;
@@ -141,14 +147,13 @@ fn fig8_02() {
 fn tab8_03() {
     println!("Table 8.3 — write-ahead vote log commit modes (§3.5.5 disk calibration)");
     header(&["mode", "delivered Mbps", "disk MB written", "mean latency", "p50/p99/p999"]);
-    for (label, mode) in [
-        ("sync (per-vote)", LogMode::Sync),
-        ("group 1 ms", LogMode::Group { interval: Dur::millis(1), max_bytes: 256 * 1024 }),
-        ("group 5 ms", LogMode::Group { interval: Dur::millis(5), max_bytes: 1024 * 1024 }),
+    for (label, storage) in [
+        ("sync (per-vote)", StorageMode::SyncDisk),
+        ("group 1 ms", StorageMode::GroupDisk { interval: Dur::millis(1), max_bytes: 256 * 1024 }),
+        ("group 5 ms", StorageMode::GroupDisk { interval: Dur::millis(5), max_bytes: 1024 * 1024 }),
     ] {
-        let rec = URingRecoveryOptions { wal_mode: mode, ..Default::default() };
         let mut sim = Sim::new(SimConfig::default());
-        let ru = deploy(&mut sim, rec);
+        let ru = deploy(&mut sim, URingRecoveryOptions::default(), storage);
         sim.run_until(Time::from_secs(3));
         let window = Dur::secs(3);
         let delivered = sim.metrics().counter(ru.d.ring[3], "abcast.delivered_bytes");

@@ -5,7 +5,7 @@
 use abcast::{shared_log, SharedLog};
 use btree::{Partitioning, TreeCommand, TreeService};
 use ringpaxos::mring::MRingProcess;
-use ringpaxos::{MRingConfig, StorageMode};
+use ringpaxos::MRingConfig;
 use simnet::prelude::*;
 use workload::{
     KeyedWorkload, Poisson, RetryPolicy, SessionTable, SessionTableConfig, WorkloadGen,
@@ -56,8 +56,6 @@ pub struct SmrOptions {
     pub partitions: Option<PartitionOptions>,
     /// Stop issuing commands at this time.
     pub stop_at: Option<Time>,
-    /// Acceptor storage.
-    pub storage: StorageMode,
 }
 
 impl Default for SmrOptions {
@@ -70,7 +68,6 @@ impl Default for SmrOptions {
             speculative: false,
             partitions: None,
             stop_at: None,
-            storage: StorageMode::InMemory,
         }
     }
 }
@@ -151,7 +148,6 @@ fn deploy_servers(
     partitions: Option<PartitionOptions>,
     n_replicas: usize,
     ring_size: usize,
-    storage: StorageMode,
     speculative: bool,
     packet_bytes: u32,
     n_extra: usize,
@@ -171,7 +167,6 @@ fn deploy_servers(
     let base_group = sim.add_group();
     let flat_replicas: Vec<NodeId> = replicas.iter().flatten().copied().collect();
     let mut cfg = MRingConfig::new(ring.clone(), flat_replicas.clone(), base_group);
-    cfg.storage = storage;
     cfg.packet_bytes = packet_bytes;
     cfg.batch_timeout = Dur::micros(100);
 
@@ -255,7 +250,6 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
             opts.partitions,
             opts.n_replicas,
             opts.ring_size,
-            opts.storage,
             opts.speculative,
             packet_bytes,
             opts.n_clients,
@@ -316,8 +310,6 @@ pub struct SessionOptions {
     pub max_in_flight: u32,
     /// Stop issuing new requests at this time.
     pub stop_at: Option<Time>,
-    /// Acceptor storage.
-    pub storage: StorageMode,
 }
 
 impl Default for SessionOptions {
@@ -334,7 +326,6 @@ impl Default for SessionOptions {
             policy: RetryPolicy::default(),
             max_in_flight: 1 << 20,
             stop_at: None,
-            storage: StorageMode::InMemory,
         }
     }
 }
@@ -394,7 +385,6 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
             opts.partitions,
             opts.n_replicas,
             opts.ring_size,
-            opts.storage,
             true,
             8192,
             opts.n_tables,

@@ -8,7 +8,7 @@ use std::sync::Mutex;
 use abcast::{shared_log, SharedLog};
 use multiring::{ring_sink, MultiRingLearner, RingSink};
 use ringpaxos::mring::MRingProcess;
-use ringpaxos::{MRingConfig, SkipConfig, StorageMode};
+use ringpaxos::{MRingConfig, SkipConfig};
 use simnet::prelude::*;
 use workload::RetryPolicy;
 
@@ -42,8 +42,6 @@ pub struct ParallelOptions {
     pub lambda_per_sec: u64,
     /// Stop issuing commands at this time.
     pub stop_at: Option<Time>,
-    /// Acceptor storage mode.
-    pub storage: StorageMode,
     /// Client retry policy (deadline, backoff, abandonment). The default
     /// reproduces the constants the client historically hard-coded.
     pub policy: RetryPolicy,
@@ -60,7 +58,6 @@ impl Default for ParallelOptions {
             costs: EngineCosts::default(),
             lambda_per_sec: 10_000,
             stop_at: None,
-            storage: StorageMode::InMemory,
             policy: RetryPolicy::default(),
         }
     }
@@ -129,7 +126,6 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
         let ring: Vec<NodeId> = (0..opts.ring_size).map(|_| sim.add_node(Box::new(Idle))).collect();
         let group = sim.add_group();
         let mut cfg = MRingConfig::new(ring.clone(), replicas.clone(), group);
-        cfg.storage = opts.storage;
         cfg.packet_bytes = 8192;
         cfg.batch_timeout = Dur::micros(100);
         if n_rings > 1 && opts.lambda_per_sec > 0 {

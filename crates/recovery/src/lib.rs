@@ -24,12 +24,13 @@
 //!
 //! # Pieces
 //!
-//! * [`wal::VoteLog`] — the acceptor write-ahead log. In
-//!   [`wal::LogMode::Sync`] every vote is written (coalesced into
-//!   `disk_unit` device operations, §3.5.5) before the acceptor votes;
-//!   in [`wal::LogMode::Group`] appends accumulate and one device write
-//!   commits the whole group (group commit: fewer operations, slightly
-//!   higher vote latency).
+//! * [`wal::VoteLog`] — the acceptor vote log, the only code that turns
+//!   a vote into a disk write in either ring. [`wal::StorageMode`] says
+//!   how: not at all, one write per vote before the vote leaves
+//!   (coalesced into 32 KB device operations, §3.5.5), group commit
+//!   (fewer operations, slightly higher vote latency), or write-behind
+//!   (the vote leaves before its write unless the device lags; not
+//!   write-ahead, so recovery refuses it).
 //! * [`checkpoint::Checkpointer`] — periodic replica checkpoints: every
 //!   `interval` delivered instances the replica snapshots its service
 //!   state (an opaque, byte-sized blob), writes it through the disk,
@@ -62,8 +63,4 @@ pub use catchup::{DecidedCache, CATCHUP_CHUNK, CATCHUP_RETRY};
 pub use checkpoint::Checkpointer;
 pub use learner::{CatchupStep, LearnerRecovery};
 pub use stable::{stable, Checkpoint, StableHandle, StableState};
-pub use wal::{LogMode, VoteLog};
-
-/// Payload value (56-bit token space) reserved for the group-commit
-/// flush timer, distinguishing it from flush-completion disk tokens.
-pub const FLUSH_TIMER: u64 = (1u64 << 56) - 1;
+pub use wal::{StorageMode, VoteLog};

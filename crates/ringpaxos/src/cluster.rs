@@ -2,10 +2,10 @@
 //! simulated cluster in one call. Experiments and tests share these.
 
 use abcast::{shared_log, Pacer, SharedLog};
-use recovery::{stable, LogMode, RecoveredApp, StableHandle};
+use recovery::{stable, RecoveredApp, StableHandle};
 use simnet::prelude::*;
 
-use crate::config::{MRingConfig, URingConfig};
+use crate::config::{MRingConfig, StorageMode, URingConfig};
 use crate::mring::{MRecovery, MRingProcess};
 use crate::uring::{URecovery, URingProcess};
 use crate::value::Batch;
@@ -162,9 +162,10 @@ impl RecoverableMRing {
 }
 
 /// Deploys M-Ring Paxos with the recovery subsystem on every process.
-/// Vote durability requires `StorageMode::SyncDisk`, which this helper
-/// sets; `configure` runs after that and may adjust everything else.
-/// `mk_app` supplies each *learner* node's replicated-service hook.
+/// Recovery needs votes written ahead: this helper sets
+/// `StorageMode::SyncDisk`, and `configure`, which runs after that, may
+/// pick `GroupDisk` instead and adjust everything else. `mk_app`
+/// supplies each *learner* node's replicated-service hook.
 pub fn deploy_mring_recoverable(
     sim: &mut Sim,
     opts: &MRingOptions,
@@ -174,7 +175,7 @@ pub fn deploy_mring_recoverable(
 ) -> RecoverableMRing {
     let mut stores: Vec<(NodeId, StableHandle<Batch>)> = Vec::new();
     let with_sync_disk = |cfg: &mut MRingConfig| {
-        cfg.storage = crate::config::StorageMode::SyncDisk;
+        cfg.storage = StorageMode::SyncDisk;
         configure(cfg);
     };
     let d = build_mring(sim, opts, with_sync_disk, |p, n, learns| {
@@ -288,8 +289,6 @@ fn build_uring(
 /// Recovery tuning for [`deploy_uring_recoverable`].
 #[derive(Clone, Copy, Debug)]
 pub struct URingRecoveryOptions {
-    /// Acceptor vote-log commit mode.
-    pub wal_mode: LogMode,
     /// Learner checkpoint interval, in delivered instances (0 = never).
     pub checkpoint_interval: u64,
     /// Decided instances each process retains below its checkpoint
@@ -299,11 +298,7 @@ pub struct URingRecoveryOptions {
 
 impl Default for URingRecoveryOptions {
     fn default() -> Self {
-        URingRecoveryOptions {
-            wal_mode: LogMode::Sync,
-            checkpoint_interval: 256,
-            catchup_retention: 512,
-        }
+        URingRecoveryOptions { checkpoint_interval: 256, catchup_retention: 512 }
     }
 }
 
@@ -320,9 +315,10 @@ pub struct RecoverableURing {
 }
 
 /// Deploys U-Ring Paxos with the recovery subsystem on every process.
-/// `mk_app` supplies each ring position's replicated-service hook
-/// (`None` for a stateless learner whose checkpoints carry only
-/// metadata).
+/// Like [`deploy_mring_recoverable`], it sets `StorageMode::SyncDisk`
+/// before `configure` runs. `mk_app` supplies each ring position's
+/// replicated-service hook (`None` for a stateless learner whose
+/// checkpoints carry only metadata).
 pub fn deploy_uring_recoverable(
     sim: &mut Sim,
     opts: &URingOptions,
@@ -331,7 +327,11 @@ pub fn deploy_uring_recoverable(
     mut mk_app: impl FnMut(usize) -> Option<Box<dyn RecoveredApp>>,
 ) -> RecoverableURing {
     let stores: Vec<StableHandle<Batch>> = (0..opts.ring_len).map(|_| stable()).collect();
-    let d = build_uring(sim, opts, configure, |p, pos| {
+    let with_sync_disk = |cfg: &mut URingConfig| {
+        cfg.storage = StorageMode::SyncDisk;
+        configure(cfg);
+    };
+    let d = build_uring(sim, opts, with_sync_disk, |p, pos| {
         p.with_recovery(urecovery(&rec, stores[pos].clone(), mk_app(pos), false))
     });
     RecoverableURing { d, rec, stores }
@@ -346,10 +346,8 @@ fn urecovery(
 ) -> URecovery {
     URecovery {
         store,
-        wal_mode: rec.wal_mode,
         checkpoint_interval: rec.checkpoint_interval,
         app,
-        peer: None,
         catchup_retention: rec.catchup_retention,
         resumed,
     }

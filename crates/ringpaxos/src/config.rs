@@ -3,22 +3,9 @@
 use simnet::ids::{GroupId, NodeId};
 use simnet::time::Dur;
 
-/// How acceptors persist their votes (§3.3.5, §5.1).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum StorageMode {
-    /// Votes live in acceptor memory only; assumes a majority of acceptors
-    /// never fails simultaneously. Network/CPU bound.
-    #[default]
-    InMemory,
-    /// Acceptors write each vote to disk *before* their Phase 2B leaves
-    /// (ch. 3 §3.5.5; U-Ring relays the 2A ahead of the write, `uring`
-    /// module docs, "Durable votes"). Disk bound, ~270 Mbps on the
-    /// modelled SSD.
-    SyncDisk,
-    /// Acceptors write asynchronously and vote immediately, throttling when
-    /// the disk falls too far behind (Recoverable Ring Paxos, ch. 5).
-    AsyncDisk,
-}
+/// How acceptors persist their votes: `recovery::VoteLog`'s modes, the
+/// same for both rings.
+pub use recovery::StorageMode;
 
 /// State partitioning over one M-Ring Paxos instance (ch. 4 §4.2.2):
 /// the coordinator totally orders all commands but transfers each batch
@@ -111,8 +98,6 @@ pub struct MRingConfig {
     pub pending_cap_bytes: u64,
     /// Acceptor persistence.
     pub storage: StorageMode,
-    /// Disk write unit for Sync/Async storage (32 KB in §3.5.5).
-    pub disk_unit: u32,
     /// Flow control parameters.
     pub flow: FlowConfig,
     /// Wire size of a Phase 2B / control message.
@@ -152,7 +137,6 @@ impl MRingConfig {
             batch_timeout: Dur::micros(200),
             pending_cap_bytes: 160 * 1024 * 1024,
             storage: StorageMode::InMemory,
-            disk_unit: 32 * 1024,
             flow: FlowConfig::default(),
             ctl_bytes: 32,
             gc_interval: Dur::millis(100),
@@ -223,8 +207,6 @@ pub struct URingConfig {
     pub proposer_inflight: u32,
     /// Acceptor persistence.
     pub storage: StorageMode,
-    /// Disk write unit.
-    pub disk_unit: u32,
     /// Wire size of control-only messages.
     pub ctl_bytes: u32,
     /// Failover: silence threshold after which non-coordinator acceptors
@@ -250,7 +232,6 @@ impl URingConfig {
             window: 32,
             proposer_inflight: (6 * n as u32).max(32),
             storage: StorageMode::InMemory,
-            disk_unit: 32 * 1024,
             ctl_bytes: 32,
             suspicion_timeout: None,
         }

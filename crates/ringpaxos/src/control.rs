@@ -1,9 +1,10 @@
 //! Control-plane state U-Ring and M-Ring share: a takeover's promise
 //! collector ([`Phase1`]), the coordinator's ring-liveness probe
-//! ([`RingProbe`]) and the durable promise ([`persist_promise`]). They
+//! ([`RingProbe`]), the durable promise ([`persist_promise`]) and what
+//! recovery demands of the vote log ([`assert_writes_ahead`]). They
 //! decide; the rings send and arm timers. (The learner side is
-//! `recovery::LearnerRecovery`.) What stays per ring, the protocols
-//! differing:
+//! `recovery::LearnerRecovery`, the vote writes `recovery::VoteLog`.)
+//! What stays per ring, the protocols differing:
 //!
 //! * **stagger** — U-Ring position `k` suspects after `max(k, 1)`
 //!   timeouts, M-Ring's after `k + 1` (its coordinator sits last);
@@ -23,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use paxos::acceptor::Acceptor;
 use paxos::msg::{quorum, InstanceId, PaxosMsg, Round};
-use recovery::StableHandle;
+use recovery::{StableHandle, StorageMode};
 use simnet::prelude::*;
 
 use crate::value::Batch;
@@ -147,6 +148,16 @@ pub fn persist_promise(store: Option<&StableHandle<Batch>>, round: Round) {
     if let Some(store) = store {
         store.lock().expect("stable store").log_promise(round);
     }
+}
+
+/// Recovery replays the vote log into a respawned acceptor, so every
+/// vote it counted must be in the log before it left.
+pub(crate) fn assert_writes_ahead(storage: StorageMode) {
+    assert!(
+        storage.writes_ahead(),
+        "recovery needs a storage mode that writes votes ahead (SyncDisk or GroupDisk), \
+         not {storage:?}: a respawned acceptor would forget votes a quorum counted"
+    );
 }
 
 #[cfg(test)]

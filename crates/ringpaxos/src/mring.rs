@@ -24,6 +24,18 @@
 //! catch-up state machine are U-Ring's too: [`crate::control`] (which
 //! says what stays per ring, and why) and `recovery::LearnerRecovery`.
 //!
+//! # Durable votes
+//!
+//! Where an acceptor writes its vote (`cfg.storage` other than
+//! `InMemory`; always under `with_recovery`), it casts the vote on the
+//! 2A and appends it to a `recovery::VoteLog`, as U-Ring's acceptors do.
+//! Its 2B leaves once the log releases the vote — `VoteLog::on_token`
+//! hands it back at the round its write carried, or a write-behind log
+//! lets it go at once — and is held in `early_2b` until then. The
+//! coordinator's own vote is not written ahead: `propose`,
+//! `propose_skip` and `become_coordinator` cast it directly, as U-Ring's
+//! `send_2ab` does (ROADMAP item 4).
+//!
 //! # Loss recovery
 //!
 //! Ip-multicast and UDP lose datagrams, and delivery is in instance
@@ -121,12 +133,13 @@ use paxos::acceptor::Acceptor;
 use paxos::msg::{quorum, InstanceId, Round};
 use paxos::window::Window;
 use recovery::{
-    CatchupStep, LearnerRecovery, RecoveredApp, StableHandle, CATCHUP_CHUNK, CATCHUP_RETRY,
+    stable, CatchupStep, LearnerRecovery, RecoveredApp, StableHandle, VoteLog, CATCHUP_CHUNK,
+    CATCHUP_RETRY,
 };
 use simnet::prelude::*;
 
 use crate::config::{MRingConfig, StorageMode};
-use crate::control::{persist_promise, Phase1, ProbeStep, RingProbe, Votes};
+use crate::control::{assert_writes_ahead, persist_promise, Phase1, ProbeStep, RingProbe, Votes};
 use crate::mlearner::{MLearner, REPAIR_BATCH, SWEEP_TICK};
 use crate::msg::MMsg;
 use crate::value::{batch_bytes, Batch, BatchData, Value, ALL_PARTITIONS};
@@ -140,8 +153,7 @@ const T_DELIVER: u64 = 5 << 56;
 const T_RETRANS: u64 = 6 << 56;
 const T_SUSPECT: u64 = 7 << 56;
 const T_HEARTBEAT: u64 = 8 << 56;
-const T_DISK: u64 = 9 << 56;
-const T_VOTE_RETRY: u64 = 10 << 56;
+const T_WAL: u64 = 9 << 56;
 const T_SKIP: u64 = 11 << 56;
 const T_CKPT: u64 = 13 << 56;
 const T_CATCHUP: u64 = 14 << 56;
@@ -250,12 +262,20 @@ struct AccState {
     /// Instances whose 2A this acceptor asked its ring predecessor for
     /// (module docs, "Loss recovery"); trimmed by GC.
     asked: BTreeSet<InstanceId>,
-    /// Instances whose sync disk write is still pending.
-    awaiting_disk: BTreeSet<InstanceId>,
+    /// The vote log (module docs, "Durable votes"): over the node's
+    /// stable store under `with_recovery`, over a throw-away one
+    /// otherwise, none where votes live in memory.
+    wal: Option<VoteLog<Batch>>,
     last_coord_activity: Time,
 }
 
 impl AccState {
+    /// Whether this acceptor's vote for `instance` at `round`, once
+    /// cast, may leave: the vote log has released it.
+    fn released(&self, instance: InstanceId, round: Round) -> bool {
+        self.wal.as_ref().is_none_or(|w| w.released(instance, round))
+    }
+
     /// Records what a 2A says about its instance besides the value: a
     /// non-zero skip weight, a partition mask other than all.
     fn note_shape(&mut self, instance: InstanceId, skip: u64, mask: u32) {
@@ -373,10 +393,10 @@ struct Takeover {
     decided: BTreeSet<InstanceId>,
 }
 
-/// Recovery configuration for one M-Ring process: durable vote
-/// recording (requires `StorageMode::SyncDisk` — only a write the disk
-/// actually completed enters the stable store), learner checkpoints,
-/// and bulk TCP catch-up from the preferential acceptor on restart.
+/// Recovery configuration for one M-Ring process: the vote log over the
+/// node's stable store (its storage mode must write ahead), learner
+/// checkpoints, and bulk TCP catch-up from the preferential acceptor on
+/// restart.
 pub struct MRecovery {
     /// The node's stable store, shared across process incarnations.
     pub store: StableHandle<Batch>,
@@ -470,7 +490,8 @@ impl MRingProcess {
                 decided_below: InstanceId(0),
                 early_2b: Window::new(),
                 asked: BTreeSet::new(),
-                awaiting_disk: BTreeSet::new(),
+                wal: (cfg.storage != StorageMode::InMemory)
+                    .then(|| VoteLog::new(stable(), cfg.storage, T_WAL)),
                 last_coord_activity: Time::ZERO,
             }
         });
@@ -514,17 +535,17 @@ impl MRingProcess {
     /// checkpoint here; catch-up starts in `on_start`. The proposer role
     /// is not resumed (its sequence numbers are not logged).
     pub fn with_recovery(mut self, rec: MRecovery) -> MRingProcess {
-        let mut state = LearnerRecovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app);
-        if rec.resumed {
-            if let Some(a) = self.acc.as_mut() {
-                let (promised, votes) = {
-                    let s = state.store.lock().unwrap();
-                    let votes: Vec<(InstanceId, Round, Batch)> =
-                        s.votes.iter().map(|(&i, (r, v))| (i, *r, v.clone())).collect();
-                    (s.promised, votes)
-                };
+        assert_writes_ahead(self.cfg.storage);
+        if let Some(a) = self.acc.as_mut() {
+            let wal = VoteLog::new(rec.store.clone(), self.cfg.storage, T_WAL);
+            if rec.resumed {
+                let (promised, votes) = wal.replay();
                 a.paxos = Acceptor::restore(promised.max(self.round), votes);
             }
+            a.wal = Some(wal);
+        }
+        let mut state = LearnerRecovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app);
+        if rec.resumed {
             if let Some(l) = self.lrn.as_mut() {
                 let cp = state.resume();
                 l.restore(cp.watermark, cp.marks, cp.parked);
@@ -955,60 +976,32 @@ impl MRingProcess {
         // duplicate can also be the coordinator *retransmitting* after a
         // lost Phase 2B — the first acceptor must restart the vote relay.
         if a.paxos.vote(instance).is_some_and(|v| v.v_rnd == round) {
-            let disk_ok = !a.awaiting_disk.contains(&instance);
-            if is_first && disk_ok {
+            if is_first && a.released(instance, round) {
                 self.send_2b_to_successor(instance, round, ctx);
             }
             return;
         }
-        let batch_wire_bytes = batch_bytes(&batch).min(u32::MAX as u64) as u32;
+        let bytes = batch_bytes(&batch).min(u32::MAX as u64) as u32;
         if a.paxos.receive_2a(instance, round, batch).is_none() {
             return;
         }
-        match self.cfg.storage {
-            StorageMode::InMemory => {
-                self.after_vote_durable(instance, round, is_first, ctx);
+        let released = match a.wal.as_mut() {
+            None => true,
+            Some(wal) => {
+                let batch = a.paxos.vote(instance).expect("just cast").v_val.clone();
+                wal.append(instance, round, batch, bytes, ctx)
             }
-            StorageMode::SyncDisk => {
-                let bytes = batch_wire_bytes;
-                let a = self.acc.as_mut().expect("acceptor");
-                a.awaiting_disk.insert(instance);
-                ctx.disk_write_coalesced(
-                    bytes,
-                    self.cfg.disk_unit,
-                    TimerToken(T_DISK | instance.0),
-                );
-            }
-            StorageMode::AsyncDisk => {
-                // Fire-and-forget write; throttle if the disk lags.
-                let bytes = batch_wire_bytes;
-                ctx.disk_write_coalesced(
-                    bytes,
-                    self.cfg.disk_unit,
-                    TimerToken(T_VOTE_RETRY | u64::MAX >> 8),
-                );
-                if ctx.disk_backlog() > Dur::millis(20) {
-                    // Delay the vote until the disk catches up a little.
-                    let wait = ctx.disk_backlog() - Dur::millis(20);
-                    let first_flag = if is_first { 1u64 << 55 } else { 0 };
-                    ctx.set_timer(wait, TimerToken(T_VOTE_RETRY | first_flag | instance.0));
-                } else {
-                    self.after_vote_durable(instance, round, is_first, ctx);
-                }
-            }
+        };
+        if released {
+            self.vote_released(instance, round, ctx);
         }
     }
 
-    /// Runs once the vote for `instance` is durable (per storage mode):
-    /// first acceptor starts the 2B relay; others release a buffered 2B.
-    fn after_vote_durable(
-        &mut self,
-        instance: InstanceId,
-        round: Round,
-        is_first: bool,
-        ctx: &mut Ctx,
-    ) {
-        if is_first {
+    /// This acceptor's vote for `instance` at `round` may leave (module
+    /// docs, "Durable votes"): the first acceptor starts the 2B relay;
+    /// the others release a 2B held for that round.
+    fn vote_released(&mut self, instance: InstanceId, round: Round, ctx: &mut Ctx) {
+        if self.ring_pos() == Some(0) {
             self.send_2b_to_successor(instance, round, ctx);
             return;
         }
@@ -1026,8 +1019,7 @@ impl MRingProcess {
     fn relay_2b(&mut self, instance: InstanceId, round: Round, from: NodeId, ctx: &mut Ctx) {
         let Some(a) = self.acc.as_mut() else { return };
         let voted = a.paxos.vote(instance).is_some_and(|v| v.v_rnd == round);
-        let disk_ok = !a.awaiting_disk.contains(&instance);
-        if voted && disk_ok {
+        if voted && a.released(instance, round) {
             self.send_2b_to_successor(instance, round, ctx);
             return;
         }
@@ -1434,8 +1426,8 @@ impl MRingProcess {
             // learners applied these instances (§3.3.7), so a restarted
             // acceptor never needs them either — without this trim the
             // stable store grows with run length.
-            if let Some(rec) = self.rec.as_ref() {
-                rec.store.lock().unwrap().trim_votes_below(upto);
+            if let Some(wal) = a.wal.as_ref() {
+                wal.trim_below(upto);
             }
         }
     }
@@ -2073,26 +2065,12 @@ impl Actor for MRingProcess {
                     ctx.set_timer(self.cfg.suspicion_timeout / 2, TimerToken(T_HEARTBEAT));
                 }
             }
-            T_DISK => {
-                // A synchronous vote write completed.
-                let instance = InstanceId(token_payload(token));
-                let round = self.round;
-                let is_first = self.ring_pos() == Some(0);
-                if let Some(a) = self.acc.as_mut() {
-                    a.awaiting_disk.remove(&instance);
+            T_WAL => {
+                let wal = self.acc.as_mut().and_then(|a| a.wal.as_mut());
+                let released = wal.map(|w| w.on_token(token_payload(token), ctx));
+                for (instance, round, _) in released.unwrap_or_default() {
+                    self.vote_released(instance, round, ctx);
                 }
-                // Recovery: only now — after the device confirmed the
-                // write — does the vote enter the stable store.
-                if let Some(rec) = self.rec.as_ref() {
-                    if let Some(vote) = self.acc.as_ref().and_then(|a| a.paxos.vote(instance)) {
-                        rec.store
-                            .lock()
-                            .unwrap()
-                            .votes
-                            .insert(instance, (vote.v_rnd, vote.v_val.clone()));
-                    }
-                }
-                self.after_vote_durable(instance, round, is_first, ctx);
             }
             T_CKPT => {
                 let payload = token_payload(token);
@@ -2129,16 +2107,6 @@ impl Actor for MRingProcess {
                     }
                     ctx.set_timer(skip.delta, TimerToken(T_SKIP));
                 }
-            }
-            T_VOTE_RETRY => {
-                let payload = token_payload(token);
-                if payload == u64::MAX >> 8 {
-                    return; // fire-and-forget async write completion
-                }
-                let is_first = payload & (1 << 55) != 0;
-                let instance = InstanceId(payload & !(1 << 55));
-                let round = self.round;
-                self.after_vote_durable(instance, round, is_first, ctx);
             }
             _ => {}
         }

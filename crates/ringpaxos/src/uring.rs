@@ -13,29 +13,24 @@
 //!
 //! # Durable votes
 //!
-//! Where an acceptor must write its vote before it counts (a
-//! write-ahead log under `with_recovery`, or `StorageMode::SyncDisk`),
-//! this deviates from Algorithm 3, which forwards the 2A only with the
-//! vote on it. Here a 2A never waits for a disk: the acceptor relays it to
-//! its successor on arrival (`UMsg::Phase2a`, with the same `hop_bytes`,
-//! so each payload still crosses each link once) and starts its write.
-//! Its vote leaves as a control-sized `UMsg::Phase2b` once the write is
-//! durable *and* its predecessor's 2B has arrived; the last acceptor
-//! decides on the same two conditions. The acceptors of the segment thus
-//! write in parallel, as M-Ring's do, instead of one after the other. It
-//! is safe because a vote still counts only once it is durable at its
-//! acceptor and at every acceptor upstream: a 2B stands for every vote
-//! before it, and the decision needs the last one. A vote that needs no
-//! write (an in-memory ring, or a re-proposal of a vote already durable
-//! at that round) rides on the 2A as `UMsg::Phase2ab`, exactly as in
-//! Algorithm 3 — so an in-memory ring sends the same messages as before.
-//! What an acceptor owes its successor is kept per instance
-//! (`OwedVote`), including a 2B that reaches it before its 2A (M-Ring's
-//! `early_2b` rule; TCP's per-link order makes it rare); an entry lives
-//! until the vote leaves, the instance's decision passes by, or the
-//! round changes. The write-ahead log's completions are the only source
-//! of "durable". The coordinator's own vote is not written ahead: it
-//! rides on the 2A it sends (ROADMAP item 4 records what that costs).
+//! Where an acceptor writes its vote (`cfg.storage` other than
+//! `InMemory`; always under `with_recovery`), it appends it to a
+//! `recovery::VoteLog`, as M-Ring's acceptors do, and the log says when
+//! the vote may leave. Unlike Algorithm 3, which forwards the 2A only
+//! with the vote on it, the acceptor relays the 2A on arrival
+//! (`UMsg::Phase2a`, same `hop_bytes`, so each payload still crosses
+//! each link once). Its vote follows as a control-sized `UMsg::Phase2b`
+//! once the log releases it *and* its predecessor's 2B has arrived; the
+//! last acceptor decides on the same two conditions. So the segment's
+//! acceptors write in parallel, and, writing ahead, a vote counts only
+//! once it is durable at its acceptor and every acceptor upstream. A
+//! vote that needs no write (an in-memory ring, or a re-proposal already
+//! durable at that round) rides on the 2A as `UMsg::Phase2ab`, exactly
+//! as in Algorithm 3. What an acceptor owes its successor — including a
+//! 2B that overtook its 2A (rare under TCP's per-link order) — is an
+//! `OwedVote` per instance, until the vote leaves, the decision passes
+//! by, or the round changes. The coordinator's own vote is not written
+//! ahead: it rides on the 2A it sends (ROADMAP item 4).
 //!
 //! # Recovery (`with_recovery`)
 //!
@@ -110,13 +105,13 @@ use paxos::acceptor::Acceptor;
 use paxos::learner::Learner;
 use paxos::msg::{quorum, InstanceId, Round};
 use recovery::{
-    stable, CatchupStep, Checkpoint, DecidedCache, LearnerRecovery, LogMode, RecoveredApp,
-    StableHandle, VoteLog, CATCHUP_CHUNK, CATCHUP_RETRY,
+    stable, CatchupStep, Checkpoint, DecidedCache, LearnerRecovery, RecoveredApp, StableHandle,
+    VoteLog, CATCHUP_CHUNK, CATCHUP_RETRY,
 };
 use simnet::prelude::*;
 
 use crate::config::{StorageMode, URingConfig};
-use crate::control::{persist_promise, Phase1, ProbeStep, RingProbe, Votes};
+use crate::control::{assert_writes_ahead, persist_promise, Phase1, ProbeStep, RingProbe, Votes};
 use crate::msg::UMsg;
 use crate::value::{batch_bytes, Batch, BatchData, Value};
 
@@ -128,8 +123,6 @@ const T_CATCHUP: u64 = 5 << 56;
 const T_REPROP: u64 = 6 << 56;
 const T_SUSPECT: u64 = 7 << 56;
 const T_HEARTBEAT: u64 = 8 << 56;
-/// `StorageMode::AsyncDisk` writes; their completions carry nothing.
-const T_DISK: u64 = 9 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
 /// Scan period of the re-proposal timers (recovery-enabled rings).
@@ -143,22 +136,19 @@ const REPROP_AGE: Dur = Dur::millis(150);
 pub struct URecovery {
     /// The node's stable store, shared across process incarnations.
     pub store: StableHandle<Batch>,
-    /// How the acceptor vote log commits to disk.
-    pub wal_mode: LogMode,
     /// Checkpoint every this many delivered instances (0 = never).
     pub checkpoint_interval: u64,
     /// The replicated service hook snapshotted by checkpoints.
     pub app: Option<Box<dyn RecoveredApp>>,
-    /// Catch-up peer; defaults to the last acceptor (the decision
-    /// origin), or the coordinator when this process *is* it.
-    pub peer: Option<NodeId>,
     /// Decided instances retained in the catch-up cache *below* the
     /// checkpoint watermark. A peer whose outage is shorter than this
     /// slack catches up from the suffix alone; one that fell further
     /// behind gets a state transfer of the whole checkpoint.
     pub catchup_retention: u64,
     /// Whether this incarnation replaces a crashed one (respawn): it
-    /// restores from the stable store and catches up from `peer`.
+    /// restores from the stable store and catches up from the last
+    /// acceptor (the decision origin), or the coordinator when this
+    /// process *is* it.
     pub resumed: bool,
 }
 
@@ -216,9 +206,9 @@ pub struct URingProcess {
     learner: Option<ULearner>,
     prop: Option<UProposer>,
     log: Option<SharedLog>,
-    /// The acceptor's write-ahead vote log: over the node's stable store
-    /// under `with_recovery`, over a throw-away one under
-    /// `StorageMode::SyncDisk`, none where a vote needs no write.
+    /// The acceptor's vote log: over the node's stable store under
+    /// `with_recovery`, over a throw-away one otherwise, none where
+    /// votes live in memory.
     wal: Option<VoteLog<Batch>>,
     /// Votes this acceptor owes its successor (module docs, "Durable
     /// votes").
@@ -247,7 +237,7 @@ struct OwedVote {
     round: Round,
     /// The 2A's batch; `None` while only the predecessor's 2B has come.
     batch: Option<Batch>,
-    /// This acceptor's vote is durable, and cast.
+    /// The vote log released this acceptor's vote, and it is cast.
     durable: bool,
     /// Every acceptor upstream has voted: the 2A came as a `Phase2ab`,
     /// or the predecessor's `Phase2b` arrived.
@@ -309,8 +299,8 @@ impl URingProcess {
             order: Learner::new(),
             delivered: DeliveredTracker::new(),
         });
-        let wal = (is_acceptor && cfg.storage == StorageMode::SyncDisk)
-            .then(|| VoteLog::new(stable(), LogMode::Sync, cfg.disk_unit, T_WAL));
+        let wal = (is_acceptor && cfg.storage != StorageMode::InMemory)
+            .then(|| VoteLog::new(stable(), cfg.storage, T_WAL));
         let all_nodes = cfg.ring.clone();
         let acceptor_nodes: Vec<NodeId> =
             cfg.acceptor_positions.iter().map(|&p| cfg.ring[p]).collect();
@@ -348,15 +338,21 @@ impl URingProcess {
     /// process restores acceptor votes and the learner checkpoint from
     /// the stable store here, and starts catch-up in `on_start`.
     pub fn with_recovery(mut self, rec: URecovery) -> URingProcess {
-        let peer = rec.peer.unwrap_or_else(|| {
-            let last = self.cfg.last_acceptor_pos();
-            if self.pos == last {
-                self.cfg.ring[0]
-            } else {
-                self.cfg.ring[last]
+        assert_writes_ahead(self.cfg.storage);
+        let last = self.cfg.last_acceptor_pos();
+        let peer = self.cfg.ring[if self.pos == last { 0 } else { last }];
+        if self.acceptor.is_some() {
+            let wal = VoteLog::new(rec.store.clone(), self.cfg.storage, T_WAL);
+            if rec.resumed {
+                // Replay the durable vote log. The promised round also
+                // fences this process: stale pre-crash epochs fail the
+                // round check until a NewRing/Heartbeat resyncs us.
+                let (promised, votes) = wal.replay();
+                self.round = promised.max(self.round);
+                self.acceptor = Some(Acceptor::restore(self.round, votes));
             }
-        });
-        let wal = VoteLog::new(rec.store.clone(), rec.wal_mode, self.cfg.disk_unit, T_WAL);
+            self.wal = Some(wal);
+        }
         let mut state = RecState {
             lr: LearnerRecovery::new(rec.store, rec.checkpoint_interval, T_CKPT, rec.app),
             cache: DecidedCache::new(),
@@ -379,15 +375,6 @@ impl URingProcess {
                 // the allocation.
                 self.coord = None;
             }
-            // Acceptor role: replay the durable vote log. The promised
-            // round also fences this process: stale pre-crash epochs
-            // fail the round check until a NewRing/Heartbeat resyncs us.
-            if self.acceptor.is_some() {
-                let (promised, votes) = wal.replay();
-                let promised = promised.max(self.round);
-                self.round = promised;
-                self.acceptor = Some(Acceptor::restore(promised, votes));
-            }
             // Learner role: restore the durable checkpoint.
             if let Some(l) = self.learner.as_mut() {
                 let cp = state.lr.resume();
@@ -401,9 +388,6 @@ impl URingProcess {
         }
         if let Some(p) = self.prop.as_mut() {
             p.track = true;
-        }
-        if self.acceptor.is_some() {
-            self.wal = Some(wal);
         }
         self.rec = Some(state);
         self
@@ -639,15 +623,11 @@ impl URingProcess {
             ctx.tcp_send(self.successor(), msg, wire);
             return;
         }
-        let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
         let needs_write = self.wal.as_ref().is_some_and(|w| !w.holds(instance, round));
         let held_2b = self.owed.get(&instance).is_some_and(|o| o.upstream);
         if !needs_write && (upstream || held_2b) {
             // The vote rides on the 2A, as in Algorithm 3.
             self.owed.remove(&instance);
-            if self.wal.is_none() && self.cfg.storage == StorageMode::AsyncDisk {
-                ctx.disk_write_coalesced(bytes, self.cfg.disk_unit, TimerToken(T_DISK));
-            }
             if self.cast(instance, round, &batch) {
                 self.vote_leaves(instance, round, batch, true, ctx);
             }
@@ -670,12 +650,16 @@ impl URingProcess {
         if needs_write {
             // Also on a repeated 2A while a write is pending: a crash can
             // lose that write's completion (`VoteLog::on_token`).
+            let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
             let wal = self.wal.as_mut().expect("a write needs the log");
-            wal.append(instance, round, batch, bytes, ctx);
-        } else {
-            // Nothing to write; only the predecessor's 2B is missing.
-            self.on_durable(instance, round, batch, ctx);
+            if !wal.append(instance, round, batch.clone(), bytes, ctx) {
+                return; // `on_token` hands the vote back
+            }
+            // Written behind: the vote may go ahead of its write.
         }
+        // Durable, or nothing to write: only the predecessor's 2B may
+        // still be missing.
+        self.on_durable(instance, round, batch, ctx);
     }
 
     /// The predecessor's vote arrives — and with it, every vote before it.
@@ -705,8 +689,8 @@ impl URingProcess {
         }
     }
 
-    /// The vote is durable: a write-ahead log completion, or a 2A whose
-    /// vote needs no write.
+    /// The vote may leave: the vote log handed it back, or the 2A's vote
+    /// needs no write.
     fn on_durable(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
         let Some(o) = self.owed.get_mut(&instance) else { return };
         if o.round != round || o.durable {

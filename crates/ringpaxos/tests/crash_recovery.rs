@@ -6,11 +6,12 @@
 //! must replay its write-ahead vote log, and the crash-aware agreement
 //! checker must find no lost and no duplicated deliveries.
 
-use recovery::{LogMode, NullApp};
+use recovery::NullApp;
 use ringpaxos::cluster::{
     deploy_mring_recoverable, deploy_uring_recoverable, respawn_mring, respawn_uring, MRingOptions,
     RecoverableURing, URingOptions, URingRecoveryOptions,
 };
+use ringpaxos::StorageMode;
 use simnet::prelude::*;
 
 fn opts(proposers: Vec<usize>) -> URingOptions {
@@ -139,7 +140,6 @@ fn long_outage_falls_back_to_state_transfer() {
     let rec = URingRecoveryOptions {
         checkpoint_interval: 64,
         catchup_retention: 0, // trim the cache hard at every checkpoint
-        ..URingRecoveryOptions::default()
     };
     let ru = deploy(&mut sim, vec![0, 1, 2], rec);
 
@@ -316,17 +316,22 @@ fn mring_gcd_suffix_falls_back_to_peer_state_transfer() {
 /// larger device writes than per-vote sync logging.
 #[test]
 fn group_commit_wal_reaches_agreement_with_fewer_disk_ops() {
-    let run = |mode: LogMode| -> (u64, Sim, RecoverableURing) {
+    let run = |storage: StorageMode| -> (u64, Sim, RecoverableURing) {
         let mut sim = Sim::new(SimConfig::default());
-        let rec = URingRecoveryOptions { wal_mode: mode, ..URingRecoveryOptions::default() };
-        let ru = deploy(&mut sim, vec![0, 1, 2], rec);
+        let ru = deploy_uring_recoverable(
+            &mut sim,
+            &opts(vec![0, 1, 2]),
+            URingRecoveryOptions::default(),
+            |cfg| cfg.storage = storage,
+            |_| Some(Box::new(NullApp::default())),
+        );
         sim.run_until(Time::from_secs(4));
         let delivered = sim.metrics().counter(ru.d.ring[3], "abcast.delivered_msgs");
         (delivered, sim, ru)
     };
-    let (sync_delivered, sync_sim, sync_ru) = run(LogMode::Sync);
+    let (sync_delivered, sync_sim, sync_ru) = run(StorageMode::SyncDisk);
     let (group_delivered, group_sim, group_ru) =
-        run(LogMode::Group { interval: Dur::millis(5), max_bytes: 256 * 1024 });
+        run(StorageMode::GroupDisk { interval: Dur::millis(5), max_bytes: 256 * 1024 });
     assert!(sync_delivered > 0 && group_delivered > 0);
     sync_ru.d.log.lock().unwrap().check_crash_agreement(&[0, 1, 2, 3, 4]).expect("sync agreement");
     group_ru

@@ -1,17 +1,24 @@
-//! U-Ring acceptors that write their votes ahead (`ringpaxos::uring`
-//! module docs, "Durable votes"): the 2A is relayed on arrival, each
-//! acceptor's vote follows once it is durable, and a vote counts only
-//! once it is durable at its acceptor and at every acceptor upstream.
+//! Acceptors that write their votes ahead, on both rings: one vote log
+//! (`recovery::VoteLog`) says when a vote may leave, and a vote counts
+//! only once it is durable at the round it is counted in. U-Ring relays
+//! the 2A on arrival and sends each acceptor's vote once it is durable
+//! (`ringpaxos::uring` module docs, "Durable votes"); M-Ring holds each
+//! acceptor's 2B the same way (`ringpaxos::mring`, "Durable votes").
 
-use abcast::{metric, MsgId};
+use std::sync::{Arc, Mutex};
+
+use abcast::{metric, shared_log, MsgId, Pacer, SharedLog};
 use paxos::msg::{InstanceId, Round};
-use recovery::{LogMode, NullApp};
+use recovery::{stable, NullApp, StableHandle};
 use ringpaxos::cluster::{
-    deploy_uring, deploy_uring_recoverable, respawn_uring, URingOptions, URingRecoveryOptions,
+    deploy_mring_recoverable, deploy_uring, deploy_uring_recoverable, respawn_uring, MRingOptions,
+    URingOptions, URingRecoveryOptions,
 };
-use ringpaxos::msg::UMsg;
+use ringpaxos::mring::MRingProcess;
+use ringpaxos::msg::{MMsg, UMsg};
 use ringpaxos::value::{BatchData, Value, ALL_PARTITIONS};
-use ringpaxos::StorageMode;
+use ringpaxos::{Batch, MRecovery, MRingConfig, StorageMode};
+use simnet::fault::{FaultAction, FaultPlan};
 use simnet::prelude::*;
 
 /// A 5-process ring with three acceptors whose one proposer, at
@@ -109,14 +116,48 @@ fn an_acceptor_that_dies_between_relay_and_write_blocks_the_decision() {
     ru.d.log.lock().unwrap().check_crash_agreement(&[0, 1, 2, 3, 4]).expect("agreement");
 }
 
-/// The write-ahead invariant, checked at every decision: when the last
-/// acceptor decides a value, each writing acceptor of the layout already
-/// holds a vote for it in its stable store. (The coordinator's own vote
-/// rides on its 2A unwritten — ROADMAP item 4.)
+/// Steps `sim` to 300 ms and, at every value `learner` delivers, checks
+/// that each of `writers`' stores already holds a vote carrying it.
+/// Returns how many deliveries were checked.
+fn check_durable_at_delivery(
+    sim: &mut Sim,
+    log: &SharedLog,
+    learner: usize,
+    writers: &[StableHandle<Batch>],
+    what: &str,
+) -> usize {
+    let (mut seen, mut checked) = (0, 0);
+    while sim.now() < Time::from_millis(300) {
+        sim.run_until(sim.now() + Dur::micros(10));
+        let log = log.lock().unwrap();
+        let decided = log.sequence(learner);
+        for &id in &decided[seen..] {
+            for (k, store) in writers.iter().enumerate() {
+                let store = store.lock().unwrap();
+                assert!(
+                    store.votes.values().any(|(_, b)| b.iter().any(|v| v.id == id)),
+                    "{what}: {id:?} decided at {} before it was durable at writer {k}",
+                    sim.now()
+                );
+            }
+            checked += 1;
+        }
+        seen = decided.len();
+    }
+    checked
+}
+
+/// The write-ahead invariant, checked at every decision on both rings,
+/// under sync and group commit: when a value is decided, each writing
+/// acceptor already holds a vote for it in its stable store. U-Ring's
+/// last acceptor delivers as it decides; M-Ring's learner delivers one
+/// multicast after its coordinator decides, and each non-coordinator
+/// ring acceptor writes. (Neither ring's coordinator writes its own vote
+/// ahead — ROADMAP item 4.)
 #[test]
 fn every_decision_is_durable_at_every_writing_acceptor() {
-    for mode in [LogMode::Sync, LogMode::Group { interval: Dur::millis(1), max_bytes: 256 * 1024 }]
-    {
+    let group = StorageMode::GroupDisk { interval: Dur::millis(1), max_bytes: 256 * 1024 };
+    for storage in [StorageMode::SyncDisk, group] {
         let mut sim = Sim::new(SimConfig::default());
         let opts = URingOptions {
             proposer_positions: vec![0, 1, 2, 3, 4],
@@ -125,35 +166,33 @@ fn every_decision_is_durable_at_every_writing_acceptor() {
             ..lone_value(0)
         };
         // No checkpoints, so no vote is trimmed from a store.
-        let rec =
-            URingRecoveryOptions { wal_mode: mode, checkpoint_interval: 0, ..Default::default() };
-        let ru = deploy_uring_recoverable(&mut sim, &opts, rec, |_| {}, |_| None);
+        let rec = URingRecoveryOptions { checkpoint_interval: 0, ..Default::default() };
+        let ru = deploy_uring_recoverable(&mut sim, &opts, rec, |c| c.storage = storage, |_| None);
         let decider = 2; // the last acceptor; its learner delivers as it decides
-        let (mut seen, mut checked) = (0, 0);
-        while sim.now() < Time::from_millis(300) {
-            sim.run_until(sim.now() + Dur::micros(10));
-            let log = ru.d.log.lock().unwrap();
-            let decided = log.sequence(decider);
-            for &id in &decided[seen..] {
-                for writer in [1, 2] {
-                    let store = ru.stores[writer].lock().unwrap();
-                    assert!(
-                        store.votes.values().any(|(_, b)| b.iter().any(|v| v.id == id)),
-                        "{mode:?}: {id:?} decided at {} before it was durable at position {writer}",
-                        sim.now()
-                    );
-                }
-                checked += 1;
-            }
-            seen = decided.len();
-        }
-        assert!(checked > 250, "{mode:?}: only {checked} decisions checked");
+        let writers = [ru.stores[1].clone(), ru.stores[2].clone()];
+        let what = format!("U-Ring {storage:?}");
+        let checked = check_durable_at_delivery(&mut sim, &ru.d.log, decider, &writers, &what);
+        assert!(checked > 250, "{what}: only {checked} decisions checked");
+
+        let mut sim = Sim::new(SimConfig::default());
+        let opts = MRingOptions {
+            n_learners: 1,
+            proposer_rate_bps: 40_000_000,
+            proposer_stop: Some(Time::from_millis(200)),
+            ..MRingOptions::default()
+        };
+        let rm = deploy_mring_recoverable(&mut sim, &opts, 0, |c| c.storage = storage, |_| None);
+        let ring = &rm.d.ring;
+        let writers: Vec<_> = ring[..ring.len() - 1].iter().map(|&n| rm.store_of(n)).collect();
+        let what = format!("M-Ring {storage:?}");
+        let checked = check_durable_at_delivery(&mut sim, &rm.d.log, 0, &writers, &what);
+        assert!(checked > 200, "{what}: only {checked} decisions checked");
     }
 }
 
 /// A 2B that reaches an acceptor before its 2A is held, not dropped: the
-/// 2A completes the vote, on the write-ahead path and on the in-memory
-/// one. Without the 2B the same 2A decides nothing.
+/// 2A completes the vote, on the write-ahead path, the write-behind one
+/// and the in-memory one. Without the 2B the same 2A decides nothing.
 #[test]
 fn a_2b_that_overtakes_its_2a_is_held() {
     let run = |storage: StorageMode, send_2b: bool| -> usize {
@@ -187,7 +226,7 @@ fn a_2b_that_overtakes_its_2a_is_held() {
         assert!(log.sequence(1).iter().chain(log.sequence(2)).all(|&id| id == MsgId(7)));
         log.sequence(2).len()
     };
-    for storage in [StorageMode::SyncDisk, StorageMode::InMemory] {
+    for storage in [StorageMode::SyncDisk, StorageMode::AsyncDisk, StorageMode::InMemory] {
         assert_eq!(run(storage, true), 1, "{storage:?}: the held 2B completes the vote");
         assert_eq!(run(storage, false), 0, "{storage:?}: no 2B, no decision");
     }
@@ -241,4 +280,111 @@ fn a_takeover_writes_its_reproposals_at_the_new_round() {
         let (round, _) = store.votes.get(i).expect("every re-proposal was voted");
         assert!(*round > Round::new(1, 0), "{i:?} is stored at the old round {round:?}");
     }
+}
+
+/// Every Phase 2B this M-Ring process receives, with whether its
+/// sender's stable store held the vote at the 2B's round on arrival.
+type Seen2b = Arc<Mutex<Vec<(NodeId, InstanceId, Round, bool)>>>;
+
+/// An M-Ring process that checks each incoming Phase 2B against its
+/// sender's stable store before handling it.
+struct Watch {
+    inner: MRingProcess,
+    stores: Vec<(NodeId, StableHandle<Batch>)>,
+    seen: Seen2b,
+}
+
+impl Actor for Watch {
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        self.inner.on_start(ctx);
+    }
+    fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+        if let Some(&MMsg::Phase2b { instance, round }) = env.payload.downcast_ref::<MMsg>() {
+            let store = &self.stores.iter().find(|(n, _)| *n == env.src).expect("an acceptor").1;
+            let held = store.lock().unwrap().votes.get(&instance).is_some_and(|v| v.0 == round);
+            self.seen.lock().unwrap().push((env.src, instance, round, held));
+        }
+        self.inner.on_message(env, ctx);
+    }
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+        self.inner.on_timer(token, ctx);
+    }
+}
+
+/// A vote write still in flight across a coordinator crash and takeover
+/// must not let a Phase 2B of the new round out: a 2B at round `r`
+/// leaves an acceptor only once that acceptor's stable store holds the
+/// vote at `r`. The ring is `[a0, coordinator]` with one spare, whose
+/// disk is slowed 100×. The spare votes and writes every 2A, but no
+/// decision waits for it, so when the coordinator crashes it still has
+/// writes queued for instances already decided. The takeover makes it
+/// the first acceptor of `[spare, a0]` at a new round, and its old
+/// writes complete there. Each may only release a 2B at the round it
+/// carried — one a0 drops — never one at the new round.
+#[test]
+fn an_mring_2b_leaves_only_at_the_round_its_write_carried() {
+    struct Idle;
+    impl Actor for Idle {
+        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
+    }
+    let mut sim = Sim::new(SimConfig::default());
+    let nodes: Vec<NodeId> = (0..5).map(|_| sim.add_node(Box::new(Idle))).collect();
+    let [a0, coord, spare, learner, proposer] = nodes[..] else { unreachable!() };
+    let group = sim.add_group();
+    let mut cfg = MRingConfig::new(vec![a0, coord], vec![learner, proposer], group);
+    cfg.spares = vec![spare];
+    cfg.storage = StorageMode::SyncDisk;
+    cfg.suspicion_timeout = Dur::millis(20);
+    let log = shared_log(2);
+    let stores: Vec<(NodeId, StableHandle<Batch>)> = nodes.iter().map(|&n| (n, stable())).collect();
+    let seen = Seen2b::default();
+    for &(n, ref store) in &stores {
+        sim.subscribe(n, group);
+        let pacer = (n == proposer).then(|| Pacer::new(10_000_000, 8192, 1));
+        let learns = (n == learner || n == proposer).then(|| log.clone());
+        let rec =
+            MRecovery { store: store.clone(), checkpoint_interval: 0, app: None, resumed: false };
+        let inner = MRingProcess::new(cfg.clone(), n, pacer, learns).with_recovery(rec);
+        sim.replace_actor(n, Box::new(Watch { inner, stores: stores.clone(), seen: seen.clone() }));
+    }
+    let crash = Time::from_millis(300);
+    let mut plan = FaultPlan::new()
+        .at(Time::ZERO, FaultAction::SlowDisk(spare, 100.0))
+        .at(crash, FaultAction::Crash(coord));
+    let mut respawn = |_: &mut Sim, _: NodeId| {};
+    plan.step(&mut sim, crash, &mut respawn);
+    let before = log.lock().unwrap().sequence(0).len();
+    plan.step(&mut sim, Time::from_secs(3), &mut respawn);
+
+    assert_eq!(sim.metrics().counter(a0, "rp.became_coord"), 1, "the takeover completed");
+    let seen = seen.lock().unwrap();
+    for &(from, instance, round, held) in seen.iter() {
+        assert!(held, "a 2B at {round:?} for {instance:?} left {from:?} before its store held it");
+    }
+    let new_round = seen.iter().filter(|&&(from, _, r, _)| from == spare && r > Round::new(1, 1));
+    let old_round = seen.iter().filter(|&&(from, _, r, _)| from == spare && r == Round::new(1, 1));
+    assert!(new_round.count() > 10, "the spare voted at the new round");
+    assert!(old_round.count() > 10, "writes from before the takeover completed after it");
+    let after = log.lock().unwrap().sequence(0).len();
+    assert!(after > before + 20, "delivery resumed: {before} → {after}");
+}
+
+/// Recovery replays the vote log, so it refuses a ring whose votes can
+/// leave before they are durable, and names the mode.
+#[test]
+#[should_panic(expected = "not AsyncDisk")]
+fn mring_recovery_refuses_a_mode_that_does_not_write_ahead() {
+    let mut sim = Sim::new(SimConfig::default());
+    let opts = MRingOptions::default();
+    deploy_mring_recoverable(&mut sim, &opts, 0, |c| c.storage = StorageMode::AsyncDisk, |_| None);
+}
+
+/// The same refusal on U-Ring, for a ring that keeps votes in memory.
+#[test]
+#[should_panic(expected = "not InMemory")]
+fn uring_recovery_refuses_a_mode_that_does_not_write_ahead() {
+    let mut sim = Sim::new(SimConfig::default());
+    let rec = URingRecoveryOptions::default();
+    let opts = lone_value(0);
+    deploy_uring_recoverable(&mut sim, &opts, rec, |c| c.storage = StorageMode::InMemory, |_| None);
 }
