@@ -4,18 +4,18 @@
 //! crashed and respawned mid-load over its stable store, and we measure
 //! what the recovery design trades — time-to-recover and catch-up
 //! volume against checkpoint interval, the throughput dip the outage
-//! leaves in the delivered stream, and the write-ahead log's commit
-//! modes (per-vote sync vs. group commit) on the §3.5.5-calibrated
-//! disk.
+//! leaves in the delivered stream, and how many votes the write-ahead
+//! log's device-clocked group commit packs into one write as load rises
+//! on the §3.5.5-calibrated disk.
 
+use abcast::metric;
 use recovery::NullApp;
 use ringpaxos::cluster::{
     deploy_uring_recoverable, respawn_uring, RecoverableURing, URingOptions, URingRecoveryOptions,
 };
-use ringpaxos::StorageMode;
 use simnet::prelude::*;
 
-use crate::harness::{header, pctl_cell, throughput_trace};
+use crate::harness::{header, throughput_trace};
 use crate::Experiment;
 
 /// All ch. 8 experiments in order.
@@ -33,7 +33,7 @@ pub fn experiments() -> Vec<Experiment> {
         },
         Experiment {
             id: "tab8_03",
-            title: "write-ahead vote log: sync vs group commit",
+            title: "write-ahead vote log: group commit vs offered load",
             run: tab8_03,
         },
     ]
@@ -55,20 +55,14 @@ fn opts() -> URingOptions {
     }
 }
 
-fn deploy(sim: &mut Sim, rec: URingRecoveryOptions, storage: StorageMode) -> RecoverableURing {
-    deploy_uring_recoverable(
-        sim,
-        &opts(),
-        rec,
-        |cfg| cfg.storage = storage,
-        |_| Some(Box::new(NullApp::default())),
-    )
+fn deploy(sim: &mut Sim, opts: &URingOptions, rec: URingRecoveryOptions) -> RecoverableURing {
+    deploy_uring_recoverable(sim, opts, rec, |_| {}, |_| Some(Box::new(NullApp::default())))
 }
 
 /// Runs one crash-and-respawn cycle, returning the simulation at 5 s.
 fn crash_cycle(rec: URingRecoveryOptions) -> (Sim, RecoverableURing) {
     let mut sim = Sim::new(SimConfig::default());
-    let ru = deploy(&mut sim, rec, StorageMode::SyncDisk);
+    let ru = deploy(&mut sim, &opts(), rec);
     sim.run_until(Time::from_millis(CRASH_AT));
     sim.set_node_up(ru.d.ring[VICTIM], false);
     sim.run_until(Time::from_millis(RESTART_AT));
@@ -110,7 +104,7 @@ fn fig8_02() {
     header(&["t (s)", "delivered Mbps"]);
     let rec = URingRecoveryOptions { checkpoint_interval: 256, ..Default::default() };
     let mut sim = Sim::new(SimConfig::default());
-    let ru = deploy(&mut sim, rec, StorageMode::SyncDisk);
+    let ru = deploy(&mut sim, &opts(), rec);
     let observer = ru.d.ring[3];
     let step = Dur::millis(250);
     let mut crashed = false;
@@ -145,27 +139,32 @@ fn fig8_02() {
 }
 
 fn tab8_03() {
-    println!("Table 8.3 — write-ahead vote log commit modes (§3.5.5 disk calibration)");
-    header(&["mode", "delivered Mbps", "disk MB written", "mean latency", "p50/p99/p999"]);
-    for (label, storage) in [
-        ("sync (per-vote)", StorageMode::SyncDisk),
-        ("group 1 ms", StorageMode::GroupDisk { interval: Dur::millis(1), max_bytes: 256 * 1024 }),
-        ("group 5 ms", StorageMode::GroupDisk { interval: Dur::millis(5), max_bytes: 1024 * 1024 }),
-    ] {
+    println!("Table 8.3 — write-ahead vote log: group commit on the device's clock (§3.5.5 disk)");
+    header(&["offered Mbps", "delivered Mbps", "votes/write", "p50 / p99"]);
+    for offered in [180u64, 240, 280, 320] {
         let mut sim = Sim::new(SimConfig::default());
-        let ru = deploy(&mut sim, URingRecoveryOptions::default(), storage);
+        let o = URingOptions { proposer_rate_bps: offered * 1_000_000 / 3, ..opts() };
+        let ru = deploy(&mut sim, &o, URingRecoveryOptions::default());
         sim.run_until(Time::from_secs(3));
-        let window = Dur::secs(3);
-        let delivered = sim.metrics().counter(ru.d.ring[3], "abcast.delivered_bytes");
-        let disk_mb = sim.metrics().sum("disk.written_bytes") as f64 / 1e6;
-        let lat = sim.metrics().latency(abcast::metric::LATENCY).mean;
+        let m = sim.metrics();
+        let delivered = m.counter(ru.d.ring[3], "abcast.delivered_bytes");
+        // Every instance is voted once by each acceptor after the
+        // coordinator, and only they write (the coordinator's vote rides
+        // on its 2A).
+        let writers = &ru.d.ring[1..o.n_acceptors];
+        let votes = m.counter(ru.d.ring[0], metric::INSTANCES) * writers.len() as u64;
+        let writes: u64 = writers.iter().map(|&n| m.counter(n, "rec.wal_writes")).sum();
+        let p = |frac| m.percentile(metric::LATENCY, frac).map_or("-".into(), |d| format!("{d}"));
         println!(
-            "  {label:<15} | {:14.0} | {disk_mb:15.1} | {:12} | {}",
-            simnet::stats::mbps(delivered, window),
-            format!("{lat}"),
-            pctl_cell(&sim, abcast::metric::LATENCY)
+            "  {offered:>12} | {:14.0} | {:11.2} | {} / {}",
+            simnet::stats::mbps(delivered, Dur::secs(3)),
+            votes as f64 / writes.max(1) as f64,
+            p(0.50),
+            p(0.99)
         );
     }
-    println!("  shape: group commit amortizes the per-operation latency across a whole");
-    println!("  group of votes; larger flush windows add delivery latency in exchange.");
+    println!("  shape: at 180 Mbps votes reach each writer 728 us apart and a lone 16 KB write");
+    println!("  takes 681 us, so every vote pays a whole op alone. Above that, votes that queue");
+    println!("  behind a write share the next one: groups grow with load and delivery keeps up");
+    println!("  past the ~270 Mbps of one §3.5.5 32 KB unit per op, at a p50 that grows.");
 }

@@ -15,22 +15,22 @@
 //! actor, in a [`stable::StableHandle`] — the logical contents of the
 //! node's disk, shared (via `Rc`) between successive incarnations of
 //! the process on that node. The *timing* of getting bytes into it is
-//! still paid through the simulated disk ([`Ctx::disk_write`] /
-//! [`Ctx::disk_write_coalesced`], the §3.5.5 calibration: ~270 Mbps for
-//! synchronous 32 KB writes): state enters the stable store only when
-//! the corresponding `DiskDone` completion fires, so a crash between
-//! issuing a write and its completion loses exactly what a real crash
-//! would.
+//! still paid through the simulated disk ([`Ctx::disk_write`]: one
+//! 390 µs operation plus transfer, the §3.5.5 calibration of ~270 Mbps
+//! for synchronous 32 KB writes): state enters the stable store only
+//! when the corresponding `DiskDone` completion fires, so a crash
+//! between issuing a write and its completion loses exactly what a real
+//! crash would.
 //!
 //! # Pieces
 //!
 //! * [`wal::VoteLog`] — the acceptor vote log, the only code that turns
 //!   a vote into a disk write in either ring. [`wal::StorageMode`] says
-//!   how: not at all, one write per vote before the vote leaves
-//!   (coalesced into 32 KB device operations, §3.5.5), group commit
-//!   (fewer operations, slightly higher vote latency), or write-behind
-//!   (the vote leaves before its write unless the device lags; not
-//!   write-ahead, so recovery refuses it).
+//!   how: not at all; before the vote leaves, in groups clocked by the
+//!   device (every vote that queued while the log's last write was in
+//!   flight goes out in the next one, §3.5.5); or write-behind (the vote
+//!   leaves before its write unless the device lags; not write-ahead, so
+//!   recovery refuses it).
 //! * [`checkpoint::Checkpointer`] — periodic replica checkpoints: every
 //!   `interval` delivered instances the replica snapshots its service
 //!   state (an opaque, byte-sized blob), writes it through the disk,
@@ -49,7 +49,6 @@
 //!
 //! [`Sim::replace_actor`]: simnet::sim::Sim::replace_actor
 //! [`Ctx::disk_write`]: simnet::sim::Ctx::disk_write
-//! [`Ctx::disk_write_coalesced`]: simnet::sim::Ctx::disk_write_coalesced
 
 pub mod app;
 pub mod catchup;

@@ -8,9 +8,19 @@
 //! disk and hands each back — via [`VoteLog::on_token`], with the round
 //! its write carried — when its `DiskDone` fires; only then does it
 //! enter the [`StableHandle`], and only then should the caller vote.
-//! [`StorageMode`] has four modes (§3.3.5, §3.5.5, ch. 5). Write-behind
-//! (`AsyncDisk`) throttles a ring to its disks but is *not*
-//! write-ahead: a vote can be counted before it is durable, so a
+//!
+//! [`StorageMode`] has three modes. Under `SyncDisk` the log commits
+//! groups on the device's clock, as §3.5.5's writer thread batches
+//! votes: a vote appended while the log has no write of its own in
+//! flight is written at once; one appended while a write is in flight
+//! joins the group written, as one operation of the votes' summed
+//! bytes, the instant that write completes. So a lone vote on an idle
+//! device pays a whole operation (390 µs plus transfer): nothing shares
+//! it. Groups are not capped at §3.5.5's 32 KB unit: what queues during
+//! one write bounds them, and splitting one would only charge a backlog
+//! more operations, so a loaded log drains toward the device's transfer
+//! rate. Write-behind (`AsyncDisk`) throttles a ring to its disks but is
+//! *not* write-ahead: a vote can be counted before it is durable, so a
 //! respawned acceptor may forget it, and recovery refuses the mode
 //! ([`StorageMode::writes_ahead`]).
 
@@ -23,16 +33,15 @@ use paxos::msg::{InstanceId, Round};
 
 use crate::stable::StableHandle;
 
-/// Device write unit the vote writer coalesces appends into (§3.5.5).
+/// The §3.5.5 device unit; a write-behind append pays its share of the op.
 const DISK_UNIT: u32 = 32 * 1024;
 
 /// How far behind the device may fall before a write-behind vote waits.
 const WRITE_BEHIND_LAG: Dur = Dur::millis(20);
 
-/// Token payloads (56-bit space) of the group-commit flush timer and the
-/// write-behind release timer; flush completions count up from 0.
-const FLUSH_TIMER: u64 = (1u64 << 56) - 1;
-const RELEASE_TIMER: u64 = FLUSH_TIMER - 1;
+/// Token payload (56-bit space) of the write-behind release timer;
+/// write completions count up from 0.
+const RELEASE_TIMER: u64 = (1u64 << 56) - 1;
 
 /// How acceptors persist their votes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -41,19 +50,9 @@ pub enum StorageMode {
     /// acceptors never fails simultaneously. Network/CPU bound.
     #[default]
     InMemory,
-    /// One coalesced device write per vote (32 KB device operations,
-    /// like the paper's writer thread); the vote leaves once it is
-    /// written. Disk bound, ~270 Mbps on the modelled SSD.
+    /// Group commit on the device's clock (module docs): a vote leaves
+    /// once the write that carried it is durable. Disk bound.
     SyncDisk,
-    /// Group commit: appends accumulate, and one device write commits
-    /// them every `interval`, or as soon as `max_bytes` are pending —
-    /// fewer operations for up to `interval` more vote latency.
-    GroupDisk {
-        /// Flush timer period.
-        interval: Dur,
-        /// Pending-byte threshold that forces an immediate flush.
-        max_bytes: u32,
-    },
     /// Write-behind: each vote is written and leaves at once, unless
     /// the device lags by more than 20 ms; then it leaves once the work
     /// queued ahead of its write is down to 20 ms.
@@ -63,7 +62,7 @@ pub enum StorageMode {
 impl StorageMode {
     /// Whether a vote is durable before it leaves — what recovery needs.
     pub fn writes_ahead(self) -> bool {
-        matches!(self, StorageMode::SyncDisk | StorageMode::GroupDisk { .. })
+        self == StorageMode::SyncDisk
     }
 }
 
@@ -78,14 +77,16 @@ pub struct VoteLog<V> {
     store: StableHandle<V>,
     mode: StorageMode,
     token_kind: u64,
-    /// Appended, not yet submitted to the device (group mode only).
+    /// Appended while the log's last write was in flight: the next group.
     pending: Vec<VoteEntry<V>>,
     pending_bytes: u32,
-    /// Submitted flushes awaiting their `DiskDone`, FIFO (the simulated
+    /// Submitted writes awaiting their `DiskDone`, FIFO (the simulated
     /// disk is a single queue, so completions arrive in issue order).
     inflight: VecDeque<(u64, Vec<VoteEntry<V>>)>,
     next_flush: u64,
-    timer_armed: bool,
+    /// When the log's last group write completes; past it, the log has
+    /// no write in flight, or a crash dropped that write's completion.
+    busy_until: Time,
     /// Write-behind votes waiting for the device to catch up, each with
     /// the instant it may leave (non-decreasing: the disk is FIFO).
     held: VecDeque<(Time, VoteEntry<V>)>,
@@ -102,7 +103,7 @@ impl<V: Clone> VoteLog<V> {
             pending_bytes: 0,
             inflight: VecDeque::new(),
             next_flush: 0,
-            timer_armed: false,
+            busy_until: Time::ZERO,
             held: VecDeque::new(),
         }
     }
@@ -121,23 +122,13 @@ impl<V: Clone> VoteLog<V> {
         match self.mode {
             StorageMode::InMemory => true,
             StorageMode::SyncDisk => {
-                let token = self.issue(vec![(instance, round, value)]);
-                ctx.disk_write_coalesced(bytes, DISK_UNIT, token);
-                false
-            }
-            StorageMode::GroupDisk { interval, max_bytes } => {
                 self.pending_bytes += bytes;
                 self.pending.push((instance, round, value));
-                if self.pending_bytes >= max_bytes {
-                    self.flush(ctx);
-                } else if !self.timer_armed {
-                    self.timer_armed = true;
-                    ctx.set_timer(interval, TimerToken(self.token_kind | FLUSH_TIMER));
-                }
+                self.flush(ctx);
                 false
             }
             StorageMode::AsyncDisk => {
-                let token = self.issue(vec![(instance, round, value.clone())]);
+                let token = self.issue(vec![(instance, round, value.clone())], ctx);
                 ctx.disk_write_coalesced(bytes, DISK_UNIT, token);
                 let lag = ctx.disk_backlog();
                 if lag <= WRITE_BEHIND_LAG {
@@ -153,35 +144,37 @@ impl<V: Clone> VoteLog<V> {
 
     /// Queues `group` as the next device write; returns the write's
     /// completion token.
-    fn issue(&mut self, group: Vec<VoteEntry<V>>) -> TimerToken {
+    fn issue(&mut self, group: Vec<VoteEntry<V>>, ctx: &mut Ctx) -> TimerToken {
         let id = self.next_flush;
         self.next_flush += 1;
         self.inflight.push_back((id, group));
+        ctx.counter_add("rec.wal_writes", 1);
         TimerToken(self.token_kind | id)
     }
 
-    /// Submits the pending group to the device as one write.
+    /// Writes the pending group as one device operation, unless the
+    /// log's last write is still in flight. Past `busy_until` with a
+    /// write still listed, a crash dropped its completion: waiting for
+    /// it would wedge the log.
     fn flush(&mut self, ctx: &mut Ctx) {
-        if self.pending.is_empty() {
+        if self.pending.is_empty() || ctx.now() < self.busy_until {
             return;
         }
         let (group, bytes) = (std::mem::take(&mut self.pending), self.pending_bytes.max(1));
         self.pending_bytes = 0;
-        ctx.disk_write(bytes, self.issue(group));
+        let token = self.issue(group, ctx);
+        ctx.disk_write(bytes, token);
+        // The disk is FIFO: this write completes when its queue drains.
+        self.busy_until = ctx.now() + ctx.disk_backlog();
     }
 
     /// Handles a token of this log's kind and returns the votes the
     /// caller may now act on, in append order, each with the round it
-    /// was appended at: a disk completion commits its flush to the
-    /// stable store (and, writing ahead, releases it); a flush-timer
-    /// tick submits the pending group; a release tick lets through the
-    /// write-behind votes whose wait is over.
+    /// was appended at: a disk completion commits its write to the
+    /// stable store (and, writing ahead, releases it and writes the next
+    /// group); a release tick lets through the write-behind votes whose
+    /// wait is over.
     pub fn on_token(&mut self, payload: u64, ctx: &mut Ctx) -> Vec<VoteEntry<V>> {
-        if payload == FLUSH_TIMER {
-            self.timer_armed = false;
-            self.flush(ctx);
-            return Vec::new();
-        }
         if payload == RELEASE_TIMER {
             let mut due = Vec::new();
             while self.held.front().is_some_and(|h| h.0 <= ctx.now()) {
@@ -191,8 +184,8 @@ impl<V: Clone> VoteLog<V> {
         }
         // Completions arrive in issue order on a healthy node, but a
         // crash drops the completion events that were in flight while
-        // the node was down: those flushes never report back, and the
-        // first completion after recovery belongs to a *later* flush.
+        // the node was down: those writes never report back, and the
+        // first completion after recovery belongs to a *later* write.
         // Skipped entries are treated as lost before reaching the
         // platter — their votes never become durable and the
         // coordinator's re-proposal path re-votes them. A completion
@@ -203,10 +196,9 @@ impl<V: Clone> VoteLog<V> {
         };
         self.inflight.drain(..k);
         let (_, group) = self.inflight.pop_front().expect("found above");
-        let mut store = self.store.lock().unwrap();
-        for (instance, round, value) in &group {
-            store.votes.insert(*instance, (*round, value.clone()));
-        }
+        let durable = group.iter().map(|(i, r, v)| (*i, (*r, v.clone())));
+        self.store.lock().unwrap().votes.extend(durable);
+        self.flush(ctx);
         // Written behind, each vote has left already or waits in `held`.
         if self.mode.writes_ahead() {
             group
@@ -231,7 +223,7 @@ impl<V: Clone> VoteLog<V> {
             StorageMode::AsyncDisk => {
                 !self.held.iter().any(|(_, v)| (v.0, v.1) == (instance, round))
             }
-            _ => self.holds(instance, round),
+            StorageMode::SyncDisk => self.holds(instance, round),
         }
     }
 
@@ -259,77 +251,108 @@ mod tests {
     use std::sync::Mutex;
 
     const KIND: u64 = 9 << 56;
+    /// The `Logger`'s own timer: append one more vote.
+    const LATER: u64 = 8 << 56;
 
-    /// Appends `n` votes on start and records when each may leave.
+    type Released = Arc<Mutex<Vec<(u64, Time)>>>;
+
+    /// Appends `n` votes on start (and one more at `later`, if set) and
+    /// records when each may leave and how many writes remain in flight.
     struct Logger {
         wal: VoteLog<u32>,
         n: u64,
-        released: Arc<Mutex<Vec<(u64, Time)>>>,
+        later: Option<Dur>,
+        released: Released,
+        inflight: Arc<Mutex<usize>>,
+    }
+
+    impl Logger {
+        fn append(&mut self, i: u64, ctx: &mut Ctx) {
+            if self.wal.append(InstanceId(i), Round::new(1, 0), i as u32, 8192, ctx) {
+                self.released.lock().unwrap().push((i, ctx.now()));
+            }
+        }
     }
 
     impl Actor for Logger {
         fn on_start(&mut self, ctx: &mut Ctx) {
             for i in 0..self.n {
-                if self.wal.append(InstanceId(i), Round::new(1, 0), i as u32, 8192, ctx) {
-                    self.released.lock().unwrap().push((i, ctx.now()));
-                }
+                self.append(i, ctx);
+            }
+            if let Some(later) = self.later {
+                ctx.set_timer(later, TimerToken(LATER));
             }
         }
         fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
         fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+            if token.0 == LATER {
+                self.append(self.n, ctx);
+                return;
+            }
             for (i, _, _) in self.wal.on_token(token.0 & !(0xff << 56), ctx) {
                 self.released.lock().unwrap().push((i.0, ctx.now()));
             }
+            *self.inflight.lock().unwrap() = self.wal.inflight.len();
         }
     }
 
-    fn run(mode: StorageMode, n: u64) -> (Vec<(u64, Time)>, StableHandle<u32>) {
+    /// A simulation with one `Logger` over a fresh store.
+    fn logger(mode: StorageMode, n: u64, later: Option<Dur>) -> (Sim, NodeId, Released, Logged) {
         let store = stable();
-        let released = Arc::new(Mutex::new(Vec::new()));
+        let released = Released::default();
+        let inflight = Arc::new(Mutex::new(0));
         let mut sim = Sim::new(SimConfig::default());
-        sim.add_node(Box::new(Logger {
+        let node = sim.add_node(Box::new(Logger {
             wal: VoteLog::new(store.clone(), mode, KIND),
             n,
+            later,
             released: released.clone(),
+            inflight: inflight.clone(),
         }));
+        (sim, node, released, Logged { store, inflight })
+    }
+
+    /// What a `Logger` leaves behind: its stable store, and how many
+    /// writes its log had in flight after the last completion.
+    struct Logged {
+        store: StableHandle<u32>,
+        inflight: Arc<Mutex<usize>>,
+    }
+
+    fn run(mode: StorageMode, n: u64) -> (Vec<(u64, Time)>, StableHandle<u32>) {
+        let (mut sim, _, released, logged) = logger(mode, n, None);
         sim.run_to_idle();
         let d = released.lock().unwrap().clone();
-        (d, store)
+        (d, logged.store)
     }
 
+    fn write_time(bytes: u32) -> Dur {
+        SimConfig::default().disk_write_time(bytes)
+    }
+
+    /// Nothing shares a lone vote's write, so it pays a whole device
+    /// operation, not a share of a 32 KB unit.
+    #[test]
+    fn a_lone_vote_on_an_idle_device_pays_one_whole_write() {
+        let (durable, store) = run(StorageMode::SyncDisk, 1);
+        assert_eq!(durable, vec![(0, Time::ZERO + write_time(8192))]);
+        assert_eq!(store.lock().unwrap().votes.len(), 1);
+    }
+
+    /// The first vote goes out alone; the three appended while it is in
+    /// flight leave together, in order, when the one write that carries
+    /// them completes — an operation of their summed bytes.
     #[test]
     fn sync_mode_releases_votes_in_order_after_disk_time() {
-        let (durable, store) = run(StorageMode::SyncDisk, 4);
-        assert_eq!(durable.len(), 4);
-        assert_eq!(durable.iter().map(|&(i, _)| i).collect::<Vec<_>>(), vec![0, 1, 2, 3]);
-        // Each 8 KB append pays its coalesced share of the device op.
-        let per = SimConfig::default().disk_write_time_coalesced(8192, DISK_UNIT);
-        assert_eq!(durable[0].1, Time::ZERO + per);
-        assert!(durable[3].1 > durable[0].1);
-        assert_eq!(store.lock().unwrap().votes.len(), 4);
-    }
-
-    #[test]
-    fn group_mode_commits_the_group_in_one_operation() {
-        let interval = Dur::millis(1);
-        let (durable, store) = run(StorageMode::GroupDisk { interval, max_bytes: 1024 * 1024 }, 4);
-        assert_eq!(durable.len(), 4);
-        // Nothing is durable before the flush timer fires.
-        assert!(durable[0].1 >= Time::ZERO + interval);
-        // One device write commits the whole group: all four release at
-        // the same completion time.
-        assert!(durable.iter().all(|&(_, t)| t == durable[0].1));
-        assert_eq!(store.lock().unwrap().votes.len(), 4);
-    }
-
-    #[test]
-    fn group_mode_flushes_early_at_byte_threshold() {
-        let mode = StorageMode::GroupDisk { interval: Dur::secs(10), max_bytes: 16 * 1024 };
-        let (durable, _) = run(mode, 4);
-        // 8 KB appends hit the 16 KB threshold at the second append: two
-        // flushes of two votes each, both long before the 10 s timer.
-        assert_eq!(durable.len(), 4);
-        assert!(durable[3].1 < Time::ZERO + Dur::secs(1));
+        let (mut sim, node, released, logged) = logger(StorageMode::SyncDisk, 4, None);
+        sim.run_to_idle();
+        let durable = released.lock().unwrap().clone();
+        let first = Time::ZERO + write_time(8192);
+        let group = first + write_time(3 * 8192);
+        assert_eq!(durable, vec![(0, first), (1, group), (2, group), (3, group)]);
+        assert_eq!(sim.metrics().counter(node, "rec.wal_writes"), 2);
+        assert_eq!(sim.metrics().counter(node, "disk.written_bytes"), 4 * 8192);
+        assert_eq!(logged.store.lock().unwrap().votes.len(), 4);
     }
 
     /// Write-behind: a vote whose write queues behind less than 20 ms of
@@ -360,19 +383,34 @@ mod tests {
     fn crash_before_completion_loses_exactly_the_unflushed_votes() {
         // Issue 4 sync appends, crash the node before any DiskDone fires:
         // the stable store must contain nothing.
-        let store = stable();
-        let released = Arc::new(Mutex::new(Vec::new()));
-        let mut sim = Sim::new(SimConfig::default());
-        let n = sim.add_node(Box::new(Logger {
-            wal: VoteLog::new(store.clone(), StorageMode::SyncDisk, KIND),
-            n: 4,
-            released: released.clone(),
-        }));
-        sim.run_until(Time::ZERO + Dur::micros(100)); // first write needs ~600 us
+        let (mut sim, n, released, logged) = logger(StorageMode::SyncDisk, 4, None);
+        sim.run_until(Time::ZERO + Dur::micros(100)); // the first write needs ~540 us
         sim.set_node_up(n, false);
         sim.run_to_idle();
         assert!(released.lock().unwrap().is_empty());
-        assert!(store.lock().unwrap().votes.is_empty(), "nothing durable before DiskDone");
+        assert!(logged.store.lock().unwrap().votes.is_empty(), "nothing durable before DiskDone");
+    }
+
+    /// A node that goes down with a write in flight and comes back with
+    /// its state never hears that write complete. The next append must
+    /// not wait for it: it goes out with the group that queued behind
+    /// the lost write, is released when that write completes, and the
+    /// lost write is written off.
+    #[test]
+    fn a_completion_lost_to_a_crash_does_not_wedge_the_log() {
+        let later = Dur::millis(5);
+        let (mut sim, n, released, logged) = logger(StorageMode::SyncDisk, 2, Some(later));
+        sim.run_until(Time::ZERO + Dur::micros(100));
+        sim.set_node_up(n, false); // vote 0 is being written, vote 1 waits
+        sim.run_until(Time::ZERO + Dur::millis(2));
+        sim.set_node_up(n, true);
+        sim.run_to_idle();
+        let done = Time::ZERO + later + write_time(2 * 8192);
+        assert_eq!(*released.lock().unwrap(), vec![(1, done), (2, done)]);
+        let votes = &logged.store.lock().unwrap().votes;
+        assert!(!votes.contains_key(&InstanceId(0)), "the lost write never became durable");
+        assert_eq!(votes.len(), 2);
+        assert_eq!(*logged.inflight.lock().unwrap(), 0, "the lost write is written off");
     }
 
     #[test]

@@ -163,9 +163,9 @@ impl RecoverableMRing {
 
 /// Deploys M-Ring Paxos with the recovery subsystem on every process.
 /// Recovery needs votes written ahead: this helper sets
-/// `StorageMode::SyncDisk`, and `configure`, which runs after that, may
-/// pick `GroupDisk` instead and adjust everything else. `mk_app`
-/// supplies each *learner* node's replicated-service hook.
+/// `StorageMode::SyncDisk`, the one mode that does, before `configure`
+/// adjusts everything else. `mk_app` supplies each *learner* node's
+/// replicated-service hook.
 pub fn deploy_mring_recoverable(
     sim: &mut Sim,
     opts: &MRingOptions,

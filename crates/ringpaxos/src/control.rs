@@ -155,8 +155,8 @@ pub fn persist_promise(store: Option<&StableHandle<Batch>>, round: Round) {
 pub(crate) fn assert_writes_ahead(storage: StorageMode) {
     assert!(
         storage.writes_ahead(),
-        "recovery needs a storage mode that writes votes ahead (SyncDisk or GroupDisk), \
-         not {storage:?}: a respawned acceptor would forget votes a quorum counted"
+        "recovery needs votes written ahead (SyncDisk), not {storage:?}: \
+         a respawned acceptor would forget votes a quorum counted"
     );
 }
 

@@ -41,9 +41,10 @@ fn delivered(sim: &Sim, ring: &[NodeId]) -> u64 {
 }
 
 /// The two writing acceptors of a 3-acceptor segment write in parallel:
-/// a lone value is decided one coalesced write after an in-memory ring
-/// would decide it, not one write per acceptor. Both ways to ask for a
-/// synchronous vote write — a write-ahead log, and a plain ring's
+/// a lone value is decided one write after an in-memory ring would
+/// decide it, not one write per acceptor. Nothing shares that write, so
+/// it is one whole device operation. Both ways to ask for a synchronous
+/// vote write — a write-ahead log, and a plain ring's
 /// `StorageMode::SyncDisk` — take the same path.
 #[test]
 fn a_lone_value_waits_for_one_write_not_one_per_acceptor() {
@@ -67,11 +68,11 @@ fn a_lone_value_waits_for_one_write_not_one_per_acceptor() {
     deploy_uring(&mut sim, &opts, |cfg| cfg.storage = StorageMode::SyncDisk);
     let sync_disk = latency(&mut sim);
 
-    let write = SimConfig::default().disk_write_time_coalesced(16 * 1024, 32 * 1024);
+    let write = SimConfig::default().disk_write_time(16 * 1024);
     for (name, l) in [("write-ahead log", wal), ("SyncDisk", sync_disk)] {
         let extra = l - in_memory;
         assert!(
-            extra.as_nanos().abs_diff(write.as_nanos()) < write.as_nanos() / 4,
+            extra.as_nanos().abs_diff(write.as_nanos()) < write.as_nanos() / 8,
             "{name}: decided {extra} after the in-memory ring; one write takes {write}"
         );
     }
@@ -123,7 +124,7 @@ fn check_durable_at_delivery(
     sim: &mut Sim,
     log: &SharedLog,
     learner: usize,
-    writers: &[StableHandle<Batch>],
+    writers: &[(NodeId, StableHandle<Batch>)],
     what: &str,
 ) -> usize {
     let (mut seen, mut checked) = (0, 0);
@@ -132,11 +133,11 @@ fn check_durable_at_delivery(
         let log = log.lock().unwrap();
         let decided = log.sequence(learner);
         for &id in &decided[seen..] {
-            for (k, store) in writers.iter().enumerate() {
+            for (n, store) in writers {
                 let store = store.lock().unwrap();
                 assert!(
                     store.votes.values().any(|(_, b)| b.iter().any(|v| v.id == id)),
-                    "{what}: {id:?} decided at {} before it was durable at writer {k}",
+                    "{what}: {id:?} decided at {} before it was durable at {n:?}",
                     sim.now()
                 );
             }
@@ -147,46 +148,103 @@ fn check_durable_at_delivery(
     checked
 }
 
-/// The write-ahead invariant, checked at every decision on both rings,
-/// under sync and group commit: when a value is decided, each writing
-/// acceptor already holds a vote for it in its stable store. U-Ring's
-/// last acceptor delivers as it decides; M-Ring's learner delivers one
-/// multicast after its coordinator decides, and each non-coordinator
-/// ring acceptor writes. (Neither ring's coordinator writes its own vote
-/// ahead — ROADMAP item 4.)
+/// Checks that each of `writers` issued fewer device writes than it
+/// has votes in its stable store: the load formed groups.
+fn assert_groups_formed(sim: &Sim, writers: &[(NodeId, StableHandle<Batch>)], what: &str) {
+    for (n, store) in writers {
+        let votes = store.lock().unwrap().votes.len() as u64;
+        let writes = sim.metrics().counter(*n, "rec.wal_writes");
+        assert!(writes < votes, "{what}: {n:?} wrote {votes} votes in {writes} device writes");
+    }
+}
+
+/// The write-ahead invariant, checked at every decision on both rings:
+/// when a value is decided, each writing acceptor already holds a vote
+/// for it in its stable store. The load keeps the writers' disks busy,
+/// so most votes are written in groups. U-Ring's last acceptor delivers
+/// as it decides; M-Ring's learner delivers one multicast after its
+/// coordinator decides, and each non-coordinator ring acceptor writes.
+/// (Neither ring's coordinator writes its own vote ahead — ROADMAP
+/// item 4.)
 #[test]
 fn every_decision_is_durable_at_every_writing_acceptor() {
-    let group = StorageMode::GroupDisk { interval: Dur::millis(1), max_bytes: 256 * 1024 };
-    for storage in [StorageMode::SyncDisk, group] {
-        let mut sim = Sim::new(SimConfig::default());
-        let opts = URingOptions {
-            proposer_positions: vec![0, 1, 2, 3, 4],
-            proposer_rate_bps: 40_000_000,
-            proposer_stop: Some(Time::from_millis(200)),
-            ..lone_value(0)
-        };
-        // No checkpoints, so no vote is trimmed from a store.
-        let rec = URingRecoveryOptions { checkpoint_interval: 0, ..Default::default() };
-        let ru = deploy_uring_recoverable(&mut sim, &opts, rec, |c| c.storage = storage, |_| None);
-        let decider = 2; // the last acceptor; its learner delivers as it decides
-        let writers = [ru.stores[1].clone(), ru.stores[2].clone()];
-        let what = format!("U-Ring {storage:?}");
-        let checked = check_durable_at_delivery(&mut sim, &ru.d.log, decider, &writers, &what);
-        assert!(checked > 250, "{what}: only {checked} decisions checked");
+    let mut sim = Sim::new(SimConfig::default());
+    let opts = URingOptions {
+        proposer_positions: vec![0, 1, 2, 3, 4],
+        proposer_rate_bps: 40_000_000,
+        proposer_stop: Some(Time::from_millis(200)),
+        ..lone_value(0)
+    };
+    // No checkpoints, so no vote is trimmed from a store.
+    let rec = URingRecoveryOptions { checkpoint_interval: 0, ..Default::default() };
+    let ru = deploy_uring_recoverable(&mut sim, &opts, rec, |_| {}, |_| None);
+    let decider = 2; // the last acceptor; its learner delivers as it decides
+    let writers = [(ru.d.ring[1], ru.stores[1].clone()), (ru.d.ring[2], ru.stores[2].clone())];
+    let checked = check_durable_at_delivery(&mut sim, &ru.d.log, decider, &writers, "U-Ring");
+    assert!(checked > 250, "U-Ring: only {checked} decisions checked");
+    assert_groups_formed(&sim, &writers, "U-Ring");
 
-        let mut sim = Sim::new(SimConfig::default());
-        let opts = MRingOptions {
-            n_learners: 1,
-            proposer_rate_bps: 40_000_000,
-            proposer_stop: Some(Time::from_millis(200)),
-            ..MRingOptions::default()
-        };
-        let rm = deploy_mring_recoverable(&mut sim, &opts, 0, |c| c.storage = storage, |_| None);
-        let ring = &rm.d.ring;
-        let writers: Vec<_> = ring[..ring.len() - 1].iter().map(|&n| rm.store_of(n)).collect();
-        let what = format!("M-Ring {storage:?}");
-        let checked = check_durable_at_delivery(&mut sim, &rm.d.log, 0, &writers, &what);
-        assert!(checked > 200, "{what}: only {checked} decisions checked");
+    let mut sim = Sim::new(SimConfig::default());
+    let opts = MRingOptions {
+        n_learners: 1,
+        proposer_rate_bps: 100_000_000,
+        proposer_stop: Some(Time::from_millis(200)),
+        ..MRingOptions::default()
+    };
+    let rm = deploy_mring_recoverable(&mut sim, &opts, 0, |_| {}, |_| None);
+    let ring = &rm.d.ring;
+    let writers: Vec<_> = ring[..ring.len() - 1].iter().map(|&n| (n, rm.store_of(n))).collect();
+    let checked = check_durable_at_delivery(&mut sim, &rm.d.log, 0, &writers, "M-Ring");
+    assert!(checked > 200, "M-Ring: only {checked} decisions checked");
+    assert_groups_formed(&sim, &writers, "M-Ring");
+}
+
+/// `uring_failover`'s shape — five processes, three acceptors, two
+/// proposers of 16 KB values — offered 320 Mb/s, past the 270 Mb/s a
+/// log paying one op per 32 KB unit could drain. Each writing acceptor
+/// packs several votes into each device write, so the ring keeps up:
+/// p99 stays within the benchmark's 10 ms limit, no proposer ever
+/// finds its in-flight budget full, and what is in flight does not
+/// grow.
+#[test]
+fn groups_keep_the_ring_ahead_of_320_mbps_of_16kb_values() {
+    let mut sim = Sim::new(SimConfig::default());
+    let opts = URingOptions {
+        ring_len: 5,
+        n_acceptors: 3,
+        proposer_positions: vec![1, 2],
+        proposer_rate_bps: 160_000_000,
+        msg_bytes: 16 * 1024,
+        burst: 1,
+        proposer_stop: None,
+    };
+    let rec = URingRecoveryOptions { checkpoint_interval: 256, ..Default::default() };
+    let ru = deploy_uring_recoverable(&mut sim, &opts, rec, |_| {}, |_| None);
+    let (coord, observer) = (ru.d.ring[0], ru.d.ring[3]);
+    let in_flight = |sim: &Sim| {
+        let proposed: u64 =
+            ru.d.ring.iter().map(|&n| sim.metrics().counter(n, "rp.proposed")).sum();
+        proposed - sim.metrics().counter(observer, metric::DELIVERED_MSGS)
+    };
+    // The benchmark's backlog rule: the least in flight over the last
+    // quarter may exceed the least over the second by 10 % + 64.
+    let mut samples = Vec::new();
+    while sim.now() < Time::from_secs(3) {
+        sim.run_until(sim.now() + Dur::millis(10));
+        samples.push(in_flight(&sim));
+    }
+    let n = samples.len();
+    let floor = |from: usize, to: usize| samples[from..to].iter().copied().min().unwrap_or(0);
+    let (mid, end) = (floor(n / 4, n / 2), floor(n * 3 / 4, n));
+    assert!(end as f64 <= 1.1 * mid as f64 + 64.0, "in flight grew: {mid} → {end}");
+    assert_eq!(sim.metrics().sum("rp.shed"), 0, "a proposer found its budget full");
+
+    let p99 = sim.metrics().percentile(metric::LATENCY, 0.99).expect("deliveries");
+    assert!(p99 <= Dur::millis(10), "p99 {p99}");
+    let votes = sim.metrics().counter(coord, metric::INSTANCES);
+    for &n in &ru.d.ring[1..3] {
+        let writes = sim.metrics().counter(n, "rec.wal_writes");
+        assert!(writes < votes, "{n:?} wrote {votes} votes in {writes} device writes");
     }
 }
 
