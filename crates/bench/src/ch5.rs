@@ -41,9 +41,12 @@ pub fn experiments() -> Vec<Experiment> {
 
 fn fig5_01() {
     println!("Fig 5.1 — latency vs delivery throughput: In-memory vs Recoverable Ring Paxos");
+    println!(
+        "  recoverable = every acceptor writes its vote ahead, group-committed on the disk's clock"
+    );
     header(&["mode", "offered Mbps", "delivered Mbps", "latency", "p50/p99/p999", "coord CPU %"]);
     for (mode, label) in
-        [(StorageMode::InMemory, "in-memory"), (StorageMode::AsyncDisk, "recoverable")]
+        [(StorageMode::InMemory, "in-memory"), (StorageMode::SyncDisk, "recoverable")]
     {
         for &rate in &[200u64, 400, 600, 800, 950] {
             let mut sim = Sim::new(SimConfig::default());
@@ -71,7 +74,7 @@ fn fig5_01() {
             );
         }
     }
-    println!("  shape: in-memory CPU/network bound near wire speed; recoverable saturates at the disk (paper Fig 5.1).");
+    println!("  shape: in-memory CPU/network bound near wire speed; recoverable pays the vote write in latency below its knee and saturates at the disk's transfer rate (paper Fig 5.1).");
 }
 
 fn fig5_02() {
@@ -102,10 +105,11 @@ fn fig5_02() {
 
 fn fig5_04() {
     println!("Fig 5.4 — Multi-Ring Paxos scalability, one group per learner (aggregate Gbps)");
+    println!("  DISK = every acceptor writes its vote ahead, group-committed on the disk's clock");
     header(&["rings", "RAM aggregate Mbps", "DISK aggregate Mbps"]);
     for &rings in &[1usize, 2, 4, 8] {
         let mut row = Vec::new();
-        for storage in [StorageMode::InMemory, StorageMode::AsyncDisk] {
+        for storage in [StorageMode::InMemory, StorageMode::SyncDisk] {
             let mut sim = Sim::new(SimConfig::default());
             let opts = MultiRingOptions {
                 n_rings: rings,
@@ -124,7 +128,7 @@ fn fig5_04() {
         }
         println!("  {rings:5} | {:18.0} | {:19.0}", row[0], row[1]);
     }
-    println!("  shape: aggregate grows linearly with rings, both in-memory and recoverable (paper Fig 5.4).");
+    println!("  shape: aggregate grows linearly with rings, both in-memory and recoverable; a recoverable ring saturates at the disk's transfer rate (paper Fig 5.4).");
 }
 
 fn fig5_05() {

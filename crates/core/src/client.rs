@@ -8,7 +8,7 @@ use btree::{Partitioning, TreeCommand};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use ringpaxos::msg::MMsg;
-use ringpaxos::value::{Value, ALL_PARTITIONS};
+use ringpaxos::value::Value;
 use simnet::prelude::*;
 use workload::{RetryDecision, RetryPolicy, Session, WorkloadGen};
 
@@ -96,29 +96,12 @@ impl SmrClient {
         }
         let raw_ops = self.workload.next_command(&mut self.rng);
         let kind = self.workload.kind();
-        // Pre-split into per-partition sub-commands (§4.2.2): a
-        // cross-partition query is cut at the boundary, each partition
-        // executing its slice; updates always land in one partition.
-        let (ops, mask, replies) = match self.partitioning {
-            Some(p) => {
-                let mut ops = Vec::new();
-                let mut mask = 0u32;
-                for op in &raw_ops {
-                    for (part, sub) in p.split(*op) {
-                        ops.push((1u32 << part, sub));
-                        mask |= 1 << part;
-                    }
-                }
-                (ops, mask, mask.count_ones())
-            }
-            None => {
-                (raw_ops.into_iter().map(|op| (ALL_PARTITIONS, op)).collect(), ALL_PARTITIONS, 1)
-            }
-        };
+        let (cmd, replies) =
+            StoredCommand::pre_split(raw_ops, self.partitioning, self.me, kind.reply_bytes());
+        let mask = cmd.mask;
         let id = MsgId(((self.me.0 as u64) << 40) | self.next_seq);
         self.next_seq += 1;
-        self.registry
-            .put(id, StoredCommand { ops, client: self.me, mask, reply_bytes: kind.reply_bytes() });
+        self.registry.put(id, cmd);
         self.expected.insert(id, replies);
         self.outstanding = Some(Session::open(id, ctx.now(), &self.policy));
         self.submit(id, mask, kind.command_bytes(), ctx);

@@ -21,7 +21,8 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use abcast::MsgId;
-use btree::{TreeCommand, TreeService};
+use btree::{Partitioning, TreeCommand, TreeService};
+use ringpaxos::value::ALL_PARTITIONS;
 use simnet::ids::NodeId;
 use simnet::time::Dur;
 
@@ -105,6 +106,36 @@ pub struct StoredCommand<C> {
     pub mask: u32,
     /// Reply size per responding partition, in bytes.
     pub reply_bytes: u32,
+}
+
+impl StoredCommand<TreeCommand> {
+    /// `client`'s command of `raw` operations, pre-split into
+    /// per-partition sub-commands (§4.2.2): a cross-partition query is cut
+    /// at the boundary, each partition executing its slice; updates always
+    /// land in one partition. Also returns the replies the command draws:
+    /// one per partition it touches, one when unpartitioned.
+    pub fn pre_split(
+        raw: Vec<TreeCommand>,
+        partitioning: Option<Partitioning>,
+        client: NodeId,
+        reply_bytes: u32,
+    ) -> (StoredCommand<TreeCommand>, u32) {
+        let (ops, mask, replies) = match partitioning {
+            Some(p) => {
+                let mut ops = Vec::new();
+                let mut mask = 0u32;
+                for op in &raw {
+                    for (part, sub) in p.split(*op) {
+                        ops.push((1u32 << part, sub));
+                        mask |= 1 << part;
+                    }
+                }
+                (ops, mask, mask.count_ones())
+            }
+            None => (raw.into_iter().map(|op| (ALL_PARTITIONS, op)).collect(), ALL_PARTITIONS, 1),
+        };
+        (StoredCommand { ops, client, mask, reply_bytes }, replies)
+    }
 }
 
 /// A registered command and who still needs it.

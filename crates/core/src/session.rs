@@ -13,7 +13,7 @@ use std::collections::HashMap;
 use abcast::MsgId;
 use btree::{Partitioning, TreeCommand};
 use ringpaxos::msg::MMsg;
-use ringpaxos::value::{Value, ALL_PARTITIONS};
+use ringpaxos::value::Value;
 use simnet::prelude::*;
 use workload::{rotation_pick, KeyedWorkload, SessionDriver};
 
@@ -84,26 +84,10 @@ impl SessionDriver for TreeSessionDriver {
     fn submit(&mut self, id: MsgId, ctx: &mut Ctx) {
         let raw_ops = self.workload.next_command(ctx.rng());
         let kind = self.workload.kind();
-        // Pre-split into per-partition sub-commands (§4.2.2), exactly as
-        // the closed-loop client does.
-        let (ops, mask, replies) = match self.partitioning {
-            Some(p) => {
-                let mut ops = Vec::new();
-                let mut mask = 0u32;
-                for op in &raw_ops {
-                    for (part, sub) in p.split(*op) {
-                        ops.push((1u32 << part, sub));
-                        mask |= 1 << part;
-                    }
-                }
-                (ops, mask, mask.count_ones())
-            }
-            None => {
-                (raw_ops.into_iter().map(|op| (ALL_PARTITIONS, op)).collect(), ALL_PARTITIONS, 1)
-            }
-        };
-        self.registry
-            .put(id, StoredCommand { ops, client: self.me, mask, reply_bytes: kind.reply_bytes() });
+        let (cmd, replies) =
+            StoredCommand::pre_split(raw_ops, self.partitioning, self.me, kind.reply_bytes());
+        let mask = cmd.mask;
+        self.registry.put(id, cmd);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.expected.insert(id, (replies, seq));

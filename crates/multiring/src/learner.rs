@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 use abcast::{MsgId, SharedLog};
 use paxos::msg::InstanceId;
 use ringpaxos::mlearner::{MLearner, SWEEP_TICK};
-use ringpaxos::msg::MMsg;
+use ringpaxos::msg::{MMsg, CTL_BYTES};
 use ringpaxos::value::ALL_PARTITIONS;
 use ringpaxos::{BatchData, MRingConfig};
 use simnet::prelude::*;
@@ -113,7 +113,7 @@ impl MultiRingLearner {
             return;
         }
         let cfg = &self.rings[r].cfg;
-        let wire = cfg.ctl_bytes + 8 * missing.len() as u32;
+        let wire = CTL_BYTES + 8 * missing.len() as u32;
         let req = MMsg::RetransReq { from: self.me, instances: missing };
         ctx.udp_send(cfg.preferential_acceptor(self.index), req, wire);
     }
@@ -161,7 +161,7 @@ impl MultiRingLearner {
             let over = self.merge.buffered_in(i) > FLOW_THRESHOLD;
             if over && !ring.slowdown_active {
                 let pref = ring.cfg.preferential_acceptor(self.index);
-                ctx.udp_send(pref, MMsg::SlowDown, ring.cfg.ctl_bytes);
+                ctx.udp_send(pref, MMsg::SlowDown, CTL_BYTES);
             }
             ring.slowdown_active = over;
         }
@@ -239,7 +239,7 @@ impl Actor for MultiRingLearner {
                     if let Some(applied) = ring.lrn.unreported() {
                         let pref = ring.cfg.preferential_acceptor(self.index);
                         let version = MMsg::Version { learner: self.me, applied };
-                        ctx.udp_send(pref, version, ring.cfg.ctl_bytes);
+                        ctx.udp_send(pref, version, CTL_BYTES);
                     }
                 }
                 ctx.set_timer(GC_TICK, TimerToken(T_GC));

@@ -24,9 +24,7 @@ pub struct MultiRingOptions {
     pub n_rings: usize,
     /// Acceptors per ring (coordinator included).
     pub ring_size: usize,
-    /// Proposer nodes per ring.
-    pub proposers_per_ring: usize,
-    /// Offered load per ring, bits per second (split across proposers).
+    /// Offered load per ring, bits per second (one proposer per ring).
     pub rates_per_ring_bps: Vec<u64>,
     /// Application message size.
     pub msg_bytes: u32,
@@ -49,7 +47,6 @@ impl Default for MultiRingOptions {
         MultiRingOptions {
             n_rings: 2,
             ring_size: 3,
-            proposers_per_ring: 1,
             rates_per_ring_bps: vec![100_000_000; 2],
             msg_bytes: 8192,
             lambda_per_sec: 9000,
@@ -67,10 +64,10 @@ pub struct RingHandle {
     pub cfg: MRingConfig,
     /// Acceptors (last = coordinator).
     pub ring: Vec<NodeId>,
-    /// Proposer nodes of this ring.
-    pub proposers: Vec<NodeId>,
-    /// Live rate controls, one per proposer (bits/s; 0 pauses).
-    pub rate_controls: Vec<Arc<AtomicU64>>,
+    /// The ring's proposer node.
+    pub proposer: NodeId,
+    /// The proposer's live rate control (bits/s; 0 pauses).
+    pub rate_control: Arc<AtomicU64>,
 }
 
 impl RingHandle {
@@ -79,12 +76,9 @@ impl RingHandle {
         self.cfg.coordinator()
     }
 
-    /// Sets the offered load of the whole ring (split across proposers).
-    pub fn set_rate(&self, total_bps: u64) {
-        let per = (total_bps / self.rate_controls.len() as u64).max(1);
-        for c in &self.rate_controls {
-            c.store(if total_bps == 0 { 0 } else { per }, Ordering::Relaxed);
-        }
+    /// Sets the offered load of the ring.
+    pub fn set_rate(&self, bps: u64) {
+        self.rate_control.store(bps, Ordering::Relaxed);
     }
 }
 
@@ -110,13 +104,12 @@ pub fn deploy_multiring(sim: &mut Sim, opts: &MultiRingOptions) -> MultiRingDepl
     let mut ring_cfgs: Vec<MRingConfig> = Vec::new();
     for r in 0..opts.n_rings {
         let ring: Vec<NodeId> = (0..opts.ring_size).map(|_| sim.add_node(Box::new(Idle))).collect();
-        let proposers: Vec<NodeId> =
-            (0..opts.proposers_per_ring).map(|_| sim.add_node(Box::new(Idle))).collect();
+        let proposer = sim.add_node(Box::new(Idle));
         let group = sim.add_group();
 
-        // Ring learners: its proposers (they observe their own values)
-        // plus every multi-ring learner subscribed to this ring.
-        let mut ring_learners = proposers.clone();
+        // Ring learners: its proposer (it observes its own values) plus
+        // every multi-ring learner subscribed to this ring.
+        let mut ring_learners = vec![proposer];
         for (li, subs) in opts.learners.iter().enumerate() {
             if subs.contains(&r) {
                 ring_learners.push(learner_nodes[li]);
@@ -131,23 +124,19 @@ pub fn deploy_multiring(sim: &mut Sim, opts: &MultiRingOptions) -> MultiRingDepl
             sim.subscribe(n, group);
         }
 
-        // Ring-local delivery log for the proposers only.
+        // Ring-local delivery log for the proposer only.
         let local_log = shared_log(ring_learners.len());
         for &n in &ring {
             sim.replace_actor(n, Box::new(MRingProcess::new(cfg.clone(), n, None, None)));
         }
-        let per_proposer = (opts.rates_per_ring_bps[r] / opts.proposers_per_ring as u64).max(1);
-        let mut rate_controls = Vec::new();
-        for &p in &proposers {
-            let pacer = Pacer::new(per_proposer, opts.msg_bytes, 1);
-            let ctl = Arc::new(AtomicU64::new(per_proposer));
-            rate_controls.push(ctl.clone());
-            let actor = MRingProcess::new(cfg.clone(), p, Some(pacer), Some(local_log.clone()))
-                .with_rate_control(ctl);
-            sim.replace_actor(p, Box::new(actor));
-        }
+        let rate = opts.rates_per_ring_bps[r].max(1);
+        let pacer = Pacer::new(rate, opts.msg_bytes, 1);
+        let rate_control = Arc::new(AtomicU64::new(rate));
+        let actor = MRingProcess::new(cfg.clone(), proposer, Some(pacer), Some(local_log))
+            .with_rate_control(rate_control.clone());
+        sim.replace_actor(proposer, Box::new(actor));
         ring_cfgs.push(cfg.clone());
-        rings.push(RingHandle { cfg, ring, proposers, rate_controls });
+        rings.push(RingHandle { cfg, ring, proposer, rate_control });
     }
 
     // Instantiate the merge learners.

@@ -207,7 +207,7 @@ fn recoverable_rings_are_disk_bound_but_scale() {
         let opts = MultiRingOptions {
             n_rings,
             rates_per_ring_bps: vec![600_000_000; n_rings],
-            storage: StorageMode::AsyncDisk,
+            storage: StorageMode::SyncDisk,
             learners: (0..n_rings).map(|r| vec![r]).collect(),
             ..MultiRingOptions::default()
         };
@@ -215,10 +215,12 @@ fn recoverable_rings_are_disk_bound_but_scale() {
         sim.run_until(Time::from_secs(2));
         d.learners.iter().map(|&l| delivered_mbps(&sim, l, Dur::secs(2))).sum()
     };
+    // Each ring's acceptors group-commit their votes, so one ring drains
+    // toward the disk's 450 Mb/s transfer rate, not a 32 KB unit's 270.
     let one = run(1);
     let three = run(3);
-    assert!(one < 700.0, "async-disk single ring should be below wire: {one:.0} Mbps");
-    assert!(three > 2.0 * one, "disk-bound rings still scale: {one:.0} -> {three:.0} Mbps");
+    assert!((400.0..450.0).contains(&one), "one write-ahead ring: {one:.0} Mbps");
+    assert!(three >= 2.9 * one, "disk-bound rings still scale: {one:.0} -> {three:.0} Mbps");
 }
 
 #[test]

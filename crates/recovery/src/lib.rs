@@ -25,12 +25,10 @@
 //! # Pieces
 //!
 //! * [`wal::VoteLog`] — the acceptor vote log, the only code that turns
-//!   a vote into a disk write in either ring. [`wal::StorageMode`] says
-//!   how: not at all; before the vote leaves, in groups clocked by the
-//!   device (every vote that queued while the log's last write was in
-//!   flight goes out in the next one, §3.5.5); or write-behind (the vote
-//!   leaves before its write unless the device lags; not write-ahead, so
-//!   recovery refuses it).
+//!   a vote into a disk write in either ring. It writes ahead, in groups
+//!   clocked by the device: every vote that queued while the log's last
+//!   write was in flight goes out in the next one (§3.5.5).
+//!   [`wal::StorageMode`] says whether an acceptor keeps one.
 //! * [`checkpoint::Checkpointer`] — periodic replica checkpoints: every
 //!   `interval` delivered instances the replica snapshots its service
 //!   state (an opaque, byte-sized blob), writes it through the disk,

@@ -274,7 +274,7 @@ fn build_uring(
     let ring: Vec<NodeId> = (0..opts.ring_len).map(|_| sim.add_node(Box::new(Idle))).collect();
     let mut cfg = URingConfig::new(ring.clone(), opts.n_acceptors);
     configure(&mut cfg);
-    let log = shared_log(cfg.learner_positions.len());
+    let log = shared_log(cfg.ring.len());
     for pos in 0..opts.ring_len {
         let pacer = opts
             .proposer_positions

@@ -3,8 +3,8 @@
 use simnet::ids::{GroupId, NodeId};
 use simnet::time::Dur;
 
-/// How acceptors persist their votes: `recovery::VoteLog`'s modes, the
-/// same for both rings.
+/// Whether acceptors keep a vote log (`recovery::VoteLog`), the same for
+/// both rings.
 pub use recovery::StorageMode;
 
 /// State partitioning over one M-Ring Paxos instance (ch. 4 §4.2.2):
@@ -51,20 +51,11 @@ pub struct FlowConfig {
     /// A learner notifies the ring when this many decided-but-unprocessed
     /// instances accumulate in its buffer.
     pub learner_threshold: u32,
-    /// How long without slow-down notifications before the coordinator
-    /// starts growing its window again.
-    pub recovery_quiet: Dur,
 }
 
 impl Default for FlowConfig {
     fn default() -> Self {
-        FlowConfig {
-            initial_window: 64,
-            min_window: 2,
-            max_window: 256,
-            learner_threshold: 512,
-            recovery_quiet: Dur::millis(500),
-        }
+        FlowConfig { initial_window: 64, min_window: 2, max_window: 256, learner_threshold: 512 }
     }
 }
 
@@ -100,8 +91,6 @@ pub struct MRingConfig {
     pub storage: StorageMode,
     /// Flow control parameters.
     pub flow: FlowConfig,
-    /// Wire size of a Phase 2B / control message.
-    pub ctl_bytes: u32,
     /// How often learners report their applied version for GC.
     pub gc_interval: Dur,
     /// Instances retained *behind* the f+1-applied watermark before
@@ -113,9 +102,6 @@ pub struct MRingConfig {
     pub gc_retention: u64,
     /// Silence threshold after which ring members suspect the coordinator.
     pub suspicion_timeout: Dur,
-    /// CPU the coordinator spends assembling one batch (buffer and
-    /// bookkeeping overhead measured in the paper's prototype).
-    pub batch_overhead: Dur,
     /// Extra CPU a learner spends processing one delivered batch (models
     /// application handling; the flow-control experiment raises it).
     pub learner_batch_cost: Dur,
@@ -138,11 +124,9 @@ impl MRingConfig {
             pending_cap_bytes: 160 * 1024 * 1024,
             storage: StorageMode::InMemory,
             flow: FlowConfig::default(),
-            ctl_bytes: 32,
             gc_interval: Dur::millis(100),
             gc_retention: 1024,
             suspicion_timeout: Dur::millis(200),
-            batch_overhead: Dur::micros(19),
             learner_batch_cost: Dur::ZERO,
             skip: None,
             partitions: None,
@@ -189,10 +173,9 @@ pub struct URingConfig {
     /// paper places the coordinator as the first acceptor to cut latency).
     pub ring: Vec<NodeId>,
     /// Which ring positions are acceptors. The coordinator's position must
-    /// be included; `f + 1` acceptors vote before the decision.
+    /// be included; `f + 1` acceptors vote before the decision. Every
+    /// position learns.
     pub acceptor_positions: Vec<usize>,
-    /// Which ring positions are learners.
-    pub learner_positions: Vec<usize>,
     /// Target consensus packet size (the paper uses 32 KB).
     pub packet_bytes: u32,
     /// Flush a partial batch after this long.
@@ -200,15 +183,8 @@ pub struct URingConfig {
     /// Per-proposer circular-buffer budget at each process (16 MB each,
     /// §3.5.2) — bounds outstanding instances.
     pub window: u32,
-    /// Values a proposer may have in flight (proposed but not yet seen
-    /// delivered). Models the paper's per-proposer circular buffer: when
-    /// the buffer is full the proposer blocks, self-clocking its rate to
-    /// what the ring sustains.
-    pub proposer_inflight: u32,
     /// Acceptor persistence.
     pub storage: StorageMode,
-    /// Wire size of control-only messages.
-    pub ctl_bytes: u32,
     /// Failover: silence threshold after which non-coordinator acceptors
     /// suspect the coordinator and the coordinator probes a stalled ring
     /// (§3.3.5 applied to U-Ring, the ch. 7 reconfiguration lesson).
@@ -222,17 +198,13 @@ impl URingConfig {
     /// A default configuration over `ring` with the first
     /// `n_acceptors` positions acting as acceptors and everyone learning.
     pub fn new(ring: Vec<NodeId>, n_acceptors: usize) -> URingConfig {
-        let n = ring.len();
         URingConfig {
             ring,
             acceptor_positions: (0..n_acceptors).collect(),
-            learner_positions: (0..n).collect(),
             packet_bytes: 32 * 1024,
             batch_timeout: Dur::micros(200),
             window: 32,
-            proposer_inflight: (6 * n as u32).max(32),
             storage: StorageMode::InMemory,
-            ctl_bytes: 32,
             suspicion_timeout: None,
         }
     }
@@ -280,6 +252,5 @@ mod tests {
         assert_eq!(cfg.coordinator(), NodeId(0));
         assert_eq!(cfg.last_acceptor_pos(), 2);
         assert_eq!(cfg.successor_of(4), NodeId(0));
-        assert_eq!(cfg.learner_positions.len(), 5);
     }
 }

@@ -154,8 +154,8 @@ pub fn persist_promise(store: Option<&StableHandle<Batch>>, round: Round) {
 /// vote it counted must be in the log before it left.
 pub(crate) fn assert_writes_ahead(storage: StorageMode) {
     assert!(
-        storage.writes_ahead(),
-        "recovery needs votes written ahead (SyncDisk), not {storage:?}: \
+        storage == StorageMode::SyncDisk,
+        "recovery needs the vote log (SyncDisk), not {storage:?}: \
          a respawned acceptor would forget votes a quorum counted"
     );
 }

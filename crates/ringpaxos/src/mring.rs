@@ -26,12 +26,12 @@
 //!
 //! # Durable votes
 //!
-//! Where an acceptor writes its vote (`cfg.storage` other than
-//! `InMemory`; always under `with_recovery`), it casts the vote on the
-//! 2A and appends it to a `recovery::VoteLog`, as U-Ring's acceptors do.
-//! Its 2B leaves once the log releases the vote — `VoteLog::on_token`
-//! hands it back at the round its write carried, or a write-behind log
-//! lets it go at once — and is held in `early_2b` until then. The
+//! Where an acceptor writes its vote (`cfg.storage` is `SyncDisk`;
+//! always under `with_recovery`), it casts the vote on the 2A and
+//! appends it to a `recovery::VoteLog`, as U-Ring's acceptors do. Its 2B
+//! leaves once the vote is durable — `VoteLog::on_token` hands it back
+//! at the round its write carried, and `VoteLog::holds` answers for a
+//! 2B that arrives later — and is held in `early_2b` until then. The
 //! coordinator's own vote is not written ahead: `propose`,
 //! `propose_skip` and `become_coordinator` cast it directly, as U-Ring's
 //! `send_2ab` does (ROADMAP item 4).
@@ -120,7 +120,7 @@
 //!   decided-but-unprocessed backlog (`MLearner::buffered`; what the
 //!   learner holds and when it lets go is [`crate::mlearner`]'s) passes
 //!   `flow.learner_threshold` tells the ring; the coordinator halves its
-//!   window and grows it back after `flow.recovery_quiet` of silence.
+//!   window and grows it back after `RECOVERY_QUIET` (500 ms) of silence.
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -141,7 +141,7 @@ use simnet::prelude::*;
 use crate::config::{MRingConfig, StorageMode};
 use crate::control::{assert_writes_ahead, persist_promise, Phase1, ProbeStep, RingProbe, Votes};
 use crate::mlearner::{MLearner, REPAIR_BATCH, SWEEP_TICK};
-use crate::msg::MMsg;
+use crate::msg::{MMsg, CTL_BYTES};
 use crate::value::{batch_bytes, Batch, BatchData, Value, ALL_PARTITIONS};
 
 // Timer tokens: kind in the top byte, payload (instance) below.
@@ -178,6 +178,12 @@ const RE2A_OVERDUE: Dur = Dur::millis(50);
 /// what parks behind the hole in the learners' dedup windows stays far
 /// under their bound at any rate the ring sustains.
 const PROPOSAL_RESEND_AFTER: Dur = Dur::millis(20);
+/// How long without slow-down notifications before the coordinator
+/// starts growing its window again (module docs, "Flow control").
+const RECOVERY_QUIET: Dur = Dur::millis(500);
+/// CPU the coordinator spends assembling one batch (buffer and
+/// bookkeeping overhead measured in the paper's prototype).
+const BATCH_OVERHEAD: Dur = Dur::micros(19);
 
 fn token_kind(t: TimerToken) -> u64 {
     t.0 & KIND_MASK
@@ -271,9 +277,9 @@ struct AccState {
 
 impl AccState {
     /// Whether this acceptor's vote for `instance` at `round`, once
-    /// cast, may leave: the vote log has released it.
+    /// cast, may leave: votes live in memory, or the log holds it.
     fn released(&self, instance: InstanceId, round: Round) -> bool {
-        self.wal.as_ref().is_none_or(|w| w.released(instance, round))
+        self.wal.as_ref().is_none_or(|w| w.holds(instance, round))
     }
 
     /// Records what a 2A says about its instance besides the value: a
@@ -490,8 +496,7 @@ impl MRingProcess {
                 decided_below: InstanceId(0),
                 early_2b: Window::new(),
                 asked: BTreeSet::new(),
-                wal: (cfg.storage != StorageMode::InMemory)
-                    .then(|| VoteLog::new(stable(), cfg.storage, T_WAL)),
+                wal: (cfg.storage != StorageMode::InMemory).then(|| VoteLog::new(stable(), T_WAL)),
                 last_coord_activity: Time::ZERO,
             }
         });
@@ -537,7 +542,7 @@ impl MRingProcess {
     pub fn with_recovery(mut self, rec: MRecovery) -> MRingProcess {
         assert_writes_ahead(self.cfg.storage);
         if let Some(a) = self.acc.as_mut() {
-            let wal = VoteLog::new(rec.store.clone(), self.cfg.storage, T_WAL);
+            let wal = VoteLog::new(rec.store.clone(), T_WAL);
             if rec.resumed {
                 let (promised, votes) = wal.replay();
                 a.paxos = Acceptor::restore(promised.max(self.round), votes);
@@ -787,8 +792,8 @@ impl MRingProcess {
                 a.masks.insert(instance, mask);
             }
         }
-        ctx.charge_cpu(0, self.cfg.batch_overhead);
-        let wire = (bytes.min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes);
+        ctx.charge_cpu(0, BATCH_OVERHEAD);
+        let wire = (bytes.min(u32::MAX as u64) as u32).max(CTL_BYTES);
         let msg = MMsg::Phase2a {
             instance,
             round: self.round,
@@ -897,7 +902,7 @@ impl MRingProcess {
         o.resent = true;
         let (batch, mask) = (o.batch.clone(), o.mask);
         let decisions = if classic { std::mem::take(&mut c.decided_unsent) } else { Vec::new() };
-        let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes);
+        let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(CTL_BYTES);
         ctx.counter_add("rp.re2a", 1);
         let msg = MMsg::Phase2a {
             instance,
@@ -921,7 +926,7 @@ impl MRingProcess {
     /// ring's group otherwise.
     fn flush_decisions(&mut self, ctx: &mut Ctx) {
         let group = self.cfg.partitions.as_ref().map_or(self.cfg.group, |p| p.decision_group);
-        let ctl = self.cfg.ctl_bytes;
+        let ctl = CTL_BYTES;
         let Some(c) = self.coord.as_mut() else { return };
         if c.decided_unsent.is_empty() {
             return;
@@ -985,16 +990,12 @@ impl MRingProcess {
         if a.paxos.receive_2a(instance, round, batch).is_none() {
             return;
         }
-        let released = match a.wal.as_mut() {
-            None => true,
-            Some(wal) => {
-                let batch = a.paxos.vote(instance).expect("just cast").v_val.clone();
-                wal.append(instance, round, batch, bytes, ctx)
-            }
-        };
-        if released {
+        let Some(wal) = a.wal.as_mut() else {
             self.vote_released(instance, round, ctx);
-        }
+            return;
+        };
+        let batch = a.paxos.vote(instance).expect("just cast").v_val.clone();
+        wal.append(instance, round, batch, bytes, ctx); // `on_token` hands it back
     }
 
     /// This acceptor's vote for `instance` at `round` may leave (module
@@ -1055,7 +1056,7 @@ impl MRingProcess {
     /// needed or only its decision (the flag rides in the instance's
     /// eight bytes).
     fn send_retrans_req(&mut self, to: NodeId, instances: Vec<(InstanceId, bool)>, ctx: &mut Ctx) {
-        let wire = self.cfg.ctl_bytes + 8 * instances.len() as u32;
+        let wire = CTL_BYTES + 8 * instances.len() as u32;
         ctx.udp_send(to, MMsg::RetransReq { from: self.me, instances }, wire);
     }
 
@@ -1064,7 +1065,7 @@ impl MRingProcess {
             ctx.probe(probe::code::PHASE2B, probe::span_key(self.cfg.group.0 as u32, instance.0));
         }
         if let Some(succ) = self.cfg.successor(self.me) {
-            ctx.udp_send(succ, MMsg::Phase2b { instance, round }, self.cfg.ctl_bytes);
+            ctx.udp_send(succ, MMsg::Phase2b { instance, round }, CTL_BYTES);
         }
     }
 
@@ -1087,9 +1088,9 @@ impl MRingProcess {
                 let batch = vote.v_val.clone();
                 let wire = batch_bytes(&batch).min(u32::MAX as u64) as u32;
                 let msg = MMsg::RetransRep { instance, batch, decided, round, skip, mask };
-                (msg, wire.max(self.cfg.ctl_bytes))
+                (msg, wire.max(CTL_BYTES))
             } else if decided {
-                (MMsg::RetransDecided { instance, round, mask }, self.cfg.ctl_bytes)
+                (MMsg::RetransDecided { instance, round, mask }, CTL_BYTES)
             } else {
                 continue;
             };
@@ -1233,7 +1234,7 @@ impl MRingProcess {
             .max(a.decided_below);
         let available_from = a.paxos.gc_base().max(next);
         let mut batches = Vec::new();
-        let mut wire = self.cfg.ctl_bytes as u64;
+        let mut wire = CTL_BYTES as u64;
         let mut i = available_from;
         while batches.len() < CATCHUP_CHUNK && i < horizon {
             let decided = a.decided.contains(i) || i < a.decided_below;
@@ -1280,7 +1281,7 @@ impl MRingProcess {
             if let Some(peer) = self.snap_peer() {
                 let me = self.me;
                 ctx.counter_add("rec.snap_reqs", 1);
-                ctx.tcp_send(peer, MMsg::SnapReq { from: me }, self.cfg.ctl_bytes);
+                ctx.tcp_send(peer, MMsg::SnapReq { from: me }, CTL_BYTES);
             }
             return;
         }
@@ -1316,7 +1317,7 @@ impl MRingProcess {
     /// (bulk, over TCP).
     fn ask_catchup(&mut self, next: InstanceId, ctx: &mut Ctx) {
         let req = MMsg::CatchupReq { from: self.me, next };
-        ctx.tcp_send(self.preferential(), req, self.cfg.ctl_bytes);
+        ctx.tcp_send(self.preferential(), req, CTL_BYTES);
     }
 
     /// Adopts a peer learner's checkpoint (state transfer): jump the
@@ -1348,7 +1349,7 @@ impl MRingProcess {
         if buffered > threshold && !self.slowdown_active {
             self.slowdown_active = true;
             ctx.counter_add("rp.slowdown", 1);
-            ctx.udp_send(self.preferential(), MMsg::SlowDown, self.cfg.ctl_bytes);
+            ctx.udp_send(self.preferential(), MMsg::SlowDown, CTL_BYTES);
         } else if buffered < threshold / 2 {
             self.slowdown_active = false;
         }
@@ -1358,7 +1359,7 @@ impl MRingProcess {
         let Some(l) = self.lrn.as_mut() else { return };
         if let Some(applied) = l.unreported() {
             let version = MMsg::Version { learner: self.me, applied };
-            ctx.udp_send(self.preferential(), version, self.cfg.ctl_bytes);
+            ctx.udp_send(self.preferential(), version, CTL_BYTES);
         }
         ctx.set_timer(self.cfg.gc_interval, TimerToken(T_GC));
     }
@@ -1403,7 +1404,7 @@ impl MRingProcess {
         } else if self.acc.is_some() {
             // Forward along the ring towards the coordinator.
             if let Some(succ) = self.cfg.successor(self.me) {
-                ctx.udp_send(succ, MMsg::Version { learner, applied }, self.cfg.ctl_bytes);
+                ctx.udp_send(succ, MMsg::Version { learner, applied }, CTL_BYTES);
             }
         }
     }
@@ -1460,7 +1461,7 @@ impl MRingProcess {
     /// Sends a control message to every other acceptor, ring or spare.
     fn to_other_acceptors(&self, msg: MMsg, ctx: &mut Ctx) {
         for &n in self.cfg.ring.iter().chain(&self.cfg.spares).filter(|&&n| n != self.me) {
-            ctx.udp_send(n, msg.clone(), self.cfg.ctl_bytes);
+            ctx.udp_send(n, msg.clone(), CTL_BYTES);
         }
     }
 
@@ -1499,7 +1500,7 @@ impl MRingProcess {
         self.cfg.ring = ring.clone();
         ctx.counter_add("rp.ring_repair", 1);
         let round = self.round;
-        ctx.mcast(self.cfg.group, MMsg::NewRing { round, coord: me, ring }, self.cfg.ctl_bytes);
+        ctx.mcast(self.cfg.group, MMsg::NewRing { round, coord: me, ring }, CTL_BYTES);
         // Restart the 2B relay for everything in flight: re-multicast the
         // outstanding 2As — the duplicate-2A path makes the new first
         // acceptor restart the vote relay.
@@ -1597,8 +1598,7 @@ impl MRingProcess {
             }
             let (votes, decided) = self.collect_own_votes(round);
             let me = self.me;
-            let wire = self.cfg.ctl_bytes
-                + votes.iter().map(|(_, _, b)| batch_bytes(b) as u32).sum::<u32>();
+            let wire = CTL_BYTES + votes.iter().map(|(_, _, b)| batch_bytes(b) as u32).sum::<u32>();
             ctx.udp_send(from, MMsg::Phase1b { round, from: me, votes, decided }, wire);
         }
     }
@@ -1687,11 +1687,7 @@ impl MRingProcess {
         self.coord = Some(cs);
 
         ctx.counter_add("rp.became_coord", 1);
-        ctx.mcast(
-            self.cfg.group,
-            MMsg::NewRing { round, coord: self.me, ring },
-            self.cfg.ctl_bytes,
-        );
+        ctx.mcast(self.cfg.group, MMsg::NewRing { round, coord: self.me, ring }, CTL_BYTES);
         // Re-run Phase 2 for the re-proposed instances.
         for (instance, batch) in repropose {
             if let Some(a) = self.acc.as_mut() {
@@ -1710,7 +1706,7 @@ impl MRingProcess {
                     mask: ALL_PARTITIONS,
                     decided_below: InstanceId(0),
                 },
-                wire.max(self.cfg.ctl_bytes),
+                wire.max(CTL_BYTES),
             );
         }
         // Start coordinator timers.
@@ -1761,7 +1757,7 @@ impl MRingProcess {
 
     /// Proposes one consensus instance that stands for `weight` skipped
     /// logical instances (Multi-Ring Paxos, ch. 5). Many skips cost one
-    /// consensus execution and a ~`ctl_bytes` message.
+    /// consensus execution and a ~`CTL_BYTES` message.
     fn propose_skip(&mut self, weight: u64, ctx: &mut Ctx) {
         let round = self.round;
         let Some(c) = self.coord.as_mut() else { return };
@@ -1793,7 +1789,7 @@ impl MRingProcess {
                 mask: ALL_PARTITIONS,
                 decided_below,
             },
-            self.cfg.ctl_bytes,
+            CTL_BYTES,
         );
         let r = self.round;
         self.learner_store(instance, &batch, weight, ALL_PARTITIONS, r);
@@ -1878,7 +1874,7 @@ impl Actor for MRingProcess {
                 // Any live acceptor (ring member or spare) answers.
                 if self.acc.is_some() {
                     let me = self.me;
-                    ctx.udp_send(*from, MMsg::Pong { from: me }, self.cfg.ctl_bytes);
+                    ctx.udp_send(*from, MMsg::Pong { from: me }, CTL_BYTES);
                 }
             }
             MMsg::Pong { from } => {
@@ -1913,7 +1909,7 @@ impl Actor for MRingProcess {
                     c.last_slowdown = ctx.now();
                 } else if self.acc.is_some() {
                     if let Some(succ) = self.cfg.successor(self.me) {
-                        ctx.udp_send(succ, MMsg::SlowDown, self.cfg.ctl_bytes);
+                        ctx.udp_send(succ, MMsg::SlowDown, CTL_BYTES);
                     }
                 }
             }
@@ -1965,7 +1961,7 @@ impl Actor for MRingProcess {
                 let from = *from;
                 if let Some(rec) = self.rec.as_ref() {
                     let snap = rec.store.lock().unwrap().checkpoint.clone();
-                    let wire = (self.cfg.ctl_bytes as u64
+                    let wire = (CTL_BYTES as u64
                         + snap.as_ref().map(|c| c.state_bytes).unwrap_or(0))
                     .min(u32::MAX as u64) as u32;
                     ctx.tcp_send(from, MMsg::SnapRep { snap }, wire);
@@ -2017,10 +2013,10 @@ impl Actor for MRingProcess {
             T_GC => self.gc_report(ctx),
             T_FLOW => {
                 if self.is_coordinator() {
-                    let flow = self.cfg.flow;
+                    let max_window = self.cfg.flow.max_window;
                     let Some(c) = self.coord.as_mut() else { return };
-                    if ctx.now().saturating_since(c.last_slowdown) > flow.recovery_quiet {
-                        c.window = (c.window + (c.window / 4).max(1)).min(flow.max_window);
+                    if ctx.now().saturating_since(c.last_slowdown) > RECOVERY_QUIET {
+                        c.window = (c.window + (c.window / 4).max(1)).min(max_window);
                     }
                     // Retransmit 2As whose decision is overdue (a lost
                     // multicast would otherwise stall the ring, §3.3.4).
@@ -2056,7 +2052,7 @@ impl Actor for MRingProcess {
                         ctx.mcast(
                             self.cfg.group,
                             MMsg::Heartbeat { round, coord, ring },
-                            self.cfg.ctl_bytes,
+                            CTL_BYTES,
                         );
                         if let Some(c) = self.coord.as_mut() {
                             c.last_mcast = ctx.now();

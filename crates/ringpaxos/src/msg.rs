@@ -7,6 +7,10 @@ use simnet::ids::NodeId;
 
 use crate::value::{Batch, Value};
 
+/// Wire size of a control-only message on either ring (a 2B, a decision,
+/// a repair request's base); the floor of every payload message's.
+pub const CTL_BYTES: u32 = 32;
+
 /// Messages exchanged by M-Ring Paxos processes (Algorithm 2 plus the
 /// engineering machinery of §3.3.4–§3.3.7).
 #[derive(Clone, Debug)]

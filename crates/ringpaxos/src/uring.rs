@@ -18,17 +18,17 @@
 //!
 //! # Durable votes
 //!
-//! Where an acceptor writes its vote (`cfg.storage` other than
-//! `InMemory`; always under `with_recovery`), it appends it to a
-//! `recovery::VoteLog`, as M-Ring's acceptors do, and the log says when
-//! the vote may leave. Unlike Algorithm 3, which forwards the 2A only
-//! with the vote on it, the acceptor relays the 2A on arrival
+//! Where an acceptor writes its vote (`cfg.storage` is `SyncDisk`;
+//! always under `with_recovery`), it appends it to a
+//! `recovery::VoteLog`, as M-Ring's acceptors do, and the log hands it
+//! back once it is durable. Unlike Algorithm 3, which forwards the 2A
+//! only with the vote on it, the acceptor relays the 2A on arrival
 //! (`UMsg::Phase2a`, same `hop_bytes`, so each payload still crosses
 //! each link once). Its vote follows as a control-sized `UMsg::Phase2b`
-//! once the log releases it *and* its predecessor's 2B has arrived; the
-//! last acceptor decides on the same two conditions. So the segment's
-//! acceptors write in parallel, and, writing ahead, a vote counts only
-//! once it is durable at its acceptor and every acceptor upstream. A
+//! once it is durable *and* its predecessor's 2B has arrived; the last
+//! acceptor decides on the same two conditions. So the segment's
+//! acceptors write in parallel, and a vote counts only once it is
+//! durable at its acceptor and every acceptor upstream. A
 //! vote that needs no write (an in-memory ring, or a re-proposal already
 //! durable at that round) rides on the 2A as `UMsg::Phase2ab`, exactly
 //! as in Algorithm 3. What an acceptor owes its successor — including a
@@ -117,7 +117,7 @@ use simnet::prelude::*;
 
 use crate::config::{StorageMode, URingConfig};
 use crate::control::{assert_writes_ahead, persist_promise, Phase1, ProbeStep, RingProbe, Votes};
-use crate::msg::UMsg;
+use crate::msg::{UMsg, CTL_BYTES};
 use crate::value::{batch_bytes, Batch, BatchData, Value};
 
 const T_BATCH: u64 = 1 << 56;
@@ -207,8 +207,9 @@ pub struct URingProcess {
     round: Round,
     coord: Option<UCoord>,
     acceptor: Option<Acceptor<Batch>>,
-    /// Learner state: buffered decisions waiting for in-order delivery.
-    learner: Option<ULearner>,
+    /// Learner state (every process learns): buffered decisions waiting
+    /// for in-order delivery.
+    learner: ULearner,
     prop: Option<UProposer>,
     log: Option<SharedLog>,
     /// The acceptor's vote log: over the node's stable store under
@@ -242,7 +243,7 @@ struct OwedVote {
     round: Round,
     /// The 2A's batch; `None` while only the predecessor's 2B has come.
     batch: Option<Batch>,
-    /// The vote log released this acceptor's vote, and it is cast.
+    /// The vote log handed this acceptor's vote back, and it is cast.
     durable: bool,
     /// Every acceptor upstream has voted: the 2A came as a `Phase2ab`,
     /// or the predecessor's `Phase2b` arrived.
@@ -250,6 +251,8 @@ struct OwedVote {
 }
 
 struct ULearner {
+    /// This learner's index in the delivery log: its deployment position
+    /// (`pos` moves with the ring layout).
     index: usize,
     /// Decided batches, handed on in instance order.
     order: Learner<Batch>,
@@ -285,7 +288,6 @@ impl URingProcess {
         let failover = cfg.suspicion_timeout.is_some();
         let is_coord = pos == 0;
         let is_acceptor = cfg.acceptor_positions.contains(&pos);
-        let learner_index = cfg.learner_positions.iter().position(|&p| p == pos);
         let coord = is_coord.then(|| UCoord {
             pending: VecDeque::new(),
             pending_bytes: 0,
@@ -299,13 +301,10 @@ impl URingProcess {
             let _ = a.receive_1a(round);
             a
         });
-        let learner = learner_index.map(|index| ULearner {
-            index,
-            order: Learner::new(),
-            delivered: DeliveredTracker::new(),
-        });
+        let learner =
+            ULearner { index: pos, order: Learner::new(), delivered: DeliveredTracker::new() };
         let wal = (is_acceptor && cfg.storage != StorageMode::InMemory)
-            .then(|| VoteLog::new(stable(), cfg.storage, T_WAL));
+            .then(|| VoteLog::new(stable(), T_WAL));
         let all_nodes = cfg.ring.clone();
         let acceptor_nodes: Vec<NodeId> =
             cfg.acceptor_positions.iter().map(|&p| cfg.ring[p]).collect();
@@ -347,7 +346,7 @@ impl URingProcess {
         let last = self.cfg.last_acceptor_pos();
         let peer = self.cfg.ring[if self.pos == last { 0 } else { last }];
         if self.acceptor.is_some() {
-            let wal = VoteLog::new(rec.store.clone(), self.cfg.storage, T_WAL);
+            let wal = VoteLog::new(rec.store.clone(), T_WAL);
             if rec.resumed {
                 // Replay the durable vote log. The promised round also
                 // fences this process: stale pre-crash epochs fail the
@@ -381,14 +380,13 @@ impl URingProcess {
                 self.coord = None;
             }
             // Learner role: restore the durable checkpoint.
-            if let Some(l) = self.learner.as_mut() {
-                let cp = state.lr.resume();
-                l.order.resume_at(cp.watermark);
-                l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
-                state.cache.trim_below(cp.watermark);
-                if let Some(log) = self.log.as_ref() {
-                    log.lock().unwrap().mark_restart(l.index, cp.log_pos as usize);
-                }
+            let l = &mut self.learner;
+            let cp = state.lr.resume();
+            l.order.resume_at(cp.watermark);
+            l.delivered = DeliveredTracker::restore(cp.marks, cp.parked);
+            state.cache.trim_below(cp.watermark);
+            if let Some(log) = self.log.as_ref() {
+                log.lock().unwrap().mark_restart(l.index, cp.log_pos as usize);
             }
         }
         if let Some(p) = self.prop.as_mut() {
@@ -399,8 +397,8 @@ impl URingProcess {
     }
 
     /// The instance this process resumes delivering from (tests).
-    pub fn next_deliver(&self) -> Option<InstanceId> {
-        self.learner.as_ref().map(|l| l.order.next_instance())
+    pub fn next_deliver(&self) -> InstanceId {
+        self.learner.order.next_instance()
     }
 
     fn successor(&self) -> NodeId {
@@ -430,7 +428,7 @@ impl URingProcess {
             // all precomputed at pack time (one table read).
             batch.bytes_needed_beyond(next_pos)
         };
-        (bytes.min(u32::MAX as u64) as u32).max(self.cfg.ctl_bytes)
+        (bytes.min(u32::MAX as u64) as u32).max(CTL_BYTES)
     }
 
     fn next_pos(&self) -> usize {
@@ -441,8 +439,12 @@ impl URingProcess {
         // TCP back-pressure: a real proposer blocks in `send` when the
         // socket buffer to its successor is full (§3.3.6). We shed the
         // tick instead (the pacer self-clocks to the sustainable rate).
-        let full_buffer =
-            self.prop.as_ref().is_some_and(|p| p.inflight >= self.cfg.proposer_inflight);
+        // Values a proposer may have in flight (proposed, not yet seen
+        // delivered): the paper's per-proposer circular buffer; when it
+        // is full the proposer blocks, self-clocking to what the ring
+        // sustains. Sized by the deployed membership.
+        let budget = (6 * self.all_nodes.len() as u32).max(32);
+        let full_buffer = self.prop.as_ref().is_some_and(|p| p.inflight >= budget);
         // A spliced-out process has no live successor: shed until the
         // coordinator splices us back in (JoinReq).
         let blocked = self.excluded
@@ -659,14 +661,11 @@ impl URingProcess {
             // lose that write's completion (`VoteLog::on_token`).
             let bytes = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(1);
             let wal = self.wal.as_mut().expect("a write needs the log");
-            if !wal.append(instance, round, batch.clone(), bytes, ctx) {
-                return; // `on_token` hands the vote back
-            }
-            // Written behind: the vote may go ahead of its write.
+            wal.append(instance, round, batch, bytes, ctx); // `on_token` hands it back
+        } else {
+            // Nothing to write: only the predecessor's 2B is missing.
+            self.on_durable(instance, round, batch, ctx);
         }
-        // Durable, or nothing to write: only the predecessor's 2B may
-        // still be missing.
-        self.on_durable(instance, round, batch, ctx);
     }
 
     /// The predecessor's vote arrives — and with it, every vote before it.
@@ -675,7 +674,7 @@ impl URingProcess {
             return;
         }
         let Some(a) = self.acceptor.as_ref() else {
-            ctx.tcp_send(self.successor(), UMsg::Phase2b { instance, round }, self.cfg.ctl_bytes);
+            ctx.tcp_send(self.successor(), UMsg::Phase2b { instance, round }, CTL_BYTES);
             return;
         };
         let voted = a.vote(instance).is_some_and(|v| v.v_rnd == round);
@@ -751,7 +750,7 @@ impl URingProcess {
             let wire = self.hop_bytes(&batch, self.next_pos(), false);
             ctx.tcp_send(self.successor(), UMsg::Phase2ab { instance, round, batch }, wire);
         } else {
-            ctx.tcp_send(self.successor(), UMsg::Phase2b { instance, round }, self.cfg.ctl_bytes);
+            ctx.tcp_send(self.successor(), UMsg::Phase2b { instance, round }, CTL_BYTES);
         }
     }
 
@@ -789,7 +788,7 @@ impl URingProcess {
     }
 
     fn learner_ready(&mut self, instance: InstanceId, batch: &Batch, ctx: &mut Ctx) {
-        let Some(l) = self.learner.as_mut() else { return };
+        let l = &mut self.learner;
         l.order.on_decision(instance, batch.clone());
         // U-Ring Paxos lets a learner process a decision before forwarding
         // it (§3.3.6) — delivery happens inline, in instance order.
@@ -831,7 +830,8 @@ impl URingProcess {
                 }
             }
         }
-        if let (Some(rec), Some(l)) = (self.rec.as_mut(), self.learner.as_ref()) {
+        if let Some(rec) = self.rec.as_mut() {
+            let l = &self.learner;
             rec.lr.maybe_checkpoint(l.order.next_instance(), || l.delivered.export(), ctx);
         }
     }
@@ -841,7 +841,7 @@ impl URingProcess {
     /// peer has fallen below the cache's trim point (state transfer).
     fn serve_catchup(&mut self, from: NodeId, next: InstanceId, ctx: &mut Ctx) {
         let Some(rec) = self.rec.as_ref() else { return };
-        let mut wire = self.cfg.ctl_bytes as u64;
+        let mut wire = CTL_BYTES as u64;
         let mut eff = next;
         let snap = if next < rec.cache.base() {
             let cp = rec.lr.store.lock().unwrap().checkpoint.clone();
@@ -878,7 +878,7 @@ impl URingProcess {
                 return; // a retry's duplicate reply after completion
             }
             if let Some(cp) = snap {
-                let l = self.learner.as_mut().expect("catch-up requester is a learner");
+                let l = &mut self.learner;
                 if rec.lr.adopt(&cp, l.order.next_instance()) {
                     // State transfer: adopt the peer's checkpoint.
                     l.order.resume_at(cp.watermark);
@@ -900,7 +900,7 @@ impl URingProcess {
             let round = self.round;
             self.on_decision(i, b, 1, round, ctx);
         }
-        let next = self.learner.as_ref().map_or(upto, |l| l.order.next_instance());
+        let next = self.learner.order.next_instance();
         // Done: caught up to the responder's horizon, and the live ring
         // flow (buffered in `ready` during catch-up) takes over. Wait:
         // the responder could not serve (e.g. it is itself recovering).
@@ -924,7 +924,7 @@ impl URingProcess {
     /// Asks the catch-up peer for the decided suffix from `next`.
     fn ask_catchup(&mut self, next: InstanceId, ctx: &mut Ctx) {
         if let Some(rec) = self.rec.as_ref() {
-            ctx.tcp_send(rec.peer, UMsg::CatchupReq { from: self.me, next }, self.cfg.ctl_bytes);
+            ctx.tcp_send(rec.peer, UMsg::CatchupReq { from: self.me, next }, CTL_BYTES);
         }
     }
 
@@ -996,7 +996,7 @@ impl URingProcess {
     /// This process's delivery watermark (everything below is decided
     /// and delivered here).
     fn decided_below_here(&self) -> InstanceId {
-        self.learner.as_ref().map_or(InstanceId(0), |l| l.order.next_instance())
+        self.learner.order.next_instance()
     }
 
     /// Moves to `round`, durably if this process is an acceptor with a
@@ -1050,9 +1050,9 @@ impl URingProcess {
     /// Records the configuration epoch in the delivery log so the
     /// checker can verify per-learner epoch monotonicity.
     fn mark_epoch(&mut self) {
-        if let (Some(l), Some(log)) = (self.learner.as_ref(), self.log.as_ref()) {
+        if let Some(log) = self.log.as_ref() {
             let epoch = (self.round.counter << 32) | self.round.owner as u64;
-            log.lock().unwrap().mark_epoch(l.index, epoch);
+            log.lock().unwrap().mark_epoch(self.learner.index, epoch);
         }
     }
 
@@ -1063,7 +1063,7 @@ impl URingProcess {
         let msg = UMsg::NewRing { round: self.round, coord: self.me, ring: self.cfg.ring.clone() };
         for &n in &self.all_nodes {
             if n != self.me {
-                ctx.tcp_send(n, msg.clone(), self.cfg.ctl_bytes);
+                ctx.tcp_send(n, msg.clone(), CTL_BYTES);
             }
         }
     }
@@ -1113,7 +1113,7 @@ impl URingProcess {
         let msg = UMsg::Phase1a { round, from: self.me };
         for &n in &self.acceptor_nodes.clone() {
             if n != self.me {
-                ctx.tcp_send(n, msg.clone(), self.cfg.ctl_bytes);
+                ctx.tcp_send(n, msg.clone(), CTL_BYTES);
             }
         }
         // Self-promise with this acceptor's own vote state.
@@ -1136,9 +1136,8 @@ impl URingProcess {
             return;
         }
         let (votes, decided_below) = self.own_votes(round);
-        let wire = (self.cfg.ctl_bytes as u64
-            + votes.iter().map(|(_, _, b)| batch_bytes(b)).sum::<u64>())
-        .min(u32::MAX as u64) as u32;
+        let wire = (CTL_BYTES as u64 + votes.iter().map(|(_, _, b)| batch_bytes(b)).sum::<u64>())
+            .min(u32::MAX as u64) as u32;
         ctx.tcp_send(from, UMsg::Phase1b { round, from: self.me, votes, decided_below }, wire);
     }
 
@@ -1264,7 +1263,7 @@ impl URingProcess {
         self.mark_epoch();
         self.last_coord_activity = ctx.now();
         if self.excluded {
-            ctx.tcp_send(coord, UMsg::JoinReq { from: self.me }, self.cfg.ctl_bytes);
+            ctx.tcp_send(coord, UMsg::JoinReq { from: self.me }, CTL_BYTES);
         }
     }
 
@@ -1280,7 +1279,7 @@ impl URingProcess {
         }
         self.last_coord_activity = ctx.now();
         if self.excluded {
-            ctx.tcp_send(coord, UMsg::JoinReq { from: self.me }, self.cfg.ctl_bytes);
+            ctx.tcp_send(coord, UMsg::JoinReq { from: self.me }, CTL_BYTES);
         }
         self.revive_catchup_chain(ctx);
     }
@@ -1293,9 +1292,6 @@ impl URingProcess {
     /// receive: re-arm the chain when its last tick is implausibly old
     /// (a live chain ticks every `CATCHUP_RETRY`).
     fn revive_catchup_chain(&mut self, ctx: &mut Ctx) {
-        if self.learner.is_none() {
-            return;
-        }
         let Some(rec) = self.rec.as_mut() else { return };
         if ctx.now().saturating_since(rec.last_tick) > CATCHUP_RETRY * 4 {
             rec.last_tick = ctx.now();
@@ -1313,7 +1309,7 @@ impl URingProcess {
             UMsg::Heartbeat { round: self.round, coord: self.me, ring: self.cfg.ring.clone() };
         for &n in &self.all_nodes.clone() {
             if n != self.me {
-                ctx.tcp_send(n, msg.clone(), self.cfg.ctl_bytes);
+                ctx.tcp_send(n, msg.clone(), CTL_BYTES);
             }
         }
         self.ring_repair_check(ctx);
@@ -1339,7 +1335,7 @@ impl URingProcess {
         ctx.counter_add("rp.ring_probe", 1);
         for &n in &self.all_nodes.clone() {
             if n != self.me {
-                ctx.tcp_send(n, UMsg::Ping { from: self.me }, self.cfg.ctl_bytes);
+                ctx.tcp_send(n, UMsg::Ping { from: self.me }, CTL_BYTES);
             }
         }
     }
@@ -1440,12 +1436,9 @@ impl Actor for URingProcess {
         }
         if let Some(rec) = self.rec.as_mut() {
             ctx.set_timer(REPROP_INTERVAL, TimerToken(T_REPROP));
-            if self.learner.is_some() {
-                // Persistent tick: drives catch-up retries while
-                // recovering and re-enters catch-up if a delivery gap
-                // gets stuck later.
-                ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
-            }
+            // Persistent tick: drives catch-up retries while recovering
+            // and re-enters catch-up if a delivery gap gets stuck later.
+            ctx.set_timer(CATCHUP_RETRY, TimerToken(T_CATCHUP));
             if rec.lr.start(ctx.now()) {
                 ctx.counter_add("rec.restarts", 1);
                 self.ask_catchup(self.decided_below_here(), ctx);
@@ -1501,7 +1494,7 @@ impl Actor for URingProcess {
             }
             UMsg::Ping { from } => {
                 let from = *from;
-                ctx.tcp_send(from, UMsg::Pong { from: self.me }, self.cfg.ctl_bytes);
+                ctx.tcp_send(from, UMsg::Pong { from: self.me }, CTL_BYTES);
             }
             UMsg::Pong { from } => {
                 if let Some(c) = self.coord.as_mut() {
@@ -1559,7 +1552,7 @@ impl Actor for URingProcess {
                 }
             }
             T_CATCHUP => {
-                let Some(l) = self.learner.as_ref() else { return };
+                let l = &self.learner;
                 let next = l.order.next_instance();
                 // Decisions buffered above an undelivered gap mean the
                 // live flow skipped instances this learner is missing.

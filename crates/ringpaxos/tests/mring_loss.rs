@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use ringpaxos::cluster::{deploy_mring, MRingOptions};
 use ringpaxos::config::PartitionConfig;
 use ringpaxos::mring::MRingProcess;
-use ringpaxos::msg::MMsg;
+use ringpaxos::msg::{MMsg, CTL_BYTES};
 use ringpaxos::{MRingConfig, Value};
 use simnet::prelude::*;
 use simnet::probe::{code, ProbeEvent};
@@ -47,8 +47,6 @@ const MSG_BYTES: u32 = 4096;
 /// positions need [`RESUME_WITHIN_8K`].
 const MSG_BYTES_8K: u32 = 8192;
 const RESUME_WITHIN_8K: Dur = Dur::micros(2_500);
-/// `MRingConfig::ctl_bytes`: a 2B, a decision, a repair request's base.
-const CTL_BYTES: u64 = 32;
 
 /// The nodes of a deployed ring, as the cells need them.
 struct Ring {
@@ -201,7 +199,7 @@ fn instance_of(e: &ProbeEvent) -> u64 {
 }
 
 /// A `NET_SEND` probe's `(destinations, carries a payload)`: control
-/// messages are `ctl_bytes` (32) plus a few words, payloads kilobytes.
+/// messages are `CTL_BYTES` (32) plus a few words, payloads kilobytes.
 fn send_shape(e: &ProbeEvent) -> (u64, bool) {
     (e.arg >> 32, e.arg & 0xFFFF_FFFF >= 1024)
 }
@@ -247,7 +245,7 @@ fn expected_repair(pos: Position) -> (u64, u64, u64) {
 fn reply_bytes(pos: Position, msg_bytes: u32) -> Option<u64> {
     match pos {
         Position::TwoALearner => Some(msg_bytes as u64),
-        Position::DecisionLearner | Position::DecisionForeign => Some(CTL_BYTES),
+        Position::DecisionLearner | Position::DecisionForeign => Some(CTL_BYTES as u64),
         _ => None,
     }
 }

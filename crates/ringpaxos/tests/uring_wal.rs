@@ -249,8 +249,8 @@ fn groups_keep_the_ring_ahead_of_320_mbps_of_16kb_values() {
 }
 
 /// A 2B that reaches an acceptor before its 2A is held, not dropped: the
-/// 2A completes the vote, on the write-ahead path, the write-behind one
-/// and the in-memory one. Without the 2B the same 2A decides nothing.
+/// 2A completes the vote, on the write-ahead path and the in-memory one.
+/// Without the 2B the same 2A decides nothing.
 #[test]
 fn a_2b_that_overtakes_its_2a_is_held() {
     let run = |storage: StorageMode, send_2b: bool| -> usize {
@@ -284,7 +284,7 @@ fn a_2b_that_overtakes_its_2a_is_held() {
         assert!(log.sequence(1).iter().chain(log.sequence(2)).all(|&id| id == MsgId(7)));
         log.sequence(2).len()
     };
-    for storage in [StorageMode::SyncDisk, StorageMode::AsyncDisk, StorageMode::InMemory] {
+    for storage in [StorageMode::SyncDisk, StorageMode::InMemory] {
         assert_eq!(run(storage, true), 1, "{storage:?}: the held 2B completes the vote");
         assert_eq!(run(storage, false), 0, "{storage:?}: no 2B, no decision");
     }
@@ -427,17 +427,17 @@ fn an_mring_2b_leaves_only_at_the_round_its_write_carried() {
     assert!(after > before + 20, "delivery resumed: {before} → {after}");
 }
 
-/// Recovery replays the vote log, so it refuses a ring whose votes can
-/// leave before they are durable, and names the mode.
+/// Recovery replays the vote log, so it refuses a ring that keeps its
+/// votes in memory, and names the mode.
 #[test]
-#[should_panic(expected = "not AsyncDisk")]
+#[should_panic(expected = "not InMemory")]
 fn mring_recovery_refuses_a_mode_that_does_not_write_ahead() {
     let mut sim = Sim::new(SimConfig::default());
     let opts = MRingOptions::default();
-    deploy_mring_recoverable(&mut sim, &opts, 0, |c| c.storage = StorageMode::AsyncDisk, |_| None);
+    deploy_mring_recoverable(&mut sim, &opts, 0, |c| c.storage = StorageMode::InMemory, |_| None);
 }
 
-/// The same refusal on U-Ring, for a ring that keeps votes in memory.
+/// The same refusal on U-Ring.
 #[test]
 #[should_panic(expected = "not InMemory")]
 fn uring_recovery_refuses_a_mode_that_does_not_write_ahead() {

@@ -136,23 +136,6 @@ impl SimConfig {
             + Dur::nanos(bits.saturating_mul(1_000_000_000) / self.disk_bandwidth_bps)
     }
 
-    /// Time to persist `bytes` when the writer coalesces small appends
-    /// into `unit`-sized device writes (the paper batches votes into
-    /// 32 KB units, §3.5.5): the per-operation latency is amortized over
-    /// the share of the unit this write occupies.
-    pub fn disk_write_time_coalesced(&self, bytes: u32, unit: u32) -> Dur {
-        let bits = bytes as u64 * 8;
-        // Zero disk bandwidth means infinite: no transfer delay.
-        let xfer = bits
-            .saturating_mul(1_000_000_000)
-            .checked_div(self.disk_bandwidth_bps)
-            .map_or(Dur::ZERO, Dur::nanos);
-        let unit = unit.max(1) as u64;
-        let amortized_op =
-            Dur::nanos(self.disk_op_latency.as_nanos().saturating_mul(bytes as u64) / unit);
-        xfer + amortized_op
-    }
-
     /// Queue occupancy, in bytes, implied by a link that is busy for
     /// `backlog` more time at this configuration's bandwidth. With zero
     /// (infinite) bandwidth nothing ever queues.
@@ -232,8 +215,6 @@ mod tests {
         assert_eq!(cfg.tx_time(8192), Dur::ZERO);
         assert_eq!(cfg.tx_time(u32::MAX / 2), Dur::ZERO);
         assert_eq!(cfg.disk_write_time(32 * 1024), cfg.disk_op_latency);
-        let coalesced = cfg.disk_write_time_coalesced(4096, 32 * 1024);
-        assert!(coalesced < cfg.disk_op_latency, "only the amortized op latency remains");
         assert_eq!(cfg.backlog_bytes(Dur::secs(5)), 0, "an infinite link never queues");
     }
 

@@ -109,23 +109,6 @@ impl SimInner {
     /// node's actor when the write is durable.
     pub fn disk_write_on(&mut self, node: NodeId, bytes: u32, token: TimerToken) {
         let t = self.config().disk_write_time(bytes);
-        self.disk_push(node, bytes, t, token);
-    }
-
-    /// Issues a disk write of `bytes` that the writer coalesces into
-    /// `unit`-sized device operations (amortized op latency).
-    pub fn disk_write_coalesced_on(
-        &mut self,
-        node: NodeId,
-        bytes: u32,
-        unit: u32,
-        token: TimerToken,
-    ) {
-        let t = self.config().disk_write_time_coalesced(bytes, unit);
-        self.disk_push(node, bytes, t, token);
-    }
-
-    fn disk_push(&mut self, node: NodeId, bytes: u32, t: Dur, token: TimerToken) {
         let now = self.now();
         let n = self.node_mut(node);
         let t = scaled(t, n.disk_slowdown);

@@ -22,6 +22,14 @@
 //!   the arena hits a steady state where packet churn touches the global
 //!   allocator not at all.
 //!
+//! What it buys, measured with `perf_smoke --paired` (bare rings,
+//! events/s of an `Rc<dyn Any>` `Payload` over this arena's, on a 2-core
+//! x86-64 VM): a median ratio of 0.958× in each of three runs of 41
+//! interleaved pairs, and 0.992× in a later run of 41 pairs pinned to
+//! one core (the `Rc` build slower in 24 of the 41; quartiles 0.957–1.017×).
+//! So the arena saves at most ~4 % of engine time, about the size of
+//! this host's pair-to-pair spread.
+//!
 //! # Reset lifecycle
 //!
 //! The arena never returns memory to the operating system. Recycling is

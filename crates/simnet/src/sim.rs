@@ -366,12 +366,6 @@ impl Ctx<'_> {
         self.inner.disk_write_on(self.node, bytes, token);
     }
 
-    /// Writes `bytes` coalesced into `unit`-sized device operations;
-    /// `token` fires when durable. Models append-style vote logs.
-    pub fn disk_write_coalesced(&mut self, bytes: u32, unit: u32, token: TimerToken) {
-        self.inner.disk_write_coalesced_on(self.node, bytes, unit, token);
-    }
-
     /// Outstanding work queued on the local disk.
     pub fn disk_backlog(&self) -> Dur {
         self.inner.disk_backlog_of(self.node)
