@@ -308,9 +308,9 @@ fn bench_simcore(c: &mut Criterion) {
         })
     });
 
-    // Payload arena churn in isolation: one allocation + two clones +
+    // Payload churn in isolation: one `Rc` allocation + two clones +
     // drops per iteration, the per-packet pattern of a 3-hop relay.
-    g.bench_function("payload_arena_roundtrip_10k", |b| {
+    g.bench_function("payload_roundtrip_10k", |b| {
         #[derive(Clone, Copy)]
         struct Msg {
             _instance: u64,

@@ -66,7 +66,7 @@ impl SimInner {
             }
             self.node_mut(dst).socket_used += wire_bytes as u64;
         }
-        let cost = self.costs_for(wire_bytes).recv;
+        let cost = self.config.recv_cost(wire_bytes);
         let now = self.now;
         let done = self.charge_core(dst, 0, now, cost);
         self.schedule(done, EventKind::Deliver(id));

@@ -1,6 +1,5 @@
 //! Network layer: the datagram pipeline (send CPU → uplink → switch
-//! egress → socket buffer), IP-multicast fan-out, the per-size cost
-//! cache, and TCP channels.
+//! egress → socket buffer), IP-multicast fan-out, and TCP channels.
 //!
 //! # Layer boundary
 //!
@@ -26,40 +25,17 @@ use crate::sim::{Envelope, SimInner, Transport};
 use crate::stats::mid;
 use crate::time::{Dur, Time};
 
-/// Per-size datagram costs, computed once per distinct wire size and
-/// reused from [`CostCache`]. The cached values come from the exact
-/// [`crate::config::SimConfig`] formulas, so virtual-time results are
-/// bit-identical to recomputing them per packet.
-#[derive(Clone, Copy, Default)]
+/// The costs of one datagram, from the [`crate::config::SimConfig`]
+/// formulas. Computed once per send and shared by every destination of
+/// its fan-out.
+#[derive(Clone, Copy)]
 pub(crate) struct SizeCosts {
     /// CPU cost of the send system call.
     pub(crate) send: Dur,
     /// Link serialization time.
     pub(crate) tx: Dur,
-    /// CPU cost of receive processing.
-    pub(crate) recv: Dur,
     /// Bytes occupying the wire.
     pub(crate) wire: u64,
-}
-
-pub(crate) const COST_CACHE_WAYS: usize = 64;
-
-/// Direct-mapped cache of [`SizeCosts`] keyed by payload size. Protocol
-/// traffic reuses a handful of sizes (control messages, paced batches),
-/// while the cost formulas each pay a 64-bit division (`frames_for`,
-/// `tx_time`) — three real divides per datagram without the cache. The
-/// config is frozen once the [`crate::sim::Sim`] is built, so entries
-/// never go stale.
-pub(crate) struct CostCache {
-    /// `bytes.wrapping_add(1)` of the resident entry (0 = empty).
-    tags: [u32; COST_CACHE_WAYS],
-    costs: [SizeCosts; COST_CACHE_WAYS],
-}
-
-impl Default for CostCache {
-    fn default() -> CostCache {
-        CostCache { tags: [0; COST_CACHE_WAYS], costs: [SizeCosts::default(); COST_CACHE_WAYS] }
-    }
 }
 
 /// One directed TCP channel: the sender's unsent queue and window
@@ -83,24 +59,13 @@ pub(crate) struct TcpChannel {
 }
 
 impl SimInner {
-    /// Exact per-size costs of a datagram, served from the cost cache.
-    #[inline]
-    pub(crate) fn costs_for(&mut self, bytes: u32) -> SizeCosts {
-        let tag = bytes.wrapping_add(1);
-        let i = (bytes.wrapping_mul(0x9E37_79B9) >> 26) as usize % COST_CACHE_WAYS;
-        let cache = &self.cost_cache;
-        if cache.tags[i] == tag {
-            return cache.costs[i];
-        }
-        let c = SizeCosts {
+    /// The costs of a datagram of `bytes` payload.
+    fn costs_for(&self, bytes: u32) -> SizeCosts {
+        SizeCosts {
             send: self.config.send_cost(bytes),
             tx: self.config.tx_time(bytes),
-            recv: self.config.recv_cost(bytes),
             wire: self.config.wire_bytes(bytes),
-        };
-        self.cost_cache.tags[i] = tag;
-        self.cost_cache.costs[i] = c;
-        c
+        }
     }
 
     /// Sends a datagram: charges the sender CPU and uplink, then fans out

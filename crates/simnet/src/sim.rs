@@ -17,8 +17,8 @@
 //!   sorted buckets + overflow heap). Knows nothing of the simulation.
 //! * [`crate::host`] — per-node machine: CPU cores, link clocks, disk,
 //!   timers. Never crosses a node boundary.
-//! * [`crate::net`] — the datagram pipeline, multicast fan-out, cost
-//!   cache, and TCP channels. Spans exactly two nodes per operation.
+//! * [`crate::net`] — the datagram pipeline, multicast fan-out and TCP
+//!   channels. Spans exactly two nodes per operation.
 //! * [`crate::dispatch`] — the event vocabulary and the actor run loop:
 //!   pop the smallest `(time, seq)` key, dispatch it.
 //!
@@ -104,7 +104,7 @@ use crate::dispatch::EventKind;
 use crate::event_queue::{EventQueue, Slab};
 use crate::host::Node;
 use crate::ids::{GroupId, NodeId, TimerToken};
-use crate::net::{CostCache, TcpChannel};
+use crate::net::TcpChannel;
 use crate::payload::Payload;
 use crate::probe::{ProbeConfig, ProbeEvent, Tracer};
 use crate::stats::{MetricId, Metrics};
@@ -187,8 +187,6 @@ pub struct SimInner {
     pub(crate) tcp_index: Vec<u32>,
     /// Node count `tcp_index` was laid out for.
     pub(crate) tcp_nodes: usize,
-    /// Memo of the pure per-size datagram costs.
-    pub(crate) cost_cache: CostCache,
     /// Symmetrically cut links (fault injection): unordered node pairs
     /// stored as `(lo, hi)`. Traffic on a cut link — every transport,
     /// TCP included — is dropped at the switch (`net.part_drop`).
@@ -471,7 +469,6 @@ impl Sim {
                 tcp: Vec::new(),
                 tcp_index: Vec::new(),
                 tcp_nodes: 0,
-                cost_cache: CostCache::default(),
                 cut_links: std::collections::HashSet::new(),
                 probe_mask: 0,
                 tracer: Tracer::default(),
