@@ -45,27 +45,50 @@
 //! observes. No signal can fire on a loss-free run: datagrams between
 //! one sender and one receiver arrive in send order there.
 //!
-//! * **Mid-ring acceptor** — a `Phase2b` arrives for an instance the
-//!   acceptor has not voted on in that round. The 2B proves its sender
-//!   voted, so the sender holds the value and this acceptor's 2A copy is
-//!   missing: the acceptor holds the 2B (`early_2b`) and asks the sender
-//!   for that one instance (`RetransReq`); the `RetransRep` is voted on
-//!   like the 2A it replaces and releases the held 2B. Backstop: the
-//!   coordinator's re-multicast below.
-//! * **Coordinator** — 2Bs complete the ring in instance order, so a
-//!   decision for instance `j` while an `i < j` is still outstanding
-//!   shows `i` was overtaken. Reordering and an acceptor-side repair
-//!   (one control hop and one payload transfer, less than the ring trip
-//!   of a payload transfer and two or more hops) can overtake it too,
-//!   so the allowance is the ring trip `j` just measured: once `j`,
-//!   proposed at least that long after `i`, is decided, `i` has been
-//!   out for two ring trips and its relay broke — its 2A never reached
-//!   the first acceptor, or a 2B was lost on some hop. The coordinator
-//!   re-multicasts the 2A once ("duplicate 2A restarts the vote relay"
-//!   in `vote_2a`). No constant: the allowance stretches with the
-//!   ring's queues, so overload does not turn into repair load.
-//!   Backstop: the `FLOW_TICK` sweep re-multicasts
-//!   whatever is still undecided `RE2A_OVERDUE` after its last 2A.
+//! A ring-level loss is found on the link that lost it. Each ring link
+//! carries one sender's datagrams in instance order — the
+//! coordinator's 2As to the first acceptor, each acceptor's 2Bs to its
+//! successor (the last one's to the coordinator) — so a receiver that
+//! gets instance `j` on a link while an earlier `k` has not come
+//! (`LinkOrder`) knows `k` was lost on it, and asks that link's sender,
+//! one round trip away. A link is keyed by its sender and round, so a
+//! takeover or a ring reform starts it afresh.
+//!
+//! * **2A → first acceptor** — the first acceptor asks the coordinator
+//!   (`RetransReq`) for each overtaken instance it has neither voted on
+//!   nor asked for; the `RetransRep` is voted on like the 2A it
+//!   replaces and starts the 2B relay. A mid-ring acceptor does not ask
+//!   the coordinator: its predecessor's 2B shows the loss soon enough,
+//!   and the coordinator's uplink is the ring's busiest.
+//! * **2A → mid-ring acceptor** — a `Phase2b` arrives for an instance
+//!   the acceptor has not voted on in that round. The 2B proves its
+//!   sender voted, so the sender holds the value: the acceptor holds
+//!   the 2B (`early_2b`) and asks the sender for that one instance
+//!   (`RetransReq`); the `RetransRep` is voted on like the 2A it
+//!   replaces and releases the held 2B.
+//! * **2B on any hop** — the receiver, a mid-ring acceptor or the
+//!   coordinator, asks its predecessor (`Resend2b`) for each overtaken
+//!   2B of an undecided instance of the round: at the coordinator an
+//!   outstanding one, at a mid-ring acceptor one it voted on in the
+//!   round, which proves it proposed. The predecessor sends again only
+//!   a 2B it sent at that round before the overtaking one
+//!   (`AccState::sent_2b`): one sent after it is on its way, one held
+//!   for its 2A or its write leaves when it is released, and one never
+//!   sent may lack the votes upstream of it. Every receiver downstream
+//!   of a ring-level loss asks once, so most asks find nothing to send.
+//! * **Coordinator, second line** — 2Bs complete the ring in instance
+//!   order, so a decision for instance `j` while an `i < j` is still
+//!   outstanding shows `i` was overtaken. Reordering and the link
+//!   repairs above (one control hop and at most one payload transfer)
+//!   overtake it too, so the allowance is the ring trip `j` just
+//!   measured: once `j`, proposed at least that long after `i`, is
+//!   decided, `i` has been out for two ring trips and its relay broke
+//!   — a link repair was lost as well. The coordinator re-multicasts
+//!   the 2A once ("duplicate 2A restarts the vote relay" in
+//!   `vote_2a`). No constant: the allowance stretches with the ring's
+//!   queues, so overload does not turn into repair load. Backstop: the
+//!   `FLOW_TICK` sweep re-multicasts whatever is still undecided
+//!   `RE2A_OVERDUE` after its last 2A.
 //! * **Learner** — an instance decided for its mask that it cannot
 //!   deliver: the rule, and the `SWEEP_TICK` sweep behind it, are
 //!   [`crate::mlearner`]'s ("What is asked for"), shared with the
@@ -79,9 +102,11 @@
 //!   sent `PROPOSAL_RESEND_AFTER` ago and one sent after it was
 //!   delivered (`ProposerState::take_resend` has the exact rule).
 //!
-//! Repairs count under `rp.retrans` (per reply to a `RetransReq`),
-//! `rp.re2a` (per re-multicast) and `rp.resubmit` (per proposal
-//! resend); `rp.repair_spurious` counts fast repairs whose 2A then arrived by
+//! Repairs count under `rp.retrans` (per reply to a `RetransReq`, per
+//! 2B sent again), `rp.re2a` (per re-multicast) and `rp.resubmit` (per
+//! proposal resend); `rp.ask_2b` counts 2Bs asked for again and
+//! `rp.ask_2b_unmet` those the predecessor did not send;
+//! `rp.repair_spurious` counts fast repairs whose 2A then arrived by
 //! multicast anyway (reordered, or a coordinator re-multicast racing an
 //! acceptor's repair).
 //!
@@ -265,9 +290,18 @@ struct AccState {
     decided_below: InstanceId,
     /// Phase 2B held until the matching 2A (or its repair) is voted on.
     early_2b: Window<Round>,
-    /// Instances whose 2A this acceptor asked its ring predecessor for
-    /// (module docs, "Loss recovery"); trimmed by GC.
+    /// Instances whose 2A this acceptor asked for: a mid-ring acceptor
+    /// its ring predecessor, the first acceptor the coordinator (module
+    /// docs, "Loss recovery"); trimmed by GC.
     asked: BTreeSet<InstanceId>,
+    /// Order on the link the 2As come in on, from the coordinator.
+    from_coord: LinkOrder,
+    /// Order on the link the 2Bs come in on, from the ring predecessor
+    /// (at the coordinator, from the last acceptor).
+    from_pred: LinkOrder,
+    /// The round of each 2B this acceptor sent, and when it last sent it:
+    /// the only 2Bs it sends again when asked; trimmed by GC.
+    sent_2b: Window<(Round, Time)>,
     /// The vote log (module docs, "Durable votes"): over the node's
     /// stable store under `with_recovery`, over a throw-away one
     /// otherwise, none where votes live in memory.
@@ -291,6 +325,41 @@ impl AccState {
         if mask != ALL_PARTITIONS {
             self.masks.insert(instance, mask);
         }
+    }
+
+    /// Whether this acceptor knows `instance` decided.
+    fn known_decided(&self, instance: InstanceId) -> bool {
+        instance < self.decided_below || self.decided.contains(instance)
+    }
+}
+
+/// The last instance that arrived on one ring link, and from which
+/// sender at which round. A sender sends on its link in instance order
+/// and datagrams between two nodes arrive in send order, so an instance
+/// that arrives after a later one was lost on the way.
+#[derive(Debug, Default)]
+struct LinkOrder(Option<(NodeId, Round, InstanceId)>);
+
+impl LinkOrder {
+    /// Notes that `instance` arrived from `from` at `round`, and returns
+    /// the instances it overtook: those after the last one that arrived
+    /// and before it. A new sender or round (takeover, ring reform)
+    /// starts the link afresh and overtakes nothing.
+    fn arrived(
+        &mut self,
+        from: NodeId,
+        round: Round,
+        instance: InstanceId,
+    ) -> impl Iterator<Item = InstanceId> {
+        let next = match self.0 {
+            Some((f, r, last)) if f == from && r == round => last.next(),
+            _ => instance,
+        };
+        // An older instance (resent, or reordered) overtook nothing.
+        if instance >= next {
+            self.0 = Some((from, round, instance));
+        }
+        (next.0..instance.0).map(InstanceId)
     }
 }
 
@@ -496,6 +565,9 @@ impl MRingProcess {
                 decided_below: InstanceId(0),
                 early_2b: Window::new(),
                 asked: BTreeSet::new(),
+                from_coord: LinkOrder::default(),
+                from_pred: LinkOrder::default(),
+                sent_2b: Window::new(),
                 wal: (cfg.storage != StorageMode::InMemory).then(|| VoteLog::new(stable(), T_WAL)),
                 last_coord_activity: Time::ZERO,
             }
@@ -839,6 +911,7 @@ impl MRingProcess {
         if round != self.round {
             return;
         }
+        self.ask_overtaken_2bs(instance, round, from, ctx);
         if self.is_coordinator() {
             // Quorum complete: every ring acceptor voted, plus ourselves.
             let Some(c) = self.coord.as_mut() else { return };
@@ -848,8 +921,9 @@ impl MRingProcess {
                 // 2Bs complete the ring in instance order: an older
                 // instance still out when one proposed a whole ring trip
                 // after it is decided lost its 2A at the first acceptor
-                // or a 2B on some hop (module docs, "Loss recovery").
-                // The range is empty unless a datagram was lost. An
+                // or a 2B on some hop, and the link's repair as well
+                // (module docs, "Loss recovery", second line). The range
+                // is empty unless a datagram was lost. An
                 // instance that was itself re-multicast measures no ring
                 // trip (which 2A did this 2B answer?) and proves nothing.
                 let trip = ctx.now().saturating_since(sent);
@@ -949,7 +1023,14 @@ impl MRingProcess {
     // Acceptor
     // ------------------------------------------------------------------
 
-    fn on_phase2a(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
+    fn on_phase2a(
+        &mut self,
+        instance: InstanceId,
+        round: Round,
+        batch: Batch,
+        src: NodeId,
+        ctx: &mut Ctx,
+    ) {
         if round > self.round {
             // A higher-round coordinator exists: adopt the round and step
             // down if we (stale, e.g. restarted after a pause) still
@@ -958,15 +1039,29 @@ impl MRingProcess {
             self.coord = None;
             self.takeover = None;
         }
+        let is_first = self.ring_pos() == Some(0);
         let Some(a) = self.acc.as_mut() else { return };
         a.last_coord_activity = ctx.now();
         if round != self.round || self.cfg.coordinator() == self.me {
             return;
         }
         if a.asked.remove(&instance) {
-            // The 2A this acceptor asked its predecessor for came by
-            // multicast after all.
+            // The 2A this acceptor asked for came by multicast after all.
             ctx.counter_add("rp.repair_spurious", 1);
+        }
+        let overtaken = a.from_coord.arrived(src, round, instance);
+        if is_first {
+            // The first acceptor's 2As are the ring's only copy: ask the
+            // coordinator for each one this 2A overtook (module docs,
+            // "Loss recovery") that it has neither voted on nor asked for.
+            let mut lost: Vec<(InstanceId, bool)> = overtaken
+                .filter(|&k| a.paxos.vote(k).is_none() && !a.known_decided(k))
+                .map(|k| (k, true))
+                .collect();
+            lost.retain(|&(k, _)| a.asked.insert(k));
+            if !lost.is_empty() {
+                self.send_retrans_req(src, lost, ctx);
+            }
         }
         self.vote_2a(instance, round, batch, ctx);
     }
@@ -1033,8 +1128,71 @@ impl MRingProcess {
         }
     }
 
-    /// The predecessor's answer to the request `relay_2b` sent: vote on
-    /// it as on the lost 2A, which releases the held 2B.
+    /// A 2B for `instance` arrived from `from`: the 2Bs it overtook on
+    /// that link were lost on it (module docs, "Loss recovery"). Asks
+    /// `from` to send again those of undecided instances of this round
+    /// — at the coordinator the outstanding ones; at a mid-ring acceptor
+    /// the ones it voted on in this round, which proves them proposed.
+    fn ask_overtaken_2bs(
+        &mut self,
+        instance: InstanceId,
+        round: Round,
+        from: NodeId,
+        ctx: &mut Ctx,
+    ) {
+        let Some(a) = self.acc.as_mut() else { return };
+        let coord = self.coord.as_ref();
+        let lost: Vec<InstanceId> = a
+            .from_pred
+            .arrived(from, round, instance)
+            .filter(|&k| match coord {
+                Some(c) => c.outstanding.contains_key(&k),
+                None => a.paxos.vote(k).is_some_and(|v| v.v_rnd == round) && !a.known_decided(k),
+            })
+            .collect();
+        if lost.is_empty() {
+            return;
+        }
+        ctx.counter_add("rp.ask_2b", lost.len() as u64);
+        let wire = CTL_BYTES + 8 * lost.len() as u32;
+        ctx.udp_send(from, MMsg::Resend2b { round, instances: lost, overtaken_by: instance }, wire);
+    }
+
+    /// Sends the successor again the 2Bs of `instances` that this
+    /// acceptor sent at `round` before the 2B of `overtaken_by`, and only
+    /// those: one sent after it is still on its way, a 2B held for its
+    /// 2A or its write leaves when it is released anyway, and one never
+    /// sent may lack the votes upstream of this acceptor. Each 2B sent
+    /// again counts under `rp.retrans`, each one asked for in vain under
+    /// `rp.ask_2b_unmet`.
+    fn on_resend_2b(
+        &mut self,
+        round: Round,
+        instances: &[InstanceId],
+        overtaken_by: InstanceId,
+        ctx: &mut Ctx,
+    ) {
+        let Some(a) = self.acc.as_ref() else { return };
+        let sent_at = |k| a.sent_2b.get(k).filter(|&&(r, _)| r == round).map(|&(_, at)| at);
+        let before = sent_at(overtaken_by).unwrap_or(Time::MAX);
+        let sent: Vec<InstanceId> = instances
+            .iter()
+            .copied()
+            .filter(|&k| sent_at(k).is_some_and(|at| at <= before))
+            .collect();
+        let unmet = (instances.len() - sent.len()) as u64;
+        if unmet > 0 {
+            ctx.counter_add("rp.ask_2b_unmet", unmet);
+        }
+        for k in sent {
+            ctx.counter_add("rp.retrans", 1);
+            self.send_2b_to_successor(k, round, ctx);
+        }
+    }
+
+    /// The answer to a request for a lost 2A — `relay_2b`'s to the
+    /// predecessor, `on_phase2a`'s to the coordinator: vote on it as on
+    /// the lost 2A, which starts the relay or releases the held 2B.
     fn on_2a_repair(
         &mut self,
         instance: InstanceId,
@@ -1045,8 +1203,8 @@ impl MRingProcess {
         ctx: &mut Ctx,
     ) {
         let Some(a) = self.acc.as_mut() else { return };
-        if round != self.round || a.early_2b.get(instance) != Some(&round) {
-            return; // not (or no longer) holding a 2B for that vote
+        if round != self.round || !a.asked.contains(&instance) {
+            return; // not (or no longer) waiting for that 2A
         }
         a.note_shape(instance, skip, mask);
         self.vote_2a(instance, round, batch, ctx);
@@ -1066,6 +1224,9 @@ impl MRingProcess {
         }
         if let Some(succ) = self.cfg.successor(self.me) {
             ctx.udp_send(succ, MMsg::Phase2b { instance, round }, CTL_BYTES);
+            if let Some(a) = self.acc.as_mut() {
+                a.sent_2b.insert(instance, (round, ctx.now()));
+            }
         }
     }
 
@@ -1420,6 +1581,7 @@ impl MRingProcess {
             a.paxos.gc_below(upto);
             a.decided.advance_base(upto);
             a.early_2b.advance_base(upto);
+            a.sent_2b.advance_base(upto);
             a.asked = a.asked.split_off(&upto);
             a.skip_weights = a.skip_weights.split_off(&upto);
             a.masks = a.masks.split_off(&upto);
@@ -1848,7 +2010,7 @@ impl Actor for MRingProcess {
                 let decisions = decisions.clone();
                 let (gc_upto, decided_below) = (*gc_upto, *decided_below);
                 // Acceptor path.
-                self.on_phase2a(instance, round, batch.clone(), ctx);
+                self.on_phase2a(instance, round, batch.clone(), env.src, ctx);
                 if let Some(a) = self.acc.as_mut() {
                     for &(d, _) in decisions.iter() {
                         a.decided.insert(d, ());
@@ -1916,6 +2078,10 @@ impl Actor for MRingProcess {
             MMsg::RetransReq { from, instances } => {
                 let (from, instances) = (*from, instances.clone());
                 self.on_retrans_req(from, &instances, ctx);
+            }
+            MMsg::Resend2b { round, instances, overtaken_by } => {
+                let (round, instances, overtaken_by) = (*round, instances.clone(), *overtaken_by);
+                self.on_resend_2b(round, &instances, overtaken_by, ctx);
             }
             MMsg::RetransRep { instance, batch, decided, round, skip, mask } => {
                 let (instance, round, skip, mask) = (*instance, *round, *skip, *mask);

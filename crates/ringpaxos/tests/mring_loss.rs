@@ -10,19 +10,24 @@
 //! [`FaultPlan::drop_at`] cuts that one link for that one instant. The
 //! cell asserts that exactly one datagram was dropped, that every
 //! learner's deliveries resume within [`RESUME_WITHIN`] of the drop,
-//! that exactly one repair message was sent (and which kind; where a
-//! learner asked, that the reply carried what it lacked and no more),
-//! and that order and integrity hold with everything proposed delivered.
+//! that the repairs sent are the ones [`expected_repair`] names for the
+//! position (where a learner asked, also that the reply carried what it
+//! lacked and no more), and that order and integrity hold with
+//! everything proposed delivered.
 
+use std::cell::RefCell;
 use std::collections::HashSet;
+use std::rc::Rc;
 
 use abcast::{metric, shared_log, MsgId, SharedLog};
+use paxos::msg::{InstanceId, Round};
 use proptest::prelude::*;
 use ringpaxos::cluster::{deploy_mring, MRingOptions};
 use ringpaxos::config::PartitionConfig;
 use ringpaxos::mring::MRingProcess;
 use ringpaxos::msg::{MMsg, CTL_BYTES};
-use ringpaxos::{MRingConfig, Value};
+use ringpaxos::value::ALL_PARTITIONS;
+use ringpaxos::{Batch, BatchData, MRingConfig, StorageMode, Value};
 use simnet::prelude::*;
 use simnet::probe::{code, ProbeEvent};
 
@@ -34,19 +39,26 @@ const END: Time = Time(400_000_000);
 /// Drops are placed on the first suitable datagram after this instant
 /// (the ring is in steady state by then).
 const PICK_AFTER: Time = Time(20_000_000);
-/// Every learner must be delivering again this soon after a drop.
-const RESUME_WITHIN: Dur = Dur::millis(2);
+/// Every learner must be delivering again this soon after a drop. A
+/// ring-level loss is found on the link that lost it, when the next
+/// instance arrives there one message gap later, and is repaired from
+/// that link's sender within a round trip; a learner's loss likewise,
+/// from its preferential acceptor.
+const RESUME_WITHIN: Dur = Dur::millis(1);
+/// What a loss costs where it waits for the coordinator's ring-trip
+/// re-2A: two ring trips for a later instance to prove it, one for the
+/// repair (a ring trip is mostly payload serialisation, 0.42 ms at
+/// [`MSG_BYTES`]).
+const RE2A_WITHIN: Dur = Dur::millis(2);
 /// One message (= one instance: the packet size is set to it) every
 /// this often, the benchmark's `mring_stream` rate.
 const MSG_GAP: Dur = Dur::nanos(109_227);
-/// The matrix's message size. A ring-level loss costs three ring trips
-/// (two for a later instance to prove it, one for the repair) and a
-/// ring trip is mostly payload serialisation, 0.42 ms at this size.
+/// The matrix's message size.
 const MSG_BYTES: u32 = 4096;
-/// The benchmark's message size: ring trip 0.7 ms, so ring-level
-/// positions need [`RESUME_WITHIN_8K`].
+/// The benchmark's message size: every payload transfer takes twice as
+/// long, so the positions need [`RESUME_WITHIN_8K`].
 const MSG_BYTES_8K: u32 = 8192;
-const RESUME_WITHIN_8K: Dur = Dur::micros(2_500);
+const RESUME_WITHIN_8K: Dur = Dur::micros(1_750);
 
 /// The nodes of a deployed ring, as the cells need them.
 struct Ring {
@@ -226,15 +238,33 @@ enum Position {
     DecisionForeign,
 }
 
-/// `(retrans, re2a, resubmit)` — which repair each position costs.
-fn expected_repair(pos: Position) -> (u64, u64, u64) {
+/// What each position costs: one repair message, and where the loss is
+/// ring-level, the asks it provokes. A lost 2A or 2B shows on every
+/// ring link downstream of the loss as a later 2B overtaking that
+/// instance's, so each receiver from there to the coordinator asks its
+/// predecessor for the 2B once (`ask_2b`). A predecessor that sent that
+/// 2B before the one that overtook it sends it again (a `retrans`); one
+/// that has not — it holds the 2B for its own 2A, has not voted yet, or
+/// sent it late, after the overtaking one — sends nothing
+/// (`ask_2b_unmet`).
+fn expected_repair(pos: Position) -> Repairs {
+    let r = Repairs::default();
+    let asks = |n, unmet| Repairs { retrans: 1, ask_2b: n, ask_2b_unmet: unmet, ..r };
     match pos {
-        Position::Proposal => (0, 0, 1),
-        Position::TwoAFirst | Position::TwoBFirstHop | Position::TwoBLastHop => (0, 1, 0),
-        Position::TwoAMid
-        | Position::TwoALearner
-        | Position::DecisionLearner
-        | Position::DecisionForeign => (1, 0, 0),
+        Position::Proposal => Repairs { resubmit: 1, ..r },
+        // The first acceptor asks the coordinator for the 2A (the
+        // `retrans`); the asks downstream find its 2B not sent yet.
+        Position::TwoAFirst => asks(2, 2),
+        // The mid-ring acceptor asks its predecessor for the 2A (the
+        // `retrans`); the coordinator's ask finds the 2B held for it.
+        Position::TwoAMid => asks(1, 1),
+        // The mid-ring acceptor's ask is met (the `retrans`); the
+        // coordinator's finds the 2B still on its way there.
+        Position::TwoBFirstHop => asks(2, 1),
+        Position::TwoBLastHop => asks(1, 0),
+        Position::TwoALearner | Position::DecisionLearner | Position::DecisionForeign => {
+            Repairs { retrans: 1, ..r }
+        }
     }
 }
 
@@ -334,12 +364,16 @@ fn locate(pos: Position, events: &[ProbeEvent], r: &Ring) -> (Time, NodeId, Node
 }
 
 /// What a run's counters say about repairs.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 struct Repairs {
     retrans: u64,
     re2a: u64,
     resubmit: u64,
     spurious: u64,
+    /// 2Bs asked for again on the link that lost them.
+    ask_2b: u64,
+    /// … of which the predecessor had not sent, so sent nothing.
+    ask_2b_unmet: u64,
 }
 
 fn repairs(sim: &Sim) -> Repairs {
@@ -349,6 +383,8 @@ fn repairs(sim: &Sim) -> Repairs {
         re2a: sum("rp.re2a"),
         resubmit: sum("rp.resubmit"),
         spurious: sum("rp.repair_spurious"),
+        ask_2b: sum("rp.ask_2b"),
+        ask_2b_unmet: sum("rp.ask_2b_unmet"),
     }
 }
 
@@ -414,27 +450,23 @@ fn check_safety_and_completeness(sim: &Sim, r: &Ring) {
 /// messages, deliveries to resume within `bound`.
 fn cell(deploy: Deploy, msg_bytes: u32, pos: Position, bound: Dur) {
     let (dry, ring) = run(deploy, msg_bytes, FaultPlan::new());
-    assert_eq!(
-        repairs(&dry),
-        Repairs { retrans: 0, re2a: 0, resubmit: 0, spurious: 0 },
-        "a loss-free run repairs nothing"
-    );
+    assert_eq!(repairs(&dry), Repairs::default(), "a loss-free run repairs nothing");
     let (t, x, y) = locate(pos, &dry.probe_events(), &ring);
     let (sim, ring) = run(deploy, msg_bytes, FaultPlan::new().drop_at(t, x, y));
-    assert_eq!(sim.metrics().sum("net.part_drop"), 1, "{pos:?}: exactly one datagram dropped");
     let got = repairs(&sim);
-    let (retrans, re2a, resubmit) = expected_repair(pos);
-    assert_eq!(got, Repairs { retrans, re2a, resubmit, spurious: 0 }, "{pos:?}: one repair");
+    let (resumed, gap) = resume_after(&sim, &ring, t);
+    if std::env::var("LOSS_MATRIX_PRINT").is_ok() {
+        println!(
+            "{msg_bytes} B {pos:?}: delivering again {resumed:?} after the drop (gap {gap:?}); \
+             {got:?}"
+        );
+    }
+    assert_eq!(sim.metrics().sum("net.part_drop"), 1, "{pos:?}: exactly one datagram dropped");
+    assert_eq!(got, expected_repair(pos), "{pos:?}: one repair");
     if let Some(bytes) = reply_bytes(pos, msg_bytes) {
         // The learner's loss changes nothing else an acceptor sends.
         let extra = ring_sent_bytes(&sim, &ring) - ring_sent_bytes(&dry, &ring);
         assert_eq!(extra, bytes, "{pos:?}: the repair carries what is missing and no more");
-    }
-    let (resumed, gap) = resume_after(&sim, &ring, t);
-    if std::env::var("LOSS_MATRIX_PRINT").is_ok() {
-        println!(
-            "{msg_bytes} B {pos:?}: delivering again {resumed:?} after the drop (gap {gap:?})"
-        );
     }
     assert!(
         resumed <= bound,
@@ -471,8 +503,8 @@ fn partitioned_matrix() {
     cell(deploy_partitioned, MSG_BYTES, Position::DecisionForeign, RESUME_WITHIN);
 }
 
-/// The benchmark's `mring_stream` shape exactly (8 KB, 600 Mb/s): same
-/// repairs, one per loss; the ring trips are longer.
+/// The benchmark's `mring_stream` shape exactly (8 KB, 600 Mb/s): the
+/// same repairs; every transfer takes longer.
 #[test]
 fn classic_matrix_at_the_benchmark_message_size() {
     cell(deploy_classic, MSG_BYTES_8K, Position::Proposal, RESUME_WITHIN_8K);
@@ -481,25 +513,53 @@ fn classic_matrix_at_the_benchmark_message_size() {
     }
 }
 
-/// The flow tick is still there for what the fast repair cannot do
-/// twice: lose a 2B, then lose the first acceptor's copy of the
-/// order-triggered re-2A as well. Only the tick's sweep is left, 50 to
-/// 150 ms later.
+/// Behind the order-triggered repair of each link stand two more lines:
+/// the coordinator's ring-trip re-2A, and behind that the flow tick.
+/// Lose a 2B on the first hop and the first acceptor's resend of it,
+/// and the re-2A recovers within the three ring trips it costs; lose
+/// the first acceptor's copy of that re-2A as well, and only the tick's
+/// sweep is left, 50 to 150 ms later.
 #[test]
 fn lost_repair_falls_back_to_the_flow_tick() {
     let (dry, ring) = run(deploy_classic, MSG_BYTES, FaultPlan::new());
     let (t, x, y) = locate(Position::TwoBFirstHop, &dry.probe_events(), &ring);
     let first = || FaultPlan::new().drop_at(t, x, y);
-    // The run with the first drop shows when the re-2A leaves: the
-    // coordinator's first payload multicast that opens no new instance.
+    // The run with the first drop shows when the first acceptor sends
+    // that 2B again: its second `PHASE2B` probe of the instance.
     let (once, ring) = run(deploy_classic, MSG_BYTES, first());
     let events = once.probe_events();
-    let at_coord = |e: &&ProbeEvent| e.node == ring.coord.0 as u32;
-    let opens_instance =
-        |at: Time| events.iter().filter(at_coord).any(|e| e.code == code::PHASE2A && e.time == at);
+    let at = |n: NodeId| move |e: &&ProbeEvent| e.node == n.0 as u32;
+    let k = events.iter().filter(at(ring.a0)).find(|e| e.code == code::PHASE2B && e.time == t);
+    let k = instance_of(k.expect("the dropped 2B"));
+    let resend_at = events
+        .iter()
+        .filter(at(ring.a0))
+        .find(|e| e.code == code::PHASE2B && instance_of(e) == k && e.time > t)
+        .expect("the 2B sent again")
+        .time;
+    assert!(resend_at.since(t) < RESUME_WITHIN);
+    let second = || first().drop_at(resend_at, ring.a0, ring.a1);
+
+    // The second line: the ring-trip re-2A, the coordinator's first
+    // payload multicast after the drop that opens no new instance.
+    let (twice, ring) = run(deploy_classic, MSG_BYTES, second());
+    assert_eq!(twice.metrics().sum("net.part_drop"), 2);
+    let got = repairs(&twice);
+    // The instance's two 2Bs asked for again (the one the first hop
+    // lost, sent again and lost again; the last acceptor's, never sent)
+    // and the re-2A that restarts the relay.
+    let asked = Repairs { retrans: 1, ask_2b: 2, ask_2b_unmet: 1, ..Repairs::default() };
+    assert_eq!(got, Repairs { re2a: 1, ..asked }, "the ring-trip re-2A");
+    let (resumed, _) = resume_after(&twice, &ring, t);
+    assert!(resumed <= RE2A_WITHIN, "recovered by the re-2A: {resumed:?}");
+    check_safety_and_completeness(&twice, &ring);
+    let events = twice.probe_events();
+    let opens_instance = |when: Time| {
+        events.iter().filter(at(ring.coord)).any(|e| e.code == code::PHASE2A && e.time == when)
+    };
     let re2a_at = events
         .iter()
-        .filter(at_coord)
+        .filter(at(ring.coord))
         .find(|e| {
             e.code == code::NET_SEND
                 && e.time > t
@@ -507,14 +567,15 @@ fn lost_repair_falls_back_to_the_flow_tick() {
                 && send_shape(e).1
                 && !opens_instance(e.time)
         })
-        .expect("the order-triggered re-2A")
+        .expect("the ring-trip re-2A")
         .time;
-    assert!(re2a_at.since(t) < RESUME_WITHIN);
-    let plan = first().drop_at(re2a_at, ring.coord, ring.a0);
-    let (sim, ring) = run(deploy_classic, MSG_BYTES, plan);
-    assert_eq!(sim.metrics().sum("net.part_drop"), 2);
+
+    // The backstop: the tick's sweep.
+    let (sim, ring) =
+        run(deploy_classic, MSG_BYTES, second().drop_at(re2a_at, ring.coord, ring.a0));
+    assert_eq!(sim.metrics().sum("net.part_drop"), 3);
     let got = repairs(&sim);
-    assert_eq!((got.re2a, got.resubmit), (2, 0), "the fast re-2A, then the tick's: {got:?}");
+    assert_eq!(got, Repairs { re2a: 2, ..asked }, "the re-2A, then the tick's");
     let (resumed, _) = resume_after(&sim, &ring, t);
     assert!(
         resumed > Dur::millis(50) && resumed < Dur::millis(160),
@@ -523,9 +584,189 @@ fn lost_repair_falls_back_to_the_flow_tick() {
     check_safety_and_completeness(&sim, &ring);
 }
 
-/// Reordering loses nothing, so every repair it provokes is wasted:
-/// there may be at most one per reordered datagram, the spurious ones
-/// are counted, and nothing is delivered twice or out of order.
+/// What a scripted ring neighbour sends: `(when, to whom, what, wire
+/// bytes)`.
+type Sends = Vec<(Time, NodeId, MMsg, u32)>;
+/// The `Phase2b`s a scripted neighbour received: `(when, instance)`.
+type Got2b = Rc<RefCell<Vec<(Time, u64)>>>;
+
+/// A ring neighbour that sends what it is told and keeps the 2Bs it
+/// receives.
+struct Script {
+    sends: Sends,
+    got_2b: Got2b,
+}
+
+impl Actor for Script {
+    fn on_start(&mut self, ctx: &mut Ctx) {
+        for (i, (at, ..)) in self.sends.iter().enumerate() {
+            ctx.set_timer(at.since(ctx.now()), TimerToken(i as u64));
+        }
+    }
+    fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+        if let Some(MMsg::Phase2b { instance, .. }) = env.payload.downcast_ref() {
+            self.got_2b.borrow_mut().push((ctx.now(), instance.0));
+        }
+    }
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+        let (_, to, msg, bytes) = self.sends[token.0 as usize].clone();
+        ctx.udp_send(to, msg, bytes);
+    }
+}
+
+/// A ring of three that votes under `storage`, where only position
+/// `real` runs M-Ring and the other two send what `script` lists for
+/// them (given the ring and the scripted node). Runs 20 ms; returns
+/// the run, the ring, and the 2Bs each position received.
+fn scripted_ring(
+    storage: StorageMode,
+    real: usize,
+    script: impl Fn(&[NodeId], NodeId) -> Sends,
+) -> (Sim, Vec<NodeId>, Vec<Got2b>) {
+    let mut sim = Sim::new(SimConfig { seed: SEED, ..SimConfig::default() });
+    let ring: Vec<NodeId> = (0..3).map(|_| sim.add_node(Box::new(Idle))).collect();
+    let mut cfg = MRingConfig::new(ring.clone(), Vec::new(), sim.add_group());
+    cfg.storage = storage;
+    let got: Vec<Got2b> = ring.iter().map(|_| Got2b::default()).collect();
+    for (pos, &n) in ring.iter().enumerate() {
+        let actor: Box<dyn Actor> = if pos == real {
+            Box::new(MRingProcess::new(cfg.clone(), n, None, None))
+        } else {
+            Box::new(Script { sends: script(&ring, n), got_2b: got[pos].clone() })
+        };
+        sim.replace_actor(n, actor);
+    }
+    sim.run_until(Time::from_millis(20));
+    (sim, ring, got)
+}
+
+/// The round a deployment starts in (Phase 1 pre-executed by the
+/// coordinator, the last of the three).
+fn first_round() -> Round {
+    Round::new(1, 2)
+}
+
+fn one_value(bytes: u32) -> Batch {
+    let v = Value {
+        id: MsgId(1),
+        proposer: NodeId(9),
+        seq: 0,
+        bytes,
+        submitted: Time::ZERO,
+        mask: ALL_PARTITIONS,
+    };
+    BatchData::new(vec![v])
+}
+
+/// A 2B is sent again only if it was sent. A mid-ring acceptor that
+/// holds a 2B because its 2A was lost, asked for that 2B, sends nothing
+/// until its own vote is released: after the 2A's repair, and where
+/// votes are written, after the write.
+#[test]
+fn a_held_2b_is_not_sent_again_before_its_vote_is_released() {
+    let (t_2b, t_ask, t_repair, t_ask_writing, t_ask_after) =
+        (us(1_000), us(2_000), us(3_000), us(3_300), us(10_000));
+    let round = first_round();
+    for storage in [StorageMode::InMemory, StorageMode::SyncDisk] {
+        let (sim, ring, got) = scripted_ring(storage, 1, |ring, me| {
+            let a1 = ring[1];
+            let ask = |at| {
+                let ask = MMsg::Resend2b {
+                    round,
+                    instances: vec![InstanceId(0)],
+                    overtaken_by: InstanceId(1),
+                };
+                (at, a1, ask, CTL_BYTES + 8)
+            };
+            if me == ring[0] {
+                let batch = one_value(8192);
+                let repair = MMsg::RetransRep {
+                    instance: InstanceId(0),
+                    batch,
+                    decided: false,
+                    round,
+                    skip: 0,
+                    mask: ALL_PARTITIONS,
+                };
+                vec![
+                    (t_2b, a1, MMsg::Phase2b { instance: InstanceId(0), round }, CTL_BYTES),
+                    (t_repair, a1, repair, 8192),
+                ]
+            } else {
+                vec![ask(t_ask), ask(t_ask_writing), ask(t_ask_after)]
+            }
+        });
+        let written = storage == StorageMode::SyncDisk;
+        let released =
+            t_repair + if written { sim.config().disk_write_time(8192) } else { Dur::ZERO };
+        let at_coord = got[2].borrow();
+        assert!(
+            at_coord.iter().all(|&(at, i)| i == 0 && at > released),
+            "{storage:?}: {at_coord:?}"
+        );
+        let count = |name| sim.metrics().counter(ring[1], name);
+        // The ask before the repair finds the 2B held, and so does the
+        // one during the write; every later one is answered.
+        let unmet = if written { 2 } else { 1 };
+        assert_eq!(count("rp.ask_2b_unmet"), unmet, "{storage:?}");
+        assert_eq!(count("rp.retrans"), 3 - unmet, "{storage:?}");
+        assert_eq!(at_coord.len() as u64, 1 + 3 - unmet, "{storage:?}: released once, then resent");
+    }
+}
+
+/// The first acceptor sends a 2B again only if it sent it before the 2B
+/// that overtook it: not one it sent after (still on its way), and not
+/// one of an instance it never voted on.
+#[test]
+fn the_first_acceptor_sends_again_only_2bs_sent_before_the_overtaking_one() {
+    let round = first_round();
+    let two_a = |instance| MMsg::Phase2a {
+        instance: InstanceId(instance),
+        round,
+        batch: one_value(8192),
+        decisions: Rc::new(Vec::new()),
+        gc_upto: InstanceId(0),
+        skip: 0,
+        mask: ALL_PARTITIONS,
+        decided_below: InstanceId(0),
+    };
+    for storage in [StorageMode::InMemory, StorageMode::SyncDisk] {
+        let (sim, ring, got) = scripted_ring(storage, 0, |ring, me| {
+            let a0 = ring[0];
+            if me == ring[2] {
+                // Instance 1's 2A, then 0's, then 2's: the 2Bs leave in
+                // that order.
+                let at = [(1_000, 1), (2_000, 0), (3_000, 2)];
+                at.into_iter().map(|(t, i)| (us(t), a0, two_a(i), 8192)).collect()
+            } else if me == ring[1] {
+                let ask = |instances: &[u64], by| MMsg::Resend2b {
+                    round,
+                    instances: instances.iter().copied().map(InstanceId).collect(),
+                    overtaken_by: InstanceId(by),
+                };
+                vec![
+                    (us(5_000), a0, ask(&[0], 1), CTL_BYTES + 8),
+                    (us(6_000), a0, ask(&[1, 3], 4), CTL_BYTES + 16),
+                ]
+            } else {
+                Vec::new()
+            }
+        });
+        let at_a1: Vec<u64> = got[1].borrow().iter().map(|&(_, i)| i).collect();
+        assert_eq!(at_a1, [1, 0, 2, 1], "{storage:?}: the three 2Bs, then 1's again");
+        let count = |name| sim.metrics().counter(ring[0], name);
+        assert_eq!((count("rp.retrans"), count("rp.ask_2b_unmet")), (1, 2), "{storage:?}");
+    }
+}
+
+fn us(micros: u64) -> Time {
+    Time::ZERO + Dur::micros(micros)
+}
+
+/// Reordering loses nothing, so every repair it provokes is wasted, and
+/// so is every 2B it has asked for: there may be at most one of either
+/// per reordered datagram, the spurious repairs are counted, and
+/// nothing is delivered twice or out of order.
 #[test]
 fn reorder_burst_repairs_little_and_breaks_nothing() {
     let plan = FaultPlan::new().reorder_burst(Time::from_millis(10), Time::from_millis(50), 0.02);
@@ -534,7 +775,7 @@ fn reorder_burst_repairs_little_and_breaks_nothing() {
     assert!(reordered > 50, "the knob fired ({reordered})");
     let got = repairs(&sim);
     assert!(
-        got.retrans + got.re2a + got.resubmit <= reordered,
+        got.retrans + got.re2a + got.resubmit + got.ask_2b <= reordered,
         "{got:?} for {reordered} reordered datagrams"
     );
     assert!(got.spurious <= got.retrans + got.re2a, "{got:?}");
