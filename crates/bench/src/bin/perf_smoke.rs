@@ -11,13 +11,17 @@
 //! ```
 //!
 //! `--paired A B` interleaves two *commands* (typically two builds of
-//! this binary) A B A B … for
-//! `--runs` pairs, parses each child's `total_events_per_sec`, and
-//! reports the median paired delta and ratio. Interleaving means slow
+//! this binary) for `--runs` pairs, parses each child's
+//! `total_events_per_sec`, and reports the median paired delta and
+//! ratio, the pairs B won (`b_wins`), and A's quartiles (`a_quartiles`,
+//! the spread a median gap must beat). Interleaving means slow
 //! build-box drift hits both sides of every pair equally — the ±7 %
 //! swings that poisoned earlier PR-to-PR comparisons cancel instead of
-//! accumulating. The paired record is appended to `BENCH_simcore.json`
-//! as a second JSON line.
+//! accumulating. Even pairs run A then B, odd pairs B then A: the same
+//! two builds once read 1.083× with A always first and 1.037× with the
+//! operands swapped (one pinned core of a 2-vCPU Xeon), an order effect
+//! as large as the changes the tool judges. The paired record is appended to `BENCH_simcore.json` as
+//! its own JSON line.
 //!
 //! Virtual-time results (events, delivered counts) are deterministic for
 //! the fixed seed; only the wall-clock rates vary with the host. The
@@ -261,10 +265,20 @@ fn paired_sample(cmd: &str) -> f64 {
     num.parse().expect("malformed total_events_per_sec")
 }
 
-/// Interleaved A/B: runs A B A B … for `pairs` pairs so slow wall-clock
-/// drift hits both sides of every pair equally, then reports the median
-/// paired delta (B − A, events/s) and median ratio (B / A). The record
-/// is appended to `BENCH_simcore.json` as its own JSON line.
+/// Quantile `q` of ascending-sorted `v`, interpolating linearly between
+/// the two nearest samples.
+fn quantile(v: &[f64], q: f64) -> f64 {
+    let pos = q * (v.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+/// Interleaved A/B: runs `pairs` pairs, A first on even pairs and B
+/// first on odd ones, so slow wall-clock drift and any first-runner
+/// advantage hit both sides equally. Reports the median paired delta
+/// (B − A, events/s), the median ratio (B / A), the pairs B won, and
+/// A's quartiles. The record is appended to `BENCH_simcore.json` as its
+/// own JSON line.
 fn run_paired(a: &str, b: &str, pairs: usize, no_write: bool) {
     // One throwaway pair warms caches/allocator for both sides.
     let _ = paired_sample(a);
@@ -272,34 +286,38 @@ fn run_paired(a: &str, b: &str, pairs: usize, no_write: bool) {
     let mut a_eps = Vec::new();
     let mut b_eps = Vec::new();
     for i in 0..pairs {
-        a_eps.push(paired_sample(a));
-        b_eps.push(paired_sample(b));
+        if i % 2 == 0 {
+            a_eps.push(paired_sample(a));
+            b_eps.push(paired_sample(b));
+        } else {
+            b_eps.push(paired_sample(b));
+            a_eps.push(paired_sample(a));
+        }
         eprintln!(
-            "  pair {}/{pairs}: A {:.0} ev/s, B {:.0} ev/s, ratio {:.3}",
+            "  pair {}/{pairs} ({} first): A {:.0} ev/s, B {:.0} ev/s, ratio {:.3}",
             i + 1,
+            if i % 2 == 0 { "A" } else { "B" },
             a_eps[i],
             b_eps[i],
             b_eps[i] / a_eps[i]
         );
     }
+    let b_wins = a_eps.iter().zip(&b_eps).filter(|(a, b)| b > a).count();
     let mut deltas: Vec<f64> = a_eps.iter().zip(&b_eps).map(|(a, b)| b - a).collect();
     let mut ratios: Vec<f64> = a_eps.iter().zip(&b_eps).map(|(a, b)| b / a).collect();
-    deltas.sort_by(|x, y| x.total_cmp(y));
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    let median = |v: &[f64]| {
-        if v.len() % 2 == 1 {
-            v[v.len() / 2]
-        } else {
-            (v[v.len() / 2 - 1] + v[v.len() / 2]) / 2.0
-        }
-    };
+    let mut a_sorted = a_eps.clone();
+    for v in [&mut deltas, &mut ratios, &mut a_sorted] {
+        v.sort_by(|x, y| x.total_cmp(y));
+    }
     let fmt = |v: &[f64]| v.iter().map(|s| format!("{s:.0}")).collect::<Vec<_>>().join(",");
     let line = format!(
-        "{{\"bench\":\"simcore_paired\",\"a\":\"{a}\",\"b\":\"{b}\",\"pairs\":{pairs},\"a_events_per_sec\":[{}],\"b_events_per_sec\":[{}],\"median_delta\":{:.0},\"median_ratio\":{:.4}}}",
+        "{{\"bench\":\"simcore_paired\",\"a\":\"{a}\",\"b\":\"{b}\",\"pairs\":{pairs},\"a_events_per_sec\":[{}],\"b_events_per_sec\":[{}],\"median_delta\":{:.0},\"median_ratio\":{:.4},\"b_wins\":{b_wins},\"a_quartiles\":[{:.0},{:.0}]}}",
         fmt(&a_eps),
         fmt(&b_eps),
-        median(&deltas),
-        median(&ratios),
+        quantile(&deltas, 0.5),
+        quantile(&ratios, 0.5),
+        quantile(&a_sorted, 0.25),
+        quantile(&a_sorted, 0.75),
     );
     println!("{line}");
     if !no_write {

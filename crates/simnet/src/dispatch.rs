@@ -39,8 +39,8 @@ pub(crate) enum EventKind {
 impl SimInner {
     /// Datagram reached the destination host NIC: socket-buffer check,
     /// receive-cost charge, and the push of the `Deliver` completion.
-    /// The envelope body never moves — only its slab index travels into
-    /// the `Deliver` event. Kept `#[inline]` (with `deliver_prework`) so
+    /// The body stays in the envelope slab; only its index rides in the
+    /// `Deliver` heap entry. Kept `#[inline]` (with `deliver_prework`) so
     /// the UDP datagram sequence compiles to one straight-line path
     /// through the run loop, per the `simcore` criterion group.
     #[inline]

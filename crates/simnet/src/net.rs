@@ -179,8 +179,8 @@ impl SimInner {
     }
 
     /// Files a finished datagram at its destination. The envelope is
-    /// interned in the slab; only its `EnvId` moves through the
-    /// `HostArrive` → `Deliver` pipeline.
+    /// interned in the slab; only its `EnvId` rides in the event heap's
+    /// `HostArrive` and `Deliver` entries (`sim` docs, "Envelope slab").
     fn file_arrival(&mut self, at_host: Time, env: Envelope) {
         let id = self.envs.insert(env);
         self.schedule(at_host, EventKind::HostArrive(id));
