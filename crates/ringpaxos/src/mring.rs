@@ -45,37 +45,36 @@
 //! observes. No signal can fire on a loss-free run: datagrams between
 //! one sender and one receiver arrive in send order there.
 //!
-//! A ring-level loss is found on the link that lost it. Each ring link
-//! carries one sender's datagrams in instance order — the
-//! coordinator's 2As to the first acceptor, each acceptor's 2Bs to its
-//! successor (the last one's to the coordinator) — so a receiver that
-//! gets instance `j` on a link while an earlier `k` has not come
-//! (`LinkOrder`) knows `k` was lost on it, and asks that link's sender,
-//! one round trip away. A link is keyed by its sender and round, so a
-//! takeover or a ring reform starts it afresh.
+//! A ring-level loss is found on the link that lost it and repaired
+//! from the ring itself. Each ring link carries one sender's datagrams
+//! in instance order, and its receiver keeps how far the link has come
+//! (`LinkOrder`, keyed by sender and round, so a takeover or a ring
+//! reform starts it afresh).
 //!
-//! * **2A → first acceptor** — the first acceptor asks the coordinator
-//!   (`RetransReq`) for each overtaken instance it has neither voted on
-//!   nor asked for; the `RetransRep` is voted on like the 2A it
-//!   replaces and starts the 2B relay. A mid-ring acceptor does not ask
-//!   the coordinator: its predecessor's 2B shows the loss soon enough,
-//!   and the coordinator's uplink is the ring's busiest.
-//! * **2A → mid-ring acceptor** — a `Phase2b` arrives for an instance
-//!   the acceptor has not voted on in that round. The 2B proves its
-//!   sender voted, so the sender holds the value: the acceptor holds
-//!   the 2B (`early_2b`) and asks the sender for that one instance
-//!   (`RetransReq`); the `RetransRep` is voted on like the 2A it
-//!   replaces and releases the held 2B.
-//! * **2B on any hop** — the receiver, a mid-ring acceptor or the
-//!   coordinator, asks its predecessor (`Resend2b`) for each overtaken
-//!   2B of an undecided instance of the round: at the coordinator an
-//!   outstanding one, at a mid-ring acceptor one it voted on in the
-//!   round, which proves it proposed. The predecessor sends again only
-//!   a 2B it sent at that round before the overtaking one
-//!   (`AccState::sent_2b`): one sent after it is on its way, one held
-//!   for its 2A or its write leaves when it is released, and one never
-//!   sent may lack the votes upstream of it. Every receiver downstream
-//!   of a ring-level loss asks once, so most asks find nothing to send.
+//! * **2B on any hop** — every `Phase2b` carries `through`, its sender's
+//!   vote floor (`VoteFloor`): below it, the sender has sent this
+//!   successor a 2B at this round for every instance since the link's
+//!   first. The receiver takes each instance between the sender's
+//!   previous floor and this one that has not come — at the coordinator
+//!   one still outstanding, at a mid-ring acceptor one it neither sent
+//!   nor holds — as if its 2B had (`rp.floor_2b`): a lost 2B is
+//!   repaired by the next 2B on its hop, with no message. A floor
+//!   passes only 2Bs sent, never one held for its 2A or its write.
+//!   Where it cannot vouch for the link — an older round, a second
+//!   successor at one round, a respawned acceptor at a round it had
+//!   promised, a floor the GC passed — it is 0, which covers nothing.
+//! * **2A → an acceptor** — a 2A that overtakes others on the link from
+//!   the coordinator shows them lost. The acceptor asks a ring neighbour
+//!   (`RetransReq`) for each it has neither voted on nor asked for — the
+//!   first acceptor its successor, a mid-ring acceptor its predecessor;
+//!   not the coordinator, whose uplink is the ring's busiest — and votes
+//!   on the `RetransRep` like the 2A it replaces. At a mid-ring acceptor
+//!   a 2B (or a floor) for an instance it has not voted on can show the
+//!   loss first: it proves the sender holds the value, so the acceptor
+//!   holds the 2B (`early_2b`) and asks the sender, unless it asked
+//!   already (asking again would send most repairs twice). A neighbour
+//!   that lost the 2A as well has nothing to send; the re-2A below
+//!   brings it.
 //! * **Coordinator, second line** — 2Bs complete the ring in instance
 //!   order, so a decision for instance `j` while an `i < j` is still
 //!   outstanding shows `i` was overtaken. Reordering and the link
@@ -83,7 +82,8 @@
 //!   overtake it too, so the allowance is the ring trip `j` just
 //!   measured: once `j`, proposed at least that long after `i`, is
 //!   decided, `i` has been out for two ring trips and its relay broke
-//!   — a link repair was lost as well. The coordinator re-multicasts
+//!   — a repair was lost as well, or the lost 2B was the last of a
+//!   burst, which no later floor covers. The coordinator re-multicasts
 //!   the 2A once ("duplicate 2A restarts the vote relay" in
 //!   `vote_2a`). No constant: the allowance stretches with the ring's
 //!   queues, so overload does not turn into repair load. Backstop: the
@@ -102,10 +102,9 @@
 //!   sent `PROPOSAL_RESEND_AFTER` ago and one sent after it was
 //!   delivered (`ProposerState::take_resend` has the exact rule).
 //!
-//! Repairs count under `rp.retrans` (per reply to a `RetransReq`, per
-//! 2B sent again), `rp.re2a` (per re-multicast) and `rp.resubmit` (per
-//! proposal resend); `rp.ask_2b` counts 2Bs asked for again and
-//! `rp.ask_2b_unmet` those the predecessor did not send;
+//! Repairs count under `rp.retrans` (per reply to a `RetransReq`),
+//! `rp.re2a` (per re-multicast) and `rp.resubmit` (per proposal
+//! resend); `rp.floor_2b` counts 2Bs a floor stood in for;
 //! `rp.repair_spurious` counts fast repairs whose 2A then arrived by
 //! multicast anyway (reordered, or a coordinator re-multicast racing an
 //! acceptor's repair).
@@ -272,6 +271,28 @@ struct CoordState {
     probe: RingProbe,
 }
 
+impl CoordState {
+    /// A coordinator that starts at `now`, proposing from `next_instance`.
+    fn new(window: u32, next_instance: InstanceId, now: Time) -> CoordState {
+        CoordState {
+            queues: Vec::new(),
+            pending_bytes: 0,
+            hold_armed: false,
+            next_instance,
+            outstanding: BTreeMap::new(),
+            decided_unsent: Vec::new(),
+            window,
+            last_slowdown: Time::ZERO,
+            last_mcast: now,
+            versions: HashMap::new(),
+            gc_watermark: InstanceId(0),
+            logical_count: 0,
+            logical_target: 0,
+            probe: RingProbe::new(now),
+        }
+    }
+}
+
 /// Acceptor-only state.
 ///
 /// `decided` and `early_2b` are touched on the per-packet 2A/2B paths, so
@@ -290,18 +311,17 @@ struct AccState {
     decided_below: InstanceId,
     /// Phase 2B held until the matching 2A (or its repair) is voted on.
     early_2b: Window<Round>,
-    /// Instances whose 2A this acceptor asked for: a mid-ring acceptor
-    /// its ring predecessor, the first acceptor the coordinator (module
-    /// docs, "Loss recovery"); trimmed by GC.
+    /// Instances whose 2A this acceptor asked a ring neighbour for
+    /// (module docs, "Loss recovery"); trimmed by GC.
     asked: BTreeSet<InstanceId>,
-    /// Order on the link the 2As come in on, from the coordinator.
+    /// How far the link the 2As come in on, from the coordinator, has
+    /// come.
     from_coord: LinkOrder,
-    /// Order on the link the 2Bs come in on, from the ring predecessor
-    /// (at the coordinator, from the last acceptor).
-    from_pred: LinkOrder,
-    /// The round of each 2B this acceptor sent, and when it last sent it:
-    /// the only 2Bs it sends again when asked; trimmed by GC.
-    sent_2b: Window<(Round, Time)>,
+    /// The last vote floor on the link the 2Bs come in on, from the ring
+    /// predecessor (at the coordinator, from the last acceptor).
+    pred_floor: LinkOrder,
+    /// The 2Bs this acceptor sent its successor, and its vote floor.
+    floor: VoteFloor,
     /// The vote log (module docs, "Durable votes"): over the node's
     /// stable store under `with_recovery`, over a throw-away one
     /// otherwise, none where votes live in memory.
@@ -333,33 +353,96 @@ impl AccState {
     }
 }
 
-/// The last instance that arrived on one ring link, and from which
-/// sender at which round. A sender sends on its link in instance order
-/// and datagrams between two nodes arrive in send order, so an instance
-/// that arrives after a later one was lost on the way.
+/// How far one ring link has come: its sender and round, and the
+/// instance below which the sender has sent everything on it — on the
+/// 2A link the one after the last 2A, on a 2B link the last floor.
 #[derive(Debug, Default)]
 struct LinkOrder(Option<(NodeId, Round, InstanceId)>);
 
 impl LinkOrder {
-    /// Notes that `instance` arrived from `from` at `round`, and returns
-    /// the instances it overtook: those after the last one that arrived
-    /// and before it. A new sender or round (takeover, ring reform)
-    /// starts the link afresh and overtakes nothing.
-    fn arrived(
+    /// Notes that `from` at `round` has sent everything below `upto`;
+    /// returns the instances that adds. A new sender or round (takeover,
+    /// ring reform) starts the link afresh and adds nothing.
+    fn advance(
         &mut self,
         from: NodeId,
         round: Round,
-        instance: InstanceId,
+        upto: InstanceId,
     ) -> impl Iterator<Item = InstanceId> {
-        let next = match self.0 {
-            Some((f, r, last)) if f == from && r == round => last.next(),
-            _ => instance,
+        let known = match self.0 {
+            Some((f, r, known)) if f == from && r == round => known,
+            _ => upto,
         };
-        // An older instance (resent, or reordered) overtook nothing.
-        if instance >= next {
-            self.0 = Some((from, round, instance));
+        self.0 = Some((from, round, known.max(upto)));
+        (known.0..upto.0).map(InstanceId)
+    }
+}
+
+/// The 2Bs an acceptor sent on its ring link (module docs, "Loss
+/// recovery"): the link's successor, round and first 2B; every 2B from
+/// that one to `floor` was sent, and those in `ahead` above it. Up to
+/// round `silent` the floor vouches for nothing.
+#[derive(Debug, Default)]
+struct VoteFloor {
+    link: Option<(NodeId, Round, InstanceId)>,
+    floor: InstanceId,
+    ahead: BTreeSet<InstanceId>,
+    silent: Round,
+}
+
+impl VoteFloor {
+    /// Notes a 2B of `instance` sent to `to` at `round`, and returns the
+    /// floor it carries: 0 where the floor cannot vouch for the link.
+    fn sent(&mut self, to: NodeId, round: Round, instance: InstanceId) -> InstanceId {
+        match self.link {
+            _ if round <= self.silent => return InstanceId(0),
+            Some((t, r, _)) if r == round && t != to => {
+                // A ring reform: the new successor may hold an old floor.
+                self.silence(round);
+                return InstanceId(0);
+            }
+            Some((_, r, _)) if r > round => return InstanceId(0),
+            Some((_, r, _)) if r == round => {}
+            _ => {
+                self.link = Some((to, round, instance));
+                self.floor = instance;
+                self.ahead.clear();
+            }
         }
-        (next.0..instance.0).map(InstanceId)
+        if instance == self.floor {
+            self.floor = instance.next();
+            while self.ahead.remove(&self.floor) {
+                self.floor = self.floor.next();
+            }
+        } else if instance > self.floor {
+            self.ahead.insert(instance);
+        }
+        self.floor
+    }
+
+    /// Whether a 2B of `instance` was sent to `to` at `round`, as far as
+    /// the floor knows.
+    fn has_sent(&self, to: NodeId, round: Round, instance: InstanceId) -> bool {
+        match self.link {
+            Some((t, r, first)) if (t, r) == (to, round) => {
+                (first..self.floor).contains(&instance) || self.ahead.contains(&instance)
+            }
+            _ => false,
+        }
+    }
+
+    /// The GC collected below `upto`: a floor under it waits for a 2B
+    /// never sent (decided in an older round); silent for the round.
+    fn collect_below(&mut self, upto: InstanceId) {
+        if let Some((_, round, _)) = self.link.filter(|_| self.floor < upto) {
+            self.silence(round);
+        }
+    }
+
+    fn silence(&mut self, round: Round) {
+        self.silent = self.silent.max(round);
+        self.link = None;
+        self.ahead.clear();
     }
 }
 
@@ -537,22 +620,8 @@ impl MRingProcess {
         let learner_index = cfg.learners.iter().position(|&n| n == me);
         let total_acceptors = cfg.ring.len() + cfg.spares.len();
 
-        let coord = is_coord.then(|| CoordState {
-            queues: Vec::new(),
-            pending_bytes: 0,
-            hold_armed: false,
-            next_instance: InstanceId(0),
-            outstanding: BTreeMap::new(),
-            decided_unsent: Vec::new(),
-            window: cfg.flow.initial_window,
-            last_slowdown: Time::ZERO,
-            last_mcast: Time::ZERO,
-            versions: HashMap::new(),
-            gc_watermark: InstanceId(0),
-            logical_count: 0,
-            logical_target: 0,
-            probe: RingProbe::new(Time::ZERO),
-        });
+        let coord =
+            is_coord.then(|| CoordState::new(cfg.flow.initial_window, InstanceId(0), Time::ZERO));
         let acc = (in_ring || is_spare).then(|| {
             let mut paxos = Acceptor::new();
             // Pre-promised round 1 (pre-executed Phase 1).
@@ -566,8 +635,8 @@ impl MRingProcess {
                 early_2b: Window::new(),
                 asked: BTreeSet::new(),
                 from_coord: LinkOrder::default(),
-                from_pred: LinkOrder::default(),
-                sent_2b: Window::new(),
+                pred_floor: LinkOrder::default(),
+                floor: VoteFloor::default(),
                 wal: (cfg.storage != StorageMode::InMemory).then(|| VoteLog::new(stable(), T_WAL)),
                 last_coord_activity: Time::ZERO,
             }
@@ -618,6 +687,9 @@ impl MRingProcess {
             if rec.resumed {
                 let (promised, votes) = wal.replay();
                 a.paxos = Acceptor::restore(promised.max(self.round), votes);
+                // The successor may hold a floor of the previous
+                // incarnation's at any round it had promised.
+                a.floor.silent = promised.max(self.round);
             }
             a.wal = Some(wal);
         }
@@ -885,7 +957,9 @@ impl MRingProcess {
         // Local loop-back when the coordinator is also a learner
         // (multicast does not echo to the sender).
         let round = self.round;
-        self.learner_store(instance, &batch, 0, mask, round);
+        if let Some(l) = self.lrn.as_mut() {
+            l.store(instance, &batch, 0, mask, round);
+        }
         self.learner_decide(&decisions, round);
         self.try_deliver(ctx);
     }
@@ -907,58 +981,94 @@ impl MRingProcess {
         }
     }
 
-    fn on_phase2b(&mut self, instance: InstanceId, round: Round, from: NodeId, ctx: &mut Ctx) {
+    /// A 2B for `instance` arrived from `from`, carrying its vote floor
+    /// `through`: takes it, and in instance order with it each 2B the
+    /// floor newly covers that has not come (module docs, "Loss
+    /// recovery") — at the coordinator an outstanding one, at a
+    /// mid-ring acceptor one it has neither sent nor holds.
+    fn on_phase2b(
+        &mut self,
+        instance: InstanceId,
+        round: Round,
+        through: InstanceId,
+        from: NodeId,
+        ctx: &mut Ctx,
+    ) {
         if round != self.round {
             return;
         }
-        self.ask_overtaken_2bs(instance, round, from, ctx);
-        if self.is_coordinator() {
-            // Quorum complete: every ring acceptor voted, plus ourselves.
-            let Some(c) = self.coord.as_mut() else { return };
-            if let Some(Outstanding { mask, sent, resent, .. }) = c.outstanding.remove(&instance) {
-                c.probe.progress(ctx.now());
-                c.decided_unsent.push((instance, mask));
-                // 2Bs complete the ring in instance order: an older
-                // instance still out when one proposed a whole ring trip
-                // after it is decided lost its 2A at the first acceptor
-                // or a 2B on some hop, and the link's repair as well
-                // (module docs, "Loss recovery", second line). The range
-                // is empty unless a datagram was lost. An
-                // instance that was itself re-multicast measures no ring
-                // trip (which 2A did this 2B answer?) and proves nothing.
-                let trip = ctx.now().saturating_since(sent);
-                let lost: Vec<InstanceId> = c
-                    .outstanding
-                    .range(..instance)
-                    .filter(|(_, o)| !resent && !o.resent && o.sent + trip <= sent)
-                    .map(|(&i, _)| i)
-                    .collect();
-                if let Some(a) = self.acc.as_mut() {
-                    a.decided.insert(instance, ());
+        let succ = self.cfg.successor(self.me);
+        let coord = self.coord.as_ref();
+        let Some(a) = self.acc.as_mut() else { return };
+        let lost: Vec<InstanceId> = a
+            .pred_floor
+            .advance(from, round, through)
+            .filter(|&k| match coord {
+                _ if k == instance => false,
+                Some(c) => c.outstanding.contains_key(&k),
+                None => {
+                    !succ.is_some_and(|s| a.floor.has_sent(s, round, k))
+                        && a.early_2b.get(k) != Some(&round)
                 }
-                ctx.counter_add_id(metric::id::INSTANCES, 1);
-                if ctx.probes_enabled() {
-                    let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
-                    ctx.probe(probe::code::DECIDE, key);
-                }
-                let round = self.round;
-                self.learner_decide(&[(instance, mask)], round);
-                self.try_deliver(ctx);
-                for i in lost {
-                    self.re_2a(i, ctx);
-                }
-                // Classic mode: decisions ride on the next 2A (or the
-                // batch timer flushes them). Partitioned mode: decisions
-                // go out promptly on the decision group.
-                if self.cfg.partitions.is_some() {
-                    self.flush_decisions(ctx);
-                } else {
-                    self.try_flush(ctx, None);
-                }
+            })
+            .collect();
+        if !lost.is_empty() {
+            ctx.counter_add("rp.floor_2b", lost.len() as u64);
+        }
+        let (below, above) = lost.split_at(lost.partition_point(|&k| k < instance));
+        for &k in below.iter().chain(&[instance]).chain(above) {
+            if self.is_coordinator() {
+                self.decide(k, ctx);
+            } else {
+                self.relay_2b(k, round, from, ctx);
             }
+        }
+    }
+
+    /// The 2B of the outstanding `instance` reached the coordinator: the
+    /// quorum is complete (every ring acceptor voted, plus ourselves).
+    fn decide(&mut self, instance: InstanceId, ctx: &mut Ctx) {
+        let Some(c) = self.coord.as_mut() else { return };
+        let Some(Outstanding { mask, sent, resent, .. }) = c.outstanding.remove(&instance) else {
+            return;
+        };
+        c.probe.progress(ctx.now());
+        c.decided_unsent.push((instance, mask));
+        // 2Bs complete the ring in instance order: an older instance
+        // still out when one proposed a whole ring trip after it is
+        // decided lost a 2A or 2B on the ring that its link's repair did
+        // not bring (module docs, "Loss recovery", second line). The
+        // range is empty unless a datagram was lost. An instance that was
+        // itself re-multicast measures no ring trip (which 2A did this 2B
+        // answer?) and proves nothing.
+        let trip = ctx.now().saturating_since(sent);
+        let lost: Vec<InstanceId> = c
+            .outstanding
+            .range(..instance)
+            .filter(|(_, o)| !resent && !o.resent && o.sent + trip <= sent)
+            .map(|(&i, _)| i)
+            .collect();
+        if let Some(a) = self.acc.as_mut() {
+            a.decided.insert(instance, ());
+        }
+        ctx.counter_add_id(metric::id::INSTANCES, 1);
+        if ctx.probes_enabled() {
+            let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
+            ctx.probe(probe::code::DECIDE, key);
+        }
+        let round = self.round;
+        self.learner_decide(&[(instance, mask)], round);
+        self.try_deliver(ctx);
+        for i in lost {
+            self.re_2a(i, ctx);
+        }
+        // Classic mode: decisions ride on the next 2A (or the batch timer
+        // flushes them). Partitioned mode: decisions go out promptly on
+        // the decision group.
+        if self.cfg.partitions.is_some() {
+            self.flush_decisions(ctx);
         } else {
-            // Mid-ring acceptor: vote if the 2A was ip-delivered, else hold.
-            self.relay_2b(instance, round, from, ctx);
+            self.try_flush(ctx, None);
         }
     }
 
@@ -1000,7 +1110,6 @@ impl MRingProcess {
     /// ring's group otherwise.
     fn flush_decisions(&mut self, ctx: &mut Ctx) {
         let group = self.cfg.partitions.as_ref().map_or(self.cfg.group, |p| p.decision_group);
-        let ctl = CTL_BYTES;
         let Some(c) = self.coord.as_mut() else { return };
         if c.decided_unsent.is_empty() {
             return;
@@ -1010,11 +1119,8 @@ impl MRingProcess {
         c.last_mcast = ctx.now();
         let round = self.round;
         let decided_below = self.decided_below();
-        ctx.mcast(
-            group,
-            MMsg::Decision { instances: decisions.clone(), round, gc_upto, decided_below },
-            ctl,
-        );
+        let msg = MMsg::Decision { instances: decisions.clone(), round, gc_upto, decided_below };
+        ctx.mcast(group, msg, CTL_BYTES);
         self.learner_decide(&decisions, round);
         self.try_deliver(ctx);
     }
@@ -1039,7 +1145,12 @@ impl MRingProcess {
             self.coord = None;
             self.takeover = None;
         }
-        let is_first = self.ring_pos() == Some(0);
+        // A lost 2A is asked of the first acceptor's successor, of a
+        // mid-ring acceptor's predecessor.
+        let neighbour = match self.ring_pos() {
+            Some(0) => self.cfg.successor(self.me),
+            pos => pos.map(|p| self.cfg.ring[p - 1]),
+        };
         let Some(a) = self.acc.as_mut() else { return };
         a.last_coord_activity = ctx.now();
         if round != self.round || self.cfg.coordinator() == self.me {
@@ -1049,25 +1160,25 @@ impl MRingProcess {
             // The 2A this acceptor asked for came by multicast after all.
             ctx.counter_add("rp.repair_spurious", 1);
         }
-        let overtaken = a.from_coord.arrived(src, round, instance);
-        if is_first {
-            // The first acceptor's 2As are the ring's only copy: ask the
-            // coordinator for each one this 2A overtook (module docs,
-            // "Loss recovery") that it has neither voted on nor asked for.
+        let overtaken = a.from_coord.advance(src, round, instance.next());
+        if let Some(to) = neighbour {
+            // Ask for each 2A this one overtook (module docs, "Loss
+            // recovery") that the acceptor has neither voted on nor
+            // asked for.
             let mut lost: Vec<(InstanceId, bool)> = overtaken
-                .filter(|&k| a.paxos.vote(k).is_none() && !a.known_decided(k))
+                .filter(|&k| k != instance && a.paxos.vote(k).is_none() && !a.known_decided(k))
                 .map(|k| (k, true))
                 .collect();
             lost.retain(|&(k, _)| a.asked.insert(k));
             if !lost.is_empty() {
-                self.send_retrans_req(src, lost, ctx);
+                self.send_retrans_req(to, lost, ctx);
             }
         }
         self.vote_2a(instance, round, batch, ctx);
     }
 
-    /// Votes on a 2A — ip-delivered, or retransmitted by the ring
-    /// predecessor in its place — and starts or resumes the 2B relay.
+    /// Votes on a 2A — ip-delivered, or retransmitted by a ring
+    /// neighbour in its place — and starts or resumes the 2B relay.
     fn vote_2a(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
         let is_first = self.ring_pos() == Some(0);
         let Some(a) = self.acc.as_mut() else { return };
@@ -1109,8 +1220,8 @@ impl MRingProcess {
         }
     }
 
-    /// Handles a 2B arriving from the ring predecessor at a mid-ring
-    /// acceptor: forward only if we have ip-delivered (and voted for) the
+    /// Handles a 2B from the ring predecessor (or one its floor stood in
+    /// for) at a mid-ring acceptor: forward only if we have voted on the
     /// corresponding 2A — the heart of Task 5 in Algorithm 2.
     fn relay_2b(&mut self, instance: InstanceId, round: Round, from: NodeId, ctx: &mut Ctx) {
         let Some(a) = self.acc.as_mut() else { return };
@@ -1128,71 +1239,9 @@ impl MRingProcess {
         }
     }
 
-    /// A 2B for `instance` arrived from `from`: the 2Bs it overtook on
-    /// that link were lost on it (module docs, "Loss recovery"). Asks
-    /// `from` to send again those of undecided instances of this round
-    /// — at the coordinator the outstanding ones; at a mid-ring acceptor
-    /// the ones it voted on in this round, which proves them proposed.
-    fn ask_overtaken_2bs(
-        &mut self,
-        instance: InstanceId,
-        round: Round,
-        from: NodeId,
-        ctx: &mut Ctx,
-    ) {
-        let Some(a) = self.acc.as_mut() else { return };
-        let coord = self.coord.as_ref();
-        let lost: Vec<InstanceId> = a
-            .from_pred
-            .arrived(from, round, instance)
-            .filter(|&k| match coord {
-                Some(c) => c.outstanding.contains_key(&k),
-                None => a.paxos.vote(k).is_some_and(|v| v.v_rnd == round) && !a.known_decided(k),
-            })
-            .collect();
-        if lost.is_empty() {
-            return;
-        }
-        ctx.counter_add("rp.ask_2b", lost.len() as u64);
-        let wire = CTL_BYTES + 8 * lost.len() as u32;
-        ctx.udp_send(from, MMsg::Resend2b { round, instances: lost, overtaken_by: instance }, wire);
-    }
-
-    /// Sends the successor again the 2Bs of `instances` that this
-    /// acceptor sent at `round` before the 2B of `overtaken_by`, and only
-    /// those: one sent after it is still on its way, a 2B held for its
-    /// 2A or its write leaves when it is released anyway, and one never
-    /// sent may lack the votes upstream of this acceptor. Each 2B sent
-    /// again counts under `rp.retrans`, each one asked for in vain under
-    /// `rp.ask_2b_unmet`.
-    fn on_resend_2b(
-        &mut self,
-        round: Round,
-        instances: &[InstanceId],
-        overtaken_by: InstanceId,
-        ctx: &mut Ctx,
-    ) {
-        let Some(a) = self.acc.as_ref() else { return };
-        let sent_at = |k| a.sent_2b.get(k).filter(|&&(r, _)| r == round).map(|&(_, at)| at);
-        let before = sent_at(overtaken_by).unwrap_or(Time::MAX);
-        let sent: Vec<InstanceId> = instances
-            .iter()
-            .copied()
-            .filter(|&k| sent_at(k).is_some_and(|at| at <= before))
-            .collect();
-        let unmet = (instances.len() - sent.len()) as u64;
-        if unmet > 0 {
-            ctx.counter_add("rp.ask_2b_unmet", unmet);
-        }
-        for k in sent {
-            ctx.counter_add("rp.retrans", 1);
-            self.send_2b_to_successor(k, round, ctx);
-        }
-    }
-
-    /// The answer to a request for a lost 2A — `relay_2b`'s to the
-    /// predecessor, `on_phase2a`'s to the coordinator: vote on it as on
-    /// the lost 2A, which starts the relay or releases the held 2B.
+    /// The answer to a request for a lost 2A (`on_phase2a`'s or
+    /// `relay_2b`'s, to a ring neighbour): vote on it as on the lost 2A,
+    /// which starts the relay or releases the held 2B.
     fn on_2a_repair(
         &mut self,
         instance: InstanceId,
@@ -1222,12 +1271,11 @@ impl MRingProcess {
         if ctx.probes_enabled() {
             ctx.probe(probe::code::PHASE2B, probe::span_key(self.cfg.group.0 as u32, instance.0));
         }
-        if let Some(succ) = self.cfg.successor(self.me) {
-            ctx.udp_send(succ, MMsg::Phase2b { instance, round }, CTL_BYTES);
-            if let Some(a) = self.acc.as_mut() {
-                a.sent_2b.insert(instance, (round, ctx.now()));
-            }
-        }
+        let (Some(succ), Some(a)) = (self.cfg.successor(self.me), self.acc.as_mut()) else {
+            return;
+        };
+        let through = a.floor.sent(succ, round, instance);
+        ctx.udp_send(succ, MMsg::Phase2b { instance, round, through }, CTL_BYTES);
     }
 
     /// Answers a repair request with what each instance is missing and
@@ -1264,19 +1312,6 @@ impl MRingProcess {
     // Learner
     // ------------------------------------------------------------------
 
-    /// Buffers a payload. Returns whether the learner had already asked
-    /// its preferential acceptor for this instance.
-    fn learner_store(
-        &mut self,
-        instance: InstanceId,
-        batch: &Batch,
-        skip: u64,
-        mask: u32,
-        round: Round,
-    ) -> bool {
-        self.lrn.as_mut().is_some_and(|l| l.store(instance, batch, skip, mask, round))
-    }
-
     /// Records announced decisions. Returns how many of them the
     /// learner had already asked its preferential acceptor for.
     fn learner_decide(&mut self, instances: &[(InstanceId, u32)], round: Round) -> u64 {
@@ -1300,6 +1335,35 @@ impl MRingProcess {
         if !missing.is_empty() {
             self.send_retrans_req(self.preferential(), missing, ctx);
         }
+    }
+
+    /// Takes what every multicast from the coordinator carries: the
+    /// decisions announced at `round` and the GC and decided-below
+    /// watermarks. `spurious` counts what the learner had asked for and
+    /// came by multicast after all (was not lost).
+    fn on_announced(
+        &mut self,
+        decisions: &[(InstanceId, u32)],
+        round: Round,
+        gc_upto: InstanceId,
+        decided_below: InstanceId,
+        spurious: u64,
+        ctx: &mut Ctx,
+    ) {
+        if let Some(a) = self.acc.as_mut() {
+            for &(d, _) in decisions {
+                a.decided.insert(d, ());
+            }
+            a.decided_below = a.decided_below.max(decided_below);
+        }
+        let spurious = spurious + self.learner_decide(decisions, round);
+        if spurious > 0 {
+            ctx.counter_add("rp.repair_spurious", spurious);
+        }
+        if gc_upto > InstanceId(0) && !self.is_coordinator() {
+            self.apply_gc(gc_upto);
+        }
+        self.learner_progress(decided_below, ctx);
     }
 
     /// Hands the application every instance the learner can release, as
@@ -1581,7 +1645,7 @@ impl MRingProcess {
             a.paxos.gc_below(upto);
             a.decided.advance_base(upto);
             a.early_2b.advance_base(upto);
-            a.sent_2b.advance_base(upto);
+            a.floor.collect_below(upto);
             a.asked = a.asked.split_off(&upto);
             a.skip_weights = a.skip_weights.split_off(&upto);
             a.masks = a.masks.split_off(&upto);
@@ -1594,10 +1658,6 @@ impl MRingProcess {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Failover (§3.3.5)
-    // ------------------------------------------------------------------
 
     // ------------------------------------------------------------------
     // Ring repair (§3.3.4/§3.3.5): the coordinator suspects a broken 2B
@@ -1817,22 +1877,8 @@ impl MRingProcess {
                 .map(|i| i.next())
                 .unwrap_or(InstanceId(0));
 
-        let mut cs = CoordState {
-            queues: Vec::new(),
-            pending_bytes: 0,
-            hold_armed: false,
-            next_instance: max_seen,
-            outstanding: BTreeMap::new(),
-            decided_unsent: t.decided.iter().map(|&i| (i, ALL_PARTITIONS)).collect(),
-            window: self.cfg.flow.initial_window,
-            last_slowdown: Time::ZERO,
-            last_mcast: ctx.now(),
-            versions: HashMap::new(),
-            gc_watermark: InstanceId(0),
-            logical_count: 0,
-            logical_target: 0,
-            probe: RingProbe::new(ctx.now()),
-        };
+        let mut cs = CoordState::new(self.cfg.flow.initial_window, max_seen, ctx.now());
+        cs.decided_unsent = t.decided.iter().map(|&i| (i, ALL_PARTITIONS)).collect();
 
         // Re-propose undecided revealed votes (value pick rule).
         let mut repropose: Vec<(InstanceId, Batch)> = Vec::new();
@@ -1905,9 +1951,6 @@ impl MRingProcess {
             }
         }
     }
-}
-
-impl MRingProcess {
     /// Lowest instance the coordinator has not yet decided: everything
     /// below it is decided.
     fn decided_below(&self) -> InstanceId {
@@ -1954,7 +1997,9 @@ impl MRingProcess {
             CTL_BYTES,
         );
         let r = self.round;
-        self.learner_store(instance, &batch, weight, ALL_PARTITIONS, r);
+        if let Some(l) = self.lrn.as_mut() {
+            l.store(instance, &batch, weight, ALL_PARTITIONS, r);
+        }
         self.learner_decide(&decisions, r);
         self.try_deliver(ctx);
     }
@@ -1993,75 +2038,48 @@ impl Actor for MRingProcess {
 
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
         let Some(msg) = env.payload.downcast_ref::<MMsg>() else { return };
-        match msg {
-            MMsg::Propose(v) => self.on_propose(*v, env.src, ctx),
+        match *msg {
+            MMsg::Propose(v) => self.on_propose(v, env.src, ctx),
             MMsg::Phase2a {
                 instance,
                 round,
-                batch,
-                decisions,
+                ref batch,
+                ref decisions,
                 gc_upto,
                 skip,
                 mask,
                 decided_below,
             } => {
-                let (instance, round, skip, mask) = (*instance, *round, *skip, *mask);
-                let batch = batch.clone();
-                let decisions = decisions.clone();
-                let (gc_upto, decided_below) = (*gc_upto, *decided_below);
                 // Acceptor path.
                 self.on_phase2a(instance, round, batch.clone(), env.src, ctx);
                 if let Some(a) = self.acc.as_mut() {
-                    for &(d, _) in decisions.iter() {
-                        a.decided.insert(d, ());
-                    }
-                    a.decided_below = a.decided_below.max(decided_below);
                     a.note_shape(instance, skip, mask);
                 }
-                // Learner path: payload plus piggybacked decisions. What
-                // the learner had asked its acceptor for and now came by
-                // multicast after all was not lost.
-                let spurious = self.learner_store(instance, &batch, skip, mask, round) as u64
-                    + self.learner_decide(&decisions, round);
-                if spurious > 0 {
-                    ctx.counter_add("rp.repair_spurious", spurious);
-                }
-                if gc_upto > InstanceId(0) && !self.is_coordinator() {
-                    self.apply_gc(gc_upto);
-                }
-                self.learner_progress(decided_below, ctx);
+                // Learner path: the payload (had the learner asked its
+                // acceptor for it?), then what every multicast carries.
+                let lrn = self.lrn.as_mut();
+                let spurious = lrn.is_some_and(|l| l.store(instance, batch, skip, mask, round));
+                self.on_announced(decisions, round, gc_upto, decided_below, spurious as u64, ctx);
             }
-            MMsg::Phase2b { instance, round } => self.on_phase2b(*instance, *round, env.src, ctx),
+            MMsg::Phase2b { instance, round, through } => {
+                self.on_phase2b(instance, round, through, env.src, ctx)
+            }
             MMsg::Ping { from } => {
                 // Any live acceptor (ring member or spare) answers.
                 if self.acc.is_some() {
-                    let me = self.me;
-                    ctx.udp_send(*from, MMsg::Pong { from: me }, CTL_BYTES);
+                    ctx.udp_send(from, MMsg::Pong { from: self.me }, CTL_BYTES);
                 }
             }
             MMsg::Pong { from } => {
                 if let Some(c) = self.coord.as_mut() {
-                    c.probe.pong(*from);
+                    c.probe.pong(from);
                 }
             }
-            MMsg::Decision { instances, round, gc_upto, decided_below } => {
-                let instances = instances.clone();
-                let (round, gc_upto, decided_below) = (*round, *gc_upto, *decided_below);
+            MMsg::Decision { ref instances, round, gc_upto, decided_below } => {
                 if let Some(a) = self.acc.as_mut() {
                     a.last_coord_activity = ctx.now();
-                    for &(d, _) in instances.iter() {
-                        a.decided.insert(d, ());
-                    }
-                    a.decided_below = a.decided_below.max(decided_below);
                 }
-                let spurious = self.learner_decide(&instances, round);
-                if spurious > 0 {
-                    ctx.counter_add("rp.repair_spurious", spurious);
-                }
-                if gc_upto > InstanceId(0) && !self.is_coordinator() {
-                    self.apply_gc(gc_upto);
-                }
-                self.learner_progress(decided_below, ctx);
+                self.on_announced(instances, round, gc_upto, decided_below, 0, ctx);
             }
             MMsg::SlowDown => {
                 if self.is_coordinator() {
@@ -2075,23 +2093,14 @@ impl Actor for MRingProcess {
                     }
                 }
             }
-            MMsg::RetransReq { from, instances } => {
-                let (from, instances) = (*from, instances.clone());
-                self.on_retrans_req(from, &instances, ctx);
-            }
-            MMsg::Resend2b { round, instances, overtaken_by } => {
-                let (round, instances, overtaken_by) = (*round, instances.clone(), *overtaken_by);
-                self.on_resend_2b(round, &instances, overtaken_by, ctx);
-            }
-            MMsg::RetransRep { instance, batch, decided, round, skip, mask } => {
-                let (instance, round, skip, mask) = (*instance, *round, *skip, *mask);
-                let batch = batch.clone();
+            MMsg::RetransReq { from, ref instances } => self.on_retrans_req(from, instances, ctx),
+            MMsg::RetransRep { instance, ref batch, decided, round, skip, mask } => {
                 self.on_2a_repair(instance, round, batch.clone(), skip, mask, ctx);
                 if let Some(l) = self.lrn.as_mut() {
-                    if *decided {
-                        l.authoritative(instance, &batch, skip, mask, round);
+                    if decided {
+                        l.authoritative(instance, batch, skip, mask, round);
                     } else {
-                        l.store(instance, &batch, skip, mask, round);
+                        l.store(instance, batch, skip, mask, round);
                     }
                 }
                 self.try_deliver(ctx);
@@ -2099,32 +2108,22 @@ impl Actor for MRingProcess {
             MMsg::RetransDecided { instance, round, mask } => {
                 // The answer to this learner's own request: not counted
                 // against it as a repair that proved unnecessary.
-                let _ = self.learner_decide(&[(*instance, *mask)], *round);
+                let _ = self.learner_decide(&[(instance, mask)], round);
                 self.try_deliver(ctx);
             }
-            MMsg::Version { learner, applied } => self.on_version(*learner, *applied, ctx),
-            MMsg::Phase1a { round, from } => self.on_phase1a(*round, *from, ctx),
-            MMsg::Phase1b { round, from, votes, decided } => {
-                let (round, from) = (*round, *from);
-                let votes = votes.clone();
-                let decided = decided.clone();
-                self.on_phase1b(round, from, votes, decided, ctx);
+            MMsg::Version { learner, applied } => self.on_version(learner, applied, ctx),
+            MMsg::Phase1a { round, from } => self.on_phase1a(round, from, ctx),
+            MMsg::Phase1b { round, from, ref votes, ref decided } => {
+                self.on_phase1b(round, from, votes.clone(), decided.clone(), ctx)
             }
-            MMsg::NewRing { round, coord, ring } => {
-                let (round, coord) = (*round, *coord);
-                let ring = ring.clone();
-                self.on_new_ring(round, coord, ring, ctx);
+            MMsg::NewRing { round, coord, ref ring } => {
+                self.on_new_ring(round, coord, ring.clone(), ctx)
             }
-            MMsg::CatchupReq { from, next } => {
-                let (from, next) = (*from, *next);
-                self.serve_catchup(from, next, ctx);
-            }
-            MMsg::CatchupRep { batches, upto, available_from } => {
-                let (batches, upto, avail) = (batches.clone(), *upto, *available_from);
-                self.on_catchup_rep(batches, upto, avail, ctx);
+            MMsg::CatchupReq { from, next } => self.serve_catchup(from, next, ctx),
+            MMsg::CatchupRep { ref batches, upto, available_from } => {
+                self.on_catchup_rep(batches.clone(), upto, available_from, ctx)
             }
             MMsg::SnapReq { from } => {
-                let from = *from;
                 if let Some(rec) = self.rec.as_ref() {
                     let snap = rec.store.lock().unwrap().checkpoint.clone();
                     let wire = (CTL_BYTES as u64
@@ -2133,17 +2132,12 @@ impl Actor for MRingProcess {
                     ctx.tcp_send(from, MMsg::SnapRep { snap }, wire);
                 }
             }
-            MMsg::SnapRep { snap } => {
-                let snap = snap.clone();
-                self.on_snap_rep(snap, ctx);
-            }
-            MMsg::Heartbeat { round, coord, ring } => {
-                if *round > self.round {
+            MMsg::SnapRep { ref snap } => self.on_snap_rep(snap.clone(), ctx),
+            MMsg::Heartbeat { round, coord, ref ring } => {
+                if round > self.round {
                     // Missed the NewRing (restart after pause): resync.
-                    let (round, coord) = (*round, *coord);
-                    let ring = ring.clone();
-                    self.on_new_ring(round, coord, ring, ctx);
-                } else if *round == self.round {
+                    self.on_new_ring(round, coord, ring.clone(), ctx);
+                } else if round == self.round {
                     if let Some(a) = self.acc.as_mut() {
                         a.last_coord_activity = ctx.now();
                     }

@@ -51,6 +51,11 @@ pub enum MMsg {
         instance: InstanceId,
         /// Voted round.
         round: Round,
+        /// The sender's vote floor: it has sent this successor a 2B at
+        /// `round` for every instance below this since the link's
+        /// first; 0 where it cannot vouch (`mring` module docs, "Loss
+        /// recovery").
+        through: InstanceId,
     },
     /// Standalone decision notification (when there is no 2A to piggyback
     /// on).
@@ -68,9 +73,9 @@ pub enum MMsg {
     },
     /// Learner → acceptor → … → coordinator: slow down (§3.3.6).
     SlowDown,
-    /// A learner asks its preferential acceptor (a mid-ring acceptor its
-    /// predecessor, the first acceptor the coordinator) for lost
-    /// instances (§3.3.4).
+    /// A learner asks its preferential acceptor, an acceptor a ring
+    /// neighbour (the first acceptor its successor, a mid-ring acceptor
+    /// its predecessor), for lost instances (§3.3.4).
     RetransReq {
         /// Requesting process.
         from: NodeId,
@@ -79,17 +84,6 @@ pub enum MMsg {
         /// and lacks only the decision, which is all it is sent
         /// ([`MMsg::RetransDecided`]) — if the acceptor knows one.
         instances: Vec<(InstanceId, bool)>,
-    },
-    /// A ring process asks the predecessor it gets 2Bs from to send
-    /// again the 2Bs of `instances` at `round`: a later 2B overtook them
-    /// on that link (`mring` module docs, "Loss recovery").
-    Resend2b {
-        /// Round of the 2Bs asked for.
-        round: Round,
-        /// The overtaken instances.
-        instances: Vec<InstanceId>,
-        /// The instance whose 2B overtook them.
-        overtaken_by: InstanceId,
     },
     /// Retransmission of one instance, payload included.
     RetransRep {

@@ -10,13 +10,15 @@
 //! [`FaultPlan::drop_at`] cuts that one link for that one instant. The
 //! cell asserts that exactly one datagram was dropped, that every
 //! learner's deliveries resume within [`RESUME_WITHIN`] of the drop,
-//! that the repairs sent are the ones [`expected_repair`] names for the
-//! position (where a learner asked, also that the reply carried what it
+//! that no instance reaches any learner later than in the fault-free
+//! run by more than [`delay_bound`] names for the position (the loss's
+//! own cost), that the repairs sent are the ones [`expected_repair`]
+//! names (where a learner asked, also that the reply carried what it
 //! lacked and no more), and that order and integrity hold with
 //! everything proposed delivered.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
 use abcast::{metric, shared_log, MsgId, SharedLog};
@@ -41,9 +43,10 @@ const END: Time = Time(400_000_000);
 const PICK_AFTER: Time = Time(20_000_000);
 /// Every learner must be delivering again this soon after a drop. A
 /// ring-level loss is found on the link that lost it, when the next
-/// instance arrives there one message gap later, and is repaired from
-/// that link's sender within a round trip; a learner's loss likewise,
-/// from its preferential acceptor.
+/// instance arrives there one message gap later: a lost 2B is covered
+/// by the next 2B's vote floor, a lost 2A fetched from a ring neighbour
+/// within a round trip; a learner's loss is fetched from its
+/// preferential acceptor.
 const RESUME_WITHIN: Dur = Dur::millis(1);
 /// What a loss costs where it waits for the coordinator's ring-trip
 /// re-2A: two ring trips for a later instance to prove it, one for the
@@ -238,33 +241,23 @@ enum Position {
     DecisionForeign,
 }
 
-/// What each position costs: one repair message, and where the loss is
-/// ring-level, the asks it provokes. A lost 2A or 2B shows on every
-/// ring link downstream of the loss as a later 2B overtaking that
-/// instance's, so each receiver from there to the coordinator asks its
-/// predecessor for the 2B once (`ask_2b`). A predecessor that sent that
-/// 2B before the one that overtook it sends it again (a `retrans`); one
-/// that has not — it holds the 2B for its own 2A, has not voted yet, or
-/// sent it late, after the overtaking one — sends nothing
-/// (`ask_2b_unmet`).
+/// What each position costs: one repair message, or none where the loss
+/// is a 2B. A lost 2A is fetched from a ring neighbour (the `retrans`):
+/// the first acceptor asks its successor, a mid-ring acceptor its
+/// predecessor. A lost 2B is covered by the next 2B on its hop, whose
+/// vote floor passes it (`floor_2b`); the floors downstream cover it as
+/// one sent, not one lost, so only the receiver of the lost hop counts
+/// it.
 fn expected_repair(pos: Position) -> Repairs {
     let r = Repairs::default();
-    let asks = |n, unmet| Repairs { retrans: 1, ask_2b: n, ask_2b_unmet: unmet, ..r };
     match pos {
         Position::Proposal => Repairs { resubmit: 1, ..r },
-        // The first acceptor asks the coordinator for the 2A (the
-        // `retrans`); the asks downstream find its 2B not sent yet.
-        Position::TwoAFirst => asks(2, 2),
-        // The mid-ring acceptor asks its predecessor for the 2A (the
-        // `retrans`); the coordinator's ask finds the 2B held for it.
-        Position::TwoAMid => asks(1, 1),
-        // The mid-ring acceptor's ask is met (the `retrans`); the
-        // coordinator's finds the 2B still on its way there.
-        Position::TwoBFirstHop => asks(2, 1),
-        Position::TwoBLastHop => asks(1, 0),
-        Position::TwoALearner | Position::DecisionLearner | Position::DecisionForeign => {
-            Repairs { retrans: 1, ..r }
-        }
+        Position::TwoBFirstHop | Position::TwoBLastHop => Repairs { floor_2b: 1, ..r },
+        Position::TwoAFirst
+        | Position::TwoAMid
+        | Position::TwoALearner
+        | Position::DecisionLearner
+        | Position::DecisionForeign => Repairs { retrans: 1, ..r },
     }
 }
 
@@ -370,10 +363,8 @@ struct Repairs {
     re2a: u64,
     resubmit: u64,
     spurious: u64,
-    /// 2Bs asked for again on the link that lost them.
-    ask_2b: u64,
-    /// … of which the predecessor had not sent, so sent nothing.
-    ask_2b_unmet: u64,
+    /// 2Bs a vote floor stood in for: lost on the link, or not yet come.
+    floor_2b: u64,
 }
 
 fn repairs(sim: &Sim) -> Repairs {
@@ -383,32 +374,99 @@ fn repairs(sim: &Sim) -> Repairs {
         re2a: sum("rp.re2a"),
         resubmit: sum("rp.resubmit"),
         spurious: sum("rp.repair_spurious"),
-        ask_2b: sum("rp.ask_2b"),
-        ask_2b_unmet: sum("rp.ask_2b_unmet"),
+        floor_2b: sum("rp.floor_2b"),
     }
+}
+
+/// The most a drop at `pos` may delay any instance at any learner,
+/// with `msg_bytes` messages, in a classic or a `partitioned` ring:
+/// what each cell reads, with some headroom. A lost 2B is covered by
+/// the next 2B on its hop, one message gap later: in a classic ring its
+/// decision still rides on the 2A it would have, so it costs nothing;
+/// a partitioned ring announces each decision the instant it is taken,
+/// so it costs that gap. A lost 2A costs an ask and the payload's
+/// transfer from a ring neighbour: the first acceptor asks on 2A order,
+/// one message gap after the loss; a mid-ring acceptor as soon as 2A
+/// order or its predecessor's 2B shows the loss. The bounds of the 2B
+/// cells and of the classic `TwoAMid` sit below what a repair by asking
+/// costs there (a round trip: 0.21 / 0.29 ms for a classic 2B at 4 /
+/// 8 KB, 0.37 ms partitioned; 0.43 / 0.29 ms for a mid-ring 2A asked
+/// for only on its predecessor's 2B). The learner positions cost the
+/// round trip to the preferential acceptor. A lost proposal shifts
+/// every later instance by one message gap, and the proposal itself
+/// lands in another instance; its resend shows in no bound here.
+fn delay_bound(pos: Position, partitioned: bool, msg_bytes: u32) -> Dur {
+    use Position::*;
+    let micros = match (partitioned, msg_bytes == MSG_BYTES_8K, pos) {
+        (false, _, TwoBFirstHop | TwoBLastHop) => 0,
+        (false, false, Proposal) => 250,
+        (false, false, TwoAFirst) => 450,
+        (false, false, TwoAMid) => 250,
+        (false, false, TwoALearner) => 300,
+        (false, false, DecisionLearner | DecisionForeign) => 450,
+        (false, true, Proposal) => 400,
+        (false, true, TwoAFirst) => 325,
+        (false, true, TwoAMid) => 100,
+        (false, true, TwoALearner) => 550,
+        (false, true, DecisionLearner | DecisionForeign) => 650,
+        (true, _, TwoBFirstHop | TwoBLastHop) => 175,
+        (true, _, DecisionForeign) => 250,
+        (true, _, TwoALearner) => 350,
+        (true, _, Proposal | TwoAFirst | TwoAMid | DecisionLearner) => 400,
+    };
+    Dur::micros(micros)
+}
+
+/// Each learner's deliveries in `s`, in time order: `(when, node,
+/// instance)`.
+fn deliveries(s: &Sim, r: &Ring) -> Vec<(Time, u32, u64)> {
+    let learner = |e: &&ProbeEvent| r.learners.iter().any(|l| l.0 as u32 == e.node);
+    let events = s.probe_events();
+    let delivered = events.iter().filter(|e| e.code == code::DELIVER).filter(learner);
+    delivered.map(|e| (e.time, e.node, instance_of(e))).collect()
+}
+
+/// When each learner delivered each instance in the fault-free run.
+fn dry_times(dry: &Sim, r: &Ring) -> HashMap<(u32, u64), Time> {
+    deliveries(dry, r).into_iter().map(|(t, node, i)| ((node, i), t)).collect()
 }
 
 /// How long after `drop` every learner was delivering again: the end,
 /// relative to the drop, of the longest delivery gap at any learner
-/// that spans the drop or starts within 5 ms of it (the first such gap
-/// when the drop stalled nobody). Also returns that gap's length.
-fn resume_after(sim: &Sim, r: &Ring, drop: Time) -> (Dur, Dur) {
+/// that spans the drop, or that starts within 5 ms of it and is longer
+/// than between the same two deliveries in the fault-free run `dry` (a
+/// gap both runs have is the stream's, not the drop's). Also returns
+/// that gap's length.
+fn resume_after(dry: &Sim, sim: &Sim, r: &Ring, drop: Time) -> (Dur, Dur) {
     let horizon = Dur::millis(5);
-    let events = sim.probe_events();
+    let before = dry_times(dry, r);
+    let all = deliveries(sim, r);
     let mut worst = (Dur::ZERO, Dur::ZERO);
     for &l in &r.learners {
-        let times: Vec<Time> = events
-            .iter()
-            .filter(|e| e.node == l.0 as u32 && e.code == code::DELIVER)
-            .map(|e| e.time)
-            .collect();
-        for w in times.windows(2).filter(|w| w[1] >= drop && w[0] <= drop + horizon) {
-            if w[1].since(w[0]) > worst.1 {
-                worst = (w[1].saturating_since(drop), w[1].since(w[0]));
+        let mine: Vec<(Time, u64)> =
+            all.iter().filter(|d| d.1 == l.0 as u32).map(|&(t, _, i)| (t, i)).collect();
+        for w in mine.windows(2).filter(|w| w[1].0 >= drop && w[0].0 <= drop + horizon) {
+            let gap = w[1].0.since(w[0].0);
+            let dry_at = |i| before.get(&(l.0 as u32, i)).copied();
+            let dry_gap = dry_at(w[0].1).zip(dry_at(w[1].1)).map(|(a, b)| b.saturating_since(a));
+            let lengthened = dry_gap.is_none_or(|d| gap > d);
+            if (w[0].0 <= drop || lengthened) && gap > worst.1 {
+                worst = (w[1].0.saturating_since(drop), gap);
             }
         }
     }
     worst
+}
+
+/// The most any instance reached any learner later in `sim` than in its
+/// fault-free run `dry`: what the drop itself cost, whatever else the
+/// delivery stream does around it.
+fn worst_delay(dry: &Sim, sim: &Sim, r: &Ring) -> Dur {
+    let before = dry_times(dry, r);
+    let delays = deliveries(sim, r)
+        .into_iter()
+        .filter_map(|(t, node, i)| Some(t.saturating_since(*before.get(&(node, i))?)));
+    delays.max().unwrap_or(Dur::ZERO)
 }
 
 /// Order, integrity, and everything proposed delivered at every learner
@@ -454,15 +512,18 @@ fn cell(deploy: Deploy, msg_bytes: u32, pos: Position, bound: Dur) {
     let (t, x, y) = locate(pos, &dry.probe_events(), &ring);
     let (sim, ring) = run(deploy, msg_bytes, FaultPlan::new().drop_at(t, x, y));
     let got = repairs(&sim);
-    let (resumed, gap) = resume_after(&sim, &ring, t);
+    let (resumed, gap) = resume_after(&dry, &sim, &ring, t);
+    let delay = worst_delay(&dry, &sim, &ring);
     if std::env::var("LOSS_MATRIX_PRINT").is_ok() {
         println!(
-            "{msg_bytes} B {pos:?}: delivering again {resumed:?} after the drop (gap {gap:?}); \
-             {got:?}"
+            "{msg_bytes} B {pos:?}: delivering again {resumed:?} after the drop (gap {gap:?}), \
+             worst delay {delay:?}; {got:?}"
         );
     }
     assert_eq!(sim.metrics().sum("net.part_drop"), 1, "{pos:?}: exactly one datagram dropped");
     assert_eq!(got, expected_repair(pos), "{pos:?}: one repair");
+    let most = delay_bound(pos, ring.partitioned, msg_bytes);
+    assert!(delay <= most, "{pos:?}: an instance arrived {delay:?} late (at most {most:?})");
     if let Some(bytes) = reply_bytes(pos, msg_bytes) {
         // The learner's loss changes nothing else an acceptor sends.
         let extra = ring_sent_bytes(&sim, &ring) - ring_sent_bytes(&dry, &ring);
@@ -513,44 +574,44 @@ fn classic_matrix_at_the_benchmark_message_size() {
     }
 }
 
-/// Behind the order-triggered repair of each link stand two more lines:
-/// the coordinator's ring-trip re-2A, and behind that the flow tick.
-/// Lose a 2B on the first hop and the first acceptor's resend of it,
-/// and the re-2A recovers within the three ring trips it costs; lose
-/// the first acceptor's copy of that re-2A as well, and only the tick's
-/// sweep is left, 50 to 150 ms later.
+/// Behind each link's repair stand two more lines: the coordinator's
+/// ring-trip re-2A, and behind that the flow tick. A 2B lost in a
+/// stream is covered by the next 2B's vote floor, so what they serve is
+/// a repair lost as well, or the last 2B of a burst, which no later 2B
+/// follows. Lose the first acceptor's 2A and its successor's repair of
+/// it, and the re-2A recovers within the ring trips it costs; lose the
+/// first acceptor's copy of that re-2A too, and only the tick's sweep is
+/// left, 50 to 150 ms later. And lose the first hop's 2B of the last
+/// instance of a burst, and the tick's sweep is all there is.
 #[test]
 fn lost_repair_falls_back_to_the_flow_tick() {
     let (dry, ring) = run(deploy_classic, MSG_BYTES, FaultPlan::new());
-    let (t, x, y) = locate(Position::TwoBFirstHop, &dry.probe_events(), &ring);
+    let (t, x, y) = locate(Position::TwoAFirst, &dry.probe_events(), &ring);
     let first = || FaultPlan::new().drop_at(t, x, y);
-    // The run with the first drop shows when the first acceptor sends
-    // that 2B again: its second `PHASE2B` probe of the instance.
+    // The run with the first drop shows when the successor sends the
+    // repair: its first payload unicast after the drop (no learner asks
+    // it for anything here).
     let (once, ring) = run(deploy_classic, MSG_BYTES, first());
     let events = once.probe_events();
     let at = |n: NodeId| move |e: &&ProbeEvent| e.node == n.0 as u32;
-    let k = events.iter().filter(at(ring.a0)).find(|e| e.code == code::PHASE2B && e.time == t);
-    let k = instance_of(k.expect("the dropped 2B"));
-    let resend_at = events
+    let repair_at = events
         .iter()
-        .filter(at(ring.a0))
-        .find(|e| e.code == code::PHASE2B && instance_of(e) == k && e.time > t)
-        .expect("the 2B sent again")
+        .filter(at(ring.a1))
+        .find(|e| e.code == code::NET_SEND && e.time > t && send_shape(e) == (1, true))
+        .expect("the repair")
         .time;
-    assert!(resend_at.since(t) < RESUME_WITHIN);
-    let second = || first().drop_at(resend_at, ring.a0, ring.a1);
+    assert!(repair_at.since(t) < RESUME_WITHIN);
+    let second = || first().drop_at(repair_at, ring.a1, ring.a0);
 
     // The second line: the ring-trip re-2A, the coordinator's first
     // payload multicast after the drop that opens no new instance.
     let (twice, ring) = run(deploy_classic, MSG_BYTES, second());
     assert_eq!(twice.metrics().sum("net.part_drop"), 2);
-    let got = repairs(&twice);
-    // The instance's two 2Bs asked for again (the one the first hop
-    // lost, sent again and lost again; the last acceptor's, never sent)
-    // and the re-2A that restarts the relay.
-    let asked = Repairs { retrans: 1, ask_2b: 2, ask_2b_unmet: 1, ..Repairs::default() };
-    assert_eq!(got, Repairs { re2a: 1, ..asked }, "the ring-trip re-2A");
-    let (resumed, _) = resume_after(&twice, &ring, t);
+    // The repair sent (and lost), and the re-2A that restarts the relay,
+    // which also brings the first acceptor the 2A it asked for.
+    let repaired = Repairs { retrans: 1, spurious: 1, ..Repairs::default() };
+    assert_eq!(repairs(&twice), Repairs { re2a: 1, ..repaired }, "the ring-trip re-2A");
+    let (resumed, _) = resume_after(&dry, &twice, &ring, t);
     assert!(resumed <= RE2A_WITHIN, "recovered by the re-2A: {resumed:?}");
     check_safety_and_completeness(&twice, &ring);
     let events = twice.probe_events();
@@ -574,12 +635,28 @@ fn lost_repair_falls_back_to_the_flow_tick() {
     let (sim, ring) =
         run(deploy_classic, MSG_BYTES, second().drop_at(re2a_at, ring.coord, ring.a0));
     assert_eq!(sim.metrics().sum("net.part_drop"), 3);
-    let got = repairs(&sim);
-    assert_eq!(got, Repairs { re2a: 2, ..asked }, "the re-2A, then the tick's");
-    let (resumed, _) = resume_after(&sim, &ring, t);
+    assert_eq!(repairs(&sim), Repairs { re2a: 2, ..repaired }, "the re-2A, then the tick's");
+    let (resumed, _) = resume_after(&dry, &sim, &ring, t);
     assert!(
         resumed > Dur::millis(50) && resumed < Dur::millis(160),
         "recovered by the flow tick, not sooner or later: {resumed:?}"
+    );
+    check_safety_and_completeness(&sim, &ring);
+
+    // The last 2B of a burst. The partitioned ring's injectors stop at
+    // `STOP` and never resend, so no later instance follows at all.
+    let (dry, ring) = run(deploy_partitioned, MSG_BYTES, FaultPlan::new());
+    let events = dry.probe_events();
+    let sent_2b = |e: &&ProbeEvent| e.node == ring.a0.0 as u32 && e.code == code::PHASE2B;
+    let t = events.iter().rfind(sent_2b).expect("a 2B").time;
+    let (sim, ring) =
+        run(deploy_partitioned, MSG_BYTES, FaultPlan::new().drop_at(t, ring.a0, ring.a1));
+    assert_eq!(sim.metrics().sum("net.part_drop"), 1);
+    assert_eq!(repairs(&sim), Repairs { re2a: 1, ..Repairs::default() }, "the tick's re-2A");
+    let delay = worst_delay(&dry, &sim, &ring);
+    assert!(
+        delay > Dur::millis(50) && delay < Dur::millis(160),
+        "the last instance recovered by the flow tick: {delay:?} late"
     );
     check_safety_and_completeness(&sim, &ring);
 }
@@ -587,8 +664,9 @@ fn lost_repair_falls_back_to_the_flow_tick() {
 /// What a scripted ring neighbour sends: `(when, to whom, what, wire
 /// bytes)`.
 type Sends = Vec<(Time, NodeId, MMsg, u32)>;
-/// The `Phase2b`s a scripted neighbour received: `(when, instance)`.
-type Got2b = Rc<RefCell<Vec<(Time, u64)>>>;
+/// The `Phase2b`s a scripted neighbour received, in arrival order:
+/// `(when, instance, round, through)`.
+type Got2b = Rc<RefCell<Vec<(Time, u64, Round, u64)>>>;
 
 /// A ring neighbour that sends what it is told and keeps the 2Bs it
 /// receives.
@@ -604,8 +682,8 @@ impl Actor for Script {
         }
     }
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if let Some(MMsg::Phase2b { instance, .. }) = env.payload.downcast_ref() {
-            self.got_2b.borrow_mut().push((ctx.now(), instance.0));
+        if let Some(&MMsg::Phase2b { instance, round, through }) = env.payload.downcast_ref() {
+            self.got_2b.borrow_mut().push((ctx.now(), instance.0, round, through.0));
         }
     }
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
@@ -617,12 +695,12 @@ impl Actor for Script {
 /// A ring of three that votes under `storage`, where only position
 /// `real` runs M-Ring and the other two send what `script` lists for
 /// them (given the ring and the scripted node). Runs 20 ms; returns
-/// the run, the ring, and the 2Bs each position received.
+/// the ring and the 2Bs each position received.
 fn scripted_ring(
     storage: StorageMode,
     real: usize,
     script: impl Fn(&[NodeId], NodeId) -> Sends,
-) -> (Sim, Vec<NodeId>, Vec<Got2b>) {
+) -> (Vec<NodeId>, Vec<Got2b>) {
     let mut sim = Sim::new(SimConfig { seed: SEED, ..SimConfig::default() });
     let ring: Vec<NodeId> = (0..3).map(|_| sim.add_node(Box::new(Idle))).collect();
     let mut cfg = MRingConfig::new(ring.clone(), Vec::new(), sim.add_group());
@@ -637,7 +715,7 @@ fn scripted_ring(
         sim.replace_actor(n, actor);
     }
     sim.run_until(Time::from_millis(20));
-    (sim, ring, got)
+    (ring, got)
 }
 
 /// The round a deployment starts in (Phase 1 pre-executed by the
@@ -658,69 +736,9 @@ fn one_value(bytes: u32) -> Batch {
     BatchData::new(vec![v])
 }
 
-/// A 2B is sent again only if it was sent. A mid-ring acceptor that
-/// holds a 2B because its 2A was lost, asked for that 2B, sends nothing
-/// until its own vote is released: after the 2A's repair, and where
-/// votes are written, after the write.
-#[test]
-fn a_held_2b_is_not_sent_again_before_its_vote_is_released() {
-    let (t_2b, t_ask, t_repair, t_ask_writing, t_ask_after) =
-        (us(1_000), us(2_000), us(3_000), us(3_300), us(10_000));
-    let round = first_round();
-    for storage in [StorageMode::InMemory, StorageMode::SyncDisk] {
-        let (sim, ring, got) = scripted_ring(storage, 1, |ring, me| {
-            let a1 = ring[1];
-            let ask = |at| {
-                let ask = MMsg::Resend2b {
-                    round,
-                    instances: vec![InstanceId(0)],
-                    overtaken_by: InstanceId(1),
-                };
-                (at, a1, ask, CTL_BYTES + 8)
-            };
-            if me == ring[0] {
-                let batch = one_value(8192);
-                let repair = MMsg::RetransRep {
-                    instance: InstanceId(0),
-                    batch,
-                    decided: false,
-                    round,
-                    skip: 0,
-                    mask: ALL_PARTITIONS,
-                };
-                vec![
-                    (t_2b, a1, MMsg::Phase2b { instance: InstanceId(0), round }, CTL_BYTES),
-                    (t_repair, a1, repair, 8192),
-                ]
-            } else {
-                vec![ask(t_ask), ask(t_ask_writing), ask(t_ask_after)]
-            }
-        });
-        let written = storage == StorageMode::SyncDisk;
-        let released =
-            t_repair + if written { sim.config().disk_write_time(8192) } else { Dur::ZERO };
-        let at_coord = got[2].borrow();
-        assert!(
-            at_coord.iter().all(|&(at, i)| i == 0 && at > released),
-            "{storage:?}: {at_coord:?}"
-        );
-        let count = |name| sim.metrics().counter(ring[1], name);
-        // The ask before the repair finds the 2B held, and so does the
-        // one during the write; every later one is answered.
-        let unmet = if written { 2 } else { 1 };
-        assert_eq!(count("rp.ask_2b_unmet"), unmet, "{storage:?}");
-        assert_eq!(count("rp.retrans"), 3 - unmet, "{storage:?}");
-        assert_eq!(at_coord.len() as u64, 1 + 3 - unmet, "{storage:?}: released once, then resent");
-    }
-}
-
-/// The first acceptor sends a 2B again only if it sent it before the 2B
-/// that overtook it: not one it sent after (still on its way), and not
-/// one of an instance it never voted on.
-#[test]
-fn the_first_acceptor_sends_again_only_2bs_sent_before_the_overtaking_one() {
-    let round = first_round();
-    let two_a = |instance| MMsg::Phase2a {
+/// The coordinator's 8 KB 2A of `instance` at `round`.
+fn two_a(instance: u64, round: Round) -> MMsg {
+    MMsg::Phase2a {
         instance: InstanceId(instance),
         round,
         batch: one_value(8192),
@@ -729,44 +747,139 @@ fn the_first_acceptor_sends_again_only_2bs_sent_before_the_overtaking_one() {
         skip: 0,
         mask: ALL_PARTITIONS,
         decided_below: InstanceId(0),
-    };
+    }
+}
+
+/// A `Phase2b` of `instance` at `round` with floor `through`, to `to` at
+/// `at` µs.
+fn two_b(
+    at: u64,
+    to: NodeId,
+    instance: u64,
+    round: Round,
+    through: u64,
+) -> (Time, NodeId, MMsg, u32) {
+    let (instance, through) = (InstanceId(instance), InstanceId(through));
+    (us(at), to, MMsg::Phase2b { instance, round, through }, CTL_BYTES)
+}
+
+/// Replays what a receiver makes of the 2Bs one sender sent it, in
+/// arrival order: every instance a floor newly covers — from the
+/// sender's last floor at that round to this one, none on a new round —
+/// must have come in a 2B of that round by then.
+fn assert_floors_cover_only_sent(got: &[(Time, u64, Round, u64)]) {
+    let mut link: Option<(Round, u64)> = None;
+    let mut sent = BTreeSet::new();
+    for &(_, instance, round, through) in got {
+        sent.insert((round, instance));
+        let known = match link {
+            Some((r, known)) if r == round => known,
+            _ => through,
+        };
+        for k in known..through {
+            assert!(sent.contains(&(round, k)), "floor {through} at {round:?} passes {k}: {got:?}");
+        }
+        link = Some((round, known.max(through)));
+    }
+}
+
+/// A vote floor passes only 2Bs sent. A mid-ring acceptor gets the 2As
+/// of 0, 1, 3, 2 and 4, in that order (5's is lost), and its
+/// predecessor's 2Bs of 0, 1, 3 and 4 together, of 2 later, and of 5
+/// last. Its floor must not pass 2 — voted on, but its 2B waits for the
+/// predecessor's, and under `SyncDisk` the votes of 1, 3 and 4 wait for
+/// their write when 0's 2B leaves — until 2's 2B leaves, and never 5,
+/// an instance it has not voted on.
+#[test]
+fn a_floor_passes_only_2bs_sent() {
+    let round = first_round();
     for storage in [StorageMode::InMemory, StorageMode::SyncDisk] {
-        let (sim, ring, got) = scripted_ring(storage, 0, |ring, me| {
-            let a0 = ring[0];
+        let (_, got) = scripted_ring(storage, 1, |ring, me| {
+            let a1 = ring[1];
             if me == ring[2] {
-                // Instance 1's 2A, then 0's, then 2's: the 2Bs leave in
-                // that order.
-                let at = [(1_000, 1), (2_000, 0), (3_000, 2)];
-                at.into_iter().map(|(t, i)| (us(t), a0, two_a(i), 8192)).collect()
-            } else if me == ring[1] {
-                let ask = |instances: &[u64], by| MMsg::Resend2b {
-                    round,
-                    instances: instances.iter().copied().map(InstanceId).collect(),
-                    overtaken_by: InstanceId(by),
-                };
+                let order = [0, 1, 3, 2, 4].into_iter().enumerate();
+                order
+                    .map(|(n, i)| (us(1_000 + 100 * n as u64), a1, two_a(i, round), 8192))
+                    .collect()
+            } else if me == ring[0] {
+                // A predecessor that held 2: floor 2 until 2's 2B leaves.
+                let b = |at, i, through| two_b(at, a1, i, round, through);
                 vec![
-                    (us(5_000), a0, ask(&[0], 1), CTL_BYTES + 8),
-                    (us(6_000), a0, ask(&[1, 3], 4), CTL_BYTES + 16),
+                    b(1_500, 0, 1),
+                    b(1_500, 1, 2),
+                    b(1_500, 3, 2),
+                    b(1_500, 4, 2),
+                    b(5_000, 2, 5),
+                    b(5_100, 5, 6),
                 ]
             } else {
                 Vec::new()
             }
         });
-        let at_a1: Vec<u64> = got[1].borrow().iter().map(|&(_, i)| i).collect();
-        assert_eq!(at_a1, [1, 0, 2, 1], "{storage:?}: the three 2Bs, then 1's again");
-        let count = |name| sim.metrics().counter(ring[0], name);
-        assert_eq!((count("rp.retrans"), count("rp.ask_2b_unmet")), (1, 2), "{storage:?}");
+        let at_coord = got[2].borrow();
+        let sent: Vec<(u64, u64)> =
+            at_coord.iter().map(|&(_, i, _, through)| (i, through)).collect();
+        assert_eq!(sent, [(0, 1), (1, 2), (3, 2), (4, 2), (2, 5)], "{storage:?}");
+        assert_floors_cover_only_sent(&at_coord);
     }
+}
+
+/// A floor vouches for one round. Round 1: a mid-ring acceptor relays
+/// 0 to 4 and 6, its predecessor holding 5 (floor 5). Round 2 (a
+/// takeover by the same coordinator's next round) re-proposes 5 and 6
+/// and proposes 7 and 8, and the predecessor's first 2Bs there are 8's
+/// (floor 9), then 5's. Neither floor of round 1 covers anything at
+/// round 2: the acceptor relays 8 and 5 alone, and its own floor there
+/// starts at 8, not at the round-1 sends above 5.
+#[test]
+fn a_floor_from_an_old_round_covers_nothing_at_the_new_one() {
+    let (r1, r2) = (first_round(), Round::new(2, 2));
+    let (_, got) = scripted_ring(StorageMode::InMemory, 1, |ring, me| {
+        let a1 = ring[1];
+        if me == ring[2] {
+            let old = (0..7).map(|i| (us(1_000 + 50 * i), a1, two_a(i, r1), 8192));
+            let new = (5..9).map(|i| (us(3_000 + 50 * i), a1, two_a(i, r2), 8192));
+            old.chain(new).collect()
+        } else if me == ring[0] {
+            let mut sends: Sends = (0..5).map(|i| two_b(1_500, a1, i, r1, i + 1)).collect();
+            sends.push(two_b(1_500, a1, 6, r1, 5));
+            sends.extend([two_b(4_000, a1, 8, r2, 9), two_b(4_100, a1, 5, r2, 9)]);
+            sends
+        } else {
+            Vec::new()
+        }
+    });
+    let at_coord = got[2].borrow();
+    let at = |round| -> Vec<(u64, u64)> {
+        at_coord.iter().filter(|e| e.2 == round).map(|&(_, i, _, through)| (i, through)).collect()
+    };
+    assert_eq!(at(r1), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (6, 5)]);
+    assert_eq!(at(r2), [(8, 9), (5, 9)]);
+    assert_floors_cover_only_sent(&at_coord);
 }
 
 fn us(micros: u64) -> Time {
     Time::ZERO + Dur::micros(micros)
 }
 
-/// Reordering loses nothing, so every repair it provokes is wasted, and
-/// so is every 2B it has asked for: there may be at most one of either
-/// per reordered datagram, the spurious repairs are counted, and
-/// nothing is delivered twice or out of order.
+/// The 2As the ring's acceptors asked a neighbour for: their unicasts
+/// bigger than a bare control message and smaller than a payload, which
+/// only a `RetransReq` is.
+fn acceptor_asks(sim: &Sim, r: &Ring) -> u64 {
+    let events = sim.probe_events();
+    let ask = |e: &&ProbeEvent| {
+        let bytes = e.arg & 0xFFFF_FFFF;
+        e.code == code::NET_SEND && send_shape(e) == (1, false) && bytes > CTL_BYTES as u64
+    };
+    let from_acceptor = |e: &&ProbeEvent| [r.a0, r.a1].iter().any(|n| n.0 as u32 == e.node);
+    events.iter().filter(from_acceptor).filter(ask).count() as u64
+}
+
+/// Reordering loses nothing, so every repair it provokes is wasted — a
+/// repair message, a 2A asked of a ring neighbour, a 2B a floor stood in
+/// for: there may be at most one of them per reordered datagram, the
+/// spurious repairs are counted, and nothing is delivered twice or out
+/// of order.
 #[test]
 fn reorder_burst_repairs_little_and_breaks_nothing() {
     let plan = FaultPlan::new().reorder_burst(Time::from_millis(10), Time::from_millis(50), 0.02);
@@ -774,11 +887,15 @@ fn reorder_burst_repairs_little_and_breaks_nothing() {
     let reordered = sim.metrics().sum("net.reordered");
     assert!(reordered > 50, "the knob fired ({reordered})");
     let got = repairs(&sim);
+    let asks = acceptor_asks(&sim, &ring);
+    if std::env::var("LOSS_MATRIX_PRINT").is_ok() {
+        println!("reorder: {got:?}, {asks} asks, {reordered} reordered");
+    }
     assert!(
-        got.retrans + got.re2a + got.resubmit + got.ask_2b <= reordered,
-        "{got:?} for {reordered} reordered datagrams"
+        got.retrans + got.re2a + got.resubmit + got.floor_2b + asks <= reordered,
+        "{got:?} and {asks} asks for {reordered} reordered datagrams"
     );
-    assert!(got.spurious <= got.retrans + got.re2a, "{got:?}");
+    assert!(got.spurious <= got.retrans + got.re2a + asks, "{got:?} and {asks} asks");
     check_safety_and_completeness(&sim, &ring);
 }
 

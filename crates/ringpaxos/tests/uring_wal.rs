@@ -357,7 +357,7 @@ impl Actor for Watch {
         self.inner.on_start(ctx);
     }
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if let Some(&MMsg::Phase2b { instance, round }) = env.payload.downcast_ref::<MMsg>() {
+        if let Some(&MMsg::Phase2b { instance, round, .. }) = env.payload.downcast_ref::<MMsg>() {
             let store = &self.stores.iter().find(|(n, _)| *n == env.src).expect("an acceptor").1;
             let held = store.lock().unwrap().votes.get(&instance).is_some_and(|v| v.0 == round);
             self.seen.lock().unwrap().push((env.src, instance, round, held));
