@@ -208,10 +208,6 @@ pub fn deploy_lcr(
     rate_bps: u64,
     msg_bytes: u32,
 ) -> (Vec<NodeId>, SharedLog) {
-    struct Idle;
-    impl Actor for Idle {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
     let ring: Vec<NodeId> = (0..n).map(|_| sim.add_node(Box::new(Idle))).collect();
     let log = abcast::shared_log(n);
     for pos in 0..n {

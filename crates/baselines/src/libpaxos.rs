@@ -224,10 +224,6 @@ pub fn deploy_libpaxos(
     rate_bps: u64,
     msg_bytes: u32,
 ) -> (LibpaxosConfig, Vec<NodeId>, SharedLog) {
-    struct Idle;
-    impl Actor for Idle {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
     let n_acceptors = 2 * f + 1;
     let acceptors: Vec<NodeId> = (0..n_acceptors).map(|_| sim.add_node(Box::new(Idle))).collect();
     let learners: Vec<NodeId> = (0..n_learners).map(|_| sim.add_node(Box::new(Idle))).collect();

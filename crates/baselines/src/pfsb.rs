@@ -218,10 +218,6 @@ pub fn deploy_pfsb(
     rate_bps: u64,
     msg_bytes: u32,
 ) -> (Vec<NodeId>, SharedLog) {
-    struct Idle;
-    impl Actor for Idle {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
     let acceptors: Vec<NodeId> = (0..2 * f + 1).map(|_| sim.add_node(Box::new(Idle))).collect();
     let learners: Vec<NodeId> = (0..n_learners).map(|_| sim.add_node(Box::new(Idle))).collect();
     let proposers: Vec<NodeId> = (0..n_proposers).map(|_| sim.add_node(Box::new(Idle))).collect();

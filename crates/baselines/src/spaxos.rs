@@ -335,10 +335,6 @@ pub fn deploy_spaxos(
     rate_bps: u64,
     msg_bytes: u32,
 ) -> (Vec<NodeId>, SharedLog) {
-    struct Idle;
-    impl Actor for Idle {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
     let n = 2 * f + 1;
     let replicas: Vec<NodeId> = (0..n).map(|_| sim.add_node(Box::new(Idle))).collect();
     let cfg = SpaxosConfig {

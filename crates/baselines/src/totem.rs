@@ -205,10 +205,6 @@ pub fn deploy_totem(
     rate_bps: u64,
     msg_bytes: u32,
 ) -> (Vec<NodeId>, SharedLog) {
-    struct Idle;
-    impl Actor for Idle {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
     let daemons: Vec<NodeId> = (0..n_daemons).map(|_| sim.add_node(Box::new(Idle))).collect();
     let receivers: Vec<NodeId> = (0..n_receivers).map(|_| sim.add_node(Box::new(Idle))).collect();
     let writers: Vec<NodeId> = (0..n_writers).map(|_| sim.add_node(Box::new(Idle))).collect();

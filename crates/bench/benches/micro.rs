@@ -267,18 +267,13 @@ fn bench_simcore(c: &mut Criterion) {
     let mut g = c.benchmark_group("simcore");
     g.sample_size(20);
 
-    struct Quiet;
-    impl Actor for Quiet {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
-
     // Raw per-datagram engine cost: send path, switch, receive path,
     // event queue — no protocol logic on top.
     g.bench_function("datagram_dispatch_5k", |b| {
         b.iter(|| {
             let mut sim = Sim::new(SimConfig::default());
-            let a = sim.add_node(Box::new(Quiet));
-            let dst = sim.add_node(Box::new(Quiet));
+            let a = sim.add_node(Box::new(Idle));
+            let dst = sim.add_node(Box::new(Idle));
             sim.with_ctx(a, |ctx| {
                 for i in 0..5_000u32 {
                     ctx.udp_send(dst, black_box(i), 1_000);
@@ -296,8 +291,8 @@ fn bench_simcore(c: &mut Criterion) {
             let mut cfg = SimConfig::default();
             cfg.tcp_window_bytes = 64 * 1024;
             let mut sim = Sim::new(cfg);
-            let a = sim.add_node(Box::new(Quiet));
-            let dst = sim.add_node(Box::new(Quiet));
+            let a = sim.add_node(Box::new(Idle));
+            let dst = sim.add_node(Box::new(Idle));
             sim.with_ctx(a, |ctx| {
                 for i in 0..1_000u32 {
                     ctx.tcp_send(dst, black_box(i), 32 * 1024);

@@ -3,7 +3,7 @@
 
 use abcast::metric;
 use baselines::{deploy_lcr, deploy_libpaxos, deploy_pfsb, deploy_spaxos, deploy_totem};
-use ringpaxos::cluster::{deploy_mring, deploy_uring, MRingOptions, URingOptions};
+use ringpaxos::cluster::{deploy_mring, deploy_uring, layout_mring, MRingOptions, URingOptions};
 use ringpaxos::StorageMode;
 use simnet::prelude::*;
 
@@ -41,11 +41,6 @@ pub fn experiments() -> Vec<Experiment> {
             run: crate::probes::probe3_uring,
         },
     ]
-}
-
-struct Quiet;
-impl Actor for Quiet {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
 }
 
 /// A sender that paces raw datagrams to a destination set, unicast or
@@ -116,7 +111,7 @@ fn fig3_02() {
         let mut cpus = Vec::new();
         for mode in ["unicast", "mcast", "pipeline"] {
             let mut sim = Sim::new(SimConfig::default());
-            let sender = sim.add_node(Box::new(Quiet));
+            let sender = sim.add_node(Box::new(Idle));
             let receivers: Vec<NodeId> = (0..n)
                 .map(|i| {
                     let relay_pending = mode == "pipeline" && i > 0;
@@ -177,7 +172,7 @@ fn fig3_03() {
             // small switch port buffers expose burst collisions.
             cfg.switch_port_buffer = 96 * 1024;
             let mut sim = Sim::new(cfg);
-            let txs: Vec<NodeId> = (0..senders).map(|_| sim.add_node(Box::new(Quiet))).collect();
+            let txs: Vec<NodeId> = (0..senders).map(|_| sim.add_node(Box::new(Idle))).collect();
             let receivers: Vec<NodeId> =
                 (0..14).map(|_| sim.add_node(Box::new(RawReceiver { relay: None }))).collect();
             let group = sim.add_group();
@@ -227,7 +222,7 @@ fn fig3_04() {
         for pipeline in [false, true] {
             let mut sim = Sim::new(SimConfig::default());
             let receiver = sim.add_node(Box::new(RawReceiver { relay: None }));
-            let senders: Vec<NodeId> = (0..4).map(|_| sim.add_node(Box::new(Quiet))).collect();
+            let senders: Vec<NodeId> = (0..4).map(|_| sim.add_node(Box::new(Idle))).collect();
             for (i, &s) in senders.iter().enumerate() {
                 let next = if pipeline {
                     if i + 1 < senders.len() {
@@ -589,16 +584,15 @@ fn fig3_14() {
         ..MRingOptions::default()
     };
     // The slow learner's per-batch application cost is flipped at runtime
-    // through a cost control; deploy manually to attach one.
+    // through a cost control, attached to learner 0 as it is installed.
     let slow_cost = std::sync::Arc::new(std::sync::Mutex::new(Dur::ZERO));
-    let d = deploy_mring(&mut sim, &opts, |cfg| {
+    let layout = layout_mring(&mut sim, &opts, &[], None, |cfg| {
         cfg.flow.learner_threshold = 256;
     });
-    // Replace learner 0 with a cost-controlled copy.
-    let slow = d.learners[0];
-    let actor = ringpaxos::mring::MRingProcess::new(d.cfg.clone(), slow, None, Some(d.log.clone()))
-        .with_cost_control(slow_cost.clone());
-    sim.replace_actor(slow, Box::new(actor));
+    let slow = layout.d.learners[0];
+    layout.install(&mut sim, |p, n, _| {
+        Some(Box::new(if n == slow { p.with_cost_control(slow_cost.clone()) } else { p }))
+    });
 
     let mut prev = 0u64;
     for step in 1..=10u64 {

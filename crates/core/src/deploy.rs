@@ -2,9 +2,9 @@
 //! baseline, full state-machine replication (plain or speculative), and
 //! partitioned SMR over the modified M-Ring Paxos.
 
-use abcast::{shared_log, SharedLog};
+use abcast::SharedLog;
 use btree::{Partitioning, TreeCommand, TreeService};
-use ringpaxos::mring::MRingProcess;
+use ringpaxos::cluster::{layout_mring, MRingDeployment, MRingOptions};
 use ringpaxos::MRingConfig;
 use simnet::prelude::*;
 use workload::{
@@ -17,11 +17,6 @@ use crate::cs::CsServer;
 use crate::replica::{ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica};
 use crate::service::Registry;
 use crate::session::TreeSessionDriver;
-
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-}
 
 /// Tuples pre-loaded into each partition's tree. The paper loads 12 M
 /// keys; the simulation's cost model is size-independent, so a smaller
@@ -120,119 +115,58 @@ fn read_states(
     replicas.iter().map(|part| rows.by_ref().take(part.len()).collect()).collect()
 }
 
-/// The server half of an SMR deployment: ring, replicas, and the extra
-/// (still-Idle) nodes reserved for whichever client tier the caller
-/// installs — dedicated closed-loop clients or session tables.
-struct ServerSide {
-    ring: Vec<NodeId>,
-    replicas: Vec<Vec<NodeId>>,
-    /// Client-tier nodes, allocated after the replicas so node-id order
-    /// matches the historical `deploy_smr` layout exactly.
-    extras: Vec<NodeId>,
-    registry: Registry<TreeCommand>,
-    log: SharedLog,
-    states: ReplicaStates,
-    partitioning: Option<Partitioning>,
-    cfg: MRingConfig,
-}
-
-/// Brings up the ordering ring and the replicated B⁺-tree service.
-/// Node-id allocation order (ring, then replicas, then `n_extra` client
-/// nodes, then groups) is shared by every deployment flavour so golden
-/// traces of existing configs are unaffected by the factoring.
-/// `exec_cores` is each replica's execution pool
-/// ([`ReplicaConfig::exec_cores`]) — the one thing the two client tiers'
-/// server sides differ in.
-fn deploy_servers(
+/// Lays out the ordering ring through [`layout_mring`], its learners
+/// the replicas of the B⁺-tree service, partition by partition (§4.2.2),
+/// then allocates `n_clients` idle client-tier nodes and installs the
+/// ring with a [`SmrReplica`] on each learner. Node ids go to the ring,
+/// the replicas, then the client tier. `exec_cores` is each replica's
+/// execution pool ([`ReplicaConfig::exec_cores`]) — the one thing the
+/// two client tiers' server sides differ in.
+fn deploy_replicas(
     sim: &mut Sim,
     partitions: Option<PartitionOptions>,
     n_replicas: usize,
     ring_size: usize,
     speculative: bool,
     packet_bytes: u32,
-    n_extra: usize,
+    n_clients: usize,
     exec_cores: &[usize],
-) -> ServerSide {
+) -> SmrDeployment {
     let n_partitions = partitions.map(|p| p.n).unwrap_or(1);
     let replicas_per = partitions.map(|p| p.replicas_per).unwrap_or(n_replicas);
-
-    let ring: Vec<NodeId> = (0..ring_size).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let replicas: Vec<Vec<NodeId>> = (0..n_partitions)
-        .map(|_| (0..replicas_per).map(|_| sim.add_node(Box::new(Idle))).collect())
-        .collect();
-    let extras: Vec<NodeId> = (0..n_extra).map(|_| sim.add_node(Box::new(Idle))).collect();
-
-    // Groups: the base group (heartbeats, NewRing) plus, when
-    // partitioned, one group per partition and the decision group.
-    let base_group = sim.add_group();
-    let flat_replicas: Vec<NodeId> = replicas.iter().flatten().copied().collect();
-    let mut cfg = MRingConfig::new(ring.clone(), flat_replicas.clone(), base_group);
-    cfg.packet_bytes = packet_bytes;
-    cfg.batch_timeout = Dur::micros(100);
-
-    for &n in ring.iter().chain(&flat_replicas) {
-        sim.subscribe(n, base_group);
-    }
-
-    let partitioning = partitions.map(|p| Partitioning::new(p.n));
-    if let Some(p) = partitions {
-        let groups: Vec<GroupId> = (0..p.n).map(|_| sim.add_group()).collect();
-        let decision_group = sim.add_group();
-        for &a in &ring {
-            for &g in &groups {
-                sim.subscribe(a, g);
-            }
-            sim.subscribe(a, decision_group);
-        }
-        let mut learner_masks = Vec::new();
-        for (pi, part) in replicas.iter().enumerate() {
-            for &r in part {
-                sim.subscribe(r, groups[pi]);
-                sim.subscribe(r, decision_group);
-                learner_masks.push(1u32 << pi);
-            }
-        }
-        cfg.partitions =
-            Some(ringpaxos::config::PartitionConfig { groups, decision_group, learner_masks });
-    }
-
-    let log = shared_log(flat_replicas.len());
-    for &a in &ring {
-        sim.replace_actor(a, Box::new(MRingProcess::new(cfg.clone(), a, None, None)));
-    }
+    let opts = MRingOptions {
+        ring_size,
+        n_learners: n_partitions as usize * replicas_per,
+        n_proposers: 0,
+        ..MRingOptions::default()
+    };
+    let masks = partitions
+        .map(|_| (0..n_partitions).flat_map(|pi| [1 << pi].repeat(replicas_per)).collect());
+    let layout = layout_mring(sim, &opts, &[], masks, |cfg| {
+        cfg.packet_bytes = packet_bytes;
+        cfg.batch_timeout = Dur::micros(100);
+    });
+    let clients: Vec<NodeId> = (0..n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
 
     let registry: Registry<TreeCommand> = Registry::replicated(n_partitions, replicas_per as u32);
-    let states = ReplicaStates::new(flat_replicas.len());
+    let states = ReplicaStates::new(layout.d.all_learners.len());
     let span = Partitioning::new(n_partitions.max(1)).span;
-    let mut log_index = 0;
-    for (pi, part) in replicas.iter().enumerate() {
-        for &r in part {
-            let inner = MRingProcess::new(cfg.clone(), r, None, Some(log.clone()));
-            let service = TreeService::populated(pi as u64 * span, span, POPULATE_COUNT);
-            let rcfg = ReplicaConfig {
-                partition: pi as u32,
-                mask: if partitions.is_some() { 1 << pi } else { ringpaxos::value::ALL_PARTITIONS },
-                peers: part.clone(),
-                speculative,
-                exec_cores: exec_cores.to_vec(),
-                ..ReplicaConfig::default()
-            };
-            let actor = SmrReplica::new(
-                inner,
-                log.clone(),
-                log_index,
-                r,
-                service,
-                registry.clone(),
-                states.clone(),
-                rcfg,
-            );
-            sim.replace_actor(r, Box::new(actor));
-            log_index += 1;
-        }
-    }
+    let rcfg =
+        ReplicaConfig { speculative, exec_cores: exec_cores.to_vec(), ..ReplicaConfig::default() };
+    let log = layout.d.log.clone();
+    let MRingDeployment { ring, learners, cfg, .. } = layout.install(sim, |p, r, learner| {
+        let Some(i) = learner else { return Some(Box::new(p)) };
+        let service =
+            TreeService::populated((i / replicas_per) as u64 * span, span, POPULATE_COUNT);
+        let (registry, states, rcfg) = (registry.clone(), states.clone(), rcfg.clone());
+        Some(Box::new(SmrReplica::new(p, log.clone(), i, r, service, registry, states, rcfg)))
+    });
 
-    ServerSide { ring, replicas, extras, registry, log, states, partitioning, cfg }
+    let replicas = (0..n_partitions as usize)
+        .map(|pi| learners[pi * replicas_per..(pi + 1) * replicas_per].to_vec())
+        .collect();
+    let partitioning = partitions.map(|p| Partitioning::new(p.n));
+    SmrDeployment { ring, replicas, clients, registry, log, states, partitioning, cfg }
 }
 
 /// Deploys state-machine replication per `opts`.
@@ -244,42 +178,40 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
         WorkloadKind::InsDelBatch => 8192,
         _ => 256,
     };
-    let ServerSide { ring, replicas, extras: clients, registry, log, states, partitioning, cfg } =
-        deploy_servers(
-            sim,
-            opts.partitions,
-            opts.n_replicas,
-            opts.ring_size,
-            opts.speculative,
-            packet_bytes,
-            opts.n_clients,
-            // The paper's two-thread server (§4.4.2, Fig 4.8): one
-            // execution thread beside the response thread.
-            &[1],
-        );
+    let d = deploy_replicas(
+        sim,
+        opts.partitions,
+        opts.n_replicas,
+        opts.ring_size,
+        opts.speculative,
+        packet_bytes,
+        opts.n_clients,
+        // The paper's two-thread server (§4.4.2, Fig 4.8): one
+        // execution thread beside the response thread.
+        &[1],
+    );
     let n_partitions = opts.partitions.map(|p| p.n).unwrap_or(1);
     let span = Partitioning::new(n_partitions.max(1)).span;
 
-    let coordinator = cfg.coordinator();
+    let coordinator = d.cfg.coordinator();
     let key_space = span * n_partitions as u64;
-    for (ci, &c) in clients.iter().enumerate() {
+    for (ci, &c) in d.clients.iter().enumerate() {
         let mut workload = WorkloadGen::new(opts.workload, key_space);
-        if let (Some(p), Some(po)) = (partitioning, opts.partitions) {
+        if let (Some(p), Some(po)) = (d.partitioning, opts.partitions) {
             workload = workload.with_partitions(p, po.cross_pct);
         }
         let client = SmrClient::new(
             c,
             Target::Replicated { coordinator },
-            registry.clone(),
+            d.registry.clone(),
             workload,
-            partitioning,
+            d.partitioning,
             0xc11e47 + ci as u64,
             opts.stop_at,
         );
         sim.replace_actor(c, Box::new(client));
     }
-
-    SmrDeployment { ring, replicas, clients, registry, log, states, partitioning, cfg }
+    d
 }
 
 /// Options for [`deploy_smr_sessions`] — the opt-in mass-session tier
@@ -379,8 +311,8 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
     let resp_core = ReplicaConfig::default().resp_core;
     let exec_cores: Vec<usize> =
         (1..sim.config().cores_per_node).filter(|&c| c != resp_core).collect();
-    let ServerSide { ring, replicas, extras: tables, registry, log, states, partitioning, cfg } =
-        deploy_servers(
+    let SmrDeployment { ring, replicas, clients: tables, registry, log, states, partitioning, cfg } =
+        deploy_replicas(
             sim,
             opts.partitions,
             opts.n_replicas,

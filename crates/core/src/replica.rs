@@ -44,7 +44,6 @@ use std::sync::{Arc, Mutex};
 use abcast::{MsgId, SharedLog};
 use ringpaxos::mring::MRingProcess;
 use ringpaxos::msg::MMsg;
-use ringpaxos::value::ALL_PARTITIONS;
 use simnet::prelude::*;
 
 use crate::exec::{Booked, Executor, Released};
@@ -74,13 +73,6 @@ const KIND_MASK: u64 = 0xff << 56;
 /// Per-replica configuration.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
-    /// This replica's partition (0 when unpartitioned).
-    pub partition: u32,
-    /// Partition mask (`ALL_PARTITIONS` when unpartitioned).
-    pub mask: u32,
-    /// The replicas of this partition, in a fixed order shared by all —
-    /// determines which replica answers which command.
-    pub peers: Vec<NodeId>,
     /// Execute commands on payload arrival (speculation, §4.2.1).
     pub speculative: bool,
     /// Cores running execution threads: `exec_cores[0]` runs every
@@ -98,9 +90,6 @@ pub struct ReplicaConfig {
 impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
-            partition: 0,
-            mask: ALL_PARTITIONS,
-            peers: Vec::new(),
             speculative: false,
             exec_cores: vec![1],
             resp_core: 2,
@@ -156,6 +145,12 @@ pub struct SmrReplica<S: Service> {
     /// Newly delivered ids copied out of the shared log (reused buffer).
     fresh: Vec<MsgId>,
     me: NodeId,
+    /// This replica's partition mask: `inner`'s learner mask
+    /// (`ALL_PARTITIONS` when the ring is not partitioned).
+    mask: u32,
+    /// The learners that share `mask`, in `cfg.learners` order — the
+    /// replicas of this partition, which take turns answering.
+    peers: Vec<NodeId>,
     exec: Executor<S>,
     registry: Registry<S::Command>,
     states: ReplicaStates,
@@ -171,7 +166,8 @@ impl<S: Service> SmrReplica<S> {
     /// Creates a replica wrapping the given ring learner. `log` must be
     /// the same delivery log handed to `inner`, and `log_index` the
     /// learner index of this node in the ring configuration (also its
-    /// row in `states`).
+    /// row in `states`). The replica's partition and peers come from
+    /// `inner`'s configuration.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         inner: MRingProcess,
@@ -183,7 +179,13 @@ impl<S: Service> SmrReplica<S> {
         states: ReplicaStates,
         rcfg: ReplicaConfig,
     ) -> SmrReplica<S> {
-        let exec = Executor::new(service, rcfg.exec_cores.clone(), rcfg.mask, rcfg.dispatch);
+        let cfg = inner.config();
+        let mask = cfg.learner_mask(log_index);
+        let peers = (0..cfg.learners.len())
+            .filter(|&i| cfg.learner_mask(i) == mask)
+            .map(|i| cfg.learners[i])
+            .collect();
+        let exec = Executor::new(service, rcfg.exec_cores.clone(), mask, rcfg.dispatch);
         SmrReplica {
             inner,
             log,
@@ -191,6 +193,8 @@ impl<S: Service> SmrReplica<S> {
             cursor: 0,
             fresh: Vec::new(),
             me,
+            mask,
+            peers,
             exec,
             registry,
             states,
@@ -203,17 +207,14 @@ impl<S: Service> SmrReplica<S> {
     /// Whether this replica answers command `id` (one replica per
     /// partition responds, chosen deterministically — §4.4.2).
     fn is_designated(&self, id: MsgId) -> bool {
-        if self.rcfg.peers.is_empty() {
-            return true;
-        }
-        let idx = (id.0 as usize) % self.rcfg.peers.len();
-        self.rcfg.peers[idx] == self.me
+        let idx = (id.0 as usize) % self.peers.len();
+        self.peers[idx] == self.me
     }
 
     /// Speculative path: execute on Phase 2A arrival (§4.2.1).
     fn speculate(&mut self, instance: u64, batch: &ringpaxos::Batch, ctx: &mut Ctx) {
         for v in batch.iter() {
-            if v.mask & self.rcfg.mask == 0 {
+            if v.mask & self.mask == 0 {
                 continue;
             }
             // A miss here is a retry of a command everyone is done with;
@@ -294,7 +295,8 @@ impl<S: Service> SmrReplica<S> {
             }
             let (id, client, bytes) = e.remove();
             ctx.charge_cpu(self.rcfg.resp_core, self.rcfg.marshal);
-            let partition = self.rcfg.partition;
+            // The lowest partition of the mask: 0 when not partitioned.
+            let partition = self.mask.trailing_zeros();
             ctx.udp_send(client, SmrResponse { id, partition }, bytes);
         }
     }

@@ -6,15 +6,14 @@
 
 use std::sync::{Arc, Mutex};
 
-use abcast::{shared_log, MsgId};
+use abcast::MsgId;
 use btree::{TreeCommand, TreeService};
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
 use hpsmr_core::{Registry, ReplicaConfig, ReplicaStates, SmrReplica, SmrResponse, StoredCommand};
-use ringpaxos::mring::MRingProcess;
+use ringpaxos::cluster::{layout_mring, MRingOptions};
 use ringpaxos::value::ALL_PARTITIONS;
-use ringpaxos::MRingConfig;
 use simnet::prelude::*;
 use workload::{
     WorkloadKind, SESSIONS_ABANDONED, SESSIONS_COMPLETED, SESSIONS_SHED, SESSIONS_SUBMITTED,
@@ -130,11 +129,6 @@ fn updates_never_leave_the_writer_core() {
 /// `(count, mean ns, max ns)` of the update run's window latency.
 const UPDATE_PIN: (usize, u64, u64) = (96_309, 493_282, 778_645);
 
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-}
-
 /// Records the order replies arrive in.
 struct ReplyOrder(Arc<Mutex<Vec<MsgId>>>);
 impl Actor for ReplyOrder {
@@ -149,12 +143,11 @@ impl Actor for ReplyOrder {
 /// running on `exec_cores`; returns the order the client hears back.
 fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     let mut sim = Sim::new(SimConfig::default());
-    let coord = sim.add_node(Box::new(Idle));
-    let replica = sim.add_node(Box::new(Idle));
+    let opts =
+        MRingOptions { ring_size: 1, n_learners: 1, n_proposers: 0, ..MRingOptions::default() };
+    let layout = layout_mring(&mut sim, &opts, &[], None, |_| {});
+    let (replica, log) = (layout.d.learners[0], layout.d.log.clone());
     let client = sim.add_node(Box::new(Idle));
-    let group = sim.add_group();
-    let cfg = MRingConfig::new(vec![coord], vec![replica], group);
-    let log = shared_log(1);
     let registry: Registry<TreeCommand> = Registry::new();
     let (scan, lookup) = (MsgId(1), MsgId(2));
     for (id, hi) in [(scan, 999), (lookup, 0)] {
@@ -164,12 +157,16 @@ fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     }
     let heard = Arc::new(Mutex::new(Vec::new()));
     sim.replace_actor(client, Box::new(ReplyOrder(heard.clone())));
-    let inner = MRingProcess::new(cfg, replica, None, Some(log.clone()));
     let rcfg = ReplicaConfig { exec_cores, ..ReplicaConfig::default() };
-    let service = TreeService::populated(0, 12_000, 12_000);
-    let states = ReplicaStates::new(1);
-    let actor = SmrReplica::new(inner, log.clone(), 0, replica, service, registry, states, rcfg);
-    sim.replace_actor(replica, Box::new(actor));
+    layout.install(&mut sim, |inner, _, learner| {
+        // The coordinator stays idle: nothing is ordered, the log above
+        // already holds both commands.
+        learner?;
+        let service = TreeService::populated(0, 12_000, 12_000);
+        let (log, registry, states) = (log.clone(), registry.clone(), ReplicaStates::new(1));
+        let rcfg = rcfg.clone();
+        Some(Box::new(SmrReplica::new(inner, log, 0, replica, service, registry, states, rcfg)))
+    });
     // Any datagram wakes the replica, which drains its delivery log.
     sim.with_ctx(client, |ctx| ctx.udp_send(replica, (), 16));
     sim.run_until(Time::from_millis(10));

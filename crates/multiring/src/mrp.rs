@@ -5,17 +5,12 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use abcast::{shared_log, Pacer, SharedLog};
-use ringpaxos::mring::MRingProcess;
+use abcast::{shared_log, SharedLog};
+use ringpaxos::cluster::{layout_mring, MRingOptions};
 use ringpaxos::{MRingConfig, SkipConfig, StorageMode};
 use simnet::prelude::*;
 
 use crate::learner::MultiRingLearner;
-
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-}
 
 /// Options for [`deploy_multiring`].
 #[derive(Clone, Debug)]
@@ -103,40 +98,38 @@ pub fn deploy_multiring(sim: &mut Sim, opts: &MultiRingOptions) -> MultiRingDepl
     let mut rings = Vec::new();
     let mut ring_cfgs: Vec<MRingConfig> = Vec::new();
     for r in 0..opts.n_rings {
-        let ring: Vec<NodeId> = (0..opts.ring_size).map(|_| sim.add_node(Box::new(Idle))).collect();
-        let proposer = sim.add_node(Box::new(Idle));
-        let group = sim.add_group();
-
-        // Ring learners: its proposer (it observes its own values) plus
-        // every multi-ring learner subscribed to this ring.
-        let mut ring_learners = vec![proposer];
-        for (li, subs) in opts.learners.iter().enumerate() {
-            if subs.contains(&r) {
-                ring_learners.push(learner_nodes[li]);
-            }
-        }
-        let mut cfg = MRingConfig::new(ring.clone(), ring_learners.clone(), group);
-        cfg.storage = opts.storage;
-        if opts.lambda_per_sec > 0 {
-            cfg.skip = Some(SkipConfig { lambda_per_sec: opts.lambda_per_sec, delta: opts.delta });
-        }
-        for &n in ring.iter().chain(&ring_learners) {
-            sim.subscribe(n, group);
-        }
-
-        // Ring-local delivery log for the proposer only.
-        let local_log = shared_log(ring_learners.len());
-        for &n in &ring {
-            sim.replace_actor(n, Box::new(MRingProcess::new(cfg.clone(), n, None, None)));
-        }
+        // Ring learners: its proposer (learner 0: it observes its own
+        // values) plus every multi-ring learner subscribed to this ring,
+        // which the merge learners below run.
+        let merged: Vec<NodeId> = (opts.learners.iter().zip(&learner_nodes))
+            .filter(|(subs, _)| subs.contains(&r))
+            .map(|(_, &l)| l)
+            .collect();
         let rate = opts.rates_per_ring_bps[r].max(1);
-        let pacer = Pacer::new(rate, opts.msg_bytes, 1);
+        let ring_opts = MRingOptions {
+            ring_size: opts.ring_size,
+            n_learners: 0,
+            n_proposers: 1,
+            proposer_rate_bps: rate,
+            msg_bytes: opts.msg_bytes,
+            burst: 1,
+            ..MRingOptions::default()
+        };
+        let layout = layout_mring(sim, &ring_opts, &merged, None, |cfg| {
+            cfg.storage = opts.storage;
+            if opts.lambda_per_sec > 0 {
+                cfg.skip =
+                    Some(SkipConfig { lambda_per_sec: opts.lambda_per_sec, delta: opts.delta });
+            }
+        });
         let rate_control = Arc::new(AtomicU64::new(rate));
-        let actor = MRingProcess::new(cfg.clone(), proposer, Some(pacer), Some(local_log))
-            .with_rate_control(rate_control.clone());
-        sim.replace_actor(proposer, Box::new(actor));
-        ring_cfgs.push(cfg.clone());
-        rings.push(RingHandle { cfg, ring, proposer, rate_control });
+        let d = layout.install(sim, |p, _, learner| match learner {
+            None => Some(Box::new(p)),
+            Some(0) => Some(Box::new(p.with_rate_control(rate_control.clone()))),
+            Some(_) => None,
+        });
+        ring_cfgs.push(d.cfg.clone());
+        rings.push(RingHandle { cfg: d.cfg, ring: d.ring, proposer: d.proposers[0], rate_control });
     }
 
     // Instantiate the merge learners.

@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use abcast::{shared_log, SharedLog};
 use multiring::{ring_sink, MultiRingLearner, RingSink};
-use ringpaxos::mring::MRingProcess;
+use ringpaxos::cluster::{layout_mring, MRingDeployment, MRingOptions};
 use ringpaxos::{MRingConfig, SkipConfig};
 use simnet::prelude::*;
 use workload::RetryPolicy;
@@ -17,11 +17,6 @@ use crate::command::PRegistry;
 use crate::engine::{Engine, EngineCosts, ExecModel};
 use crate::replica::{DeliverySource, ParallelReplica};
 use crate::store::ObjStore;
-
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-}
 
 /// Options for [`deploy_parallel`].
 #[derive(Clone, Debug)]
@@ -108,81 +103,75 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
         (0..opts.n_replicas).map(|_| sim.add_node(Box::new(Idle))).collect();
     let clients: Vec<NodeId> = (0..opts.n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
     let registry = PRegistry::new();
-    let log = shared_log(opts.n_replicas);
     let domains = opts.workload.n_groups;
     let stores: Vec<Arc<Mutex<ObjStore>>> =
         (0..opts.n_replicas).map(|_| Arc::new(Mutex::new(ObjStore::new(domains)))).collect();
 
+    // One M-Ring Paxos ring per group (a single ring for the
+    // totally-ordered models), every replica a learner of each. Under
+    // P-SMR a `MultiRingLearner` per replica merges the rings; under the
+    // other models each replica wraps its ring's learner.
     let n_rings = match opts.model {
         ExecModel::Psmr { workers } => workers,
         _ => 1,
     };
+    let ring_opts = MRingOptions {
+        ring_size: opts.ring_size,
+        n_learners: 0,
+        n_proposers: 0,
+        ..MRingOptions::default()
+    };
+    let rings: Vec<MRingDeployment> = (0..n_rings)
+        .map(|_| {
+            let layout = layout_mring(sim, &ring_opts, &replicas, None, |cfg| {
+                cfg.packet_bytes = 8192;
+                cfg.batch_timeout = Dur::micros(100);
+                if n_rings > 1 && opts.lambda_per_sec > 0 {
+                    let delta = Dur::millis(1);
+                    cfg.skip = Some(SkipConfig { lambda_per_sec: opts.lambda_per_sec, delta });
+                }
+            });
+            let ring_log = layout.d.log.clone();
+            layout.install(sim, |p, r, learner| match (learner, opts.model) {
+                (None, _) => Some(Box::new(p)),
+                (Some(_), ExecModel::Psmr { .. }) => None,
+                (Some(i), model) => Some(Box::new(ParallelReplica::new(
+                    p,
+                    DeliverySource::TotalOrder { log: ring_log.clone(), log_index: i },
+                    r,
+                    replicas.clone(),
+                    registry.clone(),
+                    Engine::new(model, opts.costs),
+                    stores[i].clone(),
+                ))),
+            })
+        })
+        .collect();
+    let ring_cfgs: Vec<MRingConfig> = rings.iter().map(|d| d.cfg.clone()).collect();
+    let log = match opts.model {
+        ExecModel::Psmr { .. } => shared_log(opts.n_replicas),
+        _ => rings[0].log.clone(),
+    };
+    let coordinators: Vec<NodeId> = ring_cfgs.iter().map(MRingConfig::coordinator).collect();
 
-    // One M-Ring Paxos ring per group (a single ring for the
-    // totally-ordered models).
-    let mut ring_cfgs: Vec<MRingConfig> = Vec::new();
-    let mut coordinators = Vec::new();
-    for _ in 0..n_rings {
-        let ring: Vec<NodeId> = (0..opts.ring_size).map(|_| sim.add_node(Box::new(Idle))).collect();
-        let group = sim.add_group();
-        let mut cfg = MRingConfig::new(ring.clone(), replicas.clone(), group);
-        cfg.packet_bytes = 8192;
-        cfg.batch_timeout = Dur::micros(100);
-        if n_rings > 1 && opts.lambda_per_sec > 0 {
-            cfg.skip =
-                Some(SkipConfig { lambda_per_sec: opts.lambda_per_sec, delta: Dur::millis(1) });
-        }
-        for &n in ring.iter().chain(&replicas) {
-            sim.subscribe(n, group);
-        }
-        for &a in &ring {
-            sim.replace_actor(a, Box::new(MRingProcess::new(cfg.clone(), a, None, None)));
-        }
-        coordinators.push(cfg.coordinator());
-        ring_cfgs.push(cfg);
-    }
-
-    // Replicas: ordering-layer learner + execution engine.
+    // P-SMR replicas: a multi-ring learner + execution engine.
     let mut sinks = Vec::new();
-    for (i, &r) in replicas.iter().enumerate() {
-        let engine = Engine::new(opts.model, opts.costs);
-        let store = stores[i].clone();
-        match opts.model {
-            ExecModel::Psmr { .. } => {
-                let sink = ring_sink();
-                sinks.push(sink.clone());
-                let learner = MultiRingLearner::new(r, i, ring_cfgs.clone(), 1, Some(log.clone()))
-                    .with_ring_sink(sink.clone());
-                let actor = ParallelReplica::new(
-                    learner,
-                    DeliverySource::RingTagged { sink },
-                    r,
-                    replicas.clone(),
-                    registry.clone(),
-                    engine,
-                    store,
-                );
-                sim.replace_actor(r, Box::new(actor));
-            }
-            _ => {
-                let cfg = &ring_cfgs[0];
-                let inner = MRingProcess::new(cfg.clone(), r, None, Some(log.clone()));
-                let log_index = cfg
-                    .learners
-                    .iter()
-                    .position(|&l| l == r)
-                    .expect("replica registered as learner");
-                let actor = ParallelReplica::new(
-                    inner,
-                    DeliverySource::TotalOrder { log: log.clone(), log_index },
-                    r,
-                    replicas.clone(),
-                    registry.clone(),
-                    engine,
-                    store,
-                );
-                sim.replace_actor(r, Box::new(actor));
-            }
+    if let ExecModel::Psmr { .. } = opts.model {
+        for (i, &r) in replicas.iter().enumerate() {
+            let sink = ring_sink();
+            sinks.push(sink.clone());
+            let learner = MultiRingLearner::new(r, i, ring_cfgs.clone(), 1, Some(log.clone()))
+                .with_ring_sink(sink.clone());
+            let actor = ParallelReplica::new(
+                learner,
+                DeliverySource::RingTagged { sink },
+                r,
+                replicas.clone(),
+                registry.clone(),
+                Engine::new(opts.model, opts.costs),
+                stores[i].clone(),
+            );
+            sim.replace_actor(r, Box::new(actor));
         }
     }
 

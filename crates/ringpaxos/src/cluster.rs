@@ -5,16 +5,10 @@ use abcast::{shared_log, Pacer, SharedLog};
 use recovery::{stable, RecoveredApp, StableHandle};
 use simnet::prelude::*;
 
-use crate::config::{MRingConfig, StorageMode, URingConfig};
+use crate::config::{MRingConfig, PartitionConfig, StorageMode, URingConfig};
 use crate::mring::{MRecovery, MRingProcess};
 use crate::uring::{URecovery, URingProcess};
-use crate::value::Batch;
-
-/// Placeholder actor installed while node ids are being allocated.
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-}
+use crate::value::{Batch, ALL_PARTITIONS};
 
 /// Options for [`deploy_mring`].
 #[derive(Clone, Debug)]
@@ -61,13 +55,14 @@ pub struct MRingDeployment {
     pub ring: Vec<NodeId>,
     /// Spare acceptors.
     pub spares: Vec<NodeId>,
-    /// Dedicated learner nodes.
+    /// Dedicated learner nodes this deployment created.
     pub learners: Vec<NodeId>,
     /// Proposer (and learner) nodes.
     pub proposers: Vec<NodeId>,
-    /// All learner nodes in `cfg.learners` order (dedicated + proposers).
+    /// All learner nodes in `cfg.learners` order: dedicated, proposers,
+    /// then any given to [`layout_mring`].
     pub all_learners: Vec<NodeId>,
-    /// The multicast group.
+    /// The multicast group (the base group of a partitioned ring).
     pub group: GroupId,
     /// Delivery log indexed like `all_learners`.
     pub log: SharedLog,
@@ -97,45 +92,101 @@ pub fn deploy_mring(
     opts: &MRingOptions,
     configure: impl FnOnce(&mut MRingConfig),
 ) -> MRingDeployment {
-    build_mring(sim, opts, configure, |p, _, _| p)
+    layout_mring(sim, opts, &[], None, configure).install(sim, |p, _, _| Some(Box::new(p)))
 }
 
-/// Allocates the nodes and the group and installs every process, once:
-/// `finish` gets each freshly built process with its node and whether
-/// it learns, and returns what to install (recovery attaches here).
-fn build_mring(
+/// An M-Ring ensemble laid out on a [`Sim`] but not started: its nodes,
+/// groups and subscriptions exist and every node it created still runs
+/// [`Idle`]. [`MRingLayout::install`] starts it, once.
+pub struct MRingLayout {
+    /// The deployment [`MRingLayout::install`] returns.
+    pub d: MRingDeployment,
+    opts: MRingOptions,
+}
+
+/// `n` fresh nodes running [`Idle`].
+fn idle_nodes(sim: &mut Sim, n: usize) -> Vec<NodeId> {
+    (0..n).map(|_| sim.add_node(Box::new(Idle))).collect()
+}
+
+/// Lays M-Ring Paxos out on `sim`; every M-Ring ensemble is made here.
+/// Node ids go to the ring, the spares, `opts.n_learners` learners and
+/// `opts.n_proposers` proposers, in that order; `cfg.learners` lists
+/// those learners, the proposers, then `given` (learner nodes that
+/// already exist). With `partition_masks` (one per learner) the ring is
+/// partitioned (§4.2.2): after the base group come one group per
+/// partition and the decision group; acceptors join every group, a
+/// learner its partitions' groups and the decision group. Each group
+/// lists the acceptors, then its learners in `cfg.learners` order.
+/// `configure` adjusts the [`MRingConfig`] last.
+pub fn layout_mring(
     sim: &mut Sim,
     opts: &MRingOptions,
+    given: &[NodeId],
+    partition_masks: Option<Vec<u32>>,
     configure: impl FnOnce(&mut MRingConfig),
-    mut finish: impl FnMut(MRingProcess, NodeId, bool) -> MRingProcess,
-) -> MRingDeployment {
-    let ring: Vec<NodeId> = (0..opts.ring_size).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let spares: Vec<NodeId> = (0..opts.spares).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let learners: Vec<NodeId> =
-        (0..opts.n_learners).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let proposers: Vec<NodeId> =
-        (0..opts.n_proposers).map(|_| sim.add_node(Box::new(Idle))).collect();
+) -> MRingLayout {
+    let ring = idle_nodes(sim, opts.ring_size);
+    let spares = idle_nodes(sim, opts.spares);
+    let learners = idle_nodes(sim, opts.n_learners);
+    let proposers = idle_nodes(sim, opts.n_proposers);
+    let all_learners: Vec<NodeId> =
+        learners.iter().chain(&proposers).chain(given).copied().collect();
+
     let group = sim.add_group();
-
-    let mut all_learners = learners.clone();
-    all_learners.extend(&proposers);
-
     let mut cfg = MRingConfig::new(ring.clone(), all_learners.clone(), group);
     cfg.spares = spares.clone();
+    if let Some(learner_masks) = partition_masks {
+        assert_eq!(learner_masks.len(), all_learners.len(), "one partition mask per learner");
+        let n_parts = u32::BITS - learner_masks.iter().fold(0, |a, m| a | m).leading_zeros();
+        let groups = (0..n_parts).map(|_| sim.add_group()).collect();
+        let decision_group = sim.add_group();
+        cfg.partitions = Some(PartitionConfig { groups, decision_group, learner_masks });
+    }
+    let acceptors = ring.iter().chain(&spares).map(|&n| (n, ALL_PARTITIONS));
+    let masked = all_learners.iter().enumerate().map(|(i, &n)| (n, cfg.learner_mask(i)));
+    for (n, mask) in acceptors.chain(masked) {
+        sim.subscribe(n, group);
+        if let Some(p) = &cfg.partitions {
+            for (_, &g) in p.groups.iter().enumerate().filter(|&(i, _)| mask & (1 << i) != 0) {
+                sim.subscribe(n, g);
+            }
+            sim.subscribe(n, p.decision_group);
+        }
+    }
     configure(&mut cfg);
 
     let log = shared_log(all_learners.len());
-    for &n in ring.iter().chain(&spares).chain(&all_learners) {
-        sim.subscribe(n, group);
-        let learns = all_learners.contains(&n);
-        let pacer = proposers
-            .contains(&n)
-            .then(|| pacer(opts.proposer_rate_bps, opts.msg_bytes, opts.burst, opts.proposer_stop));
-        let p = MRingProcess::new(cfg.clone(), n, pacer, learns.then(|| log.clone()));
-        sim.replace_actor(n, Box::new(finish(p, n, learns)));
-    }
+    let d = MRingDeployment { cfg, ring, spares, learners, proposers, all_learners, group, log };
+    MRingLayout { d, opts: opts.clone() }
+}
 
-    MRingDeployment { cfg, ring, spares, learners, proposers, all_learners, group, log }
+impl MRingLayout {
+    /// Installs every member once, in node order: the ring, the spares,
+    /// then the learners in `cfg.learners` order. `install` gets each
+    /// fresh process with its node and its index in `cfg.learners`
+    /// (`None` for an acceptor), and returns the actor to run there: the
+    /// process, a wrapper around it, or `None` to leave the node to an
+    /// actor installed elsewhere.
+    pub fn install(
+        self,
+        sim: &mut Sim,
+        mut install: impl FnMut(MRingProcess, NodeId, Option<usize>) -> Option<Box<dyn Actor>>,
+    ) -> MRingDeployment {
+        let MRingLayout { d, opts } = self;
+        let acceptors = d.ring.iter().chain(&d.spares).map(|&n| (n, None));
+        let learners = d.all_learners.iter().enumerate().map(|(i, &n)| (n, Some(i)));
+        for (n, learner) in acceptors.chain(learners) {
+            let pacer = d.proposers.contains(&n).then(|| {
+                pacer(opts.proposer_rate_bps, opts.msg_bytes, opts.burst, opts.proposer_stop)
+            });
+            let p = MRingProcess::new(d.cfg.clone(), n, pacer, learner.map(|_| d.log.clone()));
+            if let Some(actor) = install(p, n, learner) {
+                sim.replace_actor(n, actor);
+            }
+        }
+        d
+    }
 }
 
 /// A recovery-enabled M-Ring deployment: the ensemble plus each node's
@@ -178,11 +229,16 @@ pub fn deploy_mring_recoverable(
         cfg.storage = StorageMode::SyncDisk;
         configure(cfg);
     };
-    let d = build_mring(sim, opts, with_sync_disk, |p, n, learns| {
+    let d = layout_mring(sim, opts, &[], None, with_sync_disk).install(sim, |p, n, learner| {
         let store: StableHandle<Batch> = stable();
         stores.push((n, store.clone()));
-        let app = if learns { mk_app(n) } else { None };
-        p.with_recovery(MRecovery { store, checkpoint_interval, app, resumed: false })
+        let app = learner.and_then(|_| mk_app(n));
+        Some(Box::new(p.with_recovery(MRecovery {
+            store,
+            checkpoint_interval,
+            app,
+            resumed: false,
+        })))
     });
     RecoverableMRing { d, checkpoint_interval, stores }
 }
@@ -271,7 +327,7 @@ fn build_uring(
     configure: impl FnOnce(&mut URingConfig),
     mut finish: impl FnMut(URingProcess, usize) -> URingProcess,
 ) -> URingDeployment {
-    let ring: Vec<NodeId> = (0..opts.ring_len).map(|_| sim.add_node(Box::new(Idle))).collect();
+    let ring = idle_nodes(sim, opts.ring_len);
     let mut cfg = URingConfig::new(ring.clone(), opts.n_acceptors);
     configure(&mut cfg);
     let log = shared_log(cfg.ring.len());
@@ -375,4 +431,75 @@ pub fn respawn_uring(
     let actor = URingProcess::new(ru.d.cfg.clone(), pos, None, Some(ru.d.log.clone()))
         .with_recovery(urecovery(&ru.rec, ru.stores[pos].clone(), app, true));
     sim.replace_actor(ru.d.ring[pos], Box::new(actor));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Arc, Mutex};
+
+    #[test]
+    fn a_partitioned_layout_keeps_the_historical_ids_and_memberships() {
+        let mut sim = Sim::new(SimConfig::default());
+        let given = sim.add_node(Box::new(Idle));
+        let opts =
+            MRingOptions { ring_size: 3, n_learners: 2, n_proposers: 1, ..Default::default() };
+        let masks = vec![0b01, 0b10, 0b01, 0b10];
+        let d = layout_mring(&mut sim, &opts, &[given], Some(masks.clone()), |_| {}).d;
+
+        // Node ids: the ring, the learners, the proposers; the given
+        // learner keeps its own and comes last in `cfg.learners`.
+        let n = |ids: &[usize]| ids.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        assert_eq!(d.ring, n(&[1, 2, 3]));
+        assert_eq!((d.learners.clone(), d.proposers.clone()), (n(&[4, 5]), n(&[6])));
+        assert_eq!(d.all_learners, n(&[4, 5, 6, 0]));
+        assert_eq!(d.cfg.learners, d.all_learners);
+        // Group ids: the base group, one per partition, the decision group.
+        let p = d.cfg.partitions.as_ref().expect("partitioned");
+        assert_eq!(d.group, GroupId(0));
+        assert_eq!(
+            (p.groups.clone(), p.decision_group),
+            (vec![GroupId(1), GroupId(2)], GroupId(3))
+        );
+        // One mask per learner, in `cfg.learners` order.
+        assert_eq!(p.learner_masks, masks);
+        for (i, &m) in masks.iter().enumerate() {
+            assert_eq!(d.cfg.learner_mask(i), m);
+        }
+        // Each group: the ring, then its learners in `cfg.learners` order.
+        assert_eq!(sim.members(d.group), n(&[1, 2, 3, 4, 5, 6, 0]));
+        assert_eq!(sim.members(p.groups[0]), n(&[1, 2, 3, 4, 6]));
+        assert_eq!(sim.members(p.groups[1]), n(&[1, 2, 3, 5, 0]));
+        assert_eq!(sim.members(p.decision_group), n(&[1, 2, 3, 4, 5, 6, 0]));
+    }
+
+    /// Fig 3.14's ensemble run for 100 ms, learner 0 under a cost control
+    /// held at zero; `install_twice` installs it the way Fig 3.14 once
+    /// did, by deploying and then replacing the learner. Returns the
+    /// events dispatched.
+    fn slow_learner_events(wrap: bool, install_twice: bool) -> u64 {
+        let mut sim = Sim::new(SimConfig::default());
+        let opts =
+            MRingOptions { ring_size: 3, n_learners: 3, n_proposers: 2, ..Default::default() };
+        let cost = Arc::new(Mutex::new(Dur::ZERO));
+        let layout = layout_mring(&mut sim, &opts, &[], None, |_| {});
+        let slow = layout.d.learners[0];
+        let d = layout.install(&mut sim, |p, n, _| {
+            Some(Box::new(if wrap && n == slow { p.with_cost_control(cost.clone()) } else { p }))
+        });
+        if install_twice {
+            let p = MRingProcess::new(d.cfg.clone(), slow, None, Some(d.log.clone()));
+            sim.replace_actor(slow, Box::new(p.with_cost_control(cost)));
+        }
+        sim.run_until(Time::from_millis(100));
+        sim.events_processed()
+    }
+
+    #[test]
+    fn a_learner_wrapped_through_the_hook_is_installed_once() {
+        let plain = slow_learner_events(false, false);
+        assert_eq!(slow_learner_events(true, false), plain);
+        // The count sees a second install: its timer chains run twice.
+        assert!(slow_learner_events(false, true) > plain);
+    }
 }

@@ -720,6 +720,11 @@ impl MRingProcess {
         self
     }
 
+    /// The configuration this process runs under.
+    pub fn config(&self) -> &MRingConfig {
+        &self.cfg
+    }
+
     /// The learner's delivery watermark: every instance below it has been
     /// delivered here, or skipped as another partition's. Instance 0 on a
     /// process that does not learn.

@@ -1,10 +1,8 @@
 //! End-to-end tests for M-Ring Paxos on the simulated cluster.
 
-use abcast::{metric, shared_log, MsgId, SharedLog};
+use abcast::{metric, MsgId, SharedLog};
 use proptest::prelude::*;
-use ringpaxos::cluster::{deploy_mring, MRingOptions};
-use ringpaxos::config::PartitionConfig;
-use ringpaxos::mring::MRingProcess;
+use ringpaxos::cluster::{deploy_mring, layout_mring, MRingOptions};
 use ringpaxos::msg::MMsg;
 use ringpaxos::{MRingConfig, StorageMode, Value};
 use simnet::prelude::*;
@@ -403,11 +401,6 @@ fn us(micros: u64) -> Time {
     Time::ZERO + Dur::micros(micros)
 }
 
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-}
-
 /// Sends its shots as an external client would, to the coordinator —
 /// or, from `reroute_at` on, to `fallback` (a surviving ring member).
 struct Injector {
@@ -494,47 +487,28 @@ fn deploy_partitioned(
     reroute_at: Time,
     configure: impl FnOnce(&mut MRingConfig),
 ) -> Partitioned {
-    let ring: Vec<NodeId> = (0..3).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let learners: Vec<NodeId> = (0..n_parts).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let base = sim.add_group();
-    let groups: Vec<GroupId> = (0..n_parts).map(|_| sim.add_group()).collect();
-    let decision_group = sim.add_group();
-    let mut cfg = MRingConfig::new(ring.clone(), learners.clone(), base);
-    cfg.partitions = Some(PartitionConfig {
-        groups: groups.clone(),
-        decision_group,
-        learner_masks: (0..n_parts).map(|p| 1 << p).collect(),
-    });
-    configure(&mut cfg);
-
+    let opts = MRingOptions {
+        ring_size: 3,
+        n_learners: n_parts,
+        n_proposers: 0,
+        ..MRingOptions::default()
+    };
+    let masks = (0..n_parts).map(|p| 1 << p).collect();
+    let layout = layout_mring(sim, &opts, &[], Some(masks), configure);
     let seen: Seen = Arc::default();
     let tap = sim.add_node(Box::new(Tap { seen: seen.clone() }));
-    for &n in ring.iter().chain(&learners) {
-        sim.subscribe(n, base);
-        sim.subscribe(n, decision_group);
-    }
-    for (p, &g) in groups.iter().enumerate() {
-        for &a in &ring {
-            sim.subscribe(a, g);
-        }
-        sim.subscribe(learners[p], g);
+    for &g in &layout.d.cfg.partitions.as_ref().expect("partitioned").groups {
         sim.subscribe(tap, g);
     }
-    let log = shared_log(n_parts);
-    for &a in &ring {
-        sim.replace_actor(a, Box::new(MRingProcess::new(cfg.clone(), a, None, None)));
-    }
-    for &l in &learners {
-        sim.replace_actor(l, Box::new(MRingProcess::new(cfg.clone(), l, None, Some(log.clone()))));
-    }
-    let (coordinator, fallback) = (cfg.coordinator(), ring[0]);
+    let d = layout.install(sim, |p, _, _| Some(Box::new(p)));
+    let (coordinator, fallback) = (d.coordinator(), d.ring[0]);
     let injectors = plans
         .into_iter()
         .map(|shots| {
             sim.add_node(Box::new(Injector { shots, next: 0, coordinator, fallback, reroute_at }))
         })
         .collect();
-    Partitioned { ring, injectors, seen, log }
+    Partitioned { ring: d.ring, injectors, seen, log: d.log }
 }
 
 /// `n` shots in one burst at `at` (the sender's CPU spaces them ~5 µs

@@ -21,11 +21,10 @@ use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::rc::Rc;
 
-use abcast::{metric, shared_log, MsgId, SharedLog};
+use abcast::{metric, MsgId, SharedLog};
 use paxos::msg::{InstanceId, Round};
 use proptest::prelude::*;
-use ringpaxos::cluster::{deploy_mring, MRingOptions};
-use ringpaxos::config::PartitionConfig;
+use ringpaxos::cluster::{deploy_mring, layout_mring, MRingOptions};
 use ringpaxos::mring::MRingProcess;
 use ringpaxos::msg::{MMsg, CTL_BYTES};
 use ringpaxos::value::ALL_PARTITIONS;
@@ -108,11 +107,6 @@ fn deploy_classic(sim: &mut Sim, msg_bytes: u32) -> Ring {
     }
 }
 
-struct Idle;
-impl Actor for Idle {
-    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-}
-
 /// An external client of a partitioned ring: one full-packet proposal
 /// under `mask` every `period`, from `first` until `STOP`.
 struct Injector {
@@ -153,39 +147,16 @@ impl Actor for Injector {
 /// the injectors interleave, so instances alternate between the
 /// partitions and each learner's slice of the sequence is sparse.
 fn deploy_partitioned(sim: &mut Sim, msg_bytes: u32) -> Ring {
-    let ring: Vec<NodeId> = (0..3).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let learners: Vec<NodeId> = (0..2).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let base = sim.add_group();
-    let groups: Vec<GroupId> = (0..2).map(|_| sim.add_group()).collect();
-    let decision_group = sim.add_group();
-    let mut cfg = MRingConfig::new(ring.clone(), learners.clone(), base);
-    cfg.packet_bytes = msg_bytes;
-    cfg.partitions = Some(PartitionConfig {
-        groups: groups.clone(),
-        decision_group,
-        learner_masks: vec![0b01, 0b10],
+    let opts =
+        MRingOptions { ring_size: 3, n_learners: 2, n_proposers: 0, ..MRingOptions::default() };
+    let layout = layout_mring(sim, &opts, &[], Some(vec![0b01, 0b10]), |cfg| {
+        cfg.packet_bytes = msg_bytes;
     });
-    for &n in ring.iter().chain(&learners) {
-        sim.subscribe(n, base);
-        sim.subscribe(n, decision_group);
-    }
-    for (p, &g) in groups.iter().enumerate() {
-        for &a in &ring {
-            sim.subscribe(a, g);
-        }
-        sim.subscribe(learners[p], g);
-    }
-    let log = shared_log(learners.len());
-    for &a in &ring {
-        sim.replace_actor(a, Box::new(MRingProcess::new(cfg.clone(), a, None, None)));
-    }
-    for &l in &learners {
-        sim.replace_actor(l, Box::new(MRingProcess::new(cfg.clone(), l, None, Some(log.clone()))));
-    }
+    let d = layout.install(sim, |p, _, _| Some(Box::new(p)));
     let proposers = (0..2u64)
         .map(|p| {
             sim.add_node(Box::new(Injector {
-                coordinator: cfg.coordinator(),
+                coordinator: d.coordinator(),
                 mask: 1 << p,
                 bytes: msg_bytes,
                 first: MSG_GAP * p,
@@ -194,7 +165,9 @@ fn deploy_partitioned(sim: &mut Sim, msg_bytes: u32) -> Ring {
             }))
         })
         .collect();
-    Ring { a0: ring[0], a1: ring[1], coord: ring[2], partitioned: true, learners, proposers, log }
+    let ring = &d.ring;
+    let (a0, a1, coord) = (ring[0], ring[1], ring[2]);
+    Ring { a0, a1, coord, partitioned: true, learners: d.learners, proposers, log: d.log }
 }
 
 type Deploy = fn(&mut Sim, u32) -> Ring;
@@ -696,6 +669,10 @@ impl Actor for Script {
 /// `real` runs M-Ring and the other two send what `script` lists for
 /// them (given the ring and the scripted node). Runs 20 ms; returns
 /// the ring and the 2Bs each position received.
+///
+/// Wired by hand, not through `ringpaxos::cluster`: the scripted
+/// positions must be the only senders the real one hears, so no node
+/// subscribes to the ring's group and only one process is M-Ring.
 fn scripted_ring(
     storage: StorageMode,
     real: usize,

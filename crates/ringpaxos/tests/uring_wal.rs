@@ -7,17 +7,17 @@
 
 use std::sync::{Arc, Mutex};
 
-use abcast::{metric, shared_log, MsgId, Pacer, SharedLog};
+use abcast::{metric, MsgId, SharedLog};
 use paxos::msg::{InstanceId, Round};
 use recovery::{stable, NullApp, StableHandle};
 use ringpaxos::cluster::{
-    deploy_mring_recoverable, deploy_uring, deploy_uring_recoverable, respawn_uring, MRingOptions,
-    URingOptions, URingRecoveryOptions,
+    deploy_mring_recoverable, deploy_uring, deploy_uring_recoverable, layout_mring, respawn_uring,
+    MRingOptions, URingOptions, URingRecoveryOptions,
 };
 use ringpaxos::mring::MRingProcess;
 use ringpaxos::msg::{MMsg, UMsg};
 use ringpaxos::value::{BatchData, Value, ALL_PARTITIONS};
-use ringpaxos::{Batch, MRecovery, MRingConfig, StorageMode};
+use ringpaxos::{Batch, MRecovery, StorageMode};
 use simnet::fault::{FaultAction, FaultPlan};
 use simnet::prelude::*;
 
@@ -381,30 +381,33 @@ impl Actor for Watch {
 /// carried — one a0 drops — never one at the new round.
 #[test]
 fn an_mring_2b_leaves_only_at_the_round_its_write_carried() {
-    struct Idle;
-    impl Actor for Idle {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
     let mut sim = Sim::new(SimConfig::default());
-    let nodes: Vec<NodeId> = (0..5).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let [a0, coord, spare, learner, proposer] = nodes[..] else { unreachable!() };
-    let group = sim.add_group();
-    let mut cfg = MRingConfig::new(vec![a0, coord], vec![learner, proposer], group);
-    cfg.spares = vec![spare];
-    cfg.storage = StorageMode::SyncDisk;
-    cfg.suspicion_timeout = Dur::millis(20);
-    let log = shared_log(2);
+    let opts = MRingOptions {
+        ring_size: 2,
+        spares: 1,
+        n_learners: 1,
+        n_proposers: 1,
+        proposer_rate_bps: 10_000_000,
+        msg_bytes: 8192,
+        ..MRingOptions::default()
+    };
+    let layout = layout_mring(&mut sim, &opts, &[], None, |cfg| {
+        cfg.storage = StorageMode::SyncDisk;
+        cfg.suspicion_timeout = Dur::millis(20);
+    });
+    let d = &layout.d;
+    let nodes: Vec<NodeId> =
+        d.ring.iter().chain(&d.spares).chain(&d.all_learners).copied().collect();
+    let [a0, coord, spare, ..] = nodes[..] else { unreachable!() };
     let stores: Vec<(NodeId, StableHandle<Batch>)> = nodes.iter().map(|&n| (n, stable())).collect();
     let seen = Seen2b::default();
-    for &(n, ref store) in &stores {
-        sim.subscribe(n, group);
-        let pacer = (n == proposer).then(|| Pacer::new(10_000_000, 8192, 1));
-        let learns = (n == learner || n == proposer).then(|| log.clone());
-        let rec =
-            MRecovery { store: store.clone(), checkpoint_interval: 0, app: None, resumed: false };
-        let inner = MRingProcess::new(cfg.clone(), n, pacer, learns).with_recovery(rec);
-        sim.replace_actor(n, Box::new(Watch { inner, stores: stores.clone(), seen: seen.clone() }));
-    }
+    let d = layout.install(&mut sim, |p, n, _| {
+        let store = stores.iter().find(|(s, _)| *s == n).map(|(_, s)| s.clone()).expect("a store");
+        let rec = MRecovery { store, checkpoint_interval: 0, app: None, resumed: false };
+        let inner = p.with_recovery(rec);
+        Some(Box::new(Watch { inner, stores: stores.clone(), seen: seen.clone() }))
+    });
+    let log = d.log;
     let crash = Time::from_millis(300);
     let mut plan = FaultPlan::new()
         .at(Time::ZERO, FaultAction::SlowDisk(spare, 100.0))

@@ -220,7 +220,7 @@ mod tests {
 
     #[test]
     fn zero_bandwidth_simulation_still_delivers() {
-        use crate::sim::{Actor, Ctx, Envelope, Sim};
+        use crate::sim::{Actor, Ctx, Envelope, Idle, Sim};
         use std::sync::Arc;
         use std::sync::Mutex;
 
@@ -230,17 +230,13 @@ mod tests {
                 *self.0.lock().unwrap() += 1;
             }
         }
-        struct Quiet;
-        impl Actor for Quiet {
-            fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-        }
 
         let mut cfg = SimConfig::default();
         cfg.link_bandwidth_bps = 0;
         cfg.disk_bandwidth_bps = 0;
         let got = Arc::new(Mutex::new(0));
         let mut sim = Sim::new(cfg);
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder(got.clone())));
         sim.with_ctx(a, |ctx| {
             for i in 0..10u32 {

@@ -209,10 +209,6 @@ mod tests {
             self.0.lock().unwrap().push(*env.payload.downcast_ref::<u32>().expect("u32"));
         }
     }
-    struct Quiet;
-    impl Actor for Quiet {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
 
     /// A periodic UDP sender, so traffic exists across the plan's
     /// whole schedule without driver intervention.
@@ -301,7 +297,7 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.tcp_window_bytes = 64 * 1024;
         let mut sim = Sim::new(cfg);
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder(log.clone())));
         sim.set_link_cut(a, b, true);
         sim.with_ctx(a, |ctx| {
@@ -329,7 +325,7 @@ mod tests {
     #[test]
     fn cpu_straggler_slows_then_heals() {
         let mut sim = Sim::new(SimConfig::default());
-        let n = sim.add_node(Box::new(Quiet));
+        let n = sim.add_node(Box::new(Idle));
         sim.set_cpu_slowdown(n, 4.0);
         sim.with_ctx(n, |ctx| ctx.charge_cpu(0, Dur::millis(1)));
         assert_eq!(sim.cpu_busy(n, 0), Dur::millis(4));
@@ -344,7 +340,7 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.random_reorder = 0.2;
         let mut sim = Sim::new(cfg);
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder(log.clone())));
         sim.with_ctx(a, |ctx| {
             for i in 0..200u32 {
@@ -364,7 +360,7 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.random_duplication = 0.2;
         let mut sim = Sim::new(cfg);
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder(log.clone())));
         sim.with_ctx(a, |ctx| {
             for i in 0..200u32 {
@@ -380,8 +376,8 @@ mod tests {
     #[test]
     fn knob_bursts_apply_and_clear() {
         let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
-        let _b = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
+        let _b = sim.add_node(Box::new(Idle));
         FaultPlan::new()
             .loss_burst(Time::from_millis(1), Time::from_millis(2), 0.5)
             .straggler(a, Time::from_millis(1), Time::from_millis(2), 3.0)

@@ -53,7 +53,7 @@ pub mod prelude {
     pub use crate::ids::{GroupId, NodeId, TimerToken};
     pub use crate::payload::Payload;
     pub use crate::probe::{self, ProbeConfig, ProbeEvent};
-    pub use crate::sim::{Actor, Ctx, Envelope, Sim, Transport};
+    pub use crate::sim::{Actor, Ctx, Envelope, Idle, Sim, Transport};
     pub use crate::stats::{mbps, mid, per_sec, LatencyStats, MetricId, Metrics};
     pub use crate::time::{Dur, Time};
     pub use crate::wheel::TimerWheel;

@@ -156,6 +156,16 @@ pub trait Actor {
     fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Ctx) {}
 }
 
+/// An actor that does nothing: the placeholder a node runs until its
+/// real process is installed with [`Sim::replace_actor`], or for good
+/// when the node only sends (through [`Sim::with_ctx`]) or only sinks
+/// traffic.
+pub struct Idle;
+
+impl Actor for Idle {
+    fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
+}
+
 /// Everything in the simulation except the actors themselves. Split out so
 /// actor callbacks can borrow it mutably through [`Ctx`].
 pub struct SimInner {
@@ -516,6 +526,12 @@ impl Sim {
         self.inner.groups[group.0].retain(|&n| n != node);
     }
 
+    /// The members of `group` in subscription order, which is the order a
+    /// multicast fans out in.
+    pub fn members(&self, group: GroupId) -> &[NodeId] {
+        &self.inner.groups[group.0]
+    }
+
     /// Overrides the UDP socket buffer size of one node.
     pub fn set_udp_socket_buffer(&mut self, node: NodeId, bytes: u32) {
         self.inner.node_mut(node).udp_socket_buffer = bytes;
@@ -719,15 +735,10 @@ mod tests {
         }
     }
 
-    struct Quiet;
-    impl Actor for Quiet {
-        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
-    }
-
     fn two_nodes() -> (Sim, NodeId, NodeId, Arc<Mutex<Vec<(Time, &'static str, u32)>>>) {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
         (sim, a, b, log)
     }
@@ -761,7 +772,7 @@ mod tests {
     fn multicast_reaches_all_subscribers_except_sender() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
         let c = sim.add_node(Box::new(Recorder { log: log.clone() }));
         let g = sim.add_group();
@@ -779,8 +790,8 @@ mod tests {
         // on the uplink; multicast only 100.
         let mk = || {
             let mut sim = Sim::new(SimConfig::default());
-            let s = sim.add_node(Box::new(Quiet));
-            let rs: Vec<NodeId> = (0..4).map(|_| sim.add_node(Box::new(Quiet))).collect();
+            let s = sim.add_node(Box::new(Idle));
+            let rs: Vec<NodeId> = (0..4).map(|_| sim.add_node(Box::new(Idle))).collect();
             (sim, s, rs)
         };
         let (mut uni, s, rs) = mk();
@@ -823,7 +834,7 @@ mod tests {
             }
         }
         let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Slow));
         sim.set_udp_socket_buffer(b, 64 * 1024);
         sim.with_ctx(a, |ctx| {
@@ -842,7 +853,7 @@ mod tests {
         let mut cfg = SimConfig::default();
         cfg.switch_port_buffer = 64 * 1024;
         let mut sim = Sim::new(cfg);
-        let senders: Vec<NodeId> = (0..4).map(|_| sim.add_node(Box::new(Quiet))).collect();
+        let senders: Vec<NodeId> = (0..4).map(|_| sim.add_node(Box::new(Idle))).collect();
         let dst = sim.add_node(Box::new(Recorder { log: log.clone() }));
         // Four senders each blast 2 MB simultaneously at wire speed into one
         // downlink: instantaneous demand 4x the drain rate.
@@ -863,7 +874,7 @@ mod tests {
         cfg.tcp_window_bytes = 64 * 1024; // small window forces queueing
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(cfg);
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
         sim.with_ctx(a, |ctx| {
             for i in 0..200 {
@@ -883,7 +894,7 @@ mod tests {
             cfg.tcp_window_bytes = window;
             let log = Arc::new(Mutex::new(Vec::new()));
             let mut sim = Sim::new(cfg);
-            let a = sim.add_node(Box::new(Quiet));
+            let a = sim.add_node(Box::new(Idle));
             let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
             sim.with_ctx(a, |ctx| {
                 for i in 0..500 {
@@ -910,7 +921,7 @@ mod tests {
         cfg.tcp_window_bytes = 64 * 1024; // fills fast once acks stop
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(cfg);
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
         sim.with_ctx(a, |ctx| {
             for i in 0..20 {
@@ -948,7 +959,7 @@ mod tests {
     fn tcp_stale_acks_across_crash_are_dropped() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
         sim.with_ctx(a, |ctx| {
             for i in 0..8 {
@@ -1066,7 +1077,7 @@ mod tests {
         cfg.random_loss = 0.5;
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(cfg);
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
         sim.with_ctx(a, |ctx| {
             for i in 0..200 {
@@ -1082,7 +1093,7 @@ mod tests {
     #[test]
     fn run_until_advances_clock_without_events() {
         let mut sim = Sim::new(SimConfig::default());
-        sim.add_node(Box::new(Quiet));
+        sim.add_node(Box::new(Idle));
         sim.run_until(Time::from_secs(3));
         assert_eq!(sim.now(), Time::from_secs(3));
     }
@@ -1245,7 +1256,7 @@ mod tests {
     fn orphan_tcp_segments_after_sender_crash_get_no_ack() {
         let log = Arc::new(Mutex::new(Vec::new()));
         let mut sim = Sim::new(SimConfig::default());
-        let a = sim.add_node(Box::new(Quiet));
+        let a = sim.add_node(Box::new(Idle));
         let b = sim.add_node(Box::new(Recorder { log: log.clone() }));
         sim.with_ctx(a, |ctx| {
             for i in 0..8 {
