@@ -303,8 +303,9 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
     // Mass-session traffic is coordinator-bound: with 8 KB packets the
     // coordinator packs every pending 256 B command of a partition mask
     // into one instance (§3.5.4), up to 32 of them. A partial batch
-    // waits at most `batch_timeout` (100 µs here) on an idle
-    // coordinator, and otherwise until its core 0 drains.
+    // leaves on arrival at an idle coordinator, and otherwise once its
+    // core 0 and uplink drain (`batch_timeout`, 100 µs here, only
+    // bounds that hold).
     //
     // Replicas execute on every core that neither delivery (0) nor the
     // response thread uses — `[1, 3]` at four cores per node.

@@ -6,7 +6,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use abcast::MsgId;
+use abcast::{metric, MsgId};
 use btree::{TreeCommand, TreeService};
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
@@ -36,6 +36,10 @@ struct Run {
     lat: LatencyStats,
     /// Busy share of every core of every replica over the window.
     replica_busy: Vec<Vec<f64>>,
+    /// Datagrams the replicas received over the window, all together.
+    replica_recv: u64,
+    /// Instances the coordinator decided over the window.
+    instances: u64,
 }
 
 fn sum(sim: &Sim, nodes: &[NodeId], name: &'static str) -> u64 {
@@ -62,10 +66,14 @@ fn run(kind: WorkloadKind, rate: f64) -> Run {
         replicas.iter().map(|&r| (0..cores).map(|c| sim.cpu_busy(r, c)).collect()).collect()
     };
 
+    let (coord, recv) = (d.coordinator(), |sim: &Sim| sum(sim, &replicas, "net.recv_pkts"));
     sim.run_until(Time::from_secs(WARMUP_S));
     let _ = sim.metrics_mut().take_latency(SESSION_LATENCY);
     let (done0, busy0) = (sum(&sim, &d.tables, SESSIONS_COMPLETED), busy(&sim));
+    let (recv0, instances0) = (recv(&sim), sim.metrics().counter(coord, metric::INSTANCES));
     sim.run_until(Time::from_secs(STOP_S));
+    let replica_recv = recv(&sim) - recv0;
+    let instances = sim.metrics().counter(coord, metric::INSTANCES) - instances0;
     let window = (STOP_S - WARMUP_S) as f64;
     let goodput = (sum(&sim, &d.tables, SESSIONS_COMPLETED) - done0) as f64 / window;
     let lat = sim.metrics().latency(SESSION_LATENCY);
@@ -75,7 +83,7 @@ fn run(kind: WorkloadKind, rate: f64) -> Run {
         .map(|(b1, b0)| b1.iter().zip(b0).map(|(&x, &y)| (x - y).as_secs_f64() / window).collect())
         .collect();
     sim.run_until(Time::from_secs(DRAINED_S));
-    Run { sim, d, goodput, lat, replica_busy }
+    Run { sim, d, goodput, lat, replica_busy, replica_recv, instances }
 }
 
 #[test]
@@ -119,15 +127,38 @@ fn updates_never_leave_the_writer_core() {
         assert_eq!(r.sim.cpu_busy(n, 3), Dur::ZERO, "replica {n:?} ran an update off core 1");
     }
     // Pinned: count and exact mean commit to the recorder's sum, so no
-    // update's reply moves unnoticed. Re-pinned once, when the session
-    // tier began to speculate (mean 512 081 → 493 282 ns: an update's
-    // few µs of execution now overlap its ordering).
+    // update's reply moves unnoticed. Re-pinned when the session tier
+    // began to speculate (mean 512 081 → 493 282 ns: an update's few µs
+    // of execution now overlap its ordering), and when a partial batch
+    // stopped waiting for the coordinator's tick (96 309 / 493 282 /
+    // 778 645 → 96 311 / 429 342 / 659 413).
     let lat = r.lat;
     assert_eq!((lat.count, lat.mean.as_nanos(), lat.max.as_nanos()), UPDATE_PIN);
 }
 
 /// `(count, mean ns, max ns)` of the update run's window latency.
-const UPDATE_PIN: (usize, u64, u64) = (96_309, 493_282, 778_645);
+const UPDATE_PIN: (usize, u64, u64) = (96_311, 429_342, 659_413);
+
+#[test]
+fn a_replica_hears_only_its_partitions_instances() {
+    let r = run(WorkloadKind::InsDelSingle, 24_000.0);
+    // Every update touches one partition: its instance's 2A and decision
+    // reach that partition's two replicas and no other replica — four
+    // datagrams an instance, give or take the few in flight at the
+    // window's edges. (Before, every decision reached all eight: ten.)
+    let expected = 4 * r.instances;
+    let slack = 4 * 64;
+    assert!(
+        r.replica_recv.abs_diff(expected) <= slack,
+        "{} datagrams for {} instances",
+        r.replica_recv,
+        r.instances
+    );
+    let ops = r.goodput * (STOP_S - WARMUP_S) as f64;
+    let per_op = r.replica_recv as f64 / ops / 8.0;
+    // 0.91 when every decision reached every replica.
+    assert!(per_op < 0.5, "{per_op:.3} datagrams per op per replica");
+}
 
 /// Records the order replies arrive in.
 struct ReplyOrder(Arc<Mutex<Vec<MsgId>>>);

@@ -184,7 +184,7 @@ impl Actor for MultiRingLearner {
             MMsg::Phase2a {
                 instance, round, batch, decisions, skip, mask, decided_below, ..
             } => {
-                let asked = lrn.store(*instance, batch, *skip, *mask, *round) as u64;
+                let asked = lrn.store(*instance, batch, *skip, *mask, *round, None) as u64;
                 lrn.watermark(*decided_below);
                 (true, asked + lrn.decide(decisions, *round))
             }
@@ -192,12 +192,12 @@ impl Actor for MultiRingLearner {
                 lrn.watermark(*decided_below);
                 (true, lrn.decide(instances, *round))
             }
-            MMsg::RetransRep { instance, batch, decided: true, round, skip, mask } => {
-                lrn.authoritative(*instance, batch, *skip, *mask, *round);
+            MMsg::RetransRep { instance, batch, decided: true, round, skip, mask, .. } => {
+                lrn.authoritative(*instance, batch, *skip, *mask, *round, None);
                 (false, 0)
             }
             MMsg::RetransRep { instance, batch, round, skip, mask, .. } => {
-                lrn.store(*instance, batch, *skip, *mask, *round);
+                lrn.store(*instance, batch, *skip, *mask, *round, None);
                 (false, 0)
             }
             MMsg::RetransDecided { instance, round, mask } => {

@@ -114,10 +114,10 @@ fn idle_nodes(sim: &mut Sim, n: usize) -> Vec<NodeId> {
 /// `opts.n_proposers` proposers, in that order; `cfg.learners` lists
 /// those learners, the proposers, then `given` (learner nodes that
 /// already exist). With `partition_masks` (one per learner) the ring is
-/// partitioned (§4.2.2): after the base group come one group per
-/// partition and the decision group; acceptors join every group, a
-/// learner its partitions' groups and the decision group. Each group
-/// lists the acceptors, then its learners in `cfg.learners` order.
+/// partitioned (§4.2.2): after the base group comes one group per
+/// partition; acceptors join every group, a learner its partitions'
+/// groups. Each group lists the acceptors, then its learners in
+/// `cfg.learners` order.
 /// `configure` adjusts the [`MRingConfig`] last.
 pub fn layout_mring(
     sim: &mut Sim,
@@ -140,8 +140,7 @@ pub fn layout_mring(
         assert_eq!(learner_masks.len(), all_learners.len(), "one partition mask per learner");
         let n_parts = u32::BITS - learner_masks.iter().fold(0, |a, m| a | m).leading_zeros();
         let groups = (0..n_parts).map(|_| sim.add_group()).collect();
-        let decision_group = sim.add_group();
-        cfg.partitions = Some(PartitionConfig { groups, decision_group, learner_masks });
+        cfg.partitions = Some(PartitionConfig { groups, learner_masks });
     }
     let acceptors = ring.iter().chain(&spares).map(|&n| (n, ALL_PARTITIONS));
     let masked = all_learners.iter().enumerate().map(|(i, &n)| (n, cfg.learner_mask(i)));
@@ -151,7 +150,6 @@ pub fn layout_mring(
             for (_, &g) in p.groups.iter().enumerate().filter(|&(i, _)| mask & (1 << i) != 0) {
                 sim.subscribe(n, g);
             }
-            sim.subscribe(n, p.decision_group);
         }
     }
     configure(&mut cfg);
@@ -454,13 +452,11 @@ mod tests {
         assert_eq!((d.learners.clone(), d.proposers.clone()), (n(&[4, 5]), n(&[6])));
         assert_eq!(d.all_learners, n(&[4, 5, 6, 0]));
         assert_eq!(d.cfg.learners, d.all_learners);
-        // Group ids: the base group, one per partition, the decision group.
+        // Group ids: the base group, then one per partition; no other.
         let p = d.cfg.partitions.as_ref().expect("partitioned");
         assert_eq!(d.group, GroupId(0));
-        assert_eq!(
-            (p.groups.clone(), p.decision_group),
-            (vec![GroupId(1), GroupId(2)], GroupId(3))
-        );
+        assert_eq!(p.groups, [GroupId(1), GroupId(2)]);
+        assert_eq!(sim.add_group(), GroupId(3), "no decision group");
         // One mask per learner, in `cfg.learners` order.
         assert_eq!(p.learner_masks, masks);
         for (i, &m) in masks.iter().enumerate() {
@@ -470,7 +466,6 @@ mod tests {
         assert_eq!(sim.members(d.group), n(&[1, 2, 3, 4, 5, 6, 0]));
         assert_eq!(sim.members(p.groups[0]), n(&[1, 2, 3, 4, 6]));
         assert_eq!(sim.members(p.groups[1]), n(&[1, 2, 3, 5, 0]));
-        assert_eq!(sim.members(p.decision_group), n(&[1, 2, 3, 4, 5, 6, 0]));
     }
 
     /// Fig 3.14's ensemble run for 100 ms, learner 0 under a cost control

@@ -8,17 +8,16 @@ use simnet::time::Dur;
 pub use recovery::StorageMode;
 
 /// State partitioning over one M-Ring Paxos instance (ch. 4 §4.2.2):
-/// the coordinator totally orders all commands but transfers each batch
-/// only to the multicast groups of the partitions it accesses; decisions
-/// travel on a dedicated decision group (no piggybacking). Acceptors
-/// subscribe to every group; learners subscribe to their partition's
-/// group plus the decision group.
+/// the coordinator totally orders all commands but transfers each batch,
+/// and then its decision (no piggybacking), only to the multicast groups
+/// of the partitions it accesses, so a learner hears only its own
+/// partitions' instances; the links on each 2A tell it which instances
+/// to pass over (`mring` module docs, "Partitioned rings"). Acceptors
+/// subscribe to every group; learners to their partitions' groups.
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
     /// One multicast group per partition (index = partition number).
     pub groups: Vec<GroupId>,
-    /// The decision group every process subscribes to.
-    pub decision_group: GroupId,
     /// Partition mask of each learner, aligned with `MRingConfig::learners`.
     pub learner_masks: Vec<u32>,
 }
@@ -74,12 +73,13 @@ pub struct MRingConfig {
     pub learners: Vec<NodeId>,
     /// Target consensus packet size (the paper uses 8 KB).
     pub packet_bytes: u32,
-    /// Period of the coordinator's batch tick: the upper bound on how
-    /// long a partial (sub-packet) batch waits on an idle coordinator.
-    /// While core 0 is backlogged a partial batch is held until the core
-    /// drains — its 2A could not leave sooner — and a batch whose oldest
-    /// value has waited `mring::HOLD_TICKS` ticks goes at the next tick
-    /// regardless.
+    /// Period of the coordinator's batch tick. A partial (sub-packet)
+    /// batch does not wait for it: it leaves on arrival when core 0 and
+    /// the uplink are both free, and is otherwise held until the later
+    /// of the two drains — its 2A could not leave sooner. The tick is
+    /// the hold's liveness guard (a batch whose oldest value has waited
+    /// `mring::HOLD_TICKS` ticks goes at the next tick regardless) and,
+    /// on a classic ring, flushes decisions no 2A is left to carry.
     pub batch_timeout: Dur,
     /// Coordinator's buffer of pending (unproposed) values, in bytes.
     /// Values arriving beyond this are dropped (proposers retry) — the

@@ -17,12 +17,30 @@
 //! # What is released
 //!
 //! Instances leave in instance order, each once. An instance of another
-//! partition (a decision whose mask misses this learner's) is passed
-//! over without a payload (§4.2.2). Any other leaves when it holds a
-//! payload *and* a decision of the same round — the paper's value-id
-//! check: a deposed coordinator's payload never stands in for the value
-//! a later round decided. A value decided in two instances (a proposer's
-//! resend, a takeover's re-proposal) is released with the first.
+//! partition is passed over without a payload (§4.2.2). Any other
+//! leaves when it holds a payload *and* a decision of the same round —
+//! the paper's value-id check: a deposed coordinator's payload never
+//! stands in for the value a later round decided. A value decided in
+//! two instances (a proposer's resend, a takeover's re-proposal) is
+//! released with the first.
+//!
+//! A learner of some partitions hears only their instances: the 2As
+//! and decisions of the others never reach it. What tells it which
+//! instances are not its own is the *link* each of its 2As (and each
+//! repair of one) carries: the first instance after the previous one
+//! the same coordinator proposed for this learner's partitions — the
+//! coordinator's first instance, before it proposed any. Once instance
+//! `j` is decided at the round its payload and link came with, every
+//! instance in `[link, j)` that holds nothing at that round or later is
+//! another partition's, passed over with no decision: a deposed
+//! coordinator's payload there is no obstacle, and a stale 2A's link,
+//! never decided at its round, classifies nothing. Where nothing is
+//! buffered and the link reaches the delivery point, the gap costs no
+//! slots: the window starts at `j`, and delivery jumps the gap when `j`
+//! leaves — a partition idle for a million instances resumes on one
+//! 2A. A learner of every partition (classic broadcast) gets no links.
+//! An instance whose decision names a mask that misses this learner's
+//! (a repair's answer, a catch-up chunk) is passed over too.
 //!
 //! # What is asked for
 //!
@@ -33,19 +51,26 @@
 //! fact arrives, at most [`REPAIR_BATCH`] instances past the delivery
 //! point, and says which of the two is lacking. The signal is "decided
 //! for my mask and incomplete", never "a higher instance id was seen" —
-//! a partition's slice of the instance sequence is sparse by design.
+//! a partition's slice of the instance sequence is sparse by design. A
+//! partition's learner knows an instance is its own only once it holds
+//! a payload or decision there, and another partition's once a link
+//! reaches over it. Its scan under the watermark stops at the first
+//! instance that is neither, and neither repair path asks for one a
+//! link reaches over (the linking instance is asked for instead, while
+//! it cannot be released); a lost 2A is asked for when its decision
+//! names it, and its repair's link classifies the instances before it.
 //! Datagrams between one sender and one receiver arrive in send order
 //! on a loss-free run, so nothing is listed there. Backstop:
 //! [`MLearner::sweep`], on the driver's tick, which finds what order
 //! cannot show (a lost repair, a hole with nothing decided after it).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use paxos::msg::{InstanceId, Round};
 use simnet::time::Dur;
 
 use crate::dedup::DeliveredTracker;
-use crate::value::{Batch, Value};
+use crate::value::{Batch, Value, ALL_PARTITIONS};
 
 /// Instances one repair request or re-2A sweep covers at most, and how
 /// far past its delivery point a learner's fast repair reaches (the
@@ -59,7 +84,9 @@ pub const SWEEP_TICK: Dur = Dur::millis(20);
 /// Per-instance state: the buffered payload (with the round and skip
 /// weight of the 2A that carried it — highest round wins, so stale
 /// coordinators cannot poison delivery), the announced decision round,
-/// and whether the instance belongs to a foreign partition.
+/// and whether the instance belongs to a foreign partition. Its size
+/// sets the window's memory: the payload's link lives in
+/// `MLearner::links`, which a learner of every partition never fills.
 #[derive(Default)]
 struct Slot {
     payload: Option<(Round, Batch, u64)>,
@@ -90,6 +117,12 @@ impl Slot {
     fn seen(&self) -> bool {
         self.payload.is_some() || self.decided.is_some()
     }
+
+    /// Holds a payload or a decision at `round` or a later one.
+    fn holds_at(&self, round: Round) -> bool {
+        self.payload.as_ref().is_some_and(|(r, ..)| *r >= round)
+            || self.decided.is_some_and(|r| r >= round)
+    }
 }
 
 /// One instance leaving the learner, in instance order.
@@ -112,8 +145,15 @@ pub struct Released {
 /// array indexing.
 pub struct MLearner {
     my_mask: u32,
-    /// Slots for `next_deliver..`.
+    /// Slots for `base..`.
     window: VecDeque<Slot>,
+    /// The link each buffered payload came with (module docs, "What is
+    /// released"), at the payload's round, by instance.
+    links: BTreeMap<InstanceId, InstanceId>,
+    /// The instance of `window[0]`: the delivery point, or past it when
+    /// `window[0]`'s link passes the gap between the two once it is
+    /// decided (module docs, "What is released").
+    base: InstanceId,
     next_deliver: InstanceId,
     /// Exactly-once filter over released values, bounded by per-proposer
     /// watermarks instead of an ever-growing id set.
@@ -130,6 +170,11 @@ pub struct MLearner {
     /// Every instance under this was releasable, foreign or asked for
     /// when the fast repair last looked (its scan cursor).
     checked_below: InstanceId,
+    /// Every instance under this is known this learner's, or another
+    /// partition's or covered by a link (module docs, "What is asked
+    /// for"): the scan's bound. Unbounded for a learner of every
+    /// partition.
+    classified_below: InstanceId,
     /// Instances a decision list named for this learner's mask while
     /// their payload was missing, not yet asked for.
     want: Vec<InstanceId>,
@@ -141,12 +186,15 @@ impl MLearner {
         MLearner {
             my_mask,
             window: VecDeque::new(),
+            links: BTreeMap::new(),
+            base: InstanceId(0),
             next_deliver: InstanceId(0),
             delivered: DeliveredTracker::new(),
             applied_reported: InstanceId(0),
             prev_horizon: InstanceId(0),
             decided_below: InstanceId(0),
             checked_below: InstanceId(0),
+            classified_below: InstanceId(if my_mask == ALL_PARTITIONS { u64::MAX } else { 0 }),
             want: Vec::new(),
         }
     }
@@ -158,19 +206,26 @@ impl MLearner {
     }
 
     /// Mutable slot for `instance`, growing the window as needed.
-    /// `None` when the instance is below the delivery point.
+    /// `None` when the instance is below the delivery point. An
+    /// instance in the gap `window[0]`'s link will pass gets the gap's
+    /// slots back (a takeover or a stale 2A: rare).
     #[inline]
     fn slot_mut(&mut self, instance: InstanceId) -> Option<&mut Slot> {
         if instance < self.next_deliver {
             return None;
         }
-        let idx = (instance.0 - self.next_deliver.0) as usize;
+        if instance < self.base {
+            let gap = (self.base.0 - self.next_deliver.0) as usize;
+            (0..gap).for_each(|_| self.window.push_front(Slot::default()));
+            self.base = self.next_deliver;
+        }
+        let idx = (instance.0 - self.base.0) as usize;
         // Flow control bounds how far instances run ahead of delivery; a
         // far-ahead id would turn one packet into a huge resize.
         debug_assert!(
             idx < self.window.len() + (1 << 24),
-            "learner window jump: instance {instance:?} vs next_deliver {:?}",
-            self.next_deliver
+            "learner window jump: instance {instance:?} vs window base {:?}",
+            self.base
         );
         if idx >= self.window.len() {
             self.window.resize_with(idx + 1, Slot::default);
@@ -178,9 +233,10 @@ impl MLearner {
         Some(&mut self.window[idx])
     }
 
-    /// Buffers the payload a 2A (or its repair) carried, unless the
-    /// batch is for other partitions. Returns whether this instance had
-    /// been asked for.
+    /// Buffers the payload a 2A (or its repair) carried, with the link
+    /// it carried for this learner (module docs, "What is released"),
+    /// unless the batch is for other partitions. Returns whether this
+    /// instance had been asked for.
     pub fn store(
         &mut self,
         instance: InstanceId,
@@ -188,16 +244,24 @@ impl MLearner {
         skip: u64,
         mask: u32,
         round: Round,
+        link: Option<InstanceId>,
     ) -> bool {
         if mask & self.my_mask == 0 {
             return false;
         }
-        let Some(slot) = self.slot_mut(instance) else { return false };
-        match &slot.payload {
-            Some((r, ..)) if *r >= round => {}
-            _ => slot.payload = Some((round, batch.clone(), skip)),
+        if self.window.is_empty() && link.is_some_and(|l| l <= self.next_deliver) {
+            // Nothing buffered, and the gap up to `instance` is the
+            // link's: no slots for it.
+            self.base = self.base.max(instance);
         }
-        slot.asked
+        let Some(slot) = self.slot_mut(instance) else { return false };
+        let asked = slot.asked;
+        if slot.payload.as_ref().is_none_or(|(r, ..)| *r < round) {
+            slot.payload = Some((round, batch.clone(), skip));
+            self.set_link(instance, link);
+            self.classify(instance);
+        }
+        asked
     }
 
     /// Records announced decisions, each with its batch's mask. Returns
@@ -218,14 +282,16 @@ impl MLearner {
                     // its decision: the payload is lost.
                     self.want.push(i);
                 }
+                self.classify(i);
             }
         }
         asked
     }
 
-    /// An acceptor's stored vote it vouches decided: pins both payload
-    /// and decision to the vote's round (a decision alone when the batch
-    /// is for other partitions).
+    /// An acceptor's stored vote it vouches decided, with the link it
+    /// recorded for this learner: pins both payload and decision to the
+    /// vote's round (a decision alone when the batch is for other
+    /// partitions).
     pub fn authoritative(
         &mut self,
         instance: InstanceId,
@@ -233,13 +299,60 @@ impl MLearner {
         skip: u64,
         mask: u32,
         round: Round,
+        link: Option<InstanceId>,
     ) {
         if mask & self.my_mask == 0 {
             self.decide(&[(instance, mask)], round);
         } else if let Some(slot) = self.slot_mut(instance) {
             slot.payload = Some((round, batch.clone(), skip));
             slot.decided = Some(round);
+            self.set_link(instance, link);
+            self.classify(instance);
         }
+    }
+
+    /// Records the link the payload just stored at `instance` came with.
+    fn set_link(&mut self, instance: InstanceId, link: Option<InstanceId>) {
+        match link {
+            Some(link) => self.links.insert(instance, link),
+            None => self.links.remove(&instance),
+        };
+    }
+
+    /// The slot of `instance`, if the window holds one.
+    fn slot(&self, instance: InstanceId) -> Option<&Slot> {
+        let off = instance.0.checked_sub(self.base.0)?;
+        self.window.get(off as usize)
+    }
+
+    /// Whether `instance` (in the window) is covered: the link of the
+    /// next later payload that came with one reaches over it, and it
+    /// holds nothing at that payload's round or later — another
+    /// partition's once that instance is decided. Neither repair path
+    /// asks for it (the covering instance is asked for while it cannot
+    /// be released).
+    fn covered(&self, instance: InstanceId) -> bool {
+        let Some((&by, &link)) = self.links.range(instance.next()..).next() else { return false };
+        let round = self.slot(by).and_then(|s| s.payload.as_ref()).map(|(r, ..)| *r);
+        let slot = self.slot(instance).expect("in the window");
+        link <= instance && round.is_some_and(|r| !slot.holds_at(r))
+    }
+
+    /// Once `instance` (in the window) is releasable, its link at that
+    /// round classifies the slots between: each holding nothing at the
+    /// round or later is another partition's. The gap before the
+    /// window, if `instance` is its first slot, passes in `front_ready`;
+    /// a later slot's link reaching into the gap gets it its slots back.
+    fn classify(&mut self, instance: InstanceId) {
+        let Some(slot) = self.slot(instance) else { return };
+        let (Some(&link), true) = (self.links.get(&instance), slot.ready()) else { return };
+        let round = slot.decided.expect("ready");
+        if instance > self.base && link < self.base && self.base > self.next_deliver {
+            self.slot_mut(self.next_deliver);
+        }
+        let at = |i: InstanceId| (i.0 - self.base.0) as usize;
+        let range = at(link.max(self.base))..at(instance);
+        self.window.range_mut(range).for_each(|s| s.foreign |= !s.holds_at(round));
     }
 
     /// Takes the coordinator's `decided_below` watermark.
@@ -247,14 +360,35 @@ impl MLearner {
         self.decided_below = self.decided_below.max(decided_below);
     }
 
-    /// Passes over the foreign instances at the front, then says
+    /// Passes over the foreign instances at the front (and the gap
+    /// before the window once its first slot is releasable), then says
     /// whether the front instance can be released.
     pub fn front_ready(&mut self) -> bool {
-        while self.window.front().is_some_and(|s| s.foreign) {
+        loop {
+            let Some(front) = self.window.front() else { return false };
+            let (ready, foreign) = (front.ready(), front.foreign);
+            if self.base > self.next_deliver {
+                let reaches = self.links.get(&self.base).is_some_and(|&l| l <= self.next_deliver);
+                if ready && reaches {
+                    self.next_deliver = self.base;
+                } else if ready || foreign {
+                    // Decided without a link that reaches back (a later
+                    // round's payload), or not this partition's after
+                    // all: the gap gets its slots back.
+                    self.slot_mut(self.next_deliver);
+                    continue;
+                } else {
+                    return false;
+                }
+            }
+            if !foreign {
+                return ready;
+            }
             self.window.pop_front();
-            self.next_deliver = self.next_deliver.next();
+            self.links.remove(&self.base);
+            self.base = self.base.next();
+            self.next_deliver = self.base;
         }
-        self.window.front().is_some_and(Slot::ready)
     }
 
     /// Releases the front instance, sorting its values through the
@@ -265,7 +399,9 @@ impl MLearner {
     pub fn release(&mut self) -> Released {
         let slot = self.window.pop_front().expect("front_ready checked");
         let (_, batch, skip) = slot.payload.expect("front_ready checked");
-        self.next_deliver = self.next_deliver.next();
+        self.links.remove(&self.base);
+        self.base = self.base.next();
+        self.next_deliver = self.base;
         let evictions = self.delivered.evictions();
         let (fresh, duplicate) =
             batch.iter().partition(|v| self.delivered.fresh(v.proposer, v.seq));
@@ -279,26 +415,47 @@ impl MLearner {
     /// waiting for the application.
     pub fn incomplete(&mut self) -> Vec<(InstanceId, bool)> {
         let named = std::mem::take(&mut self.want);
-        let from = self.checked_below.max(self.next_deliver);
+        let from = self.checked_below.max(self.base);
         let reach = InstanceId(self.next_deliver.0 + REPAIR_BATCH as u64);
-        let upto = self.decided_below.min(reach);
+        let upto = self.decided_below.min(reach).min(self.classified());
         let mut missing = Vec::new();
         if named.is_empty() && from >= upto {
             return missing;
         }
         // A named instance beyond the reach is left for the scan, which
-        // gets there as deliveries advance.
-        let named = named.into_iter().filter(|&i| i < reach);
-        for i in named.chain((from.0..upto.0).map(InstanceId)) {
-            if let Some(slot) = self.slot_mut(i) {
-                if !(slot.ready() || slot.foreign || slot.asked) {
-                    slot.asked = true;
-                    missing.push((i, slot.needs_payload()));
-                }
+        // gets there as deliveries advance. A decision naming it for
+        // this learner's mask outranks a link reaching over it.
+        let named = named.into_iter().filter(|&i| i < reach).map(|i| (i, true));
+        for (i, named) in named.chain((from.0..upto.0).map(|i| (InstanceId(i), false))) {
+            if self.slot_mut(i).is_none() {
+                continue;
+            }
+            let covered = !named && self.covered(i);
+            let slot = &mut self.window[(i.0 - self.base.0) as usize];
+            if !(slot.ready() || slot.foreign || covered || slot.asked) {
+                slot.asked = true;
+                missing.push((i, slot.needs_payload()));
             }
         }
         self.checked_below = self.checked_below.max(upto);
         missing
+    }
+
+    /// Moves `classified_below` over every slot now known this
+    /// learner's or another partition's, and returns it. The gap before
+    /// the window is the link's of the window's first slot, which holds
+    /// a payload: the scan passes both.
+    fn classified(&mut self) -> InstanceId {
+        let mut c = self.classified_below.max(self.base);
+        if c == InstanceId(u64::MAX) {
+            return c;
+        }
+        let at = |c: InstanceId| (c.0 - self.base.0) as usize;
+        while self.window.get(at(c)).is_some_and(|s| s.foreign || s.seen() || self.covered(c)) {
+            c = c.next();
+        }
+        self.classified_below = c;
+        c
     }
 
     /// Drops what decision lists named without asking for it: a bulk
@@ -318,25 +475,25 @@ impl MLearner {
         let stale_horizon = self.prev_horizon.min(horizon);
         self.prev_horizon = horizon;
         // As a window offset; nothing to ask when delivery has passed it.
-        let Some(stale) = stale_horizon.0.checked_sub(self.next_deliver.0) else {
+        let Some(stale) = stale_horizon.0.checked_sub(self.base.0) else {
             return Vec::new();
         };
         let at_horizon = self.window.get(stale as usize).is_some_and(Slot::seen);
-        let at = |off: usize| InstanceId(self.next_deliver.0 + off as u64);
+        let at = |off: usize| InstanceId(self.base.0 + off as u64);
         let visible = self.window.iter().take(stale as usize + at_horizon as usize);
         visible
             .enumerate()
-            .filter(|(_, slot)| !slot.ready() && !slot.foreign)
+            .filter(|&(off, slot)| !slot.ready() && !slot.foreign && !self.covered(at(off)))
             .map(|(off, slot)| (at(off), slot.needs_payload()))
             .take(REPAIR_BATCH)
             .collect()
     }
 
-    /// Highest instance holding a payload or decision, or the delivery
-    /// point when nothing is buffered.
+    /// Highest instance holding a payload or decision, or the window's
+    /// base when nothing is buffered.
     fn horizon(&self) -> InstanceId {
         let seen = self.window.iter().rposition(Slot::seen);
-        InstanceId(self.next_deliver.0 + seen.unwrap_or(0) as u64)
+        InstanceId(self.base.0 + seen.unwrap_or(0) as u64)
     }
 
     /// Something is buffered above a front that cannot leave.
@@ -373,8 +530,10 @@ impl MLearner {
     /// exactly-once filter is the checkpoint's.
     pub fn restore(&mut self, watermark: InstanceId, marks: Vec<u64>, parked: Vec<(u64, u64)>) {
         debug_assert!(watermark >= self.next_deliver, "a checkpoint behind delivery");
-        let jump = watermark.0.saturating_sub(self.next_deliver.0) as usize;
+        let jump = watermark.0.saturating_sub(self.base.0) as usize;
         self.window.drain(..jump.min(self.window.len()));
+        self.links = self.links.split_off(&watermark);
+        self.base = self.base.max(watermark);
         self.next_deliver = watermark;
         self.applied_reported = watermark;
         self.delivered = DeliveredTracker::restore(marks, parked);
@@ -417,7 +576,7 @@ mod tests {
     fn holding(n: u64) -> MLearner {
         let mut l = MLearner::new(ALL);
         for k in 0..n {
-            l.store(i(k), &batch(&[k]), 0, ALL, r(1));
+            l.store(i(k), &batch(&[k]), 0, ALL, r(1), None);
             l.decide(&[(i(k), ALL)], r(1));
         }
         l
@@ -442,14 +601,14 @@ mod tests {
         l.decide(&[(i(1), ALL)], r(1));
         l.watermark(i(2));
         assert!(l.incomplete().is_empty(), "named again, under the watermark: still once");
-        assert!(l.store(i(1), &batch(&[1]), 0, ALL, r(1)), "it had been asked for");
+        assert!(l.store(i(1), &batch(&[1]), 0, ALL, r(1), None), "it had been asked for");
         assert_eq!(drain(&mut l), [1]);
     }
 
     #[test]
     fn a_payload_under_the_watermark_is_asked_for_its_decision_alone() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[0]), 0, ALL, r(1));
+        l.store(i(0), &batch(&[0]), 0, ALL, r(1), None);
         assert!(l.incomplete().is_empty(), "nothing says instance 0 is decided");
         l.watermark(i(1));
         assert_eq!(l.incomplete(), [(i(0), false)]);
@@ -467,7 +626,7 @@ mod tests {
         assert_eq!(asked.len(), REPAIR_BATCH);
         assert_eq!(asked.last(), Some(&(i(REPAIR_BATCH as u64 - 1), true)));
         // Delivery advances: the scan resumes where it stopped.
-        l.authoritative(i(0), &batch(&[0]), 0, ALL, r(1));
+        l.authoritative(i(0), &batch(&[0]), 0, ALL, r(1), None);
         assert_eq!(drain(&mut l), [0]);
         assert_eq!(l.incomplete(), [(i(REPAIR_BATCH as u64), true)]);
     }
@@ -483,12 +642,12 @@ mod tests {
     #[test]
     fn the_sweep_asks_only_for_what_was_visible_a_full_tick_ago() {
         let mut l = holding(1);
-        l.store(i(2), &batch(&[2]), 0, ALL, r(1)); // 1 is a hole
+        l.store(i(2), &batch(&[2]), 0, ALL, r(1), None); // 1 is a hole
         assert!(!l.stuck(), "instance 0 can leave");
         assert_eq!(drain(&mut l), [0]);
         assert!(l.stuck(), "instance 2 waits behind the hole");
         assert!(l.sweep().is_empty(), "instance 2 showed up within this tick");
-        l.store(i(4), &batch(&[4]), 0, ALL, r(1));
+        l.store(i(4), &batch(&[4]), 0, ALL, r(1), None);
         // Instance 3 is a hole too, but no older than instance 4.
         assert_eq!(l.sweep(), [(i(1), true), (i(2), false)]);
         assert_eq!(l.sweep(), [(i(1), true), (i(2), false), (i(3), true), (i(4), false)]);
@@ -499,7 +658,7 @@ mod tests {
         // The end of a burst: the last 2A arrived, its decision did not,
         // and no later instance will ever make it "older than the horizon".
         let mut l = holding(1);
-        l.store(i(1), &batch(&[1]), 0, ALL, r(1));
+        l.store(i(1), &batch(&[1]), 0, ALL, r(1), None);
         assert_eq!(drain(&mut l), [0]);
         assert!(l.sweep().is_empty(), "within its first tick");
         assert_eq!(l.sweep(), [(i(1), false)]);
@@ -509,35 +668,35 @@ mod tests {
     #[test]
     fn a_deposed_rounds_payload_is_never_released_against_a_later_decision() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[7]), 0, ALL, r(1));
+        l.store(i(0), &batch(&[7]), 0, ALL, r(1), None);
         l.decide(&[(i(0), ALL)], r(2));
         assert!(!l.front_ready(), "the payload is round 1's, the decision round 2's");
         l.watermark(i(1));
         assert_eq!(l.incomplete(), [(i(0), true)], "the held payload does not count");
-        l.store(i(0), &batch(&[8]), 0, ALL, r(1));
+        l.store(i(0), &batch(&[8]), 0, ALL, r(1), None);
         assert!(!l.front_ready());
-        l.store(i(0), &batch(&[9]), 0, ALL, r(2));
-        l.store(i(0), &batch(&[7]), 0, ALL, r(1)); // a stale copy arrives late
+        l.store(i(0), &batch(&[9]), 0, ALL, r(2), None);
+        l.store(i(0), &batch(&[7]), 0, ALL, r(1), None); // a stale copy arrives late
         assert_eq!(drain(&mut l), [9]);
     }
 
     #[test]
     fn an_authoritative_repair_pins_payload_and_decision_to_one_round() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[7]), 0, ALL, r(3));
+        l.store(i(0), &batch(&[7]), 0, ALL, r(3), None);
         l.decide(&[(i(0), ALL)], r(1));
         assert!(!l.front_ready());
-        l.authoritative(i(0), &batch(&[9]), 0, ALL, r(2));
+        l.authoritative(i(0), &batch(&[9]), 0, ALL, r(2), None);
         assert_eq!(drain(&mut l), [9]);
     }
 
     #[test]
     fn a_foreign_instance_advances_the_front_without_a_payload() {
         let mut l = MLearner::new(0b01);
-        assert!(!l.store(i(0), &batch(&[0]), 0, 0b10, r(1)), "not for this partition");
+        assert!(!l.store(i(0), &batch(&[0]), 0, 0b10, r(1), None), "not for this partition");
         l.decide(&[(i(0), 0b10), (i(2), 0b10)], r(1));
-        l.authoritative(i(1), &batch(&[1]), 0, 0b10, r(1)); // foreign: a decision alone
-        l.store(i(3), &batch(&[3]), 0, 0b11, r(1));
+        l.authoritative(i(1), &batch(&[1]), 0, 0b10, r(1), None); // foreign: a decision alone
+        l.store(i(3), &batch(&[3]), 0, 0b11, r(1), None);
         l.decide(&[(i(3), 0b11)], r(1));
         l.watermark(i(4));
         assert_eq!(drain(&mut l), [3]);
@@ -548,8 +707,8 @@ mod tests {
     #[test]
     fn a_skip_entry_is_released_with_its_weight() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &BatchData::empty(), 17, ALL, r(1));
-        l.store(i(1), &batch(&[0]), 0, ALL, r(1));
+        l.store(i(0), &BatchData::empty(), 17, ALL, r(1), None);
+        l.store(i(1), &batch(&[0]), 0, ALL, r(1), None);
         l.decide(&[(i(0), ALL), (i(1), ALL)], r(1));
         assert!(l.front_ready());
         let skip = l.release();
@@ -557,7 +716,7 @@ mod tests {
         assert!(l.front_ready());
         assert_eq!(l.release().skip, 0);
         // A repair repeats the weight the 2A carried.
-        l.authoritative(i(2), &BatchData::empty(), 5, ALL, r(1));
+        l.authoritative(i(2), &BatchData::empty(), 5, ALL, r(1), None);
         assert!(l.front_ready());
         assert_eq!(l.release().skip, 5);
     }
@@ -565,8 +724,8 @@ mod tests {
     #[test]
     fn a_value_decided_in_two_instances_is_released_once() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[0, 1]), 0, ALL, r(1));
-        l.store(i(1), &batch(&[1, 2]), 0, ALL, r(1)); // 1 was resent and ordered again
+        l.store(i(0), &batch(&[0, 1]), 0, ALL, r(1), None);
+        l.store(i(1), &batch(&[1, 2]), 0, ALL, r(1), None); // 1 was resent and ordered again
         l.decide(&[(i(0), ALL), (i(1), ALL)], r(1));
         assert!(l.front_ready());
         assert!(l.release().duplicate.is_empty());
@@ -580,7 +739,7 @@ mod tests {
     #[test]
     fn a_checkpoint_moves_delivery_and_the_filter_and_drops_what_is_below() {
         let mut l = holding(3);
-        l.store(i(5), &batch(&[5]), 0, ALL, r(1));
+        l.store(i(5), &batch(&[5]), 0, ALL, r(1), None);
         l.decide(&[(i(5), ALL)], r(1));
         assert_eq!(l.buffered(2), 2, "counted to the cap");
         assert_eq!(l.buffered(16), 3, "instance 3 is a hole");
@@ -591,8 +750,83 @@ mod tests {
         assert_eq!(l.unreported(), None);
         assert_eq!(l.export_delivered(), (vec![6], vec![]));
         // Older than the checkpoint: instance and value alike.
-        l.authoritative(i(2), &batch(&[2]), 0, ALL, r(1));
-        l.authoritative(i(6), &batch(&[4]), 0, ALL, r(1));
+        l.authoritative(i(2), &batch(&[2]), 0, ALL, r(1), None);
+        l.authoritative(i(6), &batch(&[4]), 0, ALL, r(1), None);
         assert!(drain(&mut l).is_empty() && l.next_deliver() == i(7));
+    }
+
+    #[test]
+    fn an_idle_partition_passes_a_gap_of_any_length_without_slots() {
+        let mut l = MLearner::new(0b01);
+        l.store(i(0), &batch(&[0]), 0, 0b01, r(1), Some(i(0)));
+        l.decide(&[(i(0), 0b01)], r(1));
+        assert_eq!(drain(&mut l), [0]);
+        // The other partition orders a million instances; this learner
+        // hears nothing until its next 2A, whose link reaches back.
+        let j = 1 << 20;
+        l.store(i(j), &batch(&[1]), 0, 0b01, r(1), Some(i(1)));
+        assert_eq!(l.window.len(), 1, "the gap takes no slots");
+        l.watermark(i(j));
+        assert!(l.incomplete().is_empty());
+        assert_eq!(l.next_deliver(), i(1), "not passed before its instance is decided");
+        l.decide(&[(i(j), 0b01)], r(1));
+        assert_eq!(drain(&mut l), [1]);
+        assert_eq!(l.next_deliver(), i(j + 1));
+    }
+
+    #[test]
+    fn a_link_passes_over_only_once_its_instance_is_decided_at_its_round() {
+        let mut l = MLearner::new(0b01);
+        // A deposed coordinator's 2A, never decided: its link passes
+        // nothing over.
+        l.store(i(5), &batch(&[5]), 0, 0b01, r(1), Some(i(0)));
+        // The new round gives instance 2 to this partition.
+        l.store(i(2), &batch(&[2]), 0, 0b01, r(2), Some(i(0)));
+        l.decide(&[(i(2), 0b01)], r(2));
+        assert_eq!(drain(&mut l), [2], "0 and 1 passed over with no decision");
+        assert_eq!(l.next_deliver(), i(3));
+        assert!(!l.front_ready(), "3 and 4 are nobody's yet");
+    }
+
+    #[test]
+    fn a_link_classifies_every_slot_holding_nothing_at_its_round_or_later() {
+        let mut l = MLearner::new(0b01);
+        // Round 1 proposed 0 and 1 here and crashed; the new round gives
+        // 1 to another partition (it never reached the acceptors).
+        l.store(i(0), &batch(&[0]), 0, 0b01, r(1), Some(i(0)));
+        l.decide(&[(i(0), 0b01)], r(1));
+        l.store(i(1), &batch(&[7]), 0, 0b01, r(1), Some(i(1)));
+        // Round 2 proposes 3 here, linked past 1 and 2.
+        l.store(i(3), &batch(&[3]), 0, 0b01, r(2), Some(i(1)));
+        l.decide(&[(i(3), 0b01)], r(2));
+        assert_eq!(drain(&mut l), [0, 3], "the deposed payload at 1 is passed over");
+        // A slot holding something at the link's round stays.
+        let mut l = MLearner::new(0b01);
+        l.store(i(1), &batch(&[1]), 0, 0b01, r(2), Some(i(0)));
+        l.store(i(2), &batch(&[2]), 0, 0b01, r(2), Some(i(0)));
+        l.decide(&[(i(2), 0b01)], r(2));
+        assert!(!l.front_ready(), "0 passes; 1 holds round 2's payload and waits");
+        assert_eq!(l.next_deliver(), i(1));
+    }
+
+    #[test]
+    fn the_scan_asks_only_for_what_links_have_classified() {
+        let mut l = MLearner::new(0b01);
+        l.store(i(0), &batch(&[0]), 0, 0b01, r(1), Some(i(0)));
+        l.decide(&[(i(0), 0b01)], r(1));
+        assert_eq!(drain(&mut l), [0]);
+        // This partition's 2A of 3 is lost; that of 5 arrives, linked
+        // past 4, and the watermark passes both.
+        l.store(i(5), &batch(&[5]), 0, 0b01, r(1), Some(i(4)));
+        l.watermark(i(6));
+        assert!(l.incomplete().is_empty(), "1 to 3 are nobody's yet, 4 is covered");
+        // The decision of 3 names it: its payload is asked for, alone.
+        l.decide(&[(i(3), 0b01)], r(1));
+        assert_eq!(l.incomplete(), [(i(3), true)]);
+        // The repair brings its link, which passes 1 and 2 over.
+        l.authoritative(i(3), &batch(&[3]), 0, 0b01, r(1), Some(i(1)));
+        l.decide(&[(i(5), 0b01)], r(1));
+        assert_eq!(drain(&mut l), [3, 5]);
+        assert!(l.incomplete().is_empty() && l.sweep().is_empty() && l.sweep().is_empty());
     }
 }

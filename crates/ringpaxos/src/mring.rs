@@ -7,14 +7,34 @@
 //! 1. proposers send values to the coordinator (UDP);
 //! 2. the coordinator batches values, assigns the next consensus instance,
 //!    and ip-multicasts `Phase2a` to the ring acceptors and all learners,
-//!    piggybacking decisions of earlier instances;
+//!    piggybacking decisions of earlier instances. A full packet leaves
+//!    at once; a partial one as soon as core 0 and the uplink are both
+//!    free, and meanwhile it takes in what arrives (`flush_partials`):
+//!    its 2A could not leave sooner, so the wait costs nothing;
 //! 3. the first ring acceptor votes on ip-delivery and unicasts `Phase2b`
 //!    to its successor; each acceptor votes and forwards;
 //! 4. when the `Phase2b` reaches the coordinator (the last ring process)
 //!    the quorum is complete: the instance is decided and announced on the
-//!    next multicast;
+//!    next multicast (a partitioned ring announces it at once, below);
 //! 5. learners deliver a batch once they hold its payload *and* decision,
 //!    in instance order.
+//!
+//! # Partitioned rings
+//!
+//! With state partitioning (§4.2.2, [`crate::config::PartitionConfig`])
+//! a batch is single-mask, and its 2A and then its decision go only to
+//! the groups of the partitions in its mask: a learner hears its own
+//! partitions' instances and nothing of the others', so none carries
+//! work in proportion to the whole ring's traffic. What a learner of a
+//! partition does not hear it must still pass over, in order. Each 2A
+//! therefore carries, for each learner mask the batch touches (one per
+//! partition in its mask where every learner serves one partition), a
+//! *link*: the first instance after the previous one this coordinator
+//! proposed for that mask — its own first instance, before it proposed
+//! any. Acceptors record the links with the vote (as they record the
+//! mask), so a repair of the 2A (`RetransRep`, a re-2A) carries them
+//! too. How a learner uses them — only once their instance is decided
+//! at their round — is [`crate::mlearner`]'s ("What is released").
 //!
 //! The module also implements the paper's engineering machinery: message
 //! loss recovery through preferential acceptors (§3.3.4), coordinator
@@ -165,7 +185,7 @@ use simnet::prelude::*;
 use crate::config::{MRingConfig, StorageMode};
 use crate::control::{assert_writes_ahead, persist_promise, Phase1, ProbeStep, RingProbe, Votes};
 use crate::mlearner::{MLearner, REPAIR_BATCH, SWEEP_TICK};
-use crate::msg::{MMsg, CTL_BYTES};
+use crate::msg::{Links, MMsg, CTL_BYTES};
 use crate::value::{batch_bytes, Batch, BatchData, Value, ALL_PARTITIONS};
 
 // Timer tokens: kind in the top byte, payload (instance) below.
@@ -186,9 +206,9 @@ const KIND_MASK: u64 = 0xff << 56;
 
 /// Liveness of the partial-batch hold: a queue whose head has waited
 /// this many `batch_timeout`s is proposed at the next batch tick even
-/// if core 0 never drained. With the tick period that bounds a value's
-/// stay in the pending queues by `(HOLD_TICKS + 1) * batch_timeout`
-/// whenever the instance window is open.
+/// if core 0 or the uplink never drained. With the tick period that
+/// bounds a value's stay in the pending queues by `(HOLD_TICKS + 1) *
+/// batch_timeout` whenever the instance window is open.
 const HOLD_TICKS: u64 = 4;
 /// Period of the coordinator's flow tick (window growth, the re-2A
 /// sweep, ring-repair check). For loss recovery a backstop, as above.
@@ -248,9 +268,13 @@ struct CoordState {
     queues: Vec<MaskQueue>,
     /// Bytes over all queues (bounded by `pending_cap_bytes`).
     pending_bytes: u64,
-    /// A `T_HOLD` timer is in flight (partial batches wait for core 0).
+    /// A `T_HOLD` timer is in flight (partial batches wait for core 0
+    /// or the uplink).
     hold_armed: bool,
     next_instance: InstanceId,
+    /// Per learner mask of a partitioned ring, the link its next 2A
+    /// carries (module docs, "Partitioned rings").
+    links: Vec<(u32, InstanceId)>,
     /// Proposed but undecided.
     outstanding: BTreeMap<InstanceId, Outstanding>,
     /// Decided instances (with masks) not yet announced to the group.
@@ -272,13 +296,15 @@ struct CoordState {
 }
 
 impl CoordState {
-    /// A coordinator that starts at `now`, proposing from `next_instance`.
-    fn new(window: u32, next_instance: InstanceId, now: Time) -> CoordState {
+    /// A coordinator that starts at `now`, proposing from `next_instance`
+    /// for learners of the `served` masks.
+    fn new(window: u32, next_instance: InstanceId, now: Time, served: &[u32]) -> CoordState {
         CoordState {
             queues: Vec::new(),
             pending_bytes: 0,
             hold_armed: false,
             next_instance,
+            links: served.iter().map(|&m| (m, next_instance)).collect(),
             outstanding: BTreeMap::new(),
             decided_unsent: Vec::new(),
             window,
@@ -291,6 +317,25 @@ impl CoordState {
             probe: RingProbe::new(now),
         }
     }
+
+    /// The links of `instance`, a batch of `mask`: one per learner mask
+    /// it touches. Each such mask's next link is then the instance after.
+    fn link(&mut self, instance: InstanceId, mask: u32) -> Links {
+        if self.links.is_empty() {
+            return None;
+        }
+        let touched = self.links.iter_mut().filter(|(m, _)| m & mask != 0);
+        Some(touched.map(|(m, next)| (*m, std::mem::replace(next, instance.next()))).collect())
+    }
+}
+
+/// The distinct learner masks of a partitioned ring (none on a classic
+/// one): what the coordinator keeps a link for.
+fn served_masks(cfg: &MRingConfig) -> Vec<u32> {
+    let mut masks = cfg.partitions.as_ref().map_or_else(Vec::new, |p| p.learner_masks.clone());
+    masks.sort_unstable();
+    masks.dedup();
+    masks
 }
 
 /// Acceptor-only state.
@@ -307,6 +352,9 @@ struct AccState {
     skip_weights: BTreeMap<InstanceId, u64>,
     /// Partition mask per instance (only non-ALL entries stored).
     masks: BTreeMap<InstanceId, u32>,
+    /// Links per instance, with the round of the 2A that carried them
+    /// (dense window, as `decided`).
+    links: Window<(Round, Rc<[(u32, InstanceId)]>)>,
     /// Watermark from the coordinator: every instance below is decided.
     decided_below: InstanceId,
     /// Phase 2B held until the matching 2A (or its repair) is voted on.
@@ -336,15 +384,34 @@ impl AccState {
         self.wal.as_ref().is_none_or(|w| w.holds(instance, round))
     }
 
-    /// Records what a 2A says about its instance besides the value: a
-    /// non-zero skip weight, a partition mask other than all.
-    fn note_shape(&mut self, instance: InstanceId, skip: u64, mask: u32) {
+    /// Records what a 2A at `round` says about its instance besides the
+    /// value: a non-zero skip weight, a partition mask other than all,
+    /// links (kept from the latest round that sent any).
+    fn note_shape(
+        &mut self,
+        instance: InstanceId,
+        skip: u64,
+        mask: u32,
+        round: Round,
+        links: &Links,
+    ) {
         if skip > 0 {
             self.skip_weights.insert(instance, skip);
         }
         if mask != ALL_PARTITIONS {
             self.masks.insert(instance, mask);
         }
+        if let Some(links) = links.as_ref() {
+            if self.links.get(instance).is_none_or(|(r, _)| *r <= round) {
+                self.links.insert(instance, (round, links.clone()));
+            }
+        }
+    }
+
+    /// The links recorded for `instance` at `round` (none from another
+    /// round: they would classify against a different assignment).
+    fn links_at(&self, instance: InstanceId, round: Round) -> Links {
+        self.links.get(instance).filter(|(r, _)| *r == round).map(|(_, links)| links.clone())
     }
 
     /// Whether this acceptor knows `instance` decided.
@@ -620,8 +687,9 @@ impl MRingProcess {
         let learner_index = cfg.learners.iter().position(|&n| n == me);
         let total_acceptors = cfg.ring.len() + cfg.spares.len();
 
-        let coord =
-            is_coord.then(|| CoordState::new(cfg.flow.initial_window, InstanceId(0), Time::ZERO));
+        let coord = is_coord.then(|| {
+            CoordState::new(cfg.flow.initial_window, InstanceId(0), Time::ZERO, &served_masks(&cfg))
+        });
         let acc = (in_ring || is_spare).then(|| {
             let mut paxos = Acceptor::new();
             // Pre-promised round 1 (pre-executed Phase 1).
@@ -631,6 +699,7 @@ impl MRingProcess {
                 decided: Window::new(),
                 skip_weights: BTreeMap::new(),
                 masks: BTreeMap::new(),
+                links: Window::new(),
                 decided_below: InstanceId(0),
                 early_2b: Window::new(),
                 asked: BTreeSet::new(),
@@ -841,7 +910,7 @@ impl MRingProcess {
         q.vals.push_back((ctx.now(), v));
         q.bytes += v.bytes as u64;
         c.pending_bytes += v.bytes as u64;
-        self.try_flush(ctx, None);
+        self.flush_partials(ctx, false);
     }
 
     /// Proposes batches while the window allows, oldest queue head
@@ -881,20 +950,21 @@ impl MRingProcess {
         }
     }
 
-    /// Proposes the sub-packet batches, CPU-clocked: a partial batch
-    /// leaves at the later of its `batch_timeout` tick and the instant
-    /// core 0 drains (`T_HOLD`, re-armed while the core stays busy). Its
-    /// 2A could not leave before the core frees anyway, so holding it
-    /// costs no latency and lets it absorb what arrives meanwhile —
-    /// under load the coordinator pays the per-instance cost once per
-    /// mask per busy period, not once per value. Liveness: on an idle
-    /// coordinator every value leaves at its first tick (within one
-    /// `batch_timeout`); if core 0 never drains, a `tick` still proposes
-    /// every queue whose head has waited `HOLD_TICKS` ticks (see
-    /// [`HOLD_TICKS`] for the bound).
+    /// Proposes every full batch, and the sub-packet ones when the
+    /// resources their 2A needs are free: a partial batch leaves on
+    /// arrival when core 0 and the uplink are both free, and is
+    /// otherwise held until the later of the two drains (`T_HOLD`,
+    /// re-armed while either stays busy). Its 2A could not leave before
+    /// then anyway, so holding it costs no latency and lets it absorb
+    /// what arrives meanwhile — under load the coordinator pays the
+    /// per-instance cost once per mask per busy period, not once per
+    /// value, and an uplink still serializing earlier 2As is not handed
+    /// one more per value. Liveness: if the two never drain, a `tick`
+    /// still proposes every queue whose head has waited `HOLD_TICKS`
+    /// ticks (see [`HOLD_TICKS`] for the bound).
     fn flush_partials(&mut self, ctx: &mut Ctx, tick: bool) {
         let now = ctx.now();
-        let free_at = ctx.core_free_at(0);
+        let free_at = ctx.core_free_at(0).max(ctx.uplink_free_at());
         if free_at <= now {
             return self.try_flush(ctx, Some(Dur::ZERO));
         }
@@ -920,6 +990,7 @@ impl MRingProcess {
         let batch: Batch = BatchData::new(vals);
         let instance = c.next_instance;
         c.next_instance = instance.next();
+        let links = c.link(instance, mask);
         let sent = ctx.now();
         c.outstanding
             .insert(instance, Outstanding { batch: batch.clone(), sent, mask, resent: false });
@@ -937,10 +1008,9 @@ impl MRingProcess {
         // acceptor in the ring).
         if let Some(a) = self.acc.as_mut() {
             let _ = a.paxos.receive_2a(instance, self.round, batch.clone());
-            if mask != ALL_PARTITIONS {
-                a.masks.insert(instance, mask);
-            }
+            a.note_shape(instance, 0, mask, self.round, &links);
         }
+        let link = self.link_for(&links);
         ctx.charge_cpu(0, BATCH_OVERHEAD);
         let wire = (bytes.min(u32::MAX as u64) as u32).max(CTL_BYTES);
         let msg = MMsg::Phase2a {
@@ -952,6 +1022,7 @@ impl MRingProcess {
             skip: 0,
             mask,
             decided_below,
+            links,
         };
         if let Some(at) = first_submitted {
             let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
@@ -963,10 +1034,17 @@ impl MRingProcess {
         // (multicast does not echo to the sender).
         let round = self.round;
         if let Some(l) = self.lrn.as_mut() {
-            l.store(instance, &batch, 0, mask, round);
+            l.store(instance, &batch, 0, mask, round, link);
         }
         self.learner_decide(&decisions, round);
         self.try_deliver(ctx);
+    }
+
+    /// The link in `links` for this process's learner, if it has one.
+    fn link_for(&self, links: &Links) -> Option<InstanceId> {
+        let (links, _) = links.as_ref().zip(self.lrn.as_ref())?;
+        let mask = self.cfg.learner_mask(self.lrn_index);
+        links.iter().find(|&&(m, _)| m == mask).map(|&(_, l)| l)
     }
 
     /// Multicasts a Phase 2A: once on the classic group, or once per
@@ -1069,7 +1147,7 @@ impl MRingProcess {
         }
         // Classic mode: decisions ride on the next 2A (or the batch timer
         // flushes them). Partitioned mode: decisions go out promptly on
-        // the decision group.
+        // the groups of their masks.
         if self.cfg.partitions.is_some() {
             self.flush_decisions(ctx);
         } else {
@@ -1085,6 +1163,7 @@ impl MRingProcess {
     /// shown an instance decided without the decision asks for it.
     fn re_2a(&mut self, instance: InstanceId, ctx: &mut Ctx) {
         let classic = self.cfg.partitions.is_none();
+        let links = self.acc.as_ref().and_then(|a| a.links_at(instance, self.round));
         let Some(c) = self.coord.as_mut() else { return };
         let Some(o) = c.outstanding.get_mut(&instance) else { return };
         o.sent = ctx.now();
@@ -1106,15 +1185,17 @@ impl MRingProcess {
             skip: self.skip_weight_of(instance),
             mask,
             decided_below: self.decided_below(),
+            links,
         };
         self.mcast_2a(msg, mask, wire, ctx);
     }
 
     /// Announces every decision not yet sent, without waiting for a 2A
-    /// to carry it: on the decision group in partitioned mode, on the
-    /// ring's group otherwise.
+    /// to carry it: on the ring's group on a classic ring; on a
+    /// partitioned one, on each partition's group the decisions whose
+    /// mask touches it, so no learner hears of another partition's
+    /// instance (module docs, "Partitioned rings").
     fn flush_decisions(&mut self, ctx: &mut Ctx) {
-        let group = self.cfg.partitions.as_ref().map_or(self.cfg.group, |p| p.decision_group);
         let Some(c) = self.coord.as_mut() else { return };
         if c.decided_unsent.is_empty() {
             return;
@@ -1124,8 +1205,22 @@ impl MRingProcess {
         c.last_mcast = ctx.now();
         let round = self.round;
         let decided_below = self.decided_below();
-        let msg = MMsg::Decision { instances: decisions.clone(), round, gc_upto, decided_below };
-        ctx.mcast(group, msg, CTL_BYTES);
+        let msg = |instances| MMsg::Decision { instances, round, gc_upto, decided_below };
+        match self.cfg.partitions.as_ref() {
+            None => ctx.mcast(self.cfg.group, msg(decisions.clone()), CTL_BYTES),
+            Some(p) => {
+                for (i, &g) in p.groups.iter().enumerate() {
+                    let touches = |&&(_, m): &&(InstanceId, u32)| m & (1 << i) != 0;
+                    let n = decisions.iter().filter(touches).count();
+                    if n == decisions.len() {
+                        ctx.mcast(g, msg(decisions.clone()), CTL_BYTES);
+                    } else if n > 0 {
+                        let touched = decisions.iter().filter(touches).copied().collect();
+                        ctx.mcast(g, msg(Rc::new(touched)), CTL_BYTES);
+                    }
+                }
+            }
+        }
         self.learner_decide(&decisions, round);
         self.try_deliver(ctx);
     }
@@ -1245,22 +1340,22 @@ impl MRingProcess {
     }
 
     /// The answer to a request for a lost 2A (`on_phase2a`'s or
-    /// `relay_2b`'s, to a ring neighbour): vote on it as on the lost 2A,
-    /// which starts the relay or releases the held 2B.
+    /// `relay_2b`'s, to a ring neighbour): note its shape (skip weight,
+    /// mask, links) and vote on it as on the lost 2A, which starts the
+    /// relay or releases the held 2B.
     fn on_2a_repair(
         &mut self,
         instance: InstanceId,
         round: Round,
         batch: Batch,
-        skip: u64,
-        mask: u32,
+        (skip, mask, links): (u64, u32, &Links),
         ctx: &mut Ctx,
     ) {
         let Some(a) = self.acc.as_mut() else { return };
         if round != self.round || !a.asked.contains(&instance) {
             return; // not (or no longer) waiting for that 2A
         }
-        a.note_shape(instance, skip, mask);
+        a.note_shape(instance, skip, mask, round, links);
         self.vote_2a(instance, round, batch, ctx);
     }
 
@@ -1301,7 +1396,8 @@ impl MRingProcess {
             let (msg, wire) = if need_payload && mask & their_mask != 0 {
                 let batch = vote.v_val.clone();
                 let wire = batch_bytes(&batch).min(u32::MAX as u64) as u32;
-                let msg = MMsg::RetransRep { instance, batch, decided, round, skip, mask };
+                let links = a.links_at(instance, round);
+                let msg = MMsg::RetransRep { instance, batch, decided, round, skip, mask, links };
                 (msg, wire.max(CTL_BYTES))
             } else if decided {
                 (MMsg::RetransDecided { instance, round, mask }, CTL_BYTES)
@@ -1518,8 +1614,10 @@ impl MRingProcess {
         let got = batches.len() as u64;
         ctx.counter_add("rec.catchup_instances", got);
         if let Some(l) = self.lrn.as_mut() {
+            // Contiguous and decided, other partitions' instances too:
+            // no link is needed to pass those over.
             for (instance, batch, round, skip, mask) in batches {
-                l.authoritative(instance, &batch, skip, mask, round);
+                l.authoritative(instance, &batch, skip, mask, round, None);
             }
         }
         self.try_deliver(ctx);
@@ -1654,6 +1752,7 @@ impl MRingProcess {
             a.asked = a.asked.split_off(&upto);
             a.skip_weights = a.skip_weights.split_off(&upto);
             a.masks = a.masks.split_off(&upto);
+            a.links.advance_base(upto);
             // The durable vote log rides the same watermark: f+1
             // learners applied these instances (§3.3.7), so a restarted
             // acceptor never needs them either — without this trim the
@@ -1882,7 +1981,8 @@ impl MRingProcess {
                 .map(|i| i.next())
                 .unwrap_or(InstanceId(0));
 
-        let mut cs = CoordState::new(self.cfg.flow.initial_window, max_seen, ctx.now());
+        let served = served_masks(&self.cfg);
+        let mut cs = CoordState::new(self.cfg.flow.initial_window, max_seen, ctx.now(), &served);
         cs.decided_unsent = t.decided.iter().map(|&i| (i, ALL_PARTITIONS)).collect();
 
         // Re-propose undecided revealed votes (value pick rule).
@@ -1918,6 +2018,9 @@ impl MRingProcess {
                     skip: 0,
                     mask: ALL_PARTITIONS,
                     decided_below: InstanceId(0),
+                    // Below this coordinator's first instance: no link
+                    // of its reaches there.
+                    links: None,
                 },
                 wire.max(CTL_BYTES),
             );
@@ -1973,6 +2076,7 @@ impl MRingProcess {
         let Some(c) = self.coord.as_mut() else { return };
         let instance = c.next_instance;
         c.next_instance = instance.next();
+        let links = c.link(instance, ALL_PARTITIONS);
         let batch: Batch = BatchData::empty();
         let (sent, mask) = (ctx.now(), ALL_PARTITIONS);
         c.outstanding
@@ -1983,10 +2087,11 @@ impl MRingProcess {
         c.last_mcast = ctx.now();
         if let Some(a) = self.acc.as_mut() {
             let _ = a.paxos.receive_2a(instance, round, batch.clone());
-            a.skip_weights.insert(instance, weight);
+            a.note_shape(instance, weight, ALL_PARTITIONS, round, &links);
         }
         ctx.counter_add("rp.skips", weight);
         let decided_below = self.decided_below();
+        let link = self.link_for(&links);
         ctx.mcast(
             self.cfg.group,
             MMsg::Phase2a {
@@ -1998,12 +2103,13 @@ impl MRingProcess {
                 skip: weight,
                 mask: ALL_PARTITIONS,
                 decided_below,
+                links,
             },
             CTL_BYTES,
         );
         let r = self.round;
         if let Some(l) = self.lrn.as_mut() {
-            l.store(instance, &batch, weight, ALL_PARTITIONS, r);
+            l.store(instance, &batch, weight, ALL_PARTITIONS, r, link);
         }
         self.learner_decide(&decisions, r);
         self.try_deliver(ctx);
@@ -2054,16 +2160,19 @@ impl Actor for MRingProcess {
                 skip,
                 mask,
                 decided_below,
+                ref links,
             } => {
                 // Acceptor path.
                 self.on_phase2a(instance, round, batch.clone(), env.src, ctx);
                 if let Some(a) = self.acc.as_mut() {
-                    a.note_shape(instance, skip, mask);
+                    a.note_shape(instance, skip, mask, round, links);
                 }
                 // Learner path: the payload (had the learner asked its
                 // acceptor for it?), then what every multicast carries.
+                let link = self.link_for(links);
                 let lrn = self.lrn.as_mut();
-                let spurious = lrn.is_some_and(|l| l.store(instance, batch, skip, mask, round));
+                let spurious =
+                    lrn.is_some_and(|l| l.store(instance, batch, skip, mask, round, link));
                 self.on_announced(decisions, round, gc_upto, decided_below, spurious as u64, ctx);
             }
             MMsg::Phase2b { instance, round, through } => {
@@ -2099,13 +2208,14 @@ impl Actor for MRingProcess {
                 }
             }
             MMsg::RetransReq { from, ref instances } => self.on_retrans_req(from, instances, ctx),
-            MMsg::RetransRep { instance, ref batch, decided, round, skip, mask } => {
-                self.on_2a_repair(instance, round, batch.clone(), skip, mask, ctx);
+            MMsg::RetransRep { instance, ref batch, decided, round, skip, mask, ref links } => {
+                self.on_2a_repair(instance, round, batch.clone(), (skip, mask, links), ctx);
+                let link = self.link_for(links);
                 if let Some(l) = self.lrn.as_mut() {
                     if decided {
-                        l.authoritative(instance, batch, skip, mask, round);
+                        l.authoritative(instance, batch, skip, mask, round, link);
                     } else {
-                        l.store(instance, batch, skip, mask, round);
+                        l.store(instance, batch, skip, mask, round, link);
                     }
                 }
                 self.try_deliver(ctx);
@@ -2155,6 +2265,8 @@ impl Actor for MRingProcess {
         match token_kind(token) {
             T_BATCH => {
                 if self.is_coordinator() {
+                    // The hold's liveness guard (and a partial batch the
+                    // instance window kept back).
                     self.flush_partials(ctx, true);
                     // Classic mode piggybacks decisions on 2As: announce
                     // them alone only when no batch is left to carry them.

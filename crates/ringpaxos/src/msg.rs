@@ -11,6 +11,13 @@ use crate::value::{Batch, Value};
 /// a repair request's base); the floor of every payload message's.
 pub const CTL_BYTES: u32 = 32;
 
+/// The links of a partitioned ring's 2A (`mring` module docs,
+/// "Partitioned rings"): for each learner mask the batch touches, the
+/// first instance after the previous one the coordinator proposed for
+/// it. Shared by every copy and record of the 2A; `None` on a classic
+/// ring.
+pub type Links = Option<Rc<[(u32, InstanceId)]>>;
+
 /// Messages exchanged by M-Ring Paxos processes (Algorithm 2 plus the
 /// engineering machinery of §3.3.4–§3.3.7).
 #[derive(Clone, Debug)]
@@ -43,6 +50,9 @@ pub enum MMsg {
         /// requests authoritatively even if an individual decision
         /// notification was lost.
         decided_below: InstanceId,
+        /// What a partitioned ring's learners pass over before this
+        /// instance ([`Links`]).
+        links: Links,
     },
     /// Vote relayed along the ring; reaching the coordinator completes the
     /// quorum.
@@ -99,6 +109,8 @@ pub enum MMsg {
         skip: u64,
         /// Partition mask of the batch.
         mask: u32,
+        /// The links the acceptor recorded with its vote, at its round.
+        links: Links,
     },
     /// Retransmission of one instance's decision alone (control-sized):
     /// to a learner that holds the payload, or whose partition the
@@ -369,6 +381,7 @@ mod tests {
             skip: 0,
             mask: crate::value::ALL_PARTITIONS,
             decided_below: InstanceId(0),
+            links: None,
         };
         let m2 = m.clone();
         assert!(matches!(m2, MMsg::Phase2a { .. }));

@@ -462,6 +462,8 @@ impl Actor for Tap {
 
 struct Partitioned {
     ring: Vec<NodeId>,
+    /// Learner `i` serves partition `i`.
+    learners: Vec<NodeId>,
     injectors: Vec<NodeId>,
     seen: Seen,
     log: SharedLog,
@@ -508,7 +510,7 @@ fn deploy_partitioned(
             sim.add_node(Box::new(Injector { shots, next: 0, coordinator, fallback, reroute_at }))
         })
         .collect();
-    Partitioned { ring: d.ring, injectors, seen, log: d.log }
+    Partitioned { ring: d.ring, learners: d.learners, injectors, seen, log: d.log }
 }
 
 /// `n` shots in one burst at `at` (the sender's CPU spaces them ~5 µs
@@ -549,9 +551,9 @@ fn check_batches(
 
 #[test]
 fn interleaved_masks_share_one_instance_per_mask() {
-    // A,B,A,B… inside one batch tick of an idle coordinator: one FIFO
-    // with single-mask batches would cut a batch at every value.
-    let mut sim = Sim::new(SimConfig::default());
+    // A,B,A,B… while core 0 is backlogged receiving them: one FIFO with
+    // single-mask batches would cut a batch at every value.
+    let mut sim = Sim::new(slow_receive());
     let shots = burst(us(1010), 16, &[0b01, 0b10], 64);
     let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |_| {});
     sim.run_until(Time::from_millis(3));
@@ -622,22 +624,49 @@ fn held_batch_goes_within_the_hold_bound_when_core_zero_never_drains() {
 }
 
 #[test]
-fn lone_value_on_an_idle_coordinator_leaves_within_one_batch_timeout() {
+fn lone_value_on_an_idle_coordinator_leaves_on_arrival() {
     let mut sim = Sim::new(SimConfig::default());
     let shots = burst(us(1010), 1, &[0b10], 64);
     let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |_| {});
     sim.run_until(Time::from_millis(3));
     let batches = d.batches();
     assert_eq!(batches.len(), 1);
-    // ~60 µs to reach the coordinator, ≤ 200 µs in its queue (the tick
-    // at 1.2 ms), ~80 µs for the 2A to reach the tap.
-    assert!(batches[0].0 <= us(1010 + 60 + 200 + 80), "seen at {:?}", batches[0].0);
+    // ~60 µs to reach the coordinator, no wait in its queue (the next
+    // tick is at 1.2 ms), ~80 µs for the 2A to reach the tap.
+    assert!(batches[0].0 <= us(1010 + 60 + 80 + 25), "seen at {:?}", batches[0].0);
+}
+
+#[test]
+fn partial_batch_waits_for_the_uplink_and_leaves_with_what_arrived_meanwhile() {
+    // One 64 KiB value: ~0.3 ms of core 0 to receive it and send its 2A,
+    // then ~0.53 ms of the coordinator's uplink to serialize the 2A.
+    // Eight small values arrive while only the uplink is busy: their 2A
+    // could not leave sooner, so they wait, and share one instance.
+    let mut sim = Sim::new(SimConfig::default());
+    let big = burst(us(1010), 1, &[0b10], 64 * 1024);
+    let small: Vec<Shot> = (0..8).map(|i| (us(2700 + 40 * i), 0b01, 64)).collect();
+    let d = deploy_partitioned(&mut sim, 2, vec![big, small], Time::MAX, |_| {});
+    let coord = d.coordinator();
+    sim.run_until(us(2700));
+    let busy = sim.cpu_busy(coord, 0);
+    assert!(busy > Dur::micros(250), "scenario: the big value went through core 0");
+    sim.run_until(us(3060));
+    let receives = sim.cpu_busy(coord, 0) - busy;
+    assert!(receives < Dur::micros(20), "scenario: core 0 idle but for {receives:?}");
+    sim.run_until(Time::from_millis(5));
+
+    let batches = d.batches();
+    let small: Vec<_> = batches.iter().filter(|(_, mask, _)| *mask == 0b01).collect();
+    assert_eq!(small.len(), 1, "held for the uplink: one instance, not one per value");
+    assert_eq!(small[0].2.len(), 8);
+    check_batches(&batches, 8192).expect("batch invariants");
+    assert_eq!(d.log.lock().unwrap().total_deliveries(), 1 + 8);
 }
 
 #[test]
 fn pending_cap_is_enforced_on_the_total_and_drops_are_counted() {
     // 32 × 64 B over two masks against a 1 KiB cap, all inside one tick.
-    let mut sim = Sim::new(SimConfig::default());
+    let mut sim = Sim::new(slow_receive());
     let shots = burst(us(1050), 32, &[0b01, 0b10], 64);
     let d = deploy_partitioned(&mut sim, 2, vec![shots], Time::MAX, |cfg| {
         cfg.batch_timeout = Dur::millis(1);
@@ -653,16 +682,22 @@ fn pending_cap_is_enforced_on_the_total_and_drops_are_counted() {
 
 #[test]
 fn takeover_with_non_empty_queues_resumes_batching() {
-    // Proposals every 200 µs under two masks against a 1 ms tick: the
-    // coordinator dies holding queued values. Ring position 0 takes
-    // over, and the client re-routes to it.
-    let mut sim = Sim::new(SimConfig::default());
-    let shots: Vec<Shot> = (0..6000u64).map(|i| (us(1000 + 200 * i), 1 << (i % 2), 64)).collect();
+    // A burst of 8 proposals under two masks every millisecond, each
+    // keeping core 0 busy receiving it, so values pend behind the
+    // burst's first: the coordinator dies mid-burst holding queued
+    // values. Ring position 0 takes over, and the client re-routes to
+    // it.
+    let mut sim = Sim::new(slow_receive());
+    let bursts = (0..1200u64).map(|b| burst(us(1000 + 1000 * b), 8, &[0b01, 0b10], 64));
+    let shots: Vec<Shot> = bursts.flatten().collect();
     let reroute_at = Time::from_millis(900);
-    let d = deploy_partitioned(&mut sim, 2, vec![shots], reroute_at, |cfg| {
-        cfg.batch_timeout = Dur::millis(1);
-    });
-    sim.run_until(us(500_500));
+    let d = deploy_partitioned(&mut sim, 2, vec![shots], reroute_at, |_| {});
+    sim.run_until(us(500_150));
+    // The burst sent at 500 ms (its values' seqs from 499 × 8) is still
+    // being received: most of it has not been proposed.
+    let batches = d.batches();
+    let last_burst = batches.iter().flat_map(|(_, _, vals)| vals).filter(|v| v.seq >= 499 * 8);
+    assert!(last_burst.count() < 8, "scenario: the coordinator dies holding values");
     let before = d.batches().len();
     assert!(before > 100, "scenario: batches flow before the crash");
     sim.set_node_up(d.coordinator(), false);
@@ -676,6 +711,62 @@ fn takeover_with_non_empty_queues_resumes_batching() {
     assert!(values >= 2 * after.len(), "and still batches per mask: {} instances", after.len());
     check_batches(&batches, 8192).expect("batch invariants across the takeover");
     d.log.lock().unwrap().check_partial_order().expect("partial order across the takeover");
+}
+
+// ----------------------------------------------------------------------
+// Per-partition routing: a learner hears its partitions' instances and
+// nothing else, and a link on each 2A passes the others' over.
+// ----------------------------------------------------------------------
+
+#[test]
+fn a_learner_hears_only_its_partitions_instances() {
+    // Three partitions; one- and two-partition values interleaved, one
+    // instance each (the coordinator is idle at every arrival).
+    let mut sim = Sim::new(SimConfig::default());
+    let masks = [0b001, 0b010, 0b100, 0b011, 0b110];
+    let shots: Vec<Shot> =
+        (0..500).map(|i| (us(1000 + 60 * i), masks[i as usize % 5], 256)).collect();
+    let d = deploy_partitioned(&mut sim, 3, vec![shots], Time::MAX, |_| {});
+    // Past the last decision, before the first heartbeat (100 ms).
+    sim.run_until(Time::from_millis(60));
+
+    let batches = d.batches();
+    assert_eq!(batches.len(), 500, "scenario: one instance per value");
+    for (p, &l) in d.learners.iter().enumerate() {
+        let mine = batches.iter().filter(|(_, mask, _)| mask & (1 << p) != 0).count() as u64;
+        // Each instance of its partitions brings it one 2A and one
+        // decision; no other datagram reaches it.
+        let got = sim.metrics().counter(l, "net.recv_pkts");
+        assert_eq!(got, 2 * mine, "learner of partition {p}");
+    }
+    assert_eq!(sim.metrics().sum("rp.retrans"), 0);
+    let log = d.log.lock().unwrap();
+    assert_eq!(log.total_deliveries(), 100 * (1 + 1 + 1 + 2 + 2));
+    log.check_partial_order().expect("partial order");
+}
+
+#[test]
+fn an_idle_partition_resumes_on_one_2a() {
+    // Partition 1 proposes once, then idles while partition 0 orders
+    // 100 000 instances, then proposes again.
+    let mut sim = Sim::new(SimConfig::default());
+    let busy: Vec<Shot> = (0..100_000).map(|i| (us(1000 + 40 * i), 0b01, 64)).collect();
+    let wake = us(1000 + 40 * 100_000 + 1000);
+    let idle = vec![(us(500), 0b10, 64), (wake, 0b10, 64)];
+    let d = deploy_partitioned(&mut sim, 2, vec![busy, idle], Time::MAX, |_| {});
+    sim.run_until(wake);
+    let learner = d.learners[1];
+    let sent = sim.metrics().counter(learner, "net.sent_pkts");
+    assert_eq!(d.batches().len(), 100_001, "scenario: one instance per value");
+    sim.run_until(wake + Dur::millis(1));
+
+    // Its learner delivers the second value within a millisecond, having
+    // sent nothing for it: no repair request, no catch-up.
+    let log = d.log.lock().unwrap();
+    assert_eq!(log.sequence(1).len(), 2);
+    assert_eq!(sim.metrics().counter(learner, "net.sent_pkts"), sent);
+    assert_eq!(sim.metrics().sum("rp.retrans"), 0);
+    log.check_partial_order().expect("partial order");
 }
 
 proptest! {

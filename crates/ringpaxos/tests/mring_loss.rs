@@ -4,7 +4,8 @@
 //! One datagram is dropped at each position a steady-state instance
 //! crosses — proposal, 2A to the first acceptor, 2A to the mid-ring
 //! acceptor, 2B on each hop, 2A to a learner, decision-carrying message
-//! to a learner — in a classic and in a partitioned deployment. Each
+//! to a learner — in a classic and in a partitioned deployment, and at
+//! a learner's 2A of an instance that touches both partitions. Each
 //! cell runs the deployment twice with the same seed: a fault-free run
 //! with probes on locates the instant the datagram is sent, then
 //! [`FaultPlan::drop_at`] cuts that one link for that one instant. The
@@ -71,8 +72,10 @@ struct Ring {
     learners: Vec<NodeId>,
     /// Nodes that count their proposals under `rp.proposed`.
     proposers: Vec<NodeId>,
-    /// Partitioned: learner `i` delivers exactly what proposer `i`
-    /// sends. Classic: every learner delivers everything.
+    /// Partitioned: each proposer's mask, and learner `i` (of partition
+    /// `i`) delivers exactly what the proposers whose mask has bit `i`
+    /// send. Classic: empty, and every learner delivers everything.
+    masks: Vec<u32>,
     partitioned: bool,
     log: SharedLog,
 }
@@ -100,6 +103,7 @@ fn deploy_classic(sim: &mut Sim, msg_bytes: u32) -> Ring {
         a0: d.ring[0],
         a1: d.ring[1],
         coord: d.ring[2],
+        masks: Vec::new(),
         partitioned: false,
         learners: d.all_learners,
         proposers: d.proposers,
@@ -147,6 +151,20 @@ impl Actor for Injector {
 /// the injectors interleave, so instances alternate between the
 /// partitions and each learner's slice of the sequence is sparse.
 fn deploy_partitioned(sim: &mut Sim, msg_bytes: u32) -> Ring {
+    deploy_injected(sim, msg_bytes, [0b01, 0b10])
+}
+
+/// As [`deploy_partitioned`], but the first injector's values touch
+/// both partitions and the second's partition 0: each of the first's
+/// 2As goes to both groups, learner 0 hears every instance and learner
+/// 1 every other one, with a link over the one between.
+fn deploy_cross(sim: &mut Sim, msg_bytes: u32) -> Ring {
+    deploy_injected(sim, msg_bytes, [0b11, 0b01])
+}
+
+/// Ring of 3 over two partitions, one learner each, and two
+/// interleaving injectors of `masks`.
+fn deploy_injected(sim: &mut Sim, msg_bytes: u32, masks: [u32; 2]) -> Ring {
     let opts =
         MRingOptions { ring_size: 3, n_learners: 2, n_proposers: 0, ..MRingOptions::default() };
     let layout = layout_mring(sim, &opts, &[], Some(vec![0b01, 0b10]), |cfg| {
@@ -157,7 +175,7 @@ fn deploy_partitioned(sim: &mut Sim, msg_bytes: u32) -> Ring {
         .map(|p| {
             sim.add_node(Box::new(Injector {
                 coordinator: d.coordinator(),
-                mask: 1 << p,
+                mask: masks[p as usize],
                 bytes: msg_bytes,
                 first: MSG_GAP * p,
                 period: MSG_GAP * 2,
@@ -167,7 +185,8 @@ fn deploy_partitioned(sim: &mut Sim, msg_bytes: u32) -> Ring {
         .collect();
     let ring = &d.ring;
     let (a0, a1, coord) = (ring[0], ring[1], ring[2]);
-    Ring { a0, a1, coord, partitioned: true, learners: d.learners, proposers, log: d.log }
+    let (masks, learners, log) = (masks.to_vec(), d.learners, d.log);
+    Ring { a0, a1, coord, masks, partitioned: true, learners, proposers, log }
 }
 
 type Deploy = fn(&mut Sim, u32) -> Ring;
@@ -208,10 +227,8 @@ enum Position {
     /// 2A → a learner of its partition.
     TwoALearner,
     /// The message announcing an instance's decision → a learner that
-    /// delivers the instance.
+    /// delivers the instance (a partitioned ring tells no other).
     DecisionLearner,
-    /// … → a learner of another partition (it must skip the instance).
-    DecisionForeign,
 }
 
 /// What each position costs: one repair message, or none where the loss
@@ -229,19 +246,18 @@ fn expected_repair(pos: Position) -> Repairs {
         Position::TwoAFirst
         | Position::TwoAMid
         | Position::TwoALearner
-        | Position::DecisionLearner
-        | Position::DecisionForeign => Repairs { retrans: 1, ..r },
+        | Position::DecisionLearner => Repairs { retrans: 1, ..r },
     }
 }
 
 /// What the acceptors put on the wire for a learner's repair, where
 /// the learner is the one that lost something: the batch when it
 /// lacks the payload, the control-sized decision when it holds the
-/// payload or will skip the instance.
+/// payload.
 fn reply_bytes(pos: Position, msg_bytes: u32) -> Option<u64> {
     match pos {
         Position::TwoALearner => Some(msg_bytes as u64),
-        Position::DecisionLearner | Position::DecisionForeign => Some(CTL_BYTES as u64),
+        Position::DecisionLearner => Some(CTL_BYTES as u64),
         _ => None,
     }
 }
@@ -267,9 +283,13 @@ fn locate(pos: Position, events: &[ProbeEvent], r: &Ring) -> (Time, NodeId, Node
             .map(|e| e.time)
             .unwrap_or_else(|| panic!("no probe {c} for instance {k} at {n:?}"))
     };
-    // The learner that delivers `k` and one that does not.
+    // The last learner that delivers `k`: where an instance touches
+    // both partitions, the one that hears only every other instance.
     let delivers = |l: &NodeId| at_node(*l).any(|e| e.code == code::DELIVER && instance_of(e) == k);
-    let own = *r.learners.iter().find(|l| delivers(l)).expect("someone delivers k");
+    let own = *r.learners.iter().rfind(|l| delivers(l)).expect("someone delivers k");
+    if r.masks.contains(&0b11) {
+        assert!(r.learners.iter().all(delivers), "the target touches both partitions");
+    }
     match pos {
         Position::Proposal => {
             let p = r.proposers[0];
@@ -317,15 +337,11 @@ fn locate(pos: Position, events: &[ProbeEvent], r: &Ring) -> (Time, NodeId, Node
             }
             panic!("no suitable multicast for {pos:?}");
         }
-        // Partitioned mode: the 2A goes to the partition's group alone,
-        // and each decision is announced on the decision group the
-        // instant it is taken.
+        // Partitioned mode: the 2A goes to the groups of its mask alone,
+        // and each decision is announced on them the instant it is
+        // taken.
         Position::TwoALearner => (stage(r.coord, code::PHASE2A), r.coord, own),
         Position::DecisionLearner => (stage(r.coord, code::DECIDE), r.coord, own),
-        Position::DecisionForeign => {
-            let other = *r.learners.iter().find(|l| !delivers(l)).expect("a foreign learner");
-            (stage(r.coord, code::DECIDE), r.coord, other)
-        }
     }
 }
 
@@ -376,14 +392,13 @@ fn delay_bound(pos: Position, partitioned: bool, msg_bytes: u32) -> Dur {
         (false, false, TwoAFirst) => 450,
         (false, false, TwoAMid) => 250,
         (false, false, TwoALearner) => 300,
-        (false, false, DecisionLearner | DecisionForeign) => 450,
+        (false, false, DecisionLearner) => 450,
         (false, true, Proposal) => 400,
         (false, true, TwoAFirst) => 325,
         (false, true, TwoAMid) => 100,
         (false, true, TwoALearner) => 550,
-        (false, true, DecisionLearner | DecisionForeign) => 650,
+        (false, true, DecisionLearner) => 650,
         (true, _, TwoBFirstHop | TwoBLastHop) => 175,
-        (true, _, DecisionForeign) => 250,
         (true, _, TwoALearner) => 350,
         (true, _, Proposal | TwoAFirst | TwoAMid | DecisionLearner) => 400,
     };
@@ -461,8 +476,9 @@ fn check_safety_and_completeness(sim: &Sim, r: &Ring) {
     } else {
         log.check_partial_order().expect("partial order");
         for (idx, l) in r.learners.iter().enumerate() {
-            let mine = sim.metrics().counter(r.proposers[idx], metric::PROPOSED) as usize;
-            assert_eq!(log.sequence(idx).len(), mine, "{l:?} delivered its partition");
+            let touches = r.proposers.iter().zip(&r.masks).filter(|&(_, m)| m & (1 << idx) != 0);
+            let mine: u64 = touches.map(|(&p, _)| sim.metrics().counter(p, metric::PROPOSED)).sum();
+            assert_eq!(log.sequence(idx).len(), mine as usize, "{l:?} delivered its partition");
         }
     }
     // Every proposer that sees its own deliveries saw all of them, so
@@ -534,7 +550,10 @@ fn partitioned_matrix() {
     for pos in RING_POSITIONS {
         cell(deploy_partitioned, MSG_BYTES, pos, RESUME_WITHIN);
     }
-    cell(deploy_partitioned, MSG_BYTES, Position::DecisionForeign, RESUME_WITHIN);
+    // A learner loses the 2A of an instance that touches both
+    // partitions: the one repair brings the payload and the link that
+    // passes the other partition's instance before it.
+    cell(deploy_cross, MSG_BYTES, Position::TwoALearner, RESUME_WITHIN);
 }
 
 /// The benchmark's `mring_stream` shape exactly (8 KB, 600 Mb/s): the
@@ -724,6 +743,7 @@ fn two_a(instance: u64, round: Round) -> MMsg {
         skip: 0,
         mask: ALL_PARTITIONS,
         decided_below: InstanceId(0),
+        links: None,
     }
 }
 

@@ -142,6 +142,12 @@ impl SimInner {
         self.node(node).cores[core].free_at
     }
 
+    /// Earliest time the uplink of `node` has serialized everything
+    /// queued on it.
+    pub fn uplink_free_at(&self, node: NodeId) -> Time {
+        self.node(node).uplink_free
+    }
+
     /// Cumulative busy time of `core` of `node`.
     pub fn cpu_busy(&self, node: NodeId, core: usize) -> Dur {
         self.node(node).cores[core].busy

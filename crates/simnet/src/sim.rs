@@ -398,6 +398,12 @@ impl Ctx<'_> {
         self.inner.core_free_at(self.node, core)
     }
 
+    /// Earliest time this node's uplink has serialized everything queued
+    /// on it. `uplink_free_at - now` is the uplink's current backlog.
+    pub fn uplink_free_at(&self) -> Time {
+        self.inner.uplink_free_at(self.node)
+    }
+
     /// This node's deterministic random number generator stream (seeded
     /// from the cluster seed and the node id).
     pub fn rng(&mut self) -> &mut SmallRng {
