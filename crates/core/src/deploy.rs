@@ -30,7 +30,8 @@ pub struct PartitionOptions {
     pub n: u32,
     /// Replicas per partition.
     pub replicas_per: usize,
-    /// Percentage of queries that cross a partition boundary.
+    /// Percentage of queries that cross a partition boundary. Only
+    /// [`deploy_smr`] honours it; [`deploy_smr_sessions`] requires 0.
     pub cross_pct: u32,
 }
 
@@ -299,7 +300,20 @@ impl SessionDeployment {
 /// Opt-in: [`deploy_smr`] and its traces are untouched by this path.
 /// Its replicas always execute speculatively (§4.2.1): a reply leaves at
 /// `max(execution done, decision)`, and there is no plain mode to select.
+///
+/// # Panics
+/// Panics if `opts.partitions` asks for cross-partition commands
+/// (`cross_pct` above 0): the session tier cannot make them.
 pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeployment {
+    // A session's command touches the partitions its keys fall in
+    // (`KeyedWorkload`); unlike `deploy_smr`'s `WorkloadGen`, nothing
+    // here sends a share of commands across partitions, so a non-zero
+    // `cross_pct` would be dropped without a trace.
+    assert!(
+        opts.partitions.is_none_or(|p| p.cross_pct == 0),
+        "deploy_smr_sessions: the keyed session workload has no cross-partition rule, so \
+         PartitionOptions::cross_pct must be 0 (only deploy_smr honours it)"
+    );
     // Mass-session traffic is coordinator-bound: with 8 KB packets the
     // coordinator packs every pending 256 B command of a partition mask
     // into one instance (§3.5.4), up to 32 of them. A partial batch

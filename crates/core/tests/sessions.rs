@@ -150,3 +150,13 @@ fn partitioned_replicas_evict_from_the_dedup_window() {
     assert!(completed > 20_000, "scenario: {completed} commands completed");
     assert!(evicted > 0, "each replica delivered > MAX_OVERFLOW sliced seqs without evicting");
 }
+
+/// The session tier has no cross-partition rule: a `cross_pct` it would
+/// ignore is refused at deployment instead.
+#[test]
+#[should_panic(expected = "cross_pct must be 0")]
+fn the_session_tier_refuses_cross_partition_commands() {
+    let mut sim = Sim::new(SimConfig::default());
+    let partitions = Some(PartitionOptions { n: 2, replicas_per: 2, cross_pct: 10 });
+    deploy_smr_sessions(&mut sim, &SessionOptions { partitions, ..options() });
+}

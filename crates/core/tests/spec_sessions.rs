@@ -2,13 +2,16 @@
 //! 8 tables × 125 k open-loop Zipf(0.99) sessions over a 4 × 2 partitioned
 //! tree, seed 11 — a replica executes on 2A arrival and answers on the
 //! decision, every speculation is confirmed, and the replicas of a
-//! partition end in the same state, with and without datagram loss.
+//! partition end in the same state, with and without datagram loss. A
+//! coordinator takeover re-proposes each command to its own partition
+//! only (also at seed 2011).
 
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
 use hpsmr_core::{ReplicaState, SMR_REGISTRY_MISS, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE};
 use simnet::prelude::*;
+use std::collections::HashMap;
 use workload::{
     WorkloadKind, SESSIONS_ABANDONED, SESSIONS_COMPLETED, SESSIONS_SHED, SESSIONS_SUBMITTED,
     SESSION_LATENCY,
@@ -17,8 +20,8 @@ use workload::{
 const N_TABLES: usize = 8;
 const N_PARTITIONS: usize = 4;
 
-fn deploy(kind: WorkloadKind, rate: f64, stop_s: u64) -> (Sim, SessionDeployment) {
-    let mut sim = Sim::new(SimConfig { seed: 11, ..SimConfig::default() });
+fn deploy(kind: WorkloadKind, rate: f64, stop_s: u64, seed: u64) -> (Sim, SessionDeployment) {
+    let mut sim = Sim::new(SimConfig { seed, ..SimConfig::default() });
     let opts = SessionOptions {
         kind,
         zipf_s: 0.99,
@@ -40,7 +43,7 @@ fn deploy(kind: WorkloadKind, rate: f64, stop_s: u64) -> (Sim, SessionDeployment
 /// One warm-up second and a four-second window at `rate` req/s, then a
 /// one-second drain; returns the window's session latency.
 fn run(kind: WorkloadKind, rate: f64) -> (Sim, SessionDeployment, LatencyStats) {
-    let (mut sim, d) = deploy(kind, rate, 5);
+    let (mut sim, d) = deploy(kind, rate, 5, 11);
     sim.run_until(Time::from_secs(1));
     let _ = sim.metrics_mut().take_latency(SESSION_LATENCY);
     sim.run_until(Time::from_secs(5));
@@ -135,7 +138,7 @@ fn speculated_updates_leave_replicas_identical() {
 fn lossy_runs_keep_replicas_identical_and_skip_nothing() {
     for loss in [1e-3, 1e-2] {
         let label = format!("loss {loss}");
-        let (mut sim, d) = deploy(WorkloadKind::InsDelSingle, 24_000.0, 3);
+        let (mut sim, d) = deploy(WorkloadKind::InsDelSingle, 24_000.0, 3, 11);
         sim.set_random_loss(loss);
         sim.run_until(Time::from_secs(3));
         // Ten retries, 200 ms doubling to 1.6 s: a request submitted at
@@ -194,4 +197,40 @@ fn speculation_survives_a_coordinator_change() {
     assert_eq!(sum(&sim, SMR_REGISTRY_MISS), 0);
     let log = d.log.lock().unwrap();
     assert_eq!(log.sequence(0), log.sequence(1));
+}
+
+/// A takeover re-proposes every undecided instance a promise revealed.
+/// The batch carries its own partition mask, so on the benchmark's 4 × 2
+/// shape the re-proposal reaches its own partition's replicas alone,
+/// and the others pass the instance over by a repair (§4.2.2: a
+/// partition's replicas receive only the commands that access it). When
+/// the mask rode beside the batch, a takeover lost it and re-proposed to
+/// every partition: on these three runs 1 / 1 / 4 commands were
+/// delivered in all four partitions, and 0 / 1 / 2 deliveries missed
+/// the client registry.
+#[test]
+fn a_takeover_re_proposes_a_command_to_its_own_partition_only() {
+    for (rate, seed) in [(8_000.0, 11), (8_000.0, 2011), (24_000.0, 11)] {
+        let label = format!("{rate} req/s, seed {seed}");
+        let (mut sim, d) = deploy(WorkloadKind::InsDelSingle, rate, 3, seed);
+        let crash = Time::from_millis(1500);
+        FaultPlan::new().at(crash, FaultAction::Crash(d.coordinator())).run(
+            &mut sim,
+            Time::from_secs(8),
+            |_, _| {},
+        );
+        assert_eq!(sum(&sim, "rp.became_coord"), 1, "{label}: one survivor takes over");
+        {
+            let log = d.log.lock().unwrap();
+            let mut partition_of = HashMap::new();
+            for replica in 0..2 * N_PARTITIONS {
+                let p = replica / 2;
+                for id in log.sequence(replica) {
+                    let first = *partition_of.entry(*id).or_insert(p);
+                    assert_eq!(first, p, "{label}: {id:?} delivered in partitions {first} and {p}");
+                }
+            }
+        }
+        assert_replicas_agree(&mut sim, &d, &label);
+    }
 }

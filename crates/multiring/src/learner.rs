@@ -181,10 +181,8 @@ impl Actor for MultiRingLearner {
         // `spurious`: asked for, and the coordinator's multicast brought
         // it after all — it was not lost.
         let (from_coordinator, spurious) = match msg {
-            MMsg::Phase2a {
-                instance, round, batch, decisions, skip, mask, decided_below, ..
-            } => {
-                let asked = lrn.store(*instance, batch, *skip, *mask, *round, None) as u64;
+            MMsg::Phase2a { instance, round, batch, decisions, decided_below, .. } => {
+                let asked = lrn.store(*instance, batch, *round, None) as u64;
                 lrn.watermark(*decided_below);
                 (true, asked + lrn.decide(decisions, *round))
             }
@@ -192,12 +190,12 @@ impl Actor for MultiRingLearner {
                 lrn.watermark(*decided_below);
                 (true, lrn.decide(instances, *round))
             }
-            MMsg::RetransRep { instance, batch, decided: true, round, skip, mask, .. } => {
-                lrn.authoritative(*instance, batch, *skip, *mask, *round, None);
+            MMsg::RetransRep { instance, batch, decided: true, round, .. } => {
+                lrn.authoritative(*instance, batch, *round, None);
                 (false, 0)
             }
-            MMsg::RetransRep { instance, batch, round, skip, mask, .. } => {
-                lrn.store(*instance, batch, *skip, *mask, *round, None);
+            MMsg::RetransRep { instance, batch, round, .. } => {
+                lrn.store(*instance, batch, *round, None);
                 (false, 0)
             }
             MMsg::RetransDecided { instance, round, mask } => {

@@ -102,9 +102,6 @@ pub struct MRingConfig {
     pub gc_retention: u64,
     /// Silence threshold after which ring members suspect the coordinator.
     pub suspicion_timeout: Dur,
-    /// Extra CPU a learner spends processing one delivered batch (models
-    /// application handling; the flow-control experiment raises it).
-    pub learner_batch_cost: Dur,
     /// Skip-instance generation (Multi-Ring Paxos); `None` disables it.
     pub skip: Option<SkipConfig>,
     /// State partitioning (ch. 4); `None` means classic broadcast.
@@ -127,7 +124,6 @@ impl MRingConfig {
             gc_interval: Dur::millis(100),
             gc_retention: 1024,
             suspicion_timeout: Dur::millis(200),
-            learner_batch_cost: Dur::ZERO,
             skip: None,
             partitions: None,
         }

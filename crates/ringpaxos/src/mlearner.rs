@@ -81,15 +81,16 @@ pub const REPAIR_BATCH: usize = 64;
 /// for what was visible a full tick ago.
 pub const SWEEP_TICK: Dur = Dur::millis(20);
 
-/// Per-instance state: the buffered payload (with the round and skip
-/// weight of the 2A that carried it — highest round wins, so stale
-/// coordinators cannot poison delivery), the announced decision round,
-/// and whether the instance belongs to a foreign partition. Its size
-/// sets the window's memory: the payload's link lives in
-/// `MLearner::links`, which a learner of every partition never fills.
+/// Per-instance state: the buffered payload (with the round of the 2A
+/// that carried it — highest round wins, so stale coordinators cannot
+/// poison delivery; the batch carries its own mask and skip weight),
+/// the announced decision round, and whether the instance belongs to a
+/// foreign partition. Its size sets the window's memory: the payload's
+/// link lives in `MLearner::links`, which a learner of every partition
+/// never fills.
 #[derive(Default)]
 struct Slot {
-    payload: Option<(Round, Batch, u64)>,
+    payload: Option<(Round, Batch)>,
     decided: Option<Round>,
     foreign: bool,
     /// The fast repair for this instance was spent (one per instance;
@@ -128,7 +129,8 @@ impl Slot {
 /// One instance leaving the learner, in instance order.
 #[derive(Debug)]
 pub struct Released {
-    /// The 2A's skip weight (Multi-Ring Paxos): 0 for a batch of values.
+    /// The batch's skip weight (Multi-Ring Paxos): 0 for a batch of
+    /// values.
     pub skip: u64,
     /// The batch's values not delivered before, in batch order.
     pub fresh: Vec<Value>,
@@ -235,18 +237,16 @@ impl MLearner {
 
     /// Buffers the payload a 2A (or its repair) carried, with the link
     /// it carried for this learner (module docs, "What is released"),
-    /// unless the batch is for other partitions. Returns whether this
-    /// instance had been asked for.
+    /// unless the batch's mask is other partitions'. Returns whether
+    /// this instance had been asked for.
     pub fn store(
         &mut self,
         instance: InstanceId,
         batch: &Batch,
-        skip: u64,
-        mask: u32,
         round: Round,
         link: Option<InstanceId>,
     ) -> bool {
-        if mask & self.my_mask == 0 {
+        if batch.mask() & self.my_mask == 0 {
             return false;
         }
         if self.window.is_empty() && link.is_some_and(|l| l <= self.next_deliver) {
@@ -256,8 +256,8 @@ impl MLearner {
         }
         let Some(slot) = self.slot_mut(instance) else { return false };
         let asked = slot.asked;
-        if slot.payload.as_ref().is_none_or(|(r, ..)| *r < round) {
-            slot.payload = Some((round, batch.clone(), skip));
+        if slot.payload.as_ref().is_none_or(|(r, _)| *r < round) {
+            slot.payload = Some((round, batch.clone()));
             self.set_link(instance, link);
             self.classify(instance);
         }
@@ -296,15 +296,14 @@ impl MLearner {
         &mut self,
         instance: InstanceId,
         batch: &Batch,
-        skip: u64,
-        mask: u32,
         round: Round,
         link: Option<InstanceId>,
     ) {
+        let mask = batch.mask();
         if mask & self.my_mask == 0 {
             self.decide(&[(instance, mask)], round);
         } else if let Some(slot) = self.slot_mut(instance) {
-            slot.payload = Some((round, batch.clone(), skip));
+            slot.payload = Some((round, batch.clone()));
             slot.decided = Some(round);
             self.set_link(instance, link);
             self.classify(instance);
@@ -398,13 +397,14 @@ impl MLearner {
     /// Panics unless [`MLearner::front_ready`] just returned true.
     pub fn release(&mut self) -> Released {
         let slot = self.window.pop_front().expect("front_ready checked");
-        let (_, batch, skip) = slot.payload.expect("front_ready checked");
+        let (_, batch) = slot.payload.expect("front_ready checked");
         self.links.remove(&self.base);
         self.base = self.base.next();
         self.next_deliver = self.base;
         let evictions = self.delivered.evictions();
         let (fresh, duplicate) =
             batch.iter().partition(|v| self.delivered.fresh(v.proposer, v.seq));
+        let skip = batch.skip_weight();
         Released { skip, fresh, duplicate, evicted: self.delivered.evictions() - evictions }
     }
 
@@ -558,17 +558,23 @@ mod tests {
         Round::new(counter, 0)
     }
 
-    /// A batch of proposer 0's values with these sequence numbers.
-    fn batch(seqs: &[u64]) -> Batch {
+    /// A batch of proposer 0's values with these sequence numbers, for
+    /// the partitions in `mask`.
+    fn masked(seqs: &[u64], mask: u32) -> Batch {
         let value = |&seq| Value {
             id: MsgId(seq),
             proposer: NodeId(0),
             seq,
             bytes: 100,
             submitted: Time::ZERO,
-            mask: ALL,
+            mask,
         };
         BatchData::new(seqs.iter().map(value).collect())
+    }
+
+    /// A batch of proposer 0's values for every partition.
+    fn batch(seqs: &[u64]) -> Batch {
+        masked(seqs, ALL)
     }
 
     /// A learner of every partition holding payload and decision of
@@ -576,7 +582,7 @@ mod tests {
     fn holding(n: u64) -> MLearner {
         let mut l = MLearner::new(ALL);
         for k in 0..n {
-            l.store(i(k), &batch(&[k]), 0, ALL, r(1), None);
+            l.store(i(k), &batch(&[k]), r(1), None);
             l.decide(&[(i(k), ALL)], r(1));
         }
         l
@@ -601,14 +607,14 @@ mod tests {
         l.decide(&[(i(1), ALL)], r(1));
         l.watermark(i(2));
         assert!(l.incomplete().is_empty(), "named again, under the watermark: still once");
-        assert!(l.store(i(1), &batch(&[1]), 0, ALL, r(1), None), "it had been asked for");
+        assert!(l.store(i(1), &batch(&[1]), r(1), None), "it had been asked for");
         assert_eq!(drain(&mut l), [1]);
     }
 
     #[test]
     fn a_payload_under_the_watermark_is_asked_for_its_decision_alone() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[0]), 0, ALL, r(1), None);
+        l.store(i(0), &batch(&[0]), r(1), None);
         assert!(l.incomplete().is_empty(), "nothing says instance 0 is decided");
         l.watermark(i(1));
         assert_eq!(l.incomplete(), [(i(0), false)]);
@@ -626,7 +632,7 @@ mod tests {
         assert_eq!(asked.len(), REPAIR_BATCH);
         assert_eq!(asked.last(), Some(&(i(REPAIR_BATCH as u64 - 1), true)));
         // Delivery advances: the scan resumes where it stopped.
-        l.authoritative(i(0), &batch(&[0]), 0, ALL, r(1), None);
+        l.authoritative(i(0), &batch(&[0]), r(1), None);
         assert_eq!(drain(&mut l), [0]);
         assert_eq!(l.incomplete(), [(i(REPAIR_BATCH as u64), true)]);
     }
@@ -642,12 +648,12 @@ mod tests {
     #[test]
     fn the_sweep_asks_only_for_what_was_visible_a_full_tick_ago() {
         let mut l = holding(1);
-        l.store(i(2), &batch(&[2]), 0, ALL, r(1), None); // 1 is a hole
+        l.store(i(2), &batch(&[2]), r(1), None); // 1 is a hole
         assert!(!l.stuck(), "instance 0 can leave");
         assert_eq!(drain(&mut l), [0]);
         assert!(l.stuck(), "instance 2 waits behind the hole");
         assert!(l.sweep().is_empty(), "instance 2 showed up within this tick");
-        l.store(i(4), &batch(&[4]), 0, ALL, r(1), None);
+        l.store(i(4), &batch(&[4]), r(1), None);
         // Instance 3 is a hole too, but no older than instance 4.
         assert_eq!(l.sweep(), [(i(1), true), (i(2), false)]);
         assert_eq!(l.sweep(), [(i(1), true), (i(2), false), (i(3), true), (i(4), false)]);
@@ -658,7 +664,7 @@ mod tests {
         // The end of a burst: the last 2A arrived, its decision did not,
         // and no later instance will ever make it "older than the horizon".
         let mut l = holding(1);
-        l.store(i(1), &batch(&[1]), 0, ALL, r(1), None);
+        l.store(i(1), &batch(&[1]), r(1), None);
         assert_eq!(drain(&mut l), [0]);
         assert!(l.sweep().is_empty(), "within its first tick");
         assert_eq!(l.sweep(), [(i(1), false)]);
@@ -668,35 +674,35 @@ mod tests {
     #[test]
     fn a_deposed_rounds_payload_is_never_released_against_a_later_decision() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[7]), 0, ALL, r(1), None);
+        l.store(i(0), &batch(&[7]), r(1), None);
         l.decide(&[(i(0), ALL)], r(2));
         assert!(!l.front_ready(), "the payload is round 1's, the decision round 2's");
         l.watermark(i(1));
         assert_eq!(l.incomplete(), [(i(0), true)], "the held payload does not count");
-        l.store(i(0), &batch(&[8]), 0, ALL, r(1), None);
+        l.store(i(0), &batch(&[8]), r(1), None);
         assert!(!l.front_ready());
-        l.store(i(0), &batch(&[9]), 0, ALL, r(2), None);
-        l.store(i(0), &batch(&[7]), 0, ALL, r(1), None); // a stale copy arrives late
+        l.store(i(0), &batch(&[9]), r(2), None);
+        l.store(i(0), &batch(&[7]), r(1), None); // a stale copy arrives late
         assert_eq!(drain(&mut l), [9]);
     }
 
     #[test]
     fn an_authoritative_repair_pins_payload_and_decision_to_one_round() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[7]), 0, ALL, r(3), None);
+        l.store(i(0), &batch(&[7]), r(3), None);
         l.decide(&[(i(0), ALL)], r(1));
         assert!(!l.front_ready());
-        l.authoritative(i(0), &batch(&[9]), 0, ALL, r(2), None);
+        l.authoritative(i(0), &batch(&[9]), r(2), None);
         assert_eq!(drain(&mut l), [9]);
     }
 
     #[test]
     fn a_foreign_instance_advances_the_front_without_a_payload() {
         let mut l = MLearner::new(0b01);
-        assert!(!l.store(i(0), &batch(&[0]), 0, 0b10, r(1), None), "not for this partition");
+        assert!(!l.store(i(0), &masked(&[0], 0b10), r(1), None), "not for this partition");
         l.decide(&[(i(0), 0b10), (i(2), 0b10)], r(1));
-        l.authoritative(i(1), &batch(&[1]), 0, 0b10, r(1), None); // foreign: a decision alone
-        l.store(i(3), &batch(&[3]), 0, 0b11, r(1), None);
+        l.authoritative(i(1), &masked(&[1], 0b10), r(1), None); // foreign: a decision alone
+        l.store(i(3), &masked(&[3], 0b11), r(1), None);
         l.decide(&[(i(3), 0b11)], r(1));
         l.watermark(i(4));
         assert_eq!(drain(&mut l), [3]);
@@ -707,16 +713,16 @@ mod tests {
     #[test]
     fn a_skip_entry_is_released_with_its_weight() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &BatchData::empty(), 17, ALL, r(1), None);
-        l.store(i(1), &batch(&[0]), 0, ALL, r(1), None);
+        l.store(i(0), &BatchData::skip(17), r(1), None);
+        l.store(i(1), &batch(&[0]), r(1), None);
         l.decide(&[(i(0), ALL), (i(1), ALL)], r(1));
         assert!(l.front_ready());
         let skip = l.release();
         assert!(skip.skip == 17 && skip.fresh.is_empty());
         assert!(l.front_ready());
         assert_eq!(l.release().skip, 0);
-        // A repair repeats the weight the 2A carried.
-        l.authoritative(i(2), &BatchData::empty(), 5, ALL, r(1), None);
+        // A repair carries the weight in the batch, as the 2A did.
+        l.authoritative(i(2), &BatchData::skip(5), r(1), None);
         assert!(l.front_ready());
         assert_eq!(l.release().skip, 5);
     }
@@ -724,8 +730,8 @@ mod tests {
     #[test]
     fn a_value_decided_in_two_instances_is_released_once() {
         let mut l = MLearner::new(ALL);
-        l.store(i(0), &batch(&[0, 1]), 0, ALL, r(1), None);
-        l.store(i(1), &batch(&[1, 2]), 0, ALL, r(1), None); // 1 was resent and ordered again
+        l.store(i(0), &batch(&[0, 1]), r(1), None);
+        l.store(i(1), &batch(&[1, 2]), r(1), None); // 1 was resent and ordered again
         l.decide(&[(i(0), ALL), (i(1), ALL)], r(1));
         assert!(l.front_ready());
         assert!(l.release().duplicate.is_empty());
@@ -739,7 +745,7 @@ mod tests {
     #[test]
     fn a_checkpoint_moves_delivery_and_the_filter_and_drops_what_is_below() {
         let mut l = holding(3);
-        l.store(i(5), &batch(&[5]), 0, ALL, r(1), None);
+        l.store(i(5), &batch(&[5]), r(1), None);
         l.decide(&[(i(5), ALL)], r(1));
         assert_eq!(l.buffered(2), 2, "counted to the cap");
         assert_eq!(l.buffered(16), 3, "instance 3 is a hole");
@@ -750,21 +756,21 @@ mod tests {
         assert_eq!(l.unreported(), None);
         assert_eq!(l.export_delivered(), (vec![6], vec![]));
         // Older than the checkpoint: instance and value alike.
-        l.authoritative(i(2), &batch(&[2]), 0, ALL, r(1), None);
-        l.authoritative(i(6), &batch(&[4]), 0, ALL, r(1), None);
+        l.authoritative(i(2), &batch(&[2]), r(1), None);
+        l.authoritative(i(6), &batch(&[4]), r(1), None);
         assert!(drain(&mut l).is_empty() && l.next_deliver() == i(7));
     }
 
     #[test]
     fn an_idle_partition_passes_a_gap_of_any_length_without_slots() {
         let mut l = MLearner::new(0b01);
-        l.store(i(0), &batch(&[0]), 0, 0b01, r(1), Some(i(0)));
+        l.store(i(0), &masked(&[0], 0b01), r(1), Some(i(0)));
         l.decide(&[(i(0), 0b01)], r(1));
         assert_eq!(drain(&mut l), [0]);
         // The other partition orders a million instances; this learner
         // hears nothing until its next 2A, whose link reaches back.
         let j = 1 << 20;
-        l.store(i(j), &batch(&[1]), 0, 0b01, r(1), Some(i(1)));
+        l.store(i(j), &masked(&[1], 0b01), r(1), Some(i(1)));
         assert_eq!(l.window.len(), 1, "the gap takes no slots");
         l.watermark(i(j));
         assert!(l.incomplete().is_empty());
@@ -779,9 +785,9 @@ mod tests {
         let mut l = MLearner::new(0b01);
         // A deposed coordinator's 2A, never decided: its link passes
         // nothing over.
-        l.store(i(5), &batch(&[5]), 0, 0b01, r(1), Some(i(0)));
+        l.store(i(5), &masked(&[5], 0b01), r(1), Some(i(0)));
         // The new round gives instance 2 to this partition.
-        l.store(i(2), &batch(&[2]), 0, 0b01, r(2), Some(i(0)));
+        l.store(i(2), &masked(&[2], 0b01), r(2), Some(i(0)));
         l.decide(&[(i(2), 0b01)], r(2));
         assert_eq!(drain(&mut l), [2], "0 and 1 passed over with no decision");
         assert_eq!(l.next_deliver(), i(3));
@@ -793,17 +799,17 @@ mod tests {
         let mut l = MLearner::new(0b01);
         // Round 1 proposed 0 and 1 here and crashed; the new round gives
         // 1 to another partition (it never reached the acceptors).
-        l.store(i(0), &batch(&[0]), 0, 0b01, r(1), Some(i(0)));
+        l.store(i(0), &masked(&[0], 0b01), r(1), Some(i(0)));
         l.decide(&[(i(0), 0b01)], r(1));
-        l.store(i(1), &batch(&[7]), 0, 0b01, r(1), Some(i(1)));
+        l.store(i(1), &masked(&[7], 0b01), r(1), Some(i(1)));
         // Round 2 proposes 3 here, linked past 1 and 2.
-        l.store(i(3), &batch(&[3]), 0, 0b01, r(2), Some(i(1)));
+        l.store(i(3), &masked(&[3], 0b01), r(2), Some(i(1)));
         l.decide(&[(i(3), 0b01)], r(2));
         assert_eq!(drain(&mut l), [0, 3], "the deposed payload at 1 is passed over");
         // A slot holding something at the link's round stays.
         let mut l = MLearner::new(0b01);
-        l.store(i(1), &batch(&[1]), 0, 0b01, r(2), Some(i(0)));
-        l.store(i(2), &batch(&[2]), 0, 0b01, r(2), Some(i(0)));
+        l.store(i(1), &masked(&[1], 0b01), r(2), Some(i(0)));
+        l.store(i(2), &masked(&[2], 0b01), r(2), Some(i(0)));
         l.decide(&[(i(2), 0b01)], r(2));
         assert!(!l.front_ready(), "0 passes; 1 holds round 2's payload and waits");
         assert_eq!(l.next_deliver(), i(1));
@@ -812,19 +818,19 @@ mod tests {
     #[test]
     fn the_scan_asks_only_for_what_links_have_classified() {
         let mut l = MLearner::new(0b01);
-        l.store(i(0), &batch(&[0]), 0, 0b01, r(1), Some(i(0)));
+        l.store(i(0), &masked(&[0], 0b01), r(1), Some(i(0)));
         l.decide(&[(i(0), 0b01)], r(1));
         assert_eq!(drain(&mut l), [0]);
         // This partition's 2A of 3 is lost; that of 5 arrives, linked
         // past 4, and the watermark passes both.
-        l.store(i(5), &batch(&[5]), 0, 0b01, r(1), Some(i(4)));
+        l.store(i(5), &masked(&[5], 0b01), r(1), Some(i(4)));
         l.watermark(i(6));
         assert!(l.incomplete().is_empty(), "1 to 3 are nobody's yet, 4 is covered");
         // The decision of 3 names it: its payload is asked for, alone.
         l.decide(&[(i(3), 0b01)], r(1));
         assert_eq!(l.incomplete(), [(i(3), true)]);
         // The repair brings its link, which passes 1 and 2 over.
-        l.authoritative(i(3), &batch(&[3]), 0, 0b01, r(1), Some(i(1)));
+        l.authoritative(i(3), &masked(&[3], 0b01), r(1), Some(i(1)));
         l.decide(&[(i(5), 0b01)], r(1));
         assert_eq!(drain(&mut l), [3, 5]);
         assert!(l.incomplete().is_empty() && l.sweep().is_empty() && l.sweep().is_empty());

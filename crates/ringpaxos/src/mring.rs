@@ -31,8 +31,11 @@
 //! partition in its mask where every learner serves one partition), a
 //! *link*: the first instance after the previous one this coordinator
 //! proposed for that mask — its own first instance, before it proposed
-//! any. Acceptors record the links with the vote (as they record the
-//! mask), so a repair of the 2A (`RetransRep`, a re-2A) carries them
+//! any. The mask rides in the value (`value` module docs, "The
+//! instance's shape"), so every copy of the 2A — a repair, a vote a
+//! takeover reveals and re-proposes on the batch's own partitions —
+//! reaches and classifies alike; acceptors record only the links with
+//! the vote, so a repair of the 2A (`RetransRep`, a re-2A) carries them
 //! too. How a learner uses them — only once their instance is decided
 //! at their round — is [`crate::mlearner`]'s ("What is released").
 //!
@@ -52,8 +55,8 @@
 //! leaves once the vote is durable — `VoteLog::on_token` hands it back
 //! at the round its write carried, and `VoteLog::holds` answers for a
 //! 2B that arrives later — and is held in `early_2b` until then. The
-//! coordinator's own vote is not written ahead: `propose`,
-//! `propose_skip` and `become_coordinator` cast it directly, as U-Ring's
+//! coordinator's own vote is not written ahead: `propose` (a skip's
+//! too) and `become_coordinator` cast it directly, as U-Ring's
 //! `send_2ab` does (ROADMAP item 4).
 //!
 //! # Loss recovery
@@ -252,7 +255,6 @@ struct Outstanding {
     batch: Batch,
     /// Its last 2A multicast.
     sent: Time,
-    mask: u32,
     /// Its 2A was multicast again: the order-triggered repair is spent
     /// (one per instance; the flow tick is the retry).
     resent: bool,
@@ -348,10 +350,6 @@ struct AccState {
     paxos: Acceptor<Batch>,
     /// Instances known decided (dense window over the undecided range).
     decided: Window<()>,
-    /// Skip weight per instance (only non-zero entries stored).
-    skip_weights: BTreeMap<InstanceId, u64>,
-    /// Partition mask per instance (only non-ALL entries stored).
-    masks: BTreeMap<InstanceId, u32>,
     /// Links per instance, with the round of the 2A that carried them
     /// (dense window, as `decided`).
     links: Window<(Round, Rc<[(u32, InstanceId)]>)>,
@@ -385,22 +383,8 @@ impl AccState {
     }
 
     /// Records what a 2A at `round` says about its instance besides the
-    /// value: a non-zero skip weight, a partition mask other than all,
-    /// links (kept from the latest round that sent any).
-    fn note_shape(
-        &mut self,
-        instance: InstanceId,
-        skip: u64,
-        mask: u32,
-        round: Round,
-        links: &Links,
-    ) {
-        if skip > 0 {
-            self.skip_weights.insert(instance, skip);
-        }
-        if mask != ALL_PARTITIONS {
-            self.masks.insert(instance, mask);
-        }
+    /// value: its links (kept from the latest round that sent any).
+    fn note_links(&mut self, instance: InstanceId, round: Round, links: &Links) {
         if let Some(links) = links.as_ref() {
             if self.links.get(instance).is_none_or(|(r, _)| *r <= round) {
                 self.links.insert(instance, (round, links.clone()));
@@ -697,8 +681,6 @@ impl MRingProcess {
             AccState {
                 paxos,
                 decided: Window::new(),
-                skip_weights: BTreeMap::new(),
-                masks: BTreeMap::new(),
                 links: Window::new(),
                 decided_below: InstanceId(0),
                 early_2b: Window::new(),
@@ -945,8 +927,7 @@ impl MRingProcess {
             }
             q.bytes -= bytes;
             c.pending_bytes -= bytes;
-            let mask = q.mask;
-            self.propose(vals, bytes, mask, ctx);
+            self.propose(BatchData::new(vals), ctx);
         }
     }
 
@@ -978,23 +959,23 @@ impl MRingProcess {
         }
     }
 
-    /// Runs one consensus instance on `vals` (one mask, `bytes` of
-    /// payload): assigns the instance, votes, and multicasts the 2A.
-    fn propose(&mut self, vals: Vec<Value>, bytes: u64, mask: u32, ctx: &mut Ctx) {
+    /// Runs one consensus instance on `batch` — one mask's values, or a
+    /// skip standing for its weight in logical instances (Multi-Ring
+    /// Paxos, ch. 5: many skips cost one consensus execution and a
+    /// control-sized 2A): assigns the instance, votes, and multicasts
+    /// the 2A.
+    fn propose(&mut self, batch: Batch, ctx: &mut Ctx) {
         let Some(c) = self.coord.as_mut() else { return };
         // Probe stamp: a PROPOSE span opens at the earliest client
-        // submission in the batch (captured before `BatchData::new`
-        // consumes the values).
+        // submission in the batch.
         let first_submitted =
-            if ctx.probes_enabled() { vals.iter().map(|v| v.submitted).min() } else { None };
-        let batch: Batch = BatchData::new(vals);
+            if ctx.probes_enabled() { batch.iter().map(|v| v.submitted).min() } else { None };
         let instance = c.next_instance;
         c.next_instance = instance.next();
-        let links = c.link(instance, mask);
+        let links = c.link(instance, batch.mask());
         let sent = ctx.now();
-        c.outstanding
-            .insert(instance, Outstanding { batch: batch.clone(), sent, mask, resent: false });
-        c.logical_count += 1;
+        c.outstanding.insert(instance, Outstanding { batch: batch.clone(), sent, resent: false });
+        c.logical_count += batch.skip_weight().max(1);
         let partitioned = self.cfg.partitions.is_some();
         let decisions = if partitioned {
             Rc::new(Vec::new()) // no piggybacking in partitioned mode
@@ -1008,19 +989,19 @@ impl MRingProcess {
         // acceptor in the ring).
         if let Some(a) = self.acc.as_mut() {
             let _ = a.paxos.receive_2a(instance, self.round, batch.clone());
-            a.note_shape(instance, 0, mask, self.round, &links);
+            a.note_links(instance, self.round, &links);
         }
         let link = self.link_for(&links);
-        ctx.charge_cpu(0, BATCH_OVERHEAD);
-        let wire = (bytes.min(u32::MAX as u64) as u32).max(CTL_BYTES);
+        match batch.skip_weight() {
+            0 => ctx.charge_cpu(0, BATCH_OVERHEAD),
+            weight => ctx.counter_add("rp.skips", weight),
+        }
         let msg = MMsg::Phase2a {
             instance,
             round: self.round,
             batch: batch.clone(),
             decisions: decisions.clone(),
             gc_upto,
-            skip: 0,
-            mask,
             decided_below,
             links,
         };
@@ -1029,12 +1010,12 @@ impl MRingProcess {
             ctx.probe_at(probe::code::PROPOSE, key, at);
             ctx.probe(probe::code::PHASE2A, key);
         }
-        self.mcast_2a(msg, mask, wire, ctx);
+        self.mcast_2a(msg, ctx);
         // Local loop-back when the coordinator is also a learner
         // (multicast does not echo to the sender).
         let round = self.round;
         if let Some(l) = self.lrn.as_mut() {
-            l.store(instance, &batch, 0, mask, round, link);
+            l.store(instance, &batch, round, link);
         }
         self.learner_decide(&decisions, round);
         self.try_deliver(ctx);
@@ -1048,9 +1029,12 @@ impl MRingProcess {
     }
 
     /// Multicasts a Phase 2A: once on the classic group, or once per
-    /// accessed partition group in partitioned mode (§4.2.2 — acceptors
-    /// subscribe to all groups and deduplicate).
-    fn mcast_2a(&mut self, msg: MMsg, mask: u32, wire: u32, ctx: &mut Ctx) {
+    /// partition group its batch's mask touches in partitioned mode
+    /// (§4.2.2 — acceptors subscribe to all groups and deduplicate).
+    fn mcast_2a(&mut self, msg: MMsg, ctx: &mut Ctx) {
+        let MMsg::Phase2a { ref batch, .. } = msg else { unreachable!("mcast_2a sends 2As") };
+        let mask = batch.mask();
+        let wire = (batch_bytes(batch).min(u32::MAX as u64) as u32).max(CTL_BYTES);
         match self.cfg.partitions.as_ref() {
             None => ctx.mcast(self.cfg.group, msg, wire),
             Some(p) => {
@@ -1112,9 +1096,10 @@ impl MRingProcess {
     /// quorum is complete (every ring acceptor voted, plus ourselves).
     fn decide(&mut self, instance: InstanceId, ctx: &mut Ctx) {
         let Some(c) = self.coord.as_mut() else { return };
-        let Some(Outstanding { mask, sent, resent, .. }) = c.outstanding.remove(&instance) else {
+        let Some(Outstanding { batch, sent, resent }) = c.outstanding.remove(&instance) else {
             return;
         };
+        let mask = batch.mask();
         c.probe.progress(ctx.now());
         c.decided_unsent.push((instance, mask));
         // 2Bs complete the ring in instance order: an older instance
@@ -1160,7 +1145,9 @@ impl MRingProcess {
     /// and learners that missed the original take it as the original.
     /// In classic mode it carries the unannounced decisions like any
     /// 2A: its `decided_below` watermark covers them, and a learner
-    /// shown an instance decided without the decision asks for it.
+    /// shown an instance decided without the decision asks for it. The
+    /// batch is the original's, so are its mask and skip weight: a
+    /// Multi-Ring learner's merge sees the weight the first 2A carried.
     fn re_2a(&mut self, instance: InstanceId, ctx: &mut Ctx) {
         let classic = self.cfg.partitions.is_none();
         let links = self.acc.as_ref().and_then(|a| a.links_at(instance, self.round));
@@ -1168,26 +1155,18 @@ impl MRingProcess {
         let Some(o) = c.outstanding.get_mut(&instance) else { return };
         o.sent = ctx.now();
         o.resent = true;
-        let (batch, mask) = (o.batch.clone(), o.mask);
         let decisions = if classic { std::mem::take(&mut c.decided_unsent) } else { Vec::new() };
-        let wire = (batch_bytes(&batch).min(u32::MAX as u64) as u32).max(CTL_BYTES);
         ctx.counter_add("rp.re2a", 1);
         let msg = MMsg::Phase2a {
             instance,
             round: self.round,
-            batch,
+            batch: o.batch.clone(),
             decisions: Rc::new(decisions),
             gc_upto: InstanceId(0),
-            // The instance's original skip weight: learners feed it to
-            // the deterministic merge, and a weight that differs from
-            // the original 2A's would desynchronize the merge turn
-            // structure across replicas.
-            skip: self.skip_weight_of(instance),
-            mask,
             decided_below: self.decided_below(),
             links,
         };
-        self.mcast_2a(msg, mask, wire, ctx);
+        self.mcast_2a(msg, ctx);
     }
 
     /// Announces every decision not yet sent, without waiting for a 2A
@@ -1340,22 +1319,22 @@ impl MRingProcess {
     }
 
     /// The answer to a request for a lost 2A (`on_phase2a`'s or
-    /// `relay_2b`'s, to a ring neighbour): note its shape (skip weight,
-    /// mask, links) and vote on it as on the lost 2A, which starts the
-    /// relay or releases the held 2B.
+    /// `relay_2b`'s, to a ring neighbour): note its links and vote on it
+    /// as on the lost 2A, which starts the relay or releases the held
+    /// 2B.
     fn on_2a_repair(
         &mut self,
         instance: InstanceId,
         round: Round,
         batch: Batch,
-        (skip, mask, links): (u64, u32, &Links),
+        links: &Links,
         ctx: &mut Ctx,
     ) {
         let Some(a) = self.acc.as_mut() else { return };
         if round != self.round || !a.asked.contains(&instance) {
             return; // not (or no longer) waiting for that 2A
         }
-        a.note_shape(instance, skip, mask, round, links);
+        a.note_links(instance, round, links);
         self.vote_2a(instance, round, batch, ctx);
     }
 
@@ -1389,15 +1368,14 @@ impl MRingProcess {
         let their_mask = learner.map_or(ALL_PARTITIONS, |i| self.cfg.learner_mask(i));
         for &(instance, need_payload) in instances {
             let Some(vote) = a.paxos.vote(instance) else { continue };
-            let skip = a.skip_weights.get(&instance).copied().unwrap_or(0);
-            let mask = a.masks.get(&instance).copied().unwrap_or(ALL_PARTITIONS);
+            let mask = vote.v_val.mask();
             let decided = a.decided.contains(instance) || instance < a.decided_below;
             let round = vote.v_rnd;
             let (msg, wire) = if need_payload && mask & their_mask != 0 {
                 let batch = vote.v_val.clone();
                 let wire = batch_bytes(&batch).min(u32::MAX as u64) as u32;
                 let links = a.links_at(instance, round);
-                let msg = MMsg::RetransRep { instance, batch, decided, round, skip, mask, links };
+                let msg = MMsg::RetransRep { instance, batch, decided, round, links };
                 (msg, wire.max(CTL_BYTES))
             } else if decided {
                 (MMsg::RetransDecided { instance, round, mask }, CTL_BYTES)
@@ -1470,11 +1448,7 @@ impl MRingProcess {
     /// Hands the application every instance the learner can release, as
     /// fast as core 1 takes them.
     fn try_deliver(&mut self, ctx: &mut Ctx) {
-        let batch_cost = self
-            .cost_ctl
-            .as_ref()
-            .map(|c| *c.lock().unwrap())
-            .unwrap_or(self.cfg.learner_batch_cost);
+        let batch_cost = self.cost_ctl.as_ref().map_or(Dur::ZERO, |c| *c.lock().unwrap());
         loop {
             let Some(l) = self.lrn.as_mut() else { return };
             if !l.front_ready() {
@@ -1568,10 +1542,8 @@ impl MRingProcess {
             if !decided {
                 break;
             }
-            let skip = a.skip_weights.get(&i).copied().unwrap_or(0);
-            let mask = a.masks.get(&i).copied().unwrap_or(ALL_PARTITIONS);
             wire += batch_bytes(&vote.v_val);
-            batches.push((i, vote.v_val.clone(), vote.v_rnd, skip, mask));
+            batches.push((i, vote.v_val.clone(), vote.v_rnd));
             i = i.next();
         }
         ctx.counter_add("rec.catchup_served", batches.len() as u64);
@@ -1591,7 +1563,7 @@ impl MRingProcess {
     /// Ingests a recovery catch-up chunk at a restarted learner.
     fn on_catchup_rep(
         &mut self,
-        batches: Vec<(InstanceId, Batch, Round, u64, u32)>,
+        batches: Vec<(InstanceId, Batch, Round)>,
         upto: InstanceId,
         available_from: InstanceId,
         ctx: &mut Ctx,
@@ -1616,8 +1588,8 @@ impl MRingProcess {
         if let Some(l) = self.lrn.as_mut() {
             // Contiguous and decided, other partitions' instances too:
             // no link is needed to pass those over.
-            for (instance, batch, round, skip, mask) in batches {
-                l.authoritative(instance, &batch, skip, mask, round, None);
+            for (instance, batch, round) in batches {
+                l.authoritative(instance, &batch, round, None);
             }
         }
         self.try_deliver(ctx);
@@ -1750,8 +1722,6 @@ impl MRingProcess {
             a.early_2b.advance_base(upto);
             a.floor.collect_below(upto);
             a.asked = a.asked.split_off(&upto);
-            a.skip_weights = a.skip_weights.split_off(&upto);
-            a.masks = a.masks.split_off(&upto);
             a.links.advance_base(upto);
             // The durable vote log rides the same watermark: f+1
             // learners applied these instances (§3.3.7), so a restarted
@@ -1835,13 +1805,6 @@ impl MRingProcess {
         for instance in outstanding {
             self.re_2a(instance, ctx);
         }
-    }
-
-    /// The skip weight this (coordinator-)acceptor recorded for
-    /// `instance` (0 for normal batches) — retransmitted 2As must repeat
-    /// it verbatim so every learner's merge sees identical weights.
-    fn skip_weight_of(&self, instance: InstanceId) -> u64 {
-        self.acc.as_ref().and_then(|a| a.skip_weights.get(&instance)).copied().unwrap_or(0)
     }
 
     fn suspect_check(&mut self, ctx: &mut Ctx) {
@@ -1994,36 +1957,31 @@ impl MRingProcess {
         }
 
         for (instance, batch) in &repropose {
-            let (batch, sent, mask) = (batch.clone(), ctx.now(), ALL_PARTITIONS);
-            cs.outstanding.insert(*instance, Outstanding { batch, sent, mask, resent: false });
+            let (batch, sent) = (batch.clone(), ctx.now());
+            cs.outstanding.insert(*instance, Outstanding { batch, sent, resent: false });
         }
         self.coord = Some(cs);
 
         ctx.counter_add("rp.became_coord", 1);
         ctx.mcast(self.cfg.group, MMsg::NewRing { round, coord: self.me, ring }, CTL_BYTES);
-        // Re-run Phase 2 for the re-proposed instances.
+        // Re-run Phase 2 for the re-proposed instances, each on its own
+        // partitions: the others pass it over by a `RetransDecided`.
         for (instance, batch) in repropose {
             if let Some(a) = self.acc.as_mut() {
                 let _ = a.paxos.receive_2a(instance, round, batch.clone());
             }
-            let wire = batch_bytes(&batch).min(u32::MAX as u64) as u32;
-            ctx.mcast(
-                self.cfg.group,
-                MMsg::Phase2a {
-                    instance,
-                    round,
-                    batch,
-                    decisions: Rc::new(Vec::new()),
-                    gc_upto: InstanceId(0),
-                    skip: 0,
-                    mask: ALL_PARTITIONS,
-                    decided_below: InstanceId(0),
-                    // Below this coordinator's first instance: no link
-                    // of its reaches there.
-                    links: None,
-                },
-                wire.max(CTL_BYTES),
-            );
+            let msg = MMsg::Phase2a {
+                instance,
+                round,
+                batch,
+                decisions: Rc::new(Vec::new()),
+                gc_upto: InstanceId(0),
+                decided_below: InstanceId(0),
+                // Below this coordinator's first instance: no link of its
+                // reaches there.
+                links: None,
+            };
+            self.mcast_2a(msg, ctx);
         }
         // Start coordinator timers.
         ctx.set_timer(self.cfg.batch_timeout, TimerToken(T_BATCH));
@@ -2066,53 +2024,6 @@ impl MRingProcess {
             .as_ref()
             .map(|c| c.outstanding.keys().next().copied().unwrap_or(c.next_instance))
             .unwrap_or(InstanceId(0))
-    }
-
-    /// Proposes one consensus instance that stands for `weight` skipped
-    /// logical instances (Multi-Ring Paxos, ch. 5). Many skips cost one
-    /// consensus execution and a ~`CTL_BYTES` message.
-    fn propose_skip(&mut self, weight: u64, ctx: &mut Ctx) {
-        let round = self.round;
-        let Some(c) = self.coord.as_mut() else { return };
-        let instance = c.next_instance;
-        c.next_instance = instance.next();
-        let links = c.link(instance, ALL_PARTITIONS);
-        let batch: Batch = BatchData::empty();
-        let (sent, mask) = (ctx.now(), ALL_PARTITIONS);
-        c.outstanding
-            .insert(instance, Outstanding { batch: batch.clone(), sent, mask, resent: false });
-        c.logical_count += weight;
-        let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
-        let gc_upto = c.gc_watermark;
-        c.last_mcast = ctx.now();
-        if let Some(a) = self.acc.as_mut() {
-            let _ = a.paxos.receive_2a(instance, round, batch.clone());
-            a.note_shape(instance, weight, ALL_PARTITIONS, round, &links);
-        }
-        ctx.counter_add("rp.skips", weight);
-        let decided_below = self.decided_below();
-        let link = self.link_for(&links);
-        ctx.mcast(
-            self.cfg.group,
-            MMsg::Phase2a {
-                instance,
-                round,
-                batch: batch.clone(),
-                decisions: decisions.clone(),
-                gc_upto,
-                skip: weight,
-                mask: ALL_PARTITIONS,
-                decided_below,
-                links,
-            },
-            CTL_BYTES,
-        );
-        let r = self.round;
-        if let Some(l) = self.lrn.as_mut() {
-            l.store(instance, &batch, weight, ALL_PARTITIONS, r, link);
-        }
-        self.learner_decide(&decisions, r);
-        self.try_deliver(ctx);
     }
 }
 
@@ -2157,22 +2068,19 @@ impl Actor for MRingProcess {
                 ref batch,
                 ref decisions,
                 gc_upto,
-                skip,
-                mask,
                 decided_below,
                 ref links,
             } => {
                 // Acceptor path.
                 self.on_phase2a(instance, round, batch.clone(), env.src, ctx);
                 if let Some(a) = self.acc.as_mut() {
-                    a.note_shape(instance, skip, mask, round, links);
+                    a.note_links(instance, round, links);
                 }
                 // Learner path: the payload (had the learner asked its
                 // acceptor for it?), then what every multicast carries.
                 let link = self.link_for(links);
                 let lrn = self.lrn.as_mut();
-                let spurious =
-                    lrn.is_some_and(|l| l.store(instance, batch, skip, mask, round, link));
+                let spurious = lrn.is_some_and(|l| l.store(instance, batch, round, link));
                 self.on_announced(decisions, round, gc_upto, decided_below, spurious as u64, ctx);
             }
             MMsg::Phase2b { instance, round, through } => {
@@ -2208,14 +2116,14 @@ impl Actor for MRingProcess {
                 }
             }
             MMsg::RetransReq { from, ref instances } => self.on_retrans_req(from, instances, ctx),
-            MMsg::RetransRep { instance, ref batch, decided, round, skip, mask, ref links } => {
-                self.on_2a_repair(instance, round, batch.clone(), (skip, mask, links), ctx);
+            MMsg::RetransRep { instance, ref batch, decided, round, ref links } => {
+                self.on_2a_repair(instance, round, batch.clone(), links, ctx);
                 let link = self.link_for(links);
                 if let Some(l) = self.lrn.as_mut() {
                     if decided {
-                        l.authoritative(instance, batch, skip, mask, round, link);
+                        l.authoritative(instance, batch, round, link);
                     } else {
-                        l.store(instance, batch, skip, mask, round, link);
+                        l.store(instance, batch, round, link);
                     }
                 }
                 self.try_deliver(ctx);
@@ -2376,7 +2284,7 @@ impl Actor for MRingProcess {
                         c.logical_target.saturating_sub(c.logical_count)
                     };
                     if deficit > 0 {
-                        self.propose_skip(deficit, ctx);
+                        self.propose(BatchData::skip(deficit), ctx);
                     }
                     ctx.set_timer(skip.delta, TimerToken(T_SKIP));
                 }

@@ -31,20 +31,14 @@ pub enum MMsg {
         instance: InstanceId,
         /// Coordinator's round.
         round: Round,
-        /// The proposed batch of values.
+        /// The proposed batch: its values, partition mask and skip
+        /// weight (`value` module docs, "The instance's shape").
         batch: Batch,
         /// Instances decided since the last packet, with each instance's
         /// partition mask (piggybacked DECISION).
         decisions: Rc<Vec<(InstanceId, u32)>>,
         /// Acceptors may discard state below this instance (§3.3.7).
         gc_upto: InstanceId,
-        /// Logical instances this batch stands for beyond itself:
-        /// `0` for a normal batch; a skip batch (Multi-Ring Paxos, ch. 5)
-        /// carries an empty value list and the number of instances being
-        /// skipped in one consensus execution.
-        skip: u64,
-        /// Partition mask of this batch (`ALL_PARTITIONS` when classic).
-        mask: u32,
         /// Every instance below this is decided (the coordinator's lowest
         /// outstanding instance). Lets acceptors answer retransmission
         /// requests authoritatively even if an individual decision
@@ -99,16 +93,12 @@ pub enum MMsg {
     RetransRep {
         /// The instance.
         instance: InstanceId,
-        /// Its batch (the acceptor's stored vote).
+        /// Its batch (the acceptor's stored vote), shape included.
         batch: Batch,
         /// Whether the acceptor knows it decided.
         decided: bool,
         /// Round of the acceptor's stored vote.
         round: Round,
-        /// Skip weight of the batch (see [`MMsg::Phase2a::skip`]).
-        skip: u64,
-        /// Partition mask of the batch.
-        mask: u32,
         /// The links the acceptor recorded with its vote, at its round.
         links: Links,
     },
@@ -143,7 +133,9 @@ pub enum MMsg {
         round: Round,
         /// Promising acceptor.
         from: NodeId,
-        /// Votes: `(instance, v-rnd, batch)`.
+        /// Votes: `(instance, v-rnd, batch)`. The batch carries the
+        /// instance's mask and skip weight, so the candidate re-proposes
+        /// it on its own partitions, at its own weight.
         votes: Vec<(InstanceId, Round, Batch)>,
         /// Instances the acceptor knows are decided.
         decided: Vec<InstanceId>,
@@ -190,10 +182,10 @@ pub enum MMsg {
         next: InstanceId,
     },
     /// Recovery: a chunk of decided instances from the acceptor's
-    /// stored votes, `(instance, batch, vote round, skip, mask)`.
+    /// stored votes, `(instance, batch, vote round)`.
     CatchupRep {
         /// Contiguous decided instances from the requested point.
-        batches: Vec<(InstanceId, Batch, Round, u64, u32)>,
+        batches: Vec<(InstanceId, Batch, Round)>,
         /// One past the highest instance the acceptor knows decided.
         upto: InstanceId,
         /// Lowest instance the acceptor can still serve (its GC
@@ -378,8 +370,6 @@ mod tests {
             batch: batch.clone(),
             decisions: Rc::new(vec![]),
             gc_upto: InstanceId(0),
-            skip: 0,
-            mask: crate::value::ALL_PARTITIONS,
             decided_below: InstanceId(0),
             links: None,
         };

@@ -22,6 +22,16 @@
 //! A [`Batch`] is an `Rc<BatchData>`: cloning is a reference-count bump,
 //! and the cached tables are shared by every process the batch passes
 //! through.
+//!
+//! # The instance's shape
+//!
+//! A batch is the whole Paxos value of its instance, shape included, so
+//! every copy of it — the 2A, an acceptor's vote, a repair, a catch-up
+//! chunk, a takeover's Phase 1B — describes the instance alike. An
+//! M-Ring batch is single-mask (§4.2.2): [`BatchData::mask`] is its
+//! values' partition mask, and every partition's for an empty batch. A
+//! Multi-Ring skip (ch. 5) is an empty batch that stands for
+//! [`BatchData::skip_weight`] logical instances ([`BatchData::skip`]).
 
 use std::ops::Deref;
 use std::rc::Rc;
@@ -62,6 +72,9 @@ pub type Batch = Rc<BatchData>;
 #[derive(Debug, PartialEq)]
 pub struct BatchData {
     values: Vec<Value>,
+    /// Logical instances this batch stands for beyond itself: 0 for a
+    /// batch of values, the skipped count for a skip (module docs).
+    skip: u64,
     /// Total application payload bytes (cached `Σ values[i].bytes`).
     total_bytes: u64,
     /// `suffix[p]` = payload bytes of values whose proposer sits at a
@@ -76,15 +89,28 @@ pub struct BatchData {
 
 impl BatchData {
     /// Packs `values` without ring-position data (M-Ring Paxos batches,
-    /// skip batches, tests). Total bytes are still cached.
+    /// tests). Total bytes are still cached.
     pub fn new(values: Vec<Value>) -> Batch {
         let total_bytes = values.iter().map(|v| v.bytes as u64).sum();
-        Rc::new(BatchData { values, total_bytes, suffix: Vec::new(), always_bytes: total_bytes })
+        let suffix = Vec::new();
+        Rc::new(BatchData { values, skip: 0, total_bytes, suffix, always_bytes: total_bytes })
     }
 
-    /// The empty batch (skip instances, takeover placeholders).
+    /// The empty batch (a U-Ring takeover's no-op fill, tests).
     pub fn empty() -> Batch {
         BatchData::new(Vec::new())
+    }
+
+    /// A Multi-Ring skip: no values, standing for `weight` logical
+    /// instances in one consensus execution (module docs).
+    pub fn skip(weight: u64) -> Batch {
+        Rc::new(BatchData {
+            values: Vec::new(),
+            skip: weight,
+            total_bytes: 0,
+            suffix: Vec::new(),
+            always_bytes: 0,
+        })
     }
 
     /// Packs `values` for a U-Ring deployment, caching each value's
@@ -110,12 +136,24 @@ impl BatchData {
         for p in (0..suffix.len().saturating_sub(1)).rev() {
             suffix[p] += suffix[p + 1];
         }
-        Rc::new(BatchData { values, total_bytes, suffix, always_bytes })
+        Rc::new(BatchData { values, skip: 0, total_bytes, suffix, always_bytes })
     }
 
     /// The values in the batch.
     pub fn values(&self) -> &[Value] {
         &self.values
+    }
+
+    /// The skip weight: 0 unless the batch is a skip
+    /// ([`BatchData::skip`]).
+    pub fn skip_weight(&self) -> u64 {
+        self.skip
+    }
+
+    /// The partition mask of the batch's values (an M-Ring batch is
+    /// single-mask); [`ALL_PARTITIONS`] for an empty batch.
+    pub fn mask(&self) -> u32 {
+        self.values.first().map_or(ALL_PARTITIONS, |v| v.mask)
     }
 
     /// Total application payload bytes (cached).
@@ -175,6 +213,20 @@ mod tests {
         assert!(!b.is_empty());
         assert_eq!(b.iter().map(|v| v.bytes).sum::<u32>(), 30);
         assert!(BatchData::empty().is_empty());
+    }
+
+    #[test]
+    fn the_batch_carries_its_instances_shape() {
+        assert_eq!(BatchData::empty().mask(), ALL_PARTITIONS);
+        assert_eq!(BatchData::empty().skip_weight(), 0);
+        let one = Value { mask: 0b10, ..val(1, 0, 100) };
+        assert_eq!(BatchData::new(vec![one, one]).mask(), 0b10);
+        let skip = BatchData::skip(17);
+        assert_eq!(skip.skip_weight(), 17);
+        assert_eq!(skip.mask(), ALL_PARTITIONS);
+        assert!(skip.is_empty() && skip.payload_bytes() == 0);
+        assert_ne!(skip, BatchData::empty(), "a skip is not the empty batch");
+        assert_ne!(skip, BatchData::skip(16));
     }
 
     #[test]

@@ -140,11 +140,14 @@ fn slow_learner_triggers_flow_control() {
         proposer_rate_bps: 400_000_000,
         ..MRingOptions::default()
     };
-    let d = deploy_mring(&mut sim, &opts, |cfg| {
-        // Every learner needs 150us of application time per batch: far
-        // slower than the offered 800 Mbps (~12k batches/s needs 55%+).
-        cfg.learner_batch_cost = Dur::micros(150);
+    // Every learner needs 150us of application time per batch: far
+    // slower than the offered 800 Mbps (~12k batches/s needs 55%+).
+    let cost = Arc::new(Mutex::new(Dur::micros(150)));
+    let layout = layout_mring(&mut sim, &opts, &[], None, |cfg| {
         cfg.flow.learner_threshold = 64;
+    });
+    let d = layout.install(&mut sim, |p, _, learner| {
+        Some(Box::new(if learner.is_some() { p.with_cost_control(cost.clone()) } else { p }))
     });
     sim.run_until(Time::from_secs(3));
     let slowdowns: u64 =
@@ -453,9 +456,10 @@ struct Tap {
 
 impl Actor for Tap {
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if let Some(MMsg::Phase2a { instance, mask, batch, .. }) = env.payload.downcast_ref() {
+        if let Some(MMsg::Phase2a { instance, batch, .. }) = env.payload.downcast_ref() {
             let mut seen = self.seen.lock().unwrap();
-            seen.entry(instance.0).or_insert_with(|| (ctx.now(), *mask, batch.values().to_vec()));
+            seen.entry(instance.0)
+                .or_insert_with(|| (ctx.now(), batch.mask(), batch.values().to_vec()));
         }
     }
 }

@@ -740,8 +740,6 @@ fn two_a(instance: u64, round: Round) -> MMsg {
         batch: one_value(8192),
         decisions: Rc::new(Vec::new()),
         gc_upto: InstanceId(0),
-        skip: 0,
-        mask: ALL_PARTITIONS,
         decided_below: InstanceId(0),
         links: None,
     }
