@@ -129,21 +129,24 @@ fn updates_never_leave_the_writer_core() {
     // Pinned: count and exact mean commit to the recorder's sum, so no
     // update's reply moves unnoticed. Re-pinned when the session tier
     // began to speculate (mean 512 081 → 493 282 ns: an update's few µs
-    // of execution now overlap its ordering), and when a partial batch
+    // of execution now overlap its ordering), when a partial batch
     // stopped waiting for the coordinator's tick (96 309 / 493 282 /
-    // 778 645 → 96 311 / 429 342 / 659 413).
+    // 778 645 → 96 311 / 429 342 / 659 413), and when the last
+    // acceptor's 2B became the decision, a hop sooner than the
+    // coordinator's (→ 96 311 / 351 671 / 529 990).
     let lat = r.lat;
     assert_eq!((lat.count, lat.mean.as_nanos(), lat.max.as_nanos()), UPDATE_PIN);
 }
 
 /// `(count, mean ns, max ns)` of the update run's window latency.
-const UPDATE_PIN: (usize, u64, u64) = (96_311, 429_342, 659_413);
+const UPDATE_PIN: (usize, u64, u64) = (96_311, 351_671, 529_990);
 
 #[test]
 fn a_replica_hears_only_its_partitions_instances() {
     let r = run(WorkloadKind::InsDelSingle, 24_000.0);
-    // Every update touches one partition: its instance's 2A and decision
-    // reach that partition's two replicas and no other replica — four
+    // Every update touches one partition: its instance's 2A and the last
+    // acceptor's 2B, the decision, reach that partition's two replicas
+    // and no other replica — four
     // datagrams an instance, give or take the few in flight at the
     // window's edges. (Before, every decision reached all eight: ten.)
     let expected = 4 * r.instances;

@@ -146,10 +146,8 @@ pub fn layout_mring(
     let masked = all_learners.iter().enumerate().map(|(i, &n)| (n, cfg.learner_mask(i)));
     for (n, mask) in acceptors.chain(masked) {
         sim.subscribe(n, group);
-        if let Some(p) = &cfg.partitions {
-            for (_, &g) in p.groups.iter().enumerate().filter(|&(i, _)| mask & (1 << i) != 0) {
-                sim.subscribe(n, g);
-            }
+        for g in cfg.partitions.iter().flat_map(|p| p.groups_of(mask)) {
+            sim.subscribe(n, g);
         }
     }
     configure(&mut cfg);

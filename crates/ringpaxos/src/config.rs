@@ -8,18 +8,27 @@ use simnet::time::Dur;
 pub use recovery::StorageMode;
 
 /// State partitioning over one M-Ring Paxos instance (ch. 4 §4.2.2):
-/// the coordinator totally orders all commands but transfers each batch,
-/// and then its decision (no piggybacking), only to the multicast groups
-/// of the partitions it accesses, so a learner hears only its own
-/// partitions' instances; the links on each 2A tell it which instances
-/// to pass over (`mring` module docs, "Partitioned rings"). Acceptors
-/// subscribe to every group; learners to their partitions' groups.
+/// the coordinator totally orders all commands but transfers each batch
+/// only to the multicast groups of the partitions it accesses, and the
+/// last acceptor multicasts its 2B, the decision, on the same groups; so
+/// a learner hears only its own partitions' instances, and the links on
+/// each 2A tell it which instances to pass over (`mring` module docs,
+/// "Partitioned rings"). Acceptors subscribe to every group; learners to
+/// their partitions' groups.
 #[derive(Clone, Debug)]
 pub struct PartitionConfig {
     /// One multicast group per partition (index = partition number).
     pub groups: Vec<GroupId>,
     /// Partition mask of each learner, aligned with `MRingConfig::learners`.
     pub learner_masks: Vec<u32>,
+}
+
+impl PartitionConfig {
+    /// The groups of the partitions in `mask`, lowest partition first.
+    pub fn groups_of(&self, mask: u32) -> impl Iterator<Item = GroupId> + '_ {
+        let touched = move |&(i, _): &(usize, &GroupId)| mask & (1 << i) != 0;
+        self.groups.iter().enumerate().filter(touched).map(|(_, &g)| g)
+    }
 }
 
 /// Skip-instance generation for Multi-Ring Paxos (ch. 5 Algorithm 1):

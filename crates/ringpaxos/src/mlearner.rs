@@ -20,9 +20,12 @@
 //! partition is passed over without a payload (§4.2.2). Any other
 //! leaves when it holds a payload *and* a decision of the same round —
 //! the paper's value-id check: a deposed coordinator's payload never
-//! stands in for the value a later round decided. A value decided in
-//! two instances (a proposer's resend, a takeover's re-proposal) is
-//! released with the first.
+//! stands in for the value a later round decided. A decision is
+//! announced ([`MLearner::decide`]), vouched for by a repair
+//! ([`MLearner::authoritative`]) or passed by a vote floor
+//! ([`MLearner::decide_held`], for a held payload of the floor's round
+//! only). A value decided in two instances (a proposer's resend, a
+//! takeover's re-proposal) is released with the first.
 //!
 //! A learner of some partitions hears only their instances: the 2As
 //! and decisions of the others never reach it. What tells it which
@@ -65,6 +68,7 @@
 //! cannot show (a lost repair, a hole with nothing decided after it).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use paxos::msg::{InstanceId, Round};
 use simnet::time::Dur;
@@ -354,6 +358,26 @@ impl MLearner {
         self.window.range_mut(range).for_each(|s| s.foreign |= !s.holds_at(round));
     }
 
+    /// Takes a sender's vote floor on its 2Bs (`mring` module docs, "Loss
+    /// recovery"): a 2B at `round` left for every instance in `span`, so
+    /// each is decided at `round`. Decides each slot there but `except`
+    /// that holds a payload of `round` and no decision — its decision
+    /// was lost — and returns how many.
+    pub fn decide_held(&mut self, span: Range<u64>, except: InstanceId, round: Round) -> u64 {
+        let from = span.start.max(self.base.0);
+        let upto = span.end.min(self.base.0 + self.window.len() as u64);
+        let mut lost = 0;
+        for i in (from..upto).map(InstanceId).filter(|&i| i != except) {
+            let slot = &mut self.window[(i.0 - self.base.0) as usize];
+            if slot.decided.is_none() && slot.payload.as_ref().is_some_and(|(r, _)| *r == round) {
+                slot.decided = Some(round);
+                self.classify(i);
+                lost += 1;
+            }
+        }
+        lost
+    }
+
     /// Takes the coordinator's `decided_below` watermark.
     pub fn watermark(&mut self, decided_below: InstanceId) {
         self.decided_below = self.decided_below.max(decided_below);
@@ -620,6 +644,19 @@ mod tests {
         assert_eq!(l.incomplete(), [(i(0), false)]);
         assert_eq!(l.decide(&[(i(0), ALL)], r(1)), 1, "the answer counts as asked for");
         assert_eq!(drain(&mut l), [0]);
+    }
+
+    #[test]
+    fn a_vote_floor_decides_only_held_payloads_of_its_round() {
+        let mut l = MLearner::new(ALL);
+        l.store(i(0), &batch(&[0]), r(1), None); // its decision was lost
+        l.store(i(1), &batch(&[1]), r(2), None); // a later round's payload
+        l.store(i(3), &batch(&[3]), r(1), None); // the 2B carrying the floor
+                                                 // Instance 2 holds nothing: another partition's, or its 2A lost.
+        assert_eq!(l.decide_held(0..4, i(3), r(1)), 1);
+        assert_eq!(drain(&mut l), [0]);
+        assert_eq!(l.decide_held(0..4, i(3), r(1)), 0, "each once");
+        assert!(!l.front_ready(), "the floor is round 1's, the payload round 2's");
     }
 
     #[test]

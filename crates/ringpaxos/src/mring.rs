@@ -15,17 +15,30 @@
 //!    to its successor; each acceptor votes and forwards;
 //! 4. when the `Phase2b` reaches the coordinator (the last ring process)
 //!    the quorum is complete: the instance is decided and announced on the
-//!    next multicast (a partitioned ring announces it at once, below);
+//!    next multicast (on a partitioned ring the last acceptor's 2B is
+//!    itself the announcement, below);
 //! 5. learners deliver a batch once they hold its payload *and* decision,
 //!    in instance order.
 //!
 //! # Partitioned rings
 //!
 //! With state partitioning (§4.2.2, [`crate::config::PartitionConfig`])
-//! a batch is single-mask, and its 2A and then its decision go only to
-//! the groups of the partitions in its mask: a learner hears its own
-//! partitions' instances and nothing of the others', so none carries
-//! work in proportion to the whole ring's traffic. What a learner of a
+//! a batch is single-mask, and its 2A goes only to the groups of the
+//! partitions in its mask. So does its decision, announced where it is
+//! taken: the last acceptor holds every vote of the instance and
+//! multicasts its 2B on those groups. The coordinator, subscribed to
+//! every group, takes its copy as the ring's last hop; every other
+//! receiver takes it as the decision, a hop sooner than one the
+//! coordinator relays. It says nothing of the coordinator's liveness,
+//! and its only watermark is the last acceptor's vote floor, which
+//! decides nothing but held payloads of its round ("Loss recovery"): a
+//! learner takes `decided_below` and `gc_upto` from 2As, and the
+//! coordinator's `Decision` is left for what a takeover reveals
+//! decided. A classic ring keeps piggybacking decisions on 2As: its
+//! learners hear every 2A, and a multicast 2B would add a datagram per
+//! instance at each. A learner hears its own partitions' instances and
+//! nothing of the others', so none carries work in proportion to the
+//! whole ring's traffic. What a learner of a
 //! partition does not hear it must still pass over, in order. Each 2A
 //! therefore carries, for each learner mask the batch touches (one per
 //! partition in its mask where every learner serves one partition), a
@@ -116,9 +129,15 @@
 //!   deliver: the rule, and the `SWEEP_TICK` sweep behind it, are
 //!   [`crate::mlearner`]'s ("What is asked for"), shared with the
 //!   Multi-Ring learner; this file sends the lists to the preferential
-//!   acceptor. The acceptor's half stays here (`on_retrans_req`): it
-//!   answers a held payload with the control-sized decision alone, or
-//!   not at all while it knows none.
+//!   acceptor. On a partitioned ring a lost 2A shows when the last
+//!   acceptor's 2B brings its decision, and the learner asks at once. A
+//!   lost copy of that 2B is covered as on a ring hop: the next 2B the
+//!   learner hears carries the last acceptor's vote floor, which decides
+//!   a held payload of its round that it passes (`rp.floor_2b`); a
+//!   later 2A's `decided_below` passing it has it asked for as well, and
+//!   the sweep finds the last 2B of a burst. The acceptor's half stays
+//!   here (`on_retrans_req`): it answers a held payload with the
+//!   control-sized decision alone, or not at all while it knows none.
 //! * **Proposer** — a proposal lost before the coordinator had it is
 //!   in no instance, so none of the above can see it. A paced proposer
 //!   that learns resends its oldest unacknowledged proposal once it was
@@ -171,6 +190,7 @@
 
 use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
@@ -279,7 +299,9 @@ struct CoordState {
     links: Vec<(u32, InstanceId)>,
     /// Proposed but undecided.
     outstanding: BTreeMap<InstanceId, Outstanding>,
-    /// Decided instances (with masks) not yet announced to the group.
+    /// Decided instances (with masks) not yet announced: on a classic
+    /// ring what the next 2A carries, on a partitioned one only what a
+    /// takeover revealed decided (module docs, "Partitioned rings").
     decided_unsent: Vec<(InstanceId, u32)>,
     window: u32,
     last_slowdown: Time,
@@ -414,18 +436,13 @@ impl LinkOrder {
     /// Notes that `from` at `round` has sent everything below `upto`;
     /// returns the instances that adds. A new sender or round (takeover,
     /// ring reform) starts the link afresh and adds nothing.
-    fn advance(
-        &mut self,
-        from: NodeId,
-        round: Round,
-        upto: InstanceId,
-    ) -> impl Iterator<Item = InstanceId> {
+    fn advance(&mut self, from: NodeId, round: Round, upto: InstanceId) -> Range<u64> {
         let known = match self.0 {
             Some((f, r, known)) if f == from && r == round => known,
             _ => upto,
         };
         self.0 = Some((from, round, known.max(upto)));
-        (known.0..upto.0).map(InstanceId)
+        known.0..upto.0
     }
 }
 
@@ -628,6 +645,10 @@ pub struct MRingProcess {
     /// What the learner buffers, releases and asks for ([`MLearner`]);
     /// the effects stay here.
     lrn: Option<MLearner>,
+    /// How far a partitioned ring's last acceptor has come on its
+    /// multicast 2Bs, as the learner heard them (module docs, "Loss
+    /// recovery").
+    last_2bs: LinkOrder,
     /// This learner's place in `cfg.learners`: its delivery-log row and
     /// its preferential acceptor. 0 on a process that does not learn.
     lrn_index: usize,
@@ -713,6 +734,7 @@ impl MRingProcess {
             coord,
             acc,
             lrn,
+            last_2bs: LinkOrder::default(),
             lrn_index: learner_index.unwrap_or(0),
             slowdown_active: false,
             prop,
@@ -1029,8 +1051,9 @@ impl MRingProcess {
     }
 
     /// Multicasts a Phase 2A: once on the classic group, or once per
-    /// partition group its batch's mask touches in partitioned mode
-    /// (§4.2.2 — acceptors subscribe to all groups and deduplicate).
+    /// partition group its batch's mask touches in partitioned mode,
+    /// lowest first (§4.2.2 — acceptors subscribe to all groups and
+    /// deduplicate).
     fn mcast_2a(&mut self, msg: MMsg, ctx: &mut Ctx) {
         let MMsg::Phase2a { ref batch, .. } = msg else { unreachable!("mcast_2a sends 2As") };
         let mask = batch.mask();
@@ -1039,10 +1062,8 @@ impl MRingProcess {
             None => ctx.mcast(self.cfg.group, msg, wire),
             Some(p) => {
                 let payload = Payload::new(msg);
-                for (i, &g) in p.groups.iter().enumerate() {
-                    if mask & (1 << i) != 0 {
-                        ctx.mcast_forward(g, payload.clone(), wire);
-                    }
+                for g in p.groups_of(mask) {
+                    ctx.mcast_forward(g, payload.clone(), wire);
                 }
             }
         }
@@ -1070,6 +1091,7 @@ impl MRingProcess {
         let lost: Vec<InstanceId> = a
             .pred_floor
             .advance(from, round, through)
+            .map(InstanceId)
             .filter(|&k| match coord {
                 _ if k == instance => false,
                 Some(c) => c.outstanding.contains_key(&k),
@@ -1101,7 +1123,10 @@ impl MRingProcess {
         };
         let mask = batch.mask();
         c.probe.progress(ctx.now());
-        c.decided_unsent.push((instance, mask));
+        let classic = self.cfg.partitions.is_none();
+        if classic {
+            c.decided_unsent.push((instance, mask));
+        }
         // 2Bs complete the ring in instance order: an older instance
         // still out when one proposed a whole ring trip after it is
         // decided lost a 2A or 2B on the ring that its link's repair did
@@ -1120,7 +1145,8 @@ impl MRingProcess {
             a.decided.insert(instance, ());
         }
         ctx.counter_add_id(metric::id::INSTANCES, 1);
-        if ctx.probes_enabled() {
+        // A partitioned ring's last acceptor took and stamped it already.
+        if classic && ctx.probes_enabled() {
             let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
             ctx.probe(probe::code::DECIDE, key);
         }
@@ -1131,16 +1157,15 @@ impl MRingProcess {
             self.re_2a(i, ctx);
         }
         // Classic mode: decisions ride on the next 2A (or the batch timer
-        // flushes them). Partitioned mode: decisions go out promptly on
-        // the groups of their masks.
-        if self.cfg.partitions.is_some() {
-            self.flush_decisions(ctx);
-        } else {
+        // flushes them). Partitioned mode: the last acceptor's 2B
+        // announced this one.
+        if classic {
             self.try_flush(ctx, None);
         }
     }
 
     /// Re-multicasts the 2A of the outstanding `instance`: the duplicate
+    /// (on a partitioned ring, its copy on the lowest group of the mask)
     /// makes the first acceptor restart the vote relay, and acceptors
     /// and learners that missed the original take it as the original.
     /// In classic mode it carries the unannounced decisions like any
@@ -1170,37 +1195,22 @@ impl MRingProcess {
     }
 
     /// Announces every decision not yet sent, without waiting for a 2A
-    /// to carry it: on the ring's group on a classic ring; on a
-    /// partitioned one, on each partition's group the decisions whose
-    /// mask touches it, so no learner hears of another partition's
-    /// instance (module docs, "Partitioned rings").
+    /// to carry it, on the ring's group, which every learner hears. On a
+    /// partitioned ring only what a takeover revealed decided is ever
+    /// left to announce here (module docs, "Partitioned rings").
     fn flush_decisions(&mut self, ctx: &mut Ctx) {
         let Some(c) = self.coord.as_mut() else { return };
         if c.decided_unsent.is_empty() {
             return;
         }
-        let decisions = Rc::new(std::mem::take(&mut c.decided_unsent));
+        let instances = Rc::new(std::mem::take(&mut c.decided_unsent));
         let gc_upto = c.gc_watermark;
         c.last_mcast = ctx.now();
         let round = self.round;
         let decided_below = self.decided_below();
-        let msg = |instances| MMsg::Decision { instances, round, gc_upto, decided_below };
-        match self.cfg.partitions.as_ref() {
-            None => ctx.mcast(self.cfg.group, msg(decisions.clone()), CTL_BYTES),
-            Some(p) => {
-                for (i, &g) in p.groups.iter().enumerate() {
-                    let touches = |&&(_, m): &&(InstanceId, u32)| m & (1 << i) != 0;
-                    let n = decisions.iter().filter(touches).count();
-                    if n == decisions.len() {
-                        ctx.mcast(g, msg(decisions.clone()), CTL_BYTES);
-                    } else if n > 0 {
-                        let touched = decisions.iter().filter(touches).copied().collect();
-                        ctx.mcast(g, msg(Rc::new(touched)), CTL_BYTES);
-                    }
-                }
-            }
-        }
-        self.learner_decide(&decisions, round);
+        let msg = MMsg::Decision { instances: instances.clone(), round, gc_upto, decided_below };
+        ctx.mcast(self.cfg.group, msg, CTL_BYTES);
+        self.learner_decide(&instances, round);
         self.try_deliver(ctx);
     }
 
@@ -1213,7 +1223,7 @@ impl MRingProcess {
         instance: InstanceId,
         round: Round,
         batch: Batch,
-        src: NodeId,
+        env: &Envelope,
         ctx: &mut Ctx,
     ) {
         if round > self.round {
@@ -1239,7 +1249,7 @@ impl MRingProcess {
             // The 2A this acceptor asked for came by multicast after all.
             ctx.counter_add("rp.repair_spurious", 1);
         }
-        let overtaken = a.from_coord.advance(src, round, instance.next());
+        let overtaken = a.from_coord.advance(env.src, round, instance.next()).map(InstanceId);
         if let Some(to) = neighbour {
             // Ask for each 2A this one overtook (module docs, "Loss
             // recovery") that the acceptor has neither voted on nor
@@ -1253,20 +1263,34 @@ impl MRingProcess {
                 self.send_retrans_req(to, lost, ctx);
             }
         }
-        self.vote_2a(instance, round, batch, ctx);
+        // A copy on a later group than the mask's lowest, where
+        // `mcast_2a` sends first, repeats a send: it is never a re-2A.
+        let restart = match (env.transport, self.cfg.partitions.as_ref()) {
+            (Transport::Multicast(g), Some(p)) => p.groups_of(batch.mask()).next() == Some(g),
+            _ => true,
+        };
+        self.vote_2a(instance, round, batch, restart, ctx);
     }
 
     /// Votes on a 2A — ip-delivered, or retransmitted by a ring
     /// neighbour in its place — and starts or resumes the 2B relay.
-    fn vote_2a(&mut self, instance: InstanceId, round: Round, batch: Batch, ctx: &mut Ctx) {
+    fn vote_2a(
+        &mut self,
+        instance: InstanceId,
+        round: Round,
+        batch: Batch,
+        restart: bool,
+        ctx: &mut Ctx,
+    ) {
         let is_first = self.ring_pos() == Some(0);
         let Some(a) = self.acc.as_mut() else { return };
         // Partitioned mode replicates one 2A onto several groups; an
         // acceptor subscribed to all of them deduplicates (§4.2.2). A
-        // duplicate can also be the coordinator *retransmitting* after a
-        // lost Phase 2B — the first acceptor must restart the vote relay.
+        // duplicate that may `restart` the relay is the coordinator
+        // *retransmitting* after a lost Phase 2B — the first acceptor
+        // must restart the vote relay.
         if a.paxos.vote(instance).is_some_and(|v| v.v_rnd == round) {
-            if is_first && a.released(instance, round) {
+            if is_first && restart && a.released(instance, round) {
                 self.send_2b_to_successor(instance, round, ctx);
             }
             return;
@@ -1335,7 +1359,7 @@ impl MRingProcess {
             return; // not (or no longer) waiting for that 2A
         }
         a.note_links(instance, round, links);
-        self.vote_2a(instance, round, batch, ctx);
+        self.vote_2a(instance, round, batch, false, ctx);
     }
 
     /// Asks `to` for `instances`, each with whether its payload is
@@ -1346,15 +1370,33 @@ impl MRingProcess {
         ctx.udp_send(to, MMsg::RetransReq { from: self.me, instances }, wire);
     }
 
+    /// Sends this acceptor's 2B of `instance` at `round` to its ring
+    /// successor. The last acceptor of a partitioned ring, whose
+    /// successor is the coordinator, multicasts it on the groups of its
+    /// vote's batch mask instead: the decision (module docs,
+    /// "Partitioned rings").
     fn send_2b_to_successor(&mut self, instance: InstanceId, round: Round, ctx: &mut Ctx) {
+        let key = probe::span_key(self.cfg.group.0 as u32, instance.0);
         if ctx.probes_enabled() {
-            ctx.probe(probe::code::PHASE2B, probe::span_key(self.cfg.group.0 as u32, instance.0));
+            ctx.probe(probe::code::PHASE2B, key);
         }
         let (Some(succ), Some(a)) = (self.cfg.successor(self.me), self.acc.as_mut()) else {
             return;
         };
         let through = a.floor.sent(succ, round, instance);
-        ctx.udp_send(succ, MMsg::Phase2b { instance, round, through }, CTL_BYTES);
+        let msg = MMsg::Phase2b { instance, round, through };
+        let last = self.cfg.partitions.as_ref().filter(|_| succ == self.cfg.coordinator());
+        let Some(p) = last else { return ctx.udp_send(succ, msg, CTL_BYTES) };
+        if ctx.probes_enabled() {
+            ctx.probe(probe::code::DECIDE, key);
+        }
+        let mask = a.paxos.vote(instance).map_or(ALL_PARTITIONS, |v| v.v_val.mask());
+        let payload = Payload::new(msg);
+        for g in p.groups_of(mask) {
+            ctx.mcast_forward(g, payload.clone(), CTL_BYTES);
+        }
+        // Multicast does not echo to the sender.
+        self.on_announced(&[(instance, mask)], round, InstanceId(0), InstanceId(0), 0, ctx);
     }
 
     /// Answers a repair request with what each instance is missing and
@@ -1397,8 +1439,8 @@ impl MRingProcess {
         self.lrn.as_mut().map_or(0, |l| l.decide(instances, round))
     }
 
-    /// After a multicast from the coordinator: takes its `decided_below`
-    /// watermark, delivers what became deliverable, and sends the
+    /// After an announcement: takes its `decided_below` watermark,
+    /// delivers what became deliverable, and sends the
     /// preferential acceptor the learner's order-triggered repair list
     /// (`mlearner`, "What is asked for").
     fn learner_progress(&mut self, decided_below: InstanceId, ctx: &mut Ctx) {
@@ -1418,8 +1460,9 @@ impl MRingProcess {
 
     /// Takes what every multicast from the coordinator carries: the
     /// decisions announced at `round` and the GC and decided-below
-    /// watermarks. `spurious` counts what the learner had asked for and
-    /// came by multicast after all (was not lost).
+    /// watermarks (0 from a last acceptor's 2B, which carries none).
+    /// `spurious` counts what the learner had asked for and came by
+    /// multicast after all (was not lost).
     fn on_announced(
         &mut self,
         decisions: &[(InstanceId, u32)],
@@ -1443,6 +1486,29 @@ impl MRingProcess {
             self.apply_gc(gc_upto);
         }
         self.learner_progress(decided_below, ctx);
+    }
+
+    /// A last acceptor's multicast 2B heard off the ring's last hop: the
+    /// decision of `instance` at `round` (module docs, "Partitioned
+    /// rings"). Its vote floor `through` stands in for each earlier copy
+    /// the learner lost since the link's first: an instance it passes
+    /// that holds a payload of `round` and no decision is decided at
+    /// `round` (`rp.floor_2b`).
+    fn on_last_2b(
+        &mut self,
+        instance: InstanceId,
+        round: Round,
+        through: InstanceId,
+        from: NodeId,
+        ctx: &mut Ctx,
+    ) {
+        let passed = self.last_2bs.advance(from, round, through);
+        let lost = self.lrn.as_mut().map_or(0, |l| l.decide_held(passed, instance, round));
+        if lost > 0 {
+            ctx.counter_add("rp.floor_2b", lost);
+        }
+        let instances = [(instance, ALL_PARTITIONS)];
+        self.on_announced(&instances, round, InstanceId(0), InstanceId(0), 0, ctx)
     }
 
     /// Hands the application every instance the learner can release, as
@@ -2072,7 +2138,7 @@ impl Actor for MRingProcess {
                 ref links,
             } => {
                 // Acceptor path.
-                self.on_phase2a(instance, round, batch.clone(), env.src, ctx);
+                self.on_phase2a(instance, round, batch.clone(), env, ctx);
                 if let Some(a) = self.acc.as_mut() {
                     a.note_links(instance, round, links);
                 }
@@ -2083,9 +2149,16 @@ impl Actor for MRingProcess {
                 let spurious = lrn.is_some_and(|l| l.store(instance, batch, round, link));
                 self.on_announced(decisions, round, gc_upto, decided_below, spurious as u64, ctx);
             }
-            MMsg::Phase2b { instance, round, through } => {
-                self.on_phase2b(instance, round, through, env.src, ctx)
-            }
+            MMsg::Phase2b { instance, round, through } => match env.transport {
+                // A last acceptor's multicast heard off the ring's last
+                // hop: the decision (module docs, "Partitioned rings"),
+                // on a group of the batch's mask, so one a learner hears
+                // only if the batch touches its partitions.
+                Transport::Multicast(_) if self.cfg.successor(env.src) != Some(self.me) => {
+                    self.on_last_2b(instance, round, through, env.src, ctx)
+                }
+                _ => self.on_phase2b(instance, round, through, env.src, ctx),
+            },
             MMsg::Ping { from } => {
                 // Any live acceptor (ring member or spare) answers.
                 if self.acc.is_some() {
@@ -2177,7 +2250,8 @@ impl Actor for MRingProcess {
                     // instance window kept back).
                     self.flush_partials(ctx, true);
                     // Classic mode piggybacks decisions on 2As: announce
-                    // them alone only when no batch is left to carry them.
+                    // them alone only when no batch is left to carry them
+                    // (on a partitioned ring, what a takeover revealed).
                     let idle = self
                         .coord
                         .as_ref()

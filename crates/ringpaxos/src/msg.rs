@@ -49,7 +49,9 @@ pub enum MMsg {
         links: Links,
     },
     /// Vote relayed along the ring; reaching the coordinator completes the
-    /// quorum.
+    /// quorum. A partitioned ring's last acceptor multicasts it on the
+    /// batch's groups, and every receiver but the coordinator takes it
+    /// as the decision (`mring` module docs, "Partitioned rings").
     Phase2b {
         /// Voted instance.
         instance: InstanceId,
@@ -62,7 +64,7 @@ pub enum MMsg {
         through: InstanceId,
     },
     /// Standalone decision notification (when there is no 2A to piggyback
-    /// on).
+    /// on; on a partitioned ring, only what a takeover revealed decided).
     Decision {
         /// Newly decided instances with their partition masks.
         instances: Rc<Vec<(InstanceId, u32)>>,

@@ -6,7 +6,8 @@ use ringpaxos::cluster::{deploy_mring, layout_mring, MRingOptions};
 use ringpaxos::msg::MMsg;
 use ringpaxos::{MRingConfig, StorageMode, Value};
 use simnet::prelude::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use simnet::probe::code;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 fn broadcast_set(sim: &Sim, proposers: &[NodeId]) -> HashSet<MsgId> {
@@ -722,24 +723,36 @@ fn takeover_with_non_empty_queues_resumes_batching() {
 // nothing else, and a link on each 2A passes the others' over.
 // ----------------------------------------------------------------------
 
-#[test]
-fn a_learner_hears_only_its_partitions_instances() {
-    // Three partitions; one- and two-partition values interleaved, one
-    // instance each (the coordinator is idle at every arrival).
+/// Three partitions; 500 one- and two-partition values interleaved,
+/// one instance each (the coordinator is idle at every arrival): 200
+/// instances reach two partitions' groups. Run past the last decision,
+/// before the first heartbeat (100 ms), with the lifecycle probes on.
+fn three_partitions_mixed() -> (Sim, Partitioned) {
     let mut sim = Sim::new(SimConfig::default());
+    sim.set_probes(ProbeConfig::lifecycle());
     let masks = [0b001, 0b010, 0b100, 0b011, 0b110];
     let shots: Vec<Shot> =
         (0..500).map(|i| (us(1000 + 60 * i), masks[i as usize % 5], 256)).collect();
     let d = deploy_partitioned(&mut sim, 3, vec![shots], Time::MAX, |_| {});
-    // Past the last decision, before the first heartbeat (100 ms).
     sim.run_until(Time::from_millis(60));
+    assert_eq!(d.batches().len(), 500, "scenario: one instance per value");
+    (sim, d)
+}
 
+/// Each lifecycle probe of `code` at `node`: `(instance, when)`.
+fn stamps(sim: &Sim, node: NodeId, code: u16) -> Vec<(u64, Time)> {
+    let at = |e: &&ProbeEvent| e.node == node.0 as u32 && e.code == code;
+    sim.probe_events().iter().filter(at).map(|e| (e.arg & 0xFFFF_FFFF_FFFF, e.time)).collect()
+}
+
+#[test]
+fn a_learner_hears_only_its_partitions_instances() {
+    let (sim, d) = three_partitions_mixed();
     let batches = d.batches();
-    assert_eq!(batches.len(), 500, "scenario: one instance per value");
     for (p, &l) in d.learners.iter().enumerate() {
         let mine = batches.iter().filter(|(_, mask, _)| mask & (1 << p) != 0).count() as u64;
-        // Each instance of its partitions brings it one 2A and one
-        // decision; no other datagram reaches it.
+        // Each instance of its partitions brings it its 2A and the last
+        // acceptor's 2B, the decision; no other datagram reaches it.
         let got = sim.metrics().counter(l, "net.recv_pkts");
         assert_eq!(got, 2 * mine, "learner of partition {p}");
     }
@@ -747,6 +760,48 @@ fn a_learner_hears_only_its_partitions_instances() {
     let log = d.log.lock().unwrap();
     assert_eq!(log.total_deliveries(), 100 * (1 + 1 + 1 + 2 + 2));
     log.check_partial_order().expect("partial order");
+}
+
+#[test]
+fn each_ring_acceptor_sends_one_2b_per_instance() {
+    // A two-partition 2A reaches every acceptor once per group. Only a
+    // re-2A restarts the vote relay, never the second group's copy of
+    // the 2A already voted on (700 2Bs from each, not 500, if it did).
+    let (sim, d) = three_partitions_mixed();
+    for &a in &d.ring[..2] {
+        let sent = stamps(&sim, a, code::PHASE2B);
+        let instances: BTreeSet<u64> = sent.iter().map(|&(i, _)| i).collect();
+        assert_eq!((sent.len(), instances.len()), (500, 500), "2Bs from {a:?}");
+    }
+    assert_eq!(sim.metrics().sum("rp.re2a"), 0);
+}
+
+#[test]
+fn a_decision_reaches_the_learners_one_hop_after_the_last_vote() {
+    // The last acceptor multicasts its 2B on the batch's groups: the
+    // first learner delivers each instance one control hop after that
+    // 2B leaves — 57.9 to 65.7 µs here, the second group's copy leaving
+    // a send later. Relayed by the coordinator, the decision took two
+    // hops and the coordinator's turn in between: 115.8 to 127.0 µs.
+    // The bound sits between the two.
+    let (sim, d) = three_partitions_mixed();
+    let first = |nodes: &[NodeId], code| {
+        let mut first: BTreeMap<u64, Time> = BTreeMap::new();
+        for (i, at) in nodes.iter().flat_map(|&n| stamps(&sim, n, code)) {
+            first.entry(i).and_modify(|t| *t = (*t).min(at)).or_insert(at);
+        }
+        first
+    };
+    let last_vote = first(&d.ring[1..2], code::PHASE2B);
+    let delivery = first(&d.learners, code::DELIVER);
+    assert_eq!((last_vote.len(), delivery.len()), (500, 500));
+    let worst = last_vote.iter().map(|(i, at)| delivery[i].since(*at)).max().unwrap();
+    assert!(worst <= Dur::micros(70), "a delivery {worst:?} after the last vote");
+    // The coordinator announces nothing: what it sends is its 2As, one
+    // copy per group of each batch's mask.
+    let copies: u64 = d.batches().iter().map(|(_, mask, _)| mask.count_ones() as u64).sum();
+    assert_eq!(sim.metrics().counter(d.coordinator(), "net.sent_pkts"), copies);
+    assert_eq!(sim.metrics().sum("rp.floor_2b"), 0, "loss-free: no floor stands in");
 }
 
 #[test]

@@ -222,12 +222,14 @@ enum Position {
     TwoAMid,
     /// 2B, first acceptor → mid-ring acceptor.
     TwoBFirstHop,
-    /// 2B, mid-ring acceptor → coordinator.
+    /// 2B, mid-ring acceptor → coordinator (on a partitioned ring, the
+    /// coordinator's copy of the last acceptor's multicast 2B).
     TwoBLastHop,
     /// 2A → a learner of its partition.
     TwoALearner,
     /// The message announcing an instance's decision → a learner that
-    /// delivers the instance (a partitioned ring tells no other).
+    /// delivers the instance (on a partitioned ring, the learner's copy
+    /// of the last acceptor's multicast 2B, which tells no other).
     DecisionLearner,
 }
 
@@ -237,11 +239,15 @@ enum Position {
 /// predecessor. A lost 2B is covered by the next 2B on its hop, whose
 /// vote floor passes it (`floor_2b`); the floors downstream cover it as
 /// one sent, not one lost, so only the receiver of the lost hop counts
-/// it.
-fn expected_repair(pos: Position) -> Repairs {
+/// it. On a partitioned ring a learner's lost decision is the last
+/// acceptor's 2B, covered alike by the next one it hears; a later 2A's
+/// `decided_below` passes the instance first, so the learner's ask is
+/// answered as well, after the floor delivered.
+fn expected_repair(pos: Position, partitioned: bool) -> Repairs {
     let r = Repairs::default();
     match pos {
         Position::Proposal => Repairs { resubmit: 1, ..r },
+        Position::DecisionLearner if partitioned => Repairs { retrans: 1, floor_2b: 1, ..r },
         Position::TwoBFirstHop | Position::TwoBLastHop => Repairs { floor_2b: 1, ..r },
         Position::TwoAFirst
         | Position::TwoAMid
@@ -338,10 +344,10 @@ fn locate(pos: Position, events: &[ProbeEvent], r: &Ring) -> (Time, NodeId, Node
             panic!("no suitable multicast for {pos:?}");
         }
         // Partitioned mode: the 2A goes to the groups of its mask alone,
-        // and each decision is announced on them the instant it is
-        // taken.
+        // and the last acceptor's 2B, multicast on them, announces the
+        // decision.
         Position::TwoALearner => (stage(r.coord, code::PHASE2A), r.coord, own),
-        Position::DecisionLearner => (stage(r.coord, code::DECIDE), r.coord, own),
+        Position::DecisionLearner => (stage(r.a1, code::PHASE2B), r.a1, own),
     }
 }
 
@@ -373,15 +379,20 @@ fn repairs(sim: &Sim) -> Repairs {
 /// the next 2B on its hop, one message gap later: in a classic ring its
 /// decision still rides on the 2A it would have, so it costs nothing;
 /// a partitioned ring announces each decision the instant it is taken,
-/// so it costs that gap. A lost 2A costs an ask and the payload's
-/// transfer from a ring neighbour: the first acceptor asks on 2A order,
-/// one message gap after the loss; a mid-ring acceptor as soon as 2A
-/// order or its predecessor's 2B shows the loss. The bounds of the 2B
+/// by the last acceptor's 2B, so a loss on the first hop costs up to
+/// that gap, and the coordinator's copy of the last hop nothing. A lost
+/// 2A costs an ask and the payload's transfer from a ring neighbour:
+/// the first acceptor asks on 2A order, one message gap after the loss;
+/// a mid-ring acceptor as soon as 2A order or its predecessor's 2B
+/// shows the loss. The bounds of the 2B
 /// cells and of the classic `TwoAMid` sit below what a repair by asking
 /// costs there (a round trip: 0.21 / 0.29 ms for a classic 2B at 4 /
 /// 8 KB, 0.37 ms partitioned; 0.43 / 0.29 ms for a mid-ring 2A asked
 /// for only on its predecessor's 2B). The learner positions cost the
-/// round trip to the preferential acceptor. A lost proposal shifts
+/// round trip to the preferential acceptor, but a partitioned learner
+/// that lost the last acceptor's 2B delivers on the next one it hears,
+/// whose vote floor passes the instance: two message gaps here, as its
+/// partition has every other instance. A lost proposal shifts
 /// every later instance by one message gap, and the proposal itself
 /// lands in another instance; its resend shows in no bound here.
 fn delay_bound(pos: Position, partitioned: bool, msg_bytes: u32) -> Dur {
@@ -510,7 +521,7 @@ fn cell(deploy: Deploy, msg_bytes: u32, pos: Position, bound: Dur) {
         );
     }
     assert_eq!(sim.metrics().sum("net.part_drop"), 1, "{pos:?}: exactly one datagram dropped");
-    assert_eq!(got, expected_repair(pos), "{pos:?}: one repair");
+    assert_eq!(got, expected_repair(pos, ring.partitioned), "{pos:?}: one repair");
     let most = delay_bound(pos, ring.partitioned, msg_bytes);
     assert!(delay <= most, "{pos:?}: an instance arrived {delay:?} late (at most {most:?})");
     if let Some(bytes) = reply_bytes(pos, msg_bytes) {
