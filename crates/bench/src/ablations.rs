@@ -4,13 +4,10 @@
 
 use abcast::metric;
 use hpsmr_core::deploy::{deploy_smr, SmrOptions};
-use hpsmr_core::{SMR_COMPLETED, SMR_LATENCY};
-use psmr::{
-    deploy_parallel, EngineCosts, ExecModel, ParallelOptions, PsmrWorkload, PSMR_COMPLETED,
-};
+use psmr::{deploy_parallel, EngineCosts, ExecModel, ParallelOptions, PsmrWorkload};
 use ringpaxos::cluster::{deploy_mring, MRingOptions};
 use simnet::prelude::*;
-use workload::WorkloadKind;
+use workload::{WorkloadKind, SESSIONS_COMPLETED, SESSION_LATENCY};
 
 use crate::harness::{header, Window};
 use crate::Experiment;
@@ -65,9 +62,9 @@ fn parallel_point(model: ExecModel, costs: EngineCosts, dep_pct: u32) -> f64 {
     };
     let d = deploy_parallel(&mut sim, &opts);
     let w = Window::open(&mut sim, Dur::millis(400), Dur::secs(1), &[]);
-    let before: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, PSMR_COMPLETED)).sum();
+    let before: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     w.close(&mut sim);
-    let after: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, PSMR_COMPLETED)).sum();
+    let after: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     (after - before) as f64 / w.len().as_secs_f64() / 1e3
 }
 
@@ -204,11 +201,11 @@ fn abl_spec() {
             let mut sim = Sim::new(SimConfig::default());
             let opts = SmrOptions { speculative, ..base.clone() };
             let d = deploy_smr(&mut sim, &opts);
-            let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SMR_LATENCY]);
-            let before = w.snapshot(&sim, &d.clients, SMR_COMPLETED);
+            let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SESSION_LATENCY]);
+            let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
             w.close(&mut sim);
             let _ = before;
-            sim.metrics().latency(SMR_LATENCY).mean
+            sim.metrics().latency(SESSION_LATENCY).mean
         };
         let plain = lat(false);
         let spec = lat(true);

@@ -1,5 +1,5 @@
 //! Chapter 10 experiments — the unified client tier at scale. These go
-//! beyond the thesis's evaluation (closed-loop clients, one actor each):
+//! beyond the thesis's evaluation (closed-loop clients, one node each):
 //! a [`workload::SessionTable`] hosts a million open-loop sessions over
 //! the partitioned B⁺-tree, keys drawn Zipfian, and the figures track
 //! throughput *and* the latency tail — first against key skew, then
@@ -167,10 +167,11 @@ fn fig10_02() {
         o.sessions_per_table * o.n_tables as u64,
     );
     assert!(done >= target, "the run must complete the full million: {done}");
-    println!("  shape: the crash bucket stalls completions and blows the window p99 out to");
-    println!("  the retry backoff; the survivor takes over within the suspicion timeout and");
-    println!("  the outage backlog drains, but the two-member ring runs closer to its knee,");
-    println!("  so the tail settles higher than before the crash while throughput holds the");
-    println!("  offered rate. Offer more than the degraded ring can order and the open loop");
-    println!("  never drains — the retry storm collapses it (the knee ch. 10's smoke probes).");
+    println!("  shape: the crash bucket's window p99 is the retry backoff; the survivor takes");
+    println!("  over within the suspicion timeout, each table moves its submission point past");
+    println!("  the dead coordinator once, and the outage backlog drains within the next");
+    println!("  bucket. The tail then settles at or below its pre-crash level (the two-member");
+    println!("  ring is one hop shorter) while throughput holds the offered rate. Offer more");
+    println!("  than the degraded ring can order and the open loop never drains — the retry");
+    println!("  storm collapses it (the knee ch. 10's smoke probes).");
 }

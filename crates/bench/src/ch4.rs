@@ -3,9 +3,8 @@
 //! B⁺-tree service (Figs. 4.1, 4.3–4.10).
 
 use hpsmr_core::deploy::{deploy_cs, deploy_smr, PartitionOptions, SmrOptions};
-use hpsmr_core::{SMR_COMPLETED, SMR_LATENCY};
 use simnet::prelude::*;
-use workload::WorkloadKind;
+use workload::{WorkloadKind, SESSIONS_COMPLETED, SESSION_LATENCY};
 
 use crate::harness::{cpu_pct, header, pctl_cell, Window};
 use crate::Experiment;
@@ -51,30 +50,30 @@ struct Measured {
 fn measure_cs(workload: WorkloadKind, clients: usize) -> Measured {
     let mut sim = Sim::new(SimConfig::default());
     let d = deploy_cs(&mut sim, clients, workload, None);
-    let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SMR_LATENCY]);
-    let before = w.snapshot(&sim, &d.clients, SMR_COMPLETED);
+    let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SESSION_LATENCY]);
+    let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
     w.close(&mut sim);
-    let after = w.snapshot(&sim, &d.clients, SMR_COMPLETED);
+    let after = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
     let done: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
     Measured {
         kcps: done as f64 / w.len().as_secs_f64() / 1e3,
-        latency: sim.metrics().latency(SMR_LATENCY).mean,
-        pctls: pctl_cell(&sim, SMR_LATENCY),
+        latency: sim.metrics().latency(SESSION_LATENCY).mean,
+        pctls: pctl_cell(&sim, SESSION_LATENCY),
     }
 }
 
 fn measure_smr(opts: &SmrOptions) -> Measured {
     let mut sim = Sim::new(SimConfig::default());
     let d = deploy_smr(&mut sim, opts);
-    let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SMR_LATENCY]);
-    let before = w.snapshot(&sim, &d.clients, SMR_COMPLETED);
+    let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SESSION_LATENCY]);
+    let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
     w.close(&mut sim);
-    let after = w.snapshot(&sim, &d.clients, SMR_COMPLETED);
+    let after = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
     let done: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
     Measured {
         kcps: done as f64 / w.len().as_secs_f64() / 1e3,
-        latency: sim.metrics().latency(SMR_LATENCY).mean,
-        pctls: pctl_cell(&sim, SMR_LATENCY),
+        latency: sim.metrics().latency(SESSION_LATENCY).mean,
+        pctls: pctl_cell(&sim, SESSION_LATENCY),
     }
 }
 
@@ -264,16 +263,16 @@ fn cross_partition_sweep(replicas_per: usize) {
             ..SmrOptions::default()
         };
         let d = deploy_smr(&mut sim, &opts);
-        let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SMR_LATENCY]);
-        let before = w.snapshot(&sim, &d.clients, SMR_COMPLETED);
+        let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SESSION_LATENCY]);
+        let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
         let replica = d.replicas[0][0];
         let exec0 = sim.cpu_busy(replica, 1);
         let resp0 = sim.cpu_busy(replica, 2);
         let sent0 = sim.metrics().counter(replica, "net.sent_bytes");
         w.close(&mut sim);
-        let after = w.snapshot(&sim, &d.clients, SMR_COMPLETED);
+        let after = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
         let done: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
-        let lat = sim.metrics().latency(SMR_LATENCY).mean;
+        let lat = sim.metrics().latency(SESSION_LATENCY).mean;
         let exec = cpu_pct(exec0, sim.cpu_busy(replica, 1), w.len());
         let resp = cpu_pct(resp0, sim.cpu_busy(replica, 2), w.len());
         let sent = sim.metrics().counter(replica, "net.sent_bytes");
@@ -281,7 +280,7 @@ fn cross_partition_sweep(replicas_per: usize) {
             "  {cross:7} | {:4.1} | {:7} | {:12} | {exec:10.0} | {resp:10.0} | {:6.0}",
             done as f64 / w.len().as_secs_f64() / 1e3,
             format!("{lat}"),
-            pctl_cell(&sim, SMR_LATENCY),
+            pctl_cell(&sim, SESSION_LATENCY),
             w.mbps_of(sent0, sent)
         );
     }

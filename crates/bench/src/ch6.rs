@@ -2,11 +2,9 @@
 //! survey comparison (Table 6.1) and the P-SMR evaluation against
 //! sequential SMR, pipelined SMR, and SDPE (Figs. 6.3–6.7).
 
-use psmr::{
-    deploy_parallel, EngineCosts, ExecModel, ParallelOptions, PsmrWorkload, PSMR_COMPLETED,
-    PSMR_LATENCY,
-};
+use psmr::{deploy_parallel, EngineCosts, ExecModel, ParallelOptions, PsmrWorkload};
 use simnet::prelude::*;
+use workload::{SESSIONS_COMPLETED, SESSION_LATENCY};
 
 use crate::harness::{header, Window};
 use crate::Experiment;
@@ -65,15 +63,15 @@ fn measure(model: ExecModel, workload: PsmrWorkload, clients: usize) -> Measured
         ..ParallelOptions::default()
     };
     let d = deploy_parallel(&mut sim, &opts);
-    let w = Window::open(&mut sim, Dur::millis(400), Dur::secs(1), &[PSMR_LATENCY]);
-    let before = w.snapshot(&sim, &d.clients, PSMR_COMPLETED);
+    let w = Window::open(&mut sim, Dur::millis(400), Dur::secs(1), &[SESSION_LATENCY]);
+    let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
     w.close(&mut sim);
-    let after = w.snapshot(&sim, &d.clients, PSMR_COMPLETED);
+    let after = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
     let done: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
     Measured {
         kcps: done as f64 / w.len().as_secs_f64() / 1e3,
-        latency: sim.metrics().latency(PSMR_LATENCY).mean,
-        pctls: crate::harness::pctl_cell(&sim, PSMR_LATENCY),
+        latency: sim.metrics().latency(SESSION_LATENCY).mean,
+        pctls: crate::harness::pctl_cell(&sim, SESSION_LATENCY),
     }
 }
 

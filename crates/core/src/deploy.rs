@@ -8,15 +8,14 @@ use ringpaxos::cluster::{layout_mring, MRingDeployment, MRingOptions};
 use ringpaxos::MRingConfig;
 use simnet::prelude::*;
 use workload::{
-    KeyedWorkload, Poisson, RetryPolicy, SessionTable, SessionTableConfig, WorkloadGen,
+    Arrival, KeyedWorkload, Poisson, RetryPolicy, Rotation, SessionTable, SessionTableConfig,
     WorkloadKind,
 };
 
-use crate::client::{SmrClient, Target};
 use crate::cs::CsServer;
 use crate::replica::{ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica};
 use crate::service::Registry;
-use crate::session::TreeSessionDriver;
+use crate::session::{Route, TreeSessionDriver};
 
 /// Tuples pre-loaded into each partition's tree. The paper loads 12 M
 /// keys; the simulation's cost model is size-independent, so a smaller
@@ -44,7 +43,7 @@ pub struct SmrOptions {
     pub ring_size: usize,
     /// The client workload.
     pub workload: WorkloadKind,
-    /// Closed-loop clients.
+    /// Closed-loop clients, one node each.
     pub n_clients: usize,
     /// Execute speculatively on payload arrival (§4.2.1).
     pub speculative: bool,
@@ -74,7 +73,8 @@ pub struct SmrDeployment {
     pub ring: Vec<NodeId>,
     /// Replicas, grouped by partition (one group when unpartitioned).
     pub replicas: Vec<Vec<NodeId>>,
-    /// Clients.
+    /// Client nodes, each a closed-loop [`SessionTable`] of one session
+    /// (read `workload`'s `sessions.*` metrics here).
     pub clients: Vec<NodeId>,
     /// The shared command registry.
     pub registry: Registry<TreeCommand>,
@@ -194,30 +194,52 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
     let n_partitions = opts.partitions.map(|p| p.n).unwrap_or(1);
     let span = Partitioning::new(n_partitions.max(1)).span;
 
-    let coordinator = d.cfg.coordinator();
     let key_space = span * n_partitions as u64;
-    for (ci, &c) in d.clients.iter().enumerate() {
-        let mut workload = WorkloadGen::new(opts.workload, key_space);
+    for &c in &d.clients {
+        let mut workload = KeyedWorkload::uniform(opts.workload, key_space);
         if let (Some(p), Some(po)) = (d.partitioning, opts.partitions) {
             workload = workload.with_partitions(p, po.cross_pct);
         }
-        let client = SmrClient::new(
-            c,
-            Target::Replicated { coordinator },
-            d.registry.clone(),
-            workload,
-            d.partitioning,
-            0xc11e47 + ci as u64,
-            opts.stop_at,
-        );
-        sim.replace_actor(c, Box::new(client));
+        // Proposals go to the coordinator only, a rotation without
+        // members. A one-session client has no later answer to tell a
+        // lost proposal from a dead coordinator, so rotating would move
+        // it to a relaying ring member on every lost proposal.
+        let route = Route::Ring(Rotation::new(d.cfg.coordinator(), Vec::new()));
+        let driver = TreeSessionDriver::new(c, route, d.registry.clone(), workload, d.partitioning);
+        sim.replace_actor(c, closed_loop_client(c, driver, opts.stop_at));
     }
     d
 }
 
-/// Options for [`deploy_smr_sessions`] — the opt-in mass-session tier
-/// (ch. 10): the ch. 4 server side driven by [`SessionTable`] actors
-/// instead of one actor per closed-loop client.
+/// A ch. 4 client: a closed-loop table of one session. It resubmits a
+/// command outstanding longer than 400 ms on each 500 ms check, with no
+/// backoff growth and no abandonment (the paper's proposers "submit new
+/// requests and re-submit pending requests", §3.5.8).
+fn closed_loop_client(
+    me: NodeId,
+    driver: TreeSessionDriver,
+    stop_at: Option<Time>,
+) -> Box<dyn Actor> {
+    let policy = RetryPolicy {
+        base: Dur::millis(400),
+        cap: Dur::millis(400),
+        tick: Dur::millis(500),
+        max_attempts: u32::MAX,
+    };
+    let cfg = SessionTableConfig {
+        sessions: 1,
+        arrival: Arrival::Closed,
+        policy,
+        max_in_flight: 1,
+        stop_at,
+    };
+    Box::new(SessionTable::new(me, cfg, driver))
+}
+
+/// Options for [`deploy_smr_sessions`] — the mass-session tier (ch. 10):
+/// the ch. 4 server side driven by open-loop [`SessionTable`]s hosting
+/// many sessions per node, instead of one closed-loop session per client
+/// node.
 #[derive(Clone, Debug)]
 pub struct SessionOptions {
     /// Replicas (full replication) — ignored when `partitions` is set.
@@ -306,12 +328,12 @@ impl SessionDeployment {
 /// (`cross_pct` above 0): the session tier cannot make them.
 pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeployment {
     // A session's command touches the partitions its keys fall in
-    // (`KeyedWorkload`); unlike `deploy_smr`'s `WorkloadGen`, nothing
-    // here sends a share of commands across partitions, so a non-zero
-    // `cross_pct` would be dropped without a trace.
+    // (`KeyedWorkload`); unlike `deploy_smr`, nothing here lays a share
+    // of queries across partitions, so a non-zero `cross_pct` would be
+    // dropped without a trace.
     assert!(
         opts.partitions.is_none_or(|p| p.cross_pct == 0),
-        "deploy_smr_sessions: the keyed session workload has no cross-partition rule, so \
+        "deploy_smr_sessions lays no queries across partitions, so \
          PartitionOptions::cross_pct must be 0 (only deploy_smr honours it)"
     );
     // Mass-session traffic is coordinator-bound: with 8 KB packets the
@@ -340,25 +362,17 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
     let n_partitions = opts.partitions.map(|p| p.n).unwrap_or(1);
     let key_space = Partitioning::new(n_partitions.max(1)).span * n_partitions as u64;
 
-    let coordinator = cfg.coordinator();
-    let members = cfg.ring.clone();
     for &t in &tables {
         let workload = if opts.zipf_s > 0.0 {
             KeyedWorkload::zipfian(opts.kind, key_space, opts.zipf_s)
         } else {
             KeyedWorkload::uniform(opts.kind, key_space)
         };
-        let driver = TreeSessionDriver::new(
-            t,
-            coordinator,
-            members.clone(),
-            registry.clone(),
-            workload,
-            partitioning,
-        );
+        let route = Route::Ring(Rotation::new(cfg.coordinator(), cfg.ring.clone()));
+        let driver = TreeSessionDriver::new(t, route, registry.clone(), workload, partitioning);
         let tcfg = SessionTableConfig {
             sessions: opts.sessions_per_table,
-            arrival: Poisson::with_rate(opts.rate_per_table),
+            arrival: Arrival::Poisson(Poisson::with_rate(opts.rate_per_table)),
             policy: opts.policy,
             max_in_flight: opts.max_in_flight,
             stop_at: opts.stop_at,
@@ -373,7 +387,7 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
 pub struct CsDeployment {
     /// The stand-alone server.
     pub server: NodeId,
-    /// Clients.
+    /// Client nodes, each a closed-loop [`SessionTable`] of one session.
     pub clients: Vec<NodeId>,
     /// Shared command registry.
     pub registry: Registry<TreeCommand>,
@@ -393,18 +407,11 @@ pub fn deploy_cs(
     let span = Partitioning::new(1).span;
     let service = TreeService::populated(0, span, POPULATE_COUNT);
     sim.replace_actor(server, Box::new(CsServer::new(service, registry.clone())));
-    for (ci, &c) in clients.iter().enumerate() {
-        let workload = WorkloadGen::new(workload, span);
-        let client = SmrClient::new(
-            c,
-            Target::ClientServer { server },
-            registry.clone(),
-            workload,
-            None,
-            0xc5 + ci as u64,
-            stop_at,
-        );
-        sim.replace_actor(c, Box::new(client));
+    for &c in &clients {
+        let workload = KeyedWorkload::uniform(workload, span);
+        let driver =
+            TreeSessionDriver::new(c, Route::Server(server), registry.clone(), workload, None);
+        sim.replace_actor(c, closed_loop_client(c, driver, stop_at));
     }
     CsDeployment { server, clients, registry }
 }

@@ -20,9 +20,10 @@
 //! The crate provides the replica ([`replica::SmrReplica`]) and its
 //! sans-IO execution engine ([`exec::Executor`]: speculation queue plus
 //! a readers–writer schedule over the node's execution cores; the
-//! session tier of [`deploy::deploy_smr_sessions`] always speculates), the
-//! closed-loop client ([`client::SmrClient`]), the non-replicated
-//! baseline ([`cs::CsServer`]), and one-call deployments
+//! session tier of [`deploy::deploy_smr_sessions`] always speculates),
+//! the non-replicated baseline ([`cs::CsServer`]), the B⁺-tree service's
+//! session driver ([`session::TreeSessionDriver`]: every client here is
+//! a `workload::SessionTable` session), and one-call deployments
 //! ([`deploy::deploy_smr`], [`deploy::deploy_cs`]) over the paper's
 //! B⁺-tree service.
 //!
@@ -37,12 +38,11 @@
 //! let completed: u64 = d
 //!     .clients
 //!     .iter()
-//!     .map(|&c| sim.metrics().counter(c, "smr.completed"))
+//!     .map(|&c| sim.metrics().counter(c, workload::SESSIONS_COMPLETED))
 //!     .sum();
 //! assert!(completed > 100);
 //! ```
 
-pub mod client;
 pub mod cs;
 pub mod deploy;
 pub mod exec;
@@ -52,7 +52,6 @@ pub mod service;
 pub mod session;
 pub mod snapshot;
 
-pub use client::{SmrClient, Target};
 pub use cs::CsServer;
 pub use deploy::{
     deploy_cs, deploy_smr, deploy_smr_sessions, CsDeployment, PartitionOptions, SessionDeployment,
@@ -61,9 +60,9 @@ pub use deploy::{
 pub use exec::{Booked, ExecSchedule, Executor, Released, Swept};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
-    ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_COMPLETED, SMR_LATENCY,
-    SMR_REGISTRY_MISS, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE,
+    ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_REGISTRY_MISS, SMR_ROLLBACKS,
+    SMR_SPEC_EXEC, SMR_SPEC_STALE,
 };
 pub use service::{Registry, Service, StoredCommand};
-pub use session::TreeSessionDriver;
+pub use session::{Route, TreeSessionDriver};
 pub use snapshot::{NullService, ServiceApp, Snapshot};

@@ -50,10 +50,12 @@ use crate::exec::{Booked, Executor, Released};
 use crate::msg::SmrResponse;
 use crate::service::{Registry, Service};
 
-/// Latency samples recorded at clients.
-pub const SMR_LATENCY: &str = "smr.latency";
-/// Commands completed (all expected replies received), per client.
-pub const SMR_COMPLETED: &str = "smr.completed";
+/// Alias of [`workload::SESSION_LATENCY`], kept for the frozen
+/// `benchmark/` package's client-server baseline; read the `sessions.*`
+/// names instead.
+pub const SMR_LATENCY: &str = workload::SESSION_LATENCY;
+/// Alias of [`workload::SESSIONS_COMPLETED`], kept for the same reader.
+pub const SMR_COMPLETED: &str = workload::SESSIONS_COMPLETED;
 /// Commands executed speculatively, per replica.
 pub const SMR_SPEC_EXEC: &str = "smr.spec_exec";
 /// Speculated commands rolled back (a mis-order, or a stale speculation

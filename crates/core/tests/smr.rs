@@ -2,12 +2,12 @@
 //! speculative execution, and state partitioning.
 
 use hpsmr_core::deploy::{deploy_cs, deploy_smr, PartitionOptions, SmrOptions};
-use hpsmr_core::{SMR_COMPLETED, SMR_LATENCY, SMR_SPEC_EXEC};
+use hpsmr_core::SMR_SPEC_EXEC;
 use simnet::prelude::*;
-use workload::WorkloadKind;
+use workload::{WorkloadKind, SESSIONS_COMPLETED, SESSIONS_RETRIES, SESSION_LATENCY};
 
 fn completed(sim: &Sim, clients: &[NodeId]) -> u64 {
-    clients.iter().map(|&c| sim.metrics().counter(c, SMR_COMPLETED)).sum()
+    clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum()
 }
 
 fn run_cs(workload: WorkloadKind, n_clients: usize, secs: u64) -> (f64, Dur) {
@@ -15,7 +15,7 @@ fn run_cs(workload: WorkloadKind, n_clients: usize, secs: u64) -> (f64, Dur) {
     let d = deploy_cs(&mut sim, n_clients, workload, None);
     sim.run_until(Time::from_secs(secs));
     let done = completed(&sim, &d.clients);
-    let lat = sim.metrics().latency(SMR_LATENCY).mean;
+    let lat = sim.metrics().latency(SESSION_LATENCY).mean;
     (done as f64 / secs as f64, lat)
 }
 
@@ -24,8 +24,8 @@ fn run_smr(opts: SmrOptions, secs: u64) -> (f64, Dur, u64) {
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(secs));
     let done = completed(&sim, &d.clients);
-    let lat = sim.metrics().latency(SMR_LATENCY).mean;
-    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, "smr.retries")).sum();
+    let lat = sim.metrics().latency(SESSION_LATENCY).mean;
+    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_RETRIES)).sum();
     (done as f64 / secs as f64, lat, retries)
 }
 
@@ -167,7 +167,7 @@ fn cross_partition_queries_merge_and_preserve_order() {
     // §4.2.2's state-partitioning ordering: common (cross-partition)
     // commands appear in the same relative order at every partition.
     d.log.lock().unwrap().check_partial_order().expect("acyclic cross-partition order");
-    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, "smr.retries")).sum();
+    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_RETRIES)).sum();
     assert_eq!(retries, 0);
 }
 

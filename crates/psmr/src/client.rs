@@ -1,26 +1,25 @@
-//! Closed-loop clients of the parallel service and the §6.5 workload
-//! shapes: independent, dependent, mixed, and skewed command streams.
+//! The clients of the parallel service: the §6.5 workload shapes
+//! (independent, dependent, mixed, and skewed command streams) and the
+//! client proxy that performs P-SMR's group mapping (§6.3.2).
 //!
-//! The client proxy performs P-SMR's group mapping (§6.3.2): it derives
-//! the multicast groups of every command from the conflict domains the
-//! command accesses, then multicasts the command to those groups — one
-//! proposal per involved ring. Single-ring models receive the same
-//! commands through their one ordering ring.
+//! A client is a closed-loop [`workload::SessionTable`] session whose
+//! driver ([`PsmrDriver`]) derives the multicast groups of every command
+//! from the conflict domains it accesses, then proposes the command to
+//! those groups — one proposal per involved ring. Single-ring models
+//! receive the same commands through their one ordering ring.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 use abcast::MsgId;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use ringpaxos::msg::MMsg;
 use ringpaxos::value::{Value, ALL_PARTITIONS};
 use simnet::prelude::*;
-use workload::{rotation_pick, RetryDecision, RetryPolicy, Session};
+use workload::{Rotation, Sent, SessionDriver};
 
 use crate::command::{PCommand, PRegistry, PStored};
-use crate::replica::{PReplyQuery, PResponse, PSMR_COMPLETED, PSMR_LATENCY, PSMR_SUBMITTED};
-
-const T_RETRY: u64 = 44 << 56;
+use crate::replica::{PReplyQuery, PResponse};
 
 /// Workload of the §6.5 experiments.
 #[derive(Clone, Copy, Debug)]
@@ -99,229 +98,135 @@ impl PsmrWorkload {
     }
 }
 
-/// Where the client proposes commands. Besides the deployment-time
-/// coordinator(s) it carries the full ring membership(s): after a
-/// coordinator failover the client does not learn the new leader
-/// directly — it re-looks it up by rotating retries across the ring
-/// members, any live one of which relays the proposal to the
-/// coordinator of its current view.
-#[derive(Clone, Debug)]
-pub enum PTarget {
-    /// One ordering ring (sequential / pipelined / SDPE models).
-    SingleRing {
-        /// The ring's coordinator.
-        coordinator: NodeId,
-        /// Every ring member, for failover retry rotation.
-        members: Vec<NodeId>,
-    },
-    /// One ring per group (P-SMR): `coordinators[g]` is group `g`'s
-    /// ring coordinator.
-    MultiRing {
-        /// Ring coordinators indexed by group.
-        coordinators: Vec<NodeId>,
-        /// Ring members indexed by group, for failover retry rotation.
-        members: Vec<Vec<NodeId>>,
-    },
-}
-
-impl PTarget {
-    /// The submission point of `group` at rotation `cursor`: the known
-    /// coordinator first (cursor 0), then round-robin over the ring
-    /// members — any live one relays to the coordinator it believes in.
-    fn pick(&self, group: usize, cursor: usize) -> NodeId {
-        let (coordinator, members) = match self {
-            PTarget::SingleRing { coordinator, members } => (*coordinator, members),
-            PTarget::MultiRing { coordinators, members } => (coordinators[group], &members[group]),
-        };
-        rotation_pick(coordinator, members, cursor)
-    }
-
-    fn n_groups(&self) -> usize {
-        match self {
-            PTarget::SingleRing { .. } => 1,
-            PTarget::MultiRing { coordinators, .. } => coordinators.len(),
-        }
-    }
-}
-
-/// A closed-loop client of the parallel service.
-pub struct PsmrClient {
+/// P-SMR's client proxy (§6.3.2) as the driver of a
+/// [`workload::SessionTable`] session: it maps each command to the
+/// multicast groups of the conflict domains it accesses and proposes it
+/// on each of those groups' rings (on the one ring of the
+/// totally-ordered models). Each ring has its own [`Rotation`], so a
+/// coordinator failover on one ring re-looks up that ring's leader
+/// alone; a resubmission goes with a reply query to the command's
+/// designated responder, in case only the response was lost.
+pub struct PsmrDriver {
     me: NodeId,
-    target: PTarget,
+    /// One submission rotation per ordering ring, indexed by group (a
+    /// single ring for the totally-ordered models).
+    rings: Vec<Rotation>,
     /// Replica nodes, in the deployment's shared order (reply queries go
     /// to the designated responder).
     replicas: Vec<NodeId>,
     registry: PRegistry,
     workload: PsmrWorkload,
-    /// Deadline/backoff/abandon knobs of the shared session tier; the
-    /// defaults are the constants this client used to hard-code.
-    policy: RetryPolicy,
-    rng: SmallRng,
-    outstanding: Option<Session>,
+    /// Per request: its proposal seq, and each of its rings with where
+    /// it was last sent there.
+    in_flight: HashMap<MsgId, (u64, Vec<(usize, Sent)>)>,
+    /// Next proposal sequence (contiguous per proposer; the table's
+    /// slot/generation ids are not).
     next_seq: u64,
-    stop_at: Option<Time>,
-    /// Per-group submission cursor into [`PTarget::pick`]'s rotation.
-    /// Starts at the deployment-time coordinator and advances on every
-    /// blown deadline — and *stays* there on success, so after a
-    /// coordinator failover new commands go straight to a live member
-    /// instead of re-paying a timeout against the dead leader each time.
-    cursors: Vec<usize>,
 }
 
-impl PsmrClient {
-    /// Creates a client at node `me` with its own deterministic RNG.
+impl PsmrDriver {
+    /// A driver at node `me` proposing on `rings`: `(coordinator,
+    /// members)` of each ordering ring, indexed by group.
     pub fn new(
         me: NodeId,
-        target: PTarget,
+        rings: Vec<(NodeId, Vec<NodeId>)>,
         replicas: Vec<NodeId>,
         registry: PRegistry,
         workload: PsmrWorkload,
-        seed: u64,
-        stop_at: Option<Time>,
-    ) -> PsmrClient {
-        let cursors = vec![0; target.n_groups()];
-        PsmrClient {
+    ) -> PsmrDriver {
+        let rings = rings.into_iter().map(|(c, members)| Rotation::new(c, members)).collect();
+        PsmrDriver {
             me,
-            target,
+            rings,
             replicas,
             registry,
             workload,
-            policy: RetryPolicy::default(),
-            rng: SmallRng::seed_from_u64(seed),
-            outstanding: None,
+            in_flight: HashMap::new(),
             next_seq: 0,
-            stop_at,
-            cursors,
         }
     }
 
-    /// Overrides the retry policy (builder style).
-    pub fn with_policy(mut self, policy: RetryPolicy) -> PsmrClient {
-        self.policy = policy;
-        self
-    }
-
-    fn send_next(&mut self, ctx: &mut Ctx) {
-        if self.stop_at.is_some_and(|t| ctx.now() >= t) {
-            self.outstanding = None;
-            return;
-        }
-        let cmd = self.workload.next_command(&mut self.rng);
-        let id = MsgId(((self.me.0 as u64) << 40) | self.next_seq);
-        self.next_seq += 1;
-        self.registry.put(
-            id,
-            PStored { cmd: cmd.clone(), client: self.me, reply_bytes: self.workload.reply_bytes },
-        );
-        self.outstanding = Some(Session::open(id, ctx.now(), &self.policy));
-        self.submit(id, &cmd, ctx);
-        ctx.counter_add(PSMR_SUBMITTED, 1);
-    }
-
-    fn submit(&mut self, id: MsgId, cmd: &PCommand, ctx: &mut Ctx) {
-        let v = Value {
-            id,
-            proposer: self.me,
-            seq: id.0 & 0xff_ffff_ffff,
-            bytes: self.workload.cmd_bytes,
-            submitted: ctx.now(),
-            mask: ALL_PARTITIONS,
-        };
-        // One proposal per involved group's ring (§6.3.2's group mapping
-        // at the client proxy); single-ring models involve exactly ring 0.
-        let groups: &[u8] = match &self.target {
-            PTarget::SingleRing { .. } => &[0],
-            PTarget::MultiRing { .. } => &cmd.groups,
-        };
-        for &g in groups {
-            let dst = self.target.pick(g as usize, self.cursors[g as usize]);
-            ctx.udp_send(dst, MMsg::Propose(v), self.workload.cmd_bytes);
+    /// The rings `cmd` is proposed on: one per involved group, or ring
+    /// 0 alone when there is one ring.
+    fn rings_of(&self, cmd: &PCommand) -> Vec<usize> {
+        if self.rings.len() == 1 {
+            vec![0]
+        } else {
+            cmd.groups.iter().map(|&g| g as usize).collect()
         }
     }
 
-    /// The outstanding command blew its deadline: resubmit with
-    /// exponential backoff, rotating the target across ring members
-    /// (leader re-lookup after a coordinator failover), paired with a
-    /// reply query in case only the response was lost. Gives up after
-    /// [`RetryPolicy::max_attempts`] so the closed loop keeps flowing.
-    fn retry_due(&mut self, ctx: &mut Ctx) {
-        let policy = self.policy;
-        let Some(p) = self.outstanding.as_mut() else { return };
-        let id = match p.poll(ctx.now(), &policy) {
-            RetryDecision::Wait => return,
-            RetryDecision::Abandon => {
-                ctx.counter_add("psmr.abandoned", 1);
-                self.outstanding = None;
-                self.send_next(ctx);
-                return;
-            }
-            RetryDecision::Resubmit { .. } => p.id,
-        };
-        let Some(stored) = self.registry.get(id) else { return };
-        ctx.counter_add("psmr.retries", 1);
-        let cmd = stored.cmd.clone();
-        // Rotate every involved group's submission point before
-        // resubmitting; the cursor is sticky, so once it lands on a
-        // live member subsequent commands skip the dead leader entirely.
-        match &self.target {
-            PTarget::SingleRing { .. } => self.cursors[0] += 1,
-            PTarget::MultiRing { .. } => {
-                for &g in &cmd.groups {
-                    self.cursors[g as usize] += 1;
-                }
-            }
-        }
-        self.submit(id, &cmd, ctx);
-        // The command may have executed already with only its response
-        // lost (the ordering layer delivers each command once).
-        if !self.replicas.is_empty() {
-            let designated = self.replicas[(id.0 as usize) % self.replicas.len()];
-            let me = self.me;
-            ctx.udp_send(designated, PReplyQuery { id, from: me }, 64);
-        }
+    /// Proposes `id` on each of `rings`; returns where it went.
+    fn propose(
+        &mut self,
+        id: MsgId,
+        seq: u64,
+        rings: impl Iterator<Item = usize>,
+        ctx: &mut Ctx,
+    ) -> Vec<(usize, Sent)> {
+        let bytes = self.workload.cmd_bytes;
+        let v =
+            Value { id, proposer: self.me, seq, bytes, submitted: ctx.now(), mask: ALL_PARTITIONS };
+        rings
+            .map(|r| {
+                let (dst, sent) = self.rings[r].pick();
+                ctx.udp_send(dst, MMsg::Propose(v), bytes);
+                (r, sent)
+            })
+            .collect()
     }
 }
 
-impl Actor for PsmrClient {
-    fn on_start(&mut self, ctx: &mut Ctx) {
-        self.send_next(ctx);
-        ctx.set_timer(self.policy.tick, TimerToken(T_RETRY));
+impl SessionDriver for PsmrDriver {
+    fn submit(&mut self, id: MsgId, ctx: &mut Ctx) {
+        let cmd = self.workload.next_command(ctx.rng());
+        let rings = self.rings_of(&cmd);
+        let reply_bytes = self.workload.reply_bytes;
+        self.registry.put(id, PStored { cmd, client: self.me, reply_bytes });
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let sent = self.propose(id, seq, rings.into_iter(), ctx);
+        self.in_flight.insert(id, (seq, sent));
     }
 
-    fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        let Some(&PResponse { id }) = env.payload.downcast_ref::<PResponse>() else {
-            return;
-        };
-        let Some(p) = self.outstanding.as_ref() else { return };
-        if p.id != id {
-            return; // stale response of a retried or abandoned command
+    fn resubmit(&mut self, id: MsgId, _attempt: u32, ctx: &mut Ctx) {
+        let Some((seq, sent)) = self.in_flight.remove(&id) else { return };
+        for &(r, at) in &sent {
+            self.rings[r].failed(at);
         }
-        let started = p.started;
-        self.outstanding = None;
-        // The entry stays registered: lagging replicas may still be
+        let sent = self.propose(id, seq, sent.iter().map(|&(r, _)| r), ctx);
+        self.in_flight.insert(id, (seq, sent));
+        // The command may have executed already with only its response
+        // lost (the ordering layer delivers each command once): ask the
+        // replica that answers it.
+        if !self.replicas.is_empty() {
+            let designated = self.replicas[(id.0 as usize) % self.replicas.len()];
+            ctx.udp_send(designated, PReplyQuery { id, from: self.me }, 64);
+        }
+    }
+
+    fn on_response(&mut self, env: &Envelope, _ctx: &mut Ctx) -> Option<MsgId> {
+        let &PResponse { id } = env.payload.downcast_ref::<PResponse>()?;
+        let (_, sent) = self.in_flight.get(&id)?;
+        for &(r, at) in sent {
+            self.rings[r].answered(at);
+        }
+        Some(id)
+    }
+
+    fn finish(&mut self, id: MsgId) {
+        // The registry entry stays: lagging replicas may still be
         // recovering this command's delivery via retransmission, and the
         // registry stands in for payload retrieval (§3.3.4). A real
         // deployment prunes with the ring's GC watermark instead.
-        // The reply strictly follows the request; `since` debug-asserts
-        // that instead of masking an inversion as a zero latency.
-        ctx.record_latency(PSMR_LATENCY, ctx.now().since(started));
-        ctx.counter_add(PSMR_COMPLETED, 1);
-        self.send_next(ctx);
-    }
-
-    fn on_timer(&mut self, _token: TimerToken, ctx: &mut Ctx) {
-        if self.outstanding.is_some() {
-            self.retry_due(ctx);
-        } else if self.stop_at.is_none_or(|t| ctx.now() < t) {
-            self.send_next(ctx);
-        }
-        ctx.set_timer(self.policy.tick, TimerToken(T_RETRY));
+        self.in_flight.remove(&id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::SeedableRng;
 
     fn rng() -> SmallRng {
         SmallRng::seed_from_u64(42)

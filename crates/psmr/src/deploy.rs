@@ -10,9 +10,9 @@ use multiring::{ring_sink, MultiRingLearner, RingSink};
 use ringpaxos::cluster::{layout_mring, MRingDeployment, MRingOptions};
 use ringpaxos::{MRingConfig, SkipConfig};
 use simnet::prelude::*;
-use workload::RetryPolicy;
+use workload::{Arrival, RetryPolicy, SessionTable, SessionTableConfig};
 
-use crate::client::{PTarget, PsmrClient, PsmrWorkload};
+use crate::client::{PsmrDriver, PsmrWorkload};
 use crate::command::PRegistry;
 use crate::engine::{Engine, EngineCosts, ExecModel};
 use crate::replica::{DeliverySource, ParallelReplica};
@@ -27,7 +27,7 @@ pub struct ParallelOptions {
     pub n_replicas: usize,
     /// Acceptors per ring (coordinator included).
     pub ring_size: usize,
-    /// Closed-loop clients.
+    /// Closed-loop clients, one node each.
     pub n_clients: usize,
     /// The command workload.
     pub workload: PsmrWorkload,
@@ -37,8 +37,7 @@ pub struct ParallelOptions {
     pub lambda_per_sec: u64,
     /// Stop issuing commands at this time.
     pub stop_at: Option<Time>,
-    /// Client retry policy (deadline, backoff, abandonment). The default
-    /// reproduces the constants the client historically hard-coded.
+    /// Client retry policy (deadline, backoff, abandonment).
     pub policy: RetryPolicy,
 }
 
@@ -62,7 +61,8 @@ impl Default for ParallelOptions {
 pub struct ParallelDeployment {
     /// Replica nodes.
     pub replicas: Vec<NodeId>,
-    /// Client nodes.
+    /// Client nodes, each a closed-loop `SessionTable` of one session
+    /// (read `workload`'s `sessions.*` metrics here).
     pub clients: Vec<NodeId>,
     /// Ring coordinators (one per group for P-SMR; a single entry for
     /// the single-ring models).
@@ -175,27 +175,21 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
         }
     }
 
-    // Clients. They carry each ring's full membership so retries can
-    // rotate to surviving members after a coordinator failover.
-    let members: Vec<Vec<NodeId>> = ring_cfgs.iter().map(|cfg| cfg.ring.clone()).collect();
-    let target = match opts.model {
-        ExecModel::Psmr { .. } => {
-            PTarget::MultiRing { coordinators: coordinators.clone(), members: members.clone() }
-        }
-        _ => PTarget::SingleRing { coordinator: coordinators[0], members: members[0].clone() },
-    };
-    for (ci, &c) in clients.iter().enumerate() {
-        let client = PsmrClient::new(
-            c,
-            target.clone(),
-            replicas.clone(),
-            registry.clone(),
-            opts.workload,
-            0x9a7a11e1 + ci as u64,
-            opts.stop_at,
-        )
-        .with_policy(opts.policy);
-        sim.replace_actor(c, Box::new(client));
+    // Clients carry each ring's full membership, so retries can rotate
+    // to surviving members after a coordinator failover.
+    let rings: Vec<(NodeId, Vec<NodeId>)> =
+        ring_cfgs.iter().map(|cfg| (cfg.coordinator(), cfg.ring.clone())).collect();
+    for &c in &clients {
+        let driver =
+            PsmrDriver::new(c, rings.clone(), replicas.clone(), registry.clone(), opts.workload);
+        let cfg = SessionTableConfig {
+            sessions: 1,
+            arrival: Arrival::Closed,
+            policy: opts.policy,
+            max_in_flight: 1,
+            stop_at: opts.stop_at,
+        };
+        sim.replace_actor(c, Box::new(SessionTable::new(c, cfg, driver)));
     }
 
     ParallelDeployment { replicas, clients, coordinators, ring_cfgs, registry, stores, sinks, log }

@@ -18,6 +18,11 @@
 //!   scheduler; a multi-group command executes once its last occurrence
 //!   merges, with every involved worker held at a barrier (§6.3).
 //!
+//! Clients are closed-loop `workload::SessionTable` sessions, one per
+//! client node, like every client in the workspace: the client proxy's
+//! group mapping is their driver ([`PsmrDriver`]), and completions and
+//! latency are the table's `sessions.*` metrics.
+//!
 //! Commands conflict when they access a shared domain and at least one
 //! writes it; this service writes every domain it touches, so conflict
 //! is exactly domain intersection ([`PCommand::conflicts_with`]).
@@ -52,12 +57,9 @@ pub mod engine;
 pub mod replica;
 pub mod store;
 
-pub use client::{PTarget, PsmrClient, PsmrWorkload};
+pub use client::{PsmrDriver, PsmrWorkload};
 pub use command::{PCommand, PRegistry, PStored};
 pub use deploy::{deploy_parallel, ParallelDeployment, ParallelOptions};
 pub use engine::{Engine, EngineCosts, ExecModel, Scheduled};
-pub use replica::{
-    PReplyQuery, PResponse, ParallelReplica, PSMR_COMPLETED, PSMR_DEP_EXECS, PSMR_LATENCY,
-    PSMR_SUBMITTED,
-};
+pub use replica::{PReplyQuery, PResponse, ParallelReplica, PSMR_DEP_EXECS};
 pub use store::ObjStore;

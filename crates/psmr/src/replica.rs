@@ -19,12 +19,6 @@ use crate::command::PRegistry;
 use crate::engine::{Deliveries, Engine};
 use crate::store::ObjStore;
 
-/// Latency samples recorded at the parallel service's clients.
-pub const PSMR_LATENCY: &str = "psmr.latency";
-/// Commands completed, per client.
-pub const PSMR_COMPLETED: &str = "psmr.completed";
-/// Commands submitted, per client.
-pub const PSMR_SUBMITTED: &str = "psmr.submitted";
 /// Dependent (multi-worker) commands executed, per replica.
 pub const PSMR_DEP_EXECS: &str = "psmr.dep_execs";
 

@@ -6,16 +6,15 @@
 
 use simnet::prelude::*;
 
-use psmr::{
-    deploy_parallel, ExecModel, ParallelDeployment, ParallelOptions, PsmrWorkload, PSMR_COMPLETED,
-};
+use psmr::{deploy_parallel, ExecModel, ParallelDeployment, ParallelOptions, PsmrWorkload};
+use workload::{SESSIONS_COMPLETED, SESSIONS_RETRIES, SESSIONS_SUBMITTED};
 
 fn completed(sim: &Sim, d: &ParallelDeployment) -> u64 {
-    d.clients.iter().map(|&c| sim.metrics().counter(c, PSMR_COMPLETED)).sum()
+    d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum()
 }
 
 fn submitted(sim: &Sim, d: &ParallelDeployment) -> u64 {
-    d.clients.iter().map(|&c| sim.metrics().counter(c, "psmr.submitted")).sum()
+    d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_SUBMITTED)).sum()
 }
 
 fn run_with_coordinator_crash(model: ExecModel, groups: usize) -> (Sim, ParallelDeployment) {
@@ -73,7 +72,7 @@ fn check_no_duplicate_apply(sim: &Sim, d: &ParallelDeployment) {
 #[test]
 fn single_ring_clients_survive_coordinator_failover() {
     let (sim, d) = run_with_coordinator_crash(ExecModel::Sequential, 4);
-    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, "psmr.retries")).sum();
+    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_RETRIES)).sum();
     assert!(retries > 0, "the outage must have triggered client retries");
     check_no_duplicate_apply(&sim, &d);
 }

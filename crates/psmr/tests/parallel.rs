@@ -4,9 +4,8 @@
 
 use simnet::prelude::*;
 
-use psmr::{
-    deploy_parallel, ExecModel, ParallelDeployment, ParallelOptions, PsmrWorkload, PSMR_COMPLETED,
-};
+use psmr::{deploy_parallel, ExecModel, ParallelDeployment, ParallelOptions, PsmrWorkload};
+use workload::{SESSIONS_COMPLETED, SESSIONS_SUBMITTED};
 
 fn sim_for(model: ExecModel) -> Sim {
     let mut cfg = SimConfig::default();
@@ -15,7 +14,7 @@ fn sim_for(model: ExecModel) -> Sim {
 }
 
 fn completed(sim: &Sim, d: &ParallelDeployment) -> u64 {
-    d.clients.iter().map(|&c| sim.metrics().counter(c, PSMR_COMPLETED)).sum()
+    d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum()
 }
 
 /// Runs `model` under `workload` for `ms` simulated milliseconds and
@@ -181,7 +180,7 @@ fn quiescence_after_stop() {
     let workload = PsmrWorkload { n_groups: 2, dep_pct: 25, ..PsmrWorkload::default() };
     let (sim, d) = run_model(ExecModel::Psmr { workers: 2 }, workload, 8, 100);
     let submitted: u64 =
-        d.clients.iter().map(|&c| sim.metrics().counter(c, "psmr.submitted")).sum();
+        d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_SUBMITTED)).sum();
     let done = completed(&sim, &d);
     assert_eq!(submitted, done, "all submitted commands must complete");
     // Entries stay registered (lagging replicas may still recover them);
@@ -227,7 +226,7 @@ fn ev_stays_consistent_under_message_loss() {
     sim.run_until(Time::from_millis(2500));
 
     let submitted: u64 =
-        d.clients.iter().map(|&c| sim.metrics().counter(c, "psmr.submitted")).sum();
+        d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_SUBMITTED)).sum();
     let done = completed(&sim, &d);
     assert_eq!(submitted, done, "EV lost commands under loss");
     let a = d.stores[0].lock().unwrap();

@@ -1,17 +1,34 @@
 //! Arrival processes: when the next request enters the system.
 //!
-//! Open-loop arrivals are what "millions of users" look like to a
-//! replicated service: requests arrive on the users' schedule, not the
-//! service's. [`Poisson`] models a large population of independent
-//! sessions exactly — by the superposition theorem, N independent
-//! Poisson streams of rate λ are one Poisson stream of rate Nλ, so the
-//! session table draws one aggregate exponential gap per arrival and
-//! picks the issuing session uniformly, instead of maintaining a
-//! million per-session clocks.
+//! A session table issues requests one of two ways ([`Arrival`]):
+//!
+//! * **Open loop** — arrivals are what "millions of users" look like to
+//!   a replicated service: requests arrive on the users' schedule, not
+//!   the service's. [`Poisson`] models a large population of
+//!   independent sessions exactly — by the superposition theorem, N
+//!   independent Poisson streams of rate λ are one Poisson stream of
+//!   rate Nλ, so the session table draws one aggregate exponential gap
+//!   per arrival and picks the issuing session uniformly, instead of
+//!   maintaining a million per-session clocks.
+//! * **Closed loop** — each session keeps one request outstanding and
+//!   issues the next when the reply comes (or the request is given up),
+//!   so offered load adapts to service latency: the paper's clients in
+//!   its latency/throughput curves (ch. 4, ch. 6).
 
 use rand::rngs::SmallRng;
 use rand::Rng;
 use simnet::time::Dur;
+
+/// When a session table's sessions issue requests (module docs).
+#[derive(Clone, Copy, Debug)]
+pub enum Arrival {
+    /// Open loop: one aggregate Poisson stream over all sessions.
+    Poisson(Poisson),
+    /// Closed loop: every session keeps exactly one request
+    /// outstanding and issues its next on the reply or on abandoning
+    /// it. No random draw is made per arrival, and nothing is shed.
+    Closed,
+}
 
 /// A deterministic Poisson arrival process: exponential inter-arrival
 /// gaps by inverse-CDF sampling from the caller's RNG. Feeding it the

@@ -1,7 +1,6 @@
-//! Keyed command generators: the paper's three B⁺-tree workload shapes
-//! (§4.4.2, moved here from the `btree` crate so every client layer
-//! shares one generator) and Zipf-skewed key selection for the
-//! mass-session experiments.
+//! The keyed command generator of every B⁺-tree client: the paper's
+//! three workload shapes (§4.4.2), uniform or Zipf-skewed keys, and the
+//! cross-partition query rule of §4.4.5.
 
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -41,77 +40,6 @@ impl WorkloadKind {
             WorkloadKind::InsDelSingle => 1,
             WorkloadKind::InsDelBatch => 7,
         }
-    }
-}
-
-/// Generates commands for one client.
-#[derive(Debug)]
-pub struct WorkloadGen {
-    kind: WorkloadKind,
-    key_space: u64,
-    /// Fraction (0–100) of queries spanning two partitions (§4.4.5).
-    cross_pct: u32,
-    partitioning: Option<Partitioning>,
-    flip: bool,
-}
-
-impl WorkloadGen {
-    /// Creates a generator over `key_space` keys.
-    pub fn new(kind: WorkloadKind, key_space: u64) -> WorkloadGen {
-        WorkloadGen { kind, key_space, cross_pct: 0, partitioning: None, flip: false }
-    }
-
-    /// Enables partition-aware generation: `cross_pct`% of queries are
-    /// laid across a partition boundary (they touch exactly two
-    /// partitions, as in the paper's Figs. 4.8/4.9).
-    pub fn with_partitions(mut self, p: Partitioning, cross_pct: u32) -> WorkloadGen {
-        self.partitioning = Some(p);
-        self.cross_pct = cross_pct.min(100);
-        self
-    }
-
-    /// The workload kind.
-    pub fn kind(&self) -> WorkloadKind {
-        self.kind
-    }
-
-    /// Draws the operations of the next command. `InsDelBatch` yields 7
-    /// updates; the others one operation.
-    pub fn next_command(&mut self, rng: &mut SmallRng) -> Vec<TreeCommand> {
-        match self.kind {
-            WorkloadKind::Queries => vec![self.next_query(rng)],
-            WorkloadKind::InsDelSingle => vec![self.next_update(rng)],
-            WorkloadKind::InsDelBatch => (0..7).map(|_| self.next_update(rng)).collect(),
-        }
-    }
-
-    fn next_update(&mut self, rng: &mut SmallRng) -> TreeCommand {
-        // Alternate inserts and deletes so the tree size stays constant
-        // over time (§4.4.2).
-        let key = rng.gen_range(0..self.key_space);
-        self.flip = !self.flip;
-        if self.flip {
-            TreeCommand::Insert { key, value: rng.gen() }
-        } else {
-            TreeCommand::Delete { key }
-        }
-    }
-
-    fn next_query(&mut self, rng: &mut SmallRng) -> TreeCommand {
-        if let Some(p) = self.partitioning {
-            if rng.gen_range(0..100) < self.cross_pct && p.n > 1 {
-                // A query straddling a random partition boundary.
-                let boundary = p.span * rng.gen_range(1..p.n) as u64;
-                let lo = boundary - QUERY_SPAN / 2;
-                return TreeCommand::Query { lo, hi: lo + QUERY_SPAN - 1 };
-            }
-            // Single-partition query: keep the window inside a partition.
-            let part = rng.gen_range(0..p.n) as u64;
-            let lo = part * p.span + rng.gen_range(0..p.span - QUERY_SPAN);
-            return TreeCommand::Query { lo, hi: lo + QUERY_SPAN - 1 };
-        }
-        let lo = rng.gen_range(0..self.key_space.saturating_sub(QUERY_SPAN).max(1));
-        TreeCommand::Query { lo, hi: lo + QUERY_SPAN - 1 }
     }
 }
 
@@ -218,14 +146,17 @@ fn scatter(rank: u64, key_space: u64) -> u64 {
     rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % key_space
 }
 
-/// A keyed command generator with optional Zipfian skew: the shapes of
-/// [`WorkloadGen`] (alternating insert/delete, 1000-key range queries)
-/// with keys drawn by rank popularity instead of uniformly.
+/// Generates the commands of one client: alternating inserts and
+/// deletes (one or seven per command) or 1000-key range queries, keys
+/// drawn uniformly or by Zipfian rank popularity.
 #[derive(Clone, Debug)]
 pub struct KeyedWorkload {
     kind: WorkloadKind,
     key_space: u64,
     zipf: Option<ZipfSampler>,
+    /// The partitioning queries are laid over, and the percentage
+    /// (0–100) of them that straddle a partition boundary (§4.4.5).
+    partitions: Option<(Partitioning, u32)>,
     flip: bool,
 }
 
@@ -233,14 +164,24 @@ impl KeyedWorkload {
     /// Uniform key selection over `key_space`.
     pub fn uniform(kind: WorkloadKind, key_space: u64) -> KeyedWorkload {
         assert!(key_space > QUERY_SPAN, "key space must exceed one query span");
-        KeyedWorkload { kind, key_space, zipf: None, flip: false }
+        KeyedWorkload { kind, key_space, zipf: None, partitions: None, flip: false }
     }
 
     /// Zipf(`s`)-skewed key selection: ranks over the whole key space,
     /// scattered so the hot set spreads across partitions.
     pub fn zipfian(kind: WorkloadKind, key_space: u64, s: f64) -> KeyedWorkload {
         assert!(key_space > QUERY_SPAN, "key space must exceed one query span");
-        KeyedWorkload { kind, key_space, zipf: Some(ZipfSampler::new(key_space, s)), flip: false }
+        let zipf = Some(ZipfSampler::new(key_space, s));
+        KeyedWorkload { kind, key_space, zipf, partitions: None, flip: false }
+    }
+
+    /// Lays queries over partitioning `p`: `cross_pct`% of them straddle
+    /// a random partition boundary (they touch exactly two partitions,
+    /// as in the paper's Figs. 4.8/4.9), the rest fall inside one
+    /// partition drawn uniformly.
+    pub fn with_partitions(mut self, p: Partitioning, cross_pct: u32) -> KeyedWorkload {
+        self.partitions = Some((p, cross_pct.min(100)));
+        self
     }
 
     /// The workload kind.
@@ -255,8 +196,8 @@ impl KeyedWorkload {
         }
     }
 
-    /// Draws the operations of the next command (same shapes as
-    /// [`WorkloadGen::next_command`]).
+    /// Draws the operations of the next command. `InsDelBatch` yields 7
+    /// updates; the others one operation.
     pub fn next_command(&mut self, rng: &mut SmallRng) -> Vec<TreeCommand> {
         match self.kind {
             WorkloadKind::Queries => vec![self.next_query(rng)],
@@ -266,6 +207,8 @@ impl KeyedWorkload {
     }
 
     fn next_update(&mut self, rng: &mut SmallRng) -> TreeCommand {
+        // Alternate inserts and deletes so the tree size stays constant
+        // over time (§4.4.2).
         let key = self.next_key(rng);
         self.flip = !self.flip;
         if self.flip {
@@ -276,7 +219,18 @@ impl KeyedWorkload {
     }
 
     fn next_query(&mut self, rng: &mut SmallRng) -> TreeCommand {
-        let lo = self.next_key(rng).min(self.key_space - QUERY_SPAN);
+        let lo = match self.partitions {
+            Some((p, cross_pct)) => {
+                if rng.gen_range(0..100) < cross_pct && p.n > 1 {
+                    // A query straddling a random partition boundary.
+                    p.span * rng.gen_range(1..p.n) as u64 - QUERY_SPAN / 2
+                } else {
+                    // Kept inside one partition.
+                    rng.gen_range(0..p.n) as u64 * p.span + rng.gen_range(0..p.span - QUERY_SPAN)
+                }
+            }
+            None => self.next_key(rng).min(self.key_space - QUERY_SPAN),
+        };
         TreeCommand::Query { lo, hi: lo + QUERY_SPAN - 1 }
     }
 }
@@ -284,12 +238,11 @@ impl KeyedWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use btree::Partitioning;
     use rand::SeedableRng;
 
     #[test]
     fn batch_workload_yields_seven_updates() {
-        let mut g = WorkloadGen::new(WorkloadKind::InsDelBatch, 1000);
+        let mut g = KeyedWorkload::uniform(WorkloadKind::InsDelBatch, 2000);
         let mut rng = SmallRng::seed_from_u64(1);
         let cmds = g.next_command(&mut rng);
         assert_eq!(cmds.len(), 7);
@@ -298,7 +251,7 @@ mod tests {
 
     #[test]
     fn updates_alternate_insert_delete() {
-        let mut g = WorkloadGen::new(WorkloadKind::InsDelSingle, 1000);
+        let mut g = KeyedWorkload::uniform(WorkloadKind::InsDelSingle, 2000);
         let mut rng = SmallRng::seed_from_u64(2);
         let a = g.next_command(&mut rng)[0];
         let b = g.next_command(&mut rng)[0];
@@ -309,7 +262,8 @@ mod tests {
     #[test]
     fn cross_partition_fraction_is_respected() {
         let p = Partitioning::new(2);
-        let mut g = WorkloadGen::new(WorkloadKind::Queries, 2 * p.span).with_partitions(p, 50);
+        let mut g =
+            KeyedWorkload::uniform(WorkloadKind::Queries, 2 * p.span).with_partitions(p, 50);
         let mut rng = SmallRng::seed_from_u64(3);
         let mut cross = 0;
         for _ in 0..1000 {
@@ -324,7 +278,7 @@ mod tests {
     #[test]
     fn zero_cross_means_single_partition_queries() {
         let p = Partitioning::new(4);
-        let mut g = WorkloadGen::new(WorkloadKind::Queries, 4 * p.span).with_partitions(p, 0);
+        let mut g = KeyedWorkload::uniform(WorkloadKind::Queries, 4 * p.span).with_partitions(p, 0);
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..500 {
             let c = g.next_command(&mut rng)[0];
@@ -334,7 +288,7 @@ mod tests {
 
     #[test]
     fn queries_span_1000_keys() {
-        let mut g = WorkloadGen::new(WorkloadKind::Queries, 1_000_000);
+        let mut g = KeyedWorkload::uniform(WorkloadKind::Queries, 1_000_000);
         let mut rng = SmallRng::seed_from_u64(5);
         let TreeCommand::Query { lo, hi } = g.next_command(&mut rng)[0] else { panic!() };
         assert_eq!(hi - lo + 1, QUERY_SPAN);

@@ -1,20 +1,24 @@
 //! # workload — the unified client tier
 //!
 //! Every client of an ordered service in this workspace — the ch. 4
-//! closed-loop B⁺-tree clients, the P-SMR clients with their retry
-//! machinery, and the mass-session experiments of ch. 10 — now draws
-//! its load-generation and session plumbing from this one crate.
+//! B⁺-tree clients and their client-server baseline, the ch. 6 P-SMR
+//! clients, and the mass-session experiments of ch. 10 and the
+//! benchmark — is a session of a [`table::SessionTable`]: one actor
+//! hosting N sessions, with one retry engine and one set of `sessions.*`
+//! metrics. What differs per service is a [`table::SessionDriver`].
 //!
 //! ## Open vs. closed loop
 //!
-//! The paper drives protocols two ways, and this tier models both:
+//! The paper drives protocols two ways, and a table runs either
+//! ([`arrival::Arrival`]):
 //!
 //! * **Closed loop** — a fixed number of sessions, each with exactly one
 //!   command outstanding; the next command is issued when the response
-//!   arrives. Offered load adapts to service latency, which is what the
-//!   paper's latency/throughput curves (ch. 4) measure. Use a dedicated
-//!   client actor (`core::client::SmrClient`, `psmr::client::PsmrClient`)
-//!   built on [`session`].
+//!   arrives (or the request is abandoned). Offered load adapts to
+//!   service latency, which is what the paper's latency/throughput
+//!   curves (ch. 4, ch. 6) measure. `core::deploy::deploy_smr` /
+//!   `deploy_cs` and `psmr::deploy_parallel` put one closed-loop table
+//!   of one session on each client node.
 //! * **Open loop** — arrivals occur at a configured rate regardless of
 //!   completions, as real user populations do. Two processes are
 //!   provided: [`arrival::Poisson`], drawing exponential inter-arrival
@@ -26,27 +30,24 @@
 //!
 //! ## Keyed workloads
 //!
-//! [`keyed`] holds the key-addressed command generators: the paper's
-//! three B⁺-tree workload shapes ([`keyed::WorkloadGen`], moved here
-//! from `btree`), and [`keyed::KeyedWorkload`], which adds Zipfian skew
-//! via [`keyed::ZipfSampler`] (rejection-inversion sampling, exact for
-//! any exponent ≥ 0). Hot ranks are scattered across the key space with
-//! a fixed Fibonacci hash so skew stresses contention, not just
-//! partition 0.
+//! [`keyed::KeyedWorkload`] generates the paper's three B⁺-tree
+//! workload shapes, keys uniform or Zipfian via [`keyed::ZipfSampler`]
+//! (rejection-inversion sampling, exact for any exponent ≥ 0), and
+//! lays queries across partitions by §4.4.5's rule
+//! ([`keyed::KeyedWorkload::with_partitions`]). Hot ranks are scattered
+//! across the key space with a fixed Fibonacci hash so skew stresses
+//! contention, not just partition 0.
 //!
 //! ## Sessions and the session table
 //!
-//! [`session`] generalizes what `psmr::client` pioneered: request
-//! deadlines, bounded exponential backoff ([`session::RetryPolicy`] —
-//! the old hard-coded constants are its defaults), and sticky
-//! leader re-lookup by rotating resubmissions across ring members
-//! ([`session::rotation_pick`]).
-//!
-//! [`table::SessionTable`] hosts N such sessions in **one** actor: a
-//! slab of in-flight requests addressed by slot+generation [`MsgId`]s,
+//! [`table::SessionTable`] hosts N sessions in **one** actor: a slab of
+//! in-flight requests addressed by slot+generation [`MsgId`]s,
 //! deadlines coalesced onto a [`simnet::wheel::TimerWheel`] driven by a
-//! single periodic sim timer, and per-session latency recorded into the
-//! metrics histograms (report with `Metrics::percentile` — p50/p99/p999).
+//! single periodic sim timer, bounded exponential backoff
+//! ([`session::RetryPolicy`]), and per-session latency recorded into the
+//! metrics histograms (report with `Metrics::percentile` —
+//! p50/p99/p999). Drivers of a service with a leader re-look it up by
+//! rotating resubmissions across ring members ([`session::Rotation`]).
 //! One actor per simulated client would cost an arena slot, RNG stream,
 //! and timer chain per session; the table design is what lets a single
 //! run sustain 1M+ sessions.
@@ -59,12 +60,12 @@
 //!    deterministic).
 //! 2. Implement [`table::SessionDriver`] for your service: `submit`
 //!    builds/registers/sends one request, `resubmit` re-sends it
-//!    (rotating targets if the service has a leader), `on_response`
-//!    maps a delivery back to the request id it completes, and `finish`
-//!    drops per-request state.
-//! 3. Deploy a [`table::SessionTable`] over your driver, or a
-//!    one-session-per-actor client built on [`session::Session`] when
-//!    the experiment needs only a handful of clients.
+//!    (moving a [`session::Rotation`] if the service has a leader),
+//!    `on_response` maps a delivery back to the request id it
+//!    completes, and `finish` drops per-request state.
+//! 3. Deploy a [`table::SessionTable`] over your driver: open loop for
+//!    a population of users, or closed loop — one table of one session
+//!    per client node when the experiment places clients one per node.
 
 pub mod arrival;
 pub mod keyed;
@@ -72,9 +73,9 @@ pub mod session;
 pub mod table;
 
 pub use abcast::Pacer;
-pub use arrival::Poisson;
-pub use keyed::{KeyedWorkload, WorkloadGen, WorkloadKind, ZipfSampler};
-pub use session::{rotation_pick, RetryDecision, RetryPolicy, Session};
+pub use arrival::{Arrival, Poisson};
+pub use keyed::{KeyedWorkload, WorkloadKind, ZipfSampler};
+pub use session::{RetryPolicy, Rotation, Sent};
 pub use table::{SessionDriver, SessionTable, SessionTableConfig};
 
 /// Commands submitted by session tables (one per session interaction).

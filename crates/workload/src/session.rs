@@ -1,21 +1,20 @@
-//! Session machinery, generalized from `psmr::client`: request
-//! deadlines, bounded exponential backoff, and sticky leader re-lookup
-//! by rotating resubmissions across ring members.
+//! Session retry machinery shared by every driver: request deadlines
+//! with bounded exponential backoff ([`RetryPolicy`]), and sticky
+//! leader re-lookup by rotating resubmissions across ring members
+//! ([`Rotation`]).
 //!
-//! A [`Session`] tracks one in-flight request; [`RetryPolicy`] carries
-//! the knobs that used to be hard-coded constants in the P-SMR client
-//! (whose values are the defaults here). Client actors poll their
-//! sessions from a periodic timer ([`RetryPolicy::tick`]) — or, at
-//! mass-session scale, from a [`simnet::wheel::TimerWheel`] entry per
-//! deadline — and act on the returned [`RetryDecision`].
+//! The [`crate::table::SessionTable`] owns the deadlines: it keeps them
+//! on a [`simnet::wheel::TimerWheel`] drained by one periodic timer and
+//! calls its driver's `resubmit` on a blown one, or gives the request up
+//! once `max_attempts` are spent. Drivers of a service with a leader
+//! keep a [`Rotation`], remember where each request went ([`Sent`]) and
+//! report its answer or its blown deadline.
 
-use abcast::MsgId;
 use simnet::ids::NodeId;
-use simnet::time::{Dur, Time};
+use simnet::time::Dur;
 
 /// Retry/backoff configuration of one client tier. The defaults are
-/// the constants `psmr::client` shipped with, so existing deployments
-/// behave identically.
+/// the constants the P-SMR client shipped with.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RetryPolicy {
     /// First resubmission deadline; doubles per attempt up to `cap`.
@@ -55,68 +54,74 @@ impl RetryPolicy {
     }
 }
 
-/// What to do with a session at a retry check.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RetryDecision {
-    /// Deadline not reached; leave it in flight.
-    Wait,
-    /// Deadline blown: resubmit (this is resubmission number
-    /// `attempt`), rotating the submission target.
-    Resubmit {
-        /// Resubmissions so far, this one included.
-        attempt: u32,
-    },
-    /// `max_attempts` exhausted: drop the request and move on.
-    Abandon,
-}
-
-/// One in-flight request of a session.
-#[derive(Clone, Copy, Debug)]
-pub struct Session {
-    /// The request id responses are matched against.
-    pub id: MsgId,
-    /// Submission instant (latency measurement).
-    pub started: Time,
-    /// Resubmissions so far; selects the retry target and backoff.
-    pub attempts: u32,
-    /// When the next resubmission is due.
-    pub deadline: Time,
-}
-
-impl Session {
-    /// Opens a session for `id` submitted at `now`.
-    pub fn open(id: MsgId, now: Time, policy: &RetryPolicy) -> Session {
-        Session { id, started: now, attempts: 0, deadline: now + policy.backoff(0) }
-    }
-
-    /// Polls the session at `now`: on a blown deadline, advances the
-    /// attempt count and deadline and asks the caller to resubmit —
-    /// or to abandon once `policy.max_attempts` is exhausted.
-    pub fn poll(&mut self, now: Time, policy: &RetryPolicy) -> RetryDecision {
-        if now < self.deadline {
-            return RetryDecision::Wait;
-        }
-        if self.attempts >= policy.max_attempts {
-            return RetryDecision::Abandon;
-        }
-        self.attempts += 1;
-        self.deadline = now + policy.backoff(self.attempts);
-        RetryDecision::Resubmit { attempt: self.attempts }
-    }
-}
-
-/// The submission point at rotation `cursor`: the known coordinator
+/// Where a client of a ring sends its requests: the known coordinator
 /// first (cursor 0), then round-robin over the ring members — any live
-/// one relays the proposal to the coordinator of its current view, so
-/// rotating past a dead leader re-looks the new one up. Cursors are
-/// *sticky*: advance them on blown deadlines and leave them on success,
-/// so post-failover traffic skips the dead leader instead of re-paying
-/// a timeout per command.
-pub fn rotation_pick(coordinator: NodeId, members: &[NodeId], cursor: usize) -> NodeId {
-    if cursor == 0 || members.is_empty() {
-        coordinator
-    } else {
-        members[(cursor - 1) % members.len()]
+/// one relays a proposal to the coordinator of its current view, so
+/// rotating past a dead leader re-looks the new one up.
+///
+/// The cursor is *sticky*: it stays put on success, so traffic after a
+/// failover skips the dead leader instead of re-paying a timeout per
+/// request. It moves past a target at most once, and only on evidence
+/// that the target fails: a request remembers where it went
+/// ([`Sent`]), and its blown deadline moves the cursor only if the
+/// cursor still points there and nothing sent there later has been
+/// answered. A crash times out every request in flight at once;
+/// counting each of them would spin the cursor through the members,
+/// dead leader included, and leave it anywhere. And a request lost for
+/// another reason (a proposal the ring dropped) times out at a target
+/// that answers the requests around it: moving on would send the
+/// traffic back towards a dead leader.
+#[derive(Clone, Debug)]
+pub struct Rotation {
+    coordinator: NodeId,
+    members: Vec<NodeId>,
+    cursor: usize,
+    /// Requests sent so far: the `seq` of the last [`Sent`].
+    sent: u64,
+    /// Highest `seq` answered at the current cursor.
+    answered: u64,
+}
+
+/// Where one request went: the rotation's cursor and the request's
+/// place in the rotation's send order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Sent {
+    cursor: usize,
+    seq: u64,
+}
+
+impl Rotation {
+    /// A rotation starting at `coordinator`, then over `members`.
+    pub fn new(coordinator: NodeId, members: Vec<NodeId>) -> Rotation {
+        Rotation { coordinator, members, cursor: 0, sent: 0, answered: 0 }
+    }
+
+    /// The submission point for a request sent now, and what the request
+    /// keeps for [`Rotation::answered`] / [`Rotation::failed`].
+    pub fn pick(&mut self) -> (NodeId, Sent) {
+        let dst = if self.cursor == 0 || self.members.is_empty() {
+            self.coordinator
+        } else {
+            self.members[(self.cursor - 1) % self.members.len()]
+        };
+        self.sent += 1;
+        (dst, Sent { cursor: self.cursor, seq: self.sent })
+    }
+
+    /// The request `sent` was answered: its target works.
+    pub fn answered(&mut self, sent: Sent) {
+        if sent.cursor == self.cursor {
+            self.answered = self.answered.max(sent.seq);
+        }
+    }
+
+    /// The request `sent` blew its deadline: move past its target,
+    /// unless the cursor has already moved or a later request to the
+    /// same target was answered.
+    pub fn failed(&mut self, sent: Sent) {
+        if sent.cursor == self.cursor && sent.seq > self.answered {
+            self.cursor += 1;
+        }
     }
 }
 
@@ -145,29 +150,46 @@ mod tests {
     }
 
     #[test]
-    fn session_waits_then_retries_then_abandons() {
-        let policy = RetryPolicy { max_attempts: 2, ..RetryPolicy::default() };
-        let t0 = Time::ZERO + Dur::millis(5);
-        let mut s = Session::open(MsgId(7), t0, &policy);
-        assert_eq!(s.poll(t0 + Dur::millis(100), &policy), RetryDecision::Wait);
-        let t1 = t0 + Dur::millis(200);
-        assert_eq!(s.poll(t1, &policy), RetryDecision::Resubmit { attempt: 1 });
-        assert_eq!(s.deadline, t1 + Dur::millis(400));
-        let t2 = s.deadline;
-        assert_eq!(s.poll(t2, &policy), RetryDecision::Resubmit { attempt: 2 });
-        let t3 = s.deadline;
-        assert_eq!(s.poll(t3, &policy), RetryDecision::Abandon);
-        assert_eq!(s.started, t0, "latency baseline survives retries");
+    fn rotation_starts_at_the_coordinator_and_wraps_members() {
+        let coord = NodeId(9);
+        let mut r = Rotation::new(coord, vec![NodeId(1), NodeId(2), NodeId(3)]);
+        let mut seen = Vec::new();
+        for _ in 0..5 {
+            let (dst, sent) = r.pick();
+            seen.push(dst);
+            r.failed(sent);
+        }
+        assert_eq!(seen, [coord, NodeId(1), NodeId(2), NodeId(3), NodeId(1)]);
+        let mut lone = Rotation::new(coord, Vec::new());
+        assert_eq!(lone.pick().0, coord, "no members: stay on coordinator");
     }
 
     #[test]
-    fn rotation_starts_at_the_coordinator_and_wraps_members() {
-        let coord = NodeId(9);
-        let members = [NodeId(1), NodeId(2), NodeId(3)];
-        assert_eq!(rotation_pick(coord, &members, 0), coord);
-        assert_eq!(rotation_pick(coord, &members, 1), NodeId(1));
-        assert_eq!(rotation_pick(coord, &members, 3), NodeId(3));
-        assert_eq!(rotation_pick(coord, &members, 4), NodeId(1));
-        assert_eq!(rotation_pick(coord, &[], 5), coord, "no members: stay on coordinator");
+    fn a_burst_of_timeouts_moves_the_cursor_once() {
+        let mut r = Rotation::new(NodeId(9), vec![NodeId(1), NodeId(2), NodeId(9)]);
+        // A crash: every request in flight to the coordinator times out.
+        let burst: Vec<Sent> = (0..1000).map(|_| r.pick().1).collect();
+        for &sent in &burst {
+            r.failed(sent);
+        }
+        let (dst, sent) = r.pick();
+        assert_eq!(dst, NodeId(1), "one step past the failed target");
+        // An answer leaves the cursor where it is.
+        r.answered(sent);
+        assert_eq!(r.pick().0, NodeId(1));
+    }
+
+    #[test]
+    fn a_lost_request_at_a_target_that_answers_does_not_move_the_cursor() {
+        let mut r = Rotation::new(NodeId(9), vec![NodeId(1), NodeId(2)]);
+        let lost = r.pick().1;
+        let later = r.pick().1;
+        r.answered(later);
+        r.failed(lost);
+        assert_eq!(r.pick().0, NodeId(9), "the target answered a request sent after the lost one");
+        // Had nothing later been answered, the timeout would move it.
+        let next = r.pick().1;
+        r.failed(next);
+        assert_eq!(r.pick().0, NodeId(1));
     }
 }

@@ -11,8 +11,9 @@
 //! cargo run --release --example parallel_replication
 //! ```
 
-use psmr::{deploy_parallel, ExecModel, ParallelOptions, PsmrWorkload, PSMR_COMPLETED};
+use psmr::{deploy_parallel, ExecModel, ParallelOptions, PsmrWorkload};
 use simnet::prelude::*;
+use workload::{SESSIONS_COMPLETED, SESSION_LATENCY};
 
 fn main() {
     let workload = PsmrWorkload {
@@ -37,8 +38,9 @@ fn main() {
         let d = deploy_parallel(&mut sim, &opts);
         sim.run_until(Time::from_secs(1));
 
-        let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, PSMR_COMPLETED)).sum();
-        let lat = sim.metrics().latency(psmr::PSMR_LATENCY).mean;
+        let done: u64 =
+            d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
+        let lat = sim.metrics().latency(SESSION_LATENCY).mean;
         let deps: u64 = sim.metrics().counter(d.replicas[0], psmr::PSMR_DEP_EXECS);
         println!(
             "  {:<11} | {:9.1} | {:>9} | {:>10}",

@@ -8,16 +8,15 @@
 //! ```
 
 use hpsmr_core::deploy::{deploy_cs, deploy_smr, SmrOptions};
-use hpsmr_core::{SMR_COMPLETED, SMR_LATENCY};
 use simnet::prelude::*;
-use workload::WorkloadKind;
+use workload::{WorkloadKind, SESSIONS_COMPLETED, SESSION_LATENCY};
 
 fn run_cs(clients: usize, secs: u64) -> (f64, Dur) {
     let mut sim = Sim::new(SimConfig::default());
     let cs = deploy_cs(&mut sim, clients, WorkloadKind::Queries, None);
     sim.run_until(Time::from_secs(secs));
-    let done: u64 = cs.clients.iter().map(|&c| sim.metrics().counter(c, SMR_COMPLETED)).sum();
-    (done as f64 / secs as f64 / 1e3, sim.metrics().latency(SMR_LATENCY).mean)
+    let done: u64 = cs.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
+    (done as f64 / secs as f64 / 1e3, sim.metrics().latency(SESSION_LATENCY).mean)
 }
 
 fn run_smr(clients: usize, secs: u64) -> (f64, Dur, bool) {
@@ -30,9 +29,9 @@ fn run_smr(clients: usize, secs: u64) -> (f64, Dur, bool) {
     };
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(secs));
-    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SMR_COMPLETED)).sum();
+    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     let ordered = d.log.lock().unwrap().check_total_order().is_ok();
-    (done as f64 / secs as f64 / 1e3, sim.metrics().latency(SMR_LATENCY).mean, ordered)
+    (done as f64 / secs as f64 / 1e3, sim.metrics().latency(SESSION_LATENCY).mean, ordered)
 }
 
 fn main() {

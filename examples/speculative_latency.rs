@@ -8,9 +8,9 @@
 //! ```
 
 use hpsmr_core::deploy::{deploy_smr, SmrOptions};
-use hpsmr_core::{SMR_COMPLETED, SMR_LATENCY, SMR_ROLLBACKS, SMR_SPEC_EXEC};
+use hpsmr_core::{SMR_ROLLBACKS, SMR_SPEC_EXEC};
 use simnet::prelude::*;
-use workload::WorkloadKind;
+use workload::{WorkloadKind, SESSIONS_COMPLETED, SESSION_LATENCY};
 
 fn run(speculative: bool, n_clients: usize) -> (Dur, f64, u64, u64) {
     let secs = 2;
@@ -24,8 +24,8 @@ fn run(speculative: bool, n_clients: usize) -> (Dur, f64, u64, u64) {
     };
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(secs));
-    let lat = sim.metrics().latency(SMR_LATENCY).mean;
-    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SMR_COMPLETED)).sum();
+    let lat = sim.metrics().latency(SESSION_LATENCY).mean;
+    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     let spec: u64 = d.all_replicas().iter().map(|&r| sim.metrics().counter(r, SMR_SPEC_EXEC)).sum();
     let rb: u64 = d.all_replicas().iter().map(|&r| sim.metrics().counter(r, SMR_ROLLBACKS)).sum();
     (lat, done as f64 / secs as f64 / 1e3, spec, rb)
