@@ -50,6 +50,24 @@ impl TreeCommand {
             TreeCommand::Query { lo, hi } => (lo, hi),
         }
     }
+
+    /// Cuts a query into at most `n` contiguous sub-ranges of near-equal
+    /// span that cover `lo..=hi` exactly once, in key order — the cut
+    /// [`Partitioning::split`] makes at partition bounds, made at even
+    /// intervals instead. Each part is a query of its own (it pays its
+    /// own descent in [`CostModel::cost`]); an update is never cut.
+    pub fn cut(self, n: usize) -> Vec<TreeCommand> {
+        let TreeCommand::Query { lo, hi } = self else { return vec![self] };
+        let span = u128::from(hi.saturating_sub(lo)) + 1;
+        let n = (n.max(1) as u128).min(span);
+        // Part `i` starts `span * i / n` keys in, so spans differ by one
+        // at most and the last part ends at `hi` (wrapping only when `hi`
+        // is `u64::MAX`).
+        let offset = |i: u128| lo.wrapping_add((span * i / n) as u64);
+        (0..n)
+            .map(|i| TreeCommand::Query { lo: offset(i), hi: offset(i + 1).wrapping_sub(1) })
+            .collect()
+    }
 }
 
 /// Result of executing one command.

@@ -12,20 +12,35 @@
 //! # Schedule
 //!
 //! Worker threads pull from the delivery-ordered queue, so whichever core
-//! takes a command also pays its dispatch cost. Two rules place it:
+//! takes a command also pays its dispatch cost. Three rules place it:
 //!
 //! * a command with any **update** runs on `cores[0]` and starts no
 //!   earlier than the end of every earlier read and write;
-//! * a **read-only** command runs on the least-loaded core and starts no
-//!   earlier than the end of the last earlier write.
+//! * a **read-only** command can start at the later of its arrival and
+//!   the end of the last earlier write. If at least two cores are idle at
+//!   that instant, it runs **in parts**: [`Service::split_read`] cuts it
+//!   into one contiguous part per idle core, every part starts then, the
+//!   first core also pays the dispatch, and the read is done when its
+//!   latest part is;
+//! * otherwise it runs whole on the least-loaded core.
 //!
 //! Commands that do not conflict may execute concurrently as long as
 //! conflicting ones keep delivery order (*Rethinking State-Machine
-//! Replication for Parallelism*), and two range scans never conflict.
-//! Conflicts are judged on the whole tree, not on key ranges: the traffic
-//! this repo generates is pure reads or pure updates, so a finer rule
-//! would schedule nothing differently. On a one-core pool both rules
-//! collapse to a single clock — the paper's two-thread server (§4.4.2).
+//! Replication for Parallelism*), and two range scans never conflict —
+//! nor, therefore, do the parts of one, which is the same cut §4.2.2
+//! makes at partition bounds (`Partitioning::split`), made across a
+//! replica's cores. Conflicts are judged on the whole tree, not on key
+//! ranges. On a one-core pool nothing splits and every rule collapses to
+//! a single clock — the paper's two-thread server (§4.4.2).
+//!
+//! A read splits onto *idle* cores only. Each part pays its own descent
+//! (52 µs of a 1000-key scan's 252 µs), so a read in halves takes about
+//! 52 µs more core time than whole — worth paying only while the cores
+//! would otherwise sit idle. On the benchmark's `smr_query` (two cores
+//! per replica, seed 11) splitting onto idle cores took p50 638.0 →
+//! 542.0 µs at 12 k req/s and kept the 40 k rung; splitting whenever
+//! that would finish sooner read 540.6 µs but held only 24 k, as under
+//! load every split spends that extra descent on a busy core.
 //!
 //! # Speculation
 //!
@@ -114,28 +129,62 @@ impl ExecSchedule {
         }
         Slot { core: self.cores[i], start, done }
     }
+
+    /// The instant a read that became runnable at `now` can start: the
+    /// later of `now` and the last earlier write's end.
+    fn read_start(&self, now: Time) -> Time {
+        now.max(self.last_write_end)
+    }
+
+    /// How many cores a read that became runnable at `now` could run on
+    /// in parts: those idle at the instant it can start.
+    pub fn idle_for_read(&self, now: Time) -> usize {
+        let start = self.read_start(now);
+        self.clocks.iter().filter(|&&free| free <= start).count()
+    }
+
+    /// Places the parts of a read that became runnable at `now`, given
+    /// as `(_, cost)`, one on each of the first `parts.len()` cores idle
+    /// at the instant it can start ([`ExecSchedule::idle_for_read`] said
+    /// how many there are), and writes each part's core next to its cost.
+    /// Returns that instant: every part starts then.
+    pub fn book_parts(&mut self, parts: &mut [(usize, Dur)], now: Time) -> Time {
+        let start = self.read_start(now);
+        let mut unplaced = parts.iter_mut();
+        for (&core, clock) in self.cores.iter().zip(&mut self.clocks) {
+            if *clock > start {
+                continue;
+            }
+            let Some((part_core, cost)) = unplaced.next() else { break };
+            *part_core = core;
+            *clock = start + *cost;
+            self.reads_end = self.reads_end.max(*clock);
+        }
+        assert!(unplaced.next().is_none(), "more parts than idle cores");
+        start
+    }
 }
 
-/// What the actor does for one executed command: book `cost` on `core`
-/// (utilization accounting; the schedule's own clocks set the timing)
-/// and release the reply at `done`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// What the actor does for one executed command: book each part's cost
+/// on its core (utilization accounting; the schedule's own clocks set
+/// the timing) and release the reply at `done`.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Booked {
-    /// Core that ran the command.
-    pub core: usize,
-    /// CPU time it took; zero when a speculated execution was confirmed
-    /// (the work was charged at speculation time).
-    pub cost: Dur,
-    /// Virtual time the reply is ready.
+    /// `(core, CPU time)` of each part the command ran in: one for a
+    /// command run whole, one per core for a read run in parts, none
+    /// when a speculated execution was confirmed (the work was charged
+    /// at speculation time).
+    pub parts: Vec<(usize, Dur)>,
+    /// Virtual time the reply is ready: the latest part's end.
     pub done: Time,
     /// Speculated commands this call rolled back (confirm only).
     pub rolled_back: usize,
 }
 
-/// A confirmed speculation: where it ran, and the reply it owes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A confirmed speculation: when its reply is ready, and what it owes.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Released {
-    /// The execution; `cost` is zero (charged when it speculated).
+    /// The execution; it has no parts (charged when it speculated).
     pub booked: Booked,
     /// Issuing client.
     pub client: NodeId,
@@ -154,12 +203,11 @@ pub struct Swept {
 
 /// A speculated execution awaiting its order: the command, the instance
 /// whose 2A carried it, how many undo records it left in the service,
-/// where and until when it ran, and what the reply needs.
+/// until when it ran, and what the reply needs.
 struct Speculated {
     id: MsgId,
     instance: u64,
     updates: usize,
-    core: usize,
     done: Time,
     client: NodeId,
     reply_bytes: u32,
@@ -234,23 +282,46 @@ impl<S: Service> Executor<S> {
 
     /// Applies `cmd`'s local operations to the service and places the
     /// execution; a command not executed here still costs its dispatch.
-    /// Returns the number of updates applied and the booking.
+    /// A read-only command runs in parts, one per idle core, when at
+    /// least two cores are idle at the instant it can start and the
+    /// service cuts it; the first part pays the dispatch. Returns the
+    /// number of updates applied and the booking.
     fn run(
         &mut self,
         cmd: &StoredCommand<S::Command>,
         executes: bool,
         now: Time,
     ) -> (usize, Booked) {
-        let mut cost = self.dispatch;
-        let mut updates = 0;
+        let updates =
+            if executes { ops_of(self.mask, cmd).filter(|op| S::is_update(op)).count() } else { 0 };
+        let idle = if executes && updates == 0 { self.schedule.idle_for_read(now) } else { 0 };
+        // `(core, cost)` per part; cores are filled in by the booking.
+        let mut parts = Vec::with_capacity(idle.max(1));
+        parts.push((0, self.dispatch));
         if executes {
             for op in ops_of(self.mask, cmd) {
-                cost += self.service.execute(op);
-                updates += usize::from(S::is_update(op));
+                if idle < 2 {
+                    parts[0].1 += self.service.execute(op);
+                    continue;
+                }
+                let cut = S::split_read(op, idle);
+                if parts.len() < cut.len() {
+                    parts.resize(cut.len(), (0, Dur::ZERO));
+                }
+                for (part, sub) in parts.iter_mut().zip(&cut) {
+                    part.1 += self.service.execute(sub);
+                }
             }
         }
-        let slot = self.schedule.book(updates > 0, cost, now);
-        (updates, Booked { core: slot.core, cost, done: slot.done, rolled_back: 0 })
+        let done = if parts.len() > 1 {
+            let start = self.schedule.book_parts(&mut parts, now);
+            start + parts.iter().map(|&(_, cost)| cost).max().expect("two parts or more")
+        } else {
+            let slot = self.schedule.book(updates > 0, parts[0].1, now);
+            parts[0].0 = slot.core;
+            slot.done
+        };
+        (updates, Booked { parts, done, rolled_back: 0 })
     }
 
     /// Speculative path: executes `cmd` when the Phase 2A payload of
@@ -276,7 +347,6 @@ impl<S: Service> Executor<S> {
             id,
             instance,
             updates,
-            core: booked.core,
             done: booked.done,
             client: cmd.client,
             reply_bytes: cmd.reply_bytes,
@@ -295,8 +365,7 @@ impl<S: Service> Executor<S> {
         }
         let s = self.spec_q.pop_front().expect("front checked");
         self.commit(s.updates);
-        let booked =
-            Booked { core: s.core, cost: Dur::ZERO, done: s.done.max(now), rolled_back: 0 };
+        let booked = Booked { parts: Vec::new(), done: s.done.max(now), rolled_back: 0 };
         Some(Released { booked, client: s.client, reply_bytes: s.reply_bytes })
     }
 
@@ -402,43 +471,83 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The schedule is conflict-serializable in delivery order: a
-        /// core runs one command at a time, reads never overlap writes,
-        /// writes keep delivery order, nothing starts before it arrives.
-        /// On one core it is the single `charge_cpu` chain it replaced.
+        /// core runs one command or part at a time, reads never overlap
+        /// writes, a write starts after every earlier read and write, and
+        /// nothing starts before it arrives. A read run in parts starts
+        /// every part at once — at the later of its arrival and the last
+        /// write's end — and only on cores idle at that instant, and the
+        /// next write waits for its latest part. On one core nothing
+        /// splits, and the schedule is the single `charge_cpu` chain it
+        /// replaced.
         #[test]
         fn schedule_serializes_conflicts_in_delivery_order(
             n_cores in 1..5usize,
-            stream in prop::collection::vec((0..2u8, 1..400u64, 0..300u64), 1..200),
+            // (whole read / write / read in parts, part costs, gap)
+            stream in prop::collection::vec(
+                (0..3u8, prop::collection::vec(1..400u64, 1..5), 0..300u64), 1..200),
         ) {
             let cores: Vec<usize> = (1..=n_cores).collect();
             let mut sched = ExecSchedule::new(cores.clone());
-            let (mut now, mut chain) = (Time::ZERO, Time::ZERO);
-            // (write, slot) in delivery order.
+            let (mut now, mut chain, mut write_end) = (Time::ZERO, Time::ZERO, Time::ZERO);
+            // The oracle's own clock: when each core's last part ends.
+            let mut free = vec![Time::ZERO; n_cores];
+            // (write, slot) of every command and part, in delivery order.
             let mut booked: Vec<(bool, Slot)> = Vec::new();
-            for (kind, cost, gap) in stream {
-                let (write, cost) = (kind == 1, us(cost));
+            for (kind, costs, gap) in stream {
+                let write = kind == 1;
+                let costs: Vec<Dur> = costs.into_iter().map(us).collect();
                 now += us(gap);
-                let slot = sched.book(write, cost, now);
-                prop_assert!(slot.start >= now);
-                prop_assert_eq!(slot.done, slot.start + cost);
-                prop_assert!(cores.contains(&slot.core));
+                let start = now.max(write_end);
+                let idle = sched.idle_for_read(now);
+                prop_assert_eq!(idle, free.iter().filter(|&&f| f <= start).count());
+                let n = idle.min(costs.len());
+                let slots = if kind == 2 && n >= 2 {
+                    let mut parts: Vec<(usize, Dur)> = costs[..n].iter().map(|&c| (0, c)).collect();
+                    prop_assert_eq!(sched.book_parts(&mut parts, now), start);
+                    let slots: Vec<Slot> = parts
+                        .iter()
+                        .map(|&(core, cost)| Slot { core, start, done: start + cost })
+                        .collect();
+                    for slot in &slots {
+                        prop_assert!(free[slot.core - 1] <= start, "a part on a busy core");
+                    }
+                    let mut on: Vec<usize> = slots.iter().map(|s| s.core).collect();
+                    on.dedup();
+                    prop_assert_eq!(on.len(), n, "two parts on one core");
+                    slots
+                } else {
+                    let slot = sched.book(write, costs[0], now);
+                    prop_assert!(slot.start >= now);
+                    prop_assert_eq!(slot.done, slot.start + costs[0]);
+                    if write {
+                        prop_assert_eq!(slot.core, cores[0]);
+                    }
+                    chain = chain.max(now) + costs[0];
+                    if n_cores == 1 {
+                        prop_assert_eq!(slot.done, chain);
+                    }
+                    vec![slot]
+                };
+                for &slot in &slots {
+                    prop_assert!(cores.contains(&slot.core));
+                    prop_assert!(write || slot.start >= write_end, "a read overtook a write");
+                    for &(w, earlier) in &booked {
+                        let disjoint = earlier.done <= slot.start || slot.done <= earlier.start;
+                        if earlier.core == slot.core || w != write {
+                            prop_assert!(disjoint, "{earlier:?} overlaps {slot:?}");
+                        }
+                        if write {
+                            prop_assert!(earlier.done <= slot.start, "{slot:?} overtook {earlier:?}");
+                        }
+                    }
+                }
+                for &slot in &slots {
+                    free[slot.core - 1] = free[slot.core - 1].max(slot.done);
+                    booked.push((write, slot));
+                }
                 if write {
-                    prop_assert_eq!(slot.core, cores[0]);
+                    write_end = slots[0].done;
                 }
-                chain = chain.max(now) + cost;
-                if n_cores == 1 {
-                    prop_assert_eq!(slot.done, chain);
-                }
-                for &(w, earlier) in &booked {
-                    let disjoint = earlier.done <= slot.start || slot.done <= earlier.start;
-                    if earlier.core == slot.core || w != write {
-                        prop_assert!(disjoint, "{earlier:?} overlaps {slot:?}");
-                    }
-                    if w && write {
-                        prop_assert!(earlier.done <= slot.start, "writes out of order");
-                    }
-                }
-                booked.push((write, slot));
             }
         }
     }
@@ -459,6 +568,27 @@ mod tests {
         Executor::new(TreeService::new(), cores.to_vec(), MASK, DISPATCH)
     }
 
+    impl Booked {
+        /// CPU time the command took, over all its parts.
+        fn cost(&self) -> Dur {
+            self.parts.iter().map(|&(_, cost)| cost).fold(Dur::ZERO, |a, b| a + b)
+        }
+    }
+
+    /// The cores a command ran on, in part order.
+    fn cores_of(b: &Booked) -> Vec<usize> {
+        b.parts.iter().map(|&(core, _)| core).collect()
+    }
+
+    /// The longest part of a command.
+    fn longest(b: &Booked) -> Dur {
+        b.parts.iter().map(|&(_, cost)| cost).max().expect("executed")
+    }
+
+    fn scan_cost(lo: u64, hi: u64) -> Dur {
+        btree::CostModel::default().cost(TreeCommand::Query { lo, hi })
+    }
+
     #[test]
     fn reads_wait_for_writes_and_writes_for_reads() {
         let mut ex = executor(&[1, 3]);
@@ -468,27 +598,80 @@ mod tests {
         let r1 = ex.confirm(MsgId(1), &scan, true, now);
         let w = ex.confirm(MsgId(2), &put, true, now);
         let r2 = ex.confirm(MsgId(3), &scan, true, now);
-        assert_eq!((r1.core, r1.done), (1, now + r1.cost));
-        // The write runs on the writer core, after the first read ends.
-        assert_eq!((w.core, w.done), (1, r1.done + w.cost));
-        // The second read takes the idle reader core but starts at the
-        // write's end, not at `now`.
-        assert_eq!((r2.core, r2.done), (3, w.done + r2.cost));
+        // Both cores idle: the first read runs in halves on both.
+        assert_eq!((cores_of(&r1), r1.done), (vec![1, 3], now + longest(&r1)));
+        // The write runs on the writer core, after every part of the
+        // first read ends.
+        assert_eq!((cores_of(&w), w.done), (vec![1], r1.done + w.cost()));
+        // The second read starts at the write's end, not at `now`, where
+        // both cores are idle again.
+        assert_eq!((cores_of(&r2), r2.done), (vec![1, 3], w.done + longest(&r2)));
     }
 
     #[test]
     fn independent_reads_run_side_by_side() {
         let mut ex = executor(&[1, 3]);
+        let lookup = cmd(&[TreeCommand::Query { lo: 0, hi: 0 }]);
         let scan = cmd(&[TreeCommand::Query { lo: 0, hi: 999 }]);
         let now = at(100);
-        let a = ex.confirm(MsgId(1), &scan, true, now);
-        let b = ex.confirm(MsgId(2), &scan, true, now);
-        let c = ex.confirm(MsgId(3), &scan, false, now);
-        assert_eq!((a.core, a.done), (1, now + a.cost));
-        assert_eq!((b.core, b.done), (3, now + b.cost));
+        // A one-key read cannot be cut: it runs whole on core 1, so the
+        // scan behind it finds one core idle and runs whole on core 3.
+        let l = ex.confirm(MsgId(1), &lookup, true, now);
+        let a = ex.confirm(MsgId(2), &scan, true, now);
+        let b = ex.confirm(MsgId(3), &scan, true, now);
+        let c = ex.confirm(MsgId(4), &scan, false, now);
+        assert_eq!((cores_of(&l), l.done), (vec![1], now + l.cost()));
+        assert_eq!(a.parts, [(3, DISPATCH + scan_cost(0, 999))]);
+        assert_eq!(a.done, now + a.cost());
+        // No core is idle: the next scan runs whole on the least-loaded
+        // core, beside the first.
+        assert_eq!((cores_of(&b), b.done), (vec![1], l.done + b.cost()));
         // Not executed here (another replica answers): whichever core
         // takes it off the queue pays the dispatch and drops it.
-        assert_eq!((c.core, c.cost, c.done), (1, DISPATCH, a.done + DISPATCH));
+        assert_eq!((c.parts, c.done), (vec![(3, DISPATCH)], a.done + DISPATCH));
+    }
+
+    /// A scan that finds cores idle runs one contiguous part on each,
+    /// every part paying its own descent and the first the dispatch; one
+    /// that finds a core busy runs on the others only.
+    #[test]
+    fn a_scan_runs_in_parts_on_the_idle_cores() {
+        let mut ex = executor(&[1, 3, 5]);
+        let scan = cmd(&[TreeCommand::Query { lo: 0, hi: 899 }]);
+        let now = at(100);
+        let a = ex.confirm(MsgId(1), &scan, true, now);
+        let thirds = [(1, DISPATCH + scan_cost(0, 299)), (3, scan_cost(300, 599))];
+        assert_eq!(a.parts, [thirds[0], thirds[1], (5, scan_cost(600, 899))]);
+        assert_eq!(a.done, now + longest(&a));
+
+        // Arriving now, the next scan finds no core idle: it runs whole
+        // on the least-loaded one.
+        let c = ex.confirm(MsgId(2), &scan, true, now);
+        assert_eq!(c.parts, [(3, DISPATCH + scan_cost(0, 899))]);
+        assert_eq!(c.done, now + scan_cost(300, 599) + c.cost());
+
+        // Later every core is idle; a one-key read cannot be cut and takes
+        // the least-loaded, core 5, so the next scan finds two idle.
+        let later = c.done;
+        let lookup = cmd(&[TreeCommand::Query { lo: 0, hi: 0 }]);
+        let l = ex.confirm(MsgId(3), &lookup, true, later);
+        assert_eq!(cores_of(&l), [5]);
+        let b = ex.confirm(MsgId(4), &scan, true, later);
+        let halves = [(1, DISPATCH + scan_cost(0, 449)), (3, scan_cost(450, 899))];
+        assert_eq!((b.parts.as_slice(), b.done), (&halves[..], later + longest(&b)));
+
+        // A write never splits, and waits for the latest part.
+        let put = cmd(&[TreeCommand::Insert { key: 5, value: 5 }]);
+        let w = ex.confirm(MsgId(5), &put, true, later);
+        assert_eq!((cores_of(&w), w.done), (vec![1], b.done + w.cost()));
+
+        // Without a dispatch to pay, the second half of an odd span is one
+        // key longer than the first, and the read is done when it is.
+        let mut ex = Executor::new(TreeService::new(), vec![1, 3], MASK, Dur::ZERO);
+        let odd = cmd(&[TreeCommand::Query { lo: 0, hi: 1000 }]);
+        let d = ex.confirm(MsgId(6), &odd, true, now);
+        assert_eq!(d.parts, [(1, scan_cost(0, 499)), (3, scan_cost(500, 1000))]);
+        assert_eq!(d.done, now + scan_cost(500, 1000));
     }
 
     /// What a replica does with the next command of the decided order.
@@ -532,7 +715,7 @@ mod tests {
         assert!(ex.speculate(MsgId(1), 0, &a, true, now).is_some());
         assert!(ex.speculate(MsgId(2), 1, &b, true, now).is_some());
         let ca = deliver(&mut ex, MsgId(1), &a, true, now);
-        assert_eq!((ca.cost, ca.rolled_back), (Dur::ZERO, 0));
+        assert_eq!((ca.cost(), ca.rolled_back), (Dur::ZERO, 0));
         assert_eq!(ex.service().undo_depth(), 2, "B's records outlive A's commit");
 
         // X was never speculated here and updates B's key: B is undone.
@@ -544,7 +727,7 @@ mod tests {
         // B is delivered after X and executes again, in order.
         let cb = deliver(&mut ex, MsgId(2), &b, true, now);
         assert_eq!(cb.rolled_back, 0);
-        assert!(cb.cost > Dur::ZERO);
+        assert!(cb.cost() > Dur::ZERO);
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&a, &x, &b]));
         assert_eq!(ex.updates_applied(), 4);
     }
@@ -600,7 +783,7 @@ mod tests {
         assert_eq!(ex.delivered(6), Swept { stale: 1, rolled_back: 0 });
         for (id, x) in [(1, &b), (2, &c)] {
             let booked = deliver(&mut ex, MsgId(id), x, true, now);
-            assert_eq!((booked.cost, booked.rolled_back), (Dur::ZERO, 0));
+            assert_eq!((booked.cost(), booked.rolled_back), (Dur::ZERO, 0));
             assert_eq!(ex.delivered(6 + id), Swept::default());
         }
         assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
@@ -614,7 +797,7 @@ mod tests {
         assert!(ex.service().tree().is_empty());
         for (id, x) in [(1, &b), (2, &c)] {
             let booked = deliver(&mut ex, MsgId(id), x, true, now);
-            assert!(booked.cost > Dur::ZERO);
+            assert!(booked.cost() > Dur::ZERO);
             assert_eq!(booked.rolled_back, 0);
             assert_eq!(ex.delivered(6 + id), Swept::default());
         }

@@ -61,7 +61,7 @@ pub use exec::{Booked, ExecSchedule, Executor, Released, Swept};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
     ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_REGISTRY_MISS, SMR_ROLLBACKS,
-    SMR_SPEC_EXEC, SMR_SPEC_STALE,
+    SMR_SPEC_EXEC, SMR_SPEC_STALE, SMR_SPLIT_READS,
 };
 pub use service::{Registry, Service, StoredCommand};
 pub use session::{Route, TreeSessionDriver};

@@ -11,12 +11,13 @@
 //!
 //! Execution itself lives in [`crate::exec`]: the [`Executor`] applies
 //! commands to the service in delivery order and schedules their virtual
-//! time by two rules — an update starts after every earlier read and
-//! write has ended; a read starts after the last earlier write has ended,
-//! on the least-loaded core. Conflicts are judged on the whole tree: the
-//! traffic is pure reads or pure updates, so key-range tracking would
-//! change no schedule. This actor only books the charges the executor
-//! returns and sends each reply when it is ready.
+//! time — an update starts after every earlier read and write has ended
+//! on the writer core; a read starts after the last earlier write has
+//! ended, cut into one part per execution core idle at that instant when
+//! there are two or more ([`SMR_SPLIT_READS`]), else whole on the
+//! least-loaded core. Conflicts are judged on the whole tree. This actor
+//! only books each part's charge on the core the executor named and
+//! sends each reply when it is ready.
 //!
 //! # Speculation
 //!
@@ -64,6 +65,9 @@ pub const SMR_ROLLBACKS: &str = "smr.rollbacks";
 /// Speculations dropped because their instance was delivered without
 /// confirming them, per replica.
 pub const SMR_SPEC_STALE: &str = "smr.spec_stale";
+/// Reads executed in parts, one on each execution core idle when the
+/// read could start ([`crate::exec`]), per replica.
+pub const SMR_SPLIT_READS: &str = "smr.split_reads";
 /// Delivered commands a replica found no registry entry for and therefore
 /// skipped, per replica. Always a defect: see [`crate::service`].
 pub const SMR_REGISTRY_MISS: &str = "smr.registry_miss";
@@ -223,8 +227,8 @@ impl<S: Service> SmrReplica<S> {
             // the learner's duplicate filter will drop it too.
             let Some(cmd) = self.registry.get(v.id) else { continue };
             let designated = self.is_designated(v.id);
-            if let Some(b) = self.exec.speculate(v.id, instance, &cmd, designated, ctx.now()) {
-                ctx.charge_cpu(b.core, b.cost);
+            if let Some(booked) = self.exec.speculate(v.id, instance, &cmd, designated, ctx.now()) {
+                charge(&booked, ctx);
                 ctx.counter_add(SMR_SPEC_EXEC, 1);
             }
         }
@@ -264,13 +268,11 @@ impl<S: Service> SmrReplica<S> {
             }
         };
         self.registry.confirmed(id);
-        let Booked { core, cost, done, rolled_back } = booked;
-        if rolled_back > 0 {
-            ctx.counter_add(SMR_ROLLBACKS, rolled_back as u64);
+        if booked.rolled_back > 0 {
+            ctx.counter_add(SMR_ROLLBACKS, booked.rolled_back as u64);
         }
-        if cost > Dur::ZERO {
-            ctx.charge_cpu(core, cost);
-        }
+        charge(&booked, ctx);
+        let done = booked.done;
         if designated {
             self.resp_q.insert((done, self.resp_seq), (id, client, reply_bytes));
             self.resp_seq += 1;
@@ -301,6 +303,17 @@ impl<S: Service> SmrReplica<S> {
             let partition = self.mask.trailing_zeros();
             ctx.udp_send(client, SmrResponse { id, partition }, bytes);
         }
+    }
+}
+
+/// Books each part of an execution on the core that ran it, and counts
+/// a read that ran in parts.
+fn charge(booked: &Booked, ctx: &mut Ctx) {
+    for &(core, cost) in &booked.parts {
+        ctx.charge_cpu(core, cost);
+    }
+    if booked.parts.len() > 1 {
+        ctx.counter_add(SMR_SPLIT_READS, 1);
     }
 }
 

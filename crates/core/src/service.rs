@@ -39,6 +39,15 @@ pub trait Service: Send {
     /// do not).
     fn is_update(cmd: &Self::Command) -> bool;
 
+    /// Cuts read-only `cmd` into at most `n` contiguous parts that
+    /// together read exactly what `cmd` reads, to execute on `n` idle
+    /// cores at once: two reads never conflict, so neither do the parts
+    /// of one. The default cuts nothing.
+    fn split_read(cmd: &Self::Command, n: usize) -> Vec<Self::Command> {
+        let _ = n;
+        vec![cmd.clone()]
+    }
+
     /// Confirms the oldest unconfirmed command, which left `n` undo
     /// records: they will never be rolled back and may be discarded.
     /// Later (still speculative) commands keep theirs.
@@ -66,6 +75,10 @@ impl Service for TreeService {
 
     fn is_update(cmd: &TreeCommand) -> bool {
         cmd.is_update()
+    }
+
+    fn split_read(cmd: &TreeCommand, n: usize) -> Vec<TreeCommand> {
+        cmd.cut(n)
     }
 
     fn commit(&mut self, n: usize) {
@@ -246,6 +259,62 @@ impl<C: Clone> Registry<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btree::{CostModel, TreeOutput};
+    use proptest::prelude::*;
+
+    proptest! {
+        /// A scan cut into parts reads exactly what it reads whole: the
+        /// parts cover `lo..=hi` once, in order, their matches sum to the
+        /// whole scan's, and each costs the cost model's price for its
+        /// own sub-range (its own descent included).
+        #[test]
+        fn a_scan_cut_into_parts_reads_it_exactly_once(
+            lo in 0..30_000u64,
+            span in 1..3_000u64,
+            n in 1..6usize,
+        ) {
+            let mut s = TreeService::populated(0, 20_000, 5_000);
+            let whole = TreeCommand::Query { lo, hi: lo + span - 1 };
+            let parts = <TreeService as Service>::split_read(&whole, n);
+            prop_assert_eq!(parts.len() as u64, (n as u64).min(span));
+            let mut next = lo;
+            let mut matched = 0;
+            for &part in &parts {
+                let TreeCommand::Query { lo: plo, hi: phi } = part else { panic!("{part:?}") };
+                prop_assert_eq!(plo, next);
+                prop_assert!(phi >= plo);
+                next = phi + 1;
+                prop_assert_eq!(s.execute(&part), CostModel::default().cost(part));
+                let (TreeOutput::Matched(m), _) = s.apply(part) else { panic!("a read") };
+                matched += m;
+            }
+            prop_assert_eq!(next, lo + span);
+            prop_assert_eq!(s.apply(whole).0, TreeOutput::Matched(matched));
+        }
+    }
+
+    #[test]
+    fn split_read_keeps_updates_whole_and_spans_the_whole_key_space() {
+        let put = TreeCommand::Insert { key: 1, value: 1 };
+        assert_eq!(<TreeService as Service>::split_read(&put, 4), [put]);
+        // A query over the whole key space is cut without overflow.
+        let all = TreeCommand::Query { lo: 0, hi: u64::MAX };
+        let halves = <TreeService as Service>::split_read(&all, 2);
+        let half = u64::MAX / 2;
+        assert_eq!(
+            halves,
+            [
+                TreeCommand::Query { lo: 0, hi: half },
+                TreeCommand::Query { lo: half + 1, hi: u64::MAX }
+            ]
+        );
+        let top = TreeCommand::Query { lo: 7, hi: u64::MAX };
+        assert_eq!(
+            <TreeService as Service>::split_read(&top, 3).last().map(|c| c.key_span().1),
+            Some(u64::MAX)
+        );
+        assert_eq!(<crate::NullService as Service>::split_read(&9, 4), [9]);
+    }
 
     fn stored(mask: u32) -> StoredCommand<TreeCommand> {
         StoredCommand {

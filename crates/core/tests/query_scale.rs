@@ -173,8 +173,9 @@ impl Actor for ReplyOrder {
     }
 }
 
-/// Delivers a 1000-key scan and then a one-key lookup to a lone replica
-/// running on `exec_cores`; returns the order the client hears back.
+/// Delivers a one-key lookup, a 1000-key scan and another lookup to a
+/// lone replica running on `exec_cores`; returns the order the client
+/// hears back.
 fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     let mut sim = Sim::new(SimConfig::default());
     let opts =
@@ -183,8 +184,7 @@ fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     let (replica, log) = (layout.d.learners[0], layout.d.log.clone());
     let client = sim.add_node(Box::new(Idle));
     let registry: Registry<TreeCommand> = Registry::new();
-    let (scan, lookup) = (MsgId(1), MsgId(2));
-    for (id, hi) in [(scan, 999), (lookup, 0)] {
+    for (id, hi) in [(FIRST, 0), (SCAN, 999), (LOOKUP, 0)] {
         let ops = vec![(ALL_PARTITIONS, TreeCommand::Query { lo: 0, hi })];
         registry.put(id, StoredCommand { ops, client, mask: ALL_PARTITIONS, reply_bytes: 64 });
         log.lock().unwrap().deliver(0, id);
@@ -208,12 +208,17 @@ fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     heard
 }
 
+const FIRST: MsgId = MsgId(1);
+const SCAN: MsgId = MsgId(2);
+const LOOKUP: MsgId = MsgId(3);
+
 #[test]
 fn replies_leave_in_ready_order() {
-    let (scan, lookup) = (MsgId(1), MsgId(2));
-    // One execution thread: the lookup queues behind the scan.
-    assert_eq!(reply_order(vec![1]), [scan, lookup]);
-    // Two: the lookup finishes on core 3 while the scan still runs on
-    // core 1, and its reply does not wait for the scan's.
-    assert_eq!(reply_order(vec![1, 3]), [lookup, scan]);
+    // One execution thread: the second lookup queues behind the scan.
+    assert_eq!(reply_order(vec![1]), [FIRST, SCAN, LOOKUP]);
+    // Two: the first lookup holds core 1, so the scan starts with one
+    // core idle and runs whole on core 3. The second lookup finishes on
+    // core 1 while the scan still runs, and its reply does not wait for
+    // the scan's.
+    assert_eq!(reply_order(vec![1, 3]), [FIRST, LOOKUP, SCAN]);
 }

@@ -88,7 +88,7 @@ fn assert_replicas_agree(sim: &mut Sim, d: &SessionDeployment, label: &str) -> V
 fn queries_execute_on_arrival_and_answer_on_the_decision() {
     let (mut sim, d, lat) = run(WorkloadKind::Queries, 12_000.0);
     // The plain path paid execution after ordering: 897 / 1 095 µs.
-    assert!(lat.p50 <= Dur::micros(760), "p50 {}", lat.p50);
+    assert!(lat.p50 <= Dur::micros(600), "p50 {}", lat.p50);
     assert!(lat.p99 <= Dur::micros(950), "p99 {}", lat.p99);
 
     let submitted = sum(&sim, SESSIONS_SUBMITTED);
