@@ -24,6 +24,10 @@
 //!   latest part is;
 //! * otherwise it runs whole on the least-loaded core.
 //!
+//! A read runs on one replica of the partition, the one whose turn it is
+//! ("Who answers"); on the others the core that takes it off the queue
+//! pays the dispatch and drops it.
+//!
 //! Commands that do not conflict may execute concurrently as long as
 //! conflicting ones keep delivery order (*Rethinking State-Machine
 //! Replication for Parallelism*), and two range scans never conflict —
@@ -42,6 +46,29 @@
 //! that would finish sooner read 540.6 µs but held only 24 k, as under
 //! load every split spends that extra descent on a busy core.
 //!
+//! # Who answers
+//!
+//! Every replica of a partition executes every update, and the one at
+//! `id % n` of the partition's `n` replicas ([`Seat`]) answers it. A read
+//! runs on one replica only, the one whose turn it is: the `k`-th
+//! read-only command in the partition's delivered order is executed and
+//! answered by replica `k % n`. The replicas deliver the same sequence, so
+//! they agree on every turn without a message, and consecutive reads
+//! alternate between them. A hash of the id would agree just as well but
+//! balances only on average: open-loop ids are a coin flip, so two reads
+//! in a row land on one replica half the time while its peer's cores sit
+//! idle. On `smr_query` (seed 11) that burst is the tail: p99 / p999
+//! 824.8 / 954.7 µs by id against 755.4 / 811.3 µs by turn, at a p50 of
+//! 542.0 / 539.4 µs.
+//!
+//! The turns stay in step only if every delivered command reaches the
+//! executor ([`Executor::release`] or [`Executor::confirm`]): a replica
+//! that skipped a delivered read would count one read fewer than its
+//! peer from then on, and every later read of the partition would be
+//! answered by both replicas or by neither. A hash of the id lost one
+//! reply to such a skip; turns lose the partition's reads, which is why
+//! the replica treats a delivered command it cannot find as a defect.
+//!
 //! # Speculation
 //!
 //! Speculation (§4.2.1) is how the session tier runs: a command executes
@@ -54,8 +81,19 @@
 //! * whose instance is below the learner's delivery watermark — a
 //!   re-multicast 2A of an instance already delivered;
 //! * whose id is already in the queue — a retry, or a re-multicast of an
-//!   instance still undelivered;
-//! * that this replica does not execute (a query another replica answers).
+//!   instance still undelivered.
+//!
+//! A read is queued either way, run or not, for its place in the queue is
+//! what predicts its turn: the reads confirmed so far plus the reads
+//! queued ahead of it. It runs at arrival only if that turn is this
+//! replica's. With no loss and no takeover the 2As arrive in the decided
+//! order and the prediction is exact; otherwise (a stale entry ahead of
+//! it, a read confirmed unspeculated) it may be wrong, and the decided
+//! order, which [`Executor::release`] and [`Executor::confirm`] count, is
+//! what settles the turn. A read run out of turn is wasted work and goes
+//! unanswered here; a read whose turn it is but which did not run, runs
+//! when confirmed. Either way it is answered exactly once, by the replica
+//! whose turn it is.
 //!
 //! After the learner has delivered, [`Executor::delivered`] drops every
 //! entry whose instance is now below the watermark: the instance was
@@ -167,7 +205,7 @@ impl ExecSchedule {
 
 /// What the actor does for one executed command: book each part's cost
 /// on its core (utilization accounting; the schedule's own clocks set
-/// the timing) and release the reply at `done`.
+/// the timing) and, if this replica answers, release the reply at `done`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Booked {
     /// `(core, CPU time)` of each part the command ran in: one for a
@@ -179,6 +217,27 @@ pub struct Booked {
     pub done: Time,
     /// Speculated commands this call rolled back (confirm only).
     pub rolled_back: usize,
+    /// This replica sends the reply ("Who answers"). Known once the
+    /// decided order reaches the command: always `false` from
+    /// [`Executor::speculate`].
+    pub answers: bool,
+}
+
+/// A replica's place among its partition's replicas, which take turns
+/// answering ("Who answers").
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Seat {
+    /// This replica's index in the partition's replica list.
+    pub index: usize,
+    /// Replicas in the partition.
+    pub of: usize,
+}
+
+impl Seat {
+    /// Whether turn `k` is this replica's.
+    fn holds(self, k: u64) -> bool {
+        k % self.of as u64 == self.index as u64
+    }
 }
 
 /// A confirmed speculation: when its reply is ready, and what it owes.
@@ -195,22 +254,30 @@ pub struct Released {
 /// What [`Executor::delivered`] found stale.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Swept {
-    /// Speculations whose instance was delivered without confirming them.
+    /// Executed speculations whose instance was delivered without
+    /// confirming them (a read left to a peer is dropped uncounted).
     pub stale: usize,
     /// Speculated commands undone because a stale one had updates.
     pub rolled_back: usize,
 }
 
-/// A speculated execution awaiting its order: the command, the instance
-/// whose 2A carried it, how many undo records it left in the service,
-/// until when it ran, and what the reply needs.
+/// A speculated command awaiting its order: the command, the instance
+/// whose 2A carried it, how many undo records it left in the service
+/// (none for a read), until when it ran (`None`: a read left to a peer),
+/// and what the reply needs.
 struct Speculated {
     id: MsgId,
     instance: u64,
     updates: usize,
-    done: Time,
+    done: Option<Time>,
     client: NodeId,
     reply_bytes: u32,
+}
+
+impl Speculated {
+    fn is_read(&self) -> bool {
+        self.updates == 0
+    }
 }
 
 /// The operations of `cmd` a replica with partition mask `mask` runs.
@@ -227,7 +294,12 @@ pub struct Executor<S: Service> {
     mask: u32,
     /// Per-command cost of taking it off the delivery queue.
     dispatch: Dur,
-    /// Speculated executions in arrival order, all of instances at or
+    /// Where this replica sits among its partition's replicas.
+    seat: Seat,
+    /// Reads confirmed so far: the turn of the next read in the decided
+    /// order.
+    reads: u64,
+    /// Speculated commands in arrival order, all of instances at or
     /// above `watermark` once [`Executor::delivered`] has run.
     spec_q: VecDeque<Speculated>,
     /// The learner's delivery watermark as of the last `delivered`.
@@ -237,14 +309,17 @@ pub struct Executor<S: Service> {
 }
 
 impl<S: Service> Executor<S> {
-    /// An executor for the replica of partition mask `mask`, running on
-    /// `cores` (`cores[0]` is the writer core).
-    pub fn new(service: S, cores: Vec<usize>, mask: u32, dispatch: Dur) -> Executor<S> {
+    /// An executor for the replica at `seat` of partition mask `mask`,
+    /// running on `cores` (`cores[0]` is the writer core).
+    pub fn new(service: S, cores: Vec<usize>, mask: u32, dispatch: Dur, seat: Seat) -> Executor<S> {
+        assert!(seat.index < seat.of, "{seat:?} is not a seat of its partition");
         Executor {
             service,
             schedule: ExecSchedule::new(cores),
             mask,
             dispatch,
+            seat,
+            reads: 0,
             spec_q: VecDeque::new(),
             watermark: 0,
             committed: 0,
@@ -256,7 +331,8 @@ impl<S: Service> Executor<S> {
         &self.service
     }
 
-    /// Speculated executions awaiting their order.
+    /// Speculated commands awaiting their order, reads left to a peer
+    /// included.
     pub fn speculated(&self) -> usize {
         self.spec_q.len()
     }
@@ -273,44 +349,39 @@ impl<S: Service> Executor<S> {
         self.committed += n as u64;
     }
 
-    /// Whether this replica executes the command: updates run everywhere
-    /// (state must stay identical); queries only on the designated
-    /// replica ("only one replica executes the command and responds").
-    fn executes(&self, cmd: &StoredCommand<S::Command>, designated: bool) -> bool {
-        designated || ops_of(self.mask, cmd).any(S::is_update)
+    /// Whether this replica answers the next command of the decided
+    /// order, `id`, read-only or not ("Who answers"). A read takes its
+    /// turn: call once per confirmed command.
+    fn take_turn(&mut self, id: MsgId, read: bool) -> bool {
+        if !read {
+            return self.seat.holds(id.0);
+        }
+        self.reads += 1;
+        self.seat.holds(self.reads - 1)
     }
 
     /// Applies `cmd`'s local operations to the service and places the
-    /// execution; a command not executed here still costs its dispatch.
-    /// A read-only command runs in parts, one per idle core, when at
-    /// least two cores are idle at the instant it can start and the
-    /// service cuts it; the first part pays the dispatch. Returns the
+    /// execution. A read-only command runs in parts, one per idle core,
+    /// when at least two cores are idle at the instant it can start and
+    /// the service cuts it; the first part pays the dispatch. Returns the
     /// number of updates applied and the booking.
-    fn run(
-        &mut self,
-        cmd: &StoredCommand<S::Command>,
-        executes: bool,
-        now: Time,
-    ) -> (usize, Booked) {
-        let updates =
-            if executes { ops_of(self.mask, cmd).filter(|op| S::is_update(op)).count() } else { 0 };
-        let idle = if executes && updates == 0 { self.schedule.idle_for_read(now) } else { 0 };
+    fn run(&mut self, cmd: &StoredCommand<S::Command>, now: Time) -> (usize, Booked) {
+        let updates = ops_of(self.mask, cmd).filter(|op| S::is_update(op)).count();
+        let idle = if updates == 0 { self.schedule.idle_for_read(now) } else { 0 };
         // `(core, cost)` per part; cores are filled in by the booking.
         let mut parts = Vec::with_capacity(idle.max(1));
         parts.push((0, self.dispatch));
-        if executes {
-            for op in ops_of(self.mask, cmd) {
-                if idle < 2 {
-                    parts[0].1 += self.service.execute(op);
-                    continue;
-                }
-                let cut = S::split_read(op, idle);
-                if parts.len() < cut.len() {
-                    parts.resize(cut.len(), (0, Dur::ZERO));
-                }
-                for (part, sub) in parts.iter_mut().zip(&cut) {
-                    part.1 += self.service.execute(sub);
-                }
+        for op in ops_of(self.mask, cmd) {
+            if idle < 2 {
+                parts[0].1 += self.service.execute(op);
+                continue;
+            }
+            let cut = S::split_read(op, idle);
+            if parts.len() < cut.len() {
+                parts.resize(cut.len(), (0, Dur::ZERO));
+            }
+            for (part, sub) in parts.iter_mut().zip(&cut) {
+                part.1 += self.service.execute(sub);
             }
         }
         let done = if parts.len() > 1 {
@@ -321,70 +392,92 @@ impl<S: Service> Executor<S> {
             parts[0].0 = slot.core;
             slot.done
         };
-        (updates, Booked { parts, done, rolled_back: 0 })
+        (updates, Booked { parts, done, rolled_back: 0, answers: false })
     }
 
-    /// Speculative path: executes `cmd` when the Phase 2A payload of
-    /// `instance` arrives (§4.2.1). `None` when there is nothing to do:
-    /// the instance is already delivered, the command is already
-    /// speculated, or it does not execute on this replica.
+    /// Takes a read this replica does not execute off the queue: the
+    /// core that takes it pays the dispatch and drops it.
+    fn pass(&mut self, now: Time) -> Booked {
+        let slot = self.schedule.book(false, self.dispatch, now);
+        Booked {
+            parts: vec![(slot.core, self.dispatch)],
+            done: slot.done,
+            rolled_back: 0,
+            answers: false,
+        }
+    }
+
+    /// Speculative path: queues `cmd` when the Phase 2A payload of
+    /// `instance` arrives (§4.2.1) and executes it if it is an update or a
+    /// read whose predicted turn is this replica's. `None` when nothing
+    /// ran: the instance is already delivered, the command is already
+    /// queued, or it is a read left to a peer.
     pub fn speculate(
         &mut self,
         id: MsgId,
         instance: u64,
         cmd: &StoredCommand<S::Command>,
-        designated: bool,
         now: Time,
     ) -> Option<Booked> {
-        if instance < self.watermark
-            || self.spec_q.iter().any(|s| s.id == id)
-            || !self.executes(cmd, designated)
-        {
+        if instance < self.watermark || self.spec_q.iter().any(|s| s.id == id) {
             return None;
         }
-        let (updates, booked) = self.run(cmd, true, now);
+        let read = !ops_of(self.mask, cmd).any(S::is_update);
+        let turn = self.reads + self.spec_q.iter().filter(|s| s.is_read()).count() as u64;
+        let (updates, booked) = if !read || self.seat.holds(turn) {
+            let (updates, booked) = self.run(cmd, now);
+            (updates, Some(booked))
+        } else {
+            (0, None)
+        };
         self.spec_q.push_back(Speculated {
             id,
             instance,
             updates,
-            done: booked.done,
+            done: booked.as_ref().map(|b| b.done),
             client: cmd.client,
             reply_bytes: cmd.reply_bytes,
         });
-        Some(booked)
+        booked
     }
 
     /// `id` is the next command in the decided order. If it is also the
     /// oldest speculation, the speculation matched: its updates are
     /// committed and its reply released at max(execution done, order
-    /// known), without looking the command up again. `None` otherwise —
-    /// the command goes through [`Executor::confirm`].
+    /// known), without looking the command up again; a read left to a
+    /// peer only pays its dispatch. `None` otherwise — the command goes
+    /// through [`Executor::confirm`] — and also when it is a read that
+    /// was left to a peer but whose turn turns out to be this replica's,
+    /// which `confirm` runs.
     pub fn release(&mut self, id: MsgId, now: Time) -> Option<Released> {
-        if self.spec_q.front().is_none_or(|s| s.id != id) {
+        let s = self.spec_q.front().filter(|s| s.id == id)?;
+        if s.is_read() && s.done.is_none() && self.seat.holds(self.reads) {
             return None;
         }
         let s = self.spec_q.pop_front().expect("front checked");
+        let answers = self.take_turn(id, s.is_read());
         self.commit(s.updates);
-        let booked = Booked { parts: Vec::new(), done: s.done.max(now), rolled_back: 0 };
+        let booked = match s.done {
+            Some(done) => {
+                Booked { parts: Vec::new(), done: done.max(now), rolled_back: 0, answers }
+            }
+            None => self.pass(now),
+        };
         Some(Released { booked, client: s.client, reply_bytes: s.reply_bytes })
     }
 
     /// Executes `cmd`, the next command in the decided order and not the
     /// oldest speculation ([`Executor::release`] said so): in order, after
     /// rolling the speculation queue back if the decided order
-    /// invalidates it.
-    pub fn confirm(
-        &mut self,
-        id: MsgId,
-        cmd: &StoredCommand<S::Command>,
-        designated: bool,
-        now: Time,
-    ) -> Booked {
-        let executes = self.executes(cmd, designated);
+    /// invalidates it. A read runs only if its turn is this replica's.
+    pub fn confirm(&mut self, id: MsgId, cmd: &StoredCommand<S::Command>, now: Time) -> Booked {
+        let read = !ops_of(self.mask, cmd).any(S::is_update);
+        let answers = self.take_turn(id, read);
+        let executes = answers || !read;
         let rolled_back = self.resolve_overtaker(id, cmd, executes);
-        let (updates, booked) = self.run(cmd, executes, now);
+        let (updates, booked) = if executes { self.run(cmd, now) } else { (0, self.pass(now)) };
         self.commit(updates);
-        Booked { rolled_back, ..booked }
+        Booked { rolled_back, answers, ..booked }
     }
 
     /// The learner has delivered every instance below `watermark`. A
@@ -401,10 +494,11 @@ impl<S: Service> Executor<S> {
         }
         self.watermark = watermark;
         let is_stale = |s: &Speculated| s.instance < watermark;
-        let stale = self.spec_q.iter().filter(|s| is_stale(s)).count();
-        if stale == 0 {
+        if !self.spec_q.iter().any(is_stale) {
             return Swept::default();
         }
+        // A stale read left to a peer ran nowhere: it goes uncounted.
+        let stale = self.spec_q.iter().filter(|s| is_stale(s) && s.done.is_some()).count();
         let rolled_back = if self.spec_q.iter().any(|s| is_stale(s) && s.updates > 0) {
             self.roll_back_queue()
         } else {
@@ -414,10 +508,11 @@ impl<S: Service> Executor<S> {
         Swept { stale, rolled_back }
     }
 
-    /// Undoes every speculated command; returns how many there were.
+    /// Undoes every speculated command; returns how many of them ran (a
+    /// read left to a peer is dropped, but there is nothing to undo).
     fn roll_back_queue(&mut self) -> usize {
         self.service.rollback(self.spec_q.iter().map(|s| s.updates).sum());
-        let undone = self.spec_q.len();
+        let undone = self.spec_q.iter().filter(|s| s.done.is_some()).count();
         self.spec_q.clear();
         undone
     }
@@ -429,13 +524,18 @@ impl<S: Service> Executor<S> {
     /// executes at all — no speculated updates could have polluted what
     /// it reads (§4.2.1). Otherwise (rare: coordinator change or a lost
     /// payload) everything speculated is rolled back, to be re-executed
-    /// in the confirmed order. Returns the number of commands undone.
+    /// in the confirmed order. A queued read left to a peer ran nowhere
+    /// here, so only its own entry goes. Returns the number of commands
+    /// undone.
     fn resolve_overtaker(
         &mut self,
         id: MsgId,
         cmd: &StoredCommand<S::Command>,
         executes: bool,
     ) -> usize {
+        if let Some(i) = self.spec_q.iter().position(|s| s.id == id && s.done.is_none()) {
+            self.spec_q.remove(i);
+        }
         if self.spec_q.is_empty() {
             return 0;
         }
@@ -564,8 +664,15 @@ mod tests {
         }
     }
 
+    /// The only replica of its partition.
+    const ALONE: Seat = Seat { index: 0, of: 1 };
+
     fn executor(cores: &[usize]) -> Executor<TreeService> {
-        Executor::new(TreeService::new(), cores.to_vec(), MASK, DISPATCH)
+        seated(cores, ALONE)
+    }
+
+    fn seated(cores: &[usize], seat: Seat) -> Executor<TreeService> {
+        Executor::new(TreeService::new(), cores.to_vec(), MASK, DISPATCH, seat)
     }
 
     impl Booked {
@@ -595,9 +702,9 @@ mod tests {
         let scan = cmd(&[TreeCommand::Query { lo: 0, hi: 999 }]);
         let put = cmd(&[TreeCommand::Insert { key: 5, value: 5 }]);
         let now = at(100);
-        let r1 = ex.confirm(MsgId(1), &scan, true, now);
-        let w = ex.confirm(MsgId(2), &put, true, now);
-        let r2 = ex.confirm(MsgId(3), &scan, true, now);
+        let r1 = ex.confirm(MsgId(1), &scan, now);
+        let w = ex.confirm(MsgId(2), &put, now);
+        let r2 = ex.confirm(MsgId(3), &scan, now);
         // Both cores idle: the first read runs in halves on both.
         assert_eq!((cores_of(&r1), r1.done), (vec![1, 3], now + longest(&r1)));
         // The write runs on the writer core, after every part of the
@@ -616,19 +723,32 @@ mod tests {
         let now = at(100);
         // A one-key read cannot be cut: it runs whole on core 1, so the
         // scan behind it finds one core idle and runs whole on core 3.
-        let l = ex.confirm(MsgId(1), &lookup, true, now);
-        let a = ex.confirm(MsgId(2), &scan, true, now);
-        let b = ex.confirm(MsgId(3), &scan, true, now);
-        let c = ex.confirm(MsgId(4), &scan, false, now);
+        let l = ex.confirm(MsgId(1), &lookup, now);
+        let a = ex.confirm(MsgId(2), &scan, now);
+        let b = ex.confirm(MsgId(3), &scan, now);
         assert_eq!((cores_of(&l), l.done), (vec![1], now + l.cost()));
         assert_eq!(a.parts, [(3, DISPATCH + scan_cost(0, 999))]);
         assert_eq!(a.done, now + a.cost());
         // No core is idle: the next scan runs whole on the least-loaded
         // core, beside the first.
         assert_eq!((cores_of(&b), b.done), (vec![1], l.done + b.cost()));
-        // Not executed here (another replica answers): whichever core
-        // takes it off the queue pays the dispatch and drops it.
-        assert_eq!((c.parts, c.done), (vec![(3, DISPATCH)], a.done + DISPATCH));
+
+        // One of two replicas, which take turns: the peer's reads are
+        // taken off the queue by the least-loaded core, which pays the
+        // dispatch behind its own work and drops them.
+        let mut ex = seated(&[1, 3], Seat { index: 0, of: 2 });
+        let l = ex.confirm(MsgId(1), &lookup, now);
+        let p = ex.confirm(MsgId(2), &scan, now);
+        let a = ex.confirm(MsgId(3), &scan, now);
+        let q = ex.confirm(MsgId(4), &scan, now);
+        assert_eq!([l.answers, p.answers, a.answers, q.answers], [true, false, true, false]);
+        assert_eq!((cores_of(&l), l.done), (vec![1], now + l.cost()));
+        assert_eq!((p.parts, p.done), (vec![(3, DISPATCH)], now + DISPATCH));
+        // No core is idle: the scan runs whole on core 3, behind the
+        // dispatch, and the next read left to the peer queues on core 1.
+        assert_eq!(a.parts, [(3, DISPATCH + scan_cost(0, 999))]);
+        assert_eq!(a.done, p.done + a.cost());
+        assert_eq!((q.parts, q.done), (vec![(1, DISPATCH)], l.done + DISPATCH));
     }
 
     /// A scan that finds cores idle runs one contiguous part on each,
@@ -639,14 +759,14 @@ mod tests {
         let mut ex = executor(&[1, 3, 5]);
         let scan = cmd(&[TreeCommand::Query { lo: 0, hi: 899 }]);
         let now = at(100);
-        let a = ex.confirm(MsgId(1), &scan, true, now);
+        let a = ex.confirm(MsgId(1), &scan, now);
         let thirds = [(1, DISPATCH + scan_cost(0, 299)), (3, scan_cost(300, 599))];
         assert_eq!(a.parts, [thirds[0], thirds[1], (5, scan_cost(600, 899))]);
         assert_eq!(a.done, now + longest(&a));
 
         // Arriving now, the next scan finds no core idle: it runs whole
         // on the least-loaded one.
-        let c = ex.confirm(MsgId(2), &scan, true, now);
+        let c = ex.confirm(MsgId(2), &scan, now);
         assert_eq!(c.parts, [(3, DISPATCH + scan_cost(0, 899))]);
         assert_eq!(c.done, now + scan_cost(300, 599) + c.cost());
 
@@ -654,22 +774,22 @@ mod tests {
         // the least-loaded, core 5, so the next scan finds two idle.
         let later = c.done;
         let lookup = cmd(&[TreeCommand::Query { lo: 0, hi: 0 }]);
-        let l = ex.confirm(MsgId(3), &lookup, true, later);
+        let l = ex.confirm(MsgId(3), &lookup, later);
         assert_eq!(cores_of(&l), [5]);
-        let b = ex.confirm(MsgId(4), &scan, true, later);
+        let b = ex.confirm(MsgId(4), &scan, later);
         let halves = [(1, DISPATCH + scan_cost(0, 449)), (3, scan_cost(450, 899))];
         assert_eq!((b.parts.as_slice(), b.done), (&halves[..], later + longest(&b)));
 
         // A write never splits, and waits for the latest part.
         let put = cmd(&[TreeCommand::Insert { key: 5, value: 5 }]);
-        let w = ex.confirm(MsgId(5), &put, true, later);
+        let w = ex.confirm(MsgId(5), &put, later);
         assert_eq!((cores_of(&w), w.done), (vec![1], b.done + w.cost()));
 
         // Without a dispatch to pay, the second half of an odd span is one
         // key longer than the first, and the read is done when it is.
-        let mut ex = Executor::new(TreeService::new(), vec![1, 3], MASK, Dur::ZERO);
+        let mut ex = Executor::new(TreeService::new(), vec![1, 3], MASK, Dur::ZERO, ALONE);
         let odd = cmd(&[TreeCommand::Query { lo: 0, hi: 1000 }]);
-        let d = ex.confirm(MsgId(6), &odd, true, now);
+        let d = ex.confirm(MsgId(6), &odd, now);
         assert_eq!(d.parts, [(1, scan_cost(0, 499)), (3, scan_cost(500, 1000))]);
         assert_eq!(d.done, now + scan_cost(500, 1000));
     }
@@ -679,12 +799,11 @@ mod tests {
         ex: &mut Executor<TreeService>,
         id: MsgId,
         cmd: &StoredCommand<TreeCommand>,
-        designated: bool,
         now: Time,
     ) -> Booked {
         match ex.release(id, now) {
             Some(r) => r.booked,
-            None => ex.confirm(id, cmd, designated, now),
+            None => ex.confirm(id, cmd, now),
         }
     }
 
@@ -712,20 +831,20 @@ mod tests {
 
         let mut ex = executor(&[1]);
         let now = at(0);
-        assert!(ex.speculate(MsgId(1), 0, &a, true, now).is_some());
-        assert!(ex.speculate(MsgId(2), 1, &b, true, now).is_some());
-        let ca = deliver(&mut ex, MsgId(1), &a, true, now);
+        assert!(ex.speculate(MsgId(1), 0, &a, now).is_some());
+        assert!(ex.speculate(MsgId(2), 1, &b, now).is_some());
+        let ca = deliver(&mut ex, MsgId(1), &a, now);
         assert_eq!((ca.cost(), ca.rolled_back), (Dur::ZERO, 0));
         assert_eq!(ex.service().undo_depth(), 2, "B's records outlive A's commit");
 
         // X was never speculated here and updates B's key: B is undone.
-        let cx = deliver(&mut ex, MsgId(3), &x, true, now);
+        let cx = deliver(&mut ex, MsgId(3), &x, now);
         assert_eq!(cx.rolled_back, 1);
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&a, &x]));
         assert_eq!(ex.service().undo_depth(), 0);
 
         // B is delivered after X and executes again, in order.
-        let cb = deliver(&mut ex, MsgId(2), &b, true, now);
+        let cb = deliver(&mut ex, MsgId(2), &b, now);
         assert_eq!(cb.rolled_back, 0);
         assert!(cb.cost() > Dur::ZERO);
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&a, &x, &b]));
@@ -736,27 +855,29 @@ mod tests {
     fn speculate_refuses_delivered_instances_queued_ids_and_foreign_reads() {
         let scan = cmd(&[TreeCommand::Query { lo: 0, hi: 9 }]);
         let put = cmd(&[TreeCommand::Insert { key: 1, value: 1 }]);
-        let mut ex = executor(&[1]);
+        let mut ex = seated(&[1], Seat { index: 0, of: 2 });
         let now = at(0);
         assert_eq!(ex.delivered(4), Swept::default());
 
         // A re-multicast 2A of an instance the learner has delivered.
-        assert!(ex.speculate(MsgId(1), 3, &put, true, now).is_none());
-        assert!(ex.speculate(MsgId(1), 4, &put, true, now).is_some());
+        assert!(ex.speculate(MsgId(1), 3, &put, now).is_none());
+        assert!(ex.speculate(MsgId(1), 4, &put, now).is_some());
         // The same value again: a re-multicast of instance 4, or a retry
         // the coordinator proposed in instance 6.
-        assert!(ex.speculate(MsgId(1), 4, &put, true, now).is_none());
-        assert!(ex.speculate(MsgId(1), 6, &put, true, now).is_none());
-        // A query another replica answers; an update runs everywhere.
-        assert!(ex.speculate(MsgId(2), 5, &scan, false, now).is_none());
-        assert!(ex.speculate(MsgId(3), 5, &put, false, now).is_some());
-        assert_eq!((ex.speculated(), ex.updates_applied()), (2, 2));
+        assert!(ex.speculate(MsgId(1), 4, &put, now).is_none());
+        assert!(ex.speculate(MsgId(1), 6, &put, now).is_none());
+        // Turn 0 is this replica's, turn 1 its peer's: the second query is
+        // queued but not run. An update runs everywhere.
+        assert!(ex.speculate(MsgId(2), 5, &scan, now).is_some());
+        assert!(ex.speculate(MsgId(4), 5, &scan, now).is_none());
+        assert!(ex.speculate(MsgId(3), 5, &put, now).is_some());
+        assert_eq!((ex.speculated(), ex.updates_applied()), (4, 2));
 
         // Once confirmed the id is forgotten: only the watermark stands
         // between a late copy and a second execution.
         assert!(ex.release(MsgId(1), now).is_some());
         assert_eq!(ex.delivered(5), Swept::default());
-        assert!(ex.speculate(MsgId(1), 4, &put, true, now).is_none());
+        assert!(ex.speculate(MsgId(1), 4, &put, now).is_none());
     }
 
     /// The wedge: A is speculated from instance 5, which is then delivered
@@ -772,7 +893,7 @@ mod tests {
             let mut ex = executor(&[1]);
             assert_eq!(ex.delivered(5), Swept::default());
             for (i, x) in [a, &b, &c].into_iter().enumerate() {
-                assert!(ex.speculate(MsgId(i as u64), 5 + i as u64, x, true, now).is_some());
+                assert!(ex.speculate(MsgId(i as u64), 5 + i as u64, x, now).is_some());
             }
             ex
         };
@@ -782,7 +903,7 @@ mod tests {
         let mut ex = speculate_all(&a);
         assert_eq!(ex.delivered(6), Swept { stale: 1, rolled_back: 0 });
         for (id, x) in [(1, &b), (2, &c)] {
-            let booked = deliver(&mut ex, MsgId(id), x, true, now);
+            let booked = deliver(&mut ex, MsgId(id), x, now);
             assert_eq!((booked.cost(), booked.rolled_back), (Dur::ZERO, 0));
             assert_eq!(ex.delivered(6 + id), Swept::default());
         }
@@ -796,7 +917,7 @@ mod tests {
         assert_eq!(ex.delivered(6), Swept { stale: 1, rolled_back: 3 });
         assert!(ex.service().tree().is_empty());
         for (id, x) in [(1, &b), (2, &c)] {
-            let booked = deliver(&mut ex, MsgId(id), x, true, now);
+            let booked = deliver(&mut ex, MsgId(id), x, now);
             assert!(booked.cost() > Dur::ZERO);
             assert_eq!(booked.rolled_back, 0);
             assert_eq!(ex.delivered(6 + id), Swept::default());
@@ -804,6 +925,153 @@ mod tests {
         assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&b]));
         assert_eq!(ex.updates_applied(), 1);
+    }
+
+    /// A scan of ten keys from `lo`.
+    fn read(lo: u64) -> StoredCommand<TreeCommand> {
+        cmd(&[TreeCommand::Query { lo, hi: lo + 9 }])
+    }
+
+    /// Two replicas fed one delivered sequence of reads answer alternate
+    /// reads, disjoint halves that cover it, and each runs only the reads
+    /// it answers, on arrival or when confirmed; a read left to the peer
+    /// costs its dispatch alone. Every id is even, so a rule of `id % 2`
+    /// would send each read to replica 0.
+    #[test]
+    fn two_replicas_answer_alternate_reads_of_one_delivered_sequence() {
+        let scan = cmd(&[TreeCommand::Query { lo: 0, hi: 999 }]);
+        let ids: Vec<MsgId> = (0..8).map(|i| MsgId(2 * i)).collect();
+        for speculative in [false, true] {
+            let mut answered = Vec::new();
+            for index in 0..2 {
+                let mut ex = seated(&[1, 3], Seat { index, of: 2 });
+                let mut mine = Vec::new();
+                for (i, &id) in ids.iter().enumerate() {
+                    let now = at(1_000 * i as u64);
+                    let ran = speculative && ex.speculate(id, i as u64, &scan, now).is_some();
+                    let booked = deliver(&mut ex, id, &scan, now);
+                    assert_eq!(ex.delivered(i as u64 + 1), Swept::default());
+                    assert_eq!(ran || booked.cost() > DISPATCH, booked.answers, "{id:?}");
+                    if booked.answers {
+                        mine.push(id);
+                    } else {
+                        assert_eq!((booked.parts.len(), booked.cost()), (1, DISPATCH), "{id:?}");
+                    }
+                }
+                answered.push(mine);
+            }
+            let turns =
+                |first: usize| ids.iter().copied().skip(first).step_by(2).collect::<Vec<_>>();
+            assert_eq!(answered, [turns(0), turns(1)], "speculative {speculative}");
+        }
+    }
+
+    /// Neither a stale speculation nor a retried duplicate the learner
+    /// filters takes a turn. The replica at seat 0 of 2 queues A's retry
+    /// (instance 6, delivered without it) and a deposed coordinator's S
+    /// (instance 7, decided as B, which arrives by repair); both go stale,
+    /// and it answers A and C, not B and E — turns 0 and 2 of the decided
+    /// reads A B C E.
+    #[test]
+    fn a_stale_speculation_and_a_filtered_retry_shift_no_turn() {
+        let (a, s, b, c, e) = (read(0), read(10), read(20), read(30), read(40));
+        let mut ex = seated(&[1, 3], Seat { index: 0, of: 2 });
+        let now = at(0);
+        assert_eq!(ex.delivered(5), Swept::default());
+        assert!(ex.speculate(MsgId(10), 5, &a, now).is_some());
+        assert!(deliver(&mut ex, MsgId(10), &a, now).answers);
+        assert_eq!(ex.delivered(6), Swept::default());
+
+        // Predicted turns 1 (the peer's) and 2 (this replica's).
+        assert!(ex.speculate(MsgId(10), 6, &a, now).is_none());
+        assert!(ex.speculate(MsgId(11), 7, &s, now).is_some());
+        assert_eq!(ex.speculated(), 2);
+        // A's retry, left to the peer, ran nowhere: dropped uncounted.
+        assert_eq!(ex.delivered(7), Swept::default());
+        assert_eq!(ex.speculated(), 1);
+        let booked = deliver(&mut ex, MsgId(12), &b, now);
+        assert!(!booked.answers);
+        assert_eq!((booked.cost(), booked.rolled_back), (DISPATCH, 0));
+        assert_eq!(ex.delivered(8), Swept { stale: 1, rolled_back: 0 });
+
+        // C is turn 2 and E turn 3, as if neither had been queued.
+        assert!(ex.speculate(MsgId(13), 8, &c, now).is_some());
+        assert!(ex.speculate(MsgId(14), 9, &e, now).is_none());
+        let (bc, be) = (deliver(&mut ex, MsgId(13), &c, now), deliver(&mut ex, MsgId(14), &e, now));
+        assert_eq!((bc.answers, bc.cost()), (true, Dur::ZERO));
+        assert_eq!((be.answers, be.cost()), (false, DISPATCH));
+        assert_eq!(ex.delivered(10), Swept::default());
+        assert_eq!(ex.speculated(), 0);
+    }
+
+    /// A lost 2A skews a replica's predictions: replica 0 misses R0's 2A
+    /// (it confirms R0 unspeculated, by repair) and predicts R1 and R3
+    /// as its turns, replica 1 misses R2's and predicts R3 as its peer's.
+    /// The decided order still settles every turn: each read is answered
+    /// exactly once, R0 and R2 by replica 0, R1 and R3 by replica 1, and a
+    /// wrong prediction costs a wasted execution (R1 and R3 on replica 0)
+    /// or one at confirmation (R2 on replica 0, R3 on replica 1).
+    #[test]
+    fn a_read_confirmed_against_a_wrong_prediction_is_answered_once() {
+        let reads: Vec<StoredCommand<TreeCommand>> = (0..4).map(|i| read(10 * i)).collect();
+        let mut answers = [0; 4];
+        let mut answered = Vec::new();
+        let mut ran = Vec::new();
+        for (index, lost) in [(0, 0), (1, 2)] {
+            let mut ex = seated(&[1, 3], Seat { index, of: 2 });
+            let now = at(0);
+            let spec: Vec<bool> = (0..4)
+                .map(|i| {
+                    i != lost && ex.speculate(MsgId(i as u64), i as u64, &reads[i], now).is_some()
+                })
+                .collect();
+            let mut mine = Vec::new();
+            for (i, r) in reads.iter().enumerate() {
+                let booked = deliver(&mut ex, MsgId(i as u64), r, now);
+                assert_eq!(booked.rolled_back, 0);
+                if booked.answers {
+                    answers[i] += 1;
+                    mine.push(i);
+                    // Ran on arrival, or runs now.
+                    assert!(spec[i] || booked.cost() > DISPATCH, "R{i} answered unexecuted");
+                }
+                ex.delivered(i as u64 + 1);
+            }
+            assert_eq!(ex.speculated(), 0);
+            answered.push(mine);
+            ran.push(spec);
+        }
+        assert_eq!(answers, [1; 4]);
+        assert_eq!(answered, [[0, 2], [1, 3]]);
+        assert_eq!(ran, [[false, true, false, true], [false, true, false, false]]);
+    }
+
+    /// Updates run on every replica and keep the id's responder, `id % n`:
+    /// they take no read turn, and the reads between them move none.
+    #[test]
+    fn updates_keep_the_id_responder() {
+        let put = |key| cmd(&[TreeCommand::Insert { key, value: key }]);
+        let order = [(4, put(1)), (6, read(0)), (7, put(2)), (8, read(0)), (9, put(3))];
+        let mut answered = Vec::new();
+        for index in 0..2 {
+            let mut ex = seated(&[1, 3], Seat { index, of: 2 });
+            let mut mine = Vec::new();
+            for (i, (id, c)) in order.iter().enumerate() {
+                let now = at(1_000 * i as u64);
+                // Replica 1 speculates, replica 0 does not.
+                if index == 1 {
+                    ex.speculate(MsgId(*id), i as u64, c, now);
+                }
+                if deliver(&mut ex, MsgId(*id), c, now).answers {
+                    mine.push(*id);
+                }
+                ex.delivered(i as u64 + 1);
+            }
+            assert_eq!(ex.updates_applied(), 3);
+            answered.push(mine);
+        }
+        // Read turns 0 and 1 go to replicas 0 and 1; puts 4, 7 and 9 by id.
+        assert_eq!(answered, [vec![4, 6], vec![7, 8, 9]]);
     }
 
     /// One 2A reaching the replica: the batch of decided instance `batch`,
@@ -845,11 +1113,14 @@ mod tests {
         /// Parallelism*): 2As arrive early, late, twice, under another
         /// instance's number, or never; retried ids are decided again and
         /// filtered at delivery. The queue never holds more than the
-        /// undelivered instances' 2As carried.
+        /// undelivered instances' 2As carried. Whatever was predicted,
+        /// the replica at `seat` answers exactly the reads whose turn in
+        /// the decided order is its own, and the updates of its ids, and
+        /// runs a read at confirmation only if it answers it.
         #[test]
         fn speculation_equals_sequential_execution_in_bounded_memory(
-            cmds in prop::collection::vec(
-                (prop::collection::vec(tree_op(), 1..4), any::<bool>()), 1..40),
+            cmds in prop::collection::vec(prop::collection::vec(tree_op(), 1..4), 1..40),
+            seat in (1..4usize, 0..3usize).prop_map(|(of, i)| Seat { index: i % of, of }),
             shape in prop::collection::vec((1..4usize, maybe(30, any::<u64>())), 40),
             schedule in prop::collection::vec((
                 maybe(85, -2..5i64),
@@ -857,8 +1128,7 @@ mod tests {
                 maybe(15, (1..4usize, 0..3i64)),
             ), 40),
         ) {
-            let stored: Vec<(StoredCommand<TreeCommand>, bool)> =
-                cmds.iter().map(|(ops, designated)| (cmd(ops), *designated)).collect();
+            let stored: Vec<StoredCommand<TreeCommand>> = cmds.iter().map(|ops| cmd(ops)).collect();
             // The decided order: each instance takes the next few fresh
             // commands and, sometimes, the retry of an earlier one.
             let mut instances: Vec<Vec<(usize, bool)>> = Vec::new();
@@ -886,7 +1156,8 @@ mod tests {
             }
             arrivals.sort_by_key(|a| a.tick);
 
-            let mut ex = executor(&[1, 3]);
+            let mut ex = seated(&[1, 3], seat);
+            let mut reads = 0;
             let mut arrived: Vec<Arrival> = Vec::new();
             let mut pending = arrivals.iter().peekable();
             let mut decided: Vec<&StoredCommand<TreeCommand>> = Vec::new();
@@ -895,8 +1166,7 @@ mod tests {
                 while let Some(a) = pending.next_if(|a| a.tick < deliver_at) {
                     let now = at((1_000 + a.tick) as u64);
                     for &(c, _) in &instances[a.batch] {
-                        let (cmd, designated) = &stored[c];
-                        ex.speculate(MsgId(c as u64), a.label as u64, cmd, *designated, now);
+                        ex.speculate(MsgId(c as u64), a.label as u64, &stored[c], now);
                     }
                     arrived.push(*a);
                     // Bounded by what the undelivered instances' 2As hold.
@@ -911,8 +1181,16 @@ mod tests {
                 for &(c, fresh) in batch {
                     // The learner's duplicate filter drops a retry.
                     if fresh {
-                        let (cmd, designated) = &stored[c];
-                        deliver(&mut ex, MsgId(c as u64), cmd, *designated, now);
+                        let (id, cmd) = (MsgId(c as u64), &stored[c]);
+                        let booked = deliver(&mut ex, id, cmd, now);
+                        // The decided order alone says who answers.
+                        let read = !cmd.ops.iter().any(|(_, op)| op.is_update());
+                        let turn = if read { reads } else { id.0 };
+                        reads += read as u64;
+                        prop_assert_eq!(booked.answers, seat.holds(turn), "{:?} read {}", id, read);
+                        if read && !booked.parts.is_empty() {
+                            prop_assert_eq!(booked.cost() > DISPATCH, booked.answers);
+                        }
                         decided.push(cmd);
                     }
                 }

@@ -57,7 +57,7 @@ pub use deploy::{
     deploy_cs, deploy_smr, deploy_smr_sessions, CsDeployment, PartitionOptions, SessionDeployment,
     SessionOptions, SmrDeployment, SmrOptions,
 };
-pub use exec::{Booked, ExecSchedule, Executor, Released, Swept};
+pub use exec::{Booked, ExecSchedule, Executor, Released, Seat, Swept};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
     ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_REGISTRY_MISS, SMR_ROLLBACKS,

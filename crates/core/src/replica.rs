@@ -19,6 +19,16 @@
 //! only books each part's charge on the core the executor named and
 //! sends each reply when it is ready.
 //!
+//! One replica of a partition answers each command (§4.4.2), and the
+//! executor says which ([`crate::exec`], "Who answers"): an update, which
+//! every replica executes, is answered by the one at `id % n` of the
+//! partition's `n` replicas; a read runs on, and is answered by, one
+//! replica only, and the replicas take turns in delivery order — the
+//! `k`-th read the partition delivers goes to replica `k % n`. Both
+//! replicas deliver the same sequence, so they agree on every turn with
+//! no message, and reads alternate instead of landing on one replica
+//! twice in a row half the time, as a hash of the id let them.
+//!
 //! # Speculation
 //!
 //! Speculation is how the session tier runs (`deploy_smr_sessions` has no
@@ -47,7 +57,7 @@ use ringpaxos::mring::MRingProcess;
 use ringpaxos::msg::MMsg;
 use simnet::prelude::*;
 
-use crate::exec::{Booked, Executor, Released};
+use crate::exec::{Booked, Executor, Released, Seat};
 use crate::msg::SmrResponse;
 use crate::service::{Registry, Service};
 
@@ -69,7 +79,10 @@ pub const SMR_SPEC_STALE: &str = "smr.spec_stale";
 /// read could start ([`crate::exec`]), per replica.
 pub const SMR_SPLIT_READS: &str = "smr.split_reads";
 /// Delivered commands a replica found no registry entry for and therefore
-/// skipped, per replica. Always a defect: see [`crate::service`].
+/// skipped, per replica. Always a defect: see [`crate::service`]. A
+/// skipped read also puts the replica's read turns out of step with its
+/// peers' for the rest of the run ([`crate::exec`], "Who answers"), so a
+/// debug build panics on the first.
 pub const SMR_REGISTRY_MISS: &str = "smr.registry_miss";
 
 const T_RESP: u64 = 40 << 56;
@@ -112,7 +125,8 @@ pub struct ReplicaState {
     pub updates: u64,
     /// [`Service::digest`] of the service state.
     pub digest: u64,
-    /// Speculated executions still awaiting their order.
+    /// Speculated commands still awaiting their order (reads left to a
+    /// peer included).
     pub speculated: usize,
     /// Undo records the service still holds.
     pub undo_depth: usize,
@@ -150,13 +164,9 @@ pub struct SmrReplica<S: Service> {
     cursor: usize,
     /// Newly delivered ids copied out of the shared log (reused buffer).
     fresh: Vec<MsgId>,
-    me: NodeId,
     /// This replica's partition mask: `inner`'s learner mask
     /// (`ALL_PARTITIONS` when the ring is not partitioned).
     mask: u32,
-    /// The learners that share `mask`, in `cfg.learners` order — the
-    /// replicas of this partition, which take turns answering.
-    peers: Vec<NodeId>,
     exec: Executor<S>,
     registry: Registry<S::Command>,
     states: ReplicaStates,
@@ -187,20 +197,22 @@ impl<S: Service> SmrReplica<S> {
     ) -> SmrReplica<S> {
         let cfg = inner.config();
         let mask = cfg.learner_mask(log_index);
-        let peers = (0..cfg.learners.len())
+        // The learners that share `mask`, in `cfg.learners` order, are the
+        // replicas of this partition, which take turns answering.
+        let peers: Vec<NodeId> = (0..cfg.learners.len())
             .filter(|&i| cfg.learner_mask(i) == mask)
             .map(|i| cfg.learners[i])
             .collect();
-        let exec = Executor::new(service, rcfg.exec_cores.clone(), mask, rcfg.dispatch);
+        let index = peers.iter().position(|&p| p == me).expect("a replica is one of its peers");
+        let seat = Seat { index, of: peers.len() };
+        let exec = Executor::new(service, rcfg.exec_cores.clone(), mask, rcfg.dispatch, seat);
         SmrReplica {
             inner,
             log,
             log_index,
             cursor: 0,
             fresh: Vec::new(),
-            me,
             mask,
-            peers,
             exec,
             registry,
             states,
@@ -208,13 +220,6 @@ impl<S: Service> SmrReplica<S> {
             resp_q: BTreeMap::new(),
             resp_seq: 0,
         }
-    }
-
-    /// Whether this replica answers command `id` (one replica per
-    /// partition responds, chosen deterministically — §4.4.2).
-    fn is_designated(&self, id: MsgId) -> bool {
-        let idx = (id.0 as usize) % self.peers.len();
-        self.peers[idx] == self.me
     }
 
     /// Speculative path: execute on Phase 2A arrival (§4.2.1).
@@ -226,8 +231,7 @@ impl<S: Service> SmrReplica<S> {
             // A miss here is a retry of a command everyone is done with;
             // the learner's duplicate filter will drop it too.
             let Some(cmd) = self.registry.get(v.id) else { continue };
-            let designated = self.is_designated(v.id);
-            if let Some(booked) = self.exec.speculate(v.id, instance, &cmd, designated, ctx.now()) {
+            if let Some(booked) = self.exec.speculate(v.id, instance, &cmd, ctx.now()) {
                 charge(&booked, ctx);
                 ctx.counter_add(SMR_SPEC_EXEC, 1);
             }
@@ -255,15 +259,15 @@ impl<S: Service> SmrReplica<S> {
     }
 
     fn confirm(&mut self, id: MsgId, ctx: &mut Ctx) {
-        let designated = self.is_designated(id);
         let (booked, client, reply_bytes) = match self.exec.release(id, ctx.now()) {
             Some(Released { booked, client, reply_bytes }) => (booked, client, reply_bytes),
             None => {
                 let Some(cmd) = self.registry.get(id) else {
+                    debug_assert!(false, "{id:?} delivered with no registry entry");
                     ctx.counter_add(SMR_REGISTRY_MISS, 1);
                     return;
                 };
-                let booked = self.exec.confirm(id, &cmd, designated, ctx.now());
+                let booked = self.exec.confirm(id, &cmd, ctx.now());
                 (booked, cmd.client, cmd.reply_bytes)
             }
         };
@@ -273,10 +277,13 @@ impl<S: Service> SmrReplica<S> {
         }
         charge(&booked, ctx);
         let done = booked.done;
-        if designated {
+        if booked.answers {
             self.resp_q.insert((done, self.resp_seq), (id, client, reply_bytes));
             self.resp_seq += 1;
-            ctx.set_timer(done.saturating_since(ctx.now()), TimerToken(T_RESP));
+            // A reply ready now leaves with this call's `flush_responses`.
+            if done > ctx.now() {
+                ctx.set_timer(done.since(ctx.now()), TimerToken(T_RESP));
+            }
         }
     }
 

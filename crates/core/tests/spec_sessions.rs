@@ -2,16 +2,20 @@
 //! 8 tables × 125 k open-loop Zipf(0.99) sessions over a 4 × 2 partitioned
 //! tree, seed 11 — a replica executes on 2A arrival and answers on the
 //! decision, every speculation is confirmed, and the replicas of a
-//! partition end in the same state, with and without datagram loss. A
-//! coordinator takeover re-proposes each command to its own partition
-//! only (also at seed 2011).
+//! partition end in the same state, with and without datagram loss, and
+//! under loss no query is answered twice. A coordinator takeover
+//! re-proposes each command to its own partition only (also at seed 2011).
 
+use abcast::MsgId;
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
-use hpsmr_core::{ReplicaState, SMR_REGISTRY_MISS, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE};
+use hpsmr_core::{
+    ReplicaState, SmrResponse, SMR_REGISTRY_MISS, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE,
+};
 use simnet::prelude::*;
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use workload::{
     WorkloadKind, SESSIONS_ABANDONED, SESSIONS_COMPLETED, SESSIONS_SHED, SESSIONS_SUBMITTED,
     SESSION_LATENCY,
@@ -38,6 +42,53 @@ fn deploy(kind: WorkloadKind, rate: f64, stop_s: u64, seed: u64) -> (Sim, Sessio
     };
     let d = deploy_smr_sessions(&mut sim, &opts);
     (sim, d)
+}
+
+/// Replies that reached a table, per command and answering partition.
+type Replies = Arc<Mutex<HashMap<(MsgId, u32), u32>>>;
+
+/// A deployed session table, started at deployment, that counts the
+/// replies reaching it before handing them on; the timers the table set
+/// reach it through the tap.
+struct Tap {
+    table: Box<dyn Actor>,
+    replies: Replies,
+}
+
+impl Actor for Tap {
+    fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+        if let Some(r) = env.payload.downcast_ref::<SmrResponse>() {
+            *self.replies.lock().unwrap().entry((r.id, r.partition)).or_default() += 1;
+        }
+        self.table.on_message(env, ctx);
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+        self.table.on_timer(token, ctx);
+    }
+}
+
+/// [`deploy`], with each deployed session table behind a [`Tap`].
+fn deploy_tapped(
+    kind: WorkloadKind,
+    rate: f64,
+    stop_s: u64,
+    seed: u64,
+) -> (Sim, SessionDeployment, Replies) {
+    let (mut sim, d) = deploy(kind, rate, stop_s, seed);
+    let replies = Replies::default();
+    for &t in &d.tables {
+        let table = sim.replace_actor(t, Box::new(Idle)).expect("a deployed table");
+        sim.replace_actor(t, Box::new(Tap { table, replies: replies.clone() }));
+    }
+    (sim, d, replies)
+}
+
+/// No command reached a table twice from one partition.
+fn assert_answered_at_most_once(replies: &Replies, label: &str) {
+    let replies = replies.lock().unwrap();
+    let twice: Vec<_> = replies.iter().filter(|&(_, &n)| n > 1).collect();
+    assert!(twice.is_empty(), "{label}: answered more than once: {twice:?}");
 }
 
 /// One warm-up second and a four-second window at `rate` req/s, then a
@@ -89,7 +140,9 @@ fn queries_execute_on_arrival_and_answer_on_the_decision() {
     let (mut sim, d, lat) = run(WorkloadKind::Queries, 12_000.0);
     // The plain path paid execution after ordering: 897 / 1 095 µs.
     assert!(lat.p50 <= Dur::micros(600), "p50 {}", lat.p50);
-    assert!(lat.p99 <= Dur::micros(950), "p99 {}", lat.p99);
+    // With a hash of the id picking the responder, two reads in a row
+    // landed on one replica half the time: p99 823.3 µs.
+    assert!(lat.p99 <= Dur::micros(790), "p99 {}", lat.p99);
 
     let submitted = sum(&sim, SESSIONS_SUBMITTED);
     assert!(submitted > 55_000, "only {submitted} requests offered");
@@ -164,6 +217,52 @@ fn lossy_runs_keep_replicas_identical_and_skip_nothing() {
     }
 }
 
+/// Queries under datagram loss: a lost 2A skews a replica's prediction of
+/// whose turn a read is, and a read the decided order gives it but which
+/// it left to its peer runs when confirmed. Every request is still
+/// completed, abandoned or shed, the replicas of each partition agree,
+/// and no read is answered twice: each command reaches its table at most
+/// once from each partition. A lost reply is never re-sent, so about
+/// `loss × submitted` requests are abandoned whoever answers: 35 and 310
+/// here when an id hash picked the responder, 33 and 313 with turns, and
+/// 400 / 3 581 against 399 / 3 594 summed over seeds 1–9 and 11. Twice
+/// that many would mean reads going unanswered.
+#[test]
+fn lossy_queries_are_answered_at_most_once_and_replicas_agree() {
+    for loss in [1e-3, 1e-2] {
+        let label = format!("loss {loss}");
+        let (mut sim, d, replies) = deploy_tapped(WorkloadKind::Queries, 12_000.0, 3, 11);
+        sim.set_random_loss(loss);
+        sim.run_until(Time::from_secs(3));
+        // Ten retries, 200 ms doubling to 1.6 s: a request submitted at
+        // the stop is abandoned some 14 s later.
+        sim.run_until(Time::from_secs(20));
+
+        let submitted = sum(&sim, SESSIONS_SUBMITTED);
+        let completed = sum(&sim, SESSIONS_COMPLETED);
+        let abandoned = sum(&sim, SESSIONS_ABANDONED);
+        println!("{label}: {submitted} submitted, {completed} completed, {abandoned} abandoned");
+        println!(
+            "{label}: {} delivered per partition, {} executed speculatively, {} stale, {} rolled back",
+            delivered(&d).iter().step_by(2).sum::<u64>(),
+            sum(&sim, SMR_SPEC_EXEC),
+            sum(&sim, SMR_SPEC_STALE),
+            sum(&sim, SMR_ROLLBACKS)
+        );
+        assert!(completed > 30_000, "{label}: only {completed} completed");
+        assert_eq!(
+            submitted,
+            completed + abandoned + sum(&sim, SESSIONS_SHED),
+            "{label}: requests neither completed nor abandoned"
+        );
+        let lost_replies = loss * submitted as f64;
+        assert!(abandoned as f64 <= 2.0 * lost_replies, "{label}: {abandoned} abandoned");
+        assert_answered_at_most_once(&replies, &label);
+        assert!(replies.lock().unwrap().len() as u64 >= completed, "{label}");
+        assert_replicas_agree(&mut sim, &d, &label);
+    }
+}
+
 /// A coordinator crash is the paper's case for rollback: the survivor
 /// re-proposes undecided instances under a higher round, so 2As a replica
 /// speculated on may lose their instance to another value. Stale
@@ -205,14 +304,21 @@ fn speculation_survives_a_coordinator_change() {
 /// and the others pass the instance over by a repair (§4.2.2: a
 /// partition's replicas receive only the commands that access it). When
 /// the mask rode beside the batch, a takeover lost it and re-proposed to
-/// every partition: on these three runs 1 / 1 / 4 commands were
+/// every partition: on the three update runs 1 / 1 / 4 commands were
 /// delivered in all four partitions, and 0 / 1 / 2 deliveries missed
-/// the client registry.
+/// the client registry. On the query run the re-proposed 2As skew the
+/// replicas' predictions of whose turn a read is, and still no command
+/// reaches its table twice from one partition.
 #[test]
 fn a_takeover_re_proposes_a_command_to_its_own_partition_only() {
-    for (rate, seed) in [(8_000.0, 11), (8_000.0, 2011), (24_000.0, 11)] {
-        let label = format!("{rate} req/s, seed {seed}");
-        let (mut sim, d) = deploy(WorkloadKind::InsDelSingle, rate, 3, seed);
+    for (kind, rate, seed) in [
+        (WorkloadKind::InsDelSingle, 8_000.0, 11),
+        (WorkloadKind::InsDelSingle, 8_000.0, 2011),
+        (WorkloadKind::InsDelSingle, 24_000.0, 11),
+        (WorkloadKind::Queries, 8_000.0, 11),
+    ] {
+        let label = format!("{kind:?} at {rate} req/s, seed {seed}");
+        let (mut sim, d, replies) = deploy_tapped(kind, rate, 3, seed);
         let crash = Time::from_millis(1500);
         FaultPlan::new().at(crash, FaultAction::Crash(d.coordinator())).run(
             &mut sim,
@@ -222,15 +328,24 @@ fn a_takeover_re_proposes_a_command_to_its_own_partition_only() {
         assert_eq!(sum(&sim, "rp.became_coord"), 1, "{label}: one survivor takes over");
         {
             let log = d.log.lock().unwrap();
-            let mut partition_of = HashMap::new();
+            // The partitions each command was delivered in, ascending.
+            let mut partitions: HashMap<MsgId, Vec<usize>> = HashMap::new();
             for replica in 0..2 * N_PARTITIONS {
-                let p = replica / 2;
                 for id in log.sequence(replica) {
-                    let first = *partition_of.entry(*id).or_insert(p);
-                    assert_eq!(first, p, "{label}: {id:?} delivered in partitions {first} and {p}");
+                    let ps = partitions.entry(*id).or_default();
+                    if ps.last() != Some(&(replica / 2)) {
+                        ps.push(replica / 2);
+                    }
                 }
             }
+            // A one-key update touches one partition; a 1000-key scan may
+            // straddle the bound between two.
+            let reach = usize::from(kind == WorkloadKind::Queries);
+            for (id, ps) in &partitions {
+                assert!(ps[ps.len() - 1] - ps[0] <= reach, "{label}: {id:?} delivered in {ps:?}");
+            }
         }
+        assert_answered_at_most_once(&replies, &label);
         assert_replicas_agree(&mut sim, &d, &label);
     }
 }

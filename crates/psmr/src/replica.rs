@@ -103,7 +103,11 @@ impl<I: Actor> ParallelReplica<I> {
     }
 
     /// Whether this replica answers command `id` (one replica responds,
-    /// chosen deterministically by id).
+    /// chosen deterministically by id). The SMR replica's reads take
+    /// turns in delivery order instead (`hpsmr_core::exec`, "Who
+    /// answers"), which balances them; here the id rule stays, because a
+    /// retrying client must compute the designated replica itself to send
+    /// it a [`PReplyQuery`], and it cannot know a command's turn.
     fn is_designated(&self, id: MsgId) -> bool {
         if self.peers.is_empty() {
             return true;

@@ -631,14 +631,16 @@ impl Sim {
         self.start_actor(node);
     }
 
-    /// Replaces the actor on `node` (models a process restart). The new
-    /// actor's `on_start` runs at the current time if the node is up.
-    pub fn replace_actor(&mut self, node: NodeId, actor: Box<dyn Actor>) {
-        self.actors[node.0] = Some(actor);
+    /// Replaces the actor on `node` (models a process restart) and returns
+    /// the one it ran. The new actor's `on_start` runs at the current time
+    /// if the node is up; timers the old one set fire on the new one.
+    pub fn replace_actor(&mut self, node: NodeId, actor: Box<dyn Actor>) -> Option<Box<dyn Actor>> {
+        let old = self.actors[node.0].replace(actor);
         self.started[node.0] = false;
         if self.inner.node(node).up {
             self.start_actor(node);
         }
+        old
     }
 
     /// Direct access to metrics.
