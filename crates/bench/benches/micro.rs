@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::rc::Rc;
 
 use abcast::MsgId;
 use btree::{BPlusTree, TreeCommand, TreeService};
@@ -118,14 +119,16 @@ fn bench_merge(c: &mut Criterion) {
 
 fn bench_psmr_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("psmr_engine");
-    let mk = |i: u64, groups: Vec<u8>| PStored {
-        cmd: PCommand {
-            writes: groups.iter().map(|&x| (x as u64, i)).collect(),
-            groups,
-            cost: Dur::micros(100),
-        },
-        client: NodeId(0),
-        reply_bytes: 64,
+    let mk = |i: u64, groups: Vec<u8>| {
+        Rc::new(PStored {
+            cmd: PCommand {
+                writes: groups.iter().map(|&x| (x as u64, i)).collect(),
+                groups,
+                cost: Dur::micros(100),
+            },
+            client: NodeId(0),
+            reply_bytes: 64,
+        })
     };
     g.bench_function("psmr_10k_independent", |b| {
         b.iter(|| {
@@ -133,7 +136,7 @@ fn bench_psmr_engine(c: &mut Criterion) {
             let mut last = Time::ZERO;
             for i in 0..10_000u64 {
                 let grp = (i % 8) as u8;
-                if let Some((_, s)) =
+                if let Some((.., s)) =
                     e.deliver(MsgId(i), &mk(i, vec![grp]), Some(grp), Time::ZERO).pop()
                 {
                     last = s.done;
@@ -148,7 +151,7 @@ fn bench_psmr_engine(c: &mut Criterion) {
             let mut last = Time::ZERO;
             for i in 0..10_000u64 {
                 let groups = if i % 10 == 0 { vec![0u8, 1, 2, 3] } else { vec![(i % 8) as u8] };
-                if let Some((_, s)) = e.deliver(MsgId(i), &mk(i, groups), None, Time::ZERO).pop() {
+                if let Some((.., s)) = e.deliver(MsgId(i), &mk(i, groups), None, Time::ZERO).pop() {
                     last = s.done;
                 }
             }
@@ -162,7 +165,7 @@ fn bench_psmr_engine(c: &mut Criterion) {
             let mut last = Time::ZERO;
             for i in 0..2_000u64 {
                 for g in 0..4u8 {
-                    if let Some((_, s)) =
+                    if let Some((.., s)) =
                         e.deliver(MsgId(i), &mk(i, all.clone()), Some(g), Time::ZERO).pop()
                     {
                         last = s.done;

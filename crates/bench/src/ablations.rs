@@ -202,7 +202,7 @@ fn abl_spec() {
             let opts = SmrOptions { speculative, ..base.clone() };
             let d = deploy_smr(&mut sim, &opts);
             let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SESSION_LATENCY]);
-            let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
+            let before = w.snapshot(&sim, &d.tables, SESSIONS_COMPLETED);
             w.close(&mut sim);
             let _ = before;
             sim.metrics().latency(SESSION_LATENCY).mean

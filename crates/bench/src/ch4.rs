@@ -66,9 +66,9 @@ fn measure_smr(opts: &SmrOptions) -> Measured {
     let mut sim = Sim::new(SimConfig::default());
     let d = deploy_smr(&mut sim, opts);
     let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SESSION_LATENCY]);
-    let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
+    let before = w.snapshot(&sim, &d.tables, SESSIONS_COMPLETED);
     w.close(&mut sim);
-    let after = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
+    let after = w.snapshot(&sim, &d.tables, SESSIONS_COMPLETED);
     let done: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
     Measured {
         kcps: done as f64 / w.len().as_secs_f64() / 1e3,
@@ -267,13 +267,13 @@ fn cross_partition_sweep(replicas_per: usize) {
         };
         let d = deploy_smr(&mut sim, &opts);
         let w = Window::open(&mut sim, Dur::millis(500), Dur::secs(1), &[SESSION_LATENCY]);
-        let before = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
+        let before = w.snapshot(&sim, &d.tables, SESSIONS_COMPLETED);
         let replica = d.replicas[0][0];
         let exec0 = sim.cpu_busy(replica, 1);
         let resp0 = sim.cpu_busy(replica, 2);
         let sent0 = sim.metrics().counter(replica, "net.sent_bytes");
         w.close(&mut sim);
-        let after = w.snapshot(&sim, &d.clients, SESSIONS_COMPLETED);
+        let after = w.snapshot(&sim, &d.tables, SESSIONS_COMPLETED);
         let done: u64 = after.iter().sum::<u64>() - before.iter().sum::<u64>();
         let lat = sim.metrics().latency(SESSION_LATENCY).mean;
         let exec = cpu_pct(exec0, sim.cpu_busy(replica, 1), w.len());

@@ -8,14 +8,13 @@ use abcast::MsgId;
 use simnet::prelude::*;
 
 use crate::msg::{CsRequest, SmrResponse};
-use crate::service::{Registry, Service};
+use crate::service::{Service, StoredCommand};
 
 const T_RESP: u64 = 40 << 56;
 
 /// A stand-alone (non-replicated) server over service `S`.
 pub struct CsServer<S: Service> {
     service: S,
-    registry: Registry<S::Command>,
     /// Fixed per-request server overhead (parse, dispatch, socket work
     /// beyond the modelled network stack).
     request_overhead: Dur,
@@ -28,10 +27,9 @@ pub struct CsServer<S: Service> {
 
 impl<S: Service> CsServer<S> {
     /// Creates a server.
-    pub fn new(service: S, registry: Registry<S::Command>) -> CsServer<S> {
+    pub fn new(service: S) -> CsServer<S> {
         CsServer {
             service,
-            registry,
             request_overhead: Dur::micros(12),
             marshal: Dur::micros(4),
             exec_core: 1,
@@ -54,8 +52,8 @@ impl<S: Service> CsServer<S> {
 
 impl<S: Service> Actor for CsServer<S> {
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if let Some(&CsRequest { id }) = env.payload.downcast_ref::<CsRequest>() {
-            let Some(cmd) = self.registry.get(id) else { return };
+        if let Some(CsRequest { id, cmd }) = env.payload.downcast_ref::<CsRequest>() {
+            let (id, cmd) = (*id, StoredCommand::<S::Command>::of(cmd));
             let mut cost = self.request_overhead;
             let mut updates = 0;
             for (_, op) in &cmd.ops {

@@ -3,7 +3,7 @@
 //! partitioned SMR over the modified M-Ring Paxos.
 
 use abcast::SharedLog;
-use btree::{Partitioning, TreeCommand, TreeService};
+use btree::{Partitioning, TreeService};
 use ringpaxos::cluster::{layout_mring, MRingDeployment, MRingOptions};
 use ringpaxos::MRingConfig;
 use simnet::prelude::*;
@@ -14,7 +14,6 @@ use workload::{
 
 use crate::cs::CsServer;
 use crate::replica::{ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica};
-use crate::service::Registry;
 use crate::session::{Route, TreeSessionDriver};
 
 /// Tuples pre-loaded into each partition's tree. The paper loads 12 M
@@ -67,55 +66,6 @@ impl Default for SmrOptions {
     }
 }
 
-/// A deployed SMR system.
-pub struct SmrDeployment {
-    /// Ring acceptors (last = coordinator).
-    pub ring: Vec<NodeId>,
-    /// Replicas, grouped by partition (one group when unpartitioned).
-    pub replicas: Vec<Vec<NodeId>>,
-    /// Client nodes, each a closed-loop [`SessionTable`] of one session
-    /// (read `workload`'s `sessions.*` metrics here).
-    pub clients: Vec<NodeId>,
-    /// The shared command registry.
-    pub registry: Registry<TreeCommand>,
-    /// The ring's delivery log (per replica, in `cfg.learners` order).
-    pub log: SharedLog,
-    /// The replicas' state board (same order as `log`).
-    pub states: ReplicaStates,
-    /// Key partitioning, when enabled.
-    pub partitioning: Option<Partitioning>,
-    /// The ring configuration.
-    pub cfg: MRingConfig,
-}
-
-impl SmrDeployment {
-    /// The ring coordinator.
-    pub fn coordinator(&self) -> NodeId {
-        self.cfg.coordinator()
-    }
-
-    /// All replica nodes, flattened.
-    pub fn all_replicas(&self) -> Vec<NodeId> {
-        self.replicas.iter().flatten().copied().collect()
-    }
-
-    /// Every replica's state now, grouped like `replicas`.
-    pub fn replica_states(&self, sim: &mut Sim) -> Vec<Vec<ReplicaState>> {
-        read_states(&self.states, sim, &self.replicas)
-    }
-}
-
-/// Reads the state board and regroups it by partition.
-fn read_states(
-    states: &ReplicaStates,
-    sim: &mut Sim,
-    replicas: &[Vec<NodeId>],
-) -> Vec<Vec<ReplicaState>> {
-    let flat: Vec<NodeId> = replicas.iter().flatten().copied().collect();
-    let mut rows = states.read(sim, &flat).into_iter();
-    replicas.iter().map(|part| rows.by_ref().take(part.len()).collect()).collect()
-}
-
 /// Lays out the ordering ring through [`layout_mring`], its learners
 /// the replicas of the B⁺-tree service, partition by partition (§4.2.2),
 /// then allocates `n_clients` idle client-tier nodes and installs the
@@ -132,7 +82,7 @@ fn deploy_replicas(
     packet_bytes: u32,
     n_clients: usize,
     exec_cores: &[usize],
-) -> SmrDeployment {
+) -> SessionDeployment {
     let n_partitions = partitions.map(|p| p.n).unwrap_or(1);
     let replicas_per = partitions.map(|p| p.replicas_per).unwrap_or(n_replicas);
     let opts = MRingOptions {
@@ -149,29 +99,27 @@ fn deploy_replicas(
     });
     let clients: Vec<NodeId> = (0..n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
 
-    let registry: Registry<TreeCommand> = Registry::replicated(n_partitions, replicas_per as u32);
     let states = ReplicaStates::new(layout.d.all_learners.len());
     let span = Partitioning::new(n_partitions.max(1)).span;
     let rcfg =
         ReplicaConfig { speculative, exec_cores: exec_cores.to_vec(), ..ReplicaConfig::default() };
-    let log = layout.d.log.clone();
-    let MRingDeployment { ring, learners, cfg, .. } = layout.install(sim, |p, r, learner| {
+    let MRingDeployment { ring, learners, cfg, log, .. } = layout.install(sim, |p, r, learner| {
         let Some(i) = learner else { return Some(Box::new(p)) };
         let service =
             TreeService::populated((i / replicas_per) as u64 * span, span, POPULATE_COUNT);
-        let (registry, states, rcfg) = (registry.clone(), states.clone(), rcfg.clone());
-        Some(Box::new(SmrReplica::new(p, log.clone(), i, r, service, registry, states, rcfg)))
+        Some(Box::new(SmrReplica::new(p, i, r, service, states.clone(), rcfg.clone())))
     });
 
     let replicas = (0..n_partitions as usize)
         .map(|pi| learners[pi * replicas_per..(pi + 1) * replicas_per].to_vec())
         .collect();
     let partitioning = partitions.map(|p| Partitioning::new(p.n));
-    SmrDeployment { ring, replicas, clients, registry, log, states, partitioning, cfg }
+    SessionDeployment { ring, replicas, tables: clients, log, states, partitioning, cfg }
 }
 
-/// Deploys state-machine replication per `opts`.
-pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
+/// Deploys state-machine replication per `opts`: each of the
+/// deployment's `tables` is a closed-loop client of one session.
+pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SessionDeployment {
     // The single-update workload is not batched in the paper (§4.4.2);
     // batching into 8 KB packets is specific to Ins/Del (batch). Queries
     // (256 B commands) also go one per instance.
@@ -195,7 +143,7 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
     let span = Partitioning::new(n_partitions.max(1)).span;
 
     let key_space = span * n_partitions as u64;
-    for &c in &d.clients {
+    for &c in &d.tables {
         let mut workload = KeyedWorkload::uniform(opts.workload, key_space);
         if let (Some(p), Some(po)) = (d.partitioning, opts.partitions) {
             workload = workload.with_partitions(p, po.cross_pct);
@@ -205,7 +153,7 @@ pub fn deploy_smr(sim: &mut Sim, opts: &SmrOptions) -> SmrDeployment {
         // lost proposal from a dead coordinator, so rotating would move
         // it to a relaying ring member on every lost proposal.
         let route = Route::Ring(Rotation::new(d.cfg.coordinator(), Vec::new()));
-        let driver = TreeSessionDriver::new(c, route, d.registry.clone(), workload, d.partitioning);
+        let driver = TreeSessionDriver::new(c, route, workload, d.partitioning);
         sim.replace_actor(c, closed_loop_client(c, driver, opts.stop_at));
     }
     d
@@ -285,17 +233,17 @@ impl Default for SessionOptions {
     }
 }
 
-/// A deployed mass-session SMR system.
+/// A deployed SMR system: [`deploy_smr`]'s or [`deploy_smr_sessions`]'s.
 pub struct SessionDeployment {
     /// Ring acceptors (last = coordinator).
     pub ring: Vec<NodeId>,
     /// Replicas, grouped by partition (one group when unpartitioned).
     pub replicas: Vec<Vec<NodeId>>,
     /// Session-table nodes (read `workload`'s `sessions.*` metrics and
-    /// the [`workload::SESSION_LATENCY`] histogram here).
+    /// the [`workload::SESSION_LATENCY`] histogram here): many open-loop
+    /// sessions each under [`deploy_smr_sessions`], one closed-loop
+    /// session each under [`deploy_smr`].
     pub tables: Vec<NodeId>,
-    /// The shared command registry.
-    pub registry: Registry<TreeCommand>,
     /// The ring's delivery log (per replica, in `cfg.learners` order).
     pub log: SharedLog,
     /// The replicas' state board (same order as `log`).
@@ -312,9 +260,16 @@ impl SessionDeployment {
         self.cfg.coordinator()
     }
 
+    /// All replica nodes, flattened.
+    pub fn all_replicas(&self) -> Vec<NodeId> {
+        self.replicas.iter().flatten().copied().collect()
+    }
+
     /// Every replica's state now, grouped like `replicas`.
     pub fn replica_states(&self, sim: &mut Sim) -> Vec<Vec<ReplicaState>> {
-        read_states(&self.states, sim, &self.replicas)
+        let flat = self.all_replicas();
+        let mut rows = self.states.read(sim, &flat).into_iter();
+        self.replicas.iter().map(|part| rows.by_ref().take(part.len()).collect()).collect()
     }
 }
 
@@ -348,28 +303,27 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
     let resp_core = ReplicaConfig::default().resp_core;
     let exec_cores: Vec<usize> =
         (1..sim.config().cores_per_node).filter(|&c| c != resp_core).collect();
-    let SmrDeployment { ring, replicas, clients: tables, registry, log, states, partitioning, cfg } =
-        deploy_replicas(
-            sim,
-            opts.partitions,
-            opts.n_replicas,
-            opts.ring_size,
-            true,
-            8192,
-            opts.n_tables,
-            &exec_cores,
-        );
+    let d = deploy_replicas(
+        sim,
+        opts.partitions,
+        opts.n_replicas,
+        opts.ring_size,
+        true,
+        8192,
+        opts.n_tables,
+        &exec_cores,
+    );
     let n_partitions = opts.partitions.map(|p| p.n).unwrap_or(1);
     let key_space = Partitioning::new(n_partitions.max(1)).span * n_partitions as u64;
 
-    for &t in &tables {
+    for &t in &d.tables {
         let workload = if opts.zipf_s > 0.0 {
             KeyedWorkload::zipfian(opts.kind, key_space, opts.zipf_s)
         } else {
             KeyedWorkload::uniform(opts.kind, key_space)
         };
-        let route = Route::Ring(Rotation::new(cfg.coordinator(), cfg.ring.clone()));
-        let driver = TreeSessionDriver::new(t, route, registry.clone(), workload, partitioning);
+        let route = Route::Ring(Rotation::new(d.cfg.coordinator(), d.cfg.ring.clone()));
+        let driver = TreeSessionDriver::new(t, route, workload, d.partitioning);
         let tcfg = SessionTableConfig {
             sessions: opts.sessions_per_table,
             arrival: Arrival::Poisson(Poisson::with_rate(opts.rate_per_table)),
@@ -380,7 +334,7 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
         sim.replace_actor(t, Box::new(SessionTable::new(t, tcfg, driver)));
     }
 
-    SessionDeployment { ring, replicas, tables, registry, log, states, partitioning, cfg }
+    d
 }
 
 /// A deployed client-server baseline.
@@ -389,8 +343,6 @@ pub struct CsDeployment {
     pub server: NodeId,
     /// Client nodes, each a closed-loop [`SessionTable`] of one session.
     pub clients: Vec<NodeId>,
-    /// Shared command registry.
-    pub registry: Registry<TreeCommand>,
 }
 
 /// Deploys the non-replicated baseline: one server, `n_clients`
@@ -403,15 +355,13 @@ pub fn deploy_cs(
 ) -> CsDeployment {
     let server = sim.add_node(Box::new(Idle));
     let clients: Vec<NodeId> = (0..n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let registry: Registry<TreeCommand> = Registry::new();
     let span = Partitioning::new(1).span;
     let service = TreeService::populated(0, span, POPULATE_COUNT);
-    sim.replace_actor(server, Box::new(CsServer::new(service, registry.clone())));
+    sim.replace_actor(server, Box::new(CsServer::new(service)));
     for &c in &clients {
         let workload = KeyedWorkload::uniform(workload, span);
-        let driver =
-            TreeSessionDriver::new(c, Route::Server(server), registry.clone(), workload, None);
+        let driver = TreeSessionDriver::new(c, Route::Server(server), workload, None);
         sim.replace_actor(c, closed_loop_client(c, driver, stop_at));
     }
-    CsDeployment { server, clients, registry }
+    CsDeployment { server, clients }
 }

@@ -65,9 +65,10 @@
 //! executor ([`Executor::release`] or [`Executor::confirm`]): a replica
 //! that skipped a delivered read would count one read fewer than its
 //! peer from then on, and every later read of the partition would be
-//! answered by both replicas or by neither. A hash of the id lost one
-//! reply to such a skip; turns lose the partition's reads, which is why
-//! the replica treats a delivered command it cannot find as a defect.
+//! answered by both replicas or by neither. None is skipped: a replica
+//! reads each command from the batch that delivered it, and a batch
+//! carries a command for every value or for none, so a delivered value
+//! without its command cannot be built.
 //!
 //! # Speculation
 //!
@@ -94,6 +95,14 @@
 //! unanswered here; a read whose turn it is but which did not run, runs
 //! when confirmed. Either way it is answered exactly once, by the replica
 //! whose turn it is.
+//!
+//! A command confirmed while others are queued ahead of it overtakes
+//! them ([`Executor::confirm`]). Two reads never conflict, so a read that
+//! ran on arrival with no update queued ahead of it saw exactly the state
+//! the decided order gives it: its execution stands — released at
+//! `max(execution done, decision)` on its turn, dropped as a read run out
+//! of turn otherwise — and the queue stays. Anything else that overtakes
+//! a speculated update, or is itself an update, rolls the queue back.
 //!
 //! After the learner has delivered, [`Executor::delivered`] drops every
 //! entry whose instance is now below the watermark: the instance was
@@ -469,10 +478,15 @@ impl<S: Service> Executor<S> {
     /// Executes `cmd`, the next command in the decided order and not the
     /// oldest speculation ([`Executor::release`] said so): in order, after
     /// rolling the speculation queue back if the decided order
-    /// invalidates it. A read runs only if its turn is this replica's.
+    /// invalidates it. A read runs only if its turn is this replica's; a
+    /// read that ran on arrival behind no queued update keeps that
+    /// execution and leaves the queue alone (module docs, "Speculation").
     pub fn confirm(&mut self, id: MsgId, cmd: &StoredCommand<S::Command>, now: Time) -> Booked {
         let read = !ops_of(self.mask, cmd).any(S::is_update);
         let answers = self.take_turn(id, read);
+        if let Some(done) = self.take_clean_read(id) {
+            return Booked { parts: Vec::new(), done: done.max(now), rolled_back: 0, answers };
+        }
         let executes = answers || !read;
         let rolled_back = self.resolve_overtaker(id, cmd, executes);
         let (updates, booked) = if executes { self.run(cmd, now) } else { (0, self.pass(now)) };
@@ -517,6 +531,20 @@ impl<S: Service> Executor<S> {
         undone
     }
 
+    /// Takes `id`'s queued entry if it is a read that ran with no update
+    /// queued ahead of it, and returns when it finished: nothing the
+    /// decided order puts before it is missing from what it read, and
+    /// nothing after it is in it.
+    fn take_clean_read(&mut self, id: MsgId) -> Option<Time> {
+        let i = self.spec_q.iter().position(|s| s.id == id)?;
+        let done = self.spec_q[i].done.filter(|_| self.spec_q[i].is_read())?;
+        if self.spec_q.iter().take(i).any(|s| s.updates > 0) {
+            return None;
+        }
+        self.spec_q.remove(i);
+        Some(done)
+    }
+
     /// A confirmed command that is not the head of the speculation queue
     /// overtakes the speculated ones in the decided order. Speculation
     /// stays valid only if neither side mutates shared state: the
@@ -539,7 +567,8 @@ impl<S: Service> Executor<S> {
         if self.spec_q.is_empty() {
             return 0;
         }
-        // Speculated behind others: its own early execution is void too.
+        // Speculated behind others, and not kept by `confirm`: its own
+        // early execution is void too.
         let was_speculated = self.spec_q.iter().any(|s| s.id == id);
         let conflict = was_speculated
             || ops_of(self.mask, cmd).any(S::is_update)
@@ -1044,6 +1073,52 @@ mod tests {
         assert_eq!(answers, [1; 4]);
         assert_eq!(answered, [[0, 2], [1, 3]]);
         assert_eq!(ran, [[false, true, false, true], [false, true, false, false]]);
+    }
+
+    /// Reads never conflict. B, speculated behind A, is decided first: the
+    /// replica keeps B's execution — answering at its end on B's turn, and
+    /// dropping it as a read run out of turn otherwise — and A stays
+    /// queued. Behind a queued update the queue still rolls back, for
+    /// the read saw a write the decided order puts after it.
+    #[test]
+    fn a_read_overtaking_only_reads_keeps_its_execution_and_the_queue() {
+        let (a, b) = (read(0), read(10));
+        let now = at(0);
+        let kept = |done, answers| Booked { parts: Vec::new(), done, rolled_back: 0, answers };
+
+        // Alone: both run on arrival, and both are this replica's turns.
+        let mut ex = executor(&[1]);
+        let sa = ex.speculate(MsgId(1), 0, &a, now).expect("turn 0 runs");
+        let sb = ex.speculate(MsgId(2), 1, &b, now).expect("turn 1 runs");
+        let booked = deliver(&mut ex, MsgId(2), &b, now);
+        assert_eq!(booked, kept(sb.done, true));
+        assert_eq!(ex.speculated(), 1, "A stays queued");
+        let booked = deliver(&mut ex, MsgId(1), &a, now);
+        assert_eq!(booked, kept(sa.done, true));
+
+        // Seat 1 of 2: B runs on arrival as predicted turn 1, but the
+        // decided order makes it turn 0, the peer's; A, turn 1, is this
+        // replica's and runs when confirmed.
+        let mut ex = seated(&[1], Seat { index: 1, of: 2 });
+        assert!(ex.speculate(MsgId(1), 0, &a, now).is_none());
+        let sb = ex.speculate(MsgId(2), 1, &b, now).expect("turn 1 runs");
+        let booked = deliver(&mut ex, MsgId(2), &b, now);
+        assert_eq!(booked, kept(sb.done, false));
+        assert_eq!(ex.speculated(), 1, "A stays queued");
+        let booked = deliver(&mut ex, MsgId(1), &a, now);
+        assert_eq!((booked.answers, booked.rolled_back), (true, 0));
+        assert!(booked.cost() > DISPATCH, "A runs when confirmed");
+        assert_eq!(ex.speculated(), 0);
+
+        // An update queued ahead of the read.
+        let put = cmd(&[TreeCommand::Insert { key: 15, value: 1 }]);
+        let mut ex = executor(&[1]);
+        assert!(ex.speculate(MsgId(1), 0, &put, now).is_some());
+        assert!(ex.speculate(MsgId(2), 1, &b, now).is_some());
+        let booked = deliver(&mut ex, MsgId(2), &b, now);
+        assert_eq!(booked.rolled_back, 2);
+        assert!(booked.cost() > Dur::ZERO, "B runs again");
+        assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
     }
 
     /// Updates run on every replica and keep the id's responder, `id % n`:

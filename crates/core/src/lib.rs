@@ -36,7 +36,7 @@
 //! let d = deploy_smr(&mut sim, &opts);
 //! sim.run_until(Time::from_millis(500));
 //! let completed: u64 = d
-//!     .clients
+//!     .tables
 //!     .iter()
 //!     .map(|&c| sim.metrics().counter(c, workload::SESSIONS_COMPLETED))
 //!     .sum();
@@ -55,14 +55,14 @@ pub mod snapshot;
 pub use cs::CsServer;
 pub use deploy::{
     deploy_cs, deploy_smr, deploy_smr_sessions, CsDeployment, PartitionOptions, SessionDeployment,
-    SessionOptions, SmrDeployment, SmrOptions,
+    SessionOptions, SmrOptions,
 };
 pub use exec::{Booked, ExecSchedule, Executor, Released, Seat, Swept};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
-    ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_REGISTRY_MISS, SMR_ROLLBACKS,
-    SMR_SPEC_EXEC, SMR_SPEC_STALE, SMR_SPLIT_READS,
+    ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_ROLLBACKS, SMR_SPEC_EXEC,
+    SMR_SPEC_STALE, SMR_SPLIT_READS,
 };
-pub use service::{Registry, Service, StoredCommand};
+pub use service::{Service, StoredCommand};
 pub use session::{Route, TreeSessionDriver};
 pub use snapshot::{NullService, ServiceApp, Snapshot};

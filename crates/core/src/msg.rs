@@ -1,12 +1,15 @@
 //! Client ↔ server messages of the SMR layer.
 
 use abcast::MsgId;
+use ringpaxos::value::Command;
 
 /// A direct request in the non-replicated client-server baseline.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct CsRequest {
-    /// Command id (contents in the [`crate::service::Registry`]).
+    /// Command id.
     pub id: MsgId,
+    /// The command itself (a [`crate::service::StoredCommand`]).
+    pub cmd: Command,
 }
 
 /// A reply from a server or replica to the issuing client.

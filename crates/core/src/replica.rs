@@ -45,21 +45,29 @@
 //!
 //! What keeps the queue honest is the learner's delivery watermark, not a
 //! history of ids ([`crate::exec`] has the rules): a 2A of an instance
-//! already delivered is not speculated, and after every drain of the
-//! delivery log a queued speculation whose instance has been delivered
-//! without confirming it is stale and goes ([`SMR_SPEC_STALE`]).
+//! already delivered is not speculated, nor a value the learner's
+//! duplicate filter has already passed (a retried copy of a command this
+//! replica delivered), and after the learner delivers, a queued
+//! speculation whose instance has been delivered without confirming it
+//! is stale and goes ([`SMR_SPEC_STALE`]).
+//!
+//! The replica reads each command from the batch that carried it: a 2A
+//! for speculation, and for execution the batches its learner delivered
+//! ([`MRingProcess::take_delivered`]).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use abcast::{MsgId, SharedLog};
+use abcast::MsgId;
 use ringpaxos::mring::MRingProcess;
 use ringpaxos::msg::MMsg;
+use ringpaxos::value::Command;
+use ringpaxos::Batch;
 use simnet::prelude::*;
 
 use crate::exec::{Booked, Executor, Released, Seat};
 use crate::msg::SmrResponse;
-use crate::service::{Registry, Service};
+use crate::service::{Service, StoredCommand};
 
 /// Alias of [`workload::SESSION_LATENCY`], kept for the frozen
 /// `benchmark/` package's client-server baseline; read the `sessions.*`
@@ -78,12 +86,6 @@ pub const SMR_SPEC_STALE: &str = "smr.spec_stale";
 /// Reads executed in parts, one on each execution core idle when the
 /// read could start ([`crate::exec`]), per replica.
 pub const SMR_SPLIT_READS: &str = "smr.split_reads";
-/// Delivered commands a replica found no registry entry for and therefore
-/// skipped, per replica. Always a defect: see [`crate::service`]. A
-/// skipped read also puts the replica's read turns out of step with its
-/// peers' for the rest of the run ([`crate::exec`], "Who answers"), so a
-/// debug build panics on the first.
-pub const SMR_REGISTRY_MISS: &str = "smr.registry_miss";
 
 const T_RESP: u64 = 40 << 56;
 const T_STATE: u64 = 42 << 56;
@@ -159,16 +161,13 @@ impl ReplicaStates {
 /// A state-machine-replication replica over service `S`.
 pub struct SmrReplica<S: Service> {
     inner: MRingProcess,
-    log: SharedLog,
     log_index: usize,
-    cursor: usize,
-    /// Newly delivered ids copied out of the shared log (reused buffer).
-    fresh: Vec<MsgId>,
+    /// Batches the learner has delivered, taken from it (reused buffer).
+    delivered: Vec<Batch>,
     /// This replica's partition mask: `inner`'s learner mask
     /// (`ALL_PARTITIONS` when the ring is not partitioned).
     mask: u32,
     exec: Executor<S>,
-    registry: Registry<S::Command>,
     states: ReplicaStates,
     rcfg: ReplicaConfig,
     /// Responses awaiting their virtual completion time, by (ready time,
@@ -179,19 +178,15 @@ pub struct SmrReplica<S: Service> {
 }
 
 impl<S: Service> SmrReplica<S> {
-    /// Creates a replica wrapping the given ring learner. `log` must be
-    /// the same delivery log handed to `inner`, and `log_index` the
-    /// learner index of this node in the ring configuration (also its
+    /// Creates a replica wrapping the given ring learner. `log_index` is
+    /// the learner index of this node in the ring configuration (also its
     /// row in `states`). The replica's partition and peers come from
     /// `inner`'s configuration.
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         inner: MRingProcess,
-        log: SharedLog,
         log_index: usize,
         me: NodeId,
         service: S,
-        registry: Registry<S::Command>,
         states: ReplicaStates,
         rcfg: ReplicaConfig,
     ) -> SmrReplica<S> {
@@ -208,13 +203,10 @@ impl<S: Service> SmrReplica<S> {
         let exec = Executor::new(service, rcfg.exec_cores.clone(), mask, rcfg.dispatch, seat);
         SmrReplica {
             inner,
-            log,
             log_index,
-            cursor: 0,
-            fresh: Vec::new(),
+            delivered: Vec::new(),
             mask,
             exec,
-            registry,
             states,
             rcfg,
             resp_q: BTreeMap::new(),
@@ -223,34 +215,33 @@ impl<S: Service> SmrReplica<S> {
     }
 
     /// Speculative path: execute on Phase 2A arrival (§4.2.1).
-    fn speculate(&mut self, instance: u64, batch: &ringpaxos::Batch, ctx: &mut Ctx) {
-        for v in batch.iter() {
-            if v.mask & self.mask == 0 {
+    fn speculate(&mut self, instance: u64, batch: &Batch, ctx: &mut Ctx) {
+        for (v, cmd) in batch.commands() {
+            // A value the duplicate filter has passed is a retried copy
+            // of a command this replica has delivered: the learner will
+            // drop it, and no confirmation will ever pop it.
+            if v.mask & self.mask == 0 || self.inner.has_delivered(v) {
                 continue;
             }
-            // A miss here is a retry of a command everyone is done with;
-            // the learner's duplicate filter will drop it too.
-            let Some(cmd) = self.registry.get(v.id) else { continue };
-            if let Some(booked) = self.exec.speculate(v.id, instance, &cmd, ctx.now()) {
+            let cmd = StoredCommand::of(cmd);
+            if let Some(booked) = self.exec.speculate(v.id, instance, cmd, ctx.now()) {
                 charge(&booked, ctx);
                 ctx.counter_add(SMR_SPEC_EXEC, 1);
             }
         }
     }
 
-    /// Processes newly confirmed (ordered) commands from the ring log,
-    /// then retires the speculations the deliveries left stale.
+    /// Processes the commands the learner has delivered, in the decided
+    /// order, then retires the speculations the deliveries left stale.
     fn drain(&mut self, ctx: &mut Ctx) {
-        let mut fresh = std::mem::take(&mut self.fresh);
-        {
-            let log = self.log.lock().expect("delivery log poisoned");
-            fresh.extend_from_slice(&log.sequence(self.log_index)[self.cursor..]);
+        let mut delivered = std::mem::take(&mut self.delivered);
+        delivered.extend(self.inner.take_delivered());
+        for batch in delivered.drain(..) {
+            for (v, cmd) in batch.commands() {
+                self.confirm(v.id, cmd, ctx);
+            }
         }
-        self.cursor += fresh.len();
-        for id in fresh.drain(..) {
-            self.confirm(id, ctx);
-        }
-        self.fresh = fresh;
+        self.delivered = delivered;
         let swept = self.exec.delivered(self.inner.next_deliver().0);
         if swept.stale > 0 {
             ctx.counter_add(SMR_SPEC_STALE, swept.stale as u64);
@@ -258,20 +249,15 @@ impl<S: Service> SmrReplica<S> {
         }
     }
 
-    fn confirm(&mut self, id: MsgId, ctx: &mut Ctx) {
+    fn confirm(&mut self, id: MsgId, cmd: &Command, ctx: &mut Ctx) {
         let (booked, client, reply_bytes) = match self.exec.release(id, ctx.now()) {
             Some(Released { booked, client, reply_bytes }) => (booked, client, reply_bytes),
             None => {
-                let Some(cmd) = self.registry.get(id) else {
-                    debug_assert!(false, "{id:?} delivered with no registry entry");
-                    ctx.counter_add(SMR_REGISTRY_MISS, 1);
-                    return;
-                };
-                let booked = self.exec.confirm(id, &cmd, ctx.now());
+                let cmd = StoredCommand::of(cmd);
+                let booked = self.exec.confirm(id, cmd, ctx.now());
                 (booked, cmd.client, cmd.reply_bytes)
             }
         };
-        self.registry.confirmed(id);
         if booked.rolled_back > 0 {
             ctx.counter_add(SMR_ROLLBACKS, booked.rolled_back as u64);
         }

@@ -1,7 +1,8 @@
 //! The B⁺-tree service's [`SessionDriver`]: the service-specific half
 //! of every B⁺-tree client's [`workload::SessionTable`], carrying the
-//! keyed command generator, the command registry, partition
-//! pre-splitting (§4.2.2), and where commands go ([`Route`]): through
+//! keyed command generator, partition pre-splitting (§4.2.2), each
+//! request's command until it is answered, and where commands go
+//! ([`Route`]): through
 //! the ordering ring, with sticky leader re-lookup across its members,
 //! or straight to the stand-alone server of the client-server baseline.
 //!
@@ -12,16 +13,17 @@
 //! the same driver ([`crate::deploy::deploy_smr_sessions`]).
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use abcast::MsgId;
 use btree::{Partitioning, TreeCommand};
 use ringpaxos::msg::MMsg;
-use ringpaxos::value::Value;
+use ringpaxos::value::{Command, Value};
 use simnet::prelude::*;
 use workload::{KeyedWorkload, Rotation, Sent, SessionDriver};
 
 use crate::msg::{CsRequest, SmrResponse};
-use crate::service::{Registry, StoredCommand};
+use crate::service::StoredCommand;
 
 /// Where a [`TreeSessionDriver`] sends its commands.
 #[derive(Clone, Debug)]
@@ -34,17 +36,24 @@ pub enum Route {
     Server(NodeId),
 }
 
+/// A request awaiting its replies.
+struct Pending {
+    cmd: Rc<StoredCommand<TreeCommand>>,
+    replies: u32,
+    seq: u64,
+    sent: Option<Sent>,
+}
+
 /// Drives B⁺-tree commands from a session table to the service.
 pub struct TreeSessionDriver {
     me: NodeId,
     route: Route,
-    registry: Registry<TreeCommand>,
     workload: KeyedWorkload,
     partitioning: Option<Partitioning>,
-    /// Per-request `(replies still expected, proposal seq, where it was
-    /// last sent)`: a pre-split cross-partition command answers once per
-    /// involved partition.
-    expected: HashMap<MsgId, (u32, u64, Option<Sent>)>,
+    /// Per request: its command, replies still expected (a pre-split
+    /// cross-partition command answers once per involved partition),
+    /// proposal seq, and where it was last sent.
+    expected: HashMap<MsgId, Pending>,
     /// Next proposal sequence. Learner-side duplicate detection keeps a
     /// contiguous-sequence watermark per proposer, so proposals must be
     /// stamped with this counter — the slot/generation request id is
@@ -57,14 +66,12 @@ impl TreeSessionDriver {
     pub fn new(
         me: NodeId,
         route: Route,
-        registry: Registry<TreeCommand>,
         workload: KeyedWorkload,
         partitioning: Option<Partitioning>,
     ) -> TreeSessionDriver {
         TreeSessionDriver {
             me,
             route,
-            registry,
             workload,
             partitioning,
             expected: HashMap::new(),
@@ -77,19 +84,27 @@ impl TreeSessionDriver {
         self.expected.len()
     }
 
-    /// Sends request `id` along the route; returns where it went on the
-    /// ring (`None` for the server).
-    fn send(&mut self, id: MsgId, seq: u64, mask: u32, ctx: &mut Ctx) -> Option<Sent> {
+    /// Sends request `id`, with its command, along the route; returns
+    /// where it went on the ring (`None` for the server).
+    fn send(
+        &mut self,
+        id: MsgId,
+        seq: u64,
+        cmd: &Rc<StoredCommand<TreeCommand>>,
+        ctx: &mut Ctx,
+    ) -> Option<Sent> {
         let bytes = self.workload.kind().command_bytes();
+        let mask = cmd.mask;
+        let cmd: Command = cmd.clone();
         match &mut self.route {
             Route::Ring(rotation) => {
                 let v = Value { id, proposer: self.me, seq, bytes, submitted: ctx.now(), mask };
                 let (dst, sent) = rotation.pick();
-                ctx.udp_send(dst, MMsg::Propose(v), bytes);
+                ctx.udp_send(dst, MMsg::Propose(v, Some(cmd)), bytes);
                 Some(sent)
             }
             Route::Server(server) => {
-                ctx.udp_send(*server, CsRequest { id }, bytes);
+                ctx.udp_send(*server, CsRequest { id, cmd }, bytes);
                 None
             }
         }
@@ -102,38 +117,34 @@ impl SessionDriver for TreeSessionDriver {
         let kind = self.workload.kind();
         let (cmd, replies) =
             StoredCommand::pre_split(raw_ops, self.partitioning, self.me, kind.reply_bytes());
-        let mask = cmd.mask;
-        self.registry.put(id, cmd);
+        let cmd = Rc::new(cmd);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let sent = self.send(id, seq, mask, ctx);
-        self.expected.insert(id, (replies, seq, sent));
+        let sent = self.send(id, seq, &cmd, ctx);
+        self.expected.insert(id, Pending { cmd, replies, seq, sent });
     }
 
     fn resubmit(&mut self, id: MsgId, _attempt: u32, ctx: &mut Ctx) {
         // Move the submission point past the one that failed (leader
-        // re-lookup after a coordinator failover) before re-proposing.
-        // The registry keeps the command payload, so only the (id, seq,
-        // mask) proposal is re-sent — under the *original* seq, so a late
-        // delivery of the first copy dedups the retry instead of
-        // double-executing.
-        let Some(&(replies, seq, sent)) = self.expected.get(&id) else { return };
-        let Some(cmd) = self.registry.get(id) else { return };
-        if let (Route::Ring(rotation), Some(sent)) = (&mut self.route, sent) {
+        // re-lookup after a coordinator failover) before re-proposing
+        // the command under its *original* seq, so a late delivery of
+        // the first copy dedups the retry instead of double-executing.
+        let Some(p) = self.expected.remove(&id) else { return };
+        if let (Route::Ring(rotation), Some(sent)) = (&mut self.route, p.sent) {
             rotation.failed(sent);
         }
-        let sent = self.send(id, seq, cmd.mask, ctx);
-        self.expected.insert(id, (replies, seq, sent));
+        let sent = self.send(id, p.seq, &p.cmd, ctx);
+        self.expected.insert(id, Pending { sent, ..p });
     }
 
     fn on_response(&mut self, env: &Envelope, _ctx: &mut Ctx) -> Option<MsgId> {
         let &SmrResponse { id, .. } = env.payload.downcast_ref::<SmrResponse>()?;
-        let (remaining, _, sent) = self.expected.get_mut(&id)?;
-        *remaining = remaining.saturating_sub(1);
-        if *remaining > 0 {
+        let p = self.expected.get_mut(&id)?;
+        p.replies = p.replies.saturating_sub(1);
+        if p.replies > 0 {
             return None;
         }
-        if let (Route::Ring(rotation), Some(sent)) = (&mut self.route, *sent) {
+        if let (Route::Ring(rotation), Some(sent)) = (&mut self.route, p.sent) {
             rotation.answered(sent);
         }
         self.expected.remove(&id);
@@ -142,6 +153,5 @@ impl SessionDriver for TreeSessionDriver {
 
     fn finish(&mut self, id: MsgId) {
         self.expected.remove(&id);
-        self.registry.finish(id);
     }
 }

@@ -4,6 +4,7 @@
 //! execution thread's ceiling, because range scans execute in parallel on
 //! the replica's reader cores; updates must not notice.
 
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use abcast::{metric, MsgId};
@@ -11,9 +12,10 @@ use btree::{TreeCommand, TreeService};
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
-use hpsmr_core::{Registry, ReplicaConfig, ReplicaStates, SmrReplica, SmrResponse, StoredCommand};
+use hpsmr_core::{ReplicaConfig, ReplicaStates, SmrReplica, SmrResponse, StoredCommand};
 use ringpaxos::cluster::{layout_mring, MRingOptions};
-use ringpaxos::value::ALL_PARTITIONS;
+use ringpaxos::msg::MMsg;
+use ringpaxos::value::{Value, ALL_PARTITIONS};
 use simnet::prelude::*;
 use workload::{
     WorkloadKind, SESSIONS_ABANDONED, SESSIONS_COMPLETED, SESSIONS_SHED, SESSIONS_SUBMITTED,
@@ -173,36 +175,37 @@ impl Actor for ReplyOrder {
     }
 }
 
-/// Delivers a one-key lookup, a 1000-key scan and another lookup to a
-/// lone replica running on `exec_cores`; returns the order the client
-/// hears back.
+/// Delivers a one-key lookup, a 1000-key scan and another lookup, in one
+/// batch, to a lone replica running on `exec_cores`; returns the order
+/// the client hears back.
 fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     let mut sim = Sim::new(SimConfig::default());
-    let opts =
-        MRingOptions { ring_size: 1, n_learners: 1, n_proposers: 0, ..MRingOptions::default() };
+    let opts = MRingOptions { n_learners: 1, n_proposers: 0, ..MRingOptions::default() };
     let layout = layout_mring(&mut sim, &opts, &[], None, |_| {});
-    let (replica, log) = (layout.d.learners[0], layout.d.log.clone());
+    let (replica, coordinator) = (layout.d.learners[0], layout.d.cfg.coordinator());
     let client = sim.add_node(Box::new(Idle));
-    let registry: Registry<TreeCommand> = Registry::new();
-    for (id, hi) in [(FIRST, 0), (SCAN, 999), (LOOKUP, 0)] {
-        let ops = vec![(ALL_PARTITIONS, TreeCommand::Query { lo: 0, hi })];
-        registry.put(id, StoredCommand { ops, client, mask: ALL_PARTITIONS, reply_bytes: 64 });
-        log.lock().unwrap().deliver(0, id);
-    }
     let heard = Arc::new(Mutex::new(Vec::new()));
     sim.replace_actor(client, Box::new(ReplyOrder(heard.clone())));
     let rcfg = ReplicaConfig { exec_cores, ..ReplicaConfig::default() };
     layout.install(&mut sim, |inner, _, learner| {
-        // The coordinator stays idle: nothing is ordered, the log above
-        // already holds both commands.
-        learner?;
+        if learner.is_none() {
+            return Some(Box::new(inner));
+        }
         let service = TreeService::populated(0, 12_000, 12_000);
-        let (log, registry, states) = (log.clone(), registry.clone(), ReplicaStates::new(1));
-        let rcfg = rcfg.clone();
-        Some(Box::new(SmrReplica::new(inner, log, 0, replica, service, registry, states, rcfg)))
+        let states = ReplicaStates::new(1);
+        Some(Box::new(SmrReplica::new(inner, 0, replica, service, states, rcfg.clone())))
     });
-    // Any datagram wakes the replica, which drains its delivery log.
-    sim.with_ctx(client, |ctx| ctx.udp_send(replica, (), 16));
+    // A busy coordinator holds the three proposals for one batch.
+    sim.with_ctx(coordinator, |ctx| ctx.charge_cpu(0, Dur::millis(1)));
+    sim.with_ctx(client, |ctx| {
+        for (seq, (id, hi)) in [(FIRST, 0), (SCAN, 999), (LOOKUP, 0)].into_iter().enumerate() {
+            let ops = vec![(ALL_PARTITIONS, TreeCommand::Query { lo: 0, hi })];
+            let cmd = StoredCommand { ops, client, mask: ALL_PARTITIONS, reply_bytes: 64 };
+            let (submitted, seq) = (ctx.now(), seq as u64);
+            let v = Value { id, proposer: client, seq, bytes: 64, submitted, mask: ALL_PARTITIONS };
+            ctx.udp_send(coordinator, MMsg::Propose(v, Some(Rc::new(cmd))), 64);
+        }
+    });
     sim.run_until(Time::from_millis(10));
     let heard = heard.lock().unwrap().clone();
     heard

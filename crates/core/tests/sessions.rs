@@ -126,7 +126,7 @@ struct Crashed {
 
 impl Actor for Crashed {
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if let Some(MMsg::Propose(_)) = env.payload.downcast_ref::<MMsg>() {
+        if let Some(MMsg::Propose(..)) = env.payload.downcast_ref::<MMsg>() {
             self.proposals.lock().unwrap().push((ctx.now(), env.src));
         }
     }

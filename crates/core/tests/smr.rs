@@ -23,9 +23,9 @@ fn run_smr(opts: SmrOptions, secs: u64) -> (f64, Dur, u64) {
     let mut sim = Sim::new(SimConfig::default());
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(secs));
-    let done = completed(&sim, &d.clients);
+    let done = completed(&sim, &d.tables);
     let lat = sim.metrics().latency(SESSION_LATENCY).mean;
-    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_RETRIES)).sum();
+    let retries: u64 = d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_RETRIES)).sum();
     (done as f64 / secs as f64, lat, retries)
 }
 
@@ -162,12 +162,12 @@ fn cross_partition_queries_merge_and_preserve_order() {
     };
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(2));
-    let done = completed(&sim, &d.clients);
+    let done = completed(&sim, &d.tables);
     assert!(done > 2000, "only {done} cross-partition commands completed");
     // §4.2.2's state-partitioning ordering: common (cross-partition)
     // commands appear in the same relative order at every partition.
     d.log.lock().unwrap().check_partial_order().expect("acyclic cross-partition order");
-    let retries: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_RETRIES)).sum();
+    let retries: u64 = d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_RETRIES)).sum();
     assert_eq!(retries, 0);
 }
 
@@ -195,7 +195,7 @@ fn deterministic_deployments() {
         let opts = SmrOptions { n_clients: 10, ..SmrOptions::default() };
         let d = deploy_smr(&mut sim, &opts);
         sim.run_until(Time::from_secs(1));
-        completed(&sim, &d.clients)
+        completed(&sim, &d.tables)
     };
     assert_eq!(run(), run());
 }

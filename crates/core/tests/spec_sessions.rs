@@ -10,11 +10,13 @@ use abcast::MsgId;
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
-use hpsmr_core::{
-    ReplicaState, SmrResponse, SMR_REGISTRY_MISS, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE,
-};
+use hpsmr_core::{ReplicaState, SmrResponse, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE};
+use ringpaxos::msg::MMsg;
 use simnet::prelude::*;
+use std::any::Any;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::{Rc, Weak};
 use std::sync::{Arc, Mutex};
 use workload::{
     WorkloadKind, SESSIONS_ABANDONED, SESSIONS_COMPLETED, SESSIONS_SHED, SESSIONS_SUBMITTED,
@@ -113,8 +115,16 @@ fn delivered(d: &SessionDeployment) -> Vec<u64> {
     (0..2 * N_PARTITIONS).map(|i| log.sequence(i).len() as u64).collect()
 }
 
-/// At quiescence the replicas of a partition hold the same tree, reached
-/// through the same number of updates, with nothing speculated left over.
+/// Every request was completed, abandoned or shed.
+fn assert_settled(sim: &Sim, label: &str) {
+    let settled =
+        sum(sim, SESSIONS_COMPLETED) + sum(sim, SESSIONS_ABANDONED) + sum(sim, SESSIONS_SHED);
+    assert_eq!(sum(sim, SESSIONS_SUBMITTED), settled, "{label}: requests still open");
+}
+
+/// At quiescence the replicas of a partition hold the same tree (the same
+/// digest), reached through the same number of updates, with nothing
+/// speculated left over.
 fn assert_replicas_agree(sim: &mut Sim, d: &SessionDeployment, label: &str) -> Vec<ReplicaState> {
     {
         let log = d.log.lock().unwrap();
@@ -131,7 +141,6 @@ fn assert_replicas_agree(sim: &mut Sim, d: &SessionDeployment, label: &str) -> V
             "{label}: partition {p} kept speculations past quiescence"
         );
     }
-    assert_eq!(sum(sim, SMR_REGISTRY_MISS), 0, "{label}: a delivered command was skipped");
     states.into_iter().map(|part| part[0]).collect()
 }
 
@@ -158,7 +167,7 @@ fn queries_execute_on_arrival_and_answer_on_the_decision() {
 
     let states = assert_replicas_agree(&mut sim, &d, "queries");
     assert!(states.iter().all(|s| s.updates == 0));
-    assert!(d.registry.is_empty(), "{} commands outlived their run", d.registry.len());
+    assert_settled(&sim, "queries");
 }
 
 #[test]
@@ -178,14 +187,15 @@ fn speculated_updates_leave_replicas_identical() {
     let mut digests: Vec<u64> = states.iter().map(|s| s.digest).collect();
     digests.dedup();
     assert_eq!(digests.len(), N_PARTITIONS, "partitions hold different keys");
-    assert!(d.registry.is_empty(), "{} commands outlived their run", d.registry.len());
+    assert_settled(&sim, "updates");
 }
 
 /// Datagram loss: a replica that repairs a lost 2A delivers the instance
-/// after its peer has answered and the client has dropped its registry
-/// entry. It must still apply the update (the parent skipped it: 280 such
-/// misses at 1e-3, 3 360 at 1e-2), and whatever loss does to speculation
-/// — payloads that arrive by repair are confirmed unspeculated and roll
+/// after its peer has answered and the client has dropped the command.
+/// The command rides in the repaired batch, so the replica still applies
+/// the update (a shared command store once dropped it: 280 such misses
+/// at 1e-3, 3 360 at 1e-2), and whatever loss does to speculation —
+/// payloads that arrive by repair are confirmed unspeculated and roll
 /// the queue back — both replicas must end in the same state.
 #[test]
 fn lossy_runs_keep_replicas_identical_and_skip_nothing() {
@@ -211,9 +221,7 @@ fn lossy_runs_keep_replicas_identical_and_skip_nothing() {
 
         let states = assert_replicas_agree(&mut sim, &d, &label);
         assert!(states.iter().all(|s| s.updates > 0), "{label}: {states:?}");
-        // What is left in the registry is what no replica ever delivered.
-        assert_eq!(d.registry.len(), d.registry.orphans(), "{label}");
-        assert!(d.registry.orphans() as u64 <= abandoned, "{label}");
+        assert_settled(&sim, &label);
     }
 }
 
@@ -293,7 +301,7 @@ fn speculation_survives_a_coordinator_change() {
     assert_eq!(states[0][0], states[0][1], "replicas diverged across the takeover");
     assert!(states[0][0].updates > 10_000);
     assert_eq!((states[0][0].speculated, states[0][0].undo_depth), (0, 0));
-    assert_eq!(sum(&sim, SMR_REGISTRY_MISS), 0);
+    assert_settled(&sim, "takeover");
     let log = d.log.lock().unwrap();
     assert_eq!(log.sequence(0), log.sequence(1));
 }
@@ -306,7 +314,7 @@ fn speculation_survives_a_coordinator_change() {
 /// the mask rode beside the batch, a takeover lost it and re-proposed to
 /// every partition: on the three update runs 1 / 1 / 4 commands were
 /// delivered in all four partitions, and 0 / 1 / 2 deliveries missed
-/// the client registry. On the query run the re-proposed 2As skew the
+/// the shared command store of the time. On the query run the re-proposed 2As skew the
 /// replicas' predictions of whose turn a read is, and still no command
 /// reaches its table twice from one partition.
 #[test]
@@ -348,4 +356,49 @@ fn a_takeover_re_proposes_a_command_to_its_own_partition_only() {
         assert_answered_at_most_once(&replies, &label);
         assert_replicas_agree(&mut sim, &d, &label);
     }
+}
+
+/// The first command a 2A brought a replica, held weakly.
+type First = Rc<RefCell<Option<Weak<dyn Any>>>>;
+
+/// A deployed replica behind a hook that keeps a weak handle to the
+/// first command a 2A brings it.
+struct Grab {
+    replica: Box<dyn Actor>,
+    first: First,
+}
+
+impl Actor for Grab {
+    fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+        if let Some(MMsg::Phase2a { batch, .. }) = env.payload.downcast_ref::<MMsg>() {
+            let mut first = self.first.borrow_mut();
+            if first.is_none() {
+                *first = batch.commands().next().map(|(_, cmd)| Rc::downgrade(cmd));
+            }
+        }
+        self.replica.on_message(env, ctx);
+    }
+
+    fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+        self.replica.on_timer(token, ctx);
+    }
+}
+
+/// A command lives in the batches that carry it and with its client
+/// until it is answered, nowhere else: an early command of a long run is
+/// freed while the run goes on, so command memory does not grow with the
+/// run's length.
+#[test]
+fn an_early_command_is_freed_while_the_run_goes_on() {
+    let (mut sim, d) = deploy(WorkloadKind::InsDelSingle, 24_000.0, 4, 11);
+    let replica = d.replicas[0][0];
+    let first = First::default();
+    let inner = sim.replace_actor(replica, Box::new(Idle)).expect("a deployed replica");
+    sim.replace_actor(replica, Box::new(Grab { replica: inner, first: first.clone() }));
+    sim.run_until(Time::from_millis(100));
+    let first = first.borrow().clone().expect("a 2A brought commands");
+    assert!(first.upgrade().is_some(), "the command is held while it is ordered");
+    sim.run_until(Time::from_secs(4));
+    assert!(sum(&sim, SESSIONS_COMPLETED) > 90_000);
+    assert!(first.upgrade().is_none(), "the first command outlived its run's first second");
 }

@@ -11,7 +11,7 @@ use paxos::msg::InstanceId;
 use ringpaxos::mlearner::{MLearner, SWEEP_TICK};
 use ringpaxos::msg::{MMsg, CTL_BYTES};
 use ringpaxos::value::ALL_PARTITIONS;
-use ringpaxos::{BatchData, MRingConfig};
+use ringpaxos::{Batch, MRingConfig};
 use simnet::prelude::*;
 
 use crate::merge::{DeterministicMerge, MergeEntry};
@@ -58,6 +58,9 @@ pub struct MultiRingLearner {
     merge: DeterministicMerge,
     log: Option<SharedLog>,
     ring_sink: Option<RingSink>,
+    /// Merged batches that carry commands, each with its ring, for the
+    /// service wrapping this learner ([`MultiRingLearner::take_delivered`]).
+    outbox: Vec<(u8, Batch)>,
 }
 
 impl MultiRingLearner {
@@ -90,6 +93,7 @@ impl MultiRingLearner {
             merge,
             log,
             ring_sink: None,
+            outbox: Vec::new(),
         }
     }
 
@@ -98,6 +102,14 @@ impl MultiRingLearner {
     pub fn with_ring_sink(mut self, sink: RingSink) -> MultiRingLearner {
         self.ring_sink = Some(sink);
         self
+    }
+
+    /// Hands over every merged batch that carries commands, in merge
+    /// order, with the index of the ring that ordered it (`ringpaxos`'s
+    /// `value` module docs, "Commands ride in the batch"). The service
+    /// wrapping this learner takes them after each event it passes in.
+    pub fn take_delivered(&mut self) -> std::vec::Drain<'_, (u8, Batch)> {
+        self.outbox.drain(..)
     }
 
     fn ring_of(&self, env: &Envelope) -> Option<usize> {
@@ -129,8 +141,7 @@ impl MultiRingLearner {
                 ctx.counter_add("rp.dedup_evict", released.evicted);
             }
             // A batch of nothing but duplicates still takes its turn.
-            let entry =
-                MergeEntry { batch: BatchData::new(released.fresh), weight: released.skip.max(1) };
+            let entry = MergeEntry { batch: released.fresh, weight: released.skip.max(1) };
             self.merge.push(r, entry);
         }
         // Drain the merge in deterministic order.
@@ -154,6 +165,9 @@ impl MultiRingLearner {
                 // Merge delivery strictly follows submission; `since`
                 // debug-asserts that instead of masking inversions.
                 ctx.record_latency(MRP_LATENCY, ctx.now().since(v.submitted));
+            }
+            if batch.commands().next().is_some() {
+                self.outbox.push((ring as u8, batch));
             }
         }
         // Per-ring back-pressure towards the ring that floods us.

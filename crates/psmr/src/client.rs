@@ -9,16 +9,17 @@
 //! receive the same commands through their one ordering ring.
 
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use abcast::MsgId;
 use rand::rngs::SmallRng;
 use rand::Rng;
 use ringpaxos::msg::MMsg;
-use ringpaxos::value::{Value, ALL_PARTITIONS};
+use ringpaxos::value::{Command, Value, ALL_PARTITIONS};
 use simnet::prelude::*;
 use workload::{Rotation, Sent, SessionDriver};
 
-use crate::command::{PCommand, PRegistry, PStored};
+use crate::command::{PCommand, PStored};
 use crate::replica::{PReplyQuery, PResponse};
 
 /// Workload of the §6.5 experiments.
@@ -114,11 +115,10 @@ pub struct PsmrDriver {
     /// Replica nodes, in the deployment's shared order (reply queries go
     /// to the designated responder).
     replicas: Vec<NodeId>,
-    registry: PRegistry,
     workload: PsmrWorkload,
-    /// Per request: its proposal seq, and each of its rings with where
-    /// it was last sent there.
-    in_flight: HashMap<MsgId, (u64, Vec<(usize, Sent)>)>,
+    /// Per request: its command, its proposal seq, and each of its rings
+    /// with where it was last sent there.
+    in_flight: HashMap<MsgId, (Rc<PStored>, u64, Vec<(usize, Sent)>)>,
     /// Next proposal sequence (contiguous per proposer; the table's
     /// slot/generation ids are not).
     next_seq: u64,
@@ -131,19 +131,10 @@ impl PsmrDriver {
         me: NodeId,
         rings: Vec<(NodeId, Vec<NodeId>)>,
         replicas: Vec<NodeId>,
-        registry: PRegistry,
         workload: PsmrWorkload,
     ) -> PsmrDriver {
         let rings = rings.into_iter().map(|(c, members)| Rotation::new(c, members)).collect();
-        PsmrDriver {
-            me,
-            rings,
-            replicas,
-            registry,
-            workload,
-            in_flight: HashMap::new(),
-            next_seq: 0,
-        }
+        PsmrDriver { me, rings, replicas, workload, in_flight: HashMap::new(), next_seq: 0 }
     }
 
     /// The rings `cmd` is proposed on: one per involved group, or ring
@@ -156,11 +147,13 @@ impl PsmrDriver {
         }
     }
 
-    /// Proposes `id` on each of `rings`; returns where it went.
+    /// Proposes `id`, with its command, on each of `rings`; returns
+    /// where it went.
     fn propose(
         &mut self,
         id: MsgId,
         seq: u64,
+        cmd: &Rc<PStored>,
         rings: impl Iterator<Item = usize>,
         ctx: &mut Ctx,
     ) -> Vec<(usize, Sent)> {
@@ -170,7 +163,7 @@ impl PsmrDriver {
         rings
             .map(|r| {
                 let (dst, sent) = self.rings[r].pick();
-                ctx.udp_send(dst, MMsg::Propose(v), bytes);
+                ctx.udp_send(dst, MMsg::Propose(v, Some(cmd.clone() as Command)), bytes);
                 (r, sent)
             })
             .collect()
@@ -182,32 +175,33 @@ impl SessionDriver for PsmrDriver {
         let cmd = self.workload.next_command(ctx.rng());
         let rings = self.rings_of(&cmd);
         let reply_bytes = self.workload.reply_bytes;
-        self.registry.put(id, PStored { cmd, client: self.me, reply_bytes });
+        let cmd = Rc::new(PStored { cmd, client: self.me, reply_bytes });
         let seq = self.next_seq;
         self.next_seq += 1;
-        let sent = self.propose(id, seq, rings.into_iter(), ctx);
-        self.in_flight.insert(id, (seq, sent));
+        let sent = self.propose(id, seq, &cmd, rings.into_iter(), ctx);
+        self.in_flight.insert(id, (cmd, seq, sent));
     }
 
     fn resubmit(&mut self, id: MsgId, _attempt: u32, ctx: &mut Ctx) {
-        let Some((seq, sent)) = self.in_flight.remove(&id) else { return };
+        let Some((cmd, seq, sent)) = self.in_flight.remove(&id) else { return };
         for &(r, at) in &sent {
             self.rings[r].failed(at);
         }
-        let sent = self.propose(id, seq, sent.iter().map(|&(r, _)| r), ctx);
-        self.in_flight.insert(id, (seq, sent));
+        let sent = self.propose(id, seq, &cmd, sent.iter().map(|&(r, _)| r), ctx);
+        let reply_bytes = cmd.reply_bytes;
+        self.in_flight.insert(id, (cmd, seq, sent));
         // The command may have executed already with only its response
         // lost (the ordering layer delivers each command once): ask the
         // replica that answers it.
         if !self.replicas.is_empty() {
             let designated = self.replicas[(id.0 as usize) % self.replicas.len()];
-            ctx.udp_send(designated, PReplyQuery { id, from: self.me }, 64);
+            ctx.udp_send(designated, PReplyQuery { id, from: self.me, reply_bytes }, 64);
         }
     }
 
     fn on_response(&mut self, env: &Envelope, _ctx: &mut Ctx) -> Option<MsgId> {
         let &PResponse { id } = env.payload.downcast_ref::<PResponse>()?;
-        let (_, sent) = self.in_flight.get(&id)?;
+        let (_, _, sent) = self.in_flight.get(&id)?;
         for &(r, at) in sent {
             self.rings[r].answered(at);
         }
@@ -215,10 +209,8 @@ impl SessionDriver for PsmrDriver {
     }
 
     fn finish(&mut self, id: MsgId) {
-        // The registry entry stays: lagging replicas may still be
-        // recovering this command's delivery via retransmission, and the
-        // registry stands in for payload retrieval (§3.3.4). A real
-        // deployment prunes with the ring's GC watermark instead.
+        // A lagging replica recovers the command with the batch that
+        // carries it (§3.3.4), so the client keeps nothing.
         self.in_flight.remove(&id);
     }
 }

@@ -9,11 +9,9 @@
 //! conflict when they access a common variable and at least one updates
 //! it.
 
-use std::collections::HashMap;
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::rc::Rc;
 
-use abcast::MsgId;
+use ringpaxos::value::Command;
 use simnet::ids::NodeId;
 use simnet::time::Dur;
 
@@ -49,7 +47,8 @@ impl PCommand {
     }
 }
 
-/// A registered command: contents plus routing/reply metadata.
+/// A client's command as it rides in the ordering layer's batches:
+/// contents plus routing/reply metadata.
 #[derive(Clone, Debug)]
 pub struct PStored {
     /// The command itself.
@@ -60,52 +59,14 @@ pub struct PStored {
     pub reply_bytes: u32,
 }
 
-/// Shared command store keyed by message id (simulation plumbing: the
-/// network models the command's full byte size; replicas look the
-/// structured contents up at delivery).
-pub struct PRegistry(Arc<Mutex<HashMap<MsgId, PStored>>>);
-
-impl Clone for PRegistry {
-    fn clone(&self) -> Self {
-        PRegistry(self.0.clone())
-    }
-}
-
-impl Default for PRegistry {
-    fn default() -> Self {
-        PRegistry(Arc::new(Mutex::new(HashMap::new())))
-    }
-}
-
-impl PRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> PRegistry {
-        PRegistry::default()
-    }
-
-    /// Registers `cmd` under `id`.
-    pub fn put(&self, id: MsgId, cmd: PStored) {
-        self.0.lock().unwrap().insert(id, cmd);
-    }
-
-    /// Fetches the command registered under `id`.
-    pub fn get(&self, id: MsgId) -> Option<PStored> {
-        self.0.lock().unwrap().get(&id).cloned()
-    }
-
-    /// Removes a completed command.
-    pub fn remove(&self, id: MsgId) {
-        self.0.lock().unwrap().remove(&id);
-    }
-
-    /// Number of registered commands.
-    pub fn len(&self) -> usize {
-        self.0.lock().unwrap().len()
-    }
-
-    /// Whether the registry is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.lock().unwrap().is_empty()
+impl PStored {
+    /// The command `cmd` is, on a ring of this service.
+    ///
+    /// # Panics
+    /// Panics if `cmd` is not a `PStored`: a ring carries the commands
+    /// of the service its replicas run.
+    pub fn of(cmd: &Command) -> Rc<PStored> {
+        cmd.clone().downcast().expect("a ring carries its service's commands")
     }
 }
 
@@ -138,19 +99,5 @@ mod tests {
         assert!(cmd(&[0, 1]).conflicts_with(&cmd(&[1, 2])));
         assert!(!cmd(&[0, 1]).conflicts_with(&cmd(&[2, 3])));
         assert!(cmd(&[4]).conflicts_with(&cmd(&[4])));
-    }
-
-    #[test]
-    fn registry_roundtrip() {
-        let r = PRegistry::new();
-        let id = MsgId(7);
-        r.put(id, PStored { cmd: cmd(&[1]), client: NodeId(9), reply_bytes: 64 });
-        assert_eq!(r.len(), 1);
-        let got = r.get(id).expect("present");
-        assert_eq!(got.client, NodeId(9));
-        assert_eq!(got.cmd.groups, vec![1]);
-        r.remove(id);
-        assert!(r.is_empty());
-        assert!(r.get(id).is_none());
     }
 }

@@ -13,9 +13,8 @@ use simnet::prelude::*;
 use workload::{Arrival, RetryPolicy, SessionTable, SessionTableConfig};
 
 use crate::client::{PsmrDriver, PsmrWorkload};
-use crate::command::PRegistry;
 use crate::engine::{Engine, EngineCosts, ExecModel};
-use crate::replica::{DeliverySource, ParallelReplica};
+use crate::replica::ParallelReplica;
 use crate::store::ObjStore;
 
 /// Options for [`deploy_parallel`].
@@ -69,8 +68,6 @@ pub struct ParallelDeployment {
     pub coordinators: Vec<NodeId>,
     /// Ring configurations, in group order.
     pub ring_cfgs: Vec<MRingConfig>,
-    /// The shared command registry.
-    pub registry: PRegistry,
     /// Each replica's service state, in `replicas` order.
     pub stores: Vec<Arc<Mutex<ObjStore>>>,
     /// Each replica's ring-tagged delivery stream (P-SMR only; empty for
@@ -102,7 +99,6 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
     let replicas: Vec<NodeId> =
         (0..opts.n_replicas).map(|_| sim.add_node(Box::new(Idle))).collect();
     let clients: Vec<NodeId> = (0..opts.n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
-    let registry = PRegistry::new();
     let domains = opts.workload.n_groups;
     let stores: Vec<Arc<Mutex<ObjStore>>> =
         (0..opts.n_replicas).map(|_| Arc::new(Mutex::new(ObjStore::new(domains)))).collect();
@@ -131,16 +127,13 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
                     cfg.skip = Some(SkipConfig { lambda_per_sec: opts.lambda_per_sec, delta });
                 }
             });
-            let ring_log = layout.d.log.clone();
             layout.install(sim, |p, r, learner| match (learner, opts.model) {
                 (None, _) => Some(Box::new(p)),
                 (Some(_), ExecModel::Psmr { .. }) => None,
                 (Some(i), model) => Some(Box::new(ParallelReplica::new(
                     p,
-                    DeliverySource::TotalOrder { log: ring_log.clone(), log_index: i },
                     r,
                     replicas.clone(),
-                    registry.clone(),
                     Engine::new(model, opts.costs),
                     stores[i].clone(),
                 ))),
@@ -164,10 +157,8 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
                 .with_ring_sink(sink.clone());
             let actor = ParallelReplica::new(
                 learner,
-                DeliverySource::RingTagged { sink },
                 r,
                 replicas.clone(),
-                registry.clone(),
                 Engine::new(opts.model, opts.costs),
                 stores[i].clone(),
             );
@@ -180,8 +171,7 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
     let rings: Vec<(NodeId, Vec<NodeId>)> =
         ring_cfgs.iter().map(|cfg| (cfg.coordinator(), cfg.ring.clone())).collect();
     for &c in &clients {
-        let driver =
-            PsmrDriver::new(c, rings.clone(), replicas.clone(), registry.clone(), opts.workload);
+        let driver = PsmrDriver::new(c, rings.clone(), replicas.clone(), opts.workload);
         let cfg = SessionTableConfig {
             sessions: 1,
             arrival: Arrival::Closed,
@@ -192,5 +182,5 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
         sim.replace_actor(c, Box::new(SessionTable::new(c, cfg, driver)));
     }
 
-    ParallelDeployment { replicas, clients, coordinators, ring_cfgs, registry, stores, sinks, log }
+    ParallelDeployment { replicas, clients, coordinators, ring_cfgs, stores, sinks, log }
 }

@@ -40,6 +40,7 @@
 //! other.
 
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 use abcast::MsgId;
 use simnet::time::{Dur, Time};
@@ -162,15 +163,16 @@ pub struct Scheduled {
     pub worker: usize,
 }
 
-/// Commands released by one engine call: `(id, schedule)` pairs. Most
-/// models release at most the delivered command itself; EV releases a
-/// whole batch when it commits.
-pub type Deliveries = Vec<(MsgId, Scheduled)>;
+/// Commands released by one engine call: `(id, command, schedule)`.
+/// Most models release at most the delivered command itself; EV releases
+/// a whole batch when it commits.
+pub type Deliveries = Vec<(MsgId, Rc<PStored>, Scheduled)>;
 
 /// One EV command awaiting its batch's verification.
 #[derive(Debug)]
 struct EvCmd {
     id: MsgId,
+    stored: Rc<PStored>,
     gmask: u32,
     cost: Dur,
     start: Time,
@@ -280,7 +282,7 @@ impl Engine {
     pub fn deliver(
         &mut self,
         id: MsgId,
-        stored: &PStored,
+        stored: &Rc<PStored>,
         ring: Option<u8>,
         now: Time,
     ) -> Deliveries {
@@ -416,7 +418,7 @@ impl Engine {
             }
         };
         self.executed.insert(id);
-        vec![(id, sched)]
+        vec![(id, stored.clone(), sched)]
     }
 
     /// EV optimistic enqueue. The *mixer* (Eve's batch-formation stage)
@@ -427,7 +429,7 @@ impl Engine {
     fn deliver_ev(
         &mut self,
         id: MsgId,
-        stored: &PStored,
+        stored: &Rc<PStored>,
         now: Time,
         workers: usize,
         batch: usize,
@@ -457,6 +459,7 @@ impl Engine {
         }
         self.ev_batch.push(EvCmd {
             id,
+            stored: stored.clone(),
             gmask: stored.cmd.group_mask(),
             cost: stored.cmd.cost,
             start,
@@ -504,7 +507,8 @@ impl Engine {
                     charges.push((WORKER_CORE_BASE, serial_total));
                     charges.push((SCHED_CORE, self.costs.verify));
                 }
-                out.push((c.id, Scheduled { done: m, exec_end: serial_end, charges, worker: 0 }));
+                let sched = Scheduled { done: m, exec_end: serial_end, charges, worker: 0 };
+                out.push((c.id, c.stored.clone(), sched));
             }
             // Batch barrier: every worker waits out the serial pass.
             for cl in self.clocks.iter_mut() {
@@ -521,7 +525,8 @@ impl Engine {
                 if i == 0 {
                     charges.push((SCHED_CORE, self.costs.verify));
                 }
-                out.push((c.id, Scheduled { done: m, exec_end: c.end, charges, worker: c.worker }));
+                let sched = Scheduled { done: m, exec_end: c.end, charges, worker: c.worker };
+                out.push((c.id, c.stored.clone(), sched));
             }
         }
         out
@@ -539,8 +544,8 @@ mod tests {
         Dur::micros(100)
     }
 
-    fn stored(groups: &[u8]) -> PStored {
-        PStored {
+    fn stored(groups: &[u8]) -> Rc<PStored> {
+        Rc::new(PStored {
             cmd: PCommand {
                 groups: groups.to_vec(),
                 writes: groups.iter().map(|&g| (g as u64, 1)).collect(),
@@ -548,7 +553,7 @@ mod tests {
             },
             client: NodeId(0),
             reply_bytes: 64,
-        }
+        })
     }
 
     fn costs() -> EngineCosts {
@@ -564,7 +569,7 @@ mod tests {
     /// Unwraps the single execution a non-batching delivery releases.
     fn one(d: Deliveries) -> Scheduled {
         assert_eq!(d.len(), 1, "expected exactly one released execution");
-        d.into_iter().next().expect("checked").1
+        d.into_iter().next().expect("checked").2
     }
 
     #[test]
@@ -719,8 +724,8 @@ mod tests {
         // Both executed optimistically in parallel; responses released
         // after one verification exchange.
         let verify = Dur::micros(150);
-        assert!(out[0].1.done >= Time::ZERO + cost() + verify);
-        assert_ne!(out[0].1.worker, out[1].1.worker);
+        assert!(out[0].2.done >= Time::ZERO + cost() + verify);
+        assert_ne!(out[0].2.worker, out[1].2.worker);
     }
 
     #[test]
@@ -734,7 +739,7 @@ mod tests {
         assert_eq!(e.ev_rollbacks(), 1, "racing batch must roll back");
         // Serial re-execution: both cost units after the optimistic pass.
         let serial_end = Time::ZERO + cost() + cost() + cost();
-        assert!(out[1].1.exec_end >= serial_end);
+        assert!(out[1].2.exec_end >= serial_end);
     }
 
     #[test]
@@ -746,7 +751,7 @@ mod tests {
         let out = e.deliver(MsgId(2), &stored(&[0]), None, Time::ZERO);
         assert_eq!(out.len(), 2);
         assert_eq!(e.ev_rollbacks(), 0, "mixer must prevent same-domain races");
-        assert_eq!(out[0].1.worker, out[1].1.worker);
+        assert_eq!(out[0].2.worker, out[1].2.worker);
     }
 
     #[test]

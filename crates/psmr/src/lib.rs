@@ -58,8 +58,8 @@ pub mod replica;
 pub mod store;
 
 pub use client::{PsmrDriver, PsmrWorkload};
-pub use command::{PCommand, PRegistry, PStored};
+pub use command::{PCommand, PStored};
 pub use deploy::{deploy_parallel, ParallelDeployment, ParallelOptions};
 pub use engine::{Engine, EngineCosts, ExecModel, Scheduled};
-pub use replica::{PReplyQuery, PResponse, ParallelReplica, PSMR_DEP_EXECS};
+pub use replica::{Learner, PReplyQuery, PResponse, ParallelReplica, PSMR_DEP_EXECS};
 pub use store::ObjStore;

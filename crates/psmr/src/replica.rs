@@ -1,21 +1,25 @@
 //! The parallel-service replica: an ordering-layer learner feeding one
 //! of the ch. 6 execution engines.
 //!
-//! The same wrapper serves both delivery layers: the single-ring models
-//! (sequential, pipelined, SDPE — §6.2.2–6.2.4) embed an M-Ring Paxos
-//! learner and read the totally-ordered log; P-SMR (§6.3) embeds a
-//! Multi-Ring Paxos learner and reads the ring-tagged merge stream, so
-//! each delivery is routed to the worker thread of its group.
+//! The same wrapper serves both delivery layers ([`Learner`]): the
+//! single-ring models (sequential, pipelined, SDPE — §6.2.2–6.2.4) embed
+//! an M-Ring Paxos learner and take its batches in the total order; P-SMR
+//! (§6.3) embeds a Multi-Ring Paxos learner and takes the merged batches
+//! tagged with their ring, so each delivery is routed to the worker
+//! thread of its group. Either way the replica reads each command from
+//! the batch that delivered it.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use abcast::{MsgId, SharedLog};
-use multiring::RingSink;
+use abcast::MsgId;
+use multiring::MultiRingLearner;
+use ringpaxos::mring::MRingProcess;
+use ringpaxos::Batch;
 use simnet::prelude::*;
 
-use crate::command::PRegistry;
+use crate::command::PStored;
 use crate::engine::{Deliveries, Engine};
 use crate::store::ObjStore;
 
@@ -42,59 +46,59 @@ pub struct PReplyQuery {
     pub id: MsgId,
     /// The querying client.
     pub from: NodeId,
+    /// Size of the response to re-send.
+    pub reply_bytes: u32,
 }
 
-/// How the replica consumes ordered deliveries.
-pub enum DeliverySource {
-    /// Totally-ordered log of a single ring (`log_index` = this
-    /// replica's learner index).
-    TotalOrder {
-        /// The ring's shared delivery log.
-        log: SharedLog,
-        /// This replica's learner index in the log.
-        log_index: usize,
-    },
-    /// Ring-tagged merge stream of Multi-Ring Paxos (P-SMR).
-    RingTagged {
-        /// The `(ring, message)` stream in merge order.
-        sink: RingSink,
-    },
+/// The ordering-layer learner a [`ParallelReplica`] wraps.
+pub trait Learner: Actor {
+    /// Moves every batch delivered since the last call that carries
+    /// commands into `out`, in delivery order, each with the index of
+    /// the ring that ordered it (`None` on a single ring).
+    fn take_delivered(&mut self, out: &mut Vec<(Option<u8>, Batch)>);
 }
 
-/// A replica of the parallel service over any [`DeliverySource`].
-pub struct ParallelReplica<I: Actor> {
+impl Learner for MRingProcess {
+    fn take_delivered(&mut self, out: &mut Vec<(Option<u8>, Batch)>) {
+        out.extend(MRingProcess::take_delivered(self).map(|b| (None, b)));
+    }
+}
+
+impl Learner for MultiRingLearner {
+    fn take_delivered(&mut self, out: &mut Vec<(Option<u8>, Batch)>) {
+        out.extend(MultiRingLearner::take_delivered(self).map(|(r, b)| (Some(r), b)));
+    }
+}
+
+/// A replica of the parallel service over any ordering [`Learner`].
+pub struct ParallelReplica<I: Learner> {
     inner: I,
-    source: DeliverySource,
-    cursor: usize,
+    /// Batches taken from the learner (reused buffer).
+    delivered: Vec<(Option<u8>, Batch)>,
     me: NodeId,
     /// Replicas of the deployment, in a fixed shared order (designated
     /// responder selection).
     peers: Vec<NodeId>,
-    registry: PRegistry,
     engine: Engine,
     store: Arc<Mutex<ObjStore>>,
     dep_execs_reported: u64,
     resp_q: VecDeque<(Time, MsgId, NodeId, u32)>,
 }
 
-impl<I: Actor> ParallelReplica<I> {
+impl<I: Learner> ParallelReplica<I> {
     /// Creates a replica wrapping the ordering-layer learner `inner`.
     pub fn new(
         inner: I,
-        source: DeliverySource,
         me: NodeId,
         peers: Vec<NodeId>,
-        registry: PRegistry,
         engine: Engine,
         store: Arc<Mutex<ObjStore>>,
     ) -> ParallelReplica<I> {
         ParallelReplica {
             inner,
-            source,
-            cursor: 0,
+            delivered: Vec::new(),
             me,
             peers,
-            registry,
             engine,
             store,
             dep_execs_reported: 0,
@@ -116,46 +120,27 @@ impl<I: Actor> ParallelReplica<I> {
         self.peers[idx] == self.me
     }
 
-    /// Pulls newly delivered occurrences from the source.
-    fn next_delivery(&mut self) -> Option<(Option<u8>, MsgId)> {
-        match &self.source {
-            DeliverySource::TotalOrder { log, log_index } => {
-                let log = log.lock().unwrap();
-                let seq = log.sequence(*log_index);
-                if self.cursor >= seq.len() {
-                    return None;
-                }
-                Some((None, seq[self.cursor]))
-            }
-            DeliverySource::RingTagged { sink } => {
-                let sink = sink.lock().unwrap();
-                if self.cursor >= sink.len() {
-                    return None;
-                }
-                let (ring, id) = sink[self.cursor];
-                Some((Some(ring), id))
-            }
-        }
-    }
-
     fn drain(&mut self, ctx: &mut Ctx) {
-        while let Some((ring, id)) = self.next_delivery() {
-            self.cursor += 1;
-            let Some(stored) = self.registry.get(id) else { continue };
-            let already_executed = self.engine.is_executed(id);
-            let released = self.engine.deliver(id, &stored, ring, ctx.now());
-            if released.is_empty() {
-                // A re-delivery of an executed command is a client retry:
-                // its response was lost, so the designated replica
-                // answers again (the command stays registered until the
-                // client hears back).
-                if already_executed && self.is_designated(id) {
-                    ctx.udp_send(stored.client, PResponse { id }, stored.reply_bytes);
+        let mut delivered = std::mem::take(&mut self.delivered);
+        self.inner.take_delivered(&mut delivered);
+        for (ring, batch) in delivered.drain(..) {
+            for (v, cmd) in batch.commands() {
+                let (id, stored) = (v.id, PStored::of(cmd));
+                let already_executed = self.engine.is_executed(id);
+                let released = self.engine.deliver(id, &stored, ring, ctx.now());
+                if released.is_empty() {
+                    // A re-delivery of an executed command is a client
+                    // retry: its response was lost, so the designated
+                    // replica answers again.
+                    if already_executed && self.is_designated(id) {
+                        ctx.udp_send(stored.client, PResponse { id }, stored.reply_bytes);
+                    }
+                    continue;
                 }
-                continue;
+                self.process(released, ctx);
             }
-            self.process(released, ctx);
         }
+        self.delivered = delivered;
         let deps = self.engine.dependent_execs();
         if deps > self.dep_execs_reported {
             ctx.counter_add(PSMR_DEP_EXECS, deps - self.dep_execs_reported);
@@ -167,11 +152,10 @@ impl<I: Actor> ParallelReplica<I> {
     /// Applies released executions to the service state and queues their
     /// responses (EV commits release whole batches at once).
     fn process(&mut self, released: Deliveries, ctx: &mut Ctx) {
-        for (did, sched) in released {
+        for (did, dstored, sched) in released {
             for (core, cost) in &sched.charges {
                 ctx.charge_cpu(*core, *cost);
             }
-            let Some(dstored) = self.registry.get(did) else { continue };
             self.store.lock().unwrap().apply(did, &dstored.cmd);
             if self.is_designated(did) {
                 self.resp_q.push_back((sched.done, did, dstored.client, dstored.reply_bytes));
@@ -208,22 +192,20 @@ impl<I: Actor> ParallelReplica<I> {
     }
 }
 
-impl<I: Actor> Actor for ParallelReplica<I> {
+impl<I: Learner> Actor for ParallelReplica<I> {
     fn on_start(&mut self, ctx: &mut Ctx) {
         self.inner.on_start(ctx);
     }
 
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if let Some(&PReplyQuery { id, from }) = env.payload.downcast_ref::<PReplyQuery>() {
+        if let Some(&PReplyQuery { id, from, reply_bytes }) = env.payload.downcast_ref() {
             ctx.counter_add("psmr.reply_queries", 1);
             // Answer only for commands that executed and whose response
             // already left (a queued response will go out on its own).
             let queued = self.resp_q.iter().any(|&(_, qid, _, _)| qid == id);
             if self.engine.is_executed(id) && self.is_designated(id) && !queued {
                 ctx.counter_add("psmr.reply_resends", 1);
-                if let Some(stored) = self.registry.get(id) {
-                    ctx.udp_send(from, PResponse { id }, stored.reply_bytes);
-                }
+                ctx.udp_send(from, PResponse { id }, reply_bytes);
             }
             return;
         }

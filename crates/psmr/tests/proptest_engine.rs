@@ -1,6 +1,8 @@
 //! Property tests of the execution engines: determinism, exactly-once,
 //! and conflict serialization under arbitrary delivery interleavings.
 
+use std::rc::Rc;
+
 use abcast::MsgId;
 use proptest::prelude::*;
 use simnet::ids::NodeId;
@@ -28,8 +30,8 @@ fn arb_commands(n_groups: u8, max: usize) -> impl Strategy<Value = Vec<PCommand>
     })
 }
 
-fn stored(cmd: &PCommand) -> PStored {
-    PStored { cmd: cmd.clone(), client: NodeId(0), reply_bytes: 64 }
+fn stored(cmd: &PCommand) -> Rc<PStored> {
+    Rc::new(PStored { cmd: cmd.clone(), client: NodeId(0), reply_bytes: 64 })
 }
 
 /// Builds per-ring occurrence streams (ring order = command index order,
@@ -83,7 +85,7 @@ proptest! {
         let mut fired: Vec<Vec<usize>> = vec![Vec::new(); workers];
         for (g, i) in schedule {
             let released = e.deliver(MsgId(i as u64), &stored(&cmds[i]), Some(g), Time::ZERO);
-            for (did, s) in released {
+            for (did, _, s) in released {
                 prop_assert_eq!(did, MsgId(i as u64), "P-SMR releases the delivered command");
                 prop_assert!(done[i].is_none(), "command {i} executed twice");
                 done[i] = Some(s.exec_end);
@@ -121,7 +123,7 @@ proptest! {
         for (i, c) in cmds.iter().enumerate() {
             let mut released = e.deliver(MsgId(i as u64), &stored(c), None, Time::ZERO);
             prop_assert_eq!(released.len(), 1, "total order executes immediately");
-            done.push(released.pop().expect("checked").1.exec_end);
+            done.push(released.pop().expect("checked").2.exec_end);
         }
         for g in 0..4u8 {
             let mut prev: Option<Time> = None;
@@ -163,7 +165,7 @@ proptest! {
             let sa = a.deliver(MsgId(i as u64), &stored(&cmds[i]), ring, Time::ZERO);
             let sb = b.deliver(MsgId(i as u64), &stored(&cmds[i]), ring, Time::ZERO);
             prop_assert_eq!(sa.len(), sb.len(), "engines disagreed on release count");
-            for ((ida, x), (idb, y)) in sa.iter().zip(sb.iter()) {
+            for ((ida, _, x), (idb, _, y)) in sa.iter().zip(sb.iter()) {
                 prop_assert_eq!(ida, idb);
                 prop_assert_eq!(x.done, y.done);
                 prop_assert_eq!(x.worker, y.worker);
@@ -195,7 +197,7 @@ proptest! {
             let mut last = Time::ZERO;
             for (i, c) in cmds.iter().enumerate() {
                 let released = e.deliver(MsgId(i as u64), &stored(c), None, Time::ZERO);
-                last = released.last().map(|(_, s)| s.done).unwrap_or(last);
+                last = released.last().map(|(.., s)| s.done).unwrap_or(last);
             }
             makespans.push(last);
         }

@@ -96,6 +96,14 @@ impl DeliveredTracker {
         }
     }
 
+    /// Whether `(proposer, seq)` has been delivered (or written off by an
+    /// eviction): what [`DeliveredTracker::fresh`] would now call a
+    /// duplicate. Read-only.
+    pub fn passed(&self, proposer: NodeId, seq: u64) -> bool {
+        let p = proposer.0;
+        p < self.marks.len() && (seq < self.marks[p] || self.overflow.contains(&(p, seq)))
+    }
+
     /// Drops the lowest parked run of the proposer with the most parked
     /// entries by collapsing that proposer's watermark past it. See the
     /// type docs for the semantics. O(proposers + run) per call, and
@@ -186,6 +194,19 @@ mod tests {
         assert!(!t.fresh(NodeId(0), 1));
         assert!(!t.fresh(NodeId(0), 2));
         assert!(t.fresh(NodeId(0), 3));
+    }
+
+    #[test]
+    fn passed_answers_what_fresh_would_without_recording() {
+        let mut t = DeliveredTracker::new();
+        assert!(!t.passed(NodeId(4), 0), "an unknown proposer has passed nothing");
+        assert!(t.fresh(NodeId(4), 0) && t.fresh(NodeId(4), 2));
+        for seq in 0..4 {
+            assert_eq!(t.passed(NodeId(4), seq), seq != 1 && seq != 3, "seq {seq}");
+        }
+        assert!(!t.passed(NodeId(4), 1));
+        assert!(t.fresh(NodeId(4), 1), "asking recorded nothing");
+        assert!(t.passed(NodeId(4), 1) && t.passed(NodeId(4), 2));
     }
 
     #[test]

@@ -74,7 +74,7 @@ use paxos::msg::{InstanceId, Round};
 use simnet::time::Dur;
 
 use crate::dedup::DeliveredTracker;
-use crate::value::{Batch, Value, ALL_PARTITIONS};
+use crate::value::{Batch, BatchData, Value, ALL_PARTITIONS};
 
 /// Instances one repair request or re-2A sweep covers at most, and how
 /// far past its delivery point a learner's fast repair reaches (the
@@ -136,8 +136,9 @@ pub struct Released {
     /// The batch's skip weight (Multi-Ring Paxos): 0 for a batch of
     /// values.
     pub skip: u64,
-    /// The batch's values not delivered before, in batch order.
-    pub fresh: Vec<Value>,
+    /// The batch's values not delivered before, in batch order, with
+    /// their commands: the released batch itself when none was.
+    pub fresh: Batch,
     /// Its values an earlier instance already delivered.
     pub duplicate: Vec<Value>,
     /// Dedup-window evictions this release forced: each may turn a late
@@ -426,8 +427,15 @@ impl MLearner {
         self.base = self.base.next();
         self.next_deliver = self.base;
         let evictions = self.delivered.evictions();
-        let (fresh, duplicate) =
-            batch.iter().partition(|v| self.delivered.fresh(v.proposer, v.seq));
+        // Neither vector allocates unless a value is a duplicate.
+        let (mut duplicate, mut dropped) = (Vec::new(), Vec::new());
+        for (i, v) in batch.iter().enumerate() {
+            if !self.delivered.fresh(v.proposer, v.seq) {
+                duplicate.push(*v);
+                dropped.push(i);
+            }
+        }
+        let fresh = BatchData::retain(&batch, |i| !dropped.contains(&i));
         let skip = batch.skip_weight();
         Released { skip, fresh, duplicate, evicted: self.delivered.evictions() - evictions }
     }
@@ -542,6 +550,12 @@ impl MLearner {
             self.applied_reported = applied;
             applied
         })
+    }
+
+    /// Whether the exactly-once filter has already passed `v`, so a copy
+    /// released now would be a duplicate. Records nothing.
+    pub fn has_delivered(&self, v: &Value) -> bool {
+        self.delivered.passed(v.proposer, v.seq)
     }
 
     /// The exactly-once filter's state, for a checkpoint.

@@ -209,7 +209,7 @@ use crate::config::{MRingConfig, StorageMode};
 use crate::control::{assert_writes_ahead, persist_promise, Phase1, ProbeStep, RingProbe, Votes};
 use crate::mlearner::{MLearner, REPAIR_BATCH, SWEEP_TICK};
 use crate::msg::{Links, MMsg, CTL_BYTES};
-use crate::value::{batch_bytes, Batch, BatchData, Value, ALL_PARTITIONS};
+use crate::value::{batch_bytes, Batch, BatchData, Command, Value, ALL_PARTITIONS};
 
 // Timer tokens: kind in the top byte, payload (instance) below.
 const T_BATCH: u64 = 1 << 56;
@@ -261,11 +261,11 @@ fn token_payload(t: TimerToken) -> u64 {
 }
 
 /// Unproposed values of one partition mask, oldest first, each with
-/// the instant the coordinator accepted it.
+/// the instant the coordinator accepted it and its command, if any.
 #[derive(Debug)]
 struct MaskQueue {
     mask: u32,
-    vals: VecDeque<(Time, Value)>,
+    vals: VecDeque<(Time, Value, Option<Command>)>,
     bytes: u64,
 }
 
@@ -552,7 +552,7 @@ impl ProposerState {
             self.unacked.insert(v.seq, (v, ctx.now()));
             self.unacked_bytes += v.bytes as u64;
         }
-        ctx.udp_send(self.coordinator, MMsg::Propose(v), v.bytes);
+        ctx.udp_send(self.coordinator, MMsg::Propose(v, None), v.bytes);
     }
 
     /// Sends held proposals, oldest first, while the window has room.
@@ -656,6 +656,9 @@ pub struct MRingProcess {
     slowdown_active: bool,
     prop: Option<ProposerState>,
     log: Option<SharedLog>,
+    /// Delivered batches that carry commands, in delivery order, for the
+    /// service wrapping this process ([`MRingProcess::take_delivered`]).
+    outbox: Vec<Batch>,
     takeover: Option<Takeover>,
     total_acceptors: usize,
     /// Live control of the proposer's offered rate (bits/s); experiment
@@ -739,6 +742,7 @@ impl MRingProcess {
             slowdown_active: false,
             prop,
             log: learner_log,
+            outbox: Vec::new(),
             takeover: None,
             total_acceptors,
             rate_ctl: None,
@@ -805,6 +809,21 @@ impl MRingProcess {
         self.lrn.as_ref().map_or(InstanceId(0), MLearner::next_deliver)
     }
 
+    /// Whether the learner's duplicate filter has already passed `v`: a
+    /// copy of it delivered now would be dropped. Asks without
+    /// recording anything.
+    pub fn has_delivered(&self, v: &Value) -> bool {
+        self.lrn.as_ref().is_some_and(|l| l.has_delivered(v))
+    }
+
+    /// Hands over every delivered batch that carries commands, in
+    /// delivery order, each holding only its values not delivered before
+    /// (`value` module docs, "Commands ride in the batch"). The service
+    /// wrapping this process takes them after each event it passes in.
+    pub fn take_delivered(&mut self) -> std::vec::Drain<'_, Batch> {
+        self.outbox.drain(..)
+    }
+
     /// The acceptor this learner asks for repairs and reports to.
     fn preferential(&self) -> NodeId {
         self.cfg.preferential_acceptor(self.lrn_index)
@@ -833,7 +852,7 @@ impl MRingProcess {
         let held_cap = self.cfg.pending_cap_bytes;
         let Some(p) = self.prop.as_mut() else { return };
         if let Some(v) = p.take_resend(ctx.now()) {
-            ctx.udp_send(p.coordinator, MMsg::Propose(v), v.bytes);
+            ctx.udp_send(p.coordinator, MMsg::Propose(v, None), v.bytes);
             ctx.counter_add("rp.resubmit", 1);
         }
         let Some(pacer) = p.pacer.as_mut() else { return };
@@ -882,7 +901,7 @@ impl MRingProcess {
     // Coordinator
     // ------------------------------------------------------------------
 
-    fn on_propose(&mut self, v: Value, src: NodeId, ctx: &mut Ctx) {
+    fn on_propose(&mut self, v: Value, cmd: Option<Command>, src: NodeId, ctx: &mut Ctx) {
         let Some(c) = self.coord.as_mut() else {
             // Not (or no longer) the coordinator. Ring proposers redirect
             // themselves after `NewRing`, but an *external* client (the
@@ -895,7 +914,7 @@ impl MRingProcess {
             let coord = self.cfg.coordinator();
             if coord != self.me && !self.cfg.ring.contains(&src) {
                 ctx.counter_add("rp.fwd_propose", 1);
-                ctx.udp_send(coord, MMsg::Propose(v), v.bytes);
+                ctx.udp_send(coord, MMsg::Propose(v, cmd), v.bytes);
             }
             return;
         };
@@ -911,7 +930,7 @@ impl MRingProcess {
                 c.queues.last_mut().expect("just pushed")
             }
         };
-        q.vals.push_back((ctx.now(), v));
+        q.vals.push_back((ctx.now(), v, cmd));
         q.bytes += v.bytes as u64;
         c.pending_bytes += v.bytes as u64;
         self.flush_partials(ctx, false);
@@ -929,7 +948,7 @@ impl MRingProcess {
                 return;
             }
             let due = |q: &MaskQueue| {
-                let &(at, _) = q.vals.front()?;
+                let &(at, ..) = q.vals.front()?;
                 let aged = min_age.is_some_and(|d| now.saturating_since(at) >= d);
                 (q.bytes >= packet || aged).then_some(at)
             };
@@ -937,19 +956,20 @@ impl MRingProcess {
             let Some((_, q)) = oldest.min_by_key(|&(at, _)| at) else { return };
             // Everything pending under this mask, up to one packet (a
             // single oversized value still goes, alone).
-            let mut vals = Vec::new();
+            let (mut vals, mut cmds) = (Vec::new(), Vec::new());
             let mut bytes = 0u64;
-            while let Some(&(_, v)) = q.vals.front() {
+            while let Some(&(_, v, _)) = q.vals.front() {
                 if !vals.is_empty() && bytes + v.bytes as u64 > packet {
                     break;
                 }
-                q.vals.pop_front();
+                let (_, _, cmd) = q.vals.pop_front().expect("front checked");
                 bytes += v.bytes as u64;
                 vals.push(v);
+                cmds.extend(cmd);
             }
             q.bytes -= bytes;
             c.pending_bytes -= bytes;
-            self.propose(BatchData::new(vals), ctx);
+            self.propose(BatchData::with_commands(vals, cmds), ctx);
         }
     }
 
@@ -1551,16 +1571,16 @@ impl MRingProcess {
             }
             if let Some(log) = self.log.as_ref() {
                 let mut log = log.lock().unwrap();
-                for v in &released.fresh {
+                for v in released.fresh.iter() {
                     log.deliver(self.lrn_index, v.id);
                 }
             }
             if let Some(rec) = self.rec.as_mut() {
-                for v in &released.fresh {
+                for v in released.fresh.iter() {
                     rec.delivered(v.proposer.0 as u64, v.seq, v.bytes);
                 }
             }
-            for v in &released.fresh {
+            for v in released.fresh.iter() {
                 ctx.counter_add_id(metric::id::DELIVERED_BYTES, v.bytes as u64);
                 ctx.counter_add_id(metric::id::DELIVERED_MSGS, 1);
                 if v.proposer == self.me {
@@ -1571,6 +1591,9 @@ impl MRingProcess {
                         p.ack(v.seq);
                     }
                 }
+            }
+            if released.fresh.commands().next().is_some() {
+                self.outbox.push(released.fresh);
             }
         }
         // Every acknowledgement above made room in the proposer's
@@ -2078,7 +2101,7 @@ impl MRingProcess {
             p.coordinator = coord;
             for (v, sent) in p.unacked.values_mut() {
                 *sent = ctx.now();
-                ctx.udp_send(coord, MMsg::Propose(*v), v.bytes);
+                ctx.udp_send(coord, MMsg::Propose(*v, None), v.bytes);
                 ctx.counter_add("rp.resubmit", 1);
             }
         }
@@ -2127,7 +2150,7 @@ impl Actor for MRingProcess {
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
         let Some(msg) = env.payload.downcast_ref::<MMsg>() else { return };
         match *msg {
-            MMsg::Propose(v) => self.on_propose(v, env.src, ctx),
+            MMsg::Propose(v, ref cmd) => self.on_propose(v, cmd.clone(), env.src, ctx),
             MMsg::Phase2a {
                 instance,
                 round,

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use paxos::msg::{InstanceId, Round};
 use simnet::ids::NodeId;
 
-use crate::value::{Batch, Value};
+use crate::value::{Batch, Command, Value};
 
 /// Wire size of a control-only message on either ring (a 2B, a decision,
 /// a repair request's base); the floor of every payload message's.
@@ -22,8 +22,10 @@ pub type Links = Option<Rc<[(u32, InstanceId)]>>;
 /// engineering machinery of §3.3.4–§3.3.7).
 #[derive(Clone, Debug)]
 pub enum MMsg {
-    /// Proposer submits a value to the coordinator.
-    Propose(Value),
+    /// Proposer submits a value to the coordinator, with its command on
+    /// a ring that orders a service's commands (`value` module docs,
+    /// "Commands ride in the batch").
+    Propose(Value, Option<Command>),
     /// Coordinator ip-multicasts a proposal; decisions of earlier
     /// instances and the GC watermark ride along (§3.3.2 optimization).
     Phase2a {

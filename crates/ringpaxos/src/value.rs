@@ -32,7 +32,20 @@
 //! values' partition mask, and every partition's for an empty batch. A
 //! Multi-Ring skip (ch. 5) is an empty batch that stands for
 //! [`BatchData::skip_weight`] logical instances ([`BatchData::skip`]).
+//!
+//! # Commands ride in the batch
+//!
+//! On a ring that orders a service's commands, every value travels with
+//! its [`Command`], as Ring Paxos multicasts each value inside its 2A: a
+//! proposal carries it to the coordinator, the batch holds one per value
+//! ([`BatchData::with_commands`]), and whatever carries the batch — the
+//! 2A, a repair, a catch-up chunk, a vote, a Phase 1B — carries the
+//! commands with it. A learner therefore holds what it delivers. A ring
+//! with no service carries none. The handle is opaque to the ring and
+//! costs nothing on the wire: wire sizes come from [`Value::bytes`]
+//! alone.
 
+use std::any::Any;
 use std::ops::Deref;
 use std::rc::Rc;
 
@@ -62,6 +75,10 @@ pub struct Value {
 /// Mask meaning "every partition" (classic atomic broadcast).
 pub const ALL_PARTITIONS: u32 = u32::MAX;
 
+/// The service command a value carries (module docs, "Commands ride in
+/// the batch"): a shared handle the ring moves and never looks into.
+pub type Command = Rc<dyn Any>;
+
 /// An immutable, cheaply clonable batch of values — the `v-val` of one
 /// consensus instance — with routing tables precomputed at pack time.
 pub type Batch = Rc<BatchData>;
@@ -69,7 +86,7 @@ pub type Batch = Rc<BatchData>;
 /// The values of one consensus instance plus cached routing data.
 /// Dereferences to `[Value]`, so a batch iterates and indexes like a
 /// slice of values.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct BatchData {
     values: Vec<Value>,
     /// Logical instances this batch stands for beyond itself: 0 for a
@@ -78,22 +95,37 @@ pub struct BatchData {
     /// Total application payload bytes (cached `Σ values[i].bytes`).
     total_bytes: u64,
     /// `suffix[p]` = payload bytes of values whose proposer sits at a
-    /// ring position ≥ `p` (positions ≥ 1 only). Empty for batches packed
-    /// without a ring (M-Ring, skips): every hop then carries the full
-    /// payload, which is M-Ring's actual behaviour.
-    suffix: Vec<u64>,
-    /// Payload bytes of values that every hop must carry: proposer at
-    /// ring position 0 (the coordinator) or off-ring.
-    always_bytes: u64,
+    /// ring position ≥ `p` (positions ≥ 1 only; position 0 and off-ring
+    /// proposers' bytes, which every hop carries, are the rest of
+    /// `total_bytes`). Empty for batches packed without a ring (M-Ring,
+    /// skips): every hop then carries the full payload, which is
+    /// M-Ring's actual behaviour.
+    suffix: Box<[u64]>,
+    /// One command per value, in value order, or none on a ring with no
+    /// service (module docs).
+    commands: Box<[Command]>,
 }
 
 impl BatchData {
     /// Packs `values` without ring-position data (M-Ring Paxos batches,
     /// tests). Total bytes are still cached.
     pub fn new(values: Vec<Value>) -> Batch {
+        BatchData::with_commands(values, Vec::new())
+    }
+
+    /// Packs `values`, each with its command (`commands[i]` is
+    /// `values[i]`'s), or with none when `commands` is empty.
+    ///
+    /// # Panics
+    /// Panics when some values have a command and others do not.
+    pub fn with_commands(values: Vec<Value>, commands: Vec<Command>) -> Batch {
+        assert!(
+            commands.is_empty() || commands.len() == values.len(),
+            "a batch carries a command for every value or for none"
+        );
         let total_bytes = values.iter().map(|v| v.bytes as u64).sum();
-        let suffix = Vec::new();
-        Rc::new(BatchData { values, skip: 0, total_bytes, suffix, always_bytes: total_bytes })
+        let commands = commands.into_boxed_slice();
+        Rc::new(BatchData { values, skip: 0, total_bytes, suffix: Box::default(), commands })
     }
 
     /// The empty batch (a U-Ring takeover's no-op fill, tests).
@@ -108,8 +140,8 @@ impl BatchData {
             values: Vec::new(),
             skip: weight,
             total_bytes: 0,
-            suffix: Vec::new(),
-            always_bytes: 0,
+            suffix: Box::default(),
+            commands: Box::default(),
         })
     }
 
@@ -119,7 +151,6 @@ impl BatchData {
     /// [`BatchData::bytes_needed_beyond`] is O(1).
     pub fn pack(values: Vec<Value>, ring: &[NodeId]) -> Batch {
         let mut total_bytes = 0u64;
-        let mut always_bytes = 0u64;
         // per_pos[p] = payload bytes proposed from ring position p.
         let mut per_pos = vec![0u64; ring.len() + 1];
         for v in &values {
@@ -127,7 +158,7 @@ impl BatchData {
             match ring.iter().position(|&n| n == v.proposer) {
                 // Position 0 (the coordinator) and off-ring proposers:
                 // every forwarding hop needs the payload.
-                Some(0) | None => always_bytes += v.bytes as u64,
+                Some(0) | None => {}
                 Some(p) => per_pos[p] += v.bytes as u64,
             }
         }
@@ -136,7 +167,24 @@ impl BatchData {
         for p in (0..suffix.len().saturating_sub(1)).rev() {
             suffix[p] += suffix[p + 1];
         }
-        Rc::new(BatchData { values, skip: 0, total_bytes, suffix, always_bytes })
+        let suffix = suffix.into_boxed_slice();
+        Rc::new(BatchData { values, skip: 0, total_bytes, suffix, commands: Box::default() })
+    }
+
+    /// A batch of the values `keep` selects, by index, with their
+    /// commands: the same batch, shared, when it selects them all.
+    pub fn retain(batch: &Batch, keep: impl Fn(usize) -> bool) -> Batch {
+        if (0..batch.len()).all(&keep) {
+            return batch.clone();
+        }
+        let kept = || (0..batch.len()).filter(|&i| keep(i));
+        let values = kept().map(|i| batch.values[i]).collect();
+        let commands = if batch.commands.is_empty() {
+            Vec::new()
+        } else {
+            kept().map(|i| batch.commands[i].clone()).collect()
+        };
+        BatchData::with_commands(values, commands)
     }
 
     /// The values in the batch.
@@ -161,14 +209,21 @@ impl BatchData {
         self.total_bytes
     }
 
+    /// The values with their commands, in batch order; nothing when
+    /// the batch carries no commands.
+    pub fn commands(&self) -> impl Iterator<Item = (&Value, &Command)> {
+        self.values.iter().zip(self.commands.iter())
+    }
+
     /// Payload bytes a hop into ring position `next_pos` must carry for
     /// values whose proposer sits *at or beyond* that position — i.e.
     /// receivers that have not yet seen those payloads on the value's way
     /// to the coordinator — plus the always-carried bytes. O(1) from the
     /// pack-time table.
     pub fn bytes_needed_beyond(&self, next_pos: usize) -> u64 {
+        let positioned = self.suffix.first().copied().unwrap_or(0);
         let suffixed = if next_pos + 1 < self.suffix.len() { self.suffix[next_pos + 1] } else { 0 };
-        self.always_bytes + suffixed
+        self.total_bytes - positioned + suffixed
     }
 }
 
@@ -225,8 +280,8 @@ mod tests {
         assert_eq!(skip.skip_weight(), 17);
         assert_eq!(skip.mask(), ALL_PARTITIONS);
         assert!(skip.is_empty() && skip.payload_bytes() == 0);
-        assert_ne!(skip, BatchData::empty(), "a skip is not the empty batch");
-        assert_ne!(skip, BatchData::skip(16));
+        let empty = BatchData::empty();
+        assert_ne!(skip.skip_weight(), empty.skip_weight(), "a skip is not the empty batch");
     }
 
     #[test]
@@ -254,6 +309,36 @@ mod tests {
                 .sum();
             assert_eq!(b.bytes_needed_beyond(next_pos), want, "next_pos {next_pos}");
         }
+    }
+
+    #[test]
+    fn a_batch_carries_one_command_per_value_and_keeps_them_when_cut() {
+        let (a, b): (Command, Command) = (Rc::new(1u32), Rc::new(2u32));
+        let batch = BatchData::with_commands(vec![val(1, 0, 10), val(2, 0, 20)], vec![a, b]);
+        let carried: Vec<(u64, u32)> =
+            batch.commands().map(|(v, c)| (v.id.0, *c.downcast_ref::<u32>().unwrap())).collect();
+        assert_eq!(carried, [(1, 1), (2, 2)]);
+        let all = BatchData::retain(&batch, |_| true);
+        assert!(Rc::ptr_eq(&all, &batch), "keeping every value shares the batch");
+        let second = BatchData::retain(&batch, |i| i == 1);
+        assert_eq!(second.payload_bytes(), 20);
+        let carried: Vec<u64> = second.commands().map(|(v, _)| v.id.0).collect();
+        assert_eq!(carried, [2]);
+        assert!(Rc::ptr_eq(
+            second.commands().next().unwrap().1,
+            batch.commands().nth(1).unwrap().1
+        ));
+        assert_eq!(BatchData::new(vec![val(1, 0, 10)]).commands().count(), 0);
+        // A batch that carries no commands is no larger than before they
+        // rode in it: nine words.
+        assert!(std::mem::size_of::<BatchData>() <= 72);
+    }
+
+    #[test]
+    #[should_panic(expected = "every value or for none")]
+    fn a_value_without_its_command_cannot_join_a_batch_with_commands() {
+        let a: Command = Rc::new(1u32);
+        BatchData::with_commands(vec![val(1, 0, 10), val(2, 0, 20)], vec![a]);
     }
 
     #[test]

@@ -10,90 +10,21 @@
 //!
 //! The expected values were captured from the engine before the hot-path
 //! overhaul (interned metrics, dense TCP tables, cached batch routing);
-//! the overhauled engine must reproduce them bit for bit. To re-capture
-//! after an *intentional* semantic change:
+//! the overhauled engine must reproduce them bit for bit. The checksum,
+//! harvest and report live in `golden/mod.rs`, which the service crates'
+//! golden tests share. To re-capture after an *intentional* semantic
+//! change:
 //!
 //! ```text
 //! GOLDEN_PRINT=1 cargo test -p ringpaxos --test golden_trace -- --nocapture
 //! ```
 
+mod golden;
+
 use abcast::metric;
+use golden::{harvest, report, Golden};
 use ringpaxos::cluster::{deploy_mring, deploy_uring, MRingOptions, URingOptions};
 use simnet::prelude::*;
-
-/// FNV-1a over every non-zero `(node, name, value)` counter triple in
-/// deterministic order.
-fn counter_checksum(sim: &Sim) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    let mut byte = |b: u8| {
-        h = (h ^ b as u64).wrapping_mul(0x100000001b3);
-    };
-    sim.metrics().for_each_counter(|node, name, v| {
-        for b in (node.0 as u64).to_le_bytes() {
-            byte(b);
-        }
-        for b in name.bytes() {
-            byte(b);
-        }
-        for b in v.to_le_bytes() {
-            byte(b);
-        }
-    });
-    h
-}
-
-struct Golden {
-    events: u64,
-    delivered: Vec<u64>,
-    checksum: u64,
-    latency_count: usize,
-    latency_mean_ns: u64,
-}
-
-fn report(label: &str, got: &Golden, want: &Golden) {
-    if std::env::var("GOLDEN_PRINT").is_ok() {
-        println!(
-            "{label}: events={} delivered={:?} checksum={:#x} latency_count={} latency_mean_ns={}",
-            got.events, got.delivered, got.checksum, got.latency_count, got.latency_mean_ns
-        );
-        return;
-    }
-    assert_eq!(got.events, want.events, "{label}: event count drifted");
-    assert_eq!(got.delivered, want.delivered, "{label}: per-learner deliveries drifted");
-    assert_eq!(got.checksum, want.checksum, "{label}: counter checksum drifted");
-    assert_eq!(got.latency_count, want.latency_count, "{label}: latency sample count drifted");
-    assert_eq!(got.latency_mean_ns, want.latency_mean_ns, "{label}: latency mean drifted");
-}
-
-fn harvest(sim: &Sim, learners: &[NodeId]) -> Golden {
-    // Eviction from a learner's dedup window means possible loss. Here
-    // every learner sees every proposer's dense seq: never an eviction.
-    // And where no datagram is lost nothing may be repaired or asked
-    // for, and no 2B taken from a vote floor: M-Ring's loss recovery
-    // fires on evidence of a loss, never on a clock alone.
-    // And none of these runs is past the knee: the proposers' byte
-    // window (ISSUE 14) holds nothing back and sheds nothing, with or
-    // without loss.
-    let loss_free = sim.config().random_loss == 0.0;
-    sim.metrics().for_each_counter(|node, name, v| {
-        assert!(name != "rp.dedup_evict" || v == 0, "{node:?} evicted {v} dedup entries");
-        let repair = ["rp.retrans", "rp.re2a", "rp.resubmit", "rp.repair_spurious", "rp.floor_2b"];
-        assert!(!(loss_free && repair.contains(&name)) || v == 0, "{node:?}: {name} = {v}");
-        let window = ["rp.window_held", "rp.proposer_shed"];
-        assert!(!window.contains(&name) || v == 0, "{node:?}: {name} = {v}");
-    });
-    let lat = sim.metrics().latency(metric::LATENCY);
-    Golden {
-        events: sim.events_processed(),
-        delivered: learners
-            .iter()
-            .map(|&n| sim.metrics().counter(n, metric::DELIVERED_MSGS))
-            .collect(),
-        checksum: counter_checksum(sim),
-        latency_count: lat.count,
-        latency_mean_ns: lat.mean.as_nanos(),
-    }
-}
 
 #[test]
 fn mring_golden_trace() {
@@ -111,7 +42,7 @@ fn mring_golden_trace() {
         };
         let d = deploy_mring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
-        harvest(&sim, &d.all_learners)
+        harvest(&sim, &d.all_learners, metric::LATENCY)
     };
     let want = Golden {
         events: 102418,
@@ -119,6 +50,7 @@ fn mring_golden_trace() {
         checksum: 0xbea8ba7530c18542,
         latency_count: 3664,
         latency_mean_ns: 881880,
+        digests: Vec::new(),
     };
     report("mring", &run(), &want);
 }
@@ -140,7 +72,7 @@ fn mring_lossy_golden_trace() {
         };
         let d = deploy_mring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
-        harvest(&sim, &d.all_learners)
+        harvest(&sim, &d.all_learners, metric::LATENCY)
     };
     // Recaptured (GOLDEN_PRINT=1) when loss injection moved from the
     // engine-global RNG to per-node streams (the loss pattern, not the
@@ -177,6 +109,7 @@ fn mring_lossy_golden_trace() {
         checksum: 0x5941b6998c283d4c,
         latency_count: 2748,
         latency_mean_ns: 1026387,
+        digests: Vec::new(),
     };
     report("mring_lossy", &run(), &want);
 }
@@ -201,7 +134,7 @@ fn uring_probes_enabled_golden_trace() {
         sim.set_probes(ProbeConfig::all());
         let d = deploy_uring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
-        (harvest(&sim, &d.ring), sim.probe_events())
+        (harvest(&sim, &d.ring, metric::LATENCY), sim.probe_events())
     };
     let want = Golden {
         events: 38835,
@@ -209,6 +142,7 @@ fn uring_probes_enabled_golden_trace() {
         checksum: 0x13a7cdb7b6ff35e1,
         latency_count: 1375,
         latency_mean_ns: 4462429,
+        digests: Vec::new(),
     };
     let (got, events) = run();
     report("uring+probes", &got, &want);
@@ -251,7 +185,7 @@ fn uring_golden_trace() {
         };
         let d = deploy_uring(&mut sim, &opts, |_| {});
         sim.run_until(Time::from_millis(800));
-        harvest(&sim, &d.ring)
+        harvest(&sim, &d.ring, metric::LATENCY)
     };
     let want = Golden {
         events: 38835,
@@ -259,6 +193,7 @@ fn uring_golden_trace() {
         checksum: 0x13a7cdb7b6ff35e1,
         latency_count: 1375,
         latency_mean_ns: 4462429,
+        digests: Vec::new(),
     };
     report("uring", &run(), &want);
 }

@@ -445,7 +445,7 @@ impl Actor for Injector {
                 mask,
             };
             let dst = if ctx.now() >= self.reroute_at { self.fallback } else { self.coordinator };
-            ctx.udp_send(dst, MMsg::Propose(v), bytes);
+            ctx.udp_send(dst, MMsg::Propose(v, None), bytes);
         }
         self.arm(ctx);
     }

@@ -141,7 +141,7 @@ impl Actor for Injector {
             mask: self.mask,
         };
         self.seq += 1;
-        ctx.udp_send(self.coordinator, MMsg::Propose(v), self.bytes);
+        ctx.udp_send(self.coordinator, MMsg::Propose(v, None), self.bytes);
         ctx.counter_add(metric::PROPOSED, 1);
         ctx.set_timer(self.period, TimerToken(0));
     }

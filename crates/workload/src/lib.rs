@@ -59,7 +59,7 @@
 //!    SmallRng` you are handed, never an ambient RNG, so runs stay
 //!    deterministic).
 //! 2. Implement [`table::SessionDriver`] for your service: `submit`
-//!    builds/registers/sends one request, `resubmit` re-sends it
+//!    builds, records and sends one request, `resubmit` re-sends it
 //!    (moving a [`session::Rotation`] if the service has a leader),
 //!    `on_response` maps a delivery back to the request id it
 //!    completes, and `finish` drops per-request state.

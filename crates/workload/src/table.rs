@@ -55,9 +55,9 @@ const KEY_BITS: u32 = SLOT_BITS + GEN_BITS;
 
 /// Service-specific half of a session table. Implementations own the
 /// command generator and whatever per-request bookkeeping the service
-/// needs (command registry entries, expected-reply counts, …).
-pub trait SessionDriver: Send {
-    /// Builds, registers, and sends one fresh request under `id`. Draw
+/// needs (the command kept for a resubmission, expected-reply counts, …).
+pub trait SessionDriver {
+    /// Builds, records, and sends one fresh request under `id`. Draw
     /// randomness from `ctx.rng()` so runs stay deterministic.
     fn submit(&mut self, id: MsgId, ctx: &mut Ctx);
 

@@ -23,7 +23,7 @@ fn run(partitions: Option<PartitionOptions>, label: &str) -> f64 {
     };
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(secs));
-    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
+    let done: u64 = d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     let kcps = done as f64 / secs as f64 / 1e3;
     println!("  {label:<28}: {kcps:>6.1} Kcps");
     if partitions.is_some() {

@@ -29,7 +29,7 @@ fn run_smr(clients: usize, secs: u64) -> (f64, Dur, bool) {
     };
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(secs));
-    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
+    let done: u64 = d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     let ordered = d.log.lock().unwrap().check_total_order().is_ok();
     (done as f64 / secs as f64 / 1e3, sim.metrics().latency(SESSION_LATENCY).mean, ordered)
 }

@@ -25,7 +25,7 @@ fn run(speculative: bool, n_clients: usize) -> (Dur, f64, u64, u64) {
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(secs));
     let lat = sim.metrics().latency(SESSION_LATENCY).mean;
-    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
+    let done: u64 = d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     let spec: u64 = d.all_replicas().iter().map(|&r| sim.metrics().counter(r, SMR_SPEC_EXEC)).sum();
     let rb: u64 = d.all_replicas().iter().map(|&r| sim.metrics().counter(r, SMR_ROLLBACKS)).sum();
     (lat, done as f64 / secs as f64 / 1e3, spec, rb)

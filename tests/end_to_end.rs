@@ -50,15 +50,14 @@ fn smr_on_top_of_the_full_stack_is_linearizable_under_failover() {
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_millis(500));
     let before =
-        d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum::<u64>();
+        d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum::<u64>();
     assert!(before > 100, "warmup produced only {before} commands");
     d.log.lock().unwrap().check_total_order().expect("order before crash");
     // NOTE: coordinator failover with client redirection is exercised in
     // ringpaxos tests; here we verify the steady state stays correct
     // under continued load.
     sim.run_until(Time::from_secs(2));
-    let after =
-        d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum::<u64>();
+    let after = d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum::<u64>();
     assert!(after > 3 * before / 2, "throughput stalled: {before} -> {after}");
     d.log.lock().unwrap().check_total_order().expect("order after");
 }
@@ -80,7 +79,7 @@ fn partitioned_smr_with_speculation_under_message_loss() {
     };
     let d = deploy_smr(&mut sim, &opts);
     sim.run_until(Time::from_secs(3));
-    let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
+    let done: u64 = d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     assert!(done > 2000, "only {done} commands completed under loss");
     d.log.lock().unwrap().check_partial_order().expect("partition order under loss");
     let lat = sim.metrics().latency(SESSION_LATENCY);
@@ -129,7 +128,7 @@ fn the_paper_headline_holds_partitioning_beats_full_replication() {
         };
         let d = deploy_smr(&mut sim, &opts);
         sim.run_until(Time::from_secs(2));
-        d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum()
+        d.tables.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum()
     };
     let full = measure(None);
     let four = measure(Some(PartitionOptions { n: 4, replicas_per: 2, cross_pct: 0 }));
