@@ -79,11 +79,6 @@ impl Pacer {
         }
         due
     }
-
-    /// Time of the next burst.
-    pub fn next_due(&self) -> Time {
-        self.next_due
-    }
 }
 
 #[cfg(test)]

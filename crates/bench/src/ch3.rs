@@ -3,7 +3,8 @@
 
 use abcast::metric;
 use baselines::{deploy_lcr, deploy_libpaxos, deploy_pfsb, deploy_spaxos, deploy_totem};
-use ringpaxos::cluster::{deploy_mring, deploy_uring, layout_mring, MRingOptions, URingOptions};
+use ringpaxos::cluster::{deploy_mring, deploy_uring, MRingOptions, URingOptions};
+use ringpaxos::mring::MRingProcess;
 use ringpaxos::StorageMode;
 use simnet::prelude::*;
 
@@ -583,25 +584,24 @@ fn fig3_14() {
         msg_bytes: 8192,
         ..MRingOptions::default()
     };
-    // The slow learner's per-batch application cost is flipped at runtime
-    // through a cost control, attached to learner 0 as it is installed.
-    let slow_cost = std::sync::Arc::new(std::sync::Mutex::new(Dur::ZERO));
-    let layout = layout_mring(&mut sim, &opts, &[], None, |cfg| {
+    let d = deploy_mring(&mut sim, &opts, |cfg| {
         cfg.flow.learner_threshold = 256;
     });
-    let slow = layout.d.learners[0];
-    layout.install(&mut sim, |p, n, _| {
-        Some(Box::new(if n == slow { p.with_cost_control(slow_cost.clone()) } else { p }))
-    });
+    // The slow learner's per-batch application cost is flipped at runtime
+    // on learner 0's process.
+    let slow = d.learners[0];
+    let set_cost = |sim: &mut Sim, cost: Dur| {
+        sim.actor_mut::<MRingProcess>(slow).expect("an M-Ring learner").set_batch_cost(cost);
+    };
 
     let mut prev = 0u64;
     for step in 1..=10u64 {
         let t = Time::from_millis(step * 250);
         if t == Time::from_millis(750) {
-            *slow_cost.lock().unwrap() = Dur::micros(150); // can only process ~6.7k batches/s
+            set_cost(&mut sim, Dur::micros(150)); // can only process ~6.7k batches/s
         }
         if t == Time::from_millis(1750) {
-            *slow_cost.lock().unwrap() = Dur::ZERO;
+            set_cost(&mut sim, Dur::ZERO);
         }
         sim.run_until(t);
         let cur = sim.metrics().counter(slow, metric::DELIVERED_BYTES);

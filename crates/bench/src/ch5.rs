@@ -206,7 +206,7 @@ fn lambda_trace(rates: (u64, u64), lambdas: &[u64], oscillate: bool, fig: &str) 
             if oscillate {
                 // Ring 1's rate oscillates every second.
                 let phase = (step / 2) % 2;
-                d.rings[1].set_rate(if phase == 0 { rates.1 } else { rates.1 / 4 });
+                d.rings[1].set_rate(&mut sim, if phase == 0 { rates.1 } else { rates.1 / 4 });
             }
             sim.run_until(t);
             let cur = sim.metrics().counter(d.learners[0], metric::DELIVERED_BYTES);

@@ -1,6 +1,11 @@
 //! Deployment builders for the ch. 4 experiment topologies: the CS
 //! baseline, full state-machine replication (plain or speculative), and
 //! partitioned SMR over the modified M-Ring Paxos.
+//!
+//! A deployment names its nodes and holds the ring's delivery log; the
+//! replicas' state stays in the replica actors, and
+//! [`SessionDeployment::replica_states`] reads it there (`Sim::actor`)
+//! without scheduling anything.
 
 use abcast::SharedLog;
 use btree::{Partitioning, TreeService};
@@ -13,7 +18,7 @@ use workload::{
 };
 
 use crate::cs::CsServer;
-use crate::replica::{ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica};
+use crate::replica::{ReplicaConfig, ReplicaState, SmrReplica};
 use crate::session::{Route, TreeSessionDriver};
 
 /// Tuples pre-loaded into each partition's tree. The paper loads 12 M
@@ -99,22 +104,21 @@ fn deploy_replicas(
     });
     let clients: Vec<NodeId> = (0..n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
 
-    let states = ReplicaStates::new(layout.d.all_learners.len());
     let span = Partitioning::new(n_partitions.max(1)).span;
     let rcfg =
         ReplicaConfig { speculative, exec_cores: exec_cores.to_vec(), ..ReplicaConfig::default() };
-    let MRingDeployment { ring, learners, cfg, log, .. } = layout.install(sim, |p, r, learner| {
+    let MRingDeployment { ring, learners, cfg, log, .. } = layout.install(sim, |p, _, learner| {
         let Some(i) = learner else { return Some(Box::new(p)) };
         let service =
             TreeService::populated((i / replicas_per) as u64 * span, span, POPULATE_COUNT);
-        Some(Box::new(SmrReplica::new(p, i, r, service, states.clone(), rcfg.clone())))
+        Some(Box::new(SmrReplica::new(p, i, service, rcfg.clone())))
     });
 
     let replicas = (0..n_partitions as usize)
         .map(|pi| learners[pi * replicas_per..(pi + 1) * replicas_per].to_vec())
         .collect();
     let partitioning = partitions.map(|p| Partitioning::new(p.n));
-    SessionDeployment { ring, replicas, tables: clients, log, states, partitioning, cfg }
+    SessionDeployment { ring, replicas, tables: clients, log, partitioning, cfg }
 }
 
 /// Deploys state-machine replication per `opts`: each of the
@@ -246,8 +250,6 @@ pub struct SessionDeployment {
     pub tables: Vec<NodeId>,
     /// The ring's delivery log (per replica, in `cfg.learners` order).
     pub log: SharedLog,
-    /// The replicas' state board (same order as `log`).
-    pub states: ReplicaStates,
     /// Key partitioning, when enabled.
     pub partitioning: Option<Partitioning>,
     /// The ring configuration.
@@ -265,11 +267,13 @@ impl SessionDeployment {
         self.replicas.iter().flatten().copied().collect()
     }
 
-    /// Every replica's state now, grouped like `replicas`.
-    pub fn replica_states(&self, sim: &mut Sim) -> Vec<Vec<ReplicaState>> {
-        let flat = self.all_replicas();
-        let mut rows = self.states.read(sim, &flat).into_iter();
-        self.replicas.iter().map(|part| rows.by_ref().take(part.len()).collect()).collect()
+    /// Every replica's state now, grouped like `replicas`, read off the
+    /// replica actors ([`SmrReplica::state`]): it schedules nothing, and a
+    /// crashed replica reports the state it crashed with.
+    pub fn replica_states(&self, sim: &Sim) -> Vec<Vec<ReplicaState>> {
+        let state =
+            |&r: &NodeId| sim.actor::<SmrReplica<TreeService>>(r).expect("an SMR replica").state();
+        self.replicas.iter().map(|part| part.iter().map(state).collect()).collect()
     }
 }
 

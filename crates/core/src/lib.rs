@@ -60,8 +60,8 @@ pub use deploy::{
 pub use exec::{Booked, ExecSchedule, Executor, Released, Seat, Swept};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
-    ReplicaConfig, ReplicaState, ReplicaStates, SmrReplica, SMR_ROLLBACKS, SMR_SPEC_EXEC,
-    SMR_SPEC_STALE, SMR_SPLIT_READS,
+    ReplicaConfig, ReplicaState, SmrReplica, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE,
+    SMR_SPLIT_READS,
 };
 pub use service::{Service, StoredCommand};
 pub use session::{Route, TreeSessionDriver};

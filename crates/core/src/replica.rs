@@ -54,9 +54,16 @@
 //! The replica reads each command from the batch that carried it: a 2A
 //! for speculation, and for execution the batches its learner delivered
 //! ([`MRingProcess::take_delivered`]).
+//!
+//! # Reading a replica
+//!
+//! Code outside the run reads a replica's state off its actor
+//! (`Sim::actor`, then [`SmrReplica::state`]; a deployment's
+//! `replica_states` does it for every replica). That schedules nothing,
+//! so it can be read mid-run, and a replica crashed with
+//! `Sim::set_node_up(n, false)` reports the state it crashed with.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
 
 use abcast::MsgId;
 use ringpaxos::mring::MRingProcess;
@@ -88,7 +95,6 @@ pub const SMR_SPEC_STALE: &str = "smr.spec_stale";
 pub const SMR_SPLIT_READS: &str = "smr.split_reads";
 
 const T_RESP: u64 = 40 << 56;
-const T_STATE: u64 = 42 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
 /// Per-replica configuration.
@@ -120,8 +126,8 @@ impl Default for ReplicaConfig {
     }
 }
 
-/// What a replica says of itself when asked through [`ReplicaStates`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// What a replica says of itself ([`SmrReplica::state`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReplicaState {
     /// Updates applied to the service, net of rollbacks.
     pub updates: u64,
@@ -134,41 +140,15 @@ pub struct ReplicaState {
     pub undo_depth: usize,
 }
 
-/// Replica state made comparable from outside the simulation: one
-/// [`ReplicaState`] per replica, in delivery-log order, written by the
-/// replica itself when [`ReplicaStates::read`] asks.
-#[derive(Clone)]
-pub struct ReplicaStates(Arc<Mutex<Vec<ReplicaState>>>);
-
-impl ReplicaStates {
-    /// A board for `n` replicas.
-    pub fn new(n: usize) -> ReplicaStates {
-        ReplicaStates(Arc::new(Mutex::new(vec![ReplicaState::default(); n])))
-    }
-
-    /// Has every replica in `replicas` report its state at the current
-    /// instant and returns the board. Costs a scan of each service, so
-    /// ask at quiescence, not inside a measured window.
-    pub fn read(&self, sim: &mut Sim, replicas: &[NodeId]) -> Vec<ReplicaState> {
-        for &r in replicas {
-            sim.with_ctx(r, |ctx| ctx.set_timer(Dur::ZERO, TimerToken(T_STATE)));
-        }
-        sim.run_until(sim.now());
-        self.0.lock().expect("state board poisoned").clone()
-    }
-}
-
 /// A state-machine-replication replica over service `S`.
 pub struct SmrReplica<S: Service> {
     inner: MRingProcess,
-    log_index: usize,
     /// Batches the learner has delivered, taken from it (reused buffer).
     delivered: Vec<Batch>,
     /// This replica's partition mask: `inner`'s learner mask
     /// (`ALL_PARTITIONS` when the ring is not partitioned).
     mask: u32,
     exec: Executor<S>,
-    states: ReplicaStates,
     rcfg: ReplicaConfig,
     /// Responses awaiting their virtual completion time, by (ready time,
     /// delivery order): with several execution cores a finished reply
@@ -178,20 +158,12 @@ pub struct SmrReplica<S: Service> {
 }
 
 impl<S: Service> SmrReplica<S> {
-    /// Creates a replica wrapping the given ring learner. `log_index` is
-    /// the learner index of this node in the ring configuration (also its
-    /// row in `states`). The replica's partition and peers come from
-    /// `inner`'s configuration.
-    pub fn new(
-        inner: MRingProcess,
-        log_index: usize,
-        me: NodeId,
-        service: S,
-        states: ReplicaStates,
-        rcfg: ReplicaConfig,
-    ) -> SmrReplica<S> {
+    /// Creates a replica wrapping the given ring learner, learner
+    /// `log_index` of the ring configuration. The replica's partition
+    /// and peers come from `inner`'s configuration.
+    pub fn new(inner: MRingProcess, log_index: usize, service: S, rcfg: ReplicaConfig) -> Self {
         let cfg = inner.config();
-        let mask = cfg.learner_mask(log_index);
+        let (me, mask) = (cfg.learners[log_index], cfg.learner_mask(log_index));
         // The learners that share `mask`, in `cfg.learners` order, are the
         // replicas of this partition, which take turns answering.
         let peers: Vec<NodeId> = (0..cfg.learners.len())
@@ -203,14 +175,24 @@ impl<S: Service> SmrReplica<S> {
         let exec = Executor::new(service, rcfg.exec_cores.clone(), mask, rcfg.dispatch, seat);
         SmrReplica {
             inner,
-            log_index,
             delivered: Vec::new(),
             mask,
             exec,
-            states,
             rcfg,
             resp_q: BTreeMap::new(),
             resp_seq: 0,
+        }
+    }
+
+    /// This replica's state now ("Reading a replica"). Costs a scan of
+    /// the service for its digest.
+    pub fn state(&self) -> ReplicaState {
+        let service = self.exec.service();
+        ReplicaState {
+            updates: self.exec.updates_applied(),
+            digest: service.digest(),
+            speculated: self.exec.speculated(),
+            undo_depth: service.undo_depth(),
         }
     }
 
@@ -273,18 +255,6 @@ impl<S: Service> SmrReplica<S> {
         }
     }
 
-    /// Writes this replica's row of the state board.
-    fn report_state(&self) {
-        let service = self.exec.service();
-        let state = ReplicaState {
-            updates: self.exec.updates_applied(),
-            digest: service.digest(),
-            speculated: self.exec.speculated(),
-            undo_depth: service.undo_depth(),
-        };
-        self.states.0.lock().expect("state board poisoned")[self.log_index] = state;
-    }
-
     fn flush_responses(&mut self, ctx: &mut Ctx) {
         while let Some(e) = self.resp_q.first_entry() {
             if e.key().0 > ctx.now() {
@@ -328,10 +298,8 @@ impl<S: Service> Actor for SmrReplica<S> {
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
-        match token.0 & KIND_MASK {
-            T_RESP => return self.flush_responses(ctx),
-            T_STATE => return self.report_state(),
-            _ => {}
+        if token.0 & KIND_MASK == T_RESP {
+            return self.flush_responses(ctx);
         }
         self.inner.on_timer(token, ctx);
         self.drain(ctx);

@@ -20,7 +20,7 @@ use simnet::ids::NodeId;
 use simnet::time::Dur;
 
 /// A deterministic state machine the SMR layer can replicate.
-pub trait Service: Send {
+pub trait Service: Send + 'static {
     /// Command type.
     type Command: Clone + Send + Sync + 'static;
 

@@ -1,8 +1,10 @@
-//! Golden traces of the session tier: `deploy_smr_sessions` at the
-//! benchmark's shape (8 tables of 125 k open-loop Zipf(0.99) sessions
-//! over a 4 × 2 partitioned tree), once with `smr_update`'s mix and
-//! once with `smr_query`'s, for a fraction of a virtual second. Each
-//! pins the event count, per-replica deliveries, the counter checksum,
+//! Golden traces of the replicated B⁺-tree: the session tier's
+//! `deploy_smr_sessions` at the benchmark's shape (8 tables of 125 k
+//! open-loop Zipf(0.99) sessions over a 4 × 2 partitioned tree), once
+//! with `smr_update`'s mix and once with `smr_query`'s, and ch. 4's
+//! closed-loop `deploy_smr` (2 replicas, 4 one-session clients of
+//! single updates), plain and speculative, each for a fraction of a
+//! virtual second. Each pins the event count, per-replica deliveries, the counter checksum,
 //! the session latency count and mean, and every replica's digest
 //! (`golden/mod.rs`, shared with the ring's golden traces). Re-capture
 //! after an *intentional* semantic change:
@@ -15,7 +17,9 @@
 mod golden;
 
 use golden::{harvest, report, Golden};
-use hpsmr_core::deploy::{deploy_smr_sessions, PartitionOptions, SessionOptions};
+use hpsmr_core::deploy::{
+    deploy_smr, deploy_smr_sessions, PartitionOptions, SessionOptions, SmrOptions,
+};
 use simnet::prelude::*;
 use workload::{WorkloadKind, SESSION_LATENCY};
 
@@ -37,7 +41,7 @@ fn sessions_run(kind: WorkloadKind, rate: f64, seed: u64) -> Golden {
     sim.run_until(Time::from_millis(300));
     let replicas: Vec<NodeId> = d.replicas.iter().flatten().copied().collect();
     let mut got = harvest(&sim, &replicas, SESSION_LATENCY);
-    got.digests = d.replica_states(&mut sim).into_iter().flatten().map(|s| s.digest).collect();
+    got.digests = d.replica_states(&sim).into_iter().flatten().map(|s| s.digest).collect();
     got
 }
 
@@ -83,4 +87,49 @@ fn sessions_query_golden_trace() {
         ],
     };
     report("sessions_query", &sessions_run(WorkloadKind::Queries, 12_000.0, 11), &want);
+}
+
+/// `deploy_smr` with 2 replicas and 4 closed-loop clients of single
+/// updates, arrivals stopped at 200 ms and drained to 250 ms.
+fn closed_loop_run(speculative: bool) -> Golden {
+    let mut sim = Sim::new(SimConfig { seed: 11, ..SimConfig::default() });
+    let opts = SmrOptions {
+        n_replicas: 2,
+        n_clients: 4,
+        workload: WorkloadKind::InsDelSingle,
+        speculative,
+        stop_at: Some(Time::from_millis(200)),
+        ..SmrOptions::default()
+    };
+    let d = deploy_smr(&mut sim, &opts);
+    sim.run_until(Time::from_millis(250));
+    let mut got = harvest(&sim, &d.all_replicas(), SESSION_LATENCY);
+    got.digests = d.replica_states(&sim).into_iter().flatten().map(|s| s.digest).collect();
+    got
+}
+
+#[test]
+fn smr_closed_loop_golden_trace() {
+    let want = Golden {
+        events: 41179,
+        delivered: vec![1801, 1801],
+        checksum: 0x8be8589b332aa500,
+        latency_count: 1801,
+        latency_mean_ns: 444560,
+        digests: vec![0x671e4e9cee63aa5a, 0x671e4e9cee63aa5a],
+    };
+    report("smr_closed_loop", &closed_loop_run(false), &want);
+}
+
+#[test]
+fn smr_closed_loop_speculative_golden_trace() {
+    let want = Golden {
+        events: 38578,
+        delivered: vec![1834, 1834],
+        checksum: 0xae57b48185d1520b,
+        latency_count: 1834,
+        latency_mean_ns: 436467,
+        digests: vec![0xe0344b5844e17002, 0xe0344b5844e17002],
+    };
+    report("smr_closed_loop_speculative", &closed_loop_run(true), &want);
 }

@@ -12,7 +12,7 @@ use btree::{TreeCommand, TreeService};
 use hpsmr_core::deploy::{
     deploy_smr_sessions, PartitionOptions, SessionDeployment, SessionOptions,
 };
-use hpsmr_core::{ReplicaConfig, ReplicaStates, SmrReplica, SmrResponse, StoredCommand};
+use hpsmr_core::{ReplicaConfig, SmrReplica, SmrResponse, StoredCommand};
 use ringpaxos::cluster::{layout_mring, MRingOptions};
 use ringpaxos::msg::MMsg;
 use ringpaxos::value::{Value, ALL_PARTITIONS};
@@ -182,7 +182,7 @@ fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
     let mut sim = Sim::new(SimConfig::default());
     let opts = MRingOptions { n_learners: 1, n_proposers: 0, ..MRingOptions::default() };
     let layout = layout_mring(&mut sim, &opts, &[], None, |_| {});
-    let (replica, coordinator) = (layout.d.learners[0], layout.d.cfg.coordinator());
+    let coordinator = layout.d.cfg.coordinator();
     let client = sim.add_node(Box::new(Idle));
     let heard = Arc::new(Mutex::new(Vec::new()));
     sim.replace_actor(client, Box::new(ReplyOrder(heard.clone())));
@@ -192,8 +192,7 @@ fn reply_order(exec_cores: Vec<usize>) -> Vec<MsgId> {
             return Some(Box::new(inner));
         }
         let service = TreeService::populated(0, 12_000, 12_000);
-        let states = ReplicaStates::new(1);
-        Some(Box::new(SmrReplica::new(inner, 0, replica, service, states, rcfg.clone())))
+        Some(Box::new(SmrReplica::new(inner, 0, service, rcfg.clone())))
     });
     // A busy coordinator holds the three proposals for one batch.
     sim.with_ctx(coordinator, |ctx| ctx.charge_cpu(0, Dur::millis(1)));

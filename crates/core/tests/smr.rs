@@ -73,7 +73,7 @@ fn replicas_deliver_identical_orders() {
         log.check_total_order().expect("replicas must agree on the command order");
     }
     // The same order applied to the same tree: the same tree.
-    let states = d.replica_states(&mut sim).remove(0);
+    let states = d.replica_states(&sim).remove(0);
     assert!(states[0].updates > 250, "{states:?}");
     assert!(states.iter().all(|s| *s == states[0]), "replica states differ: {states:?}");
 }

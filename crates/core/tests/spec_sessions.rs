@@ -125,7 +125,7 @@ fn assert_settled(sim: &Sim, label: &str) {
 /// At quiescence the replicas of a partition hold the same tree (the same
 /// digest), reached through the same number of updates, with nothing
 /// speculated left over.
-fn assert_replicas_agree(sim: &mut Sim, d: &SessionDeployment, label: &str) -> Vec<ReplicaState> {
+fn assert_replicas_agree(sim: &Sim, d: &SessionDeployment, label: &str) -> Vec<ReplicaState> {
     {
         let log = d.log.lock().unwrap();
         for p in 0..N_PARTITIONS {
@@ -146,7 +146,7 @@ fn assert_replicas_agree(sim: &mut Sim, d: &SessionDeployment, label: &str) -> V
 
 #[test]
 fn queries_execute_on_arrival_and_answer_on_the_decision() {
-    let (mut sim, d, lat) = run(WorkloadKind::Queries, 12_000.0);
+    let (sim, d, lat) = run(WorkloadKind::Queries, 12_000.0);
     // The plain path paid execution after ordering: 897 / 1 095 µs.
     assert!(lat.p50 <= Dur::micros(600), "p50 {}", lat.p50);
     // With a hash of the id picking the responder, two reads in a row
@@ -165,14 +165,14 @@ fn queries_execute_on_arrival_and_answer_on_the_decision() {
     assert_eq!(sum(&sim, SMR_ROLLBACKS), 0);
     assert_eq!(sum(&sim, SMR_SPEC_STALE), 0);
 
-    let states = assert_replicas_agree(&mut sim, &d, "queries");
+    let states = assert_replicas_agree(&sim, &d, "queries");
     assert!(states.iter().all(|s| s.updates == 0));
     assert_settled(&sim, "queries");
 }
 
 #[test]
 fn speculated_updates_leave_replicas_identical() {
-    let (mut sim, d, _) = run(WorkloadKind::InsDelSingle, 24_000.0);
+    let (sim, d, _) = run(WorkloadKind::InsDelSingle, 24_000.0);
     assert_eq!(sum(&sim, SESSIONS_SUBMITTED), sum(&sim, SESSIONS_COMPLETED));
     // Updates run on every replica of their partition.
     let executed: u64 = delivered(&d).iter().sum();
@@ -180,7 +180,7 @@ fn speculated_updates_leave_replicas_identical() {
     assert_eq!(sum(&sim, SMR_ROLLBACKS), 0);
     assert_eq!(sum(&sim, SMR_SPEC_STALE), 0);
 
-    let states = assert_replicas_agree(&mut sim, &d, "updates");
+    let states = assert_replicas_agree(&sim, &d, "updates");
     // InsDelSingle is one update per command.
     let updates: u64 = states.iter().map(|s| s.updates).sum();
     assert_eq!(2 * updates, executed);
@@ -219,7 +219,7 @@ fn lossy_runs_keep_replicas_identical_and_skip_nothing() {
         );
         assert!(sum(&sim, SMR_SPEC_EXEC) > 100_000, "{label}: replicas must speculate");
 
-        let states = assert_replicas_agree(&mut sim, &d, &label);
+        let states = assert_replicas_agree(&sim, &d, &label);
         assert!(states.iter().all(|s| s.updates > 0), "{label}: {states:?}");
         assert_settled(&sim, &label);
     }
@@ -267,7 +267,7 @@ fn lossy_queries_are_answered_at_most_once_and_replicas_agree() {
         assert!(abandoned as f64 <= 2.0 * lost_replies, "{label}: {abandoned} abandoned");
         assert_answered_at_most_once(&replies, &label);
         assert!(replies.lock().unwrap().len() as u64 >= completed, "{label}");
-        assert_replicas_agree(&mut sim, &d, &label);
+        assert_replicas_agree(&sim, &d, &label);
     }
 }
 
@@ -297,7 +297,7 @@ fn speculation_survives_a_coordinator_change() {
     assert!(sum(&sim, SESSIONS_COMPLETED) > 10_000);
     assert!(sum(&sim, SMR_SPEC_EXEC) > 20_000);
 
-    let states = d.replica_states(&mut sim);
+    let states = d.replica_states(&sim);
     assert_eq!(states[0][0], states[0][1], "replicas diverged across the takeover");
     assert!(states[0][0].updates > 10_000);
     assert_eq!((states[0][0].speculated, states[0][0].undo_depth), (0, 0));
@@ -354,7 +354,7 @@ fn a_takeover_re_proposes_a_command_to_its_own_partition_only() {
             }
         }
         assert_answered_at_most_once(&replies, &label);
-        assert_replicas_agree(&mut sim, &d, &label);
+        assert_replicas_agree(&sim, &d, &label);
     }
 }
 

@@ -4,9 +4,8 @@
 //! the deterministic merge.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
-use abcast::{MsgId, SharedLog};
+use abcast::SharedLog;
 use paxos::msg::InstanceId;
 use ringpaxos::mlearner::{MLearner, SWEEP_TICK};
 use ringpaxos::msg::{MMsg, CTL_BYTES};
@@ -19,16 +18,6 @@ use crate::merge::{DeterministicMerge, MergeEntry};
 /// Delivery latency recorded by Multi-Ring Paxos learners (kept apart
 /// from the per-ring `abcast.latency` recorded by ring-local proposers).
 pub const MRP_LATENCY: &str = "mrp.latency";
-
-/// A ring-tagged delivery sequence: `(ring index, message)` in merge
-/// order. P-SMR (ch. 6) consumes this to route each delivery to the
-/// worker thread subscribed to the originating group.
-pub type RingSink = Arc<Mutex<Vec<(u8, MsgId)>>>;
-
-/// Creates an empty [`RingSink`].
-pub fn ring_sink() -> RingSink {
-    Arc::new(Mutex::new(Vec::new()))
-}
 
 const T_RETRANS: u64 = 6 << 56;
 const T_GC: u64 = 3 << 56;
@@ -57,7 +46,6 @@ pub struct MultiRingLearner {
     node_to_ring: HashMap<NodeId, usize>,
     merge: DeterministicMerge,
     log: Option<SharedLog>,
-    ring_sink: Option<RingSink>,
     /// Merged batches that carry commands, each with its ring, for the
     /// service wrapping this learner ([`MultiRingLearner::take_delivered`]).
     outbox: Vec<(u8, Batch)>,
@@ -92,16 +80,8 @@ impl MultiRingLearner {
             node_to_ring,
             merge,
             log,
-            ring_sink: None,
             outbox: Vec::new(),
         }
-    }
-
-    /// Additionally records deliveries as `(ring, message)` pairs in
-    /// merge order (the stream P-SMR worker threads consume).
-    pub fn with_ring_sink(mut self, sink: RingSink) -> MultiRingLearner {
-        self.ring_sink = Some(sink);
-        self
     }
 
     /// Hands over every merged batch that carries commands, in merge
@@ -156,9 +136,6 @@ impl MultiRingLearner {
             for v in batch.iter() {
                 if let Some(log) = self.log.as_ref() {
                     log.lock().unwrap().deliver(self.index, v.id);
-                }
-                if let Some(sink) = self.ring_sink.as_ref() {
-                    sink.lock().unwrap().push((ring as u8, v.id));
                 }
                 ctx.counter_add(abcast::metric::DELIVERED_BYTES, v.bytes as u64);
                 ctx.counter_add(abcast::metric::DELIVERED_MSGS, 1);

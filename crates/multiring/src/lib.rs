@@ -26,6 +26,6 @@ pub mod learner;
 pub mod merge;
 pub mod mrp;
 
-pub use learner::{ring_sink, MultiRingLearner, RingSink, MRP_LATENCY};
+pub use learner::{MultiRingLearner, MRP_LATENCY};
 pub use merge::{DeterministicMerge, MergeEntry};
 pub use mrp::{deploy_multiring, MultiRingDeployment, MultiRingOptions, RingHandle};

@@ -2,11 +2,9 @@
 //! rings (one per group) plus learners that merge them deterministically
 //! (ch. 5, Algorithm 1).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use abcast::{shared_log, SharedLog};
 use ringpaxos::cluster::{layout_mring, MRingOptions};
+use ringpaxos::mring::MRingProcess;
 use ringpaxos::{MRingConfig, SkipConfig, StorageMode};
 use simnet::prelude::*;
 
@@ -61,8 +59,6 @@ pub struct RingHandle {
     pub ring: Vec<NodeId>,
     /// The ring's proposer node.
     pub proposer: NodeId,
-    /// The proposer's live rate control (bits/s; 0 pauses).
-    pub rate_control: Arc<AtomicU64>,
 }
 
 impl RingHandle {
@@ -71,9 +67,12 @@ impl RingHandle {
         self.cfg.coordinator()
     }
 
-    /// Sets the offered load of the ring.
-    pub fn set_rate(&self, bps: u64) {
-        self.rate_control.store(bps, Ordering::Relaxed);
+    /// Sets the offered load of the ring (bits/s; 0 pauses) on its
+    /// proposer's process ([`MRingProcess::set_rate`]), from the
+    /// proposer's next pacer tick on.
+    pub fn set_rate(&self, sim: &mut Sim, bps: u64) {
+        let proposer = sim.actor_mut::<MRingProcess>(self.proposer).expect("an M-Ring proposer");
+        proposer.set_rate(bps);
     }
 }
 
@@ -122,14 +121,14 @@ pub fn deploy_multiring(sim: &mut Sim, opts: &MultiRingOptions) -> MultiRingDepl
                     Some(SkipConfig { lambda_per_sec: opts.lambda_per_sec, delta: opts.delta });
             }
         });
-        let rate_control = Arc::new(AtomicU64::new(rate));
+        // Of the ring's learners only the proposer (learner 0) runs its
+        // own process; the merge learners below run the others.
         let d = layout.install(sim, |p, _, learner| match learner {
-            None => Some(Box::new(p)),
-            Some(0) => Some(Box::new(p.with_rate_control(rate_control.clone()))),
-            Some(_) => None,
+            Some(i) if i > 0 => None,
+            _ => Some(Box::new(p)),
         });
         ring_cfgs.push(d.cfg.clone());
-        rings.push(RingHandle { cfg: d.cfg, ring: d.ring, proposer: d.proposers[0], rate_control });
+        rings.push(RingHandle { cfg: d.cfg, ring: d.ring, proposer: d.proposers[0] });
     }
 
     // Instantiate the merge learners.

@@ -255,11 +255,11 @@ fn lossy_network_keeps_learner_merges_identical() {
     let d = deploy_multiring(&mut sim, &opts);
     // Stop the offered load, then let retransmissions settle.
     for r in &d.rings {
-        r.set_rate(120_000_000);
+        r.set_rate(&mut sim, 120_000_000);
     }
     sim.run_until(Time::from_millis(1200));
     for r in &d.rings {
-        r.set_rate(0);
+        r.set_rate(&mut sim, 0);
     }
     sim.run_until(Time::from_secs(4));
 

@@ -112,11 +112,6 @@ impl<V: Clone> Acceptor<V> {
         self.votes.advance_base(instance);
     }
 
-    /// Number of instances with stored votes (for memory accounting).
-    pub fn stored_votes(&self) -> usize {
-        self.votes.len()
-    }
-
     /// The garbage-collection watermark: the lowest instance whose vote
     /// state is still retained in the dense window ([`Acceptor::gc_below`]).
     pub fn gc_base(&self) -> InstanceId {
@@ -190,9 +185,9 @@ mod tests {
         let votes = vec![(InstanceId(base), r(1), 7u32), (InstanceId(base + 3), r(2), 8)];
         let a = Acceptor::restore(r(2), votes);
         assert_eq!(a.rnd(), r(2));
-        assert_eq!(a.stored_votes(), 2);
         assert_eq!(a.vote(InstanceId(base)).unwrap().v_val, 7);
         assert_eq!(a.vote(InstanceId(base)).unwrap().v_rnd, r(1), "old v-rnd kept");
+        assert_eq!(a.vote(InstanceId(base + 3)).unwrap().v_val, 8);
         // A higher durable vote round wins over the logged promise.
         let b = Acceptor::restore(r(1), vec![(InstanceId(0), r(4), 9u32)]);
         assert_eq!(b.rnd(), r(4));
@@ -205,7 +200,6 @@ mod tests {
             a.receive_2a(InstanceId(i), r(1), i as u32);
         }
         a.gc_below(InstanceId(7));
-        assert_eq!(a.stored_votes(), 3);
         assert!(a.vote(InstanceId(6)).is_none());
         assert!(a.vote(InstanceId(7)).is_some());
         assert_eq!(a.rnd(), r(1), "shared rnd survives gc");

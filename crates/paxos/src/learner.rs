@@ -40,15 +40,6 @@ impl<V> Learner<V> {
         Some((i, v))
     }
 
-    /// Drains every consecutively-available decision.
-    pub fn deliver_all(&mut self) -> Vec<(InstanceId, V)> {
-        let mut out = Vec::new();
-        while let Some(d) = self.deliver_next() {
-            out.push(d);
-        }
-        out
-    }
-
     /// Resumes at a checkpoint's `watermark`: it is the instance expected
     /// next, and what is buffered below it is dropped.
     pub fn resume_at(&mut self, watermark: InstanceId) {
@@ -59,15 +50,6 @@ impl<V> Learner<V> {
     /// The instance the learner is waiting for next.
     pub fn next_instance(&self) -> InstanceId {
         self.next
-    }
-
-    /// Instances above `next` that are known — i.e., the gaps before them
-    /// block delivery. Used to trigger retransmission requests.
-    pub fn missing_before(&self) -> Vec<InstanceId> {
-        let Some((&max, _)) = self.pending.iter().next_back() else {
-            return Vec::new();
-        };
-        (self.next.0..max.0).map(InstanceId).filter(|i| !self.pending.contains_key(i)).collect()
     }
 
     /// Number of buffered (undeliverable) decisions.
@@ -86,7 +68,9 @@ mod tests {
         l.on_decision(InstanceId(1), "b");
         assert!(l.deliver_next().is_none(), "gap at 0 blocks");
         l.on_decision(InstanceId(0), "a");
-        assert_eq!(l.deliver_all(), vec![(InstanceId(0), "a"), (InstanceId(1), "b")]);
+        assert_eq!(l.deliver_next(), Some((InstanceId(0), "a")));
+        assert_eq!(l.deliver_next(), Some((InstanceId(1), "b")));
+        assert_eq!(l.deliver_next(), None);
     }
 
     #[test]
@@ -102,21 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn reports_missing_gaps() {
-        let mut l: Learner<u8> = Learner::new();
-        l.on_decision(InstanceId(2), 2);
-        l.on_decision(InstanceId(5), 5);
-        assert_eq!(
-            l.missing_before(),
-            vec![InstanceId(0), InstanceId(1), InstanceId(3), InstanceId(4)]
-        );
-        l.on_decision(InstanceId(0), 0);
-        l.on_decision(InstanceId(1), 1);
-        l.deliver_all();
-        assert_eq!(l.missing_before(), vec![InstanceId(3), InstanceId(4)]);
-    }
-
-    #[test]
     fn knows_tracks_delivered_and_buffered() {
         let mut l: Learner<u8> = Learner::new();
         l.on_decision(InstanceId(0), 0);
@@ -124,7 +93,7 @@ mod tests {
         assert!(l.knows(InstanceId(0)));
         assert!(!l.knows(InstanceId(1)));
         assert!(l.knows(InstanceId(2)));
-        l.deliver_all();
+        assert_eq!(l.deliver_next(), Some((InstanceId(0), 0)));
         assert!(l.knows(InstanceId(0)), "delivered instances stay known");
     }
 
@@ -136,7 +105,8 @@ mod tests {
         }
         l.resume_at(InstanceId(5));
         assert_eq!(l.next_instance(), InstanceId(5));
-        assert_eq!(l.deliver_all(), vec![(InstanceId(5), 5)]);
+        assert_eq!(l.deliver_next(), Some((InstanceId(5), 5)));
+        assert_eq!(l.deliver_next(), None);
         assert_eq!(l.buffered(), 1, "instance 7 waits for 6");
         l.on_decision(InstanceId(4), 4);
         assert_eq!(l.buffered(), 1, "below the watermark: delivered, as far as this learner knows");

@@ -26,11 +26,6 @@ impl Round {
     pub fn next_for(self, owner: u32) -> Round {
         Round { counter: self.counter + 1, owner }
     }
-
-    /// Whether this is the initial (never used) round.
-    pub fn is_zero(self) -> bool {
-        self == Round::ZERO
-    }
 }
 
 impl fmt::Debug for Round {
@@ -110,8 +105,7 @@ mod tests {
     fn rounds_order_lexicographically() {
         assert!(Round::new(1, 0) < Round::new(1, 1));
         assert!(Round::new(1, 9) < Round::new(2, 0));
-        assert!(Round::ZERO.is_zero());
-        assert!(!Round::new(0, 1).is_zero());
+        assert!(Round::ZERO < Round::new(0, 1));
     }
 
     #[test]

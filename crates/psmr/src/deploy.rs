@@ -1,13 +1,13 @@
 //! Deployment builders for the ch. 6 experiment topologies: the three
 //! single-ring execution models (sequential, pipelined, SDPE) and P-SMR
 //! over one M-Ring Paxos ring per multicast group.
-
-use std::sync::Arc;
-use std::sync::Mutex;
+//! Each [`ParallelReplica`] owns its store; the deployment names the
+//! nodes and reads the stores off them ([`ParallelDeployment::stores`]).
 
 use abcast::{shared_log, SharedLog};
-use multiring::{ring_sink, MultiRingLearner, RingSink};
+use multiring::MultiRingLearner;
 use ringpaxos::cluster::{layout_mring, MRingDeployment, MRingOptions};
+use ringpaxos::mring::MRingProcess;
 use ringpaxos::{MRingConfig, SkipConfig};
 use simnet::prelude::*;
 use workload::{Arrival, RetryPolicy, SessionTable, SessionTableConfig};
@@ -68,13 +68,23 @@ pub struct ParallelDeployment {
     pub coordinators: Vec<NodeId>,
     /// Ring configurations, in group order.
     pub ring_cfgs: Vec<MRingConfig>,
-    /// Each replica's service state, in `replicas` order.
-    pub stores: Vec<Arc<Mutex<ObjStore>>>,
-    /// Each replica's ring-tagged delivery stream (P-SMR only; empty for
-    /// the single-ring models). Exposed for cross-replica stream checks.
-    pub sinks: Vec<RingSink>,
     /// Ordered-delivery log (per replica, in `replicas` order).
     pub log: SharedLog,
+}
+
+impl ParallelDeployment {
+    /// Each replica's service state now, in `replicas` order, read off
+    /// the replica actors (`Sim::actor`): it schedules nothing, and a
+    /// crashed replica's store reads as it was when the node went down.
+    pub fn stores<'s>(&self, sim: &'s Sim) -> Vec<&'s ObjStore> {
+        // P-SMR's replicas wrap a Multi-Ring learner, the others an
+        // M-Ring process.
+        let store = |&r: &NodeId| match sim.actor::<ParallelReplica<MultiRingLearner>>(r) {
+            Some(psmr) => psmr.store(),
+            None => sim.actor::<ParallelReplica<MRingProcess>>(r).expect("a replica").store(),
+        };
+        self.replicas.iter().map(store).collect()
+    }
 }
 
 /// Deploys the parallel service under `opts.model`.
@@ -100,8 +110,6 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
         (0..opts.n_replicas).map(|_| sim.add_node(Box::new(Idle))).collect();
     let clients: Vec<NodeId> = (0..opts.n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
     let domains = opts.workload.n_groups;
-    let stores: Vec<Arc<Mutex<ObjStore>>> =
-        (0..opts.n_replicas).map(|_| Arc::new(Mutex::new(ObjStore::new(domains)))).collect();
 
     // One M-Ring Paxos ring per group (a single ring for the
     // totally-ordered models), every replica a learner of each. Under
@@ -130,12 +138,12 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
             layout.install(sim, |p, r, learner| match (learner, opts.model) {
                 (None, _) => Some(Box::new(p)),
                 (Some(_), ExecModel::Psmr { .. }) => None,
-                (Some(i), model) => Some(Box::new(ParallelReplica::new(
+                (Some(_), model) => Some(Box::new(ParallelReplica::new(
                     p,
                     r,
                     replicas.clone(),
                     Engine::new(model, opts.costs),
-                    stores[i].clone(),
+                    ObjStore::new(domains),
                 ))),
             })
         })
@@ -148,19 +156,15 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
     let coordinators: Vec<NodeId> = ring_cfgs.iter().map(MRingConfig::coordinator).collect();
 
     // P-SMR replicas: a multi-ring learner + execution engine.
-    let mut sinks = Vec::new();
     if let ExecModel::Psmr { .. } = opts.model {
         for (i, &r) in replicas.iter().enumerate() {
-            let sink = ring_sink();
-            sinks.push(sink.clone());
-            let learner = MultiRingLearner::new(r, i, ring_cfgs.clone(), 1, Some(log.clone()))
-                .with_ring_sink(sink.clone());
+            let learner = MultiRingLearner::new(r, i, ring_cfgs.clone(), 1, Some(log.clone()));
             let actor = ParallelReplica::new(
                 learner,
                 r,
                 replicas.clone(),
                 Engine::new(opts.model, opts.costs),
-                stores[i].clone(),
+                ObjStore::new(domains),
             );
             sim.replace_actor(r, Box::new(actor));
         }
@@ -182,5 +186,5 @@ pub fn deploy_parallel(sim: &mut Sim, opts: &ParallelOptions) -> ParallelDeploym
         sim.replace_actor(c, Box::new(SessionTable::new(c, cfg, driver)));
     }
 
-    ParallelDeployment { replicas, clients, coordinators, ring_cfgs, stores, sinks, log }
+    ParallelDeployment { replicas, clients, coordinators, ring_cfgs, log }
 }

@@ -47,7 +47,7 @@
 //! };
 //! let d = deploy_parallel(&mut sim, &opts);
 //! sim.run_until(Time::from_millis(300));
-//! assert!(d.stores[0].lock().unwrap().executed() > 0);
+//! assert!(d.stores(&sim)[0].executed() > 0);
 //! ```
 
 pub mod client;

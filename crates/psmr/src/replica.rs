@@ -7,11 +7,10 @@
 //! (§6.3) embeds a Multi-Ring Paxos learner and takes the merged batches
 //! tagged with their ring, so each delivery is routed to the worker
 //! thread of its group. Either way the replica reads each command from
-//! the batch that delivered it.
+//! the batch that delivered it and applies it to the [`ObjStore`] it
+//! owns, which is read off the actor ([`ParallelReplica::store`]).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
-use std::sync::Mutex;
 
 use abcast::MsgId;
 use multiring::MultiRingLearner;
@@ -80,7 +79,7 @@ pub struct ParallelReplica<I: Learner> {
     /// responder selection).
     peers: Vec<NodeId>,
     engine: Engine,
-    store: Arc<Mutex<ObjStore>>,
+    store: ObjStore,
     dep_execs_reported: u64,
     resp_q: VecDeque<(Time, MsgId, NodeId, u32)>,
 }
@@ -92,7 +91,7 @@ impl<I: Learner> ParallelReplica<I> {
         me: NodeId,
         peers: Vec<NodeId>,
         engine: Engine,
-        store: Arc<Mutex<ObjStore>>,
+        store: ObjStore,
     ) -> ParallelReplica<I> {
         ParallelReplica {
             inner,
@@ -156,7 +155,7 @@ impl<I: Learner> ParallelReplica<I> {
             for (core, cost) in &sched.charges {
                 ctx.charge_cpu(*core, *cost);
             }
-            self.store.lock().unwrap().apply(did, &dstored.cmd);
+            self.store.apply(did, &dstored.cmd);
             if self.is_designated(did) {
                 self.resp_q.push_back((sched.done, did, dstored.client, dstored.reply_bytes));
                 ctx.set_timer(sched.done.saturating_since(ctx.now()), TimerToken(T_PRESP));
@@ -186,9 +185,9 @@ impl<I: Learner> ParallelReplica<I> {
         }
     }
 
-    /// The replica's service state (shared handle for checks).
-    pub fn store(&self) -> Arc<Mutex<ObjStore>> {
-        self.store.clone()
+    /// The replica's service state.
+    pub fn store(&self) -> &ObjStore {
+        &self.store
     }
 }
 

@@ -57,8 +57,8 @@ fn check_no_duplicate_apply(sim: &Sim, d: &ParallelDeployment) {
     // duplicate apply shows up either as a digest divergence or as more
     // executions than distinct submissions.
     let sub = submitted(sim, d);
-    let a = d.stores[0].lock().unwrap();
-    let b = d.stores[1].lock().unwrap();
+    let stores = d.stores(sim);
+    let (a, b) = (stores[0], stores[1]);
     assert_eq!(a.executed(), b.executed(), "replica executed-count divergence");
     assert_eq!(a.digest(), b.digest(), "replica execution-order divergence");
     assert!(

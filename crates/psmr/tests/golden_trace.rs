@@ -30,7 +30,7 @@ fn psmr_golden_trace() {
     let d = deploy_parallel(&mut sim, &opts);
     sim.run_until(Time::from_millis(300));
     let mut got = harvest(&sim, &d.replicas, SESSION_LATENCY);
-    got.digests = d.stores.iter().map(|s| s.lock().unwrap().digest()).collect();
+    got.digests = d.stores(&sim).iter().map(|s| s.digest()).collect();
     let want = Golden {
         events: 139156,
         delivered: vec![5530, 5530],

@@ -59,9 +59,9 @@ fn all_models(groups: usize) -> [ExecModel; 5] {
 fn replicas_agree_under_every_model() {
     let workload = PsmrWorkload { n_groups: 4, dep_pct: 20, ..PsmrWorkload::default() };
     for model in all_models(4) {
-        let (_sim, d) = run_model(model, workload, 12, 150);
-        let a = d.stores[0].lock().unwrap();
-        let b = d.stores[1].lock().unwrap();
+        let (sim, d) = run_model(model, workload, 12, 150);
+        let stores = d.stores(&sim);
+        let (a, b) = (stores[0], stores[1]);
         assert!(a.executed() > 0, "{model:?} executed nothing");
         assert_eq!(a.executed(), b.executed(), "{model:?} executed-count divergence");
         assert_eq!(a.digest(), b.digest(), "{model:?} execution-order divergence");
@@ -74,9 +74,9 @@ fn conflict_domain_histories_match_across_replicas() {
     let workload =
         PsmrWorkload { n_groups: 4, dep_pct: 30, dep_span: 2, ..PsmrWorkload::default() };
     for model in all_models(4) {
-        let (_sim, d) = run_model(model, workload, 10, 150);
-        let a = d.stores[0].lock().unwrap();
-        let b = d.stores[1].lock().unwrap();
+        let (sim, d) = run_model(model, workload, 10, 150);
+        let stores = d.stores(&sim);
+        let (a, b) = (stores[0], stores[1]);
         for g in 0..4 {
             assert_eq!(
                 a.history(g),
@@ -93,7 +93,7 @@ fn every_completed_command_was_executed_once() {
     for model in all_models(4) {
         let (sim, d) = run_model(model, workload, 8, 150);
         let done = completed(&sim, &d);
-        let store = d.stores[0].lock().unwrap();
+        let store = d.stores(&sim)[0];
         assert!(done > 0, "{model:?}: no commands completed");
         // Replicas may have executed a few commands whose responses are
         // still in flight, but never fewer than the clients saw.
@@ -157,8 +157,8 @@ fn skewed_workload_is_safe_and_slower() {
     let u = completed(&usim, &ud);
     let s = completed(&ssim, &sd);
     // Safety under skew.
-    let a = sd.stores[0].lock().unwrap();
-    let b = sd.stores[1].lock().unwrap();
+    let stores = sd.stores(&ssim);
+    let (a, b) = (stores[0], stores[1]);
     assert_eq!(a.digest(), b.digest(), "skew broke replica agreement");
     // The hot worker serializes most of the load (§6.5.7).
     assert!(s > 0 && s < u, "skewed should underperform uniform: {s} vs {u}");
@@ -189,8 +189,7 @@ fn quiescence_after_stop() {
     let done = completed(&sim, &d);
     assert_eq!(submitted, done, "all submitted commands must complete");
     // Each replica applied every submitted command, and each once.
-    for store in &d.stores {
-        let s = store.lock().unwrap();
+    for s in d.stores(&sim) {
         let ids: std::collections::HashSet<_> =
             (0..s.domains()).flat_map(|g| s.history(g).iter().copied()).collect();
         assert_eq!((s.executed(), ids.len() as u64), (submitted, submitted));
@@ -209,8 +208,8 @@ fn ev_scales_cleanly_but_collapses_under_conflicts() {
     let s = completed(&ssim, &sd);
     assert!(c as f64 > s as f64 * 2.0, "clean EV should scale past sequential: {c} vs {s}");
     assert!((d as f64) < c as f64 * 0.6, "conflict rollbacks should hurt EV badly: {d} !<< {c}");
-    let a = dd.stores[0].lock().unwrap();
-    let b = dd.stores[1].lock().unwrap();
+    let stores = dd.stores(&dsim);
+    let (a, b) = (stores[0], stores[1]);
     assert_eq!(a.digest(), b.digest(), "EV replicas diverged");
 }
 
@@ -238,10 +237,10 @@ fn ev_stays_consistent_under_message_loss() {
         d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_SUBMITTED)).sum();
     let done = completed(&sim, &d);
     assert_eq!(submitted, done, "EV lost commands under loss");
-    let a = d.stores[0].lock().unwrap();
+    let stores = d.stores(&sim);
+    let a = stores[0];
     assert!(a.executed() > 0);
-    for st in &d.stores[1..] {
-        let b = st.lock().unwrap();
+    for b in &stores[1..] {
         assert_eq!(a.executed(), b.executed(), "EV replica count divergence");
         assert_eq!(a.digest(), b.digest(), "EV batch decisions diverged");
         assert_eq!(a.snapshot(), b.snapshot(), "EV state divergence");

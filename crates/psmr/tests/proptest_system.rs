@@ -41,10 +41,10 @@ proptest! {
         let d = deploy_parallel(&mut sim, &opts);
         sim.run_until(Time::from_millis(250));
 
-        let first = d.stores[0].lock().unwrap();
+        let stores = d.stores(&sim);
+        let first = stores[0];
         prop_assert!(first.executed() > 0, "{model:?}: nothing executed");
-        for (i, store) in d.stores.iter().enumerate().skip(1) {
-            let s = store.lock().unwrap();
+        for (i, s) in stores.iter().enumerate().skip(1) {
             prop_assert_eq!(first.executed(), s.executed(), "replica {} count", i);
             prop_assert_eq!(first.digest(), s.digest(), "replica {} order digest", i);
             prop_assert_eq!(first.snapshot(), s.snapshot(), "replica {} state", i);

@@ -432,7 +432,6 @@ pub fn respawn_uring(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::{Arc, Mutex};
 
     #[test]
     fn a_partitioned_layout_keeps_the_historical_ids_and_memberships() {
@@ -466,23 +465,41 @@ mod tests {
         assert_eq!(sim.members(p.groups[1]), n(&[1, 2, 3, 5, 0]));
     }
 
-    /// Fig 3.14's ensemble run for 100 ms, learner 0 under a cost control
-    /// held at zero; `install_twice` installs it the way Fig 3.14 once
-    /// did, by deploying and then replacing the learner. Returns the
-    /// events dispatched.
+    /// A service's stand-in: passes every callback to the process it
+    /// wraps.
+    struct Wrapped(MRingProcess);
+
+    impl Actor for Wrapped {
+        fn on_start(&mut self, ctx: &mut Ctx) {
+            self.0.on_start(ctx);
+        }
+        fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
+            self.0.on_message(env, ctx);
+        }
+        fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
+            self.0.on_timer(token, ctx);
+        }
+    }
+
+    /// Fig 3.14's ensemble run for 100 ms; `wrap` has the hook wrap
+    /// learner 0, and `install_twice` installs it by deploying and then
+    /// replacing the learner. Returns the events dispatched.
     fn slow_learner_events(wrap: bool, install_twice: bool) -> u64 {
         let mut sim = Sim::new(SimConfig::default());
         let opts =
             MRingOptions { ring_size: 3, n_learners: 3, n_proposers: 2, ..Default::default() };
-        let cost = Arc::new(Mutex::new(Dur::ZERO));
         let layout = layout_mring(&mut sim, &opts, &[], None, |_| {});
         let slow = layout.d.learners[0];
-        let d = layout.install(&mut sim, |p, n, _| {
-            Some(Box::new(if wrap && n == slow { p.with_cost_control(cost.clone()) } else { p }))
+        let d = layout.install(&mut sim, |p, n, _| -> Option<Box<dyn Actor>> {
+            if wrap && n == slow {
+                Some(Box::new(Wrapped(p)))
+            } else {
+                Some(Box::new(p))
+            }
         });
         if install_twice {
             let p = MRingProcess::new(d.cfg.clone(), slow, None, Some(d.log.clone()));
-            sim.replace_actor(slow, Box::new(p.with_cost_control(cost)));
+            sim.replace_actor(slow, Box::new(p));
         }
         sim.run_until(Time::from_millis(100));
         sim.events_processed()

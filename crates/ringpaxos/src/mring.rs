@@ -192,8 +192,6 @@ use std::collections::VecDeque;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, Mutex};
 
 use abcast::{metric, MsgId, Pacer, SharedLog};
 use paxos::acceptor::Acceptor;
@@ -516,7 +514,10 @@ impl VoteFloor {
 
 /// Proposer-only state.
 struct ProposerState {
-    pacer: Option<Pacer>,
+    pacer: Pacer,
+    /// Offered rate set to zero ([`MRingProcess::set_rate`]): the pacer
+    /// skips its slots until a rate is set again.
+    paused: bool,
     next_seq: u64,
     coordinator: NodeId,
     /// Sent but not yet seen delivered, each with the instant it was
@@ -661,12 +662,9 @@ pub struct MRingProcess {
     outbox: Vec<Batch>,
     takeover: Option<Takeover>,
     total_acceptors: usize,
-    /// Live control of the proposer's offered rate (bits/s); experiment
-    /// drivers flip it mid-run (Fig. 5.9/5.10 oscillating workloads).
-    rate_ctl: Option<Arc<AtomicU64>>,
-    /// Live control of the learner's per-batch processing cost
-    /// (Fig. 3.14's slow-learner trace).
-    cost_ctl: Option<Arc<Mutex<Dur>>>,
+    /// The learner's per-batch application cost on core 1, zero unless
+    /// set ([`MRingProcess::set_batch_cost`]).
+    batch_cost: Dur,
     /// Highest GC watermark already applied; re-announcements of the same
     /// watermark (it rides on every 2A) skip the tree-splitting work.
     gc_applied: InstanceId,
@@ -719,7 +717,8 @@ impl MRingProcess {
         let lrn = learner_index.map(|index| MLearner::new(cfg.learner_mask(index)));
         let track_acks = learner_index.is_some();
         let prop = proposer.map(|pacer| ProposerState {
-            pacer: Some(pacer),
+            pacer,
+            paused: false,
             next_seq: 0,
             coordinator: cfg.coordinator(),
             unacked: BTreeMap::new(),
@@ -745,8 +744,7 @@ impl MRingProcess {
             outbox: Vec::new(),
             takeover: None,
             total_acceptors,
-            rate_ctl: None,
-            cost_ctl: None,
+            batch_cost: Dur::ZERO,
             gc_applied: InstanceId(0),
             rec: None,
         }
@@ -784,17 +782,24 @@ impl MRingProcess {
         self
     }
 
-    /// Attaches a live rate control for this proposer (bits per second;
-    /// `0` pauses proposing).
-    pub fn with_rate_control(mut self, ctl: Arc<AtomicU64>) -> MRingProcess {
-        self.rate_ctl = Some(ctl);
-        self
+    /// Sets the proposer's offered rate in bits per second from its next
+    /// pacer tick on (`0` pauses proposing); experiment drivers flip it
+    /// mid-run through `Sim::actor_mut` (Fig. 5.9/5.10's oscillating
+    /// workloads).
+    pub fn set_rate(&mut self, bps: u64) {
+        if let Some(p) = self.prop.as_mut() {
+            p.paused = bps == 0;
+            if bps > 0 {
+                p.pacer.set_rate(bps);
+            }
+        }
     }
 
-    /// Attaches a live control for the learner's per-batch cost.
-    pub fn with_cost_control(mut self, ctl: Arc<Mutex<Dur>>) -> MRingProcess {
-        self.cost_ctl = Some(ctl);
-        self
+    /// Sets the learner's per-batch application cost, charged on core 1
+    /// from the next delivery on (Fig. 3.14's slow learner, flipped
+    /// mid-run through `Sim::actor_mut`).
+    pub fn set_batch_cost(&mut self, cost: Dur) {
+        self.batch_cost = cost;
     }
 
     /// The configuration this process runs under.
@@ -848,26 +853,21 @@ impl MRingProcess {
     /// and `try_deliver` sends it the moment an acknowledgement makes
     /// room.
     fn pace(&mut self, ctx: &mut Ctx) {
-        let ctl_rate = self.rate_ctl.as_ref().map(|c| c.load(AtomicOrdering::Relaxed));
         let held_cap = self.cfg.pending_cap_bytes;
         let Some(p) = self.prop.as_mut() else { return };
         if let Some(v) = p.take_resend(ctx.now()) {
             ctx.udp_send(p.coordinator, MMsg::Propose(v, None), v.bytes);
             ctx.counter_add("rp.resubmit", 1);
         }
-        let Some(pacer) = p.pacer.as_mut() else { return };
-        if let Some(rate) = ctl_rate {
-            if rate == 0 {
-                // Paused: consume missed slots and re-check shortly.
-                let _ = pacer.due(ctx.now());
-                ctx.set_timer(Dur::millis(1), TimerToken(T_PACE));
-                return;
-            }
-            pacer.set_rate(rate);
+        if p.paused {
+            // Consume missed slots and re-check shortly.
+            let _ = p.pacer.due(ctx.now());
+            ctx.set_timer(Dur::millis(1), TimerToken(T_PACE));
+            return;
         }
-        let due = pacer.due(ctx.now());
-        let bytes = pacer.msg_bytes();
-        let interval = pacer.interval();
+        let due = p.pacer.due(ctx.now());
+        let bytes = p.pacer.msg_bytes();
+        let interval = p.pacer.interval();
         for _ in 0..due {
             ctx.counter_add_id(metric::id::PROPOSED, 1);
             if p.held_bytes + bytes as u64 > held_cap {
@@ -1534,7 +1534,7 @@ impl MRingProcess {
     /// Hands the application every instance the learner can release, as
     /// fast as core 1 takes them.
     fn try_deliver(&mut self, ctx: &mut Ctx) {
-        let batch_cost = self.cost_ctl.as_ref().map_or(Dur::ZERO, |c| *c.lock().unwrap());
+        let batch_cost = self.batch_cost;
         loop {
             let Some(l) = self.lrn.as_mut() else { return };
             if !l.front_ready() {

@@ -1,5 +1,6 @@
 //! Golden-trace support shared by the golden tests of `ringpaxos`,
-//! `hpsmr_core` and `psmr` (the latter two include this file by path).
+//! `hpsmr_core`, `psmr` and `multiring` (the last three include this
+//! file by path).
 //!
 //! A golden run is a seeded deployment whose exact event count,
 //! per-learner deliveries, checksum over every per-node counter, latency
@@ -35,7 +36,7 @@ pub fn counter_checksum(sim: &Sim) -> u64 {
 }
 
 /// The pinned values of one golden run.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct Golden {
     pub events: u64,
     pub delivered: Vec<u64>,

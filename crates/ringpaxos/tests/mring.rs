@@ -143,12 +143,14 @@ fn slow_learner_triggers_flow_control() {
     };
     // Every learner needs 150us of application time per batch: far
     // slower than the offered 800 Mbps (~12k batches/s needs 55%+).
-    let cost = Arc::new(Mutex::new(Dur::micros(150)));
     let layout = layout_mring(&mut sim, &opts, &[], None, |cfg| {
         cfg.flow.learner_threshold = 64;
     });
-    let d = layout.install(&mut sim, |p, _, learner| {
-        Some(Box::new(if learner.is_some() { p.with_cost_control(cost.clone()) } else { p }))
+    let d = layout.install(&mut sim, |mut p, _, learner| {
+        if learner.is_some() {
+            p.set_batch_cost(Dur::micros(150));
+        }
+        Some(Box::new(p))
     });
     sim.run_until(Time::from_secs(3));
     let slowdowns: u64 =

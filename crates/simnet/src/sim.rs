@@ -99,6 +99,8 @@
 //! a datagram's payload refcount is touched exactly twice: once at
 //! creation, once at drop.
 
+use std::any::Any;
+
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -147,7 +149,19 @@ pub struct Envelope {
 
 /// A process deployed on a node. All interaction with the outside world
 /// happens through the [`Ctx`] passed to each callback.
-pub trait Actor {
+///
+/// # Reading an actor
+///
+/// An actor's state is the state of the process it models, and code
+/// outside the simulation reads it where it lives: [`Sim::actor`] hands
+/// out a node's actor as its concrete type, and [`Sim::actor_mut`] lets
+/// an experiment driver steer it between two `run_until` calls (a
+/// proposer's offered rate, a learner's processing cost). Neither
+/// dispatches an event or draws a sequence number, so reading a run does
+/// not perturb it, and a crashed node's actor reads as it was when the
+/// node went down. Hence the `Any` bound: every actor is a `'static`
+/// type that can be named and downcast to.
+pub trait Actor: Any {
     /// Called once when the simulation starts (or the actor is installed).
     fn on_start(&mut self, _ctx: &mut Ctx) {}
     /// Called when a message is delivered to this node.
@@ -641,6 +655,20 @@ impl Sim {
             self.start_actor(node);
         }
         old
+    }
+
+    /// The actor on `node`, if it is an `A` ([`Actor`], "Reading an
+    /// actor"): `None` for an unknown node or another type.
+    pub fn actor<A: Actor>(&self, node: NodeId) -> Option<&A> {
+        let actor: &dyn Any = self.actors.get(node.0)?.as_deref()?;
+        actor.downcast_ref()
+    }
+
+    /// The actor on `node`, mutably, if it is an `A`: the next event it
+    /// handles sees what the caller changed.
+    pub fn actor_mut<A: Actor>(&mut self, node: NodeId) -> Option<&mut A> {
+        let actor: &mut dyn Any = self.actors.get_mut(node.0)?.as_deref_mut()?;
+        actor.downcast_mut()
     }
 
     /// Direct access to metrics.
@@ -1294,5 +1322,68 @@ mod tests {
             sim.metrics().counter(a, "net.tcp_reset_bytes") > 0,
             "the crash reset wrote the in-flight bytes off"
         );
+    }
+
+    /// Notes the tag it holds at every timer it hears.
+    struct Tagger {
+        tag: u32,
+        seen: Vec<u32>,
+    }
+
+    impl Actor for Tagger {
+        fn on_message(&mut self, _env: &Envelope, _ctx: &mut Ctx) {}
+        fn on_timer(&mut self, _token: TimerToken, _ctx: &mut Ctx) {
+            self.seen.push(self.tag);
+        }
+    }
+
+    fn tagger() -> (Sim, NodeId) {
+        let mut sim = Sim::new(SimConfig::default());
+        let t = sim.add_node(Box::new(Tagger { tag: 1, seen: Vec::new() }));
+        sim.with_ctx(t, |ctx| {
+            ctx.set_timer(Dur::millis(1), TimerToken(0));
+            ctx.set_timer(Dur::millis(2), TimerToken(0));
+        });
+        (sim, t)
+    }
+
+    #[test]
+    fn an_actor_reads_as_its_own_type_only() {
+        let (sim, t) = tagger();
+        assert_eq!(sim.actor::<Tagger>(t).map(|a| a.tag), Some(1));
+        assert!(sim.actor::<Idle>(t).is_none(), "another type");
+        assert!(sim.actor::<Tagger>(NodeId(7)).is_none(), "an unknown node");
+        let mut sim = sim;
+        assert!(sim.actor_mut::<Idle>(t).is_none());
+        assert!(sim.actor_mut::<Tagger>(NodeId(7)).is_none());
+        assert!(sim.actor_mut::<Tagger>(t).is_some());
+    }
+
+    #[test]
+    fn reading_an_actor_dispatches_nothing() {
+        let (mut sim, t) = tagger();
+        sim.run_until(Time::ZERO + Dur::micros(1500));
+        let (events, seq) = (sim.events_processed(), sim.inner.seq);
+        assert_eq!(sim.actor::<Tagger>(t).map(|a| a.seen.clone()), Some(vec![1]));
+        sim.actor_mut::<Tagger>(t).expect("a tagger").tag = 2;
+        assert_eq!((sim.events_processed(), sim.inner.seq), (events, seq));
+    }
+
+    #[test]
+    fn a_crashed_nodes_actor_is_still_readable() {
+        let (mut sim, t) = tagger();
+        sim.run_until(Time::ZERO + Dur::micros(1500));
+        sim.set_node_up(t, false);
+        sim.run_until(Time::from_millis(3));
+        assert_eq!(sim.actor::<Tagger>(t).map(|a| a.seen.clone()), Some(vec![1]));
+    }
+
+    #[test]
+    fn a_write_between_runs_is_seen_by_the_next_event() {
+        let (mut sim, t) = tagger();
+        sim.run_until(Time::ZERO + Dur::micros(1500));
+        sim.actor_mut::<Tagger>(t).expect("a tagger").tag = 7;
+        sim.run_until(Time::from_millis(3));
+        assert_eq!(sim.actor::<Tagger>(t).map(|a| a.seen.clone()), Some(vec![1, 7]));
     }
 }

@@ -52,8 +52,8 @@ fn main() {
 
         // Replicas must agree on what ran, in which per-domain order,
         // and on the resulting state — the ch. 6 safety argument.
-        let a = d.stores[0].lock().unwrap();
-        let b = d.stores[1].lock().unwrap();
+        let stores = d.stores(&sim);
+        let (a, b) = (stores[0], stores[1]);
         assert_eq!(a.digest(), b.digest(), "replica execution orders diverged");
         assert_eq!(a.snapshot(), b.snapshot(), "replica states diverged");
     }

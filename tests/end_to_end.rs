@@ -161,15 +161,12 @@ fn psmr_survives_a_ring_coordinator_crash() {
     sim.run_until(Time::from_secs(3));
 
     let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
-    let executed_early = {
-        let s = d.stores[0].lock().unwrap();
-        s.executed()
-    };
+    let stores = d.stores(&sim);
+    let executed_early = stores[0].executed();
     assert!(done > 2000, "P-SMR stalled after the ring failover: {done} completed");
     assert!(executed_early > 0);
 
-    let a = d.stores[0].lock().unwrap();
-    let b = d.stores[1].lock().unwrap();
+    let (a, b) = (stores[0], stores[1]);
     assert_eq!(a.executed(), b.executed(), "replica divergence across failover");
     assert_eq!(a.digest(), b.digest(), "execution order divergence across failover");
     for g in 0..4 {
@@ -205,11 +202,11 @@ fn psmr_stays_consistent_under_random_message_loss() {
         d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_SUBMITTED)).sum();
     let done: u64 = d.clients.iter().map(|&c| sim.metrics().counter(c, SESSIONS_COMPLETED)).sum();
     assert_eq!(submitted, done, "commands lost for good under loss");
-    let first = d.stores[0].lock().unwrap();
+    let stores = d.stores(&sim);
+    let first = stores[0];
     assert!(first.executed() >= done, "replicas executed less than clients completed");
     assert!(first.executed() > 100, "too little progress under loss: {}", first.executed());
-    for store in &d.stores[1..] {
-        let s = store.lock().unwrap();
+    for s in &stores[1..] {
         assert_eq!(first.executed(), s.executed(), "replica count divergence under loss");
         assert_eq!(first.digest(), s.digest(), "order divergence under loss");
         assert_eq!(first.snapshot(), s.snapshot(), "state divergence under loss");
