@@ -18,7 +18,7 @@ use workload::{
 };
 
 use crate::cs::CsServer;
-use crate::replica::{ReplicaConfig, ReplicaState, SmrReplica};
+use crate::replica::{ReplicaConfig, ReplicaState, SmrReplica, RESP_CORE};
 use crate::session::{Route, TreeSessionDriver};
 
 /// Tuples pre-loaded into each partition's tree. The paper loads 12 M
@@ -105,8 +105,7 @@ fn deploy_replicas(
     let clients: Vec<NodeId> = (0..n_clients).map(|_| sim.add_node(Box::new(Idle))).collect();
 
     let span = Partitioning::new(n_partitions.max(1)).span;
-    let rcfg =
-        ReplicaConfig { speculative, exec_cores: exec_cores.to_vec(), ..ReplicaConfig::default() };
+    let rcfg = ReplicaConfig { speculative, exec_cores: exec_cores.to_vec() };
     let MRingDeployment { ring, learners, cfg, log, .. } = layout.install(sim, |p, _, learner| {
         let Some(i) = learner else { return Some(Box::new(p)) };
         let service =
@@ -304,9 +303,8 @@ pub fn deploy_smr_sessions(sim: &mut Sim, opts: &SessionOptions) -> SessionDeplo
     //
     // Replicas execute on every core that neither delivery (0) nor the
     // response thread uses — `[1, 3]` at four cores per node.
-    let resp_core = ReplicaConfig::default().resp_core;
     let exec_cores: Vec<usize> =
-        (1..sim.config().cores_per_node).filter(|&c| c != resp_core).collect();
+        (1..sim.config().cores_per_node).filter(|&c| c != RESP_CORE).collect();
     let d = deploy_replicas(
         sim,
         opts.partitions,

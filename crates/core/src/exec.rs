@@ -35,7 +35,9 @@
 //! makes at partition bounds (`Partitioning::split`), made across a
 //! replica's cores. Conflicts are judged on the whole tree, not on key
 //! ranges. On a one-core pool nothing splits and every rule collapses to
-//! a single clock — the paper's two-thread server (§4.4.2).
+//! a single clock — the paper's two-thread server (§4.4.2), and the
+//! client-server baseline's one execution core ([`crate::cs`]), which
+//! confirms each request on arrival with nothing speculated.
 //!
 //! A read splits onto *idle* cores only. Each part pays its own descent
 //! (52 µs of a 1000-key scan's 252 µs), so a read in halves takes about
@@ -62,22 +64,26 @@
 //! 542.0 / 539.4 µs.
 //!
 //! The turns stay in step only if every delivered command reaches the
-//! executor ([`Executor::release`] or [`Executor::confirm`]): a replica
-//! that skipped a delivered read would count one read fewer than its
-//! peer from then on, and every later read of the partition would be
-//! answered by both replicas or by neither. None is skipped: a replica
-//! reads each command from the batch that delivered it, and a batch
-//! carries a command for every value or for none, so a delivered value
-//! without its command cannot be built.
+//! executor ([`Executor::confirm`]): a replica that skipped a delivered
+//! read would count one read fewer than its peer from then on, and every
+//! later read of the partition would be answered by both replicas or by
+//! neither. None is skipped: a replica reads each command from the batch
+//! that delivered it, and a batch carries a command for every value or
+//! for none, so a delivered value without its command cannot be built.
 //!
 //! # Speculation
 //!
 //! Speculation (§4.2.1) is how the session tier runs: a command executes
-//! when the 2A carrying it arrives ([`Executor::speculate`]) and its reply
-//! is released when the decided order reaches it ([`Executor::release`]),
-//! at `max(execution done, decision)`. The queue of executions awaiting
-//! their order is the only bookkeeping, and every entry carries the
-//! consensus *instance* its 2A was for. `speculate` refuses a value
+//! when the 2A carrying it arrives ([`Executor::speculate`]), and the
+//! decided order reaches it through the one call that every delivered
+//! command goes through, [`Executor::confirm`]. Its first test is O(1): if
+//! the command is the oldest speculation, the speculation matched, and its
+//! reply is released at `max(execution done, decision)` without looking
+//! at the command; the caller holds the command anyway, since its learner
+//! delivered it, and reads the client and reply size from it. The queue
+//! of executions awaiting their order is the only bookkeeping, and every
+//! entry carries the consensus *instance* its 2A was for. `speculate`
+//! refuses a value
 //!
 //! * whose instance is below the learner's delivery watermark — a
 //!   re-multicast 2A of an instance already delivered;
@@ -90,18 +96,17 @@
 //! replica's. With no loss and no takeover the 2As arrive in the decided
 //! order and the prediction is exact; otherwise (a stale entry ahead of
 //! it, a read confirmed unspeculated) it may be wrong, and the decided
-//! order, which [`Executor::release`] and [`Executor::confirm`] count, is
-//! what settles the turn. A read run out of turn is wasted work and goes
-//! unanswered here; a read whose turn it is but which did not run, runs
-//! when confirmed. Either way it is answered exactly once, by the replica
-//! whose turn it is.
+//! order, which [`Executor::confirm`] counts, is what settles the turn. A
+//! read run out of turn is wasted work and goes unanswered here; a read
+//! whose turn it is but which did not run, runs when confirmed. Either
+//! way it is answered exactly once, by the replica whose turn it is.
 //!
 //! A command confirmed while others are queued ahead of it overtakes
-//! them ([`Executor::confirm`]). Two reads never conflict, so a read that
-//! ran on arrival with no update queued ahead of it saw exactly the state
-//! the decided order gives it: its execution stands — released at
-//! `max(execution done, decision)` on its turn, dropped as a read run out
-//! of turn otherwise — and the queue stays. Anything else that overtakes
+//! them. Two reads never conflict, so a read that ran on arrival with no
+//! update queued ahead of it saw exactly the state the decided order
+//! gives it: its execution stands — released at `max(execution done,
+//! decision)` on its turn, dropped as a read run out of turn otherwise —
+//! and the queue stays. Anything else that overtakes
 //! a speculated update, or is itself an update, rolls the queue back.
 //!
 //! After the learner has delivered, [`Executor::delivered`] drops every
@@ -123,14 +128,13 @@
 use std::collections::VecDeque;
 
 use abcast::MsgId;
-use simnet::ids::NodeId;
 use simnet::time::{Dur, Time};
 
 use crate::service::{Service, StoredCommand};
 
 /// One clock per execution core plus the two conflict horizons.
 #[derive(Clone, Debug)]
-pub struct ExecSchedule {
+struct ExecSchedule {
     cores: Vec<usize>,
     clocks: Vec<Time>,
     last_write_end: Time,
@@ -139,26 +143,26 @@ pub struct ExecSchedule {
 
 /// Where and when the schedule placed one command.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Slot {
+struct Slot {
     /// Core the command runs on.
-    pub core: usize,
+    core: usize,
     /// Virtual time its execution starts.
-    pub start: Time,
+    start: Time,
     /// Virtual time its execution ends.
-    pub done: Time,
+    done: Time,
 }
 
 impl ExecSchedule {
     /// A schedule over `cores` (node core indices); `cores[0]` is the
     /// writer core.
-    pub fn new(cores: Vec<usize>) -> ExecSchedule {
+    fn new(cores: Vec<usize>) -> ExecSchedule {
         assert!(!cores.is_empty(), "a replica needs at least one execution core");
         let clocks = vec![Time::ZERO; cores.len()];
         ExecSchedule { cores, clocks, last_write_end: Time::ZERO, reads_end: Time::ZERO }
     }
 
     /// Places a command of `cost` that became runnable at `now`.
-    pub fn book(&mut self, write: bool, cost: Dur, now: Time) -> Slot {
+    fn book(&mut self, write: bool, cost: Dur, now: Time) -> Slot {
         let (i, after) = if write {
             (0, self.last_write_end.max(self.reads_end))
         } else {
@@ -185,7 +189,7 @@ impl ExecSchedule {
 
     /// How many cores a read that became runnable at `now` could run on
     /// in parts: those idle at the instant it can start.
-    pub fn idle_for_read(&self, now: Time) -> usize {
+    fn idle_for_read(&self, now: Time) -> usize {
         let start = self.read_start(now);
         self.clocks.iter().filter(|&&free| free <= start).count()
     }
@@ -195,7 +199,7 @@ impl ExecSchedule {
     /// at the instant it can start ([`ExecSchedule::idle_for_read`] said
     /// how many there are), and writes each part's core next to its cost.
     /// Returns that instant: every part starts then.
-    pub fn book_parts(&mut self, parts: &mut [(usize, Dur)], now: Time) -> Time {
+    fn book_parts(&mut self, parts: &mut [(usize, Dur)], now: Time) -> Time {
         let start = self.read_start(now);
         let mut unplaced = parts.iter_mut();
         for (&core, clock) in self.cores.iter().zip(&mut self.clocks) {
@@ -249,17 +253,6 @@ impl Seat {
     }
 }
 
-/// A confirmed speculation: when its reply is ready, and what it owes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Released {
-    /// The execution; it has no parts (charged when it speculated).
-    pub booked: Booked,
-    /// Issuing client.
-    pub client: NodeId,
-    /// Reply size in bytes.
-    pub reply_bytes: u32,
-}
-
 /// What [`Executor::delivered`] found stale.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Swept {
@@ -272,15 +265,13 @@ pub struct Swept {
 
 /// A speculated command awaiting its order: the command, the instance
 /// whose 2A carried it, how many undo records it left in the service
-/// (none for a read), until when it ran (`None`: a read left to a peer),
-/// and what the reply needs.
+/// (none for a read), and until when it ran (`None`: a read left to a
+/// peer).
 struct Speculated {
     id: MsgId,
     instance: u64,
     updates: usize,
     done: Option<Time>,
-    client: NodeId,
-    reply_bytes: u32,
 }
 
 impl Speculated {
@@ -444,44 +435,35 @@ impl<S: Service> Executor<S> {
             instance,
             updates,
             done: booked.as_ref().map(|b| b.done),
-            client: cmd.client,
-            reply_bytes: cmd.reply_bytes,
         });
         booked
     }
 
-    /// `id` is the next command in the decided order. If it is also the
-    /// oldest speculation, the speculation matched: its updates are
-    /// committed and its reply released at max(execution done, order
-    /// known), without looking the command up again; a read left to a
-    /// peer only pays its dispatch. `None` otherwise — the command goes
-    /// through [`Executor::confirm`] — and also when it is a read that
-    /// was left to a peer but whose turn turns out to be this replica's,
-    /// which `confirm` runs.
-    pub fn release(&mut self, id: MsgId, now: Time) -> Option<Released> {
-        let s = self.spec_q.front().filter(|s| s.id == id)?;
-        if s.is_read() && s.done.is_none() && self.seat.holds(self.reads) {
-            return None;
-        }
-        let s = self.spec_q.pop_front().expect("front checked");
-        let answers = self.take_turn(id, s.is_read());
-        self.commit(s.updates);
-        let booked = match s.done {
-            Some(done) => {
-                Booked { parts: Vec::new(), done: done.max(now), rolled_back: 0, answers }
-            }
-            None => self.pass(now),
-        };
-        Some(Released { booked, client: s.client, reply_bytes: s.reply_bytes })
-    }
-
-    /// Executes `cmd`, the next command in the decided order and not the
-    /// oldest speculation ([`Executor::release`] said so): in order, after
-    /// rolling the speculation queue back if the decided order
-    /// invalidates it. A read runs only if its turn is this replica's; a
-    /// read that ran on arrival behind no queued update keeps that
-    /// execution and leaves the queue alone (module docs, "Speculation").
+    /// `cmd`, of id `id`, is the next command in the decided order. If it
+    /// is also the oldest speculation — the first test, O(1) — the
+    /// speculation matched: its updates are committed and its reply is
+    /// released at max(execution done, order known), without looking at
+    /// `cmd`; a read left to a peer only pays its dispatch. Otherwise,
+    /// and for a read left to a peer whose turn turns out to be this
+    /// replica's, `cmd` executes in order, after the speculation queue is
+    /// rolled back if the decided order invalidates it. A read runs only
+    /// if its turn is this replica's; a read that ran on arrival behind no
+    /// queued update keeps that execution and leaves the queue alone
+    /// (module docs, "Speculation").
     pub fn confirm(&mut self, id: MsgId, cmd: &StoredCommand<S::Command>, now: Time) -> Booked {
+        if let Some(s) = self.spec_q.front().filter(|s| s.id == id) {
+            if !(s.is_read() && s.done.is_none() && self.seat.holds(self.reads)) {
+                let s = self.spec_q.pop_front().expect("front checked");
+                let answers = self.take_turn(id, s.is_read());
+                self.commit(s.updates);
+                return match s.done {
+                    Some(done) => {
+                        Booked { parts: Vec::new(), done: done.max(now), rolled_back: 0, answers }
+                    }
+                    None => self.pass(now),
+                };
+            }
+        }
         let read = !ops_of(self.mask, cmd).any(S::is_update);
         let answers = self.take_turn(id, read);
         if let Some(done) = self.take_clean_read(id) {
@@ -823,19 +805,6 @@ mod tests {
         assert_eq!(d.done, now + scan_cost(500, 1000));
     }
 
-    /// What a replica does with the next command of the decided order.
-    fn deliver(
-        ex: &mut Executor<TreeService>,
-        id: MsgId,
-        cmd: &StoredCommand<TreeCommand>,
-        now: Time,
-    ) -> Booked {
-        match ex.release(id, now) {
-            Some(r) => r.booked,
-            None => ex.confirm(id, cmd, now),
-        }
-    }
-
     /// The tree after executing `cmds` one by one.
     fn sequential(cmds: &[&StoredCommand<TreeCommand>]) -> Vec<(u64, u64)> {
         let mut svc = TreeService::new();
@@ -862,18 +831,18 @@ mod tests {
         let now = at(0);
         assert!(ex.speculate(MsgId(1), 0, &a, now).is_some());
         assert!(ex.speculate(MsgId(2), 1, &b, now).is_some());
-        let ca = deliver(&mut ex, MsgId(1), &a, now);
+        let ca = ex.confirm(MsgId(1), &a, now);
         assert_eq!((ca.cost(), ca.rolled_back), (Dur::ZERO, 0));
         assert_eq!(ex.service().undo_depth(), 2, "B's records outlive A's commit");
 
         // X was never speculated here and updates B's key: B is undone.
-        let cx = deliver(&mut ex, MsgId(3), &x, now);
+        let cx = ex.confirm(MsgId(3), &x, now);
         assert_eq!(cx.rolled_back, 1);
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&a, &x]));
         assert_eq!(ex.service().undo_depth(), 0);
 
         // B is delivered after X and executes again, in order.
-        let cb = deliver(&mut ex, MsgId(2), &b, now);
+        let cb = ex.confirm(MsgId(2), &b, now);
         assert_eq!(cb.rolled_back, 0);
         assert!(cb.cost() > Dur::ZERO);
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&a, &x, &b]));
@@ -903,8 +872,9 @@ mod tests {
         assert_eq!((ex.speculated(), ex.updates_applied()), (4, 2));
 
         // Once confirmed the id is forgotten: only the watermark stands
-        // between a late copy and a second execution.
-        assert!(ex.release(MsgId(1), now).is_some());
+        // between a late copy and a second execution. The oldest
+        // speculation is confirmed without running again.
+        assert!(ex.confirm(MsgId(1), &put, now).parts.is_empty());
         assert_eq!(ex.delivered(5), Swept::default());
         assert!(ex.speculate(MsgId(1), 4, &put, now).is_none());
     }
@@ -932,7 +902,7 @@ mod tests {
         let mut ex = speculate_all(&a);
         assert_eq!(ex.delivered(6), Swept { stale: 1, rolled_back: 0 });
         for (id, x) in [(1, &b), (2, &c)] {
-            let booked = deliver(&mut ex, MsgId(id), x, now);
+            let booked = ex.confirm(MsgId(id), x, now);
             assert_eq!((booked.cost(), booked.rolled_back), (Dur::ZERO, 0));
             assert_eq!(ex.delivered(6 + id), Swept::default());
         }
@@ -946,7 +916,7 @@ mod tests {
         assert_eq!(ex.delivered(6), Swept { stale: 1, rolled_back: 3 });
         assert!(ex.service().tree().is_empty());
         for (id, x) in [(1, &b), (2, &c)] {
-            let booked = deliver(&mut ex, MsgId(id), x, now);
+            let booked = ex.confirm(MsgId(id), x, now);
             assert!(booked.cost() > Dur::ZERO);
             assert_eq!(booked.rolled_back, 0);
             assert_eq!(ex.delivered(6 + id), Swept::default());
@@ -954,6 +924,50 @@ mod tests {
         assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
         assert_eq!(ex.service().tree().range(0, u64::MAX), sequential(&[&b]));
         assert_eq!(ex.updates_applied(), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The client-server baseline ([`crate::cs`]) is this executor on
+        /// one core, seated alone, with nothing speculated: each request
+        /// is confirmed on arrival and booked back to back on one clock,
+        /// at `max(arrival, previous done) + dispatch + Σ execute`. No read
+        /// splits, every command is answered, and the tree is the
+        /// sequential one.
+        #[test]
+        fn one_core_seated_alone_books_requests_back_to_back(
+            requests in prop::collection::vec((
+                prop::collection::vec(prop_oneof![
+                    (0..2_000u64, 0..1_000u64)
+                        .prop_map(|(lo, span)| TreeCommand::Query { lo, hi: lo + span }),
+                    (0..2_000u64, 0..50u64)
+                        .prop_map(|(key, value)| TreeCommand::Insert { key, value }),
+                    (0..2_000u64).prop_map(|key| TreeCommand::Delete { key }),
+                ], 1..4),
+                0..400u64,
+            ), 1..60),
+        ) {
+            let overhead = us(12);
+            let mut ex = Executor::new(TreeService::new(), vec![1], MASK, overhead, ALONE);
+            let mut oracle = TreeService::new();
+            let (mut now, mut clock) = (Time::ZERO, Time::ZERO);
+            for (i, (ops, gap)) in requests.iter().enumerate() {
+                let c = cmd(ops);
+                now += us(*gap);
+                let booked = ex.confirm(MsgId(i as u64), &c, now);
+                let cost = ops.iter().fold(overhead, |sum, op| sum + oracle.execute(op));
+                Service::commit(&mut oracle, ops.iter().filter(|op| op.is_update()).count());
+                clock = clock.max(now) + cost;
+                prop_assert_eq!(&booked.parts, &vec![(1, cost)], "request {}", i);
+                prop_assert_eq!(booked.done, clock, "request {}", i);
+                prop_assert!(booked.answers);
+                prop_assert_eq!(booked.rolled_back, 0);
+            }
+            prop_assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
+            let tree = |svc: &TreeService| svc.tree().range(0, u64::MAX);
+            prop_assert_eq!(tree(ex.service()), tree(&oracle));
+        }
     }
 
     /// A scan of ten keys from `lo`.
@@ -978,7 +992,7 @@ mod tests {
                 for (i, &id) in ids.iter().enumerate() {
                     let now = at(1_000 * i as u64);
                     let ran = speculative && ex.speculate(id, i as u64, &scan, now).is_some();
-                    let booked = deliver(&mut ex, id, &scan, now);
+                    let booked = ex.confirm(id, &scan, now);
                     assert_eq!(ex.delivered(i as u64 + 1), Swept::default());
                     assert_eq!(ran || booked.cost() > DISPATCH, booked.answers, "{id:?}");
                     if booked.answers {
@@ -1008,7 +1022,7 @@ mod tests {
         let now = at(0);
         assert_eq!(ex.delivered(5), Swept::default());
         assert!(ex.speculate(MsgId(10), 5, &a, now).is_some());
-        assert!(deliver(&mut ex, MsgId(10), &a, now).answers);
+        assert!(ex.confirm(MsgId(10), &a, now).answers);
         assert_eq!(ex.delivered(6), Swept::default());
 
         // Predicted turns 1 (the peer's) and 2 (this replica's).
@@ -1018,7 +1032,7 @@ mod tests {
         // A's retry, left to the peer, ran nowhere: dropped uncounted.
         assert_eq!(ex.delivered(7), Swept::default());
         assert_eq!(ex.speculated(), 1);
-        let booked = deliver(&mut ex, MsgId(12), &b, now);
+        let booked = ex.confirm(MsgId(12), &b, now);
         assert!(!booked.answers);
         assert_eq!((booked.cost(), booked.rolled_back), (DISPATCH, 0));
         assert_eq!(ex.delivered(8), Swept { stale: 1, rolled_back: 0 });
@@ -1026,7 +1040,7 @@ mod tests {
         // C is turn 2 and E turn 3, as if neither had been queued.
         assert!(ex.speculate(MsgId(13), 8, &c, now).is_some());
         assert!(ex.speculate(MsgId(14), 9, &e, now).is_none());
-        let (bc, be) = (deliver(&mut ex, MsgId(13), &c, now), deliver(&mut ex, MsgId(14), &e, now));
+        let (bc, be) = (ex.confirm(MsgId(13), &c, now), ex.confirm(MsgId(14), &e, now));
         assert_eq!((bc.answers, bc.cost()), (true, Dur::ZERO));
         assert_eq!((be.answers, be.cost()), (false, DISPATCH));
         assert_eq!(ex.delivered(10), Swept::default());
@@ -1056,7 +1070,7 @@ mod tests {
                 .collect();
             let mut mine = Vec::new();
             for (i, r) in reads.iter().enumerate() {
-                let booked = deliver(&mut ex, MsgId(i as u64), r, now);
+                let booked = ex.confirm(MsgId(i as u64), r, now);
                 assert_eq!(booked.rolled_back, 0);
                 if booked.answers {
                     answers[i] += 1;
@@ -1090,10 +1104,10 @@ mod tests {
         let mut ex = executor(&[1]);
         let sa = ex.speculate(MsgId(1), 0, &a, now).expect("turn 0 runs");
         let sb = ex.speculate(MsgId(2), 1, &b, now).expect("turn 1 runs");
-        let booked = deliver(&mut ex, MsgId(2), &b, now);
+        let booked = ex.confirm(MsgId(2), &b, now);
         assert_eq!(booked, kept(sb.done, true));
         assert_eq!(ex.speculated(), 1, "A stays queued");
-        let booked = deliver(&mut ex, MsgId(1), &a, now);
+        let booked = ex.confirm(MsgId(1), &a, now);
         assert_eq!(booked, kept(sa.done, true));
 
         // Seat 1 of 2: B runs on arrival as predicted turn 1, but the
@@ -1102,10 +1116,10 @@ mod tests {
         let mut ex = seated(&[1], Seat { index: 1, of: 2 });
         assert!(ex.speculate(MsgId(1), 0, &a, now).is_none());
         let sb = ex.speculate(MsgId(2), 1, &b, now).expect("turn 1 runs");
-        let booked = deliver(&mut ex, MsgId(2), &b, now);
+        let booked = ex.confirm(MsgId(2), &b, now);
         assert_eq!(booked, kept(sb.done, false));
         assert_eq!(ex.speculated(), 1, "A stays queued");
-        let booked = deliver(&mut ex, MsgId(1), &a, now);
+        let booked = ex.confirm(MsgId(1), &a, now);
         assert_eq!((booked.answers, booked.rolled_back), (true, 0));
         assert!(booked.cost() > DISPATCH, "A runs when confirmed");
         assert_eq!(ex.speculated(), 0);
@@ -1115,7 +1129,7 @@ mod tests {
         let mut ex = executor(&[1]);
         assert!(ex.speculate(MsgId(1), 0, &put, now).is_some());
         assert!(ex.speculate(MsgId(2), 1, &b, now).is_some());
-        let booked = deliver(&mut ex, MsgId(2), &b, now);
+        let booked = ex.confirm(MsgId(2), &b, now);
         assert_eq!(booked.rolled_back, 2);
         assert!(booked.cost() > Dur::ZERO, "B runs again");
         assert_eq!((ex.speculated(), ex.service().undo_depth()), (0, 0));
@@ -1137,7 +1151,7 @@ mod tests {
                 if index == 1 {
                     ex.speculate(MsgId(*id), i as u64, c, now);
                 }
-                if deliver(&mut ex, MsgId(*id), c, now).answers {
+                if ex.confirm(MsgId(*id), c, now).answers {
                     mine.push(*id);
                 }
                 ex.delivered(i as u64 + 1);
@@ -1257,7 +1271,7 @@ mod tests {
                     // The learner's duplicate filter drops a retry.
                     if fresh {
                         let (id, cmd) = (MsgId(c as u64), &stored[c]);
-                        let booked = deliver(&mut ex, id, cmd, now);
+                        let booked = ex.confirm(id, cmd, now);
                         // The decided order alone says who answers.
                         let read = !cmd.ops.iter().any(|(_, op)| op.is_update());
                         let turn = if read { reads } else { id.0 };

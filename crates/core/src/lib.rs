@@ -21,7 +21,8 @@
 //! sans-IO execution engine ([`exec::Executor`]: speculation queue plus
 //! a readers–writer schedule over the node's execution cores; the
 //! session tier of [`deploy::deploy_smr_sessions`] always speculates),
-//! the non-replicated baseline ([`cs::CsServer`]), the B⁺-tree service's
+//! the non-replicated baseline ([`cs::CsServer`]: the replica's executor
+//! and reply queue without a ring), the B⁺-tree service's
 //! session driver ([`session::TreeSessionDriver`]: every client here is
 //! a `workload::SessionTable` session), and one-call deployments
 //! ([`deploy::deploy_smr`], [`deploy::deploy_cs`]) over the paper's
@@ -57,7 +58,7 @@ pub use deploy::{
     deploy_cs, deploy_smr, deploy_smr_sessions, CsDeployment, PartitionOptions, SessionDeployment,
     SessionOptions, SmrOptions,
 };
-pub use exec::{Booked, ExecSchedule, Executor, Released, Seat, Swept};
+pub use exec::{Booked, Executor, Seat, Swept};
 pub use msg::{CsRequest, SmrResponse};
 pub use replica::{
     ReplicaConfig, ReplicaState, SmrReplica, SMR_ROLLBACKS, SMR_SPEC_EXEC, SMR_SPEC_STALE,

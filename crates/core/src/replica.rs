@@ -19,6 +19,12 @@
 //! only books each part's charge on the core the executor named and
 //! sends each reply when it is ready.
 //!
+//! The executor and the reply queue together are the B⁺-tree server
+//! (`Server`); a replica is that server behind a ring learner. The
+//! client-server baseline ([`crate::cs::CsServer`]) is the same server
+//! without a ring: one execution core, a seat of one, nothing speculated,
+//! each request confirmed on arrival.
+//!
 //! One replica of a partition answers each command (§4.4.2), and the
 //! executor says which ([`crate::exec`], "Who answers"): an update, which
 //! every replica executes, is answered by the one at `id % n` of the
@@ -37,8 +43,10 @@
 //! executes a command when its Phase 2A payload *arrives*, before the
 //! decision confirms its order. The response is released once both the
 //! execution has finished and the order is confirmed — `max(Δe, Δo)`
-//! instead of `Δe + Δo` (§4.2.1) — from what the speculation queue kept,
-//! without looking the command up again. If the confirmed order disagrees
+//! instead of `Δe + Δo` (§4.2.1) — through the one call every delivered
+//! command goes through ([`Executor::confirm`]), which matches the oldest
+//! speculation first; the reply's client and size come from the command
+//! the learner delivered. If the confirmed order disagrees
 //! with the arrival order (coordinator replacement, a payload that arrived
 //! by repair), the speculated updates are rolled back through the
 //! service's undo log and re-executed in the confirmed order.
@@ -72,7 +80,7 @@ use ringpaxos::value::Command;
 use ringpaxos::Batch;
 use simnet::prelude::*;
 
-use crate::exec::{Booked, Executor, Released, Seat};
+use crate::exec::{Booked, Executor, Seat};
 use crate::msg::SmrResponse;
 use crate::service::{Service, StoredCommand};
 
@@ -97,6 +105,15 @@ pub const SMR_SPLIT_READS: &str = "smr.split_reads";
 const T_RESP: u64 = 40 << 56;
 const KIND_MASK: u64 = 0xff << 56;
 
+/// Core running the response thread, of a replica and of the
+/// client-server baseline alike.
+pub(crate) const RESP_CORE: usize = 2;
+/// Response marshalling cost per reply on the response core.
+const MARSHAL: Dur = Dur::micros(4);
+/// Per-delivered-command dispatch cost, paid by the execution core that
+/// takes the command.
+const DISPATCH: Dur = Dur::micros(10);
+
 /// Per-replica configuration.
 #[derive(Clone, Debug)]
 pub struct ReplicaConfig {
@@ -105,24 +122,11 @@ pub struct ReplicaConfig {
     /// Cores running execution threads: `exec_cores[0]` runs every
     /// update (and reads), the rest run reads only.
     pub exec_cores: Vec<usize>,
-    /// Core running the response thread.
-    pub resp_core: usize,
-    /// Per-delivered-instance dispatch cost, paid by the execution core
-    /// that takes the command.
-    pub dispatch: Dur,
-    /// Response marshalling cost per reply on the response core.
-    pub marshal: Dur,
 }
 
 impl Default for ReplicaConfig {
     fn default() -> Self {
-        ReplicaConfig {
-            speculative: false,
-            exec_cores: vec![1],
-            resp_core: 2,
-            dispatch: Dur::micros(10),
-            marshal: Dur::micros(4),
-        }
+        ReplicaConfig { speculative: false, exec_cores: vec![1] }
     }
 }
 
@@ -140,21 +144,75 @@ pub struct ReplicaState {
     pub undo_depth: usize,
 }
 
+/// The B⁺-tree server of one node: the [`Executor`] and the replies
+/// awaiting their virtual completion time. A replica feeds it the
+/// commands its learner delivers; the client-server baseline feeds it
+/// each request as it arrives.
+pub(crate) struct Server<S: Service> {
+    exec: Executor<S>,
+    /// The partition mask the server runs (`ALL_PARTITIONS` when the
+    /// state is not partitioned).
+    mask: u32,
+    /// Replies awaiting their virtual completion time, by (ready time,
+    /// confirmation order): with several execution cores a finished reply
+    /// must not wait behind a scan still running on another core.
+    replies: BTreeMap<(Time, u64), (MsgId, NodeId, u32)>,
+    confirmed: u64,
+}
+
+impl<S: Service> Server<S> {
+    /// A server at `seat` of partition mask `mask` over `service`, its
+    /// [`Executor`] running on `cores` at `dispatch` per command.
+    pub(crate) fn new(service: S, cores: Vec<usize>, mask: u32, dispatch: Dur, seat: Seat) -> Self {
+        let exec = Executor::new(service, cores, mask, dispatch, seat);
+        Server { exec, mask, replies: BTreeMap::new(), confirmed: 0 }
+    }
+
+    /// `cmd`, of id `id`, is the next command in the decided order:
+    /// executes it ([`Executor::confirm`]), books the execution and, if
+    /// this node answers it, queues the reply for when it is done.
+    pub(crate) fn confirm(&mut self, id: MsgId, cmd: &Command, ctx: &mut Ctx) {
+        let cmd = StoredCommand::of(cmd);
+        let booked = self.exec.confirm(id, cmd, ctx.now());
+        if booked.rolled_back > 0 {
+            ctx.counter_add(SMR_ROLLBACKS, booked.rolled_back as u64);
+        }
+        charge(&booked, ctx);
+        if booked.answers {
+            self.replies.insert((booked.done, self.confirmed), (id, cmd.client, cmd.reply_bytes));
+            self.confirmed += 1;
+            // A reply ready now leaves with this call's `flush`.
+            if booked.done > ctx.now() {
+                ctx.set_timer(booked.done.since(ctx.now()), TimerToken(T_RESP));
+            }
+        }
+    }
+
+    /// Sends every reply that is ready, each marshalled on the response
+    /// core.
+    pub(crate) fn flush(&mut self, ctx: &mut Ctx) {
+        while let Some(e) = self.replies.first_entry() {
+            if e.key().0 > ctx.now() {
+                break;
+            }
+            let (id, client, bytes) = e.remove();
+            ctx.charge_cpu(RESP_CORE, MARSHAL);
+            // The lowest partition of the mask: 0 when not partitioned.
+            let partition = self.mask.trailing_zeros();
+            ctx.udp_send(client, SmrResponse { id, partition }, bytes);
+        }
+    }
+}
+
 /// A state-machine-replication replica over service `S`.
 pub struct SmrReplica<S: Service> {
     inner: MRingProcess,
     /// Batches the learner has delivered, taken from it (reused buffer).
     delivered: Vec<Batch>,
-    /// This replica's partition mask: `inner`'s learner mask
-    /// (`ALL_PARTITIONS` when the ring is not partitioned).
-    mask: u32,
-    exec: Executor<S>,
-    rcfg: ReplicaConfig,
-    /// Responses awaiting their virtual completion time, by (ready time,
-    /// delivery order): with several execution cores a finished reply
-    /// must not wait behind a scan still running on another core.
-    resp_q: BTreeMap<(Time, u64), (MsgId, NodeId, u32)>,
-    resp_seq: u64,
+    /// The server, over `inner`'s learner mask.
+    server: Server<S>,
+    /// Execute commands on payload arrival (§4.2.1).
+    speculative: bool,
 }
 
 impl<S: Service> SmrReplica<S> {
@@ -172,26 +230,23 @@ impl<S: Service> SmrReplica<S> {
             .collect();
         let index = peers.iter().position(|&p| p == me).expect("a replica is one of its peers");
         let seat = Seat { index, of: peers.len() };
-        let exec = Executor::new(service, rcfg.exec_cores.clone(), mask, rcfg.dispatch, seat);
         SmrReplica {
             inner,
             delivered: Vec::new(),
-            mask,
-            exec,
-            rcfg,
-            resp_q: BTreeMap::new(),
-            resp_seq: 0,
+            server: Server::new(service, rcfg.exec_cores, mask, DISPATCH, seat),
+            speculative: rcfg.speculative,
         }
     }
 
     /// This replica's state now ("Reading a replica"). Costs a scan of
     /// the service for its digest.
     pub fn state(&self) -> ReplicaState {
-        let service = self.exec.service();
+        let exec = &self.server.exec;
+        let service = exec.service();
         ReplicaState {
-            updates: self.exec.updates_applied(),
+            updates: exec.updates_applied(),
             digest: service.digest(),
-            speculated: self.exec.speculated(),
+            speculated: exec.speculated(),
             undo_depth: service.undo_depth(),
         }
     }
@@ -202,11 +257,11 @@ impl<S: Service> SmrReplica<S> {
             // A value the duplicate filter has passed is a retried copy
             // of a command this replica has delivered: the learner will
             // drop it, and no confirmation will ever pop it.
-            if v.mask & self.mask == 0 || self.inner.has_delivered(v) {
+            if v.mask & self.server.mask == 0 || self.inner.has_delivered(v) {
                 continue;
             }
             let cmd = StoredCommand::of(cmd);
-            if let Some(booked) = self.exec.speculate(v.id, instance, cmd, ctx.now()) {
+            if let Some(booked) = self.server.exec.speculate(v.id, instance, cmd, ctx.now()) {
                 charge(&booked, ctx);
                 ctx.counter_add(SMR_SPEC_EXEC, 1);
             }
@@ -220,51 +275,14 @@ impl<S: Service> SmrReplica<S> {
         delivered.extend(self.inner.take_delivered());
         for batch in delivered.drain(..) {
             for (v, cmd) in batch.commands() {
-                self.confirm(v.id, cmd, ctx);
+                self.server.confirm(v.id, cmd, ctx);
             }
         }
         self.delivered = delivered;
-        let swept = self.exec.delivered(self.inner.next_deliver().0);
+        let swept = self.server.exec.delivered(self.inner.next_deliver().0);
         if swept.stale > 0 {
             ctx.counter_add(SMR_SPEC_STALE, swept.stale as u64);
             ctx.counter_add(SMR_ROLLBACKS, swept.rolled_back as u64);
-        }
-    }
-
-    fn confirm(&mut self, id: MsgId, cmd: &Command, ctx: &mut Ctx) {
-        let (booked, client, reply_bytes) = match self.exec.release(id, ctx.now()) {
-            Some(Released { booked, client, reply_bytes }) => (booked, client, reply_bytes),
-            None => {
-                let cmd = StoredCommand::of(cmd);
-                let booked = self.exec.confirm(id, cmd, ctx.now());
-                (booked, cmd.client, cmd.reply_bytes)
-            }
-        };
-        if booked.rolled_back > 0 {
-            ctx.counter_add(SMR_ROLLBACKS, booked.rolled_back as u64);
-        }
-        charge(&booked, ctx);
-        let done = booked.done;
-        if booked.answers {
-            self.resp_q.insert((done, self.resp_seq), (id, client, reply_bytes));
-            self.resp_seq += 1;
-            // A reply ready now leaves with this call's `flush_responses`.
-            if done > ctx.now() {
-                ctx.set_timer(done.since(ctx.now()), TimerToken(T_RESP));
-            }
-        }
-    }
-
-    fn flush_responses(&mut self, ctx: &mut Ctx) {
-        while let Some(e) = self.resp_q.first_entry() {
-            if e.key().0 > ctx.now() {
-                break;
-            }
-            let (id, client, bytes) = e.remove();
-            ctx.charge_cpu(self.rcfg.resp_core, self.rcfg.marshal);
-            // The lowest partition of the mask: 0 when not partitioned.
-            let partition = self.mask.trailing_zeros();
-            ctx.udp_send(client, SmrResponse { id, partition }, bytes);
         }
     }
 }
@@ -286,7 +304,7 @@ impl<S: Service> Actor for SmrReplica<S> {
     }
 
     fn on_message(&mut self, env: &Envelope, ctx: &mut Ctx) {
-        if self.rcfg.speculative {
+        if self.speculative {
             if let Some(MMsg::Phase2a { instance, batch, .. }) = env.payload.downcast_ref::<MMsg>()
             {
                 self.speculate(instance.0, batch, ctx);
@@ -294,15 +312,15 @@ impl<S: Service> Actor for SmrReplica<S> {
         }
         self.inner.on_message(env, ctx);
         self.drain(ctx);
-        self.flush_responses(ctx);
+        self.server.flush(ctx);
     }
 
     fn on_timer(&mut self, token: TimerToken, ctx: &mut Ctx) {
         if token.0 & KIND_MASK == T_RESP {
-            return self.flush_responses(ctx);
+            return self.server.flush(ctx);
         }
         self.inner.on_timer(token, ctx);
         self.drain(ctx);
-        self.flush_responses(ctx);
+        self.server.flush(ctx);
     }
 }

@@ -79,11 +79,6 @@ impl TreeSessionDriver {
         }
     }
 
-    /// Requests awaiting replies (final-state inspection).
-    pub fn outstanding(&self) -> usize {
-        self.expected.len()
-    }
-
     /// Sends request `id`, with its command, along the route; returns
     /// where it went on the ring (`None` for the server).
     fn send(

@@ -1,13 +1,16 @@
 //! Golden traces of the replicated B⁺-tree: the session tier's
 //! `deploy_smr_sessions` at the benchmark's shape (8 tables of 125 k
 //! open-loop Zipf(0.99) sessions over a 4 × 2 partitioned tree), once
-//! with `smr_update`'s mix and once with `smr_query`'s, and ch. 4's
-//! closed-loop `deploy_smr` (2 replicas, 4 one-session clients of
-//! single updates), plain and speculative, each for a fraction of a
-//! virtual second. Each pins the event count, per-replica deliveries, the counter checksum,
-//! the session latency count and mean, and every replica's digest
-//! (`golden/mod.rs`, shared with the ring's golden traces). Re-capture
-//! after an *intentional* semantic change:
+//! with `smr_update`'s mix, once with `smr_query`'s and once with its
+//! coordinator crashed mid-run; ch. 4's closed-loop `deploy_smr` (2
+//! replicas, 4 one-session clients of single updates), plain and
+//! speculative; and the client-server baseline `deploy_cs`, with single
+//! updates and with queries, each for a fraction of a virtual second.
+//! Each pins the event count, per-replica deliveries, the counter
+//! checksum, the session latency count and mean, and every replica's
+//! digest (`golden/mod.rs`, shared with the ring's golden traces; the CS
+//! server has no ring and no digest to read). Re-capture after an
+//! *intentional* semantic change:
 //!
 //! ```text
 //! GOLDEN_PRINT=1 cargo test -p hpsmr_core --test golden_trace -- --nocapture
@@ -16,16 +19,20 @@
 #[path = "../../ringpaxos/tests/golden/mod.rs"]
 mod golden;
 
-use golden::{harvest, report, Golden};
+use golden::{harvest, harvest_crashed, report, Golden};
 use hpsmr_core::deploy::{
-    deploy_smr, deploy_smr_sessions, PartitionOptions, SessionOptions, SmrOptions,
+    deploy_cs, deploy_smr, deploy_smr_sessions, PartitionOptions, SessionOptions, SmrOptions,
 };
 use simnet::prelude::*;
 use workload::{WorkloadKind, SESSION_LATENCY};
 
 const N_TABLES: usize = 8;
 
-fn sessions_run(kind: WorkloadKind, rate: f64, seed: u64) -> Golden {
+/// The session tier at the benchmark's shape, arrivals stopped at
+/// 200 ms and drained to 300 ms. With `crash`, its coordinator goes down
+/// then, and the run goes on to 1.5 s: the takeover completes and every
+/// request submitted is answered, retried ones included.
+fn sessions_run(kind: WorkloadKind, rate: f64, seed: u64, crash: Option<Time>) -> Golden {
     let mut sim = Sim::new(SimConfig { seed, ..SimConfig::default() });
     let opts = SessionOptions {
         kind,
@@ -38,9 +45,20 @@ fn sessions_run(kind: WorkloadKind, rate: f64, seed: u64) -> Golden {
         ..SessionOptions::default()
     };
     let d = deploy_smr_sessions(&mut sim, &opts);
-    sim.run_until(Time::from_millis(300));
+    let end = match crash {
+        None => Time::from_millis(300),
+        Some(at) => {
+            sim.run_until(at);
+            sim.set_node_up(d.coordinator(), false);
+            Time::from_millis(1500)
+        }
+    };
+    sim.run_until(end);
     let replicas: Vec<NodeId> = d.replicas.iter().flatten().copied().collect();
-    let mut got = harvest(&sim, &replicas, SESSION_LATENCY);
+    let mut got = match crash {
+        None => harvest(&sim, &replicas, SESSION_LATENCY),
+        Some(_) => harvest_crashed(&sim, &replicas, SESSION_LATENCY),
+    };
     got.digests = d.replica_states(&sim).into_iter().flatten().map(|s| s.digest).collect();
     got
 }
@@ -64,7 +82,7 @@ fn sessions_update_golden_trace() {
             0x478ee18796437432,
         ],
     };
-    report("sessions_update", &sessions_run(WorkloadKind::InsDelSingle, 24_000.0, 11), &want);
+    report("sessions_update", &sessions_run(WorkloadKind::InsDelSingle, 24_000.0, 11, None), &want);
 }
 
 #[test]
@@ -86,7 +104,7 @@ fn sessions_query_golden_trace() {
             0x27b0105e89f26a0a,
         ],
     };
-    report("sessions_query", &sessions_run(WorkloadKind::Queries, 12_000.0, 11), &want);
+    report("sessions_query", &sessions_run(WorkloadKind::Queries, 12_000.0, 11, None), &want);
 }
 
 /// `deploy_smr` with 2 replicas and 4 closed-loop clients of single
@@ -132,4 +150,66 @@ fn smr_closed_loop_speculative_golden_trace() {
         digests: vec![0xe0344b5844e17002, 0xe0344b5844e17002],
     };
     report("smr_closed_loop_speculative", &closed_loop_run(true), &want);
+}
+
+/// A takeover: the coordinator of the 4 × 2 update run goes
+/// down at 100 ms, a ring member takes over and re-proposes what it
+/// finds undecided, each batch on its own partitions.
+#[test]
+fn sessions_update_coordinator_crash_golden_trace() {
+    let want = Golden {
+        events: 40149,
+        delivered: vec![465, 465, 397, 397, 382, 382, 313, 313],
+        checksum: 0xf5eb2bcef968d719,
+        latency_count: 1557,
+        latency_mean_ns: 329464863,
+        digests: vec![
+            0x0a2ebf53ec59c5bf,
+            0x0a2ebf53ec59c5bf,
+            0xd400322c6c5e7984,
+            0xd400322c6c5e7984,
+            0x7dd0f522567854b9,
+            0x7dd0f522567854b9,
+            0x9341e55cc95d72e7,
+            0x9341e55cc95d72e7,
+        ],
+    };
+    let got = sessions_run(WorkloadKind::InsDelSingle, 8_000.0, 11, Some(Time::from_millis(100)));
+    report("sessions_update_coordinator_crash", &got, &want);
+}
+
+/// `deploy_cs` with 4 closed-loop clients, arrivals stopped at 200 ms
+/// and drained to 250 ms. Only the server and its clients run, so the
+/// values pin the server's execution and reply timing.
+fn cs_run(workload: WorkloadKind) -> Golden {
+    let mut sim = Sim::new(SimConfig { seed: 11, ..SimConfig::default() });
+    deploy_cs(&mut sim, 4, workload, Some(Time::from_millis(200)));
+    sim.run_until(Time::from_millis(250));
+    harvest(&sim, &[], SESSION_LATENCY)
+}
+
+#[test]
+fn cs_update_golden_trace() {
+    let want = Golden {
+        events: 28360,
+        delivered: vec![],
+        checksum: 0xe7fc3dd883f6c780,
+        latency_count: 5672,
+        latency_mean_ns: 141115,
+        digests: vec![],
+    };
+    report("cs_update", &cs_run(WorkloadKind::InsDelSingle), &want);
+}
+
+#[test]
+fn cs_query_golden_trace() {
+    let want = Golden {
+        events: 3800,
+        delivered: vec![],
+        checksum: 0x1e263df9a6e1b7d9,
+        latency_count: 760,
+        latency_mean_ns: 1055453,
+        digests: vec![],
+    };
+    report("cs_query", &cs_run(WorkloadKind::Queries), &want);
 }

@@ -74,6 +74,16 @@ pub fn report(label: &str, got: &Golden, want: &Golden) {
 /// The golden values of a finished run: `learners`' deliveries, and the
 /// `latency` histogram over all nodes. Digests are left for the caller.
 pub fn harvest(sim: &Sim, learners: &[NodeId], latency: &'static str) -> Golden {
+    harvest_run(sim, learners, latency, sim.config().random_loss == 0.0)
+}
+
+/// [`harvest`] for a run with a coordinator crash in it: the takeover
+/// repairs what the crash cut off, loss or no loss.
+pub fn harvest_crashed(sim: &Sim, learners: &[NodeId], latency: &'static str) -> Golden {
+    harvest_run(sim, learners, latency, false)
+}
+
+fn harvest_run(sim: &Sim, learners: &[NodeId], latency: &'static str, loss_free: bool) -> Golden {
     // Eviction from a learner's dedup window means possible loss. Here
     // every learner sees every proposer's dense seq: never an eviction.
     // And where no datagram is lost nothing may be repaired or asked
@@ -82,7 +92,6 @@ pub fn harvest(sim: &Sim, learners: &[NodeId], latency: &'static str) -> Golden 
     // And none of these runs is past the knee: the proposers' byte
     // window holds nothing back and sheds nothing, with or
     // without loss.
-    let loss_free = sim.config().random_loss == 0.0;
     sim.metrics().for_each_counter(|node, name, v| {
         assert!(name != "rp.dedup_evict" || v == 0, "{node:?} evicted {v} dedup entries");
         let repair = ["rp.retrans", "rp.re2a", "rp.resubmit", "rp.repair_spurious", "rp.floor_2b"];

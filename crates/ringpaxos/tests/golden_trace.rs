@@ -1,8 +1,9 @@
 //! Golden-trace determinism test.
 //!
 //! Runs a seeded M-Ring Paxos deployment (with loss injection, so the
-//! RNG, retransmission, and flow-control paths are all exercised) and a
-//! seeded U-Ring deployment, then asserts the *exact* event count,
+//! RNG, retransmission, and flow-control paths are all exercised), a
+//! seeded U-Ring deployment and a recoverable M-Ring on `SyncDisk` with
+//! a learner crashed and respawned, then asserts the *exact* event count,
 //! per-learner delivery counts, and a checksum over every per-node
 //! counter. Any change to the engine's data structures that accidentally
 //! reorders events, perturbs the RNG stream, or miscounts a metric shows
@@ -23,7 +24,10 @@ mod golden;
 
 use abcast::metric;
 use golden::{harvest, report, Golden};
-use ringpaxos::cluster::{deploy_mring, deploy_uring, MRingOptions, URingOptions};
+use recovery::NullApp;
+use ringpaxos::cluster::{
+    deploy_mring, deploy_mring_recoverable, deploy_uring, respawn_mring, MRingOptions, URingOptions,
+};
 use simnet::prelude::*;
 
 #[test]
@@ -196,4 +200,47 @@ fn uring_golden_trace() {
         digests: Vec::new(),
     };
     report("uring", &run(), &want);
+}
+
+/// A recoverable M-Ring on `SyncDisk`: every acceptor writes its votes
+/// ahead, learners checkpoint every 128 instances, and learner 0 crashes
+/// at 300 ms, is respawned over its stable store at 400 ms and catches
+/// the decided suffix up from its preferential acceptor over TCP. The
+/// victim's deliveries count those it replays after its checkpoint.
+#[test]
+fn mring_recoverable_golden_trace() {
+    let run = || {
+        let mut cfg = SimConfig::default();
+        cfg.seed = 0x5EED;
+        let mut sim = Sim::new(cfg);
+        let opts = MRingOptions {
+            ring_size: 3,
+            n_learners: 2,
+            n_proposers: 2,
+            proposer_rate_bps: 30_000_000,
+            msg_bytes: 8192,
+            proposer_stop: Some(Time::from_millis(600)),
+            ..MRingOptions::default()
+        };
+        let app = || Some(Box::new(NullApp::default()) as Box<dyn recovery::RecoveredApp>);
+        let rm = deploy_mring_recoverable(&mut sim, &opts, 128, |_| {}, |_| app());
+        let victim = rm.d.learners[0];
+        sim.run_until(Time::from_millis(300));
+        sim.set_node_up(victim, false);
+        sim.run_until(Time::from_millis(400));
+        respawn_mring(&mut sim, &rm, victim, app());
+        sim.run_until(Time::from_millis(1000));
+        assert!(sim.metrics().counter(victim, "rec.catchup_instances") > 0, "caught up over TCP");
+        assert_eq!(sim.metrics().latency("rec.ttr").count, 1, "one recovery, completed");
+        harvest(&sim, &rm.d.all_learners, metric::LATENCY)
+    };
+    let want = Golden {
+        events: 23526,
+        delivered: vec![568, 550, 550, 550],
+        checksum: 0x34f706f2fa071198,
+        latency_count: 550,
+        latency_mean_ns: 1639297,
+        digests: Vec::new(),
+    };
+    report("mring_recoverable", &run(), &want);
 }
